@@ -10,14 +10,9 @@ from .spectral import (
     LagFilter,
     LagGrid,
     Signal,
-    Spectrum,
     WindowSpec,
-    center_zero_lag,
-    fft_forward,
-    fft_inverse,
     make_window,
     pad_to_full_lag,
-    uncenter_zero_lag,
 )
 from .wiener import (
     WienerConfig,
@@ -42,16 +37,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Signal",
-    "Spectrum",
     "LagGrid",
     "LagFilter",
     "WindowSpec",
     "WienerConfig",
     "pad_to_full_lag",
-    "fft_forward",
-    "fft_inverse",
-    "center_zero_lag",
-    "uncenter_zero_lag",
     "make_window",
     "delta_filter",
     "wiener_filter",

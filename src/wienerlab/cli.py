@@ -28,12 +28,19 @@ from .dataio import ingest_idx, read_idx_images, read_pgm, save_model, write_csv
 from .datasets import make_digit_set, two_cluster_latents
 from .diffusion import EnergyModel, Schedule, cosine_schedule, nearest_defining_sample, run_diffusion
 from .errors import ConfigError, FormatError, NumericalError, ShapeError, WienerlabError
-from .gradients import grad_wiener_loss
+from .gradients import loss_and_grad
 from .knn import DistanceSpec, LabeledSet, evaluate_accuracy, make_translated_set
 from .metrics import compute_metrics, psnr
 from .spectral import LagGrid, Signal, WindowSpec, make_window
 from .trainer import DenseAutoencoder, TrainConfig, TrainingDivergedError, train
-from .wiener import WienerConfig, concentration, ti_distance, wiener_filter, wiener_loss
+from .wiener import (
+    QuotientKernel,
+    WienerConfig,
+    concentration,
+    ti_distance,
+    wiener_filter,
+    wiener_loss,
+)
 
 __all__ = ["main"]
 
@@ -145,22 +152,43 @@ def _stride_mask(shape, stride: int) -> np.ndarray:
     return np.outer(rows, cols).astype(float)
 
 
+def _box_sum(a: np.ndarray, r: int) -> np.ndarray:
+    """Sum of `a` over the (2r+1)^2 window around each pixel, clipped at the borders."""
+    win = np.lib.stride_tricks.sliding_window_view
+    rows = win(np.pad(a, ((r, r), (0, 0))), 2 * r + 1, axis=0).sum(axis=-1)
+    return win(np.pad(rows, ((0, 0), (r, r))), 2 * r + 1, axis=1).sum(axis=-1)
+
+
 def _mask_aware_mean_fill(masked: np.ndarray, mask: np.ndarray, stride: int) -> np.ndarray:
     """Fill unobserved pixels with the mean of kept pixels in a local window."""
-    h, w = masked.shape
-    r = stride
-    filled = masked.copy()
-    for i in range(h):
-        for j in range(w):
-            if mask[i, j]:
-                continue
-            i0, i1 = max(0, i - r), min(h, i + r + 1)
-            j0, j1 = max(0, j - r), min(w, j + r + 1)
-            block = masked[i0:i1, j0:j1]
-            weights = mask[i0:i1, j0:j1]
-            total = weights.sum()
-            filled[i, j] = (block * weights).sum() / total if total > 0 else 0.0
-    return filled
+    total = _box_sum(mask, stride)
+    sums = _box_sum(masked * mask, stride)
+    means = np.divide(sums, total, out=np.zeros_like(sums), where=total > 0)
+    return np.where(mask != 0, masked, means)
+
+
+def _recover_objective(rc, target: Signal, whitening, wcfg: WienerConfig):
+    """x -> (loss, gradient) for the recovery descent, x shaped like target.planes.
+
+    The filter loss keeps the target's quotient kernel and the raw whitening
+    window for the whole run, so a step costs two forward and two inverse
+    real transforms.
+    """
+    if rc.loss == "mse":
+
+        def objective(x):
+            diff = x - target.planes
+            return 0.5 * float(np.sum(diff**2)), diff
+
+        return objective
+    kernel = QuotientKernel(target.planes, target.shape, wcfg.lam)
+    w_raw = whitening.raw
+
+    def objective(x):
+        value, grad = loss_and_grad(kernel, x, w_raw)
+        return float(value), grad
+
+    return objective
 
 
 def _cmd_recover(args, cfg: ExperimentConfig) -> int:
@@ -186,25 +214,21 @@ def _cmd_recover(args, cfg: ExperimentConfig) -> int:
     run_dir = _make_run_dir(args, "recover")
     _echo_config(run_dir, cfg)
 
-    x = masked_plane.copy()
+    objective = _recover_objective(rc, target, whitening, wcfg)
+    x = masked.planes.copy()
     curve = []
     for it in range(rc.iterations):
-        sig = Signal.from_array(x)
-        if rc.loss == "mse":
-            diff = x - target.plane()
-            loss_val = 0.5 * float(np.sum(diff**2))
-            grad = diff
-        else:
-            res = grad_wiener_loss(sig, target, whitening, wcfg)
-            loss_val = res.value
-            grad = res.grad.plane()
+        try:
+            loss_val, grad = objective(x)
+        except NumericalError:
+            loss_val = float("nan")
         if not np.isfinite(loss_val):
-            write_pgm(run_dir / "recovered.pgm", Signal.from_array(np.clip(x, 0, 1)))
+            write_pgm(run_dir / "recovered.pgm", Signal.from_array(np.clip(x[0], 0, 1)))
             raise NumericalError(f"recovery diverged at iteration {it} (last iterate saved)")
         if it % rc.log_every == 0:
             curve.append((it, loss_val))
         x = x - step * grad
-    recovered = Signal.from_array(np.clip(x, 0.0, 1.0))
+    recovered = Signal.from_array(np.clip(x[0], 0.0, 1.0))
 
     write_csv(run_dir / "loss_curve.csv", ["iteration", "loss"], curve)
     write_pgm(run_dir / "masked.pgm", masked)

@@ -108,6 +108,10 @@ class RecoverSection:
     step_size: float = 0.0  # 0 -> per-loss default
     log_every: int = 1
 
+    def __post_init__(self):
+        if not (self.log_every >= 1):
+            raise ConfigError(f"[recover] log_every must be >= 1, got {self.log_every}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-from .gradients import energy_breakdown
+from .errors import ConfigError, NumericalError, ShapeError
+from .gradients import EnergyBreakdown, energy_breakdown
 from .spectral import LagFilter, Signal
-from .wiener import WienerConfig
+from .wiener import QuotientKernel, WienerConfig
 
 __all__ = [
     "EnergyModel",
@@ -34,8 +34,9 @@ __all__ = [
 class EnergyModel:
     """Defining samples plus the penalty window and scalars that shape the energy.
 
-    Spectra of the (fixed) defining set are precomputed at construction; the
-    per-step energy and gradient then cost a handful of batched transforms.
+    The quotient kernel of the (fixed) defining set is built at construction;
+    the per-step energy and gradient then cost one batched filter pass and
+    one pullback.
     """
 
     defining_samples: list[Signal]
@@ -50,28 +51,15 @@ class EnergyModel:
         for s in self.defining_samples[1:]:
             if s.shape != first.shape or s.channels != first.channels:
                 raise ShapeError("defining samples must share one shape")
-        if self.gamma < 0:
+        if not (self.gamma >= 0):
             raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
         expected = tuple(2 * n for n in first.shape)
         if self.penalty.grid.extents != expected:
             raise ShapeError(
                 f"penalty extents {self.penalty.grid.extents} != padded extents {expected}"
             )
-        padded = np.zeros((len(self.defining_samples), first.channels) + expected)
-        region = (slice(None), slice(None)) + tuple(slice(0, n) for n in first.shape)
-        padded[region] = np.stack([s.planes for s in self.defining_samples])
-        axes = tuple(range(2, padded.ndim))
-        spectra = np.fft.fftn(padded, axes=axes)
-        den = (np.conj(spectra) * spectra).real + self.wiener_cfg.lam
-        if self.wiener_cfg.lam == 0.0 and np.any(den == 0.0):
-            raise ConfigError("lambda = 0 with zero spectrum bins in the defining set")
-        object.__setattr__(self, "_spectra", spectra)
-        object.__setattr__(self, "_den", den)
-
-    @property
-    def sample_spectra(self) -> tuple[np.ndarray, np.ndarray]:
-        """(spectra, stabilized power) of the padded defining set, shape (n, C, *padded)."""
-        return self._spectra, self._den
+        planes = np.stack([s.planes for s in self.defining_samples])
+        object.__setattr__(self, "kernel", QuotientKernel(planes, first.shape, self.wiener_cfg.lam))
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,36 +161,52 @@ def run_diffusion(
     T = schedule.steps
 
     trajectories = []
-    for rng in streams:
-        x = Signal(
-            rng.normal(0.0, math.sqrt(init_variance), size=ref.data.size),
-            ref.shape,
-            ref.channels,
-        )
-        samples = [x]
-        snapshot_steps = [0]
-        energies = []
-        concentrations = []
-        for t in range(T):
-            bd = energy_breakdown(x, model)
-            energies.append(bd.value)
-            nearest = np.argsort(bd.sample_energies, kind="stable")[:k]
-            concentrations.append(float(np.mean(bd.sample_concentrations[nearest])))
-            data = x.data - (schedule.alpha[t] / 2.0) * bd.grad.data
-            if schedule.beta[t] > 0:
-                data = data + rng.normal(0.0, math.sqrt(schedule.beta[t]), size=data.shape)
-            x = Signal(data, x.shape, x.channels)
-            if (t + 1) % snapshot_stride == 0 and (t + 1) != T:
-                samples.append(x)
-                snapshot_steps.append(t + 1)
-        final_bd = energy_breakdown(x, model)
-        energies.append(final_bd.value)
-        nearest = np.argsort(final_bd.sample_energies, kind="stable")[:k]
-        concentrations.append(float(np.mean(final_bd.sample_concentrations[nearest])))
-        samples.append(x)
-        snapshot_steps.append(T)
-        trajectories.append(Trajectory(samples, energies, concentrations, snapshot_steps))
+    # overflow in a diverging chain is reported by the chain/step guard below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for chain, rng in enumerate(streams):
+            x = Signal(
+                rng.normal(0.0, math.sqrt(init_variance), size=ref.data.size),
+                ref.shape,
+                ref.channels,
+            )
+            samples = [x]
+            snapshot_steps = [0]
+            energies = []
+            concentrations = []
+            for t in range(T):
+                bd = _chain_breakdown(x, model, chain, t)
+                energies.append(bd.value)
+                nearest = np.argsort(bd.sample_energies, kind="stable")[:k]
+                concentrations.append(float(np.mean(bd.sample_concentrations[nearest])))
+                data = x.data - (schedule.alpha[t] / 2.0) * bd.grad.data
+                if schedule.beta[t] > 0:
+                    data = data + rng.normal(0.0, math.sqrt(schedule.beta[t]), size=data.shape)
+                if not np.all(np.isfinite(data)):
+                    raise NumericalError(f"chain {chain} diverged at step {t}: non-finite state")
+                x = Signal(data, x.shape, x.channels)
+                if (t + 1) % snapshot_stride == 0 and (t + 1) != T:
+                    samples.append(x)
+                    snapshot_steps.append(t + 1)
+            final_bd = _chain_breakdown(x, model, chain, T)
+            energies.append(final_bd.value)
+            nearest = np.argsort(final_bd.sample_energies, kind="stable")[:k]
+            concentrations.append(float(np.mean(final_bd.sample_concentrations[nearest])))
+            samples.append(x)
+            snapshot_steps.append(T)
+            trajectories.append(Trajectory(samples, energies, concentrations, snapshot_steps))
     return trajectories
+
+
+def _chain_breakdown(x: Signal, model: EnergyModel, chain: int, step: int) -> EnergyBreakdown:
+    """energy_breakdown that names the chain and step when the energy or its
+    gradient stops being finite."""
+    try:
+        bd = energy_breakdown(x, model)
+    except NumericalError as exc:
+        raise NumericalError(f"chain {chain} diverged at step {step}: {exc}") from exc
+    if not np.isfinite(bd.value):
+        raise NumericalError(f"chain {chain} diverged at step {step}: non-finite energy")
+    return bd
 
 
 def nearest_defining_sample(x: Signal, model: EnergyModel) -> tuple[int, float]:

@@ -2,11 +2,13 @@
 
 The matching filter depends on the differentiated signal only through the
 spectral numerator, which is linear in it. Every gradient here is therefore
-one adjoint pass: the per-lag cotangent is carried back through the inverse
-transform by multiplying with S / (|S|^2 + lam) in the frequency domain
-(the adjoint of the forward quotient, S being the spectrum of the padded
-fixed signal), then cropped to the unpadded extents (the adjoint of zero
-padding). Derivation in docs/gradient_note.md.
+one adjoint pass through the fixed side's ``QuotientKernel``: the raw-layout
+per-lag cotangent is carried back through the inverse real transform by
+multiplying with conj(K) = S / (|S|^2 + lam) (the adjoint of the forward
+quotient, S being the half spectrum of the padded fixed signal), then
+cropped to the unpadded extents (the adjoint of zero padding). Weight
+windows are converted to raw layout once, so no step shifts lags.
+Derivation in docs/gradient_note.md.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, SingularSystemError, UndefinedQuotientError
-from .spectral import LagFilter, LagGrid, Signal
-from .wiener import IMAG_RESIDUE_TOL, WienerConfig, delta_filter
+from .errors import ConfigError, ShapeError, UndefinedQuotientError
+from .spectral import LagFilter, Signal
+from .wiener import QuotientKernel, WienerConfig, whitened_residual
 
 if TYPE_CHECKING:
     from .diffusion import EnergyModel
@@ -42,43 +44,17 @@ class GradientResult:
     value: float
 
 
-def _pad_planes(s: Signal) -> np.ndarray:
-    out = np.zeros((s.channels,) + tuple(2 * n for n in s.shape))
-    out[(slice(None),) + tuple(slice(0, n) for n in s.shape)] = s.planes
-    return out
+def loss_and_grad(
+    kernel: QuotientKernel, varying: np.ndarray, w_raw: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whitened filter-identity loss and its gradient for a batch of varying planes.
 
-
-def _spectra(fixed: Signal, cfg: WienerConfig):
-    """Spectrum S of the padded fixed signal and the real denominator |S|^2 + lam."""
-    s = _pad_planes(fixed)
-    axes = tuple(range(1, s.ndim))
-    S = np.fft.fftn(s, axes=axes)
-    den = (np.conj(S) * S).real + cfg.lam
-    if cfg.lam == 0.0 and np.any(den == 0.0):
-        raise SingularSystemError("zero denominator bin with lambda = 0")
-    return S, den
-
-
-def _filter_planes(varying: Signal, S: np.ndarray, den: np.ndarray, lam: float) -> np.ndarray:
-    """Centered matching-filter planes, varying signal in the numerator."""
-    p = _pad_planes(varying)
-    axes = tuple(range(1, p.ndim))
-    P = np.fft.fftn(p, axes=axes)
-    v = np.fft.ifftn((np.conj(S) * P + lam) / den, axes=axes)
-    resid = float(np.max(np.abs(v.imag)))
-    if resid > IMAG_RESIDUE_TOL:
-        raise SingularSystemError(f"imaginary residue {resid:.3e} after deconvolution")
-    shifts = tuple(n // 2 for n in p.shape[1:])
-    return np.roll(v.real, shifts, axis=axes)
-
-
-def _pullback(g_centered: np.ndarray, S: np.ndarray, den: np.ndarray, shape) -> np.ndarray:
-    """Adjoint pass: centered per-lag cotangent -> gradient on the unpadded planes."""
-    axes = tuple(range(1, g_centered.ndim))
-    shifts = tuple(-(n // 2) for n in g_centered.shape[1:])
-    g_raw = np.roll(g_centered, shifts, axis=axes)
-    gP = np.fft.ifftn((S / den) * np.fft.fftn(g_raw, axes=axes), axes=axes).real
-    return gP[(slice(None),) + tuple(slice(0, n) for n in shape)]
+    `varying` is (*batch, channels, *extents) and `w_raw` the raw-layout
+    whitening window; values sum over channels and lags, one per batch entry.
+    """
+    weighted = whitened_residual(kernel, varying, w_raw)
+    values = 0.5 * np.sum(weighted**2, axis=(-1 - len(kernel.shape),) + kernel.axes)
+    return values, kernel.pullback(w_raw * weighted)
 
 
 def grad_wiener_loss(
@@ -94,19 +70,9 @@ def grad_wiener_loss(
             f"shape mismatch: prediction {prediction.shape}x{prediction.channels} "
             f"vs target {target.shape}x{target.channels}"
         )
-    S, den = _spectra(target, cfg)
-    grid = LagGrid(S.shape[1:])
-    if whitening.grid.extents != grid.extents:
-        raise ShapeError(
-            f"whitening extents {whitening.grid.extents} != padded extents {grid.extents}"
-        )
-    v = _filter_planes(prediction, S, den, cfg.lam)
-    residual = v - delta_filter(grid, prediction.channels).data
-    weighted = whitening.data * residual
-    value = 0.5 * float(np.sum(weighted**2))
-    g_v = whitening.data * weighted
-    grad = _pullback(g_v, S, den, prediction.shape)
-    return GradientResult(Signal(grad.ravel(), prediction.shape, prediction.channels), value)
+    kernel = QuotientKernel(target.planes, target.shape, cfg.lam)
+    value, grad = loss_and_grad(kernel, prediction.planes, whitening.raw)
+    return GradientResult(Signal(grad.ravel(), prediction.shape, prediction.channels), float(value))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,42 +99,27 @@ def energy_breakdown(x: Signal, model: "EnergyModel") -> EnergyBreakdown:
             f"signal shape {x.shape}x{x.channels} does not match defining samples "
             f"{ref.shape}x{ref.channels}"
         )
-    lam = model.wiener_cfg.lam
     gamma = model.gamma
-    pen = model.penalty.data  # (1, *padded)
-    grid = model.penalty.grid
-    S, den = model.sample_spectra  # (n, C, *padded)
-    n_samples = S.shape[0]
-    channels = x.channels
-    axes = tuple(range(2, S.ndim))
-    zero_idx = (slice(None), slice(None)) + grid.zero_lag_index
+    pen = model.penalty.raw  # (1, *padded)
+    kernel = model.kernel  # fixed side: the defining set, (n, C, *extents)
+    axes = kernel.axes
+    zero = (...,) + (0,) * len(axes)
 
-    p = _pad_planes(x)
-    P = np.fft.fftn(p, axes=tuple(range(1, p.ndim)))  # (C, *padded)
-    raw = np.fft.ifftn((np.conj(S) * P + lam) / den, axes=axes)
-    resid = float(np.max(np.abs(raw.imag)))
-    if resid > IMAG_RESIDUE_TOL:
-        raise SingularSystemError(f"imaginary residue {resid:.3e} after deconvolution")
-    v = np.roll(raw.real, grid.zero_lag_index, axis=axes)  # (n, C, *padded) centered
-
+    v = kernel.filters(x.planes)  # (n, C, *padded), raw layout
     norms = np.sum(v**2, axis=axes, keepdims=True)
     if np.any(norms == 0.0):
         raise UndefinedQuotientError("all-zero matching filter in energy sum")
     quot = np.sum((pen * v) ** 2, axis=axes, keepdims=True) / norms
-    v0 = v[zero_idx]  # (n, C)
+    v0 = v[zero]  # (n, C)
     energies = 0.5 * np.mean(quot, axis=(1,) + axes) + 0.5 * gamma * np.mean(
         (v0 - 1.0) ** 2, axis=1
     )
-    concentrations = np.mean(v0**2 / norms.reshape(n_samples, channels), axis=1)
+    concentrations = np.mean(v0**2 / norms[zero], axis=1)
 
     # d(R/2)/dv = (pen^2 v - R v) / ||v||^2 ; amplitude term adds gamma (v0 - 1) at zero lag
-    g_v = (pen**2 * v - quot * v) / norms / channels
-    g_v[zero_idx] += gamma * (v0 - 1.0) / channels
-    g_raw = np.roll(g_v, tuple(-(k // 2) for k in grid.extents), axis=axes)
-    # sum of per-sample pullbacks == one inverse transform of the summed spectra
-    G = np.sum((S / den) * np.fft.fftn(g_raw, axes=axes), axis=0)
-    g_pad = np.fft.ifftn(G, axes=tuple(range(1, G.ndim))).real
-    grad_planes = g_pad[(slice(None),) + tuple(slice(0, n) for n in x.shape)]
+    g_v = (pen**2 * v - quot * v) / norms / x.channels
+    g_v[zero] += gamma * (v0 - 1.0) / x.channels
+    grad_planes = np.sum(kernel.pullback(g_v), axis=0)
 
     value = float(np.sum(energies))
     grad = Signal(grad_planes.ravel(), x.shape, x.channels)

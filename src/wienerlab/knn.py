@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .spectral import Signal
-from .wiener import WienerConfig, ti_distance
+from .wiener import QuotientKernel, WienerConfig, ti_distance, ti_values
 
 __all__ = [
     "LabeledSet",
@@ -31,10 +31,15 @@ N_CLASSES = 10
 
 @dataclass(frozen=True, eq=False)
 class LabeledSet:
-    """Uniformly shaped signals with class ids in 0..9."""
+    """Uniformly shaped signals with class ids in 0..9.
+
+    The quotient kernel of the whole set is built on the first TI query per
+    lambda and kept, so every later query against the set reuses it.
+    """
 
     signals: list[Signal]
     labels: list[int]
+    _kernels: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.signals) != len(self.labels):
@@ -75,38 +80,26 @@ def distance(a: Signal, b: Signal, spec: DistanceSpec) -> float:
     return ti_distance(a, b, spec.wiener_cfg)
 
 
-def _ti_distances_to_set(query: Signal, train: list[Signal], cfg: WienerConfig) -> np.ndarray:
-    """All filter-based distances from one query to a training set in one batch.
+def _set_kernel(train: LabeledSet, lam: float) -> QuotientKernel:
+    if lam not in train._kernels:
+        planes = np.stack([t.planes for t in train.signals])  # (n, C, *extents)
+        train._kernels[lam] = QuotientKernel(planes, train.signals[0].shape, lam)
+    return train._kernels[lam]
 
-    Same quantity as calling ti_distance per pair; the padded training spectra
-    and the query spectrum are just computed once and broadcast.
+
+def _distances_to_set(query: Signal, train: LabeledSet, spec: DistanceSpec) -> np.ndarray:
+    """Distances from one query to every training signal.
+
+    Filter-based distances come from one batched pass against the set's
+    cached kernel: the same quantity as ti_distance per pair.
     """
-    assert query.channels == 1, "batch path handles single-channel sets"
-    padded = tuple(2 * n for n in query.shape)
-    q = np.zeros(padded)
-    q[tuple(slice(0, n) for n in query.shape)] = query.plane()
-    Q = np.fft.fftn(q)
-
-    stack = np.zeros((len(train),) + padded)
-    region = (slice(None),) + tuple(slice(0, n) for n in query.shape)
-    stack[region] = np.stack([t.plane() for t in train])
-    axes = tuple(range(1, stack.ndim))
-    S = np.fft.fftn(stack, axes=axes)
-    den = (np.conj(S) * S).real + cfg.lam
-    if cfg.lam == 0.0 and np.any(den == 0.0):
-        raise ConfigError("lambda = 0 with zero spectrum bins in training set")
-    v = np.fft.ifftn((np.conj(S) * Q + cfg.lam) / den, axes=axes).real
-    flat = v.reshape(len(train), -1)
-    mu = flat.mean(axis=1, keepdims=True)
-    sigma = flat.std(axis=1, keepdims=True)
-    sigma[sigma == 0.0] = np.inf  # constant filter -> distance 0 by convention
-    return -np.max((flat - mu) / sigma, axis=1)
-
-
-def _distances_to_set(query: Signal, train: list[Signal], spec: DistanceSpec) -> np.ndarray:
-    if spec.kind == "wiener_ti" and query.channels == 1:
-        return _ti_distances_to_set(query, train, spec.wiener_cfg)
-    return np.array([distance(query, t, spec) for t in train])
+    ref = train.signals[0]
+    if query.shape != ref.shape or query.channels != ref.channels:
+        raise ShapeError(f"shape mismatch: {query.shape} vs {ref.shape}")
+    if spec.kind == "wiener_ti":
+        v = _set_kernel(train, spec.wiener_cfg.lam).filters(query.planes)
+        return ti_values(v, len(query.shape))[0].mean(axis=1)
+    return np.array([distance(query, t, spec) for t in train.signals])
 
 
 def _vote(dists: np.ndarray, labels: list[int], k: int) -> int:
@@ -130,7 +123,7 @@ def knn_classify(train: LabeledSet, query: Signal, k: int, dist: DistanceSpec) -
         raise ConfigError("empty training set")
     if not (1 <= k <= len(train)):
         raise ConfigError(f"k must be in 1..{len(train)}, got {k}")
-    return _vote(_distances_to_set(query, train.signals, dist), train.labels, k)
+    return _vote(_distances_to_set(query, train, dist), train.labels, k)
 
 
 def make_translated_set(

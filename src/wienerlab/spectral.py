@@ -1,35 +1,32 @@
-"""Shape-safe real grids, the FFT contract, full-lag padding, and centered-lag indexing.
+"""Shape-safe real grids, full-lag padding, centered-lag indexing and weight windows.
 
 Everything downstream works on signals padded to twice their extent per
 dimension, so that the circular convolution implied by the Fourier path
-approximates linear convolution. Filters and weight windows live on a lag
-grid whose zero-lag bin sits at floor(extent/2) in each dimension.
-
-FFT convention used library-wide: forward unnormalized, inverse scaled by
-1/N (numpy's default). Quotient-based filters are invariant to this choice,
-but the effective magnitude of additive stabilizers is not, so the
-convention is fixed here once.
+approximates linear convolution. The transforms themselves live in one
+place, ``wiener.QuotientKernel`` (real FFTs: forward unnormalized, inverse
+scaled by 1/N, padding implied by the transform size). Inside the library
+filters, windows and penalties are kept in raw lag layout, zero lag at the
+origin corner. The public ``LagFilter`` is centered instead, zero lag at
+floor(extent/2) in each dimension; ``LagFilter.from_raw`` and
+``LagFilter.raw`` are the only places that convert between the two.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, ShapeError
+from .errors import ConfigError, ShapeError
 
 __all__ = [
     "Signal",
-    "Spectrum",
     "LagGrid",
     "LagFilter",
     "WindowSpec",
     "pad_to_full_lag",
-    "fft_forward",
-    "fft_inverse",
-    "center_zero_lag",
-    "uncenter_zero_lag",
     "make_window",
 ]
 
@@ -81,18 +78,6 @@ class Signal:
         return self.planes[c]
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Complex transform of a padded signal, one plane per channel."""
-
-    data: np.ndarray  # (channels, *shape) complex128
-    shape: tuple[int, ...]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[0]
-
-
 @dataclass(frozen=True)
 class LagGrid:
     """Padded extents plus the centered zero-lag coordinate."""
@@ -134,6 +119,22 @@ class LagFilter:
             raise ConfigError("filter values must be finite")
         object.__setattr__(self, "data", data)
 
+    @classmethod
+    def from_raw(cls, raw: np.ndarray, grid: LagGrid) -> "LagFilter":
+        """Center raw-layout planes: the zero-lag bin moves from the origin corner
+        to ``grid.zero_lag_index``."""
+        axes = tuple(range(-len(grid.extents), 0))
+        return cls(np.roll(raw, grid.zero_lag_index, axis=axes), grid)
+
+    @cached_property
+    def raw(self) -> np.ndarray:
+        """Planes (channels, *extents) in raw layout, zero lag at the origin corner
+        (computed once per filter and read-only, since every caller shares it)."""
+        axes = tuple(range(1, self.data.ndim))
+        raw = np.roll(self.data, tuple(-k for k in self.grid.zero_lag_index), axis=axes)
+        raw.flags.writeable = False
+        return raw
+
     @property
     def channels(self) -> int:
         return self.data.shape[0]
@@ -159,10 +160,10 @@ class WindowSpec:
     def __post_init__(self):
         if self.family not in ("laplace", "inverted_laplace"):
             raise ConfigError(f"unknown window family {self.family!r}")
-        if self.b <= 0:
-            raise ConfigError(f"window scale b must be > 0, got {self.b}")
-        if self.epsilon < 0:
-            raise ConfigError(f"window floor epsilon must be >= 0, got {self.epsilon}")
+        if not (self.b > 0 and math.isfinite(self.b)):
+            raise ConfigError(f"window scale b must be finite and > 0, got {self.b}")
+        if not (0 <= self.epsilon < math.inf):
+            raise ConfigError(f"window floor epsilon must be finite and >= 0, got {self.epsilon}")
 
 
 def pad_to_full_lag(s: Signal) -> Signal:
@@ -173,46 +174,6 @@ def pad_to_full_lag(s: Signal) -> Signal:
     out = np.zeros((s.channels,) + padded_shape)
     out[(slice(None),) + tuple(slice(0, n) for n in s.shape)] = s.planes
     return Signal(out.ravel(), padded_shape, s.channels)
-
-
-def fft_forward(s: Signal) -> Spectrum:
-    """Forward transform per channel plane (unnormalized)."""
-    planes = s.planes
-    if not np.all(np.isfinite(planes)):
-        raise ConfigError("non-finite input to fft_forward")
-    axes = tuple(range(1, planes.ndim))
-    return Spectrum(np.fft.fftn(planes, axes=axes), s.shape)
-
-
-def fft_inverse(sp: Spectrum, imag_tol: float = 1e-10) -> Signal:
-    """Inverse transform (scaled 1/N); imaginary residue checked then discarded."""
-    if not np.all(np.isfinite(sp.data)):
-        raise ConfigError("non-finite input to fft_inverse")
-    axes = tuple(range(1, sp.data.ndim))
-    out = np.fft.ifftn(sp.data, axes=axes)
-    resid = float(np.max(np.abs(out.imag))) if out.size else 0.0
-    if resid > imag_tol:
-        raise NumericalError(
-            f"imaginary residue {resid:.3e} exceeds tolerance {imag_tol:.1e}"
-        )
-    return Signal(out.real.ravel(), sp.shape, sp.channels)
-
-
-def center_zero_lag(raw: Signal, g: LagGrid) -> LagFilter:
-    """Cyclic shift so the convolutional zero-lag bin sits at the grid center."""
-    if raw.shape != g.extents:
-        raise ShapeError(f"raw extents {raw.shape} != grid extents {g.extents}")
-    shift = g.zero_lag_index
-    axes = tuple(range(1, len(g.extents) + 1))
-    return LagFilter(np.roll(raw.planes, shift, axis=axes), g)
-
-
-def uncenter_zero_lag(f: LagFilter) -> Signal:
-    """Inverse of center_zero_lag: zero-lag bin returned to the origin corner."""
-    shift = tuple(-k for k in f.grid.zero_lag_index)
-    axes = tuple(range(1, len(f.grid.extents) + 1))
-    planes = np.roll(f.data, shift, axis=axes)
-    return Signal(planes.ravel(), f.grid.extents, f.channels)
 
 
 def make_window(spec: WindowSpec, g: LagGrid) -> LagFilter:

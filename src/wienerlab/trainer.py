@@ -2,21 +2,23 @@
 
 Exists to exercise the filter-identity loss as a training criterion next to
 plain MSE at desk scale. The loss gradient with respect to reconstructions
-comes from grad_wiener_loss (or the MSE residual) and is pushed through the
-dense stack by hand; the optimizer is Adam. Single-threaded and fully
-seeded, so runs are reproducible parameter-for-parameter.
+comes from one batched quotient-kernel pass per minibatch (or the MSE
+residual) and is pushed through the dense stack by hand; the optimizer is
+Adam. Single-threaded and fully seeded, so runs are reproducible
+parameter-for-parameter.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, ShapeError
-from .gradients import GradientCheckReport, grad_wiener_loss
+from .errors import ConfigError, NumericalError, ShapeError, UndefinedQuotientError
+from .gradients import GradientCheckReport, loss_and_grad
 from .spectral import LagGrid, Signal, WindowSpec, make_window
-from .wiener import WienerConfig, concentration, wiener_filter
+from .wiener import QuotientKernel
 
 __all__ = [
     "DenseAutoencoder",
@@ -122,8 +124,10 @@ class TrainConfig:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
-        if self.learning_rate < 0 or self.eps <= 0:
-            raise ConfigError("learning_rate must be >= 0 and eps > 0")
+        if not (0 <= self.learning_rate < math.inf and 0 < self.eps < math.inf):
+            raise ConfigError("learning_rate must be >= 0 and eps > 0, both finite")
+        if not (0 <= self.lam < math.inf):
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError("moment decays must lie in [0, 1)")
 
@@ -136,11 +140,15 @@ class TrainLog:
     diverged: bool = False
 
 
+# A minibatch loss above this multiple of the run's first one counts as divergence.
+DIVERGENCE_FACTOR = 1e6
+
+
 class TrainingDivergedError(NumericalError):
-    """Loss became non-finite; carries the log up to the last finite epoch."""
+    """Loss became non-finite or exploded; carries the log up to the last good epoch."""
 
     def __init__(self, epoch: int, log: TrainLog):
-        super().__init__(f"non-finite loss at epoch {epoch}")
+        super().__init__(f"training diverged at epoch {epoch}")
         self.log = log
 
 
@@ -197,31 +205,36 @@ def _batch_loss_and_grad(model: DenseAutoencoder, X: np.ndarray, ref: Signal, cf
         loss = 0.5 * float(np.sum(diff**2)) / B
         d_out = diff / B
     else:
-        wcfg = WienerConfig(lam=cfg.lam)
-        grid = LagGrid(tuple(2 * n for n in ref.shape))
-        W = make_window(cfg.whitening, grid)
-        d_out = np.empty_like(out)
-        vals = np.empty(B)
-        for i in range(B):
-            pred = Signal(out[i], ref.shape, ref.channels)
-            targ = Signal(X[i], ref.shape, ref.channels)
-            res = grad_wiener_loss(pred, targ, W, wcfg)
-            vals[i] = res.value
-            d_out[i] = res.grad.data / B
+        planes = (B, ref.channels) + ref.shape
+        kernel = QuotientKernel(X.reshape(planes), ref.shape, cfg.lam)
+        w_raw = make_window(cfg.whitening, LagGrid(kernel.padded)).raw
+        vals, grads = loss_and_grad(kernel, out.reshape(planes), w_raw)
         loss = float(np.mean(vals))
+        d_out = grads.reshape(B, -1) / B
     return loss, d_out, A, Z
 
 
-def _mean_concentration(model: DenseAutoencoder, X: np.ndarray, ref: Signal, lam: float) -> float:
-    """Mean zero-lag energy fraction of reconstruction-target filters."""
+def _mean_concentration(
+    model: DenseAutoencoder, X: np.ndarray, ref: Signal, cfg: TrainConfig
+) -> float:
+    """Mean zero-lag energy fraction of the reconstruction-target filters.
+
+    Filters are evaluated one minibatch-sized chunk at a time, so the
+    diagnostic's memory is bounded by the batch size, as training's is.
+    """
     A, _ = _forward_matrix(model, X)
-    cfg = WienerConfig(lam=lam)
-    vals = []
-    for i in range(X.shape[0]):
-        pred = Signal(A[-1][i], ref.shape, ref.channels)
-        targ = Signal(X[i], ref.shape, ref.channels)
-        vals.append(concentration(wiener_filter(pred, targ, cfg)))
-    return float(np.mean(vals))
+    planes = (len(X), ref.channels) + ref.shape
+    out, targets = A[-1].reshape(planes), X.reshape(planes)
+    fractions = []
+    for i in range(0, len(X), cfg.batch_size):
+        chunk = slice(i, i + cfg.batch_size)
+        v = QuotientKernel(targets[chunk], ref.shape, cfg.lam).filters(out[chunk])
+        flat = v.reshape(v.shape[:2] + (-1,))
+        norms = np.sum(flat**2, axis=-1)
+        if np.any(norms == 0.0):
+            raise UndefinedQuotientError("concentration undefined for an all-zero filter")
+        fractions.append(flat[..., 0] ** 2 / norms)
+    return float(np.mean(np.concatenate(fractions)))
 
 
 def train(model: DenseAutoencoder, data: list[Signal], cfg: TrainConfig) -> TrainLog:
@@ -229,7 +242,8 @@ def train(model: DenseAutoencoder, data: list[Signal], cfg: TrainConfig) -> Trai
 
     The log records per-epoch mean loss and the mean reconstruction-target
     filter concentration on a fixed evaluation subset. Raises
-    TrainingDivergedError (log attached) when the loss stops being finite.
+    TrainingDivergedError (log attached) when the loss stops being finite or
+    exceeds DIVERGENCE_FACTOR times the first minibatch loss.
     """
     if not data:
         raise ConfigError("empty training set")
@@ -247,9 +261,10 @@ def train(model: DenseAutoencoder, data: list[Signal], cfg: TrainConfig) -> Trai
     v = [np.zeros_like(w) for w in model.weights] + [np.zeros_like(b) for b in model.biases]
     n_layers = len(model.weights)
     step = 0
+    first_loss = None
 
     log = TrainLog()
-    log.initial_concentration = _mean_concentration(model, eval_X, ref, cfg.lam)
+    log.initial_concentration = _mean_concentration(model, eval_X, ref, cfg)
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(data))
         epoch_losses = []
@@ -260,7 +275,9 @@ def train(model: DenseAutoencoder, data: list[Signal], cfg: TrainConfig) -> Trai
                 loss, d_out, A, Z = _batch_loss_and_grad(model, X, ref, cfg)
             except NumericalError:
                 loss = float("nan")
-            if not np.isfinite(loss):
+            if first_loss is None:
+                first_loss = loss
+            if not (np.isfinite(loss) and loss <= DIVERGENCE_FACTOR * first_loss):
                 log.diverged = True
                 raise TrainingDivergedError(epoch, log)
             epoch_losses.append(loss)
@@ -276,7 +293,7 @@ def train(model: DenseAutoencoder, data: list[Signal], cfg: TrainConfig) -> Trai
                 p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
         log.losses.append(float(np.mean(epoch_losses)))
         try:
-            log.concentrations.append(_mean_concentration(model, eval_X, ref, cfg.lam))
+            log.concentrations.append(_mean_concentration(model, eval_X, ref, cfg))
         except NumericalError:
             log.diverged = True
             raise TrainingDivergedError(epoch, log)

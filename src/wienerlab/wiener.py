@@ -4,8 +4,10 @@ The matching filter between two equally shaped signals is the convolutional
 filter v minimizing ||Y v - x||^2, where Y is circular convolution with the
 padded source. Solved two ways:
 
-  * ``wiener_filter``: spectral quotient (conj(S)*X + lam) / (|S|^2 + lam),
-    inverse-transformed and centered. O(N log N).
+  * ``QuotientKernel``: the spectral quotient (conj(S)*X + lam) / (|S|^2 + lam)
+    with real FFTs, O(N log N). Every filter, loss, gradient, energy and TI
+    distance in the library goes through it; ``wiener_filter`` is the
+    centered single-pair wrapper.
   * ``wiener_filter_direct``: the same least-squares problem assembled as an
     explicit circulant system and solved densely. O(N^3); exists purely as an
     exact cross-check of the fast path.
@@ -17,6 +19,7 @@ identity), for every lam >= 0.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -24,6 +27,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    NumericalError,
     OracleSizeError,
     ShapeError,
     SingularSystemError,
@@ -33,6 +37,7 @@ from .spectral import LagFilter, LagGrid, Signal, pad_to_full_lag
 
 __all__ = [
     "WienerConfig",
+    "QuotientKernel",
     "delta_filter",
     "wiener_filter",
     "wiener_filter_direct",
@@ -43,7 +48,6 @@ __all__ = [
 ]
 
 ORACLE_SIZE_CAP = 4096  # padded elements per channel; dense solve is O(n^3)
-IMAG_RESIDUE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -54,10 +58,63 @@ class WienerConfig:
     direction: str = "match_source_to_target"
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
+        if not (0 <= self.lam < math.inf):
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.direction != "match_source_to_target":
             raise ConfigError(f"unknown direction {self.direction!r}")
+
+
+class QuotientKernel:
+    """The spectral quotient against a fixed side, shared by every functional.
+
+    ``fixed`` holds real planes whose trailing axes have extents ``shape``,
+    behind any leading batch axes. Its half spectrum S = rfftn(fixed, s=2*shape)
+    is taken once, and only K = conj(S)/D and lam/D are kept, D = |S|^2 + lam.
+    The quotient is conjugate-symmetric, so the inverse real transform is
+    exact and nothing imaginary is dropped. Padding is implied by the
+    transform size. Filters and cotangents are in raw lag layout (zero lag
+    at the origin corner); varying batches broadcast against the fixed one.
+    """
+
+    def __init__(self, fixed: np.ndarray, shape: tuple[int, ...], lam: float):
+        self.shape = tuple(shape)
+        self.padded = tuple(2 * n for n in self.shape)
+        self.axes = tuple(range(-len(self.shape), 0))
+        if np.shape(fixed)[-len(self.shape):] != self.shape:
+            raise ShapeError(f"fixed {np.shape(fixed)} does not end in extents {self.shape}")
+        S = np.fft.rfftn(fixed, s=self.padded, axes=self.axes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            den = S.real**2
+            den += S.imag**2
+            den += lam
+        if not np.all(np.isfinite(den)):
+            raise NumericalError("non-finite spectral power |S|^2 + lambda")
+        if np.any(den == 0.0):
+            raise SingularSystemError("zero denominator bin with lambda = 0")
+        self.K = np.divide(np.conjugate(S, out=S), den, out=S)  # in place: S is not kept
+        self.L = lam / den
+
+    def filters(self, varying: np.ndarray) -> np.ndarray:
+        """Raw-layout matching filters (*batch, *padded), varying side in the numerator."""
+        if np.shape(varying)[-len(self.shape):] != self.shape:
+            raise ShapeError(f"varying {np.shape(varying)} does not end in extents {self.shape}")
+        Q = self.K * np.fft.rfftn(varying, s=self.padded, axes=self.axes)
+        Q += self.L
+        return self._inverse(Q)
+
+    def pullback(self, cotangent: np.ndarray) -> np.ndarray:
+        """Adjoint of ``filters``' linear part: raw-layout cotangent on the padded
+        grid -> gradient on the unpadded extents. The multiplier is conj(K)."""
+        if np.shape(cotangent)[-len(self.shape):] != self.padded:
+            raise ShapeError(f"cotangent {np.shape(cotangent)} does not end in {self.padded}")
+        G = np.conj(self.K) * np.fft.rfftn(cotangent, axes=self.axes)
+        return self._inverse(G)[(...,) + tuple(slice(0, n) for n in self.shape)]
+
+    def _inverse(self, spectrum: np.ndarray) -> np.ndarray:
+        out = np.fft.irfftn(spectrum, s=self.padded, axes=self.axes)
+        if not np.all(np.isfinite(out)):
+            raise NumericalError("non-finite values in the matching filter or its pullback")
+        return out
 
 
 def delta_filter(grid: LagGrid, channels: int = 1) -> LagFilter:
@@ -76,11 +133,6 @@ def _check_pair(target: Signal, source: Signal) -> None:
         )
 
 
-def _centered(raw_planes: np.ndarray, grid: LagGrid) -> LagFilter:
-    axes = tuple(range(1, raw_planes.ndim))
-    return LagFilter(np.roll(raw_planes, grid.zero_lag_index, axis=axes), grid)
-
-
 def wiener_filter(target: Signal, source: Signal, cfg: WienerConfig) -> LagFilter:
     """Per-channel filter that convolves `source` to best approximate `target`.
 
@@ -88,20 +140,8 @@ def wiener_filter(target: Signal, source: Signal, cfg: WienerConfig) -> LagFilte
     the centered lag grid of the padded extents.
     """
     _check_pair(target, source)
-    t = pad_to_full_lag(target).planes
-    s = pad_to_full_lag(source).planes
-    axes = tuple(range(1, t.ndim))
-    T = np.fft.fftn(t, axes=axes)
-    S = np.fft.fftn(s, axes=axes)
-    den = (np.conj(S) * S).real + cfg.lam
-    if cfg.lam == 0.0 and np.any(den == 0.0):
-        raise SingularSystemError("zero denominator bin with lambda = 0")
-    v = np.fft.ifftn((np.conj(S) * T + cfg.lam) / den, axes=axes)
-    resid = float(np.max(np.abs(v.imag)))
-    if resid > IMAG_RESIDUE_TOL:
-        raise SingularSystemError(f"imaginary residue {resid:.3e} after deconvolution")
-    grid = LagGrid(t.shape[1:])
-    return _centered(v.real, grid)
+    kernel = QuotientKernel(source.planes, source.shape, cfg.lam)
+    return LagFilter.from_raw(kernel.filters(target.planes), LagGrid(kernel.padded))
 
 
 def _circulant_1d(s: np.ndarray) -> np.ndarray:
@@ -147,7 +187,7 @@ def wiener_filter_direct(target: Signal, source: Signal, cfg: WienerConfig) -> L
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"dense system is singular: {exc}") from exc
         out[c] = v.reshape(t.shape[1:])
-    return _centered(out, grid)
+    return LagFilter.from_raw(out, grid)
 
 
 def rayleigh_quotient(v: LagFilter, penalty: LagFilter) -> float:
@@ -168,20 +208,22 @@ def rayleigh_quotient(v: LagFilter, penalty: LagFilter) -> float:
     return float(np.mean(num / norms))
 
 
+def whitened_residual(kernel: QuotientKernel, varying: np.ndarray, w_raw: np.ndarray) -> np.ndarray:
+    """W * (v - delta) in raw layout, v the kernel's filters of the varying planes."""
+    if w_raw.shape[-len(kernel.shape):] != kernel.padded:
+        raise ShapeError(f"whitening extents {w_raw.shape[1:]} != padded extents {kernel.padded}")
+    v = kernel.filters(varying)
+    v[(...,) + (0,) * len(kernel.shape)] -= 1.0
+    return w_raw * v
+
+
 def _loss_single(
     prediction: Signal, target: Signal, whitening: LagFilter, cfg: WienerConfig, swap: bool
 ) -> float:
-    v = (
-        wiener_filter(target, prediction, cfg)
-        if swap
-        else wiener_filter(prediction, target, cfg)
-    )
-    if whitening.grid.extents != v.grid.extents:
-        raise ShapeError(
-            f"whitening extents {whitening.grid.extents} != padded extents {v.grid.extents}"
-        )
-    residual = v.data - delta_filter(v.grid, v.channels).data
-    return 0.5 * float(np.sum((whitening.data * residual) ** 2))
+    _check_pair(prediction, target)
+    fixed, varying = (prediction, target) if swap else (target, prediction)
+    kernel = QuotientKernel(fixed.planes, fixed.shape, cfg.lam)
+    return 0.5 * float(np.sum(whitened_residual(kernel, varying.planes, whitening.raw) ** 2))
 
 
 def wiener_loss(
@@ -207,6 +249,17 @@ def wiener_loss(
     return float(np.mean(vals))
 
 
+def ti_values(v: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Negative maximum of each standardized filter plane (the last `rank` axes),
+    and a mask of the constant planes, whose value is 0 by convention."""
+    flat = v.reshape(v.shape[: v.ndim - rank] + (-1,))
+    mu = flat.mean(axis=-1, keepdims=True)
+    sigma = flat.std(axis=-1, keepdims=True)
+    constant = sigma[..., 0] == 0.0
+    sigma[constant] = np.inf
+    return -np.max((flat - mu) / sigma, axis=-1), constant
+
+
 def ti_distance(a: Signal, b: Signal, cfg: WienerConfig) -> float:
     """Negative maximum of the standardized matching filter.
 
@@ -214,17 +267,11 @@ def ti_distance(a: Signal, b: Signal, cfg: WienerConfig) -> float:
     sits, hence invariant to rigid translation of either signal. Lower means
     more similar; the self-distance -sqrt(nbins - 1) is the global minimum.
     """
-    v = wiener_filter(a, b, cfg)
-    axes = tuple(range(1, v.data.ndim))
-    mu = np.mean(v.data, axis=axes, keepdims=True)
-    sigma = np.std(v.data, axis=axes, keepdims=True)
-    vals = []
-    for c in range(v.channels):
-        if sigma[c].ravel()[0] == 0.0:
-            warnings.warn("constant matching filter; distance defaulting to 0", RuntimeWarning)
-            vals.append(0.0)
-        else:
-            vals.append(-float(np.max((v.data[c] - mu[c]) / sigma[c])))
+    _check_pair(a, b)
+    v = QuotientKernel(b.planes, b.shape, cfg.lam).filters(a.planes)
+    vals, constant = ti_values(v, len(b.shape))
+    if np.any(constant):
+        warnings.warn("constant matching filter; distance defaulting to 0", RuntimeWarning)
     return float(np.mean(vals))
 
 

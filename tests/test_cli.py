@@ -1,12 +1,20 @@
+import configparser
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wienerlab.cli import main
+from wienerlab.cli import _mask_aware_mean_fill, _recover_objective, main
+from wienerlab.config import RecoverSection
 from wienerlab.dataio import read_pgm, load_model, write_pgm
 from wienerlab.datasets import make_digit_set
-from wienerlab.spectral import Signal
+from wienerlab.gradients import grad_wiener_loss
+from wienerlab.spectral import LagGrid, Signal, WindowSpec, make_window
+from wienerlab.wiener import WienerConfig
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture
@@ -97,6 +105,40 @@ class TestRecoverCommand:
         vals = np.array([float(r.split(",")[1]) for r in rows])
         smoothed = np.convolve(vals, np.ones(10) / 10, mode="valid")
         assert np.all(np.diff(smoothed) <= 1e-12)
+
+
+    def test_mean_fill_matches_windowed_reference(self):
+        rng = np.random.default_rng(3)
+        img = rng.random((11, 9))
+        mask = (rng.random((11, 9)) < 0.2).astype(float)
+        mask[:6, :5] = 0.0  # radius-1 windows in here hold no kept pixel
+        masked = img * mask
+        for r in (1, 2, 4):
+            expected = masked.copy()
+            h, w = img.shape
+            for i in range(h):
+                for j in range(w):
+                    if mask[i, j]:
+                        continue
+                    block = np.s_[max(0, i - r) : i + r + 1, max(0, j - r) : j + r + 1]
+                    total = mask[block].sum()
+                    expected[i, j] = (masked[block] * mask[block]).sum() / total if total else 0.0
+            got = _mask_aware_mean_fill(masked, mask, r)
+            assert np.abs(got - expected).max() < 1e-12
+        assert np.all(_mask_aware_mean_fill(masked, mask, 1)[1:4, 1:3] == 0.0)
+
+    def test_cached_target_gradient_matches_grad_wiener_loss(self):
+        rng = np.random.default_rng(4)
+        target = Signal.from_array(rng.random((10, 12)))
+        whitening = make_window(WindowSpec("laplace", 2.0, 0.3), LagGrid((20, 24)))
+        cfg = WienerConfig(lam=0.5)
+        objective = _recover_objective(RecoverSection(loss="wiener"), target, whitening, cfg)
+        for _ in range(3):  # one kernel, several iterates
+            x = rng.random((1, 10, 12))
+            value, grad = objective(x)
+            ref = grad_wiener_loss(Signal.from_array(x[0]), target, whitening, cfg)
+            assert value == pytest.approx(ref.value, rel=1e-12)
+            assert np.abs(grad - ref.grad.planes).max() < 1e-12
 
 
 class TestDiffuseCommand:
@@ -208,6 +250,24 @@ class TestErrorHandling:
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfgf), "--out", str(out)]) == 4
         assert (out / "train_log.csv").exists()  # diagnostics from last finite epochs
+
+
+    def test_log_every_zero_exits_2(self, tmp_path, digit_image):
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text("[recover]\nlog_every = 0\n")
+        assert main(["recover", str(digit_image), "--config", str(cfgf)]) == 2
+
+    def test_diverging_latent_preset_exits_4_naming_chain_and_step(self, tmp_path, capsys):
+        parser = configparser.ConfigParser()
+        parser.optionxform = str
+        parser.read(CONFIGS / "latent_diffusion.ini")
+        parser["diffusion"]["n_samples"] = "3"
+        cfgf = tmp_path / "latent.ini"
+        with open(cfgf, "w") as f:
+            parser.write(f)
+        assert main(["diffuse", "--config", str(cfgf), "--out", str(tmp_path / "run")]) == 4
+        err = capsys.readouterr().err
+        assert re.search(r"chain \d+ diverged at step \d+", err), err
 
 
 class TestExternalDataPaths:

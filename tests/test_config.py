@@ -80,3 +80,10 @@ def test_case_preserved_for_T(tmp_path):
     p = tmp_path / "c.ini"
     p.write_text("[diffusion]\nT = 42\n")
     assert load_config(p).diffusion.T == 42
+
+
+def test_recover_log_every_zero_rejected(tmp_path):
+    p = tmp_path / "c.ini"
+    p.write_text("[recover]\nlog_every = 0\n")
+    with pytest.raises(ConfigError):
+        load_config(p)

@@ -52,12 +52,32 @@ class TestDistances:
         rng = np.random.default_rng(0)
         spec = DistanceSpec("wiener_ti", WienerConfig(lam=1.0))
         query = sig(rng.random((8, 8)))
-        train = [sig(rng.random((8, 8))) for _ in range(5)]
-        from wienerlab.knn import _ti_distances_to_set
+        train = LabeledSet([sig(rng.random((8, 8))) for _ in range(5)], [0, 1, 2, 3, 4])
+        from wienerlab.knn import _distances_to_set, _set_kernel
 
-        batch = _ti_distances_to_set(query, train, spec.wiener_cfg)
-        singles = [distance(query, t, spec) for t in train]
+        batch = _distances_to_set(query, train, spec)
+        singles = [distance(query, t, spec) for t in train.signals]
         np.testing.assert_allclose(batch, singles, atol=1e-12)
+        # the set's kernel is built once and reused by every later query
+        kernel = _set_kernel(train, 1.0)
+        np.testing.assert_array_equal(_distances_to_set(query, train, spec), batch)
+        assert _set_kernel(train, 1.0) is kernel
+
+    def test_multichannel_ti_matches_pairwise(self):
+        rng = np.random.default_rng(1)
+        spec = DistanceSpec("wiener_ti", WienerConfig(lam=0.5))
+        query = Signal.from_planes(rng.random((2, 6, 6)))
+        planes = rng.random((4, 2, 6, 6))
+        train = LabeledSet([Signal.from_planes(p) for p in planes], [0, 1, 2, 3])
+        from wienerlab.knn import _distances_to_set
+
+        singles = [distance(query, t, spec) for t in train.signals]
+        np.testing.assert_allclose(_distances_to_set(query, train, spec), singles, atol=1e-12)
+
+    def test_query_shape_mismatch(self):
+        train = LabeledSet([sig(np.ones((4, 4)))], [0])
+        with pytest.raises(ShapeError):
+            knn_classify(train, sig(np.ones((5, 5))), 1, DistanceSpec("wiener_ti"))
 
 
 class TestKnnClassify:
@@ -144,10 +164,10 @@ class TestTranslationInvariantRanking:
         from wienerlab.knn import _distances_to_set
 
         for q in qpad.signals:
-            d0 = _distances_to_set(q, train.signals, spec)
+            d0 = _distances_to_set(q, train, spec)
             k = tuple(int(v) for v in rng.integers(-6, 7, size=2))
             shifted = Signal.from_array(np.roll(q.plane(), k, axis=(0, 1)))
-            d1 = _distances_to_set(shifted, train.signals, spec)
+            d1 = _distances_to_set(shifted, train, spec)
             np.testing.assert_allclose(d0, d1, atol=1e-9)
             np.testing.assert_array_equal(np.argsort(d0, kind="stable"), np.argsort(d1, kind="stable"))
 

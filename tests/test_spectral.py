@@ -3,18 +3,16 @@ import pytest
 import hypothesis
 from hypothesis import strategies as st
 
-from wienerlab.errors import ConfigError, ShapeError
+from wienerlab.errors import ConfigError, NumericalError, ShapeError
 from wienerlab.spectral import (
+    LagFilter,
     LagGrid,
     Signal,
     WindowSpec,
-    center_zero_lag,
-    fft_forward,
-    fft_inverse,
     make_window,
     pad_to_full_lag,
-    uncenter_zero_lag,
 )
+from wienerlab.wiener import QuotientKernel
 
 
 class TestSignal:
@@ -69,46 +67,70 @@ class TestPadding:
         assert np.count_nonzero(p.plane()) == np.count_nonzero(img)
 
 
+def spike_kernel(shape):
+    """Kernel of the unit zero-lag spike with lam = 0: K = 1 and lam/D = 0 in every
+    bin, so its filters are a bare forward/inverse real-transform roundtrip."""
+    spike = np.zeros(shape)
+    spike[(0,) * len(shape)] = 1.0
+    return QuotientKernel(spike, shape, 0.0)
+
+
 class TestFFT:
     def test_roundtrip_16x16(self):
         img = np.random.default_rng(3).random((16, 16))
-        s = Signal.from_array(img)
-        back = fft_inverse(fft_forward(s))
-        assert np.abs(back.plane() - img).max() < 1e-10
+        back = spike_kernel((16, 16)).filters(img)
+        assert back.shape == (32, 32)
+        assert np.abs(back[:16, :16] - img).max() < 1e-10
+        assert np.abs(back[16:]).max() < 1e-10 and np.abs(back[:, 16:]).max() < 1e-10
 
     def test_constant_signal_dc_only(self):
-        s = Signal(np.full(32, 3.5), (32,))
-        sp = fft_forward(s)
-        mags = np.abs(sp.data[0])
-        assert mags[0] == pytest.approx(32 * 3.5)
-        assert np.all(mags[1:] < 1e-10)
+        # the DC bin of the (unnormalized) forward transform holds the sum
+        lam = 2.0
+        k = QuotientKernel(np.full(32, 3.5), (32,), lam)
+        dc = 32 * 3.5
+        assert k.K[0] == pytest.approx(dc / (dc**2 + lam), rel=1e-14)
+        assert k.L[0] == pytest.approx(lam / (dc**2 + lam), rel=1e-14)
+        # and a filter's mean is its DC quotient over the padded size
+        p = np.random.default_rng(0).random(32)
+        v = k.filters(p)
+        assert v.mean() == pytest.approx((k.K[0] * p.sum() + k.L[0]).real / 64, rel=1e-12)
 
     def test_parseval_under_convention(self):
-        # forward unnormalized: sum|X|^2 = N * sum|x|^2
-        x = np.random.default_rng(4).random(64)
-        X = fft_forward(Signal(x, (64,))).data[0]
-        ratio = np.sum(np.abs(X) ** 2) / (64 * np.sum(x**2))
-        assert ratio == pytest.approx(1.0, abs=1e-10)
+        # the pullback is the adjoint of the filters' linear part: with the
+        # forward transform unnormalized and the inverse scaled by 1/N,
+        # <A u, g> = <u, A^T g> holds with multiplier conj(K)
+        rng = np.random.default_rng(4)
+        k = QuotientKernel(rng.random((3, 6, 5)), (6, 5), 0.7)
+        u = rng.random((3, 6, 5))
+        g = rng.random((3, 12, 10))
+        Au = k.filters(u) - k.filters(np.zeros_like(u))
+        lhs = np.sum(Au * g)
+        rhs = np.sum(u * k.pullback(g))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_nonfinite_rejected(self):
-        s = Signal(np.ones(4), (4,))
-        object.__setattr__(s, "data", np.array([1.0, np.inf, 0.0, 0.0]))
-        with pytest.raises(ConfigError):
-            fft_forward(s)
+        with pytest.raises(NumericalError):
+            QuotientKernel(np.array([1.0, np.inf, 0.0, 0.0]), (4,), 1.0)
+        with pytest.raises(NumericalError):  # finite, but |S|^2 overflows
+            QuotientKernel(np.full(4, 1e200), (4,), 1.0)
+        k = QuotientKernel(np.ones(4), (4,), 1.0)
+        with pytest.raises(NumericalError):
+            k.filters(np.array([1.0, np.nan, 0.0, 0.0]))
+        with pytest.raises(NumericalError):
+            k.pullback(np.array([np.inf] + [0.0] * 7))
 
     @hypothesis.given(n=st.sampled_from([1, 2, 3, 5, 8, 17, 64, 128]), seed=st.integers(0, 2**16))
     @hypothesis.settings(deadline=None)
     def test_roundtrip_many_shapes(self, n, seed):
         img = np.random.default_rng(seed).random((n, n))
-        back = fft_inverse(fft_forward(Signal.from_array(img)))
-        assert np.abs(back.plane() - img).max() < 1e-10
+        back = spike_kernel((n, n)).filters(img)
+        assert np.abs(back[:n, :n] - img).max() < 1e-10
 
 
 class TestCentering:
     def test_length4_example(self):
         g = LagGrid((4,))
-        raw = Signal(np.array([10.0, 11.0, 12.0, 13.0]), (4,))
-        centered = center_zero_lag(raw, g)
+        centered = LagFilter.from_raw(np.array([10.0, 11.0, 12.0, 13.0]), g)
         np.testing.assert_array_equal(centered.data[0], [12.0, 13.0, 10.0, 11.0])
         assert centered.data[0][g.zero_lag_index[0]] == 10.0
 
@@ -116,21 +138,30 @@ class TestCentering:
         g = LagGrid((6, 6))
         raw = np.zeros((6, 6))
         raw[0, 0] = 1.0
-        centered = center_zero_lag(Signal.from_array(raw), g)
+        centered = LagFilter.from_raw(raw, g)
         assert centered.data[0][3, 3] == 1.0
 
     def test_roundtrip_identity(self):
         g = LagGrid((6, 6))
-        raw = Signal.from_array(np.random.default_rng(5).random((6, 6)))
-        back = uncenter_zero_lag(center_zero_lag(raw, g))
-        np.testing.assert_array_equal(back.plane(), raw.plane())
+        raw = np.random.default_rng(5).random((1, 6, 6))
+        np.testing.assert_array_equal(LagFilter.from_raw(raw, g).raw, raw)
 
     def test_extent_mismatch(self):
         with pytest.raises(ShapeError):
-            center_zero_lag(Signal(np.zeros(4), (4,)), LagGrid((6,)))
+            LagFilter.from_raw(np.zeros(4), LagGrid((6,)))
 
     def test_zero_lag_index_is_floor_half(self):
         assert LagGrid((7, 4)).zero_lag_index == (3, 2)
+
+    def test_kernel_identity_is_raw_spike(self):
+        # filters stay in raw layout inside: identical sides give the spike at
+        # the origin corner, which the LagFilter boundary moves to the center
+        y = np.random.default_rng(6).random((5, 7))
+        v = QuotientKernel(y, y.shape, 1.0).filters(y)
+        spike = np.zeros((10, 14))
+        spike[0, 0] = 1.0
+        assert np.abs(v - spike).max() < 1e-12
+        assert LagFilter.from_raw(v, LagGrid((10, 14))).data[0][5, 7] == pytest.approx(1.0)
 
 
 class TestWindows:
@@ -153,6 +184,11 @@ class TestWindows:
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ConfigError):
             WindowSpec("laplace", b=0.0)
+
+    @pytest.mark.parametrize("b, epsilon", [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan)])
+    def test_nonfinite_parameters_rejected(self, b, epsilon):
+        with pytest.raises(ConfigError):
+            WindowSpec("laplace", b=b, epsilon=epsilon)
 
     def test_inverted_laplace_strictly_increasing_with_decaying_steps(self):
         w = make_window(WindowSpec("inverted_laplace", b=2.0), LagGrid((32,))).data[0]

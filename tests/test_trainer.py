@@ -4,14 +4,18 @@ import pytest
 from wienerlab.datasets import make_digit_set
 from wienerlab.errors import ConfigError, ShapeError
 from wienerlab.spectral import Signal, WindowSpec
+from wienerlab.gradients import grad_wiener_loss
+from wienerlab.spectral import LagGrid, make_window
 from wienerlab.trainer import (
     DenseAutoencoder,
     TrainConfig,
     TrainingDivergedError,
+    _batch_loss_and_grad,
     forward,
     grad_check_model,
     train,
 )
+from wienerlab.wiener import WienerConfig
 
 
 def digits(n, seed=3):
@@ -123,6 +127,29 @@ class TestTrain:
             TrainConfig(loss="huber")
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=0)
+
+
+class TestBatchedFilterLoss:
+    def test_matches_per_sample_calls(self):
+        data = digits(32, seed=9)
+        model = DenseAutoencoder.initialize((64, 16, 64), seed=9)
+        cfg = TrainConfig(loss="wiener", whitening=WindowSpec("laplace", 2.0, 0.3), lam=0.7)
+        X = np.stack([s.data for s in data])
+        loss, d_out, A, _ = _batch_loss_and_grad(model, X, data[0], cfg)
+        W = make_window(cfg.whitening, LagGrid((16, 16)))
+        refs = [
+            grad_wiener_loss(Signal(A[-1][i], (8, 8)), data[i], W, WienerConfig(lam=cfg.lam))
+            for i in range(len(data))
+        ]
+        assert loss == pytest.approx(np.mean([r.value for r in refs]), rel=1e-12)
+        expected = np.stack([r.grad.data for r in refs]) / len(data)
+        assert np.abs(d_out - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("field", ["lam", "learning_rate", "eps"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_config_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            TrainConfig(**{field: value})
 
 
 class TestGradCheckModel:

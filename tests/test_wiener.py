@@ -4,6 +4,8 @@ import hypothesis
 from hypothesis import strategies as st
 
 from wienerlab.errors import (
+    ConfigError,
+    NumericalError,
     OracleSizeError,
     ShapeError,
     SingularSystemError,
@@ -69,6 +71,38 @@ class TestWienerFilter:
         x = random_signal((8,), 3)
         with pytest.raises(SingularSystemError):
             wiener_filter(x, y, WienerConfig(lam=0.0))
+
+    def test_lambda_zero_zero_bin_is_one_error_class_everywhere(self):
+        # filter, loss, gradient, energy and kNN all share the kernel's check
+        from wienerlab.diffusion import EnergyModel
+        from wienerlab.gradients import grad_wiener_loss
+        from wienerlab.knn import DistanceSpec, LabeledSet, knn_classify
+
+        y = Signal(np.zeros(8), (8,))
+        x = random_signal((8,), 3)
+        cfg = WienerConfig(lam=0.0)
+        w = make_window(WindowSpec("laplace", 2.0), LagGrid((16,)))
+        pen = make_window(WindowSpec("inverted_laplace", 1.0), LagGrid((16,)))
+        calls = [
+            lambda: wiener_loss(x, y, w, cfg),
+            lambda: grad_wiener_loss(x, y, w, cfg),
+            lambda: EnergyModel([y], pen, 1.0, cfg),
+            lambda: knn_classify(LabeledSet([y], [0]), x, 1, DistanceSpec("wiener_ti", cfg)),
+        ]
+        for call in calls:
+            with pytest.raises(SingularSystemError):
+                call()
+
+    def test_overflowing_finite_input_is_numerical(self):
+        # |S|^2 overflows for finite inputs near 1e200: a numerical failure, not a config error
+        big = Signal(np.full(8, 1e200), (8,))
+        with pytest.raises(NumericalError):
+            wiener_filter(random_signal((8,), 4), big, WienerConfig())
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+    def test_invalid_lambda_rejected(self, lam):
+        with pytest.raises(ConfigError):
+            WienerConfig(lam=lam)
 
     def test_multichannel_filters_are_per_plane(self):
         rng = np.random.default_rng(13)
