@@ -2,8 +2,13 @@
 
 No model is trained: the energy is a sum of filter penalties against a fixed
 defining set, and samples come from gradient steps plus scheduled Gaussian
-noise. Per-chain RNG streams are derived from the master seed by chain
-index, so chains are independent and the whole run is reproducible.
+noise. All chains advance in lockstep, in the style of annealed Langevin
+dynamics (Song & Ermon 2019, arXiv:1907.05600): their states form one
+(chains, C, *extents) array, and each step is one batched energy and
+gradient pass through the defining set's quotient kernel. Per-chain RNG
+streams are derived from the master seed by chain index and drawn in the
+same order as a chain run alone, so chains are independent and the whole
+run is reproducible.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, ShapeError
-from .gradients import EnergyBreakdown, energy_breakdown
+from .errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError
+from .gradients import energy_breakdown, energy_terms
 from .spectral import LagFilter, Signal
 from .wiener import QuotientKernel, WienerConfig
 
@@ -127,10 +132,26 @@ def langevin_step(
     if beta_t < 0:
         raise ConfigError(f"beta_t must be >= 0, got {beta_t}")
     bd = energy_breakdown(x, model)
-    data = x.data - (alpha_t / 2.0) * bd.grad.data
-    if beta_t > 0:
-        data = data + rng.normal(0.0, math.sqrt(beta_t), size=data.shape)
-    return Signal(data, x.shape, x.channels)
+    X = _update(x.planes[None], bd.grad.planes[None], alpha_t, beta_t, [rng])
+    if not np.all(np.isfinite(X)):
+        raise NumericalError("non-finite state after the Langevin step")
+    return Signal(X.ravel(), x.shape, x.channels)
+
+
+def _update(
+    X: np.ndarray,
+    grads: np.ndarray,
+    alpha_t: float,
+    beta_t: float,
+    streams: list[np.random.Generator],
+) -> np.ndarray:
+    """X - (alpha_t/2) * grads, plus N(0, beta_t I) noise drawn from each chain's stream."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = X - (alpha_t / 2.0) * grads
+        if beta_t > 0:
+            for x, rng in zip(X, streams):
+                x += rng.normal(0.0, math.sqrt(beta_t), size=x.shape)
+    return X
 
 
 def run_diffusion(
@@ -142,12 +163,21 @@ def run_diffusion(
     snapshot_stride: int = 20,
     k_nearest: int = 1,
 ) -> list[Trajectory]:
-    """Run independent Langevin chains and log their trajectories.
+    """Run independent Langevin chains in lockstep and log their trajectories.
 
-    Each chain starts at x0 ~ N(0, init_variance I) under its own RNG stream.
-    Energies and the mean concentration of the k energy-nearest matching
-    filters are recorded at every step (entry 0 describes x0); snapshots are
-    kept every `snapshot_stride` steps plus the final state.
+    Chain c starts at x0 ~ N(0, init_variance I) and takes its step noise
+    from its own stream, SeedSequence(seed).spawn(n_samples)[c], so its path
+    does not depend on how many chains run beside it. The state of all
+    chains is one (chains, C, *extents) array, and each step is one batched
+    energy and gradient pass. Energies and the mean concentration of the k
+    energy-nearest matching filters are recorded at every step (entry 0
+    describes x0); snapshots are kept every `snapshot_stride` steps plus
+    the final state.
+
+    A chain diverges at step t when its state x_t, its energy or its
+    gradient there is not finite, or its energy exceeds DIVERGENCE_FACTOR
+    times its step-0 energy. The NumericalError names the earliest such
+    step and, at that step, the lowest diverging chain.
     """
     if n_samples < 1:
         raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
@@ -160,53 +190,74 @@ def run_diffusion(
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_samples)]
     T = schedule.steps
 
-    trajectories = []
-    # overflow in a diverging chain is reported by the chain/step guard below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for chain, rng in enumerate(streams):
-            x = Signal(
-                rng.normal(0.0, math.sqrt(init_variance), size=ref.data.size),
-                ref.shape,
-                ref.channels,
-            )
-            samples = [x]
-            snapshot_steps = [0]
-            energies = []
-            concentrations = []
-            for t in range(T):
-                bd = _chain_breakdown(x, model, chain, t)
-                energies.append(bd.value)
-                nearest = np.argsort(bd.sample_energies, kind="stable")[:k]
-                concentrations.append(float(np.mean(bd.sample_concentrations[nearest])))
-                data = x.data - (schedule.alpha[t] / 2.0) * bd.grad.data
-                if schedule.beta[t] > 0:
-                    data = data + rng.normal(0.0, math.sqrt(schedule.beta[t]), size=data.shape)
-                if not np.all(np.isfinite(data)):
-                    raise NumericalError(f"chain {chain} diverged at step {t}: non-finite state")
-                x = Signal(data, x.shape, x.channels)
-                if (t + 1) % snapshot_stride == 0 and (t + 1) != T:
-                    samples.append(x)
-                    snapshot_steps.append(t + 1)
-            final_bd = _chain_breakdown(x, model, chain, T)
-            energies.append(final_bd.value)
-            nearest = np.argsort(final_bd.sample_energies, kind="stable")[:k]
-            concentrations.append(float(np.mean(final_bd.sample_concentrations[nearest])))
-            samples.append(x)
-            snapshot_steps.append(T)
-            trajectories.append(Trajectory(samples, energies, concentrations, snapshot_steps))
-    return trajectories
+    X = np.stack(
+        [rng.normal(0.0, math.sqrt(init_variance), size=ref.planes.shape) for rng in streams]
+    )
+    snapshots = [X]
+    snapshot_steps = [0]
+    energies = np.empty((T + 1, n_samples))
+    concentrations = np.empty((T + 1, n_samples))
+    limit = np.full(n_samples, np.inf)
+    for t in range(T + 1):
+        values, grads, sample_energies, sample_concentrations = _lockstep_terms(
+            model, X, t, limit
+        )
+        energies[t] = values
+        nearest = np.argsort(sample_energies, axis=1, kind="stable")[:, :k]
+        concentrations[t] = np.mean(
+            np.take_along_axis(sample_concentrations, nearest, axis=1), axis=1
+        )
+        if t == 0:
+            limit = DIVERGENCE_FACTOR * values
+        if t == T:
+            break
+        X = _update(X, grads, schedule.alpha[t], schedule.beta[t], streams)
+        if (t + 1) % snapshot_stride == 0 or (t + 1) == T:
+            snapshots.append(X)
+            snapshot_steps.append(t + 1)
+
+    return [
+        Trajectory(
+            [Signal(snapshot[c].ravel(), ref.shape, ref.channels) for snapshot in snapshots],
+            energies[:, c].tolist(),
+            concentrations[:, c].tolist(),
+            list(snapshot_steps),
+        )
+        for c in range(n_samples)
+    ]
 
 
-def _chain_breakdown(x: Signal, model: EnergyModel, chain: int, step: int) -> EnergyBreakdown:
-    """energy_breakdown that names the chain and step when the energy or its
-    gradient stops being finite."""
+def _lockstep_terms(model: EnergyModel, X: np.ndarray, step: int, limit: np.ndarray):
+    """``energy_terms`` of every chain at `step`, or a NumericalError naming the
+    lowest chain that diverges there. `limit` bounds each chain's energy."""
     try:
-        bd = energy_breakdown(x, model)
+        terms = energy_terms(model, X)
+    except NumericalError:
+        pass
+    else:
+        if np.all(np.isfinite(terms[0]) & (terms[0] <= limit)):
+            return terms
+    # a failure is rare: find the lowest failing chain by evaluating each alone
+    for chain, x in enumerate(X):
+        reason = _chain_failure(model, x, limit[chain])
+        if reason is not None:
+            raise NumericalError(f"chain {chain} diverged at step {step}: {reason}")
+    raise NumericalError(f"a chain diverged at step {step}")
+
+
+def _chain_failure(model: EnergyModel, x: np.ndarray, limit: float) -> str | None:
+    """Why one chain's state fails the divergence guard, or None."""
+    if not np.all(np.isfinite(x)):
+        return "non-finite state"
+    try:
+        value = energy_terms(model, x[None])[0][0]
     except NumericalError as exc:
-        raise NumericalError(f"chain {chain} diverged at step {step}: {exc}") from exc
-    if not np.isfinite(bd.value):
-        raise NumericalError(f"chain {chain} diverged at step {step}: non-finite energy")
-    return bd
+        return str(exc)
+    if not np.isfinite(value):
+        return "non-finite energy"
+    if value > limit:
+        return f"energy {value:.3g} exceeds {DIVERGENCE_FACTOR:g} times its step-0 energy"
+    return None
 
 
 def nearest_defining_sample(x: Signal, model: EnergyModel) -> tuple[int, float]:

@@ -27,6 +27,11 @@ class NumericalError(WienerlabError, ArithmeticError):
     """Numerical failure: divergence, NaN, singular or degenerate system."""
 
 
+# A training loss or chain energy above this multiple of its first value
+# counts as divergence, even while it is still finite.
+DIVERGENCE_FACTOR = 1e6
+
+
 class SingularSystemError(NumericalError):
     """Deconvolution denominator has a zero bin and no stabilizer is active."""
 

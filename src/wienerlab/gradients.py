@@ -85,45 +85,72 @@ class EnergyBreakdown:
     sample_concentrations: np.ndarray
 
 
-def energy_breakdown(x: Signal, model: "EnergyModel") -> EnergyBreakdown:
-    """Evaluate the dataset energy sum, its gradient, and per-sample terms.
+# Elements of the (signals, n_defining, C, *padded) filter stack evaluated at
+# once; larger batches go through in chunks, so memory stays bounded.
+ENERGY_CHUNK_ELEMENTS = 1 << 18
 
-    Each defining sample contributes half its penalty quotient plus the
-    zero-lag amplitude correction gamma/2 * (v0 - 1)^2. All samples are
-    processed as one stacked batch; the reported order is the dataset index
-    order.
+
+def energy_terms(
+    model: "EnergyModel", X: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Dataset energy, its gradient and the per-sample terms for a batch of signals.
+
+    `X` is (batch, C, *extents). Each defining sample contributes half its
+    penalty quotient plus the zero-lag amplitude correction gamma/2 * (v0 - 1)^2.
+    Every (signal, defining sample) pair goes through the defining set's
+    kernel in one filter pass and one pullback per chunk of signals. Returns
+    the values (batch,), the gradients (batch, C, *extents), and the
+    per-sample energies and zero-lag concentrations (batch, n_defining) in
+    dataset index order. Overflow shows up as non-finite values, which the
+    kernel and the callers turn into NumericalError.
     """
     ref = model.defining_samples[0]
-    if x.shape != ref.shape or x.channels != ref.channels:
+    if X.shape[1:] != ref.planes.shape:
         raise ShapeError(
-            f"signal shape {x.shape}x{x.channels} does not match defining samples "
-            f"{ref.shape}x{ref.channels}"
+            f"signal planes {X.shape[1:]} do not match defining sample planes {ref.planes.shape}"
         )
+    stack = len(model.defining_samples) * ref.data.size * 2 ** len(ref.shape)
+    chunk = max(1, ENERGY_CHUNK_ELEMENTS // stack)
+    parts = [_energy_chunk(model, X[i : i + chunk]) for i in range(0, len(X), chunk)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _energy_chunk(model: "EnergyModel", X: np.ndarray):
     gamma = model.gamma
     pen = model.penalty.raw  # (1, *padded)
     kernel = model.kernel  # fixed side: the defining set, (n, C, *extents)
     axes = kernel.axes
     zero = (...,) + (0,) * len(axes)
+    channels = X.shape[1]
 
-    v = kernel.filters(x.planes)  # (n, C, *padded), raw layout
-    norms = np.sum(v**2, axis=axes, keepdims=True)
-    if np.any(norms == 0.0):
-        raise UndefinedQuotientError("all-zero matching filter in energy sum")
-    quot = np.sum((pen * v) ** 2, axis=axes, keepdims=True) / norms
-    v0 = v[zero]  # (n, C)
-    energies = 0.5 * np.mean(quot, axis=(1,) + axes) + 0.5 * gamma * np.mean(
-        (v0 - 1.0) ** 2, axis=1
-    )
-    concentrations = np.mean(v0**2 / norms[zero], axis=1)
+    v = kernel.filters(X[:, None])  # (batch, n, C, *padded), raw layout
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sum(v**2, axis=axes, keepdims=True)
+        if np.any(norms == 0.0):
+            raise UndefinedQuotientError("all-zero matching filter in energy sum")
+        quot = np.sum((pen * v) ** 2, axis=axes, keepdims=True) / norms
+        v0 = v[zero]  # (batch, n, C)
+        energies = 0.5 * np.mean(quot, axis=(2,) + axes) + 0.5 * gamma * np.mean(
+            (v0 - 1.0) ** 2, axis=2
+        )
+        concentrations = np.mean(v0**2 / norms[zero], axis=2)
 
-    # d(R/2)/dv = (pen^2 v - R v) / ||v||^2 ; amplitude term adds gamma (v0 - 1) at zero lag
-    g_v = (pen**2 * v - quot * v) / norms / x.channels
-    g_v[zero] += gamma * (v0 - 1.0) / x.channels
-    grad_planes = np.sum(kernel.pullback(g_v), axis=0)
+        # d(R/2)/dv = (pen^2 v - R v) / ||v||^2 ; amplitude term adds gamma (v0 - 1) at zero lag
+        g_v = (pen**2 * v - quot * v) / norms / channels
+        g_v[zero] += gamma * (v0 - 1.0) / channels
+    grads = np.sum(kernel.pullback(g_v), axis=1)
+    return np.sum(energies, axis=1), grads, energies, concentrations
 
-    value = float(np.sum(energies))
-    grad = Signal(grad_planes.ravel(), x.shape, x.channels)
-    return EnergyBreakdown(value, grad, energies, concentrations)
+
+def energy_breakdown(x: Signal, model: "EnergyModel") -> EnergyBreakdown:
+    """Evaluate the dataset energy sum at one signal, its gradient, and per-sample terms.
+
+    A single-signal view of ``energy_terms``; the reported order is the
+    dataset index order.
+    """
+    values, grads, energies, concentrations = energy_terms(model, x.planes[None])
+    grad = Signal(grads[0].ravel(), x.shape, x.channels)
+    return EnergyBreakdown(float(values[0]), grad, energies[0], concentrations[0])
 
 
 def grad_energy(x: Signal, model: "EnergyModel") -> GradientResult:

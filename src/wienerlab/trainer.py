@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, ShapeError, UndefinedQuotientError
+from .errors import (
+    DIVERGENCE_FACTOR,
+    ConfigError,
+    NumericalError,
+    ShapeError,
+    UndefinedQuotientError,
+)
 from .gradients import GradientCheckReport, loss_and_grad
 from .spectral import LagGrid, Signal, WindowSpec, make_window
 from .wiener import QuotientKernel
@@ -138,10 +144,6 @@ class TrainLog:
     concentrations: list[float] = field(default_factory=list)
     initial_concentration: float = float("nan")
     diverged: bool = False
-
-
-# A minibatch loss above this multiple of the run's first one counts as divergence.
-DIVERGENCE_FACTOR = 1e6
 
 
 class TrainingDivergedError(NumericalError):

@@ -74,6 +74,8 @@ class QuotientKernel:
     exact and nothing imaginary is dropped. Padding is implied by the
     transform size. Filters and cotangents are in raw lag layout (zero lag
     at the origin corner); varying batches broadcast against the fixed one.
+    Floating-point warnings are silenced inside: every non-finite result
+    raises NumericalError instead.
     """
 
     def __init__(self, fixed: np.ndarray, shape: tuple[int, ...], lam: float):
@@ -82,8 +84,8 @@ class QuotientKernel:
         self.axes = tuple(range(-len(self.shape), 0))
         if np.shape(fixed)[-len(self.shape):] != self.shape:
             raise ShapeError(f"fixed {np.shape(fixed)} does not end in extents {self.shape}")
-        S = np.fft.rfftn(fixed, s=self.padded, axes=self.axes)
         with np.errstate(over="ignore", invalid="ignore"):
+            S = np.fft.rfftn(fixed, s=self.padded, axes=self.axes)
             den = S.real**2
             den += S.imag**2
             den += lam
@@ -98,17 +100,19 @@ class QuotientKernel:
         """Raw-layout matching filters (*batch, *padded), varying side in the numerator."""
         if np.shape(varying)[-len(self.shape):] != self.shape:
             raise ShapeError(f"varying {np.shape(varying)} does not end in extents {self.shape}")
-        Q = self.K * np.fft.rfftn(varying, s=self.padded, axes=self.axes)
-        Q += self.L
-        return self._inverse(Q)
+        with np.errstate(over="ignore", invalid="ignore"):
+            Q = self.K * np.fft.rfftn(varying, s=self.padded, axes=self.axes)
+            Q += self.L
+            return self._inverse(Q)
 
     def pullback(self, cotangent: np.ndarray) -> np.ndarray:
         """Adjoint of ``filters``' linear part: raw-layout cotangent on the padded
         grid -> gradient on the unpadded extents. The multiplier is conj(K)."""
         if np.shape(cotangent)[-len(self.shape):] != self.padded:
             raise ShapeError(f"cotangent {np.shape(cotangent)} does not end in {self.padded}")
-        G = np.conj(self.K) * np.fft.rfftn(cotangent, axes=self.axes)
-        return self._inverse(G)[(...,) + tuple(slice(0, n) for n in self.shape)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = np.conj(self.K) * np.fft.rfftn(cotangent, axes=self.axes)
+            return self._inverse(G)[(...,) + tuple(slice(0, n) for n in self.shape)]
 
     def _inverse(self, spectrum: np.ndarray) -> np.ndarray:
         out = np.fft.irfftn(spectrum, s=self.padded, axes=self.axes)

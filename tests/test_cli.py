@@ -1,6 +1,7 @@
 import configparser
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +269,23 @@ class TestErrorHandling:
         assert main(["diffuse", "--config", str(cfgf), "--out", str(tmp_path / "run")]) == 4
         err = capsys.readouterr().err
         assert re.search(r"chain \d+ diverged at step \d+", err), err
+
+    def test_finite_but_exploding_latent_chain_exits_4(self, tmp_path, capsys):
+        # alpha 1 -> 0.01 keeps every value finite (energy ~1e103 by step 120),
+        # but the energy soon exceeds DIVERGENCE_FACTOR times its step-0 value
+        parser = configparser.ConfigParser()
+        parser.optionxform = str
+        parser.read(CONFIGS / "latent_diffusion.ini")
+        parser["diffusion"].update(alpha_start="1", alpha_end="0.01", n_samples="2", T="40")
+        cfgf = tmp_path / "latent.ini"
+        with open(cfgf, "w") as f:
+            parser.write(f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning before the NumericalError
+            rc = main(["diffuse", "--config", str(cfgf), "--out", str(tmp_path / "run")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert re.search(r"chain \d+ diverged at step \d+: energy \S+ exceeds", err), err
 
 
 class TestExternalDataPaths:

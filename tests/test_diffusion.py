@@ -1,17 +1,23 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+from wienerlab import gradients
 from wienerlab.datasets import two_cluster_latents
 from wienerlab.diffusion import (
     EnergyModel,
     Schedule,
+    _lockstep_terms,
     cosine_schedule,
     energy,
     langevin_step,
     nearest_defining_sample,
     run_diffusion,
 )
-from wienerlab.errors import ConfigError, ShapeError
+from wienerlab.errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError
+from wienerlab.gradients import energy_breakdown
 from wienerlab.spectral import LagGrid, Signal, WindowSpec, make_window
 from wienerlab.wiener import WienerConfig
 
@@ -77,6 +83,14 @@ class TestEnergy:
         model, _ = toy_model()
         x = Signal(np.random.default_rng(2).normal(0, 1, 8), (8,))
         assert energy(x, model) == energy(x, model)
+
+    def test_overflow_raises_numerical_error_without_warnings(self):
+        model, _ = toy_model()
+        x = Signal(np.full(8, 1e200), (8,))  # finite, but the filter norms overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                energy_breakdown(x, model)
 
 
 class TestLangevinStep:
@@ -169,6 +183,85 @@ class TestRunDiffusion:
             run_diffusion(model, sched, 1, -1.0, seed=0)
         with pytest.raises(ConfigError):
             run_diffusion(model, sched, 1, 1.0, seed=0, snapshot_stride=0)
+
+
+def replay_chain(model, sched, n_samples, init_variance, seed, chain, k):
+    """Chain `chain` of run_diffusion, stepped by hand with langevin_step on its
+    own stream: states by step, energies, concentrations, and the step at
+    which it diverges (None if it does not)."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(n_samples)[chain])
+    ref = model.defining_samples[0]
+    x0 = rng.normal(0.0, math.sqrt(init_variance), size=ref.data.size)
+    x = Signal(x0, ref.shape, ref.channels)
+    states, energies, concentrations = {0: x}, [], []
+    for t in range(sched.steps + 1):
+        try:
+            bd = energy_breakdown(x, model)
+        except NumericalError:
+            return states, energies, concentrations, t
+        if not bd.value <= DIVERGENCE_FACTOR * (energies[0] if energies else np.inf):
+            return states, energies, concentrations, t
+        energies.append(bd.value)
+        nearest = np.argsort(bd.sample_energies, kind="stable")[:k]
+        concentrations.append(float(np.mean(bd.sample_concentrations[nearest])))
+        if t < sched.steps:
+            try:
+                x = langevin_step(x, model, sched.alpha[t], sched.beta[t], rng)
+            except NumericalError:
+                return states, energies, concentrations, t + 1
+            states[t + 1] = x
+    return states, energies, concentrations, None
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("n_samples", [1, 4])
+    def test_matches_chains_replayed_by_hand(self, n_samples):
+        model, _ = toy_model()
+        T = 12
+        sched = Schedule(cosine_schedule(T, 1.0, 0.01), cosine_schedule(T, 0.001, 0.02))
+        trajs = run_diffusion(model, sched, n_samples, 0.7, seed=21, snapshot_stride=5, k_nearest=2)
+        assert len(trajs) == n_samples
+        for chain, traj in enumerate(trajs):
+            states, energies, concentrations, diverged = replay_chain(
+                model, sched, n_samples, 0.7, 21, chain, k=2
+            )
+            assert diverged is None
+            assert traj.snapshot_steps == [0, 5, 10, 12]
+            for step, snap in zip(traj.snapshot_steps, traj.samples):
+                np.testing.assert_allclose(snap.data, states[step].data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(traj.energies, energies, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(traj.concentrations, concentrations, rtol=0, atol=1e-12)
+
+    def test_chunked_batch_matches_whole_batch(self, monkeypatch):
+        model, _ = toy_model()
+        X = np.random.default_rng(9).normal(0.0, 1.0, (5, 1, 8))
+        whole = gradients.energy_terms(model, X)
+        monkeypatch.setattr(gradients, "ENERGY_CHUNK_ELEMENTS", 2 * 8 * 16)  # two chains a chunk
+        for a, b in zip(gradients.energy_terms(model, X), whole):
+            np.testing.assert_array_equal(a, b)
+
+    def test_divergence_names_earliest_step_then_lowest_chain(self):
+        model, _ = toy_model()
+        T, n, seed = 30, 6, 3
+        sched = Schedule(np.full(T, 100.0), np.zeros(T))
+        steps = [replay_chain(model, sched, n, 1.0, seed, c, k=1)[3] for c in range(n)]
+        assert None not in steps and len(set(steps)) > 1  # chains diverge at different steps
+        first = min(steps)
+        chain = steps.index(first)
+        assert steps[0] > first  # the earliest step wins over the lowest chain index
+        with pytest.raises(NumericalError, match=rf"^chain {chain} diverged at step {first}: "):
+            run_diffusion(model, sched, n, 1.0, seed=seed)
+
+    def test_failing_batch_names_lowest_failing_chain(self):
+        model, _ = toy_model()
+        X = np.random.default_rng(8).normal(0.0, 1.0, (4, 1, 8))
+        X[2] = np.nan
+        limit = np.full(4, np.inf)
+        with pytest.raises(NumericalError, match=r"^chain 2 diverged at step 7: non-finite state"):
+            _lockstep_terms(model, X, 7, limit)
+        limit[1] = 0.0  # chain 1's energy now counts as exploded
+        with pytest.raises(NumericalError, match=r"^chain 1 diverged at step 7: energy .* exceeds"):
+            _lockstep_terms(model, X, 7, limit)
 
 
 class TestEnergyModelValidation:

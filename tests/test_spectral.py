@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import hypothesis
@@ -109,15 +111,19 @@ class TestFFT:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(NumericalError):
-            QuotientKernel(np.array([1.0, np.inf, 0.0, 0.0]), (4,), 1.0)
-        with pytest.raises(NumericalError):  # finite, but |S|^2 overflows
-            QuotientKernel(np.full(4, 1e200), (4,), 1.0)
-        k = QuotientKernel(np.ones(4), (4,), 1.0)
-        with pytest.raises(NumericalError):
-            k.filters(np.array([1.0, np.nan, 0.0, 0.0]))
-        with pytest.raises(NumericalError):
-            k.pullback(np.array([np.inf] + [0.0] * 7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # NumericalError only, no numpy warning first
+            with pytest.raises(NumericalError):
+                QuotientKernel(np.array([1.0, np.inf, 0.0, 0.0]), (4,), 1.0)
+            with pytest.raises(NumericalError):  # finite, but |S|^2 overflows
+                QuotientKernel(np.full(4, 1e200), (4,), 1.0)
+            k = QuotientKernel(np.ones(4), (4,), 1.0)
+            with pytest.raises(NumericalError):
+                k.filters(np.array([1.0, np.nan, 0.0, 0.0]))
+            with pytest.raises(NumericalError):  # finite, but the spectrum overflows
+                k.filters(np.full(4, 1e308))
+            with pytest.raises(NumericalError):
+                k.pullback(np.array([np.inf] + [0.0] * 7))
 
     @hypothesis.given(n=st.sampled_from([1, 2, 3, 5, 8, 17, 64, 128]), seed=st.integers(0, 2**16))
     @hypothesis.settings(deadline=None)
