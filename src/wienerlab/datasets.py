@@ -30,11 +30,14 @@ _GLYPHS = [
 ]
 
 
+_BITMAPS = np.array([[[float(c) for c in row] for row in glyph] for glyph in _GLYPHS])  # (10, 7, 5)
+
+
 def digit_glyph(d: int) -> np.ndarray:
-    """The 7x5 binary bitmap of digit d."""
+    """The 7x5 binary bitmap of digit d (a copy of the table parsed at import)."""
     if not (0 <= d <= 9):
         raise ConfigError(f"digit must be 0..9, got {d}")
-    return np.array([[float(c) for c in row] for row in _GLYPHS[d]])
+    return _BITMAPS[d].copy()
 
 
 def make_digit_set(

@@ -56,8 +56,8 @@ class EnergyModel:
         for s in self.defining_samples[1:]:
             if s.shape != first.shape or s.channels != first.channels:
                 raise ShapeError("defining samples must share one shape")
-        if not (self.gamma >= 0):
-            raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
+        if not (0 <= self.gamma < math.inf):
+            raise ConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
         expected = tuple(2 * n for n in first.shape)
         if self.penalty.grid.extents != expected:
             raise ShapeError(
@@ -79,10 +79,10 @@ class Schedule:
         beta = np.asarray(self.beta, dtype=np.float64)
         if alpha.shape != beta.shape or alpha.ndim != 1:
             raise ConfigError("alpha and beta must be 1-d arrays of equal length")
-        if np.any(alpha <= 0):
-            raise ConfigError("step sizes must be positive")
-        if np.any(beta < 0):
-            raise ConfigError("noise variances must be nonnegative")
+        if not np.all((0 < alpha) & (alpha < math.inf)):
+            raise ConfigError("step sizes must be finite and positive")
+        if not np.all((0 <= beta) & (beta < math.inf)):
+            raise ConfigError("noise variances must be finite and nonnegative")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 
@@ -109,6 +109,8 @@ def cosine_schedule(T: int, start: float, end: float) -> np.ndarray:
     """Half-cosine interpolation from start to end with exact endpoint attainment."""
     if T < 2:
         raise ConfigError(f"schedule needs at least 2 steps, got {T}")
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise ConfigError(f"schedule endpoints must be finite, got {start} and {end}")
     t = np.arange(T, dtype=np.float64)
     w = (1.0 + np.cos(np.pi * (t / (T - 1)))) / 2.0  # w[0] = 1, w[T-1] = 0 exactly
     return start * w + end * (1.0 - w)
@@ -127,10 +129,10 @@ def langevin_step(
     rng: np.random.Generator,
 ) -> Signal:
     """One update x - (alpha_t/2) * dE/dx + z, with z ~ N(0, beta_t I)."""
-    if alpha_t <= 0:
-        raise ConfigError(f"alpha_t must be > 0, got {alpha_t}")
-    if beta_t < 0:
-        raise ConfigError(f"beta_t must be >= 0, got {beta_t}")
+    if not (0 < alpha_t < math.inf):
+        raise ConfigError(f"alpha_t must be finite and > 0, got {alpha_t}")
+    if not (0 <= beta_t < math.inf):
+        raise ConfigError(f"beta_t must be finite and >= 0, got {beta_t}")
     bd = energy_breakdown(x, model)
     X = _update(x.planes[None], bd.grad.planes[None], alpha_t, beta_t, [rng])
     if not np.all(np.isfinite(X)):
@@ -181,8 +183,8 @@ def run_diffusion(
     """
     if n_samples < 1:
         raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
-    if init_variance < 0:
-        raise ConfigError(f"init_variance must be >= 0, got {init_variance}")
+    if not (0 <= init_variance < math.inf):
+        raise ConfigError(f"init_variance must be finite and >= 0, got {init_variance}")
     if snapshot_stride < 1:
         raise ConfigError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
     ref = model.defining_samples[0]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .spectral import Signal
-from .wiener import QuotientKernel, WienerConfig, ti_distance, ti_values
+from .wiener import QuotientKernel, WienerConfig, ti_distance
 
 __all__ = [
     "LabeledSet",
@@ -34,12 +34,14 @@ class LabeledSet:
     """Uniformly shaped signals with class ids in 0..9.
 
     The quotient kernel of the whole set is built on the first TI query per
-    lambda and kept, so every later query against the set reuses it.
+    lambda and kept, and so is the (n, C*prod(extents)) stack that
+    element-wise distances use, so every later query against the set
+    reuses them.
     """
 
     signals: list[Signal]
     labels: list[int]
-    _kernels: dict = field(default_factory=dict, init=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.signals) != len(self.labels):
@@ -81,25 +83,34 @@ def distance(a: Signal, b: Signal, spec: DistanceSpec) -> float:
 
 
 def _set_kernel(train: LabeledSet, lam: float) -> QuotientKernel:
-    if lam not in train._kernels:
+    if lam not in train._cache:
         planes = np.stack([t.planes for t in train.signals])  # (n, C, *extents)
-        train._kernels[lam] = QuotientKernel(planes, train.signals[0].shape, lam)
-    return train._kernels[lam]
+        train._cache[lam] = QuotientKernel(planes, train.signals[0].shape, lam)
+    return train._cache[lam]
+
+
+def _set_stack(train: LabeledSet) -> np.ndarray:
+    if "stack" not in train._cache:
+        train._cache["stack"] = np.stack([t.data for t in train.signals])  # (n, C*prod(extents))
+    return train._cache["stack"]
 
 
 def _distances_to_set(query: Signal, train: LabeledSet, spec: DistanceSpec) -> np.ndarray:
     """Distances from one query to every training signal.
 
-    Filter-based distances come from one batched pass against the set's
-    cached kernel: the same quantity as ti_distance per pair.
+    Each kind is one batched pass against the set's cached kernel or stack:
+    the same quantity as ``distance`` per pair.
     """
     ref = train.signals[0]
     if query.shape != ref.shape or query.channels != ref.channels:
         raise ShapeError(f"shape mismatch: {query.shape} vs {ref.shape}")
     if spec.kind == "wiener_ti":
-        v = _set_kernel(train, spec.wiener_cfg.lam).filters(query.planes)
-        return ti_values(v, len(query.shape))[0].mean(axis=1)
-    return np.array([distance(query, t, spec) for t in train.signals])
+        values = _set_kernel(train, spec.wiener_cfg.lam).ti_values(query.planes)[0]
+        return values.mean(axis=1)
+    diff = _set_stack(train) - query.data
+    if spec.kind == "manhattan":
+        return np.sum(np.abs(diff, out=diff), axis=1)
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 def _vote(dists: np.ndarray, labels: list[int], k: int) -> int:
@@ -138,13 +149,14 @@ def make_translated_set(
     if not base.signals or len(base.signals[0].shape) != 2:
         raise ShapeError("translated sets are defined for nonempty 2-d image sets")
     rng = np.random.default_rng(seed)
-    out = []
-    for s in base.signals:
-        planes = np.pad(s.planes, ((0, 0), (pad, pad), (pad, pad)))
+    ref = base.signals[0]
+    h, w = ref.shape
+    # max_shift <= pad, so the shifted image never wraps: place it at its offset
+    stack = np.zeros((len(base), ref.channels, h + 2 * pad, w + 2 * pad))
+    for planes, s in zip(stack, base.signals):
         dr, dc = rng.integers(-max_shift, max_shift + 1, size=2)
-        planes = np.roll(planes, (int(dr), int(dc)), axis=(1, 2))
-        out.append(Signal.from_planes(planes))
-    return LabeledSet(out, list(base.labels))
+        planes[:, pad + dr : pad + dr + h, pad + dc : pad + dc + w] = s.planes
+    return LabeledSet([Signal.from_planes(planes) for planes in stack], list(base.labels))
 
 
 @dataclass(frozen=True, eq=False)

@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 ORACLE_SIZE_CAP = 4096  # padded elements per channel; dense solve is O(n^3)
+TI_CHUNK_ELEMENTS = 2**16  # spatial filter elements per chunk of QuotientKernel.ti_values
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,12 @@ class QuotientKernel:
     at the origin corner); varying batches broadcast against the fixed one.
     Floating-point warnings are silenced inside: every non-finite result
     raises NumericalError instead.
+
+    ``ti_values`` reduces each filter plane to its TI value without keeping
+    the whole filter stack: it walks the fixed side's leading batch axis in
+    chunks of about TI_CHUNK_ELEMENTS spatial elements, takes each plane's
+    mean from the DC bin and its spread from Parseval over the non-DC bins
+    of the half spectrum, and reads only the maximum from the spatial domain.
     """
 
     def __init__(self, fixed: np.ndarray, shape: tuple[int, ...], lam: float):
@@ -104,6 +111,60 @@ class QuotientKernel:
             Q = self.K * np.fft.rfftn(varying, s=self.padded, axes=self.axes)
             Q += self.L
             return self._inverse(Q)
+
+    def ti_values(self, varying: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Negative maximum of each standardized filter plane, shaped (*batch,),
+        and a mask of the constant planes, whose value is 0 by convention.
+
+        The fixed side's leading batch axis is walked in chunks of about
+        TI_CHUNK_ELEMENTS filter elements; each plane's mean and spread come
+        from its spectrum (``_moments``), and only its maximum is read from
+        the spatial filter.
+        """
+        rank = len(self.shape)
+        if np.shape(varying)[-rank:] != self.shape:
+            raise ShapeError(f"varying {np.shape(varying)} does not end in extents {self.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = np.fft.rfftn(varying, s=self.padded, axes=self.axes)
+        batch = np.broadcast_shapes(self.K.shape[:-rank], X.shape[:-rank])
+        lead = max(len(batch), 1)  # chunks run along one leading axis, added if there is none
+        K, L, X = (a.reshape((1,) * (lead + rank - a.ndim) + a.shape) for a in (self.K, self.L, X))
+        n = max(K.shape[0], X.shape[0])
+        step = max(1, TI_CHUNK_ELEMENTS // (math.prod(self.padded) * math.prod(batch[1:])))
+        values = np.empty((n,) + batch[1:])
+        constant = np.empty((n,) + batch[1:], dtype=bool)
+        for i in range(0, n, step):
+            rows = slice(i, i + step)
+            K_i, L_i, X_i = (a[rows] if a.shape[0] > 1 else a for a in (K, L, X))
+            with np.errstate(over="ignore", invalid="ignore"):
+                Q = K_i * X_i
+                Q += L_i
+                peak = self._inverse(Q).max(axis=self.axes)
+                mu, sigma = self._moments(Q)
+            constant[rows] = sigma == 0.0
+            values[rows] = -(peak - mu) / np.where(constant[rows], np.inf, sigma)
+        return values.reshape(batch), constant.reshape(batch)
+
+    def _moments(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and standard deviation of each spatial plane of the half spectra Q.
+
+        With N padded bins the mean is Q[0].real / N (the DC bin) and the
+        variance is sum(|Q|^2 over the other bins) / N^2 (Parseval), each
+        half-spectrum bin counted twice unless it is its own mirror image
+        (the zero and Nyquist columns). Nothing cancels, and a constant plane
+        has spread exactly 0.
+        """
+        rank = len(self.shape)
+        weights = np.full(Q.shape[-rank:], 2.0)
+        weights[..., 0] = weights[..., -1] = 1.0
+        weights[(0,) * rank] = 0.0
+        parts = np.ascontiguousarray(Q).view(np.float64)  # real and imaginary parts interleaved
+        with np.errstate(over="ignore", invalid="ignore"):
+            sumsq = np.tensordot(parts * parts, np.repeat(weights, 2, axis=-1), axes=rank)
+        if not np.all(np.isfinite(sumsq)):
+            raise NumericalError("non-finite spectral power of the matching filter")
+        N = math.prod(self.padded)
+        return Q[(...,) + (0,) * rank].real / N, np.sqrt(sumsq) / N
 
     def pullback(self, cotangent: np.ndarray) -> np.ndarray:
         """Adjoint of ``filters``' linear part: raw-layout cotangent on the padded
@@ -253,27 +314,18 @@ def wiener_loss(
     return float(np.mean(vals))
 
 
-def ti_values(v: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """Negative maximum of each standardized filter plane (the last `rank` axes),
-    and a mask of the constant planes, whose value is 0 by convention."""
-    flat = v.reshape(v.shape[: v.ndim - rank] + (-1,))
-    mu = flat.mean(axis=-1, keepdims=True)
-    sigma = flat.std(axis=-1, keepdims=True)
-    constant = sigma[..., 0] == 0.0
-    sigma[constant] = np.inf
-    return -np.max((flat - mu) / sigma, axis=-1), constant
-
-
 def ti_distance(a: Signal, b: Signal, cfg: WienerConfig) -> float:
     """Negative maximum of the standardized matching filter.
 
     Sensitive to how focused the filter's energy is, blind to where the focus
     sits, hence invariant to rigid translation of either signal. Lower means
     more similar; the self-distance -sqrt(nbins - 1) is the global minimum.
+    Each plane's mean and spread come from the filter's spectrum (the DC bin
+    and Parseval over the other bins); only the maximum is read from the
+    spatial domain. See ``QuotientKernel.ti_values``.
     """
     _check_pair(a, b)
-    v = QuotientKernel(b.planes, b.shape, cfg.lam).filters(a.planes)
-    vals, constant = ti_values(v, len(b.shape))
+    vals, constant = QuotientKernel(b.planes, b.shape, cfg.lam).ti_values(a.planes)
     if np.any(constant):
         warnings.warn("constant matching filter; distance defaulting to 0", RuntimeWarning)
     return float(np.mean(vals))

@@ -288,6 +288,30 @@ class TestErrorHandling:
         assert re.search(r"chain \d+ diverged at step \d+: energy \S+ exceeds", err), err
 
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("init_variance", "nan"),
+            ("init_variance", "inf"),
+            ("alpha_start", "nan"),
+            ("alpha_end", "inf"),
+            ("beta_end", "nan"),
+            ("beta_start", "inf"),
+            ("gamma", "inf"),
+            ("gamma", "nan"),
+        ],
+    )
+    def test_non_finite_diffusion_value_exits_2(self, tmp_path, capsys, key, value):
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text(f"[diffusion]\nT = 5\nn_samples = 2\n{key} = {value}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning before the ConfigError
+            rc = main(["diffuse", "--config", str(cfgf), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err, err
+
+
 class TestExternalDataPaths:
     def _write_idx_pair(self, tmp_path, n=24, size=10, seed=0):
         import struct

@@ -60,6 +60,15 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             Schedule(np.ones(2), np.array([0.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            Schedule(np.array([1.0, bad]), np.zeros(2))
+        with pytest.raises(ConfigError):
+            Schedule(np.ones(2), np.array([bad, 0.0]))
+        with pytest.raises(ConfigError):
+            cosine_schedule(4, bad, 0.0)
+
 
 class TestEnergy:
     def test_defining_sample_term_drops_out(self):
@@ -127,6 +136,11 @@ class TestLangevinStep:
             langevin_step(x, model, 0.0, 0.0, np.random.default_rng(0))
         with pytest.raises(ConfigError):
             langevin_step(x, model, 0.1, -1.0, np.random.default_rng(0))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                langevin_step(x, model, bad, 0.0, np.random.default_rng(0))
+            with pytest.raises(ConfigError):
+                langevin_step(x, model, 0.1, bad, np.random.default_rng(0))
 
 
 class TestRunDiffusion:
@@ -181,6 +195,9 @@ class TestRunDiffusion:
             run_diffusion(model, sched, 0, 1.0, seed=0)
         with pytest.raises(ConfigError):
             run_diffusion(model, sched, 1, -1.0, seed=0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                run_diffusion(model, sched, 1, bad, seed=0)
         with pytest.raises(ConfigError):
             run_diffusion(model, sched, 1, 1.0, seed=0, snapshot_stride=0)
 
@@ -282,6 +299,9 @@ class TestEnergyModelValidation:
         pen = make_window(WindowSpec("inverted_laplace", b=1.0), LagGrid((16,)))
         with pytest.raises(ConfigError):
             EnergyModel([Signal(np.ones(8), (8,))], pen, -0.1, WienerConfig())
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                EnergyModel([Signal(np.ones(8), (8,))], pen, bad, WienerConfig())
 
     def test_nearest_defining_sample(self):
         model, _ = toy_model()

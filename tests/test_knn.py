@@ -74,6 +74,22 @@ class TestDistances:
         singles = [distance(query, t, spec) for t in train.signals]
         np.testing.assert_allclose(_distances_to_set(query, train, spec), singles, atol=1e-12)
 
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_batched_elementwise_matches_pairwise(self, channels):
+        from wienerlab.knn import _distances_to_set
+
+        rng = np.random.default_rng(2)
+        query = Signal.from_planes(rng.random((channels, 5, 7)))
+        train = LabeledSet(
+            [Signal.from_planes(p) for p in rng.random((23, channels, 5, 7))], [0] * 23
+        )
+        man = DistanceSpec("manhattan")
+        pairs = [distance(query, t, man) for t in train.signals]
+        np.testing.assert_array_equal(_distances_to_set(query, train, man), pairs)
+        euc = DistanceSpec("euclidean")
+        pairs = [distance(query, t, euc) for t in train.signals]
+        np.testing.assert_allclose(_distances_to_set(query, train, euc), pairs, rtol=1e-12)
+
     def test_query_shape_mismatch(self):
         train = LabeledSet([sig(np.ones((4, 4)))], [0])
         with pytest.raises(ShapeError):
@@ -144,6 +160,18 @@ class TestMakeTranslatedSet:
                 np.sort(s_out.data[s_out.data != 0]), np.sort(s_in.data[s_in.data != 0])
             )
             assert s_out.data.sum() == pytest.approx(s_in.data.sum(), abs=1e-12)
+
+    @pytest.mark.parametrize("max_shift, pad", [(0, 6), (6, 6), (3, 6), (2, 2)])
+    def test_bytes_match_pad_and_roll(self, max_shift, pad):
+        base = make_digit_set(40, size=8, seed=18)
+        out = make_translated_set(base, max_shift, pad, seed=19)
+        rng = np.random.default_rng(19)
+        for s_in, s_out in zip(base.signals, out.signals):
+            planes = np.pad(s_in.planes, ((0, 0), (pad, pad), (pad, pad)))
+            dr, dc = rng.integers(-max_shift, max_shift + 1, size=2)
+            planes = np.roll(planes, (int(dr), int(dc)), axis=(1, 2))
+            assert s_out.shape == planes.shape[1:] and s_out.channels == 1
+            assert s_out.data.tobytes() == planes.tobytes()
 
     def test_shift_exceeding_pad_rejected(self):
         base = make_digit_set(2, size=8, seed=6)
@@ -216,6 +244,16 @@ class TestDigitGlyphs:
     def test_out_of_range(self):
         with pytest.raises(ConfigError):
             digit_glyph(10)
+
+    def test_matches_string_table_and_returns_a_copy(self):
+        from wienerlab.datasets import _GLYPHS
+
+        for d, rows in enumerate(_GLYPHS):
+            expected = np.array([[float(c) for c in row] for row in rows])
+            glyph = digit_glyph(d)
+            np.testing.assert_array_equal(glyph, expected)
+            glyph[:] = -1.0  # the cached table must not change
+            np.testing.assert_array_equal(digit_glyph(d), expected)
 
     def test_digit_set_values_in_unit_interval(self):
         s = make_digit_set(30, size=8, seed=17)

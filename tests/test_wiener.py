@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import hypothesis
@@ -12,7 +14,9 @@ from wienerlab.errors import (
     UndefinedQuotientError,
 )
 from wienerlab.spectral import LagFilter, LagGrid, Signal, WindowSpec, make_window
+from wienerlab import wiener
 from wienerlab.wiener import (
+    QuotientKernel,
     WienerConfig,
     concentration,
     delta_filter,
@@ -276,6 +280,66 @@ class TestTiDistance:
         with pytest.warns(RuntimeWarning):
             val = ti_distance(a, b, WienerConfig(lam=0.0))
         assert val == 0.0
+
+
+def spatial_ti_values(v: np.ndarray, rank: int) -> np.ndarray:
+    """Reference: standardize each filter plane in the spatial domain."""
+    flat = v.reshape(v.shape[: v.ndim - rank] + (-1,))
+    return -(flat.max(axis=-1) - flat.mean(axis=-1)) / flat.std(axis=-1)
+
+
+class TestTiValues:
+    @pytest.mark.parametrize(
+        "fixed_shape, varying_shape, extents",
+        [
+            ((7, 1, 10), (1, 10), (10,)),  # rank 1
+            ((11, 1, 6, 5), (1, 6, 5), (6, 5)),  # rank 2
+            ((9, 3, 4, 6), (3, 4, 6), (4, 6)),  # multi-channel
+            ((2, 4, 6), (5, 2, 4, 6), (4, 6)),  # the varying side has the leading batch axis
+        ],
+    )
+    def test_chunked_matches_unchunked_and_spatial_reference(
+        self, monkeypatch, fixed_shape, varying_shape, extents
+    ):
+        rng = np.random.default_rng(50)
+        kernel = QuotientKernel(rng.random(fixed_shape), extents, 0.5)
+        varying = rng.random(varying_shape)
+        whole, whole_flat = kernel.ti_values(varying)
+        # a chunk of 2 leading rows at most, and no set size above is a multiple of it
+        padded = int(np.prod(kernel.padded))
+        monkeypatch.setattr(wiener, "TI_CHUNK_ELEMENTS", 2 * padded * int(np.prod(whole.shape[1:])))
+        chunked, chunked_flat = kernel.ti_values(varying)
+        np.testing.assert_allclose(chunked, whole, rtol=1e-12, atol=0)
+        reference = spatial_ti_values(kernel.filters(varying), len(extents))
+        assert whole.shape == reference.shape
+        np.testing.assert_allclose(whole, reference, rtol=1e-12, atol=0)
+        assert not whole_flat.any() and not chunked_flat.any()
+
+    @pytest.mark.parametrize("shape", [(12,), (6, 5), (4, 7)])
+    def test_spectral_moments_match_spatial_mean_and_std(self, shape):
+        rng = np.random.default_rng(51)
+        kernel = QuotientKernel(rng.random(shape), shape, 1.0)
+        filters = rng.standard_normal((6,) + kernel.padded) + 3.0
+        Q = np.fft.rfftn(filters, axes=kernel.axes)
+        mu, sigma = kernel._moments(Q)
+        flat = filters.reshape(6, -1)
+        np.testing.assert_allclose(mu, flat.mean(axis=1), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sigma, flat.std(axis=1), rtol=1e-12, atol=0)
+
+    def test_constant_plane_is_zero_and_flagged(self):
+        kernel = QuotientKernel(np.random.default_rng(52).random((3, 1, 8)), (8,), 0.0)
+        values, constant = kernel.ti_values(np.zeros((1, 8)))
+        assert constant.shape == (3, 1) and constant.all()
+        assert np.all(values == 0.0)
+
+    def test_overflowing_query_raises_numerical_error(self):
+        kernel = QuotientKernel(np.random.default_rng(53).random((4, 1, 6, 6)), (6, 6), 1.0)
+        query = np.full((1, 6, 6), 1e200)
+        query[0, 0, 0] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                kernel.ti_values(query)
 
 
 class TestConcentration:
