@@ -26,7 +26,14 @@ from . import __version__
 from .config import ExperimentConfig, load_config
 from .dataio import ingest_idx, read_idx_images, read_pgm, save_model, write_csv, write_pgm
 from .datasets import make_digit_set, two_cluster_latents
-from .diffusion import EnergyModel, Schedule, cosine_schedule, nearest_defining_sample, run_diffusion
+from .diffusion import (
+    EnergyModel,
+    Schedule,
+    check_chain_args,
+    cosine_schedule,
+    nearest_defining_sample,
+    run_diffusion,
+)
 from .errors import ConfigError, FormatError, NumericalError, ShapeError, WienerlabError
 from .gradients import loss_and_grad
 from .knn import DistanceSpec, LabeledSet, evaluate_accuracy, make_translated_set
@@ -271,6 +278,7 @@ def _defining_set(cfg: ExperimentConfig) -> tuple[list[Signal], list[int] | None
 
 def _cmd_diffuse(args, cfg: ExperimentConfig) -> int:
     d = cfg.diffusion
+    check_chain_args(d.n_samples, d.init_variance, d.snapshot_stride)  # before the run dir
     samples, _ = _defining_set(cfg)
     padded = tuple(2 * n for n in samples[0].shape)
     penalty = make_window(WindowSpec(d.penalty_family, d.penalty_b), LagGrid(padded))

@@ -163,23 +163,30 @@ def save_model(path, model: DenseAutoencoder) -> None:
 
 
 def load_model(path, activation: str = "mish") -> DenseAutoencoder:
+    """Read a model file; a truncated or inconsistent one raises FormatError."""
     buf = Path(path).read_bytes()
     if buf[:4] != MODEL_MAGIC:
         raise FormatError("bad model magic", offset=0)
-    version = struct.unpack_from("<I", buf, 4)[0]
+    if len(buf) < 12:
+        raise FormatError("truncated header", offset=len(buf))
+    version, n_widths = struct.unpack_from("<II", buf, 4)
     if version != MODEL_VERSION:
         raise FormatError(f"unsupported model version {version}", offset=4)
-    n_widths = struct.unpack_from("<I", buf, 8)[0]
-    widths = struct.unpack_from(f"<{n_widths}I", buf, 12)
     pos = 12 + 4 * n_widths
-    model = DenseAutoencoder.initialize(widths, activation=activation, seed=0)
-    theta = np.frombuffer(buf, dtype="<f8", offset=pos)
-    if theta.size != model.n_params:
+    if pos > len(buf):
+        raise FormatError(f"truncated layer widths: {n_widths} declared", offset=len(buf))
+    widths = struct.unpack_from(f"<{n_widths}I", buf, 12)
+    if n_widths < 2 or min(widths) < 1:
+        raise FormatError(f"bad layer widths {widths}", offset=12)
+    n_params = DenseAutoencoder.param_count(widths)
+    if len(buf) - pos != 8 * n_params:
         raise FormatError(
-            f"parameter payload has {theta.size} values, expected {model.n_params}", offset=pos
+            f"parameter payload has {len(buf) - pos} bytes, expected {8 * n_params}", offset=pos
         )
-    model.set_flat_params(theta.astype(np.float64))
-    return model
+    theta = np.frombuffer(buf, dtype="<f8", offset=pos)
+    if not np.all(np.isfinite(theta)):
+        raise FormatError("non-finite parameter values", offset=pos)
+    return DenseAutoencoder(widths, activation, theta)
 
 
 def write_csv(path, header: list[str], rows) -> None:

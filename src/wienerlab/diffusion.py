@@ -27,6 +27,7 @@ __all__ = [
     "EnergyModel",
     "Schedule",
     "Trajectory",
+    "check_chain_args",
     "cosine_schedule",
     "energy",
     "langevin_step",
@@ -156,6 +157,16 @@ def _update(
     return X
 
 
+def check_chain_args(n_samples: int, init_variance: float, snapshot_stride: int) -> None:
+    """ConfigError unless run_diffusion's chain arguments are in range."""
+    if n_samples < 1:
+        raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
+    if not (0 <= init_variance < math.inf):
+        raise ConfigError(f"init_variance must be finite and >= 0, got {init_variance}")
+    if snapshot_stride < 1:
+        raise ConfigError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
+
+
 def run_diffusion(
     model: EnergyModel,
     schedule: Schedule,
@@ -181,12 +192,7 @@ def run_diffusion(
     times its step-0 energy. The NumericalError names the earliest such
     step and, at that step, the lowest diverging chain.
     """
-    if n_samples < 1:
-        raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
-    if not (0 <= init_variance < math.inf):
-        raise ConfigError(f"init_variance must be finite and >= 0, got {init_variance}")
-    if snapshot_stride < 1:
-        raise ConfigError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
+    check_chain_args(n_samples, init_variance, snapshot_stride)
     ref = model.defining_samples[0]
     k = max(1, min(k_nearest, len(model.defining_samples)))
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_samples)]

@@ -6,6 +6,13 @@ comes from one batched quotient-kernel pass per minibatch (or the MSE
 residual) and is pushed through the dense stack by hand; the optimizer is
 Adam. Single-threaded and fully seeded, so runs are reproducible
 parameter-for-parameter.
+
+All parameters live in one float64 vector ``theta`` (per layer: row-major
+weights, then bias); ``weights[l]`` and ``biases[l]`` are views into it.
+Gradients and Adam's moments share that layout, so each minibatch is one
+vectorized Adam update. When a gradient will follow, the forward pass keeps
+each hidden layer's act'(z), built from the activation's own intermediates;
+forward-only passes compute no derivatives.
 """
 
 from __future__ import annotations
@@ -15,101 +22,105 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DIVERGENCE_FACTOR,
-    ConfigError,
-    NumericalError,
-    ShapeError,
-    UndefinedQuotientError,
-)
+from .errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError
+from .errors import UndefinedQuotientError
 from .gradients import GradientCheckReport, loss_and_grad
 from .spectral import LagGrid, Signal, WindowSpec, make_window
 from .wiener import QuotientKernel
 
 __all__ = [
-    "DenseAutoencoder",
-    "TrainConfig",
-    "TrainLog",
-    "TrainingDivergedError",
-    "forward",
-    "train",
-    "grad_check_model",
+    "DenseAutoencoder", "TrainConfig", "TrainLog", "TrainingDivergedError",
+    "forward", "train", "grad_check_model",
 ]
 
 
-def _mish(z: np.ndarray) -> np.ndarray:
-    return z * np.tanh(np.logaddexp(0.0, z))
+# Each activation maps (z, prime) to (act(z), act'(z) if prime else None).
+def _mish(z: np.ndarray, prime: bool):
+    sp = np.logaddexp(0.0, z)  # softplus
+    t = np.tanh(sp)
+    # sigmoid(z) = 1 - exp(-softplus(z)) = -expm1(-sp)
+    return z * t, (t - z * (1.0 - t * t) * np.expm1(-sp) if prime else None)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _tanh(z: np.ndarray, prime: bool):
+    a = np.tanh(z)
+    return a, (1.0 - a**2 if prime else None)
 
 
-def _mish_prime(z: np.ndarray) -> np.ndarray:
-    t = np.tanh(np.logaddexp(0.0, z))
-    return t + z * (1.0 - t * t) * _sigmoid(z)
+def _relu(z: np.ndarray, prime: bool):
+    return np.maximum(z, 0.0), ((z > 0.0).astype(float) if prime else None)
 
 
-_ACTIVATIONS = {
-    "mish": (_mish, _mish_prime),
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(float)),
-}
+_ACTIVATIONS = {"mish": _mish, "tanh": _tanh, "relu": _relu}
+
+
+def _layer_views(widths: tuple[int, ...], flat: np.ndarray):
+    """Per-layer (weights, biases) views of a vector in theta's layout."""
+    weights, biases, pos = [], [], 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        weights.append(flat[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in))
+        pos += fan_out * fan_in
+        biases.append(flat[pos : pos + fan_out])
+        pos += fan_out
+    return weights, biases
 
 
 @dataclass(eq=False)
 class DenseAutoencoder:
-    """Fully connected stack, nonlinearity on hidden layers, linear output."""
+    """Fully connected stack, nonlinearity on hidden layers, linear output.
+
+    ``theta`` (all zeros when omitted) is copied in and owned by the model;
+    ``weights[l]`` (widths[l+1], widths[l]) and ``biases[l]`` view into it.
+    """
 
     widths: tuple[int, ...]
-    weights: list[np.ndarray]  # weights[l]: (widths[l+1], widths[l])
-    biases: list[np.ndarray]
     activation: str = "mish"
+    theta: np.ndarray | None = None
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.widths = tuple(int(w) for w in self.widths)
         if len(self.widths) < 2:
             raise ConfigError("need at least an input and an output layer")
+        if min(self.widths) < 1:
+            raise ConfigError(f"every layer width must be >= 1, got {self.widths}")
         if self.activation not in _ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (self.widths[l + 1], self.widths[l]) or b.shape != (self.widths[l + 1],):
-                raise ShapeError(f"layer {l} parameter shapes do not chain")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ConfigError("parameters must be finite")
+        n = self.param_count(self.widths)
+        theta = np.zeros(n) if self.theta is None else np.array(self.theta, dtype=np.float64)
+        if theta.shape != (n,):
+            raise ShapeError(f"parameter vector shape {theta.shape}, expected ({n},)")
+        if not np.all(np.isfinite(theta)):
+            raise ConfigError("parameters must be finite")
+        self.theta = theta
+        self.weights, self.biases = _layer_views(self.widths, theta)
 
     @classmethod
     def initialize(cls, widths, activation: str = "mish", seed: int = 0) -> "DenseAutoencoder":
         """Fan-in-scaled uniform init, zero biases, seeded."""
+        model = cls(widths, activation)
         rng = np.random.default_rng(seed)
-        widths = tuple(int(w) for w in widths)
-        weights, biases = [], []
-        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-            scale = 1.0 / np.sqrt(fan_in)
-            weights.append(rng.uniform(-scale, scale, size=(fan_out, fan_in)))
-            biases.append(np.zeros(fan_out))
-        return cls(widths, weights, biases, activation)
+        for w in model.weights:
+            scale = 1.0 / np.sqrt(w.shape[1])
+            w[...] = rng.uniform(-scale, scale, size=w.shape)
+        return model
+
+    @staticmethod
+    def param_count(widths) -> int:
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
 
     @property
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.theta.size
 
     def flat_params(self) -> np.ndarray:
-        return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(self.weights, self.biases)])
+        return self.theta.copy()
 
     def set_flat_params(self, theta: np.ndarray) -> None:
-        pos = 0
-        for w, b in zip(self.weights, self.biases):
-            w[...] = theta[pos : pos + w.size].reshape(w.shape)
-            pos += w.size
-            b[...] = theta[pos : pos + b.size]
-            pos += b.size
-        if pos != theta.size:
-            raise ShapeError(f"parameter vector length {theta.size}, expected {pos}")
+        if np.shape(theta) != self.theta.shape:
+            raise ShapeError(f"parameter vector shape {np.shape(theta)}, expected {self.theta.shape}")
+        self.theta[...] = theta
 
 
 @dataclass(frozen=True)
@@ -154,30 +165,30 @@ class TrainingDivergedError(NumericalError):
         self.log = log
 
 
-def _forward_matrix(model: DenseAutoencoder, X: np.ndarray):
-    act, _ = _ACTIVATIONS[model.activation]
-    A = [X]
-    Z = []
-    n_layers = len(model.weights)
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = A[-1] @ w.T + b
-        Z.append(z)
-        A.append(act(z) if l < n_layers - 1 else z)  # linear output layer
-    return A, Z
+def _forward_matrix(model: DenseAutoencoder, X: np.ndarray, prime: bool = False):
+    """Activations A (A[0] = X) and hidden-layer derivatives D (None unless prime)."""
+    act = _ACTIVATIONS[model.activation]
+    A, D = [X], []
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        a, d = act(A[-1] @ w.T + b, prime)
+        A.append(a)
+        D.append(d)
+    A.append(A[-1] @ model.weights[-1].T + model.biases[-1])  # linear output layer
+    return A, D
 
 
-def _backward_matrix(model: DenseAutoencoder, A, Z, d_out: np.ndarray):
-    _, act_prime = _ACTIVATIONS[model.activation]
-    n_layers = len(model.weights)
-    dW = [None] * n_layers
-    db = [None] * n_layers
+def _backward_matrix(model: DenseAutoencoder, A, D, d_out: np.ndarray, grad=None) -> np.ndarray:
+    """Parameter gradient in theta's layout, written into `grad` (new if None)."""
+    grad = np.empty_like(model.theta) if grad is None else grad
+    dW, db = _layer_views(model.widths, grad)
     delta = d_out
-    for l in range(n_layers - 1, -1, -1):
-        dW[l] = delta.T @ A[l]
-        db[l] = delta.sum(axis=0)
+    for l in range(len(dW) - 1, -1, -1):
+        np.matmul(delta.T, A[l], out=dW[l])
+        np.sum(delta, axis=0, out=db[l])
         if l > 0:
-            delta = (delta @ model.weights[l]) * act_prime(Z[l - 1])
-    return dW, db
+            delta = delta @ model.weights[l]
+            delta *= D[l - 1]
+    return grad
 
 
 def _to_matrix(batch: list[Signal], width: int) -> np.ndarray:
@@ -197,9 +208,16 @@ def forward(model: DenseAutoencoder, batch: list[Signal]) -> list[Signal]:
     return [Signal(row, ref.shape, ref.channels) for row in A[-1]]
 
 
-def _batch_loss_and_grad(model: DenseAutoencoder, X: np.ndarray, ref: Signal, cfg: TrainConfig):
-    """Mean loss over the batch and its gradient wrt the reconstructions."""
-    A, Z = _forward_matrix(model, X)
+def _window_raw(cfg: TrainConfig, ref: Signal):
+    """Raw-layout whitening window on the samples' full-lag grid; None for MSE."""
+    if cfg.loss == "wiener":
+        return make_window(cfg.whitening, LagGrid(tuple(2 * n for n in ref.shape))).raw
+
+
+def _batch_loss_and_grad(model: DenseAutoencoder, X, ref: Signal, cfg: TrainConfig, w_raw=None):
+    """Mean loss over the batch, its gradient wrt the reconstructions and the
+    forward pass (A, D) for backprop; `w_raw` is built here when None."""
+    A, D = _forward_matrix(model, X, prime=True)
     out = A[-1]
     B = X.shape[0]
     if cfg.loss == "mse":
@@ -209,16 +227,15 @@ def _batch_loss_and_grad(model: DenseAutoencoder, X: np.ndarray, ref: Signal, cf
     else:
         planes = (B, ref.channels) + ref.shape
         kernel = QuotientKernel(X.reshape(planes), ref.shape, cfg.lam)
-        w_raw = make_window(cfg.whitening, LagGrid(kernel.padded)).raw
+        if w_raw is None:
+            w_raw = _window_raw(cfg, ref)
         vals, grads = loss_and_grad(kernel, out.reshape(planes), w_raw)
         loss = float(np.mean(vals))
         d_out = grads.reshape(B, -1) / B
-    return loss, d_out, A, Z
+    return loss, d_out, A, D
 
 
-def _mean_concentration(
-    model: DenseAutoencoder, X: np.ndarray, ref: Signal, cfg: TrainConfig
-) -> float:
+def _mean_concentration(model: DenseAutoencoder, X, ref: Signal, cfg: TrainConfig) -> float:
     """Mean zero-lag energy fraction of the reconstruction-target filters.
 
     Filters are evaluated one minibatch-sized chunk at a time, so the
@@ -259,11 +276,9 @@ def train(model: DenseAutoencoder, data: list[Signal], cfg: TrainConfig) -> Trai
     eval_X = X_all[: min(128, len(data))]
     rng = np.random.default_rng(cfg.seed)
 
-    m = [np.zeros_like(w) for w in model.weights] + [np.zeros_like(b) for b in model.biases]
-    v = [np.zeros_like(w) for w in model.weights] + [np.zeros_like(b) for b in model.biases]
-    n_layers = len(model.weights)
-    step = 0
-    first_loss = None
+    w_raw = _window_raw(cfg, ref)
+    grad, m, v = (np.zeros_like(model.theta) for _ in range(3))
+    step, first_loss = 0, None
 
     log = TrainLog()
     log.initial_concentration = _mean_concentration(model, eval_X, ref, cfg)
@@ -274,7 +289,7 @@ def train(model: DenseAutoencoder, data: list[Signal], cfg: TrainConfig) -> Trai
             idx = order[start : start + cfg.batch_size]
             X = X_all[idx]
             try:
-                loss, d_out, A, Z = _batch_loss_and_grad(model, X, ref, cfg)
+                loss, d_out, A, D = _batch_loss_and_grad(model, X, ref, cfg, w_raw)
             except NumericalError:
                 loss = float("nan")
             if first_loss is None:
@@ -283,16 +298,13 @@ def train(model: DenseAutoencoder, data: list[Signal], cfg: TrainConfig) -> Trai
                 log.diverged = True
                 raise TrainingDivergedError(epoch, log)
             epoch_losses.append(loss)
-            dW, db = _backward_matrix(model, A, Z, d_out)
-            grads = dW + db
-            params = model.weights + model.biases
+            _backward_matrix(model, A, D, d_out, grad)
             step += 1
-            for j, (p, g) in enumerate(zip(params, grads)):
-                m[j] = cfg.beta1 * m[j] + (1 - cfg.beta1) * g
-                v[j] = cfg.beta2 * v[j] + (1 - cfg.beta2) * g * g
-                m_hat = m[j] / (1 - cfg.beta1**step)
-                v_hat = v[j] / (1 - cfg.beta2**step)
-                p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            m = cfg.beta1 * m + (1 - cfg.beta1) * grad
+            v = cfg.beta2 * v + (1 - cfg.beta2) * grad * grad
+            m_hat = m / (1 - cfg.beta1**step)
+            v_hat = v / (1 - cfg.beta2**step)
+            model.theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
         log.losses.append(float(np.mean(epoch_losses)))
         try:
             log.concentrations.append(_mean_concentration(model, eval_X, ref, cfg))
@@ -310,32 +322,20 @@ def grad_check_model(
         raise ConfigError(f"{model.n_params} parameters exceeds the 5k grad-check cap")
     ref = batch[0]
     X = _to_matrix(batch, model.widths[0])
-
-    loss, d_out, A, Z = _batch_loss_and_grad(model, X, ref, cfg)
-    dW, db = _backward_matrix(model, A, Z, d_out)
-    analytic = np.concatenate(
-        [np.concatenate([w.ravel(), b]) for w, b in zip(dW, db)]
-    )
+    w_raw = _window_raw(cfg, ref)
+    loss, d_out, A, D = _batch_loss_and_grad(model, X, ref, cfg, w_raw)
+    analytic = _backward_matrix(model, A, D, d_out)
 
     theta0 = model.flat_params()
     numeric = np.empty_like(theta0)
-    probe = DenseAutoencoder(
-        model.widths,
-        [w.copy() for w in model.weights],
-        [b.copy() for b in model.biases],
-        model.activation,
-    )
+    probe = DenseAutoencoder(model.widths, model.activation, theta0)
     for i in range(theta0.size):
-        up = theta0.copy()
-        up[i] += h
-        probe.set_flat_params(up)
-        lp = _batch_loss_and_grad(probe, X, ref, cfg)[0]
-        dn = theta0.copy()
-        dn[i] -= h
-        probe.set_flat_params(dn)
-        lm = _batch_loss_and_grad(probe, X, ref, cfg)[0]
+        probe.theta[i] = theta0[i] + h
+        lp = _batch_loss_and_grad(probe, X, ref, cfg, w_raw)[0]
+        probe.theta[i] = theta0[i] - h
+        lm = _batch_loss_and_grad(probe, X, ref, cfg, w_raw)[0]
+        probe.theta[i] = theta0[i]
         numeric[i] = (lp - lm) / (2.0 * h)
-    rel = np.abs(analytic - numeric) / np.maximum(
-        np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12
-    )
+    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
+    rel = np.abs(analytic - numeric) / scale
     return GradientCheckReport(float(rel.max()), float(rel.mean()), theta0.size)

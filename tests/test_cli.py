@@ -253,6 +253,29 @@ class TestErrorHandling:
         assert (out / "train_log.csv").exists()  # diagnostics from last finite epochs
 
 
+    @pytest.mark.parametrize("widths", ["64,0,64", "64,-3,64"])
+    def test_nonpositive_train_width_exits_2_without_artifacts(self, tmp_path, capsys, widths):
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text(f"[train]\nn_train = 20\nepochs = 1\nwidths = {widths}\n")
+        out = tmp_path / "never"
+        assert main(["train", "--config", str(cfgf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_samples", "0"), ("init_variance", "-1"), ("init_variance", "nan"),
+         ("snapshot_stride", "0")],
+    )
+    def test_bad_chain_setting_exits_2_without_artifacts(self, tmp_path, key, value):
+        cfgf = tmp_path / "c.ini"
+        settings = {"T": "5", "n_samples": "2", key: value}
+        cfgf.write_text("[diffusion]\n" + "".join(f"{k} = {v}\n" for k, v in settings.items()))
+        out = tmp_path / "never"
+        assert main(["diffuse", "--config", str(cfgf), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_log_every_zero_exits_2(self, tmp_path, digit_image):
         cfgf = tmp_path / "c.ini"
         cfgf.write_text("[recover]\nlog_every = 0\n")

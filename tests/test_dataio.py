@@ -140,6 +140,34 @@ class TestModelBinary:
         with pytest.raises(FormatError):
             load_model(p)
 
+    def test_every_truncation_is_a_format_error(self, tmp_path):
+        p = tmp_path / "m.wnae"
+        save_model(p, DenseAutoencoder.initialize((10, 4, 10), seed=3))
+        full = p.read_bytes()
+        for n in range(len(full)):
+            p.write_bytes(full[:n])
+            with pytest.raises(FormatError) as err:
+                load_model(p)
+            assert err.value.offset is not None, n
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda b: b + b"\x00",  # payload no longer a whole number of f8 values
+            lambda b: b[:-3],
+            lambda b: b[:8] + struct.pack("<I", 0xFFFFFFFF) + b[12:],  # absurd width count
+            lambda b: b[:8] + struct.pack("<I", 1) + b[12:],  # a single layer width
+            lambda b: b[:16] + struct.pack("<I", 0) + b[20:],  # a zero width
+            lambda b: b[:-8] + struct.pack("<d", float("nan")),
+        ],
+    )
+    def test_inconsistent_file_is_a_format_error(self, tmp_path, mutate):
+        p = tmp_path / "m.wnae"
+        save_model(p, DenseAutoencoder.initialize((10, 4, 10), seed=3))
+        p.write_bytes(mutate(p.read_bytes()))
+        with pytest.raises(FormatError):
+            load_model(p)
+
 
 class TestCsv:
     def test_floats_roundtrip_via_repr(self, tmp_path):

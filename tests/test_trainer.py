@@ -6,16 +6,19 @@ from wienerlab.errors import ConfigError, ShapeError
 from wienerlab.spectral import Signal, WindowSpec
 from wienerlab.gradients import grad_wiener_loss
 from wienerlab.spectral import LagGrid, make_window
+from wienerlab import trainer
+from wienerlab.gradients import loss_and_grad
 from wienerlab.trainer import (
     DenseAutoencoder,
     TrainConfig,
     TrainingDivergedError,
     _batch_loss_and_grad,
+    _mean_concentration,
     forward,
     grad_check_model,
     train,
 )
-from wienerlab.wiener import WienerConfig
+from wienerlab.wiener import QuotientKernel, WienerConfig
 
 
 def digits(n, seed=3):
@@ -73,6 +76,163 @@ class TestInitialization:
         theta = model.flat_params()
         model.set_flat_params(theta * 2.0)
         np.testing.assert_allclose(model.flat_params(), theta * 2.0)
+
+    @pytest.mark.parametrize("widths", [(64, 0, 64), (64, -3, 64), (0, 4), (4, 4, -1)])
+    def test_nonpositive_width_rejected(self, widths):
+        with pytest.raises(ConfigError):
+            DenseAutoencoder.initialize(widths)
+
+
+class TestFlatParameters:
+    def test_weights_and_biases_view_theta(self):
+        model = DenseAutoencoder.initialize((6, 3, 5), seed=4)
+        for p in model.weights + model.biases:
+            assert np.shares_memory(p, model.theta)
+        theta = np.arange(model.n_params, dtype=float)
+        model.set_flat_params(theta)
+        np.testing.assert_array_equal(model.weights[0], theta[:18].reshape(3, 6))
+        np.testing.assert_array_equal(model.biases[0], theta[18:21])
+        np.testing.assert_array_equal(model.weights[1], theta[21:36].reshape(5, 3))
+        np.testing.assert_array_equal(model.biases[1], theta[36:])
+
+    def test_flat_params_is_a_copy(self):
+        model = DenseAutoencoder.initialize((4, 2, 4), seed=4)
+        theta = model.flat_params()
+        theta[:] = 7.0
+        assert not np.any(model.theta == 7.0)
+
+    def test_set_flat_params_checks_length(self):
+        model = DenseAutoencoder.initialize((4, 2, 4), seed=4)
+        with pytest.raises(ShapeError):
+            model.set_flat_params(np.zeros(model.n_params + 1))
+
+    def test_forward_only_paths_compute_no_derivatives(self, monkeypatch):
+        seen = []
+
+        def spy(act):
+            def wrapped(z, prime):
+                seen.append(prime)
+                return act(z, prime)
+            return wrapped
+
+        spied = {name: spy(act) for name, act in trainer._ACTIVATIONS.items()}
+        monkeypatch.setattr(trainer, "_ACTIVATIONS", spied)
+        model = DenseAutoencoder.initialize((64, 16, 8, 16, 64), seed=1)
+        data = digits(8)
+        X = np.stack([s.data for s in data])
+        forward(model, data)
+        _mean_concentration(model, X, data[0], TrainConfig(loss="wiener", batch_size=4))
+        assert seen == [False] * 3 * 2  # three hidden layers, two passes
+        seen.clear()
+        _batch_loss_and_grad(model, X, data[0], TrainConfig(loss="mse"))
+        assert seen == [True] * 3
+
+
+def _reference_mish_prime(z):
+    """mish'(z) as first written: tanh(softplus) and a branch-masked sigmoid."""
+    t = np.tanh(np.logaddexp(0.0, z))
+    sig = np.empty_like(z)
+    pos = z >= 0
+    sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    sig[~pos] = ez / (1.0 + ez)
+    return t + z * (1.0 - t * t) * sig
+
+
+_REFERENCE_ACTIVATIONS = {
+    "mish": (lambda z: z * np.tanh(np.logaddexp(0.0, z)), _reference_mish_prime),
+    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(float)),
+}
+
+
+def _reference_train(weights, biases, activation, data, cfg):
+    """Adam on per-layer arrays, derivatives recomputed from z in the backward pass."""
+    act, act_prime = _REFERENCE_ACTIVATIONS[activation]
+    X_all = np.stack([s.data for s in data])
+    ref = data[0]
+    planes_of = lambda B: (B, ref.channels) + ref.shape
+    w_raw = make_window(cfg.whitening, LagGrid(tuple(2 * n for n in ref.shape))).raw
+    params = weights + biases
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    rng = np.random.default_rng(cfg.seed)
+    step = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(data))
+        for start in range(0, len(data), cfg.batch_size):
+            X = X_all[order[start : start + cfg.batch_size]]
+            B = len(X)
+            A, Z = [X], []
+            for l, (w, b) in enumerate(zip(weights, biases)):
+                Z.append(A[-1] @ w.T + b)
+                A.append(act(Z[-1]) if l < len(weights) - 1 else Z[-1])
+            if cfg.loss == "mse":
+                d_out = (A[-1] - X) / B
+            else:
+                kernel = QuotientKernel(X.reshape(planes_of(B)), ref.shape, cfg.lam)
+                _, g = loss_and_grad(kernel, A[-1].reshape(planes_of(B)), w_raw)
+                d_out = g.reshape(B, -1) / B
+            dW, db = [None] * len(weights), [None] * len(weights)
+            delta = d_out
+            for l in range(len(weights) - 1, -1, -1):
+                dW[l] = delta.T @ A[l]
+                db[l] = delta.sum(axis=0)
+                if l > 0:
+                    delta = (delta @ weights[l]) * act_prime(Z[l - 1])
+            step += 1
+            for j, (p, g) in enumerate(zip(params, dW + db)):
+                m[j] = cfg.beta1 * m[j] + (1 - cfg.beta1) * g
+                v[j] = cfg.beta2 * v[j] + (1 - cfg.beta2) * g * g
+                m_hat = m[j] / (1 - cfg.beta1**step)
+                v_hat = v[j] / (1 - cfg.beta2**step)
+                p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(weights, biases)])
+
+
+class TestFlatTrainingStep:
+    @pytest.mark.parametrize("loss", ["mse", "wiener"])
+    @pytest.mark.parametrize("activation", ["mish", "tanh", "relu"])
+    def test_matches_per_array_reference(self, activation, loss):
+        data = digits(80, seed=4)
+        model = DenseAutoencoder.initialize((64, 24, 12, 24, 64), activation, seed=4)
+        weights = [w.copy() for w in model.weights]
+        biases = [b.copy() for b in model.biases]
+        cfg = TrainConfig(
+            loss=loss, learning_rate=3e-3, epochs=3, batch_size=32, seed=4,
+            whitening=WindowSpec("laplace", 2.0, 0.3), lam=0.8,
+        )
+        theta0 = model.flat_params()
+        train(model, data, cfg)  # 3 epochs of 3 minibatches: 9 Adam steps
+        expected = _reference_train(weights, biases, activation, data, cfg)
+        assert np.abs(model.theta - theta0).max() > 1e-3
+        if activation == "mish":
+            np.testing.assert_allclose(model.theta, expected, rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(model.theta, expected)
+
+
+class TestMishDerivative:
+    Z = np.concatenate(
+        [np.linspace(-50.0, 50.0, 100001), [-700.0, -300.0, -0.0, 0.0, 300.0, 700.0]]
+    )
+
+    def test_matches_masked_sigmoid_formula(self):
+        _, d = trainer._mish(self.Z, True)
+        assert np.abs(d - _reference_mish_prime(self.Z)).max() <= 4.5e-16
+
+    def test_matches_central_differences(self):
+        h = 1e-6 * np.maximum(1.0, np.abs(self.Z))
+        up, _ = trainer._mish(self.Z + h, False)
+        dn, _ = trainer._mish(self.Z - h, False)
+        _, d = trainer._mish(self.Z, True)
+        np.testing.assert_allclose(d, (up - dn) / (2 * h), rtol=1e-6, atol=1e-8)
+
+    def test_value_unchanged_with_derivative(self):
+        a, _ = trainer._mish(self.Z, True)
+        b, none = trainer._mish(self.Z, False)
+        np.testing.assert_array_equal(a, b)
+        assert none is None
 
 
 class TestTrain:
