@@ -1,7 +1,7 @@
 """Command-line surface: five experiment subcommands plus pairwise tools.
 
     wienerlab <filter|loss|recover|diffuse|knn|train> [--config <ini>]
-              [--out <dir>] [--seed <int>] [--threads <n>] ...
+              [--out <dir>] [--seed <int>] ...
 
 Outputs land in --out (used verbatim) or a timestamped directory under
 ./runs. Every run directory receives the effective config; re-running with
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -270,8 +269,7 @@ def _defining_set(cfg: ExperimentConfig) -> tuple[list[Signal], list[int] | None
         )
         return samples, ids
     if d.dataset == "digits":
-        base = make_digit_set(d.n_defining, size=8, seed=d.data_seed)
-        return base.signals, None
+        return list(make_digit_set(d.n_defining, size=8, seed=d.data_seed).signals), None
     images = read_idx_images(d.dataset)
     return [Signal.from_array(img) for img in images[: d.n_defining]], None
 
@@ -371,11 +369,9 @@ def _knn_sets(cfg: ExperimentConfig) -> tuple[LabeledSet, LabeledSet]:
             raise ConfigError(
                 f"dataset has {len(full)} samples, need n_train+n_test = {k.n_train + k.n_test}"
             )
-        base_train = LabeledSet(full.signals[: k.n_train], full.labels[: k.n_train])
-        base_test = LabeledSet(
-            full.signals[k.n_train : k.n_train + k.n_test],
-            full.labels[k.n_train : k.n_train + k.n_test],
-        )
+        base_train = LabeledSet(full.stack[: k.n_train], full.label_ids[: k.n_train])
+        test_rows = slice(k.n_train, k.n_train + k.n_test)
+        base_test = LabeledSet(full.stack[test_rows], full.label_ids[test_rows])
     else:
         base_train = make_digit_set(k.n_train, size=k.digit_size, seed=k.train_seed)
         base_test = make_digit_set(k.n_test, size=k.digit_size, seed=k.test_seed)
@@ -429,8 +425,8 @@ def _train_data(cfg: ExperimentConfig) -> list[Signal]:
     t = cfg.train
     if t.data_images:
         base = ingest_idx(t.data_images, t.data_labels or None)
-        return base.signals[: t.n_train]
-    return make_digit_set(t.n_train, size=t.digit_size, seed=t.data_seed).signals
+        return [Signal.from_planes(planes) for planes in base.stack[: t.n_train]]
+    return list(make_digit_set(t.n_train, size=t.digit_size, seed=t.data_seed).signals)
 
 
 def _cmd_train(args, cfg: ExperimentConfig) -> int:
@@ -502,12 +498,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--out", default=None, help="output directory (default: runs/<cmd>-<stamp>)")
         p.add_argument("--seed", type=int, default=None, help="override the experiment seed")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker cap (falls back to WIENERLAB_THREADS; compute is sequential either way)",
-        )
 
     p = sub.add_parser("filter", help="matching filter between two images")
     p.add_argument("image_a", help="target image (PGM)")
@@ -547,22 +537,6 @@ _COMMANDS = {
 }
 
 
-def _resolve_threads(args) -> int:
-    raw = args.threads
-    if raw is None:
-        env = os.environ.get("WIENERLAB_THREADS")
-        if env is not None:
-            try:
-                raw = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"WIENERLAB_THREADS={env!r} is not an integer") from exc
-    if raw is None:
-        return 1
-    if raw < 1:
-        raise ConfigError(f"thread count must be >= 1, got {raw}")
-    return raw
-
-
 def _apply_seed(cfg: ExperimentConfig, command: str, seed: int | None) -> ExperimentConfig:
     if seed is None:
         return cfg
@@ -578,7 +552,6 @@ def _apply_seed(cfg: ExperimentConfig, command: str, seed: int | None) -> Experi
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _resolve_threads(args)  # validated, recorded nowhere: execution is sequential
         cfg = load_config(args.config)
         cfg = _apply_seed(cfg, args.command, args.seed)
         return _COMMANDS[args.command](args, cfg)

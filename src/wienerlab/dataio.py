@@ -97,7 +97,12 @@ def ingest_idx(images_path, labels_path=None) -> LabeledSet:
         raise FormatError(
             f"count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels"
         )
-    return LabeledSet([Signal.from_array(img) for img in images], labels.tolist())
+    if images.shape[0] == 0:
+        raise FormatError("IDX files hold no samples")
+    bad = np.flatnonzero(labels > 9)
+    if bad.size:
+        raise FormatError(f"label {labels[bad[0]]} of sample {bad[0]} outside 0..9")
+    return LabeledSet(images[:, np.newaxis], labels)
 
 
 def read_pgm(path) -> Signal:
@@ -128,6 +133,8 @@ def read_pgm(path) -> Signal:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError as exc:
         raise FormatError(f"non-numeric PGM header field: {exc}", offset=pos) from exc
+    if width < 1 or height < 1:
+        raise FormatError(f"PGM size {width}x{height} is not at least 1x1", offset=pos)
     if maxval != 255:
         raise FormatError(f"unsupported maxval {maxval}, expected 255", offset=pos)
     need = width * height

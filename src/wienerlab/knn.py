@@ -9,6 +9,7 @@ translation-invariant distance unaffected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,37 +30,66 @@ __all__ = [
 N_CLASSES = 10
 
 
-@dataclass(frozen=True, eq=False)
 class LabeledSet:
-    """Uniformly shaped signals with class ids in 0..9.
+    """Equally shaped samples with class ids in 0..9, held as one stack.
 
-    The quotient kernel of the whole set is built on the first TI query per
-    lambda and kept, and so is the (n, C*prod(extents)) stack that
-    element-wise distances use, so every later query against the set
-    reuses them.
+    ``samples`` is either an array shaped (n, C, *extents), extents of rank
+    1 or 2, or a sequence of n equally shaped Signals. The set keeps
+    ``stack``, a read-only float64 view of that array (or the Signals
+    stacked), and ``label_ids``, a read-only int array of the n class ids.
+    Shape, finiteness and label range are checked once, here, for the whole
+    set. ``signals`` and ``labels`` are derived views for callers that want
+    one Signal or one int per sample.
+
+    The quotient kernel of the set is built on the first TI query per
+    lambda and kept, so every later query against the set reuses it.
     """
 
-    signals: list[Signal]
-    labels: list[int]
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        if len(self.signals) != len(self.labels):
-            raise ConfigError(
-                f"{len(self.signals)} signals vs {len(self.labels)} labels"
-            )
-        if self.signals:
-            first = self.signals[0]
-            for s in self.signals[1:]:
-                if s.shape != first.shape or s.channels != first.channels:
-                    raise ShapeError("labeled set signals must share one shape")
-        for lab in self.labels:
-            if not (0 <= int(lab) < N_CLASSES):
-                raise ConfigError(f"label {lab} outside class range 0..{N_CLASSES - 1}")
-        object.__setattr__(self, "labels", [int(l) for l in self.labels])
+    def __init__(self, samples, labels):
+        if not isinstance(samples, np.ndarray):
+            samples = list(samples)
+            if len(samples) != len(labels):
+                raise ConfigError(f"{len(samples)} signals vs {len(labels)} labels")
+            if not samples:
+                raise ConfigError("a labeled set needs at least one sample")
+            first = samples[0]
+            if any(s.shape != first.shape or s.channels != first.channels for s in samples):
+                raise ShapeError("labeled set signals must share one shape")
+            samples = np.stack([s.planes for s in samples])
+        stack = np.ascontiguousarray(samples, dtype=np.float64).view()
+        ids = np.array(labels, dtype=np.int64)
+        if stack.ndim not in (3, 4) or 0 in stack.shape[1:]:
+            raise ShapeError(f"a labeled set stack is (n, C, *extents), got {stack.shape}")
+        if ids.shape != stack.shape[:1]:
+            raise ConfigError(f"{len(stack)} signals vs labels shaped {ids.shape}")
+        if len(stack) == 0:
+            raise ConfigError("a labeled set needs at least one sample")
+        if not np.all(np.isfinite(stack)):
+            raise ConfigError("signal values must be finite")
+        bad = ids[(ids < 0) | (ids >= N_CLASSES)]
+        if bad.size:
+            raise ConfigError(f"label {bad[0]} outside class range 0..{N_CLASSES - 1}")
+        stack.flags.writeable = ids.flags.writeable = False
+        self.stack = stack
+        self.label_ids = ids
+        self._cache: dict = {}  # quotient kernels by lambda
 
     def __len__(self) -> int:
-        return len(self.signals)
+        return len(self.stack)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Extents of every sample."""
+        return self.stack.shape[2:]
+
+    @property
+    def labels(self) -> list[int]:
+        return self.label_ids.tolist()
+
+    @cached_property
+    def signals(self) -> tuple[Signal, ...]:
+        """One Signal per sample, each a read-only view into the stack."""
+        return tuple(Signal.from_planes(planes) for planes in self.stack)
 
 
 @dataclass(frozen=True)
@@ -83,37 +113,42 @@ def distance(a: Signal, b: Signal, spec: DistanceSpec) -> float:
 
 
 def _set_kernel(train: LabeledSet, lam: float) -> QuotientKernel:
+    """The set's quotient kernel, fixed side shaped (n, 1, C, *extents) so that
+    a stack of m queries broadcasts against it to (n, m, C)."""
     if lam not in train._cache:
-        planes = np.stack([t.planes for t in train.signals])  # (n, C, *extents)
-        train._cache[lam] = QuotientKernel(planes, train.signals[0].shape, lam)
+        train._cache[lam] = QuotientKernel(train.stack[:, np.newaxis], train.shape, lam)
     return train._cache[lam]
 
 
-def _set_stack(train: LabeledSet) -> np.ndarray:
-    if "stack" not in train._cache:
-        train._cache["stack"] = np.stack([t.data for t in train.signals])  # (n, C*prod(extents))
-    return train._cache["stack"]
+def _distance_matrix(train: LabeledSet, queries: np.ndarray, spec: DistanceSpec) -> np.ndarray:
+    """(m, n) distances from each of the m queries, shaped (m, C, *extents),
+    to every training sample: the same quantity as ``distance`` per pair.
+
+    TI is one ``ti_values`` pass of all queries against the set's kernel;
+    element-wise kinds are one pass over the set's flat stack per query.
+    """
+    if queries.shape[1:] != train.stack.shape[1:]:
+        raise ShapeError(f"query shape {queries.shape[1:]} vs set shape {train.stack.shape[1:]}")
+    if spec.kind == "wiener_ti":
+        values = _set_kernel(train, spec.wiener_cfg.lam).ti_values(queries)[0]  # (n, m, C)
+        return values.mean(axis=-1).T
+    flat = train.stack.reshape(len(train), -1)
+    out = np.empty((len(queries), len(train)))
+    for row, query in zip(out, queries.reshape(len(queries), -1)):
+        diff = flat - query
+        if spec.kind == "manhattan":
+            np.sum(np.abs(diff, out=diff), axis=1, out=row)
+        else:
+            row[:] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return out
 
 
 def _distances_to_set(query: Signal, train: LabeledSet, spec: DistanceSpec) -> np.ndarray:
-    """Distances from one query to every training signal.
-
-    Each kind is one batched pass against the set's cached kernel or stack:
-    the same quantity as ``distance`` per pair.
-    """
-    ref = train.signals[0]
-    if query.shape != ref.shape or query.channels != ref.channels:
-        raise ShapeError(f"shape mismatch: {query.shape} vs {ref.shape}")
-    if spec.kind == "wiener_ti":
-        values = _set_kernel(train, spec.wiener_cfg.lam).ti_values(query.planes)[0]
-        return values.mean(axis=1)
-    diff = _set_stack(train) - query.data
-    if spec.kind == "manhattan":
-        return np.sum(np.abs(diff, out=diff), axis=1)
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    """Distances from one query to every training signal."""
+    return _distance_matrix(train, query.planes[np.newaxis], spec)[0]
 
 
-def _vote(dists: np.ndarray, labels: list[int], k: int) -> int:
+def _vote(dists: np.ndarray, labels: np.ndarray, k: int) -> int:
     """Majority vote; ties by smallest summed distance, then lowest class id."""
     order = np.argsort(dists, kind="stable")[:k]
     counts = np.zeros(N_CLASSES, dtype=int)
@@ -129,12 +164,14 @@ def _vote(dists: np.ndarray, labels: list[int], k: int) -> int:
     return min(c for c in tied if sums[c] == min_sum)
 
 
-def knn_classify(train: LabeledSet, query: Signal, k: int, dist: DistanceSpec) -> int:
-    if len(train) == 0:
-        raise ConfigError("empty training set")
+def _check_k(train: LabeledSet, k: int) -> None:
     if not (1 <= k <= len(train)):
         raise ConfigError(f"k must be in 1..{len(train)}, got {k}")
-    return _vote(_distances_to_set(query, train, dist), train.labels, k)
+
+
+def knn_classify(train: LabeledSet, query: Signal, k: int, dist: DistanceSpec) -> int:
+    _check_k(train, k)
+    return _vote(_distances_to_set(query, train, dist), train.label_ids, k)
 
 
 def make_translated_set(
@@ -146,17 +183,20 @@ def make_translated_set(
         raise ConfigError("max_shift and pad must be >= 0")
     if max_shift > pad:
         raise ConfigError(f"max_shift {max_shift} exceeds pad {pad}")
-    if not base.signals or len(base.signals[0].shape) != 2:
-        raise ShapeError("translated sets are defined for nonempty 2-d image sets")
+    if len(base.shape) != 2:
+        raise ShapeError("translated sets are defined for 2-d image sets")
     rng = np.random.default_rng(seed)
-    ref = base.signals[0]
-    h, w = ref.shape
-    # max_shift <= pad, so the shifted image never wraps: place it at its offset
-    stack = np.zeros((len(base), ref.channels, h + 2 * pad, w + 2 * pad))
-    for planes, s in zip(stack, base.signals):
-        dr, dc = rng.integers(-max_shift, max_shift + 1, size=2)
-        planes[:, pad + dr : pad + dr + h, pad + dc : pad + dc + w] = s.planes
-    return LabeledSet([Signal.from_planes(planes) for planes in stack], list(base.labels))
+    n, channels, h, w = base.stack.shape
+    # one (row, column) draw per image; max_shift <= pad, so the shifted
+    # image never wraps: it is written at its offset into a zeroed canvas
+    corner = pad + np.array([rng.integers(-max_shift, max_shift + 1, size=2) for _ in range(n)])
+    samples = np.arange(n)[:, None, None, None]
+    planes = np.arange(channels)[:, None, None]
+    rows = (corner[:, 0, None] + np.arange(h))[:, None, :, None]
+    cols = (corner[:, 1, None] + np.arange(w))[:, None, None, :]
+    stack = np.zeros((n, channels, h + 2 * pad, w + 2 * pad))
+    stack[samples, planes, rows, cols] = base.stack
+    return LabeledSet(stack, base.label_ids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,19 +209,19 @@ class EvalResult:
 def evaluate_accuracy(
     train: LabeledSet, test: LabeledSet, k: int, dist: DistanceSpec
 ) -> EvalResult:
-    """Fraction of correct predictions plus the per-class confusion matrix."""
-    if len(train) == 0 or len(test) == 0:
-        raise ConfigError("empty train or test set")
-    if train.signals[0].shape != test.signals[0].shape:
+    """Fraction of correct predictions plus the per-class confusion matrix.
+
+    The whole (m, n) distance matrix is computed in one pass, then each
+    query votes on its row.
+    """
+    if train.stack.shape[1:] != test.stack.shape[1:]:
         raise ShapeError(
-            f"train shape {train.signals[0].shape} != test shape {test.signals[0].shape}"
+            f"train shape {train.stack.shape[1:]} != test shape {test.stack.shape[1:]}"
         )
+    _check_k(train, k)
+    dists = _distance_matrix(train, test.stack, dist)
+    predictions = [_vote(row, train.label_ids, k) for row in dists]
     confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=int)
-    predictions = []
-    correct = 0
-    for sig, lab in zip(test.signals, test.labels):
-        pred = knn_classify(train, sig, k, dist)
-        predictions.append(pred)
-        confusion[lab, pred] += 1
-        correct += int(pred == lab)
+    np.add.at(confusion, (test.label_ids, predictions), 1)
+    correct = int(np.sum(test.label_ids == predictions))
     return EvalResult(correct / len(test), confusion, predictions)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +49,7 @@ __all__ = [
 ]
 
 ORACLE_SIZE_CAP = 4096  # padded elements per channel; dense solve is O(n^3)
-TI_CHUNK_ELEMENTS = 2**16  # spatial filter elements per chunk of QuotientKernel.ti_values
+TI_CHUNK_ELEMENTS = 2**16  # spatial filter elements per tile of QuotientKernel.ti_values
 
 
 @dataclass(frozen=True)
@@ -79,10 +80,11 @@ class QuotientKernel:
     raises NumericalError instead.
 
     ``ti_values`` reduces each filter plane to its TI value without keeping
-    the whole filter stack: it walks the fixed side's leading batch axis in
-    chunks of about TI_CHUNK_ELEMENTS spatial elements, takes each plane's
-    mean from the DC bin and its spread from Parseval over the non-DC bins
-    of the half spectrum, and reads only the maximum from the spatial domain.
+    the whole filter stack: it walks the broadcast batch in tiles of about
+    TI_CHUNK_ELEMENTS spatial elements over its first two axes, takes each
+    plane's mean from the DC bin and its spread from Parseval over the
+    non-DC bins of the half spectrum, and reads only the maximum from the
+    spatial domain.
     """
 
     def __init__(self, fixed: np.ndarray, shape: tuple[int, ...], lam: float):
@@ -116,10 +118,11 @@ class QuotientKernel:
         """Negative maximum of each standardized filter plane, shaped (*batch,),
         and a mask of the constant planes, whose value is 0 by convention.
 
-        The fixed side's leading batch axis is walked in chunks of about
-        TI_CHUNK_ELEMENTS filter elements; each plane's mean and spread come
-        from its spectrum (``_moments``), and only its maximum is read from
-        the spatial filter.
+        The broadcast batch is walked in tiles of about TI_CHUNK_ELEMENTS
+        filter elements over its first two axes (whole rows of the second
+        axis when one fits); each plane's mean and spread come from its
+        spectrum (``_moments``), and only its maximum is read from the
+        spatial filter.
         """
         rank = len(self.shape)
         if np.shape(varying)[-rank:] != self.shape:
@@ -127,23 +130,42 @@ class QuotientKernel:
         with np.errstate(over="ignore", invalid="ignore"):
             X = np.fft.rfftn(varying, s=self.padded, axes=self.axes)
         batch = np.broadcast_shapes(self.K.shape[:-rank], X.shape[:-rank])
-        lead = max(len(batch), 1)  # chunks run along one leading axis, added if there is none
+        lead = max(len(batch), 2)  # tiles run along two leading axes, added if missing
         K, L, X = (a.reshape((1,) * (lead + rank - a.ndim) + a.shape) for a in (self.K, self.L, X))
-        n = max(K.shape[0], X.shape[0])
-        step = max(1, TI_CHUNK_ELEMENTS // (math.prod(self.padded) * math.prod(batch[1:])))
-        values = np.empty((n,) + batch[1:])
-        constant = np.empty((n,) + batch[1:], dtype=bool)
-        for i in range(0, n, step):
-            rows = slice(i, i + step)
-            K_i, L_i, X_i = (a[rows] if a.shape[0] > 1 else a for a in (K, L, X))
-            with np.errstate(over="ignore", invalid="ignore"):
-                Q = K_i * X_i
-                Q += L_i
-                peak = self._inverse(Q).max(axis=self.axes)
-                mu, sigma = self._moments(Q)
-            constant[rows] = sigma == 0.0
-            values[rows] = -(peak - mu) / np.where(constant[rows], np.inf, sigma)
+        tiled = (1,) * (lead - len(batch)) + batch
+        n0, n1 = tiled[:2]
+        cell = math.prod(self.padded) * math.prod(tiled[2:])  # filter elements per (i, j)
+        step1 = min(n1, max(1, TI_CHUNK_ELEMENTS // cell))
+        step0 = max(1, TI_CHUNK_ELEMENTS // (cell * step1))
+        values = np.empty(tiled)
+        constant = np.empty(tiled, dtype=bool)
+        for i in range(0, n0, step0):
+            for j in range(0, n1, step1):
+                tile = (slice(i, i + step0), slice(j, j + step1))
+                K_t, L_t, X_t = (
+                    a[tuple(t if n > 1 else slice(None) for t, n in zip(tile, a.shape))]
+                    for a in (K, L, X)
+                )
+                with np.errstate(over="ignore", invalid="ignore"):
+                    Q = K_t * X_t
+                    Q += L_t
+                    mu, sigma = self._moments(Q)
+                    # _moments found every bin finite, which bounds every filter
+                    # value, so the spatial filter needs no finiteness scan
+                    peak = np.fft.irfftn(Q, s=self.padded, axes=self.axes).max(axis=self.axes)
+                constant[tile] = sigma == 0.0
+                values[tile] = -(peak - mu) / np.where(constant[tile], np.inf, sigma)
         return values.reshape(batch), constant.reshape(batch)
+
+    @cached_property
+    def _parseval_weights(self) -> np.ndarray:
+        """Weights of the interleaved (real, imaginary) half-spectrum parts in
+        ``_moments``: 2 per bin, 1 on the zero and Nyquist columns, 0 at DC."""
+        rank = len(self.shape)
+        weights = np.full(self.K.shape[-rank:], 2.0)
+        weights[..., 0] = weights[..., -1] = 1.0
+        weights[(0,) * rank] = 0.0
+        return np.repeat(weights, 2, axis=-1).ravel()
 
     def _moments(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean and standard deviation of each spatial plane of the half spectra Q.
@@ -152,19 +174,21 @@ class QuotientKernel:
         variance is sum(|Q|^2 over the other bins) / N^2 (Parseval), each
         half-spectrum bin counted twice unless it is its own mirror image
         (the zero and Nyquist columns). Nothing cancels, and a constant plane
-        has spread exactly 0.
+        has spread exactly 0. Each plane is summed on its own in a fixed
+        order (einsum, not a BLAS product whose order depends on the row
+        count), so its moments do not depend on how many planes share Q.
+        Raises NumericalError unless every bin of Q is finite.
         """
         rank = len(self.shape)
-        weights = np.full(Q.shape[-rank:], 2.0)
-        weights[..., 0] = weights[..., -1] = 1.0
-        weights[(0,) * rank] = 0.0
         parts = np.ascontiguousarray(Q).view(np.float64)  # real and imaginary parts interleaved
         with np.errstate(over="ignore", invalid="ignore"):
-            sumsq = np.tensordot(parts * parts, np.repeat(weights, 2, axis=-1), axes=rank)
-        if not np.all(np.isfinite(sumsq)):
+            sq = (parts * parts).reshape(Q.shape[:-rank] + (-1,))
+            sumsq = np.einsum("...k,k->...", sq, self._parseval_weights)
+        dc = Q[(...,) + (0,) * rank]
+        if not (np.all(np.isfinite(sumsq)) and np.all(np.isfinite(dc))):
             raise NumericalError("non-finite spectral power of the matching filter")
         N = math.prod(self.padded)
-        return Q[(...,) + (0,) * rank].real / N, np.sqrt(sumsq) / N
+        return dc.real / N, np.sqrt(sumsq) / N
 
     def pullback(self, cotangent: np.ndarray) -> np.ndarray:
         """Adjoint of ``filters``' linear part: raw-layout cotangent on the padded

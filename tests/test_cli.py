@@ -236,14 +236,12 @@ class TestErrorHandling:
         small = write_image(tmp_path / "small.pgm", np.zeros((4, 4)))
         assert main(["filter", str(small), str(digit_image)]) == 3
 
-    def test_bad_threads_env_exits_2(self, tmp_path, digit_image, monkeypatch):
-        monkeypatch.setenv("WIENERLAB_THREADS", "many")
-        assert main(["loss", str(digit_image), str(digit_image)]) == 2
-
-    def test_explicit_threads_accepted(self, tmp_path, digit_image):
-        out = tmp_path / "run"
-        rc = main(["loss", str(digit_image), str(digit_image), "--threads", "2", "--out", str(out)])
-        assert rc == 0
+    def test_pgm_size_below_one_exits_3(self, tmp_path, digit_image, capsys):
+        bad = tmp_path / "neg.pgm"
+        bad.write_bytes(b"P5\n-3 2\n255\n" + b"\x00" * 10)
+        assert main(["recover", str(bad), "--out", str(tmp_path / "run")]) == 3
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not (tmp_path / "run").exists()
 
     def test_diverging_training_exits_4(self, tmp_path):
         cfgf = tmp_path / "c.ini"
@@ -370,6 +368,21 @@ class TestExternalDataPaths:
             "n_train = 16\nn_test = 8\n"
         )
         assert main(["knn", "--config", str(cfgf), "--out", str(tmp_path / "x")]) == 2
+
+    def test_knn_idx_label_outside_0_9_exits_3(self, tmp_path, capsys):
+        img_path, lab_path = self._write_idx_pair(tmp_path)
+        raw = bytearray(lab_path.read_bytes())
+        raw[8 + 5] = 12  # the label of sample 5
+        lab_path.write_bytes(bytes(raw))
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text(
+            f"[knn]\ndata_images = {img_path}\ndata_labels = {lab_path}\n"
+            "n_train = 16\nn_test = 8\n"
+        )
+        assert main(["knn", "--config", str(cfgf), "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "label 12" in err, err
+        assert not (tmp_path / "x").exists()
 
     def test_train_reads_idx_dataset(self, tmp_path):
         img_path, lab_path = self._write_idx_pair(tmp_path, n=20, size=8)

@@ -74,6 +74,29 @@ class TestIdx:
         with pytest.raises(FormatError):
             ingest_idx(tmp_path / "a-images-idx3-ubyte")
 
+    @pytest.mark.parametrize("label", [10, 12, 255])
+    def test_label_outside_class_range_is_a_format_error(self, tmp_path, label):
+        imgs = np.zeros((3, 2, 2), dtype=np.uint8)
+        (tmp_path / "a-images-idx3-ubyte").write_bytes(idx_image_bytes(imgs))
+        (tmp_path / "a-labels-idx1-ubyte").write_bytes(idx_label_bytes([1, label, 2]))
+        with pytest.raises(FormatError, match=f"label {label} of sample 1"):
+            ingest_idx(tmp_path / "a-images-idx3-ubyte")
+
+    def test_empty_pair_is_a_format_error(self, tmp_path):
+        (tmp_path / "a-images-idx3-ubyte").write_bytes(idx_image_bytes(np.zeros((0, 2, 2))))
+        (tmp_path / "a-labels-idx1-ubyte").write_bytes(idx_label_bytes([]))
+        with pytest.raises(FormatError):
+            ingest_idx(tmp_path / "a-images-idx3-ubyte")
+
+    def test_ingest_builds_one_stack(self, tmp_path):
+        imgs = np.random.default_rng(2).integers(0, 256, size=(4, 3, 5)).astype(np.uint8)
+        (tmp_path / "s-images-idx3-ubyte").write_bytes(idx_image_bytes(imgs))
+        (tmp_path / "s-labels-idx1-ubyte").write_bytes(idx_label_bytes([9, 0, 9, 3]))
+        ls = ingest_idx(tmp_path / "s-images-idx3-ubyte")
+        assert ls.stack.shape == (4, 1, 3, 5)
+        np.testing.assert_array_equal(ls.stack[:, 0], imgs / 255.0)
+        assert ls.labels == [9, 0, 9, 3]
+
     def test_label_magic_checked(self, tmp_path):
         p = tmp_path / "labels"
         p.write_bytes(struct.pack(">II", 0x00000803, 2) + b"\x00\x01")
@@ -107,6 +130,15 @@ class TestPgm:
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.pgm"
         p.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 12)
+        with pytest.raises(FormatError):
+            read_pgm(p)
+
+    @pytest.mark.parametrize("size", [b"-3 2", b"2 -3", b"0 2", b"2 0"])
+    def test_size_below_one_rejected(self, tmp_path, size):
+        # "-3 2" with 10 payload bytes once read as a 2x2 image: reshape(2, -3)
+        # inferred the width
+        p = tmp_path / "n.pgm"
+        p.write_bytes(b"P5\n" + size + b"\n255\n" + b"\x00" * 10)
         with pytest.raises(FormatError):
             read_pgm(p)
 

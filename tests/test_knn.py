@@ -11,8 +11,9 @@ from wienerlab.knn import (
     knn_classify,
     make_translated_set,
 )
+from wienerlab import wiener
 from wienerlab.spectral import Signal
-from wienerlab.wiener import WienerConfig
+from wienerlab.wiener import WienerConfig, ti_distance
 
 
 def sig(arr):
@@ -31,6 +32,52 @@ class TestLabeledSet:
     def test_mixed_shapes(self):
         with pytest.raises(ShapeError):
             LabeledSet([sig(np.ones((2, 2))), sig(np.ones((3, 3)))], [0, 1])
+
+    def test_stack_and_signal_list_build_the_same_set(self):
+        planes = np.random.default_rng(3).random((4, 2, 3, 5))
+        from_stack = LabeledSet(planes, np.array([3, 1, 4, 1]))
+        from_list = LabeledSet([Signal.from_planes(p) for p in planes], [3, 1, 4, 1])
+        for ls in (from_stack, from_list):
+            assert len(ls) == 4 and ls.shape == (3, 5)
+            assert ls.stack.dtype == np.float64 and ls.stack.tobytes() == planes.tobytes()
+            assert ls.labels == [3, 1, 4, 1]
+            np.testing.assert_array_equal(ls.label_ids, [3, 1, 4, 1])
+
+    def test_stack_and_signals_are_read_only_views(self):
+        planes = np.random.default_rng(4).random((3, 1, 4, 4))
+        ls = LabeledSet(planes, [0, 1, 2])
+        assert planes.flags.writeable  # the caller's array is left as it was
+        assert not ls.stack.flags.writeable and not ls.label_ids.flags.writeable
+        with pytest.raises(ValueError):
+            ls.stack[0, 0, 0, 0] = 1.0
+        signals = ls.signals
+        assert ls.signals is signals and len(signals) == 3
+        for s, p in zip(signals, ls.stack):
+            assert np.shares_memory(s.data, ls.stack) and s.shape == (4, 4) and s.channels == 1
+            np.testing.assert_array_equal(s.planes, p)
+            with pytest.raises(ValueError):
+                s.data[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "stack, labels, error",
+        [
+            (np.ones((2, 1, 3, 3)), [0], ConfigError),  # one label for two samples
+            (np.ones((0, 1, 3, 3)), [], ConfigError),  # empty
+            (np.full((2, 1, 3), np.nan), [0, 1], ConfigError),  # non-finite
+            (np.full((2, 1, 3), np.inf), [0, 1], ConfigError),
+            (np.ones((2, 1, 3)), [0, -1], ConfigError),  # label out of range
+            (np.ones((2, 3)), [0, 1], ShapeError),  # no channel axis
+            (np.ones((2, 1, 2, 2, 2)), [0, 1], ShapeError),  # rank-3 extents
+            (np.ones((2, 1, 0)), [0, 1], ShapeError),  # empty extent
+        ],
+    )
+    def test_malformed_stack_rejected(self, stack, labels, error):
+        with pytest.raises(error):
+            LabeledSet(stack, labels)
+
+    def test_empty_signal_list_rejected(self):
+        with pytest.raises(ConfigError):
+            LabeledSet([], [])
 
 
 class TestDistances:
@@ -173,6 +220,29 @@ class TestMakeTranslatedSet:
             assert s_out.shape == planes.shape[1:] and s_out.channels == 1
             assert s_out.data.tobytes() == planes.tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("size", [8, 16])
+    @pytest.mark.parametrize("max_shift", [0, 3])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_bytes_match_per_image_loop(self, seed, size, max_shift, channels):
+        planes = np.random.default_rng(seed).random((13, channels, size, size))
+        base = LabeledSet(planes, np.arange(13) % 10)
+        pad = 4
+        out = make_translated_set(base, max_shift, pad, seed=seed)
+        # reference: each image written at its drawn offset into its own canvas
+        rng = np.random.default_rng(seed)
+        expected = np.zeros((13, channels, size + 2 * pad, size + 2 * pad))
+        for canvas, image in zip(expected, planes):
+            dr, dc = rng.integers(-max_shift, max_shift + 1, size=2)
+            canvas[:, pad + dr : pad + dr + size, pad + dc : pad + dc + size] = image
+        assert out.stack.shape == expected.shape
+        assert out.stack.tobytes() == expected.tobytes()
+        assert out.labels == base.labels
+
+    def test_rank_one_set_rejected(self):
+        with pytest.raises(ShapeError):
+            make_translated_set(LabeledSet(np.ones((2, 1, 5)), [0, 1]), 0, 2, seed=0)
+
     def test_shift_exceeding_pad_rejected(self):
         base = make_digit_set(2, size=8, seed=6)
         with pytest.raises(ConfigError):
@@ -198,6 +268,58 @@ class TestTranslationInvariantRanking:
             d1 = _distances_to_set(shifted, train, spec)
             np.testing.assert_allclose(d0, d1, atol=1e-9)
             np.testing.assert_array_equal(np.argsort(d0, kind="stable"), np.argsort(d1, kind="stable"))
+
+
+class TestAllQueriesDistanceMatrix:
+    # 13 training samples with 2 channels; 10x12 padded extents per plane
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            None,  # the library's chunk budget: one tile
+            3 * 5 * 2 * 120,  # tiles of 3 training samples x all 5 queries; 13 % 3 != 0
+            2 * 2 * 120,  # tiles of 1 training sample x 2 queries; 5 % 2 != 0
+        ],
+    )
+    def test_ti_matrix_equals_per_pair_ti_distance(self, monkeypatch, budget):
+        from wienerlab.knn import _distance_matrix
+
+        if budget is not None:
+            monkeypatch.setattr(wiener, "TI_CHUNK_ELEMENTS", budget)
+        rng = np.random.default_rng(60)
+        train = LabeledSet(rng.random((13, 2, 5, 6)), np.arange(13) % 10)
+        queries = rng.random((5, 2, 5, 6))
+        cfg = WienerConfig(lam=0.5)
+        matrix = _distance_matrix(train, queries, DistanceSpec("wiener_ti", cfg))
+        pairs = [
+            [ti_distance(Signal.from_planes(q), t, cfg) for t in train.signals] for q in queries
+        ]
+        assert matrix.shape == (5, 13)
+        np.testing.assert_array_equal(matrix, pairs)
+
+    @pytest.mark.parametrize("kind", ["manhattan", "euclidean", "wiener_ti"])
+    def test_evaluate_accuracy_matches_per_query_classification(self, kind):
+        train = make_translated_set(make_digit_set(37, size=8, seed=61), 0, 2, seed=1)
+        test = make_translated_set(make_digit_set(11, size=8, seed=62), 2, 2, seed=2)
+        spec = DistanceSpec(kind, WienerConfig(lam=1.0))
+        res = evaluate_accuracy(train, test, 3, spec)
+        expected = [knn_classify(train, q, 3, spec) for q in test.signals]
+        assert res.predictions == expected
+        confusion = np.zeros((10, 10), dtype=int)
+        for lab, pred in zip(test.labels, expected):
+            confusion[lab, pred] += 1
+        np.testing.assert_array_equal(res.confusion, confusion)
+        assert res.accuracy == sum(p == l for p, l in zip(expected, test.labels)) / len(test)
+
+    def test_k_checked_before_any_distance(self):
+        base = make_digit_set(4, size=8, seed=63)
+        with pytest.raises(ConfigError):
+            evaluate_accuracy(base, base, 5, DistanceSpec("wiener_ti"))
+
+    def test_channel_mismatch(self):
+        train = LabeledSet(np.ones((2, 2, 3, 3)), [0, 1])
+        test = LabeledSet(np.ones((2, 1, 3, 3)), [0, 1])
+        with pytest.raises(ShapeError):
+            evaluate_accuracy(train, test, 1, DistanceSpec("manhattan"))
 
 
 class TestEvaluateAccuracy:
@@ -260,6 +382,43 @@ class TestDigitGlyphs:
         for x in s.signals:
             assert x.data.min() >= 0.0 and x.data.max() <= 1.0
         assert s.labels[:10] == list(range(10))
+
+
+def reference_digit_set(n, size, seed, noise, jitter, intensity=(0.7, 1.0)) -> np.ndarray:
+    """The per-sample loop that make_digit_set replaced: one digit at a time."""
+    rng = np.random.default_rng(seed)
+    row0, col0 = (size - 7) // 2, (size - 5) // 2
+    images = []
+    for i in range(n):
+        dr = int(rng.integers(0, 2)) if jitter else 0
+        dc = int(rng.integers(-1, 2)) if jitter else 0
+        r = min(max(row0 + dr, 0), size - 7)
+        c = min(max(col0 + dc, 0), size - 5)
+        img = np.zeros((size, size))
+        img[r : r + 7, c : c + 5] = digit_glyph(i % 10) * rng.uniform(*intensity)
+        if noise > 0:
+            img = img + rng.normal(0.0, noise, size=img.shape)
+        images.append(np.clip(img, 0.0, 1.0))
+    return np.stack(images)[:, np.newaxis]
+
+
+class TestDigitSetMatchesPerSampleLoop:
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("size", [8, 16])
+    @pytest.mark.parametrize(
+        "noise, jitter", [(0.05, True), (0.05, False), (0.0, True), (0.0, False)]
+    )
+    def test_bytes_match(self, seed, size, noise, jitter):
+        out = make_digit_set(23, size=size, seed=seed, noise=noise, jitter=jitter)
+        expected = reference_digit_set(23, size, seed, noise, jitter)
+        assert out.stack.shape == expected.shape == (23, 1, size, size)
+        assert out.stack.tobytes() == expected.tobytes()
+        assert out.labels == [i % 10 for i in range(23)]
+
+    def test_intensity_range_and_large_noise(self):
+        out = make_digit_set(30, size=9, seed=4, noise=0.7, intensity=(0.2, 0.3))
+        expected = reference_digit_set(30, 9, 4, 0.7, True, intensity=(0.2, 0.3))
+        assert out.stack.tobytes() == expected.tobytes()
 
 
 class TestTranslatedQueryConsistency:

@@ -315,6 +315,23 @@ class TestTiValues:
         np.testing.assert_allclose(whole, reference, rtol=1e-12, atol=0)
         assert not whole_flat.any() and not chunked_flat.any()
 
+    def test_tiles_over_both_leading_axes_change_no_bit(self, monkeypatch):
+        # fixed (7, 1, C) against varying (5, C): batch (7, 5, C), tiled over 7 and 5
+        rng = np.random.default_rng(54)
+        fixed = rng.random((7, 2, 4, 6))
+        kernel = QuotientKernel(fixed[:, np.newaxis], (4, 6), 0.5)
+        varying = rng.random((5, 2, 4, 6))
+        whole, _ = kernel.ti_values(varying)
+        assert whole.shape == (7, 5, 2)
+        cell = 2 * int(np.prod(kernel.padded))
+        for budget in (3 * 5 * cell, 2 * cell, cell):  # 3x5, 1x2 and 1x1 tiles
+            monkeypatch.setattr(wiener, "TI_CHUNK_ELEMENTS", budget)
+            tiled, _ = kernel.ti_values(varying)
+            np.testing.assert_array_equal(tiled, whole)
+        for i, j in [(0, 0), (3, 4), (6, 2)]:  # a plane's value is its single-pair value
+            single, _ = QuotientKernel(fixed[i], (4, 6), 0.5).ti_values(varying[j])
+            np.testing.assert_array_equal(single, whole[i, j])
+
     @pytest.mark.parametrize("shape", [(12,), (6, 5), (4, 7)])
     def test_spectral_moments_match_spatial_mean_and_std(self, shape):
         rng = np.random.default_rng(51)
@@ -325,6 +342,18 @@ class TestTiValues:
         flat = filters.reshape(6, -1)
         np.testing.assert_allclose(mu, flat.mean(axis=1), rtol=1e-12, atol=0)
         np.testing.assert_allclose(sigma, flat.std(axis=1), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("bad_bin", [(0, 0), (0, 3), (2, 1), (4, 3)])
+    def test_any_non_finite_bin_raises(self, bad_bin):
+        # the DC bin carries no Parseval weight, so it is checked on its own;
+        # a finite Q is what lets ti_values skip scanning the spatial filter
+        kernel = QuotientKernel(np.ones((4, 6)), (4, 6), 1.0)
+        Q = np.ones((2,) + kernel.K.shape, dtype=complex)
+        Q[(1,) + bad_bin] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                kernel._moments(Q)
 
     def test_constant_plane_is_zero_and_flagged(self):
         kernel = QuotientKernel(np.random.default_rng(52).random((3, 1, 8)), (8,), 0.0)
