@@ -18,7 +18,6 @@ from .wiener import (
     WienerConfig,
     concentration,
     delta_filter,
-    rayleigh_quotient,
     ti_distance,
     wiener_filter,
     wiener_filter_direct,
@@ -46,7 +45,6 @@ __all__ = [
     "delta_filter",
     "wiener_filter",
     "wiener_filter_direct",
-    "rayleigh_quotient",
     "wiener_loss",
     "ti_distance",
     "concentration",

@@ -100,7 +100,7 @@ def _whitening(cfg: ExperimentConfig, shape) -> tuple:
 def _cmd_filter(args, cfg: ExperimentConfig) -> int:
     target = read_pgm(args.image_a)
     source = read_pgm(args.image_b)
-    wcfg = WienerConfig(lam=cfg.wiener.lam, direction=cfg.wiener.direction)
+    wcfg = WienerConfig(lam=cfg.wiener.lam)
     v = wiener_filter(target, source, wcfg)
 
     run_dir = _make_run_dir(args, "filter")
@@ -130,7 +130,7 @@ def _cmd_filter(args, cfg: ExperimentConfig) -> int:
 def _cmd_loss(args, cfg: ExperimentConfig) -> int:
     prediction = read_pgm(args.image_a)
     target = read_pgm(args.image_b)
-    wcfg = WienerConfig(lam=cfg.wiener.lam, direction=cfg.wiener.direction)
+    wcfg = WienerConfig(lam=cfg.wiener.lam)
     whitening, _ = _whitening(cfg, prediction.shape)
 
     run_dir = _make_run_dir(args, "loss")
@@ -261,26 +261,25 @@ def _cmd_recover(args, cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------- diffuse
 
 
-def _defining_set(cfg: ExperimentConfig) -> tuple[list[Signal], list[int] | None]:
+def _defining_set(cfg: ExperimentConfig) -> np.ndarray:
+    """The defining set as a stack (n, C, *extents)."""
     d = cfg.diffusion
     if d.dataset == "toy":
-        samples, ids = two_cluster_latents(
+        return two_cluster_latents(
             d.n_defining, dim=d.dim, separation=d.separation, spread=d.spread, seed=d.data_seed
-        )
-        return samples, ids
+        )[0]
     if d.dataset == "digits":
-        return list(make_digit_set(d.n_defining, size=8, seed=d.data_seed).signals), None
-    images = read_idx_images(d.dataset)
-    return [Signal.from_array(img) for img in images[: d.n_defining]], None
+        return make_digit_set(d.n_defining, size=8, seed=d.data_seed).stack
+    return read_idx_images(d.dataset, d.n_defining)[:, np.newaxis]
 
 
 def _cmd_diffuse(args, cfg: ExperimentConfig) -> int:
     d = cfg.diffusion
     check_chain_args(d.n_samples, d.init_variance, d.snapshot_stride)  # before the run dir
-    samples, _ = _defining_set(cfg)
-    padded = tuple(2 * n for n in samples[0].shape)
+    defining = _defining_set(cfg)
+    padded = tuple(2 * n for n in defining.shape[2:])
     penalty = make_window(WindowSpec(d.penalty_family, d.penalty_b), LagGrid(padded))
-    model = EnergyModel(samples, penalty, d.gamma, WienerConfig(lam=cfg.wiener.lam))
+    model = EnergyModel(defining, penalty, d.gamma, WienerConfig(lam=cfg.wiener.lam))
     schedule = Schedule(
         cosine_schedule(d.T, d.alpha_start, d.alpha_end),
         cosine_schedule(d.T, d.beta_start, d.beta_end),
@@ -304,14 +303,14 @@ def _cmd_diffuse(args, cfg: ExperimentConfig) -> int:
             rows.append((c, t, float(e), float(conc)))
     write_csv(run_dir / "trajectory.csv", ["chain", "step", "energy", "concentration"], rows)
 
-    if len(samples[0].shape) == 2:
+    if model.defining.ndim == 4:
         _write_sample_grids(run_dir, trajectories)
     else:
         sample_rows = []
         for c, traj in enumerate(trajectories):
-            for step, sig in zip(traj.snapshot_steps, traj.samples):
-                sample_rows.append((c, step) + tuple(float(v) for v in sig.data))
-        dim = samples[0].data.size
+            for step, x in zip(traj.snapshot_steps, traj.samples):
+                sample_rows.append((c, step) + tuple(x.ravel().tolist()))
+        dim = model.defining[0].size
         write_csv(
             run_dir / "samples.csv",
             ["chain", "step"] + [f"x{i}" for i in range(dim)],
@@ -331,7 +330,7 @@ def _cmd_diffuse(args, cfg: ExperimentConfig) -> int:
         "mean_concentration_initial": c0,
         "mean_concentration_final": cT,
         "nearest_sample_counts": np.bincount(
-            [i for i, _ in nearest], minlength=len(samples)
+            [i for i, _ in nearest], minlength=len(model.defining)
         ).tolist(),
         "mean_distance_to_nearest": float(np.mean([dist for _, dist in nearest])),
     }
@@ -348,12 +347,12 @@ def _write_sample_grids(run_dir: Path, trajectories) -> None:
     cols = int(np.ceil(np.sqrt(n)))
     rows = int(np.ceil(n / cols))
     steps = trajectories[0].snapshot_steps
-    h, w = trajectories[0].samples[0].shape
+    h, w = trajectories[0].samples.shape[-2:]
     for si, step in enumerate(steps):
         grid = np.zeros((rows * (h + 1) - 1, cols * (w + 1) - 1))
         for c, traj in enumerate(trajectories):
             r, q = divmod(c, cols)
-            plane = np.clip(traj.samples[si].plane(), 0.0, 1.0)
+            plane = np.clip(traj.samples[si, 0], 0.0, 1.0)
             grid[r * (h + 1) : r * (h + 1) + h, q * (w + 1) : q * (w + 1) + w] = plane
         write_pgm(run_dir / f"samples_step{step:05d}.pgm", Signal.from_array(grid))
 
@@ -364,7 +363,7 @@ def _write_sample_grids(run_dir: Path, trajectories) -> None:
 def _knn_sets(cfg: ExperimentConfig) -> tuple[LabeledSet, LabeledSet]:
     k = cfg.knn
     if k.data_images:
-        full = ingest_idx(k.data_images, k.data_labels or None)
+        full = ingest_idx(k.data_images, k.data_labels or None, k.n_train + k.n_test)
         if len(full) < k.n_train + k.n_test:
             raise ConfigError(
                 f"dataset has {len(full)} samples, need n_train+n_test = {k.n_train + k.n_test}"
@@ -421,12 +420,12 @@ def _cmd_knn(args, cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------- train
 
 
-def _train_data(cfg: ExperimentConfig) -> list[Signal]:
+def _train_data(cfg: ExperimentConfig) -> np.ndarray:
+    """The training set as a stack (n, C, *extents)."""
     t = cfg.train
     if t.data_images:
-        base = ingest_idx(t.data_images, t.data_labels or None)
-        return [Signal.from_planes(planes) for planes in base.stack[: t.n_train]]
-    return list(make_digit_set(t.n_train, size=t.digit_size, seed=t.data_seed).signals)
+        return ingest_idx(t.data_images, t.data_labels or None, t.n_train).stack
+    return make_digit_set(t.n_train, size=t.digit_size, seed=t.data_seed).stack
 
 
 def _cmd_train(args, cfg: ExperimentConfig) -> int:

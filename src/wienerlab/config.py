@@ -21,7 +21,6 @@ __all__ = ["ExperimentConfig", "load_config", "default_config"]
 @dataclass(frozen=True)
 class WienerSection:
     lam: float = 1.0
-    direction: str = "match_source_to_target"
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,18 @@ def _be32(buf: bytes, offset: int) -> int:
     return struct.unpack_from(">I", buf, offset)[0]
 
 
-def read_idx_images(path) -> np.ndarray:
-    """(count, rows, cols) array of float64 pixels in [0, 1]."""
+def read_idx_images(path, limit: int | None = None) -> np.ndarray:
+    """(count, rows, cols) array of float64 pixels in [0, 1].
+
+    With `limit`, only the first `limit` images (all of them if the file
+    holds fewer) are converted from the 8-bit payload.
+    """
+    return _read_idx_images(path, limit)[1]
+
+
+def _read_idx_images(path, limit: int | None) -> tuple[int, np.ndarray]:
+    """The image count from the header, and the first `limit` images as in
+    ``read_idx_images``."""
     buf = _read_bytes(path)
     magic = _be32(buf, 0)
     if magic != IDX_IMAGE_MAGIC:
@@ -63,7 +73,7 @@ def read_idx_images(path) -> np.ndarray:
             f"truncated image data: have {len(buf)} bytes, need {expected}", offset=len(buf)
         )
     pixels = np.frombuffer(buf, dtype=np.uint8, count=count * rows * cols, offset=16)
-    return pixels.reshape(count, rows, cols).astype(np.float64) / 255.0
+    return count, pixels.reshape(count, rows, cols)[:limit].astype(np.float64) / 255.0
 
 
 def read_idx_labels(path) -> np.ndarray:
@@ -79,11 +89,13 @@ def read_idx_labels(path) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.uint8, count=count, offset=8).astype(int)
 
 
-def ingest_idx(images_path, labels_path=None) -> LabeledSet:
-    """Load an image/label IDX pair as a labeled set.
+def ingest_idx(images_path, labels_path=None, limit: int | None = None) -> LabeledSet:
+    """Load an image/label IDX pair as a labeled set of its first `limit`
+    samples (all of them when None).
 
     When labels_path is omitted it is derived from the images path by the
-    conventional 'images-idx3' -> 'labels-idx1' naming.
+    conventional 'images-idx3' -> 'labels-idx1' naming. The pair's counts and
+    every label are checked, kept or not.
     """
     if labels_path is None:
         name = str(images_path)
@@ -91,18 +103,16 @@ def ingest_idx(images_path, labels_path=None) -> LabeledSet:
         if derived == name:
             raise FormatError(f"cannot derive a labels path from {name!r}")
         labels_path = derived
-    images = read_idx_images(images_path)
+    count, images = _read_idx_images(images_path, limit)
     labels = read_idx_labels(labels_path)
-    if images.shape[0] != labels.shape[0]:
-        raise FormatError(
-            f"count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels"
-        )
-    if images.shape[0] == 0:
+    if count != labels.shape[0]:
+        raise FormatError(f"count mismatch: {count} images vs {labels.shape[0]} labels")
+    if count == 0:
         raise FormatError("IDX files hold no samples")
     bad = np.flatnonzero(labels > 9)
     if bad.size:
         raise FormatError(f"label {labels[bad[0]]} of sample {bad[0]} outside 0..9")
-    return LabeledSet(images[:, np.newaxis], labels)
+    return LabeledSet(images[:, np.newaxis], labels[: len(images)])
 
 
 def read_pgm(path) -> Signal:

@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .knn import LabeledSet
-from .spectral import Signal
 
 __all__ = ["digit_glyph", "make_digit_set", "two_cluster_latents"]
 
@@ -80,26 +79,22 @@ def make_digit_set(
 
 def two_cluster_latents(
     n: int, dim: int = 8, separation: float = 2.0, spread: float = 0.15, seed: int = 0
-) -> tuple[list[Signal], list[int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """n latent vectors split evenly between two well-separated clusters.
 
     Cluster centers are two fixed rough patterns (deterministic for a given
     dim) scaled by `separation`; samples add isotropic Gaussian jitter of std
-    `spread`. Returns signals plus their cluster ids. Centers are deliberately
-    not sign-opposites: the quotient part of the diffusion energy is blind to
-    overall sign, which would merge mirrored clusters.
+    `spread`, all drawn at once. Returns the stack (n, 1, dim) plus the
+    cluster id of each sample (even indices 0, odd indices 1). Centers are
+    deliberately not sign-opposites: the quotient part of the diffusion
+    energy is blind to overall sign, which would merge mirrored clusters.
     """
     if n < 2:
         raise ConfigError(f"need at least 2 samples, got {n}")
     pattern_rng = np.random.default_rng(90210)
     center_a = separation * pattern_rng.uniform(-1.3, 1.3, size=dim)
     center_b = separation * pattern_rng.uniform(-1.3, 1.3, size=dim)
-    rng = np.random.default_rng(seed)
-    signals = []
-    ids = []
-    for i in range(n):
-        cid = i % 2
-        center = center_a if cid == 0 else center_b
-        signals.append(Signal(center + rng.normal(0.0, spread, size=dim), (dim,)))
-        ids.append(cid)
-    return signals, ids
+    ids = np.arange(n) % 2
+    centers = np.where(ids[:, None] == 0, center_a, center_b)
+    jitter = np.random.default_rng(seed).normal(0.0, spread, size=(n, dim))
+    return (centers + jitter)[:, np.newaxis], ids

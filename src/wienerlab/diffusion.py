@@ -5,7 +5,9 @@ defining set, and samples come from gradient steps plus scheduled Gaussian
 noise. All chains advance in lockstep, in the style of annealed Langevin
 dynamics (Song & Ermon 2019, arXiv:1907.05600): their states form one
 (chains, C, *extents) array, and each step is one batched energy and
-gradient pass through the defining set's quotient kernel. Per-chain RNG
+gradient pass through the defining set's quotient kernel. The defining set
+and each chain's snapshots are stacks too; a ``Signal`` appears only in the
+single-state functions (``energy``, ``langevin_step``). Per-chain RNG
 streams are derived from the master seed by chain index and drawn in the
 same order as a chain run alone, so chains are independent and the whole
 run is reproducible.
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError
 from .gradients import energy_breakdown, energy_terms
-from .spectral import LagFilter, Signal
+from .spectral import LagFilter, Signal, as_stack
 from .wiener import QuotientKernel, WienerConfig
 
 __all__ = [
@@ -38,34 +40,31 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class EnergyModel:
-    """Defining samples plus the penalty window and scalars that shape the energy.
+    """The defining set plus the penalty window and scalars that shape the energy.
 
-    The quotient kernel of the (fixed) defining set is built at construction;
-    the per-step energy and gradient then cost one batched filter pass and
-    one pullback.
+    ``defining`` is the set as one stack (n, C, *extents), kept as the
+    read-only view that ``as_stack`` validates. The quotient kernel of this
+    fixed set is built at construction; the per-step energy and gradient
+    then cost one batched filter pass and one pullback.
     """
 
-    defining_samples: list[Signal]
+    defining: np.ndarray
     penalty: LagFilter
     gamma: float
     wiener_cfg: WienerConfig
 
     def __post_init__(self):
-        if not self.defining_samples:
-            raise ConfigError("energy model needs at least one defining sample")
-        first = self.defining_samples[0]
-        for s in self.defining_samples[1:]:
-            if s.shape != first.shape or s.channels != first.channels:
-                raise ShapeError("defining samples must share one shape")
+        defining = as_stack(self.defining)
         if not (0 <= self.gamma < math.inf):
             raise ConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
-        expected = tuple(2 * n for n in first.shape)
+        extents = defining.shape[2:]
+        expected = tuple(2 * n for n in extents)
         if self.penalty.grid.extents != expected:
             raise ShapeError(
                 f"penalty extents {self.penalty.grid.extents} != padded extents {expected}"
             )
-        planes = np.stack([s.planes for s in self.defining_samples])
-        object.__setattr__(self, "kernel", QuotientKernel(planes, first.shape, self.wiener_cfg.lam))
+        object.__setattr__(self, "defining", defining)
+        object.__setattr__(self, "kernel", QuotientKernel(defining, extents, self.wiener_cfg.lam))
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,15 +93,20 @@ class Schedule:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Per-chain log: strided snapshots plus per-step energy and focus diagnostics."""
+    """Per-chain log: strided snapshots plus per-step energy and focus diagnostics.
 
-    samples: list[Signal]
+    ``samples`` stacks the chain's states at ``snapshot_steps``, shaped
+    (snapshots, C, *extents).
+    """
+
+    samples: np.ndarray
     energies: list[float]
     concentrations: list[float]
     snapshot_steps: list[int]
 
     @property
-    def final(self) -> Signal:
+    def final(self) -> np.ndarray:
+        """The state after the last step, shaped (C, *extents)."""
         return self.samples[-1]
 
 
@@ -193,14 +197,12 @@ def run_diffusion(
     step and, at that step, the lowest diverging chain.
     """
     check_chain_args(n_samples, init_variance, snapshot_stride)
-    ref = model.defining_samples[0]
-    k = max(1, min(k_nearest, len(model.defining_samples)))
+    k = max(1, min(k_nearest, len(model.defining)))
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_samples)]
     T = schedule.steps
 
-    X = np.stack(
-        [rng.normal(0.0, math.sqrt(init_variance), size=ref.planes.shape) for rng in streams]
-    )
+    sample = model.defining.shape[1:]
+    X = np.stack([rng.normal(0.0, math.sqrt(init_variance), size=sample) for rng in streams])
     snapshots = [X]
     snapshot_steps = [0]
     energies = np.empty((T + 1, n_samples))
@@ -224,9 +226,10 @@ def run_diffusion(
             snapshots.append(X)
             snapshot_steps.append(t + 1)
 
+    states = np.stack(snapshots, axis=1)  # (chains, snapshots, C, *extents)
     return [
         Trajectory(
-            [Signal(snapshot[c].ravel(), ref.shape, ref.channels) for snapshot in snapshots],
+            states[c],
             energies[:, c].tolist(),
             concentrations[:, c].tolist(),
             list(snapshot_steps),
@@ -268,8 +271,10 @@ def _chain_failure(model: EnergyModel, x: np.ndarray, limit: float) -> str | Non
     return None
 
 
-def nearest_defining_sample(x: Signal, model: EnergyModel) -> tuple[int, float]:
-    """Index of, and Euclidean distance to, the closest defining sample."""
-    dists = [float(np.linalg.norm(x.data - y.data)) for y in model.defining_samples]
+def nearest_defining_sample(x: np.ndarray, model: EnergyModel) -> tuple[int, float]:
+    """Index of, and Euclidean distance to, the defining sample closest to the
+    state x, shaped (C, *extents)."""
+    x = np.ravel(x)
+    dists = [float(np.linalg.norm(x - y.ravel())) for y in model.defining]
     idx = int(np.argmin(dists))
     return idx, dists[idx]

@@ -104,15 +104,29 @@ def energy_terms(
     dataset index order. Overflow shows up as non-finite values, which the
     kernel and the callers turn into NumericalError.
     """
-    ref = model.defining_samples[0]
-    if X.shape[1:] != ref.planes.shape:
+    sample = model.defining.shape[1:]
+    if X.shape[1:] != sample:
         raise ShapeError(
-            f"signal planes {X.shape[1:]} do not match defining sample planes {ref.planes.shape}"
+            f"signal planes {X.shape[1:]} do not match defining sample planes {sample}"
         )
-    stack = len(model.defining_samples) * ref.data.size * 2 ** len(ref.shape)
-    chunk = max(1, ENERGY_CHUNK_ELEMENTS // stack)
+    elements = model.defining.size * 2 ** (len(sample) - 1)  # filters of one signal
+    chunk = max(1, ENERGY_CHUNK_ELEMENTS // elements)
     parts = [_energy_chunk(model, X[i : i + chunk]) for i in range(0, len(X), chunk)]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _penalty_quotient(v: np.ndarray, pen: np.ndarray, axes: tuple[int, ...]):
+    """Rayleigh quotient ||pen * v||^2 / ||v||^2 of each filter plane over `axes`,
+    and the squared norms ||v||^2, both with `axes` kept as length 1.
+
+    Scale-invariant: blind to a filter's amplitude, it measures only where the
+    filter's energy sits on the lag grid. A raw-layout filter needs a
+    raw-layout penalty (any common lag layout gives the same value).
+    """
+    norms = np.sum(v**2, axis=axes, keepdims=True)
+    if np.any(norms == 0.0):
+        raise UndefinedQuotientError("all-zero matching filter in energy sum")
+    return np.sum((pen * v) ** 2, axis=axes, keepdims=True) / norms, norms
 
 
 def _energy_chunk(model: "EnergyModel", X: np.ndarray):
@@ -125,10 +139,7 @@ def _energy_chunk(model: "EnergyModel", X: np.ndarray):
 
     v = kernel.filters(X[:, None])  # (batch, n, C, *padded), raw layout
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sum(v**2, axis=axes, keepdims=True)
-        if np.any(norms == 0.0):
-            raise UndefinedQuotientError("all-zero matching filter in energy sum")
-        quot = np.sum((pen * v) ** 2, axis=axes, keepdims=True) / norms
+        quot, norms = _penalty_quotient(v, pen, axes)
         v0 = v[zero]  # (batch, n, C)
         energies = 0.5 * np.mean(quot, axis=(2,) + axes) + 0.5 * gamma * np.mean(
             (v0 - 1.0) ** 2, axis=2

@@ -9,12 +9,11 @@ translation-invariant distance unaffected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .spectral import Signal
+from .spectral import Signal, as_stack
 from .wiener import QuotientKernel, WienerConfig, ti_distance
 
 __all__ = [
@@ -33,43 +32,24 @@ N_CLASSES = 10
 class LabeledSet:
     """Equally shaped samples with class ids in 0..9, held as one stack.
 
-    ``samples`` is either an array shaped (n, C, *extents), extents of rank
-    1 or 2, or a sequence of n equally shaped Signals. The set keeps
-    ``stack``, a read-only float64 view of that array (or the Signals
-    stacked), and ``label_ids``, a read-only int array of the n class ids.
-    Shape, finiteness and label range are checked once, here, for the whole
-    set. ``signals`` and ``labels`` are derived views for callers that want
-    one Signal or one int per sample.
+    ``samples`` is an array shaped (n, C, *extents), extents of rank 1 or 2.
+    The set keeps ``stack``, the read-only float64 view that ``as_stack``
+    validates, and ``label_ids``, a read-only int array of the n class ids,
+    so shape, finiteness and label range are checked once for the whole set.
 
     The quotient kernel of the set is built on the first TI query per
     lambda and kept, so every later query against the set reuses it.
     """
 
     def __init__(self, samples, labels):
-        if not isinstance(samples, np.ndarray):
-            samples = list(samples)
-            if len(samples) != len(labels):
-                raise ConfigError(f"{len(samples)} signals vs {len(labels)} labels")
-            if not samples:
-                raise ConfigError("a labeled set needs at least one sample")
-            first = samples[0]
-            if any(s.shape != first.shape or s.channels != first.channels for s in samples):
-                raise ShapeError("labeled set signals must share one shape")
-            samples = np.stack([s.planes for s in samples])
-        stack = np.ascontiguousarray(samples, dtype=np.float64).view()
+        stack = as_stack(samples)
         ids = np.array(labels, dtype=np.int64)
-        if stack.ndim not in (3, 4) or 0 in stack.shape[1:]:
-            raise ShapeError(f"a labeled set stack is (n, C, *extents), got {stack.shape}")
         if ids.shape != stack.shape[:1]:
-            raise ConfigError(f"{len(stack)} signals vs labels shaped {ids.shape}")
-        if len(stack) == 0:
-            raise ConfigError("a labeled set needs at least one sample")
-        if not np.all(np.isfinite(stack)):
-            raise ConfigError("signal values must be finite")
+            raise ConfigError(f"{len(stack)} samples vs labels shaped {ids.shape}")
         bad = ids[(ids < 0) | (ids >= N_CLASSES)]
         if bad.size:
             raise ConfigError(f"label {bad[0]} outside class range 0..{N_CLASSES - 1}")
-        stack.flags.writeable = ids.flags.writeable = False
+        ids.flags.writeable = False
         self.stack = stack
         self.label_ids = ids
         self._cache: dict = {}  # quotient kernels by lambda
@@ -85,11 +65,6 @@ class LabeledSet:
     @property
     def labels(self) -> list[int]:
         return self.label_ids.tolist()
-
-    @cached_property
-    def signals(self) -> tuple[Signal, ...]:
-        """One Signal per sample, each a read-only view into the stack."""
-        return tuple(Signal.from_planes(planes) for planes in self.stack)
 
 
 @dataclass(frozen=True)

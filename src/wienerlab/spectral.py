@@ -9,6 +9,12 @@ filters, windows and penalties are kept in raw lag layout, zero lag at the
 origin corner. The public ``LagFilter`` is centered instead, zero lag at
 floor(extent/2) in each dimension; ``LagFilter.from_raw`` and
 ``LagFilter.raw`` are the only places that convert between the two.
+
+A ``Signal`` is one image or vector: the type of file I/O and of the
+single-pair functionals. Every *set* of samples (a training set, a defining
+set, a kNN set, the states of all Langevin chains) is instead one float64
+stack shaped (n, C, *extents), and ``as_stack`` is the one place that
+validates it.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ __all__ = [
     "LagGrid",
     "LagFilter",
     "WindowSpec",
+    "as_stack",
     "pad_to_full_lag",
     "make_window",
 ]
@@ -76,6 +83,27 @@ class Signal:
 
     def plane(self, c: int = 0) -> np.ndarray:
         return self.planes[c]
+
+
+def as_stack(samples) -> np.ndarray:
+    """Read-only float64 view of a set of samples shaped (n, C, *extents).
+
+    Extents are of rank 1 or 2. Zero samples and non-finite values raise
+    ConfigError; any other shape (a ragged sequence included) raises
+    ShapeError. The caller's array is not modified.
+    """
+    try:
+        stack = np.ascontiguousarray(samples, dtype=np.float64).view()
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"a set is one (n, C, *extents) array of numbers: {exc}") from exc
+    if stack.shape[:1] == (0,):
+        raise ConfigError("a set needs at least one sample")
+    if stack.ndim not in (3, 4) or 0 in stack.shape:
+        raise ShapeError(f"a set is one (n, C, *extents) stack, got shape {stack.shape}")
+    if not np.all(np.isfinite(stack)):
+        raise ConfigError("signal values must be finite")
+    stack.flags.writeable = False
+    return stack
 
 
 @dataclass(frozen=True)

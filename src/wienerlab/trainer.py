@@ -13,6 +13,9 @@ Gradients and Adam's moments share that layout, so each minibatch is one
 vectorized Adam update. When a gradient will follow, the forward pass keeps
 each hidden layer's act'(z), built from the activation's own intermediates;
 forward-only passes compute no derivatives.
+
+Data moves as one stack of samples shaped (n, C, *extents), validated once
+by ``as_stack``; the dense layers see it as an (n, C*prod(extents)) matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from .errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError
 from .errors import UndefinedQuotientError
 from .gradients import GradientCheckReport, loss_and_grad
-from .spectral import LagGrid, Signal, WindowSpec, make_window
+from .spectral import LagGrid, WindowSpec, as_stack, make_window
 from .wiener import QuotientKernel
 
 __all__ = [
@@ -191,32 +194,36 @@ def _backward_matrix(model: DenseAutoencoder, A, D, d_out: np.ndarray, grad=None
     return grad
 
 
-def _to_matrix(batch: list[Signal], width: int) -> np.ndarray:
-    X = np.stack([s.data for s in batch])
-    if X.shape[1] != width:
-        raise ShapeError(f"input width {X.shape[1]} != first layer width {width}")
-    return X
+def _sample_matrix(model: DenseAutoencoder, samples) -> tuple[np.ndarray, tuple[int, ...]]:
+    """A validated stack (n, C, *extents) as an (n, width) matrix, plus the
+    per-sample shape (C, *extents). The width must match both model ends."""
+    stack = as_stack(samples)
+    X = stack.reshape(len(stack), -1)
+    if not X.shape[1] == model.widths[0] == model.widths[-1]:
+        raise ShapeError(
+            f"sample width {X.shape[1]} does not match model ends "
+            f"{model.widths[0]}/{model.widths[-1]}"
+        )
+    return X, stack.shape[1:]
 
 
-def forward(model: DenseAutoencoder, batch: list[Signal]) -> list[Signal]:
-    """Reconstruction per sample, shapes preserved."""
-    if not batch:
-        return []
-    X = _to_matrix(batch, model.widths[0])
+def forward(model: DenseAutoencoder, batch) -> np.ndarray:
+    """Reconstructions of a stack of samples (n, C, *extents), in the same shape."""
+    X, shape = _sample_matrix(model, batch)
     A, _ = _forward_matrix(model, X)
-    ref = batch[0]
-    return [Signal(row, ref.shape, ref.channels) for row in A[-1]]
+    return A[-1].reshape((len(X),) + shape)
 
 
-def _window_raw(cfg: TrainConfig, ref: Signal):
-    """Raw-layout whitening window on the samples' full-lag grid; None for MSE."""
+def _window_raw(cfg: TrainConfig, extents: tuple[int, ...]):
+    """Raw-layout whitening window on the full-lag grid of `extents`; None for MSE."""
     if cfg.loss == "wiener":
-        return make_window(cfg.whitening, LagGrid(tuple(2 * n for n in ref.shape))).raw
+        return make_window(cfg.whitening, LagGrid(tuple(2 * n for n in extents))).raw
 
 
-def _batch_loss_and_grad(model: DenseAutoencoder, X, ref: Signal, cfg: TrainConfig, w_raw=None):
-    """Mean loss over the batch, its gradient wrt the reconstructions and the
-    forward pass (A, D) for backprop; `w_raw` is built here when None."""
+def _batch_loss_and_grad(model: DenseAutoencoder, X, shape, cfg: TrainConfig, w_raw=None):
+    """Mean loss over the batch X (one flattened sample of shape (C, *extents)
+    per row), its gradient wrt the reconstructions and the forward pass
+    (A, D) for backprop; `w_raw` is built here when None."""
     A, D = _forward_matrix(model, X, prime=True)
     out = A[-1]
     B = X.shape[0]
@@ -225,29 +232,29 @@ def _batch_loss_and_grad(model: DenseAutoencoder, X, ref: Signal, cfg: TrainConf
         loss = 0.5 * float(np.sum(diff**2)) / B
         d_out = diff / B
     else:
-        planes = (B, ref.channels) + ref.shape
-        kernel = QuotientKernel(X.reshape(planes), ref.shape, cfg.lam)
+        planes = (B,) + shape
+        kernel = QuotientKernel(X.reshape(planes), shape[1:], cfg.lam)
         if w_raw is None:
-            w_raw = _window_raw(cfg, ref)
+            w_raw = _window_raw(cfg, shape[1:])
         vals, grads = loss_and_grad(kernel, out.reshape(planes), w_raw)
         loss = float(np.mean(vals))
         d_out = grads.reshape(B, -1) / B
     return loss, d_out, A, D
 
 
-def _mean_concentration(model: DenseAutoencoder, X, ref: Signal, cfg: TrainConfig) -> float:
+def _mean_concentration(model: DenseAutoencoder, X, shape, cfg: TrainConfig) -> float:
     """Mean zero-lag energy fraction of the reconstruction-target filters.
 
     Filters are evaluated one minibatch-sized chunk at a time, so the
     diagnostic's memory is bounded by the batch size, as training's is.
     """
     A, _ = _forward_matrix(model, X)
-    planes = (len(X), ref.channels) + ref.shape
+    planes = (len(X),) + shape
     out, targets = A[-1].reshape(planes), X.reshape(planes)
     fractions = []
     for i in range(0, len(X), cfg.batch_size):
         chunk = slice(i, i + cfg.batch_size)
-        v = QuotientKernel(targets[chunk], ref.shape, cfg.lam).filters(out[chunk])
+        v = QuotientKernel(targets[chunk], shape[1:], cfg.lam).filters(out[chunk])
         flat = v.reshape(v.shape[:2] + (-1,))
         norms = np.sum(flat**2, axis=-1)
         if np.any(norms == 0.0):
@@ -256,40 +263,34 @@ def _mean_concentration(model: DenseAutoencoder, X, ref: Signal, cfg: TrainConfi
     return float(np.mean(np.concatenate(fractions)))
 
 
-def train(model: DenseAutoencoder, data: list[Signal], cfg: TrainConfig) -> TrainLog:
-    """Mini-batch Adam training; model parameters are updated in place.
+def train(model: DenseAutoencoder, data, cfg: TrainConfig) -> TrainLog:
+    """Mini-batch Adam training on a stack of samples (n, C, *extents); model
+    parameters are updated in place.
 
     The log records per-epoch mean loss and the mean reconstruction-target
     filter concentration on a fixed evaluation subset. Raises
     TrainingDivergedError (log attached) when the loss stops being finite or
     exceeds DIVERGENCE_FACTOR times the first minibatch loss.
     """
-    if not data:
-        raise ConfigError("empty training set")
-    ref = data[0]
-    width = ref.data.size
-    if width != model.widths[0] or model.widths[-1] != width:
-        raise ShapeError(
-            f"sample width {width} does not match model ends {model.widths[0]}/{model.widths[-1]}"
-        )
-    X_all = np.stack([s.data for s in data])
-    eval_X = X_all[: min(128, len(data))]
+    X_all, shape = _sample_matrix(model, data)
+    n = len(X_all)
+    eval_X = X_all[: min(128, n)]
     rng = np.random.default_rng(cfg.seed)
 
-    w_raw = _window_raw(cfg, ref)
+    w_raw = _window_raw(cfg, shape[1:])
     grad, m, v = (np.zeros_like(model.theta) for _ in range(3))
     step, first_loss = 0, None
 
     log = TrainLog()
-    log.initial_concentration = _mean_concentration(model, eval_X, ref, cfg)
+    log.initial_concentration = _mean_concentration(model, eval_X, shape, cfg)
     for epoch in range(cfg.epochs):
-        order = rng.permutation(len(data))
+        order = rng.permutation(n)
         epoch_losses = []
-        for start in range(0, len(data), cfg.batch_size):
+        for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             X = X_all[idx]
             try:
-                loss, d_out, A, D = _batch_loss_and_grad(model, X, ref, cfg, w_raw)
+                loss, d_out, A, D = _batch_loss_and_grad(model, X, shape, cfg, w_raw)
             except NumericalError:
                 loss = float("nan")
             if first_loss is None:
@@ -307,7 +308,7 @@ def train(model: DenseAutoencoder, data: list[Signal], cfg: TrainConfig) -> Trai
             model.theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
         log.losses.append(float(np.mean(epoch_losses)))
         try:
-            log.concentrations.append(_mean_concentration(model, eval_X, ref, cfg))
+            log.concentrations.append(_mean_concentration(model, eval_X, shape, cfg))
         except NumericalError:
             log.diverged = True
             raise TrainingDivergedError(epoch, log)
@@ -315,15 +316,15 @@ def train(model: DenseAutoencoder, data: list[Signal], cfg: TrainConfig) -> Trai
 
 
 def grad_check_model(
-    model: DenseAutoencoder, batch: list[Signal], cfg: TrainConfig, h: float = 1e-6
+    model: DenseAutoencoder, batch, cfg: TrainConfig, h: float = 1e-6
 ) -> GradientCheckReport:
-    """Finite-difference check of end-to-end parameter gradients (report only)."""
+    """Finite-difference check of end-to-end parameter gradients on a stack of
+    samples (n, C, *extents) (report only)."""
     if model.n_params > 5000:
         raise ConfigError(f"{model.n_params} parameters exceeds the 5k grad-check cap")
-    ref = batch[0]
-    X = _to_matrix(batch, model.widths[0])
-    w_raw = _window_raw(cfg, ref)
-    loss, d_out, A, D = _batch_loss_and_grad(model, X, ref, cfg, w_raw)
+    X, shape = _sample_matrix(model, batch)
+    w_raw = _window_raw(cfg, shape[1:])
+    loss, d_out, A, D = _batch_loss_and_grad(model, X, shape, cfg, w_raw)
     analytic = _backward_matrix(model, A, D, d_out)
 
     theta0 = model.flat_params()
@@ -331,9 +332,9 @@ def grad_check_model(
     probe = DenseAutoencoder(model.widths, model.activation, theta0)
     for i in range(theta0.size):
         probe.theta[i] = theta0[i] + h
-        lp = _batch_loss_and_grad(probe, X, ref, cfg, w_raw)[0]
+        lp = _batch_loss_and_grad(probe, X, shape, cfg, w_raw)[0]
         probe.theta[i] = theta0[i] - h
-        lm = _batch_loss_and_grad(probe, X, ref, cfg, w_raw)[0]
+        lm = _batch_loss_and_grad(probe, X, shape, cfg, w_raw)[0]
         probe.theta[i] = theta0[i]
         numeric[i] = (lp - lm) / (2.0 * h)
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)

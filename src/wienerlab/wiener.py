@@ -42,7 +42,6 @@ __all__ = [
     "delta_filter",
     "wiener_filter",
     "wiener_filter_direct",
-    "rayleigh_quotient",
     "wiener_loss",
     "ti_distance",
     "concentration",
@@ -54,16 +53,13 @@ TI_CHUNK_ELEMENTS = 2**16  # spatial filter elements per tile of QuotientKernel.
 
 @dataclass(frozen=True)
 class WienerConfig:
-    """Stabilizer magnitude and the (single) supported matching direction."""
+    """Stabilizer magnitude lambda of the spectral quotient."""
 
     lam: float = 1.0
-    direction: str = "match_source_to_target"
 
     def __post_init__(self):
         if not (0 <= self.lam < math.inf):
             raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
-        if self.direction != "match_source_to_target":
-            raise ConfigError(f"unknown direction {self.direction!r}")
 
 
 class QuotientKernel:
@@ -279,24 +275,6 @@ def wiener_filter_direct(target: Signal, source: Signal, cfg: WienerConfig) -> L
     return LagFilter.from_raw(out, grid)
 
 
-def rayleigh_quotient(v: LagFilter, penalty: LagFilter) -> float:
-    """||penalty (x) v||^2 / ||v||^2, averaged over channels.
-
-    Scale-invariant: insensitive to the filter's overall amplitude, sensitive
-    only to where its energy sits on the lag grid.
-    """
-    if penalty.grid.extents != v.grid.extents:
-        raise ShapeError(
-            f"penalty extents {penalty.grid.extents} != filter extents {v.grid.extents}"
-        )
-    axes = tuple(range(1, v.data.ndim))
-    norms = np.sum(v.data**2, axis=axes)
-    if np.any(norms == 0.0):
-        raise UndefinedQuotientError("quotient undefined for an all-zero filter")
-    num = np.sum((penalty.data * v.data) ** 2, axis=axes)
-    return float(np.mean(num / norms))
-
-
 def whitened_residual(kernel: QuotientKernel, varying: np.ndarray, w_raw: np.ndarray) -> np.ndarray:
     """W * (v - delta) in raw layout, v the kernel's filters of the varying planes."""
     if w_raw.shape[-len(kernel.shape):] != kernel.padded:
@@ -306,36 +284,17 @@ def whitened_residual(kernel: QuotientKernel, varying: np.ndarray, w_raw: np.nda
     return w_raw * v
 
 
-def _loss_single(
-    prediction: Signal, target: Signal, whitening: LagFilter, cfg: WienerConfig, swap: bool
-) -> float:
-    _check_pair(prediction, target)
-    fixed, varying = (prediction, target) if swap else (target, prediction)
-    kernel = QuotientKernel(fixed.planes, fixed.shape, cfg.lam)
-    return 0.5 * float(np.sum(whitened_residual(kernel, varying.planes, whitening.raw) ** 2))
-
-
 def wiener_loss(
-    prediction,
-    target,
-    whitening: LagFilter,
-    cfg: WienerConfig,
-    swap: bool = False,
+    prediction: Signal, target: Signal, whitening: LagFilter, cfg: WienerConfig
 ) -> float:
     """Half the squared whitened distance between the matching filter and the identity.
 
-    Zero exactly when prediction == target. Accepts a pair of signals or a
-    pair of equal-length signal lists (batch); batches reduce by mean over
-    samples, channels by sum.
+    The filter maps the target onto the prediction. Zero exactly when
+    prediction == target; channels reduce by sum.
     """
-    if isinstance(prediction, Signal):
-        return _loss_single(prediction, target, whitening, cfg, swap)
-    if len(prediction) != len(target):
-        raise ShapeError(f"batch length mismatch: {len(prediction)} vs {len(target)}")
-    if not prediction:
-        raise ConfigError("empty batch")
-    vals = [_loss_single(p, t, whitening, cfg, swap) for p, t in zip(prediction, target)]
-    return float(np.mean(vals))
+    _check_pair(prediction, target)
+    kernel = QuotientKernel(target.planes, target.shape, cfg.lam)
+    return 0.5 * float(np.sum(whitened_residual(kernel, prediction.planes, whitening.raw) ** 2))
 
 
 def ti_distance(a: Signal, b: Signal, cfg: WienerConfig) -> float:

@@ -119,7 +119,7 @@ def test_criterion_3_gradient_fidelity():
 
     pen1 = make_window(WindowSpec("inverted_laplace", 3.0), LagGrid((32,)))
     model1 = EnergyModel(
-        [Signal(rng.random(16), (16,)) for _ in range(3)], pen1, 1.0, WienerConfig(lam=0.1)
+        np.stack([rng.random((1, 16)) for _ in range(3)]), pen1, 1.0, WienerConfig(lam=0.1)
     )
     x1 = Signal(rng.random(16), (16,))
     res1 = grad_energy(x1, model1)
@@ -127,7 +127,7 @@ def test_criterion_3_gradient_fidelity():
 
     pen2 = make_window(WindowSpec("inverted_laplace", 2.0), LagGrid((16, 16)))
     model2 = EnergyModel(
-        [Signal.from_array(rng.random((8, 8))) for _ in range(2)], pen2, 1.0, WienerConfig(lam=1.0)
+        np.stack([rng.random((1, 8, 8)) for _ in range(2)]), pen2, 1.0, WienerConfig(lam=1.0)
     )
     x2 = Signal.from_array(rng.random((8, 8)))
     res2 = grad_energy(x2, model2)
@@ -136,7 +136,7 @@ def test_criterion_3_gradient_fidelity():
 
     # end-to-end parameter check is roundoff-limited, so it gets a larger step
     worst_train = 0.0
-    batch = make_digit_set(4, size=8, seed=31).signals
+    batch = make_digit_set(4, size=8, seed=31).stack
     for loss in ("mse", "wiener"):
         model = DenseAutoencoder.initialize((64, 16, 8, 16, 64), seed=13)
         cfg = TrainConfig(loss=loss, whitening=WindowSpec("laplace", 2.0, 0.3), lam=1.0)
@@ -214,8 +214,8 @@ def test_criterion_5_diffusion_behavior():
 
 def test_criterion_6_training_demonstration():
     t0 = time.perf_counter()
-    data = make_digit_set(500, size=8, seed=3).signals
-    val = make_digit_set(100, size=8, seed=55).signals
+    data = make_digit_set(500, size=8, seed=3).stack
+    val = make_digit_set(100, size=8, seed=55).stack
 
     def run(loss):
         model = DenseAutoencoder.initialize((64, 32, 16, 32, 64), "mish", seed=5)
@@ -230,7 +230,7 @@ def test_criterion_6_training_demonstration():
         )
         log = train(model, data, cfg)
         recon = forward(model, val)
-        val_mse = float(np.mean([np.mean((r.data - v.data) ** 2) for r, v in zip(recon, val)]))
+        val_mse = float(np.mean([np.mean((r - v) ** 2) for r, v in zip(recon, val)]))
         return log, val_mse
 
     log_mse, mse_of_mse = run("mse")
@@ -266,7 +266,7 @@ def test_criterion_8_reproducibility(tmp_path):
     digit = tmp_path / "digit.pgm"
     from wienerlab.dataio import write_pgm
 
-    write_pgm(digit, make_digit_set(1, size=16, seed=4).signals[0])
+    write_pgm(digit, Signal.from_planes(make_digit_set(1, size=16, seed=4).stack[0]))
     cfgf = tmp_path / "c.ini"
     cfgf.write_text(
         "[diffusion]\nT = 25\nn_samples = 4\nsnapshot_stride = 5\n"

@@ -21,7 +21,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 @pytest.fixture
 def digit_image(tmp_path):
     p = tmp_path / "digit.pgm"
-    write_pgm(p, make_digit_set(1, size=16, seed=4).signals[0])
+    write_pgm(p, Signal.from_planes(make_digit_set(1, size=16, seed=4).stack[0]))
     return p
 
 
@@ -218,11 +218,13 @@ class TestTrainCommand:
 
 class TestErrorHandling:
     def test_unknown_config_key_exits_2_without_artifacts(self, tmp_path):
-        cfgf = tmp_path / "c.ini"
-        cfgf.write_text("[wiener]\nwavelength = 5\n")
-        out = tmp_path / "never"
-        assert main(["diffuse", "--config", str(cfgf), "--out", str(out)]) == 2
-        assert not out.exists()
+        # `direction` was a key once; it accepted one value and is gone
+        for key in ("wavelength = 5", "direction = match_source_to_target"):
+            cfgf = tmp_path / "c.ini"
+            cfgf.write_text(f"[wiener]\n{key}\n")
+            out = tmp_path / "never"
+            assert main(["diffuse", "--config", str(cfgf), "--out", str(out)]) == 2
+            assert not out.exists()
 
     def test_missing_image_exits_3(self, tmp_path):
         assert main(["filter", str(tmp_path / "no.pgm"), str(tmp_path / "no.pgm")]) == 3

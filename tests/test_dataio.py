@@ -65,7 +65,7 @@ class TestIdx:
         ls = ingest_idx(tmp_path / "t-images-idx3-ubyte")
         assert len(ls) == 5
         assert ls.labels == [0, 1, 2, 3, 4]
-        assert ls.signals[0].shape == (6, 6)
+        assert ls.stack.shape == (5, 1, 6, 6)
 
     def test_count_mismatch(self, tmp_path):
         imgs = np.zeros((3, 2, 2), dtype=np.uint8)
@@ -96,6 +96,32 @@ class TestIdx:
         assert ls.stack.shape == (4, 1, 3, 5)
         np.testing.assert_array_equal(ls.stack[:, 0], imgs / 255.0)
         assert ls.labels == [9, 0, 9, 3]
+
+    @pytest.mark.parametrize("limit", [0, 1, 4, 7, 9, 20])
+    def test_limited_read_equals_full_read_then_slice(self, tmp_path, limit):
+        imgs = np.random.default_rng(3).integers(0, 256, size=(9, 4, 6)).astype(np.uint8)
+        labels = [3, 1, 4, 1, 5, 9, 2, 6, 5]
+        path = tmp_path / "l-images-idx3-ubyte"
+        path.write_bytes(idx_image_bytes(imgs))
+        (tmp_path / "l-labels-idx1-ubyte").write_bytes(idx_label_bytes(labels))
+        part = read_idx_images(path, limit)
+        assert part.dtype == np.float64
+        assert part.tobytes() == read_idx_images(path)[:limit].tobytes()
+        if limit:
+            ls = ingest_idx(path, limit=limit)
+            assert ls.stack.tobytes() == ingest_idx(path).stack[:limit].tobytes()
+            assert ls.labels == labels[:limit]
+
+    def test_limited_ingest_still_checks_the_whole_pair(self, tmp_path):
+        imgs = np.zeros((3, 2, 2), dtype=np.uint8)
+        path = tmp_path / "a-images-idx3-ubyte"
+        path.write_bytes(idx_image_bytes(imgs))
+        (tmp_path / "a-labels-idx1-ubyte").write_bytes(idx_label_bytes([1, 2]))
+        with pytest.raises(FormatError, match="count mismatch"):
+            ingest_idx(path, limit=1)
+        (tmp_path / "a-labels-idx1-ubyte").write_bytes(idx_label_bytes([1, 2, 12]))
+        with pytest.raises(FormatError, match="label 12 of sample 2"):
+            ingest_idx(path, limit=1)
 
     def test_label_magic_checked(self, tmp_path):
         p = tmp_path / "labels"

@@ -28,6 +28,30 @@ def toy_model(gamma=0.5, lam=0.5, pen_b=0.5, n=8, dim=8, seed=7):
     return EnergyModel(samples, pen, gamma, WienerConfig(lam=lam)), ids
 
 
+def reference_two_cluster_latents(n, dim, separation, spread, seed):
+    """The per-sample loop that two_cluster_latents replaced: one vector at a time."""
+    pattern_rng = np.random.default_rng(90210)
+    center_a = separation * pattern_rng.uniform(-1.3, 1.3, size=dim)
+    center_b = separation * pattern_rng.uniform(-1.3, 1.3, size=dim)
+    rng = np.random.default_rng(seed)
+    samples, ids = [], []
+    for i in range(n):
+        center = center_a if i % 2 == 0 else center_b
+        samples.append(center + rng.normal(0.0, spread, size=dim))
+        ids.append(i % 2)
+    return np.stack(samples)[:, np.newaxis], ids
+
+
+class TestTwoClusterLatents:
+    @pytest.mark.parametrize("n, dim, seed", [(8, 8, 7), (9, 31, 3), (512, 31, 7)])
+    def test_bytes_match_per_sample_loop(self, n, dim, seed):
+        stack, ids = two_cluster_latents(n, dim=dim, separation=2.0, spread=0.15, seed=seed)
+        expected, expected_ids = reference_two_cluster_latents(n, dim, 2.0, 0.15, seed)
+        assert stack.shape == expected.shape == (n, 1, dim)
+        assert stack.tobytes() == expected.tobytes()
+        assert ids.tolist() == expected_ids
+
+
 class TestCosineSchedule:
     def test_fullscale_preset_endpoints_decreasing(self):
         s = cosine_schedule(200, 500.0, 1.0)
@@ -73,7 +97,7 @@ class TestSchedule:
 class TestEnergy:
     def test_defining_sample_term_drops_out(self):
         model, _ = toy_model()
-        y0 = model.defining_samples[0]
+        y0 = Signal.from_planes(model.defining[0])
         from wienerlab.gradients import energy_breakdown
 
         bd = energy_breakdown(y0, model)
@@ -105,10 +129,10 @@ class TestEnergy:
 class TestLangevinStep:
     def test_fixed_point_with_zero_gradient_zero_noise(self):
         model, _ = toy_model()
-        y0 = model.defining_samples[0]
+        y0 = Signal.from_planes(model.defining[0])
         # at a defining sample with a zero-at-center penalty the term gradients
         # cancel exactly only for the single-sample model
-        single = EnergyModel([y0], model.penalty, model.gamma, model.wiener_cfg)
+        single = EnergyModel(model.defining[:1], model.penalty, model.gamma, model.wiener_cfg)
         out = langevin_step(y0, single, alpha_t=0.5, beta_t=0.0, rng=np.random.default_rng(0))
         np.testing.assert_allclose(out.data, y0.data, atol=1e-9)
 
@@ -131,7 +155,7 @@ class TestLangevinStep:
 
     def test_invalid_steps_rejected(self):
         model, _ = toy_model()
-        x = model.defining_samples[0]
+        x = Signal.from_planes(model.defining[0])
         with pytest.raises(ConfigError):
             langevin_step(x, model, 0.0, 0.0, np.random.default_rng(0))
         with pytest.raises(ConfigError):
@@ -149,9 +173,9 @@ class TestRunDiffusion:
         sched = Schedule(np.array([0.1]), np.array([0.0]))
         trajs = run_diffusion(model, sched, 1, 1.0, seed=5, snapshot_stride=1)
         assert len(trajs) == 1
-        x0 = trajs[0].samples[0]
+        x0 = Signal.from_planes(trajs[0].samples[0])
         manual = langevin_step(x0, model, 0.1, 0.0, np.random.default_rng(0))
-        np.testing.assert_allclose(trajs[0].final.data, manual.data, atol=1e-15)
+        np.testing.assert_allclose(trajs[0].final, manual.planes, atol=1e-15)
 
     @pytest.mark.parametrize("T,stride", [(10, 3), (10, 5), (7, 7), (1, 4), (20, 1)])
     def test_snapshot_count_invariant(self, T, stride):
@@ -174,7 +198,7 @@ class TestRunDiffusion:
         a = run_diffusion(model, sched, 3, 1.0, seed=42, snapshot_stride=4)
         b = run_diffusion(model, sched, 3, 1.0, seed=42, snapshot_stride=4)
         for ta, tb in zip(a, b):
-            np.testing.assert_array_equal(ta.final.data, tb.final.data)
+            np.testing.assert_array_equal(ta.final, tb.final)
             assert ta.energies == tb.energies
             assert ta.concentrations == tb.concentrations
 
@@ -186,7 +210,7 @@ class TestRunDiffusion:
         a = run_diffusion(model, sched, 2, 1.0, seed=7)
         b = run_diffusion(model, sched, 5, 1.0, seed=7)
         for ta, tb in zip(a, b[:2]):
-            np.testing.assert_array_equal(ta.final.data, tb.final.data)
+            np.testing.assert_array_equal(ta.final, tb.final)
 
     def test_invalid_args_rejected(self):
         model, _ = toy_model()
@@ -207,9 +231,7 @@ def replay_chain(model, sched, n_samples, init_variance, seed, chain, k):
     own stream: states by step, energies, concentrations, and the step at
     which it diverges (None if it does not)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(n_samples)[chain])
-    ref = model.defining_samples[0]
-    x0 = rng.normal(0.0, math.sqrt(init_variance), size=ref.data.size)
-    x = Signal(x0, ref.shape, ref.channels)
+    x = Signal.from_planes(rng.normal(0.0, math.sqrt(init_variance), size=model.defining.shape[1:]))
     states, energies, concentrations = {0: x}, [], []
     for t in range(sched.steps + 1):
         try:
@@ -245,7 +267,7 @@ class TestLockstep:
             assert diverged is None
             assert traj.snapshot_steps == [0, 5, 10, 12]
             for step, snap in zip(traj.snapshot_steps, traj.samples):
-                np.testing.assert_allclose(snap.data, states[step].data, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(snap, states[step].planes, rtol=0, atol=1e-12)
             np.testing.assert_allclose(traj.energies, energies, rtol=0, atol=1e-12)
             np.testing.assert_allclose(traj.concentrations, concentrations, rtol=0, atol=1e-12)
 
@@ -285,27 +307,23 @@ class TestEnergyModelValidation:
     def test_mixed_shapes_rejected(self):
         pen = make_window(WindowSpec("inverted_laplace", b=1.0), LagGrid((16,)))
         with pytest.raises(ShapeError):
-            EnergyModel(
-                [Signal(np.zeros(8) + 1, (8,)), Signal(np.zeros(6) + 1, (6,))],
-                pen, 1.0, WienerConfig(),
-            )
+            EnergyModel([np.ones((1, 8)), np.ones((1, 6))], pen, 1.0, WienerConfig())
 
     def test_wrong_penalty_extents_rejected(self):
         pen = make_window(WindowSpec("inverted_laplace", b=1.0), LagGrid((8,)))
         with pytest.raises(ShapeError):
-            EnergyModel([Signal(np.ones(8), (8,))], pen, 1.0, WienerConfig())
+            EnergyModel(np.ones((1, 1, 8)), pen, 1.0, WienerConfig())
 
     def test_negative_gamma_rejected(self):
         pen = make_window(WindowSpec("inverted_laplace", b=1.0), LagGrid((16,)))
         with pytest.raises(ConfigError):
-            EnergyModel([Signal(np.ones(8), (8,))], pen, -0.1, WienerConfig())
+            EnergyModel(np.ones((1, 1, 8)), pen, -0.1, WienerConfig())
         for bad in (np.nan, np.inf):
             with pytest.raises(ConfigError):
-                EnergyModel([Signal(np.ones(8), (8,))], pen, bad, WienerConfig())
+                EnergyModel(np.ones((1, 1, 8)), pen, bad, WienerConfig())
 
     def test_nearest_defining_sample(self):
         model, _ = toy_model()
-        y2 = model.defining_samples[2]
-        idx, dist = nearest_defining_sample(y2, model)
+        idx, dist = nearest_defining_sample(model.defining[2], model)
         assert idx == 2
         assert dist == 0.0

@@ -23,7 +23,7 @@ def whitening_for(shape, spec=("laplace", 2.0, 0.1)):
 
 def toy_model(n_samples=3, dim=16, lam=0.1, gamma=1.0, pen_b=3.0, seed=7):
     rng = np.random.default_rng(seed)
-    ys = [Signal(rng.random(dim), (dim,)) for _ in range(n_samples)]
+    ys = np.stack([rng.random((1, dim)) for _ in range(n_samples)])
     pen = make_window(WindowSpec("inverted_laplace", b=pen_b), LagGrid((2 * dim,)))
     return EnergyModel(ys, pen, gamma, WienerConfig(lam=lam))
 
@@ -100,7 +100,7 @@ class TestGradEnergy:
         rng = np.random.default_rng(10)
         y = Signal(rng.random(16), (16,))
         pen = make_window(WindowSpec("inverted_laplace", b=3.0), LagGrid((32,)))
-        model = EnergyModel([y], pen, 2.0, WienerConfig(lam=0.5))
+        model = EnergyModel(y.planes[None], pen, 2.0, WienerConfig(lam=0.5))
         res = grad_energy(y, model)
         assert np.abs(res.grad.data).max() < 1e-8
         assert res.value == pytest.approx(0.0, abs=1e-20)
@@ -128,7 +128,7 @@ class TestGradEnergy:
     def test_empty_defining_set_rejected(self):
         pen = make_window(WindowSpec("inverted_laplace", b=1.0), LagGrid((8,)))
         with pytest.raises(ConfigError):
-            EnergyModel([], pen, 1.0, WienerConfig())
+            EnergyModel(np.empty((0, 1, 4)), pen, 1.0, WienerConfig())
 
     def test_breakdown_terms_sum_to_value(self):
         model = toy_model(n_samples=4)

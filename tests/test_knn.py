@@ -20,43 +20,48 @@ def sig(arr):
     return Signal.from_array(np.asarray(arr, dtype=float))
 
 
+def labeled(images, labels):
+    """A single-channel set from a list of equally shaped images."""
+    return LabeledSet(np.asarray(images, dtype=float)[:, np.newaxis], labels)
+
+
+def queries(ls):
+    """One Signal per sample of a set, for the single-query functions."""
+    return [Signal.from_planes(planes) for planes in ls.stack]
+
+
 class TestLabeledSet:
     def test_length_mismatch(self):
         with pytest.raises(ConfigError):
-            LabeledSet([sig(np.ones((2, 2)))], [0, 1])
+            labeled([np.ones((2, 2))], [0, 1])
 
     def test_label_range(self):
         with pytest.raises(ConfigError):
-            LabeledSet([sig(np.ones((2, 2)))], [10])
+            labeled([np.ones((2, 2))], [10])
 
     def test_mixed_shapes(self):
         with pytest.raises(ShapeError):
-            LabeledSet([sig(np.ones((2, 2))), sig(np.ones((3, 3)))], [0, 1])
+            LabeledSet([np.ones((1, 2, 2)), np.ones((1, 3, 3))], [0, 1])
 
-    def test_stack_and_signal_list_build_the_same_set(self):
+    def test_stack_builds_the_set(self):
         planes = np.random.default_rng(3).random((4, 2, 3, 5))
-        from_stack = LabeledSet(planes, np.array([3, 1, 4, 1]))
-        from_list = LabeledSet([Signal.from_planes(p) for p in planes], [3, 1, 4, 1])
-        for ls in (from_stack, from_list):
+        for samples in (planes, list(planes)):  # an array or a sequence of sample planes
+            ls = LabeledSet(samples, np.array([3, 1, 4, 1]))
             assert len(ls) == 4 and ls.shape == (3, 5)
             assert ls.stack.dtype == np.float64 and ls.stack.tobytes() == planes.tobytes()
             assert ls.labels == [3, 1, 4, 1]
             np.testing.assert_array_equal(ls.label_ids, [3, 1, 4, 1])
 
-    def test_stack_and_signals_are_read_only_views(self):
+    def test_stack_and_labels_are_read_only_views(self):
         planes = np.random.default_rng(4).random((3, 1, 4, 4))
         ls = LabeledSet(planes, [0, 1, 2])
         assert planes.flags.writeable  # the caller's array is left as it was
+        assert np.shares_memory(ls.stack, planes)  # no copy of a float64 stack
         assert not ls.stack.flags.writeable and not ls.label_ids.flags.writeable
         with pytest.raises(ValueError):
             ls.stack[0, 0, 0, 0] = 1.0
-        signals = ls.signals
-        assert ls.signals is signals and len(signals) == 3
-        for s, p in zip(signals, ls.stack):
-            assert np.shares_memory(s.data, ls.stack) and s.shape == (4, 4) and s.channels == 1
-            np.testing.assert_array_equal(s.planes, p)
-            with pytest.raises(ValueError):
-                s.data[0] = 1.0
+        with pytest.raises(ValueError):
+            ls.label_ids[0] = 1
 
     @pytest.mark.parametrize(
         "stack, labels, error",
@@ -99,11 +104,11 @@ class TestDistances:
         rng = np.random.default_rng(0)
         spec = DistanceSpec("wiener_ti", WienerConfig(lam=1.0))
         query = sig(rng.random((8, 8)))
-        train = LabeledSet([sig(rng.random((8, 8))) for _ in range(5)], [0, 1, 2, 3, 4])
+        train = labeled([rng.random((8, 8)) for _ in range(5)], [0, 1, 2, 3, 4])
         from wienerlab.knn import _distances_to_set, _set_kernel
 
         batch = _distances_to_set(query, train, spec)
-        singles = [distance(query, t, spec) for t in train.signals]
+        singles = [distance(query, t, spec) for t in queries(train)]
         np.testing.assert_allclose(batch, singles, atol=1e-12)
         # the set's kernel is built once and reused by every later query
         kernel = _set_kernel(train, 1.0)
@@ -115,10 +120,10 @@ class TestDistances:
         spec = DistanceSpec("wiener_ti", WienerConfig(lam=0.5))
         query = Signal.from_planes(rng.random((2, 6, 6)))
         planes = rng.random((4, 2, 6, 6))
-        train = LabeledSet([Signal.from_planes(p) for p in planes], [0, 1, 2, 3])
+        train = LabeledSet(planes, [0, 1, 2, 3])
         from wienerlab.knn import _distances_to_set
 
-        singles = [distance(query, t, spec) for t in train.signals]
+        singles = [distance(query, t, spec) for t in queries(train)]
         np.testing.assert_allclose(_distances_to_set(query, train, spec), singles, atol=1e-12)
 
     @pytest.mark.parametrize("channels", [1, 2])
@@ -127,25 +132,23 @@ class TestDistances:
 
         rng = np.random.default_rng(2)
         query = Signal.from_planes(rng.random((channels, 5, 7)))
-        train = LabeledSet(
-            [Signal.from_planes(p) for p in rng.random((23, channels, 5, 7))], [0] * 23
-        )
+        train = LabeledSet(rng.random((23, channels, 5, 7)), [0] * 23)
         man = DistanceSpec("manhattan")
-        pairs = [distance(query, t, man) for t in train.signals]
+        pairs = [distance(query, t, man) for t in queries(train)]
         np.testing.assert_array_equal(_distances_to_set(query, train, man), pairs)
         euc = DistanceSpec("euclidean")
-        pairs = [distance(query, t, euc) for t in train.signals]
+        pairs = [distance(query, t, euc) for t in queries(train)]
         np.testing.assert_allclose(_distances_to_set(query, train, euc), pairs, rtol=1e-12)
 
     def test_query_shape_mismatch(self):
-        train = LabeledSet([sig(np.ones((4, 4)))], [0])
+        train = labeled([np.ones((4, 4))], [0])
         with pytest.raises(ShapeError):
             knn_classify(train, sig(np.ones((5, 5))), 1, DistanceSpec("wiener_ti"))
 
 
 class TestKnnClassify:
     def test_single_sample_forces_its_label(self):
-        train = LabeledSet([sig(np.ones((3, 3)))], [7])
+        train = labeled([np.ones((3, 3))], [7])
         rng = np.random.default_rng(1)
         assert knn_classify(train, sig(rng.random((3, 3))), 1, DistanceSpec("manhattan")) == 7
 
@@ -153,30 +156,24 @@ class TestKnnClassify:
     def test_query_equal_to_training_sample(self, kind):
         base = make_digit_set(20, size=8, seed=2)
         spec = DistanceSpec(kind, WienerConfig(lam=1.0))
-        pred = knn_classify(base, base.signals[4], 1, spec)
+        pred = knn_classify(base, Signal.from_planes(base.stack[4]), 1, spec)
         assert pred == base.labels[4]
 
     def test_majority_vote(self):
-        train = LabeledSet(
-            [sig([0.0, 0.0]), sig([0.1, 0.0]), sig([5.0, 5.0])],
-            [1, 1, 2],
-        )
+        train = labeled([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0]], [1, 1, 2])
         assert knn_classify(train, sig([0.0, 0.05]), 3, DistanceSpec("manhattan")) == 1
 
     def test_tie_broken_by_summed_distance(self):
-        train = LabeledSet(
-            [sig([0.0, 0.0]), sig([1.0, 1.0]), sig([0.3, 0.0]), sig([0.8, 1.0])],
-            [3, 3, 5, 5],
-        )
+        train = labeled([[0.0, 0.0], [1.0, 1.0], [0.3, 0.0], [0.8, 1.0]], [3, 3, 5, 5])
         # k=4: two votes each; class 5 has the smaller summed distance to the query
         assert knn_classify(train, sig([0.4, 0.2]), 4, DistanceSpec("manhattan")) == 5
 
     def test_exact_tie_falls_back_to_lowest_class(self):
-        train = LabeledSet([sig([1.0, 0.0]), sig([0.0, 1.0])], [6, 4])
+        train = labeled([[1.0, 0.0], [0.0, 1.0]], [6, 4])
         assert knn_classify(train, sig([0.5, 0.5]), 2, DistanceSpec("manhattan")) == 4
 
     def test_k_bounds(self):
-        train = LabeledSet([sig([0.0])], [0])
+        train = labeled([[0.0]], [0])
         with pytest.raises(ConfigError):
             knn_classify(train, sig([0.0]), 2, DistanceSpec("manhattan"))
         with pytest.raises(ConfigError):
@@ -187,38 +184,35 @@ class TestMakeTranslatedSet:
     def test_zero_shift_is_padded_copy(self):
         base = make_digit_set(5, size=8, seed=3)
         out = make_translated_set(base, 0, 4, seed=0)
-        assert out.signals[0].shape == (16, 16)
-        np.testing.assert_array_equal(out.signals[2].plane()[4:12, 4:12], base.signals[2].plane())
+        assert out.shape == (16, 16)
+        np.testing.assert_array_equal(out.stack[2, 0, 4:12, 4:12], base.stack[2, 0])
 
     def test_deterministic_under_seed(self):
         base = make_digit_set(10, size=8, seed=4)
         a = make_translated_set(base, 3, 4, seed=12)
         b = make_translated_set(base, 3, 4, seed=12)
-        for sa, sb in zip(a.signals, b.signals):
-            np.testing.assert_array_equal(sa.data, sb.data)
+        np.testing.assert_array_equal(a.stack, b.stack)
 
     def test_mass_preserved(self):
         # pad+roll is a pure rearrangement: the nonzero pixel multiset is
         # untouched, so mass is preserved exactly (up to summation order)
         base = make_digit_set(10, size=8, seed=5)
         out = make_translated_set(base, 4, 4, seed=13)
-        for s_in, s_out in zip(base.signals, out.signals):
-            np.testing.assert_array_equal(
-                np.sort(s_out.data[s_out.data != 0]), np.sort(s_in.data[s_in.data != 0])
-            )
-            assert s_out.data.sum() == pytest.approx(s_in.data.sum(), abs=1e-12)
+        for s_in, s_out in zip(base.stack, out.stack):
+            np.testing.assert_array_equal(np.sort(s_out[s_out != 0]), np.sort(s_in[s_in != 0]))
+            assert s_out.sum() == pytest.approx(s_in.sum(), abs=1e-12)
 
     @pytest.mark.parametrize("max_shift, pad", [(0, 6), (6, 6), (3, 6), (2, 2)])
     def test_bytes_match_pad_and_roll(self, max_shift, pad):
         base = make_digit_set(40, size=8, seed=18)
         out = make_translated_set(base, max_shift, pad, seed=19)
         rng = np.random.default_rng(19)
-        for s_in, s_out in zip(base.signals, out.signals):
-            planes = np.pad(s_in.planes, ((0, 0), (pad, pad), (pad, pad)))
+        for s_in, s_out in zip(base.stack, out.stack):
+            planes = np.pad(s_in, ((0, 0), (pad, pad), (pad, pad)))
             dr, dc = rng.integers(-max_shift, max_shift + 1, size=2)
             planes = np.roll(planes, (int(dr), int(dc)), axis=(1, 2))
-            assert s_out.shape == planes.shape[1:] and s_out.channels == 1
-            assert s_out.data.tobytes() == planes.tobytes()
+            assert s_out.shape == planes.shape and s_out.shape[0] == 1
+            assert s_out.tobytes() == planes.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 5])
     @pytest.mark.parametrize("size", [8, 16])
@@ -261,7 +255,7 @@ class TestTranslationInvariantRanking:
         rng = np.random.default_rng(9)
         from wienerlab.knn import _distances_to_set
 
-        for q in qpad.signals:
+        for q in queries(qpad):
             d0 = _distances_to_set(q, train, spec)
             k = tuple(int(v) for v in rng.integers(-6, 7, size=2))
             shifted = Signal.from_array(np.roll(q.plane(), k, axis=(0, 1)))
@@ -287,11 +281,11 @@ class TestAllQueriesDistanceMatrix:
             monkeypatch.setattr(wiener, "TI_CHUNK_ELEMENTS", budget)
         rng = np.random.default_rng(60)
         train = LabeledSet(rng.random((13, 2, 5, 6)), np.arange(13) % 10)
-        queries = rng.random((5, 2, 5, 6))
+        qs = rng.random((5, 2, 5, 6))
         cfg = WienerConfig(lam=0.5)
-        matrix = _distance_matrix(train, queries, DistanceSpec("wiener_ti", cfg))
+        matrix = _distance_matrix(train, qs, DistanceSpec("wiener_ti", cfg))
         pairs = [
-            [ti_distance(Signal.from_planes(q), t, cfg) for t in train.signals] for q in queries
+            [ti_distance(Signal.from_planes(q), t, cfg) for t in queries(train)] for q in qs
         ]
         assert matrix.shape == (5, 13)
         np.testing.assert_array_equal(matrix, pairs)
@@ -302,7 +296,7 @@ class TestAllQueriesDistanceMatrix:
         test = make_translated_set(make_digit_set(11, size=8, seed=62), 2, 2, seed=2)
         spec = DistanceSpec(kind, WienerConfig(lam=1.0))
         res = evaluate_accuracy(train, test, 3, spec)
-        expected = [knn_classify(train, q, 3, spec) for q in test.signals]
+        expected = [knn_classify(train, q, 3, spec) for q in queries(test)]
         assert res.predictions == expected
         confusion = np.zeros((10, 10), dtype=int)
         for lab, pred in zip(test.labels, expected):
@@ -331,8 +325,8 @@ class TestEvaluateAccuracy:
 
     def test_single_class_training_set(self):
         ones = make_digit_set(30, size=8, seed=11)
-        ones_signals = [s for s, l in zip(ones.signals, ones.labels) if l == 1]
-        train = LabeledSet(ones_signals, [1] * len(ones_signals))
+        ones_planes = ones.stack[ones.label_ids == 1]
+        train = LabeledSet(ones_planes, [1] * len(ones_planes))
         test = make_digit_set(40, size=8, seed=12)
         res = evaluate_accuracy(train, test, 1, DistanceSpec("manhattan"))
         freq = sum(1 for l in test.labels if l == 1) / len(test)
@@ -379,8 +373,7 @@ class TestDigitGlyphs:
 
     def test_digit_set_values_in_unit_interval(self):
         s = make_digit_set(30, size=8, seed=17)
-        for x in s.signals:
-            assert x.data.min() >= 0.0 and x.data.max() <= 1.0
+        assert s.stack.min() >= 0.0 and s.stack.max() <= 1.0
         assert s.labels[:10] == list(range(10))
 
 
@@ -434,6 +427,6 @@ class TestTranslatedQueryConsistency:
         shifted = make_translated_set(qbase, 5, 6, seed=4)  # 5 px <= 25% of 20
         agree = sum(
             int(knn_classify(train, a, 10, spec) == knn_classify(train, b, 10, spec))
-            for a, b in zip(plain.signals, shifted.signals)
+            for a, b in zip(queries(plain), queries(shifted))
         )
         assert agree >= 190

@@ -6,15 +6,19 @@ import hypothesis
 from hypothesis import strategies as st
 
 from wienerlab.errors import ConfigError, NumericalError, ShapeError
+from wienerlab.diffusion import EnergyModel
+from wienerlab.knn import LabeledSet
 from wienerlab.spectral import (
     LagFilter,
     LagGrid,
     Signal,
     WindowSpec,
+    as_stack,
     make_window,
     pad_to_full_lag,
 )
-from wienerlab.wiener import QuotientKernel
+from wienerlab.trainer import DenseAutoencoder, TrainConfig, train
+from wienerlab.wiener import QuotientKernel, WienerConfig
 
 
 class TestSignal:
@@ -40,6 +44,36 @@ class TestSignal:
         s = Signal.from_array(arr)
         assert s.shape == (4, 5) and s.channels == 1
         np.testing.assert_array_equal(s.plane(), arr)
+
+
+# the malformed stacks of test_knn's LabeledSet test, with the class it raises
+MALFORMED_STACKS = [
+    (np.ones((0, 1, 3, 3)), ConfigError),  # zero samples
+    (np.full((2, 1, 3), np.nan), ConfigError),  # non-finite
+    (np.full((2, 1, 3), np.inf), ConfigError),
+    (np.ones((2, 3)), ShapeError),  # no channel axis
+    (np.ones((2, 1, 2, 2, 2)), ShapeError),  # rank-3 extents
+    (np.ones((2, 1, 0)), ShapeError),  # empty extent
+    ([np.ones((1, 3)), np.ones((1, 4))], ShapeError),  # ragged samples
+    ([], ConfigError),  # an empty sequence
+]
+
+
+class TestAsStack:
+    @pytest.mark.parametrize("stack, error", MALFORMED_STACKS)
+    def test_every_set_consumer_raises_the_labeled_set_error(self, stack, error):
+        labels = [0] * len(stack)
+        pen = make_window(WindowSpec("inverted_laplace", 1.0), LagGrid((6,)))
+        model = DenseAutoencoder.initialize((3, 2, 3), seed=0)
+        consumers = [
+            lambda: as_stack(stack),
+            lambda: LabeledSet(stack, labels),
+            lambda: EnergyModel(stack, pen, 1.0, WienerConfig()),
+            lambda: train(model, stack, TrainConfig(epochs=1)),
+        ]
+        for consume in consumers:
+            with pytest.raises(error):
+                consume()
 
 
 class TestPadding:

@@ -22,7 +22,7 @@ from wienerlab.wiener import QuotientKernel, WienerConfig
 
 
 def digits(n, seed=3):
-    return make_digit_set(n, size=8, seed=seed).signals
+    return make_digit_set(n, size=8, seed=seed).stack
 
 
 class TestForward:
@@ -30,34 +30,31 @@ class TestForward:
         model = DenseAutoencoder.initialize((4, 3, 4), seed=0)
         for w in model.weights:
             w[...] = 0.0
-        out = forward(model, [Signal(np.array([1.0, -2.0, 3.0, 0.5]), (4,))])
-        np.testing.assert_array_equal(out[0].data, np.zeros(4))
+        out = forward(model, np.array([[[1.0, -2.0, 3.0, 0.5]]]))
+        np.testing.assert_array_equal(out, np.zeros((1, 1, 4)))
 
     def test_identity_single_linear_layer(self):
         model = DenseAutoencoder.initialize((5, 5), seed=0)
         model.weights[0][...] = np.eye(5)
         model.biases[0][...] = 0.0
-        x = Signal(np.linspace(-1, 1, 5), (5,))
-        out = forward(model, [x])
-        np.testing.assert_allclose(out[0].data, x.data, atol=1e-15)
+        x = np.linspace(-1, 1, 5).reshape(1, 1, 5)
+        out = forward(model, x)
+        np.testing.assert_allclose(out, x, atol=1e-15)
 
     def test_deterministic(self):
         model = DenseAutoencoder.initialize((64, 16, 64), seed=1)
         batch = digits(4)
-        a = forward(model, batch)
-        b = forward(model, batch)
-        for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.data, sb.data)
+        np.testing.assert_array_equal(forward(model, batch), forward(model, batch))
 
     def test_width_mismatch(self):
         model = DenseAutoencoder.initialize((10, 4, 10), seed=2)
         with pytest.raises(ShapeError):
-            forward(model, [Signal(np.zeros(8), (8,))])
+            forward(model, np.zeros((1, 1, 8)))
 
     def test_shapes_preserved(self):
         model = DenseAutoencoder.initialize((64, 8, 64), seed=3)
         out = forward(model, digits(2))
-        assert out[0].shape == (8, 8)
+        assert out.shape == (2, 1, 8, 8)
 
 
 class TestInitialization:
@@ -119,12 +116,12 @@ class TestFlatParameters:
         monkeypatch.setattr(trainer, "_ACTIVATIONS", spied)
         model = DenseAutoencoder.initialize((64, 16, 8, 16, 64), seed=1)
         data = digits(8)
-        X = np.stack([s.data for s in data])
+        X = data.reshape(len(data), -1)
         forward(model, data)
-        _mean_concentration(model, X, data[0], TrainConfig(loss="wiener", batch_size=4))
+        _mean_concentration(model, X, data.shape[1:], TrainConfig(loss="wiener", batch_size=4))
         assert seen == [False] * 3 * 2  # three hidden layers, two passes
         seen.clear()
-        _batch_loss_and_grad(model, X, data[0], TrainConfig(loss="mse"))
+        _batch_loss_and_grad(model, X, data.shape[1:], TrainConfig(loss="mse"))
         assert seen == [True] * 3
 
 
@@ -149,10 +146,10 @@ _REFERENCE_ACTIVATIONS = {
 def _reference_train(weights, biases, activation, data, cfg):
     """Adam on per-layer arrays, derivatives recomputed from z in the backward pass."""
     act, act_prime = _REFERENCE_ACTIVATIONS[activation]
-    X_all = np.stack([s.data for s in data])
-    ref = data[0]
-    planes_of = lambda B: (B, ref.channels) + ref.shape
-    w_raw = make_window(cfg.whitening, LagGrid(tuple(2 * n for n in ref.shape))).raw
+    X_all = data.reshape(len(data), -1)
+    extents = data.shape[2:]
+    planes_of = lambda B: (B,) + data.shape[1:]
+    w_raw = make_window(cfg.whitening, LagGrid(tuple(2 * n for n in extents))).raw
     params = weights + biases
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
@@ -170,7 +167,7 @@ def _reference_train(weights, biases, activation, data, cfg):
             if cfg.loss == "mse":
                 d_out = (A[-1] - X) / B
             else:
-                kernel = QuotientKernel(X.reshape(planes_of(B)), ref.shape, cfg.lam)
+                kernel = QuotientKernel(X.reshape(planes_of(B)), extents, cfg.lam)
                 _, g = loss_and_grad(kernel, A[-1].reshape(planes_of(B)), w_raw)
                 d_out = g.reshape(B, -1) / B
             dW, db = [None] * len(weights), [None] * len(weights)
@@ -280,7 +277,7 @@ class TestTrain:
     def test_empty_data_rejected(self):
         model = DenseAutoencoder.initialize((4, 4), seed=7)
         with pytest.raises(ConfigError):
-            train(model, [], TrainConfig())
+            train(model, np.empty((0, 1, 4)), TrainConfig())
 
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -294,11 +291,13 @@ class TestBatchedFilterLoss:
         data = digits(32, seed=9)
         model = DenseAutoencoder.initialize((64, 16, 64), seed=9)
         cfg = TrainConfig(loss="wiener", whitening=WindowSpec("laplace", 2.0, 0.3), lam=0.7)
-        X = np.stack([s.data for s in data])
-        loss, d_out, A, _ = _batch_loss_and_grad(model, X, data[0], cfg)
+        X = data.reshape(len(data), -1)
+        loss, d_out, A, _ = _batch_loss_and_grad(model, X, data.shape[1:], cfg)
         W = make_window(cfg.whitening, LagGrid((16, 16)))
         refs = [
-            grad_wiener_loss(Signal(A[-1][i], (8, 8)), data[i], W, WienerConfig(lam=cfg.lam))
+            grad_wiener_loss(
+                Signal(A[-1][i], (8, 8)), Signal.from_planes(data[i]), W, WienerConfig(lam=cfg.lam)
+            )
             for i in range(len(data))
         ]
         assert loss == pytest.approx(np.mean([r.value for r in refs]), rel=1e-12)
@@ -319,14 +318,14 @@ class TestGradCheckModel:
         # float roundoff
         rng = np.random.default_rng(10)
         model = DenseAutoencoder.initialize((16, 16), seed=10)
-        batch = [Signal(0.5 + 0.5 * rng.random(16), (16,)) for _ in range(3)]
+        batch = np.stack([0.5 + 0.5 * rng.random((1, 16)) for _ in range(3)])
         rep = grad_check_model(model, batch, TrainConfig(loss="mse"), h=1e-3)
         assert rep.max_rel_error < 1e-7
 
     def test_three_layer_wiener(self):
         rng = np.random.default_rng(11)
         model = DenseAutoencoder.initialize((16, 12, 8, 16), seed=11)
-        batch = [Signal(rng.random(16), (4, 4)) for _ in range(4)]
+        batch = np.stack([rng.random((1, 4, 4)) for _ in range(4)])
         cfg = TrainConfig(loss="wiener", whitening=WindowSpec("laplace", 2.0, 0.1), lam=1.0)
         rep = grad_check_model(model, batch, cfg, h=1e-5)
         assert rep.max_rel_error < 1e-4
@@ -335,7 +334,7 @@ class TestGradCheckModel:
         model = DenseAutoencoder.initialize((8, 4, 8), seed=12)
         for w in model.weights:
             w[...] = 0.0
-        batch = [Signal(np.zeros(8), (8,))]
+        batch = np.zeros((1, 1, 8))
         rep = grad_check_model(model, batch, TrainConfig(loss="mse"), h=1e-6)
         assert rep.max_rel_error < 1e-9  # both gradients identically ~0
 

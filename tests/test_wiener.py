@@ -14,13 +14,12 @@ from wienerlab.errors import (
     UndefinedQuotientError,
 )
 from wienerlab.spectral import LagFilter, LagGrid, Signal, WindowSpec, make_window
-from wienerlab import wiener
+from wienerlab import gradients, wiener
 from wienerlab.wiener import (
     QuotientKernel,
     WienerConfig,
     concentration,
     delta_filter,
-    rayleigh_quotient,
     ti_distance,
     wiener_filter,
     wiener_filter_direct,
@@ -90,8 +89,10 @@ class TestWienerFilter:
         calls = [
             lambda: wiener_loss(x, y, w, cfg),
             lambda: grad_wiener_loss(x, y, w, cfg),
-            lambda: EnergyModel([y], pen, 1.0, cfg),
-            lambda: knn_classify(LabeledSet([y], [0]), x, 1, DistanceSpec("wiener_ti", cfg)),
+            lambda: EnergyModel(y.planes[None], pen, 1.0, cfg),
+            lambda: knn_classify(
+                LabeledSet(y.planes[None], [0]), x, 1, DistanceSpec("wiener_ti", cfg)
+            ),
         ]
         for call in calls:
             with pytest.raises(SingularSystemError):
@@ -152,6 +153,13 @@ class TestDirectOracle:
             vf = wiener_filter(x, y, WienerConfig(lam=1.0))
             vd = wiener_filter_direct(x, y, WienerConfig(lam=1.0))
             assert np.abs(vf.data - vd.data).max() / np.abs(vd.data).max() < 1e-8
+
+
+def rayleigh_quotient(v: LagFilter, penalty: LagFilter) -> float:
+    """The dataset energy's penalty quotient ||penalty * v||^2 / ||v||^2 of a
+    centered filter, averaged over channels (gradients._penalty_quotient)."""
+    quot, _ = gradients._penalty_quotient(v.raw, penalty.raw, tuple(range(1, v.data.ndim)))
+    return float(np.mean(quot))
 
 
 class TestRayleighQuotient:
@@ -226,25 +234,6 @@ class TestWienerLoss:
             val = wiener_loss(a, b, w, WienerConfig(lam=1.0))
             assert val >= 0.0
             assert val > 1e-8  # random pairs never produce the identity filter
-
-    def test_batch_reduces_by_mean(self):
-        rng = np.random.default_rng(33)
-        preds = [Signal.from_array(rng.random((6, 6))) for _ in range(3)]
-        targs = [Signal.from_array(rng.random((6, 6))) for _ in range(3)]
-        w = self.whitening((6, 6))
-        cfg = WienerConfig(lam=1.0)
-        batch = wiener_loss(preds, targs, w, cfg)
-        singles = [wiener_loss(p, t, w, cfg) for p, t in zip(preds, targs)]
-        assert batch == pytest.approx(np.mean(singles), rel=1e-12)
-
-    def test_swap_direction_changes_filter_argument_order(self):
-        a = random_signal((8,), 34)
-        b = random_signal((8,), 35)
-        w = self.whitening((8,))
-        cfg = WienerConfig(lam=1.0)
-        assert wiener_loss(a, b, w, cfg, swap=True) == pytest.approx(
-            wiener_loss(b, a, w, cfg), rel=1e-12
-        )
 
 
 class TestTiDistance:
