@@ -140,7 +140,7 @@ def _cmd_loss(args, cfg: ExperimentConfig) -> int:
         "wiener_loss": wiener_loss(prediction, target, whitening, wcfg),
         "ti_distance": ti_distance(prediction, target, wcfg),
         "filter_concentration": concentration(v),
-        "metrics": compute_metrics(prediction, target).to_jsonable()["aggregate"],
+        "metrics": compute_metrics(prediction, target),
     }
     _write_json(run_dir / "loss.json", report)
     print(f"loss report written to {run_dir} (wiener_loss {report['wiener_loss']:.6g})")

@@ -8,9 +8,10 @@ dynamics (Song & Ermon 2019, arXiv:1907.05600): their states form one
 gradient pass through the defining set's quotient kernel. The defining set
 and each chain's snapshots are stacks too; a ``Signal`` appears only in the
 single-state functions (``energy``, ``langevin_step``). Per-chain RNG
-streams are derived from the master seed by chain index and drawn in the
-same order as a chain run alone, so chains are independent and the whole
-run is reproducible.
+streams are derived from the master seed by chain index. Each chain draws
+its step noise from its own stream in blocks of steps, in the same stream
+order as one draw per step of a chain run alone, so chains are independent
+and the whole run is reproducible.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ __all__ = [
     "nearest_defining_sample",
 ]
 
+NOISE_BLOCK_ELEMENTS = 1 << 12  # standard normals pre-drawn at once, over all chains
+
 
 @dataclass(frozen=True, eq=False)
 class EnergyModel:
@@ -44,8 +47,8 @@ class EnergyModel:
 
     ``defining`` is the set as one stack (n, C, *extents), kept as the
     read-only view that ``as_stack`` validates. The quotient kernel of this
-    fixed set is built at construction; the per-step energy and gradient
-    then cost one batched filter pass and one pullback.
+    fixed set and the squared raw penalty are built at construction; the
+    per-step energy and gradient then cost one filter pass and one pullback.
     """
 
     defining: np.ndarray
@@ -65,6 +68,7 @@ class EnergyModel:
             )
         object.__setattr__(self, "defining", defining)
         object.__setattr__(self, "kernel", QuotientKernel(defining, extents, self.wiener_cfg.lam))
+        object.__setattr__(self, "penalty_sq", self.penalty.raw**2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,26 +143,40 @@ def langevin_step(
     if not (0 <= beta_t < math.inf):
         raise ConfigError(f"beta_t must be finite and >= 0, got {beta_t}")
     bd = energy_breakdown(x, model)
-    X = _update(x.planes[None], bd.grad.planes[None], alpha_t, beta_t, [rng])
+    noise = rng.standard_normal((1, *x.planes.shape)) if beta_t > 0 else None
+    X = _update(x.planes[None], bd.grad.planes[None], alpha_t, beta_t, noise)
     if not np.all(np.isfinite(X)):
         raise NumericalError("non-finite state after the Langevin step")
     return Signal(X.ravel(), x.shape, x.channels)
 
 
 def _update(
-    X: np.ndarray,
-    grads: np.ndarray,
-    alpha_t: float,
-    beta_t: float,
-    streams: list[np.random.Generator],
+    X: np.ndarray, grads: np.ndarray, alpha_t: float, beta_t: float, noise: np.ndarray | None
 ) -> np.ndarray:
-    """X - (alpha_t/2) * grads, plus N(0, beta_t I) noise drawn from each chain's stream."""
+    """X - (alpha_t/2) * grads + sqrt(beta_t) * noise, `noise` being standard normals
+    or None; the same numbers as rng.normal(0, sqrt(beta_t)) = 0 + sqrt(beta_t) * z."""
     with np.errstate(over="ignore", invalid="ignore"):
         X = X - (alpha_t / 2.0) * grads
-        if beta_t > 0:
-            for x, rng in zip(X, streams):
-                x += rng.normal(0.0, math.sqrt(beta_t), size=x.shape)
+        if noise is not None:
+            X += math.sqrt(beta_t) * noise
     return X
+
+
+def _step_noise(streams: list[np.random.Generator], beta: np.ndarray, sample: tuple[int, ...]):
+    """Yield each step's standard normals (chains, *sample), or None where beta_t = 0.
+
+    Each chain fills its rows of a block of steps (at most NOISE_BLOCK_ELEMENTS
+    numbers, one step at least) from its own stream, in per-step draw order.
+    """
+    block = max(1, NOISE_BLOCK_ELEMENTS // (len(streams) * math.prod(sample)))
+    for start in range(0, beta.size, block):
+        noisy = beta[start : start + block] > 0
+        Z = np.empty((len(streams), int(noisy.sum()), *sample))
+        for rng, z in zip(streams, Z):
+            rng.standard_normal(out=z)
+        rows = iter(np.moveaxis(Z, 1, 0))
+        for is_noisy in noisy:
+            yield next(rows) if is_noisy else None
 
 
 def check_chain_args(n_samples: int, init_variance: float, snapshot_stride: int) -> None:
@@ -183,13 +201,13 @@ def run_diffusion(
     """Run independent Langevin chains in lockstep and log their trajectories.
 
     Chain c starts at x0 ~ N(0, init_variance I) and takes its step noise
-    from its own stream, SeedSequence(seed).spawn(n_samples)[c], so its path
-    does not depend on how many chains run beside it. The state of all
-    chains is one (chains, C, *extents) array, and each step is one batched
-    energy and gradient pass. Energies and the mean concentration of the k
-    energy-nearest matching filters are recorded at every step (entry 0
-    describes x0); snapshots are kept every `snapshot_stride` steps plus
-    the final state.
+    from its own stream, SeedSequence(seed).spawn(n_samples)[c], in blocks of
+    steps, so its path does not depend on how many chains run beside it. The
+    state of all chains is one (chains, C, *extents) array, and each step is
+    one batched energy and gradient pass. Energies and the mean concentration
+    of the k energy-nearest matching filters are recorded at every step
+    (entry 0 describes x0); snapshots are kept every `snapshot_stride` steps
+    plus the final state.
 
     A chain diverges at step t when its state x_t, its energy or its
     gradient there is not finite, or its energy exceeds DIVERGENCE_FACTOR
@@ -208,20 +226,20 @@ def run_diffusion(
     energies = np.empty((T + 1, n_samples))
     concentrations = np.empty((T + 1, n_samples))
     limit = np.full(n_samples, np.inf)
+    chains = np.arange(n_samples)[:, None]
+    noise = _step_noise(streams, schedule.beta, sample)
     for t in range(T + 1):
         values, grads, sample_energies, sample_concentrations = _lockstep_terms(
             model, X, t, limit
         )
         energies[t] = values
         nearest = np.argsort(sample_energies, axis=1, kind="stable")[:, :k]
-        concentrations[t] = np.mean(
-            np.take_along_axis(sample_concentrations, nearest, axis=1), axis=1
-        )
+        concentrations[t] = sample_concentrations[chains, nearest].sum(axis=1) / k  # their mean
         if t == 0:
             limit = DIVERGENCE_FACTOR * values
         if t == T:
             break
-        X = _update(X, grads, schedule.alpha[t], schedule.beta[t], streams)
+        X = _update(X, grads, schedule.alpha[t], schedule.beta[t], next(noise))
         if (t + 1) % snapshot_stride == 0 or (t + 1) == T:
             snapshots.append(X)
             snapshot_steps.append(t + 1)
@@ -246,7 +264,7 @@ def _lockstep_terms(model: EnergyModel, X: np.ndarray, step: int, limit: np.ndar
     except NumericalError:
         pass
     else:
-        if np.all(np.isfinite(terms[0]) & (terms[0] <= limit)):
+        if (np.isfinite(terms[0]) & (terms[0] <= limit)).all():
             return terms
     # a failure is rare: find the lowest failing chain by evaluating each alone
     for chain, x in enumerate(X):

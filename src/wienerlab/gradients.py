@@ -111,6 +111,8 @@ def energy_terms(
         )
     elements = model.defining.size * 2 ** (len(sample) - 1)  # filters of one signal
     chunk = max(1, ENERGY_CHUNK_ELEMENTS // elements)
+    if len(X) <= chunk:
+        return _energy_chunk(model, X)
     parts = [_energy_chunk(model, X[i : i + chunk]) for i in range(0, len(X), chunk)]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
@@ -123,10 +125,10 @@ def _penalty_quotient(v: np.ndarray, pen: np.ndarray, axes: tuple[int, ...]):
     filter's energy sits on the lag grid. A raw-layout filter needs a
     raw-layout penalty (any common lag layout gives the same value).
     """
-    norms = np.sum(v**2, axis=axes, keepdims=True)
-    if np.any(norms == 0.0):
+    norms = (v**2).sum(axis=axes, keepdims=True)
+    if (norms == 0.0).any():
         raise UndefinedQuotientError("all-zero matching filter in energy sum")
-    return np.sum((pen * v) ** 2, axis=axes, keepdims=True) / norms, norms
+    return ((pen * v) ** 2).sum(axis=axes, keepdims=True) / norms, norms
 
 
 def _energy_chunk(model: "EnergyModel", X: np.ndarray):
@@ -137,20 +139,22 @@ def _energy_chunk(model: "EnergyModel", X: np.ndarray):
     zero = (...,) + (0,) * len(axes)
     channels = X.shape[1]
 
+    # channel means are sum / channels, as in np.mean; the ndarray methods skip
+    # np.sum's dispatch, which costs as much as the sum on these small arrays
     v = kernel.filters(X[:, None])  # (batch, n, C, *padded), raw layout
     with np.errstate(over="ignore", invalid="ignore"):
         quot, norms = _penalty_quotient(v, pen, axes)
         v0 = v[zero]  # (batch, n, C)
-        energies = 0.5 * np.mean(quot, axis=(2,) + axes) + 0.5 * gamma * np.mean(
-            (v0 - 1.0) ** 2, axis=2
+        energies = 0.5 * (quot.sum(axis=(2,) + axes) / channels) + 0.5 * gamma * (
+            ((v0 - 1.0) ** 2).sum(axis=2) / channels
         )
-        concentrations = np.mean(v0**2 / norms[zero], axis=2)
+        concentrations = (v0**2 / norms[zero]).sum(axis=2) / channels
 
         # d(R/2)/dv = (pen^2 v - R v) / ||v||^2 ; amplitude term adds gamma (v0 - 1) at zero lag
-        g_v = (pen**2 * v - quot * v) / norms / channels
+        g_v = (model.penalty_sq * v - quot * v) / norms / channels
         g_v[zero] += gamma * (v0 - 1.0) / channels
-    grads = np.sum(kernel.pullback(g_v), axis=1)
-    return np.sum(energies, axis=1), grads, energies, concentrations
+    grads = kernel.pullback(g_v).sum(axis=1)
+    return energies.sum(axis=1), grads, energies, concentrations
 
 
 def energy_breakdown(x: Signal, model: "EnergyModel") -> EnergyBreakdown:

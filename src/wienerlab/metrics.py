@@ -7,15 +7,13 @@ the usual stabilizing constants (0.01*peak)^2 and (0.03*peak)^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 from .spectral import Signal
 
-__all__ = ["MetricsReport", "compute_metrics", "mae", "mse", "psnr", "ssim"]
+__all__ = ["compute_metrics", "mae", "mse", "psnr", "ssim"]
 
 SSIM_WINDOW = 8
 _C1 = (0.01) ** 2
@@ -73,36 +71,6 @@ def ssim(a: Signal, b: Signal) -> float:
     )
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    """Per-sample metric rows plus their means; serializes to plain dicts."""
-
-    per_sample: list[dict]
-    aggregate: dict
-
-    def to_jsonable(self) -> dict:
-        def clean(d):
-            return {k: ("inf" if v == float("inf") else v) for k, v in d.items()}
-
-        return {
-            "per_sample": [clean(d) for d in self.per_sample],
-            "aggregate": clean(self.aggregate),
-        }
-
-
-def compute_metrics(a, b) -> MetricsReport:
-    """Metrics for one pair or for two equal-length lists of signals.
-
-    Aggregates are means of the per-sample values; an infinite PSNR makes the
-    aggregate PSNR infinite as well.
-    """
-    pairs = [(a, b)] if isinstance(a, Signal) else list(zip(a, b))
-    if not isinstance(a, Signal) and len(a) != len(b):
-        raise ShapeError(f"batch length mismatch: {len(a)} vs {len(b)}")
-    rows = []
-    for pa, pb in pairs:
-        rows.append(
-            {"mae": mae(pa, pb), "mse": mse(pa, pb), "psnr": psnr(pa, pb), "ssim": ssim(pa, pb)}
-        )
-    agg = {k: float(np.mean([r[k] for r in rows])) for k in ("mae", "mse", "psnr", "ssim")}
-    return MetricsReport(rows, agg)
+def compute_metrics(a: Signal, b: Signal) -> dict:
+    """MAE, MSE, PSNR and SSIM of one pair; identical inputs give PSNR +inf."""
+    return {"mae": mae(a, b), "mse": mse(a, b), "psnr": psnr(a, b), "ssim": ssim(a, b)}

@@ -197,7 +197,7 @@ class QuotientKernel:
 
     def _inverse(self, spectrum: np.ndarray) -> np.ndarray:
         out = np.fft.irfftn(spectrum, s=self.padded, axes=self.axes)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise NumericalError("non-finite values in the matching filter or its pullback")
         return out
 

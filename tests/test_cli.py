@@ -17,6 +17,24 @@ from wienerlab.wiener import WienerConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
+# 512 two-cluster latents of length 31 at lambda 0.1, with noise variances
+# 0.01 -> 0.8; step sizes from 1 up make its chains diverge
+LATENT_DIVERGING = (
+    "[wiener]\nlambda = 0.1\n[diffusion]\nbeta_start = 0.01\nbeta_end = 0.8\n"
+    "penalty_family = inverted_laplace\ndim = 31\nn_defining = 512\ninit_variance = 1.0\n"
+)
+
+# Each shipped config names the runs it supports in a "# Runs with:" line
+# with the exit code they end in; the test runs each at these reduced sizes.
+DOCUMENTED_RUN = re.compile(
+    r"^# Runs with: wienerlab (\w+) --config configs/\S+ \(exit (\d)\)$", re.M
+)
+REDUCED_SIZES = {
+    "diffusion": {"T": "20", "n_samples": "2"},
+    "knn": {"n_test": "20"},
+    "train": {"epochs": "1"},
+}
+
 
 @pytest.fixture
 def digit_image(tmp_path):
@@ -282,13 +300,9 @@ class TestErrorHandling:
         assert main(["recover", str(digit_image), "--config", str(cfgf)]) == 2
 
     def test_diverging_latent_preset_exits_4_naming_chain_and_step(self, tmp_path, capsys):
-        parser = configparser.ConfigParser()
-        parser.optionxform = str
-        parser.read(CONFIGS / "latent_diffusion.ini")
-        parser["diffusion"]["n_samples"] = "3"
+        # step sizes 500 -> 1 against a 512-sample summed energy overflow the state
         cfgf = tmp_path / "latent.ini"
-        with open(cfgf, "w") as f:
-            parser.write(f)
+        cfgf.write_text(LATENT_DIVERGING + "alpha_start = 500\nalpha_end = 1\nn_samples = 3\n")
         assert main(["diffuse", "--config", str(cfgf), "--out", str(tmp_path / "run")]) == 4
         err = capsys.readouterr().err
         assert re.search(r"chain \d+ diverged at step \d+", err), err
@@ -296,13 +310,9 @@ class TestErrorHandling:
     def test_finite_but_exploding_latent_chain_exits_4(self, tmp_path, capsys):
         # alpha 1 -> 0.01 keeps every value finite (energy ~1e103 by step 120),
         # but the energy soon exceeds DIVERGENCE_FACTOR times its step-0 value
-        parser = configparser.ConfigParser()
-        parser.optionxform = str
-        parser.read(CONFIGS / "latent_diffusion.ini")
-        parser["diffusion"].update(alpha_start="1", alpha_end="0.01", n_samples="2", T="40")
         cfgf = tmp_path / "latent.ini"
-        with open(cfgf, "w") as f:
-            parser.write(f)
+        settings = "alpha_start = 1\nalpha_end = 0.01\nn_samples = 2\nT = 40\n"
+        cfgf.write_text(LATENT_DIVERGING + settings)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy warning before the NumericalError
             rc = main(["diffuse", "--config", str(cfgf), "--out", str(tmp_path / "run")])
@@ -333,6 +343,24 @@ class TestErrorHandling:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.name)
+def test_shipped_config_runs_with_its_documented_exit_code(tmp_path, path):
+    runs = DOCUMENTED_RUN.findall(path.read_text())
+    assert runs, f"{path.name} documents no run"
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read(path)
+    for section, values in REDUCED_SIZES.items():
+        if parser.has_section(section):
+            parser[section].update(values)
+    cfgf = tmp_path / path.name
+    with open(cfgf, "w") as f:
+        parser.write(f)
+    for command, code in runs:
+        out = tmp_path / command
+        assert main([command, "--config", str(cfgf), "--out", str(out)]) == int(code), command
 
 
 class TestExternalDataPaths:

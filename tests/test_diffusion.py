@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wienerlab import gradients
+from wienerlab import diffusion, gradients
 from wienerlab.datasets import two_cluster_latents
 from wienerlab.diffusion import (
     EnergyModel,
@@ -152,6 +152,10 @@ class TestLangevinStep:
         a = langevin_step(x, model, 0.1, 0.3, np.random.default_rng(99))
         b = langevin_step(x, model, 0.1, 0.3, np.random.default_rng(99))
         np.testing.assert_array_equal(a.data, b.data)
+        # the update x - (alpha/2) grad + N(0, beta I) noise, drawn with rng.normal
+        grad = energy_breakdown(x, model).grad.data
+        noise = np.random.default_rng(99).normal(0.0, math.sqrt(0.3), size=x.planes.shape)
+        assert a.data.tobytes() == ((x.data - (0.1 / 2.0) * grad) + noise.ravel()).tobytes()
 
     def test_invalid_steps_rejected(self):
         model, _ = toy_model()
@@ -267,9 +271,32 @@ class TestLockstep:
             assert diverged is None
             assert traj.snapshot_steps == [0, 5, 10, 12]
             for step, snap in zip(traj.snapshot_steps, traj.samples):
-                np.testing.assert_allclose(snap, states[step].planes, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(traj.energies, energies, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(traj.concentrations, concentrations, rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(snap, states[step].planes)
+            np.testing.assert_array_equal(traj.energies, energies)
+            np.testing.assert_array_equal(traj.concentrations, concentrations)
+
+    @pytest.mark.parametrize("steps_per_block", [1, 5, None])  # None: the whole run
+    def test_noise_blocks_match_chains_replayed_by_hand(self, monkeypatch, steps_per_block):
+        # beta_t = 0 at some steps, which draw no noise; blocks of one step,
+        # of five steps across those gaps, and of the whole run give one path
+        model, _ = toy_model()
+        T, n = 12, 3
+        beta = cosine_schedule(T, 0.001, 0.02)
+        beta[[0, 3, 4, 9]] = 0.0
+        sched = Schedule(cosine_schedule(T, 1.0, 0.01), beta)
+        per_step = n * math.prod(model.defining.shape[1:])
+        budget = per_step * (steps_per_block or T)
+        monkeypatch.setattr(diffusion, "NOISE_BLOCK_ELEMENTS", budget)
+        trajs = run_diffusion(model, sched, n, 0.7, seed=13, snapshot_stride=1, k_nearest=3)
+        for chain, traj in enumerate(trajs):
+            states, energies, concentrations, diverged = replay_chain(
+                model, sched, n, 0.7, 13, chain, k=3
+            )
+            assert diverged is None
+            replayed = np.stack([states[t].planes for t in range(T + 1)])
+            assert traj.samples.tobytes() == replayed.tobytes()
+            assert traj.energies == energies
+            assert traj.concentrations == concentrations
 
     def test_chunked_batch_matches_whole_batch(self, monkeypatch):
         model, _ = toy_model()

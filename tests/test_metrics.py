@@ -29,13 +29,11 @@ def naive_ssim(a: np.ndarray, b: np.ndarray, win=8) -> float:
 class TestPairMetrics:
     def test_identical_pair(self):
         a = Signal.from_array(np.random.default_rng(0).random((12, 12)))
-        rep = compute_metrics(a, a)
-        agg = rep.aggregate
-        assert agg["mae"] == 0.0
-        assert agg["mse"] == 0.0
-        assert agg["ssim"] == pytest.approx(1.0, abs=1e-12)
-        assert agg["psnr"] == float("inf")
-        assert rep.to_jsonable()["aggregate"]["psnr"] == "inf"
+        values = compute_metrics(a, a)
+        assert values["mae"] == 0.0
+        assert values["mse"] == 0.0
+        assert values["ssim"] == pytest.approx(1.0, abs=1e-12)
+        assert values["psnr"] == float("inf")
 
     def test_constant_offset(self):
         rng = np.random.default_rng(1)
@@ -76,20 +74,3 @@ class TestPairMetrics:
                 Signal.from_array(np.zeros((3, 3))), Signal.from_array(np.zeros((4, 4)))
             )
 
-
-class TestBatchMetrics:
-    def test_aggregates_are_means(self):
-        rng = np.random.default_rng(5)
-        xs = [Signal.from_array(rng.random((6, 6))) for _ in range(4)]
-        ys = [Signal.from_array(rng.random((6, 6))) for _ in range(4)]
-        rep = compute_metrics(xs, ys)
-        assert len(rep.per_sample) == 4
-        for key in ("mae", "mse", "psnr", "ssim"):
-            assert rep.aggregate[key] == pytest.approx(
-                np.mean([r[key] for r in rep.per_sample]), rel=1e-12
-            )
-
-    def test_length_mismatch(self):
-        a = [Signal.from_array(np.zeros((2, 2)))]
-        with pytest.raises(ShapeError):
-            compute_metrics(a, [])
