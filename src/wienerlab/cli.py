@@ -28,7 +28,6 @@ from .datasets import make_digit_set, two_cluster_latents
 from .diffusion import (
     EnergyModel,
     Schedule,
-    check_chain_args,
     cosine_schedule,
     nearest_defining_sample,
     run_diffusion,
@@ -38,7 +37,7 @@ from .gradients import loss_and_grad
 from .knn import DistanceSpec, LabeledSet, evaluate_accuracy, make_translated_set
 from .metrics import compute_metrics, psnr
 from .spectral import LagGrid, Signal, WindowSpec, make_window
-from .trainer import DenseAutoencoder, TrainConfig, TrainingDivergedError, train
+from .trainer import DenseAutoencoder, TrainingDivergedError, train
 from .wiener import (
     QuotientKernel,
     WienerConfig,
@@ -89,9 +88,8 @@ def _echo_config(run_dir: Path, cfg: ExperimentConfig) -> None:
     (run_dir / "config.ini").write_text(cfg.to_ini())
 
 
-def _whitening(cfg: ExperimentConfig, shape) -> tuple:
-    grid = LagGrid(tuple(2 * n for n in shape))
-    return make_window(cfg.window.spec(), grid), grid
+def _whitening(cfg: ExperimentConfig, shape):
+    return make_window(cfg.window, LagGrid(tuple(2 * n for n in shape)))
 
 
 # ---------------------------------------------------------------- filter
@@ -100,8 +98,7 @@ def _whitening(cfg: ExperimentConfig, shape) -> tuple:
 def _cmd_filter(args, cfg: ExperimentConfig) -> int:
     target = read_pgm(args.image_a)
     source = read_pgm(args.image_b)
-    wcfg = WienerConfig(lam=cfg.wiener.lam)
-    v = wiener_filter(target, source, wcfg)
+    v = wiener_filter(target, source, cfg.wiener)
 
     run_dir = _make_run_dir(args, "filter")
     _echo_config(run_dir, cfg)
@@ -130,18 +127,17 @@ def _cmd_filter(args, cfg: ExperimentConfig) -> int:
 def _cmd_loss(args, cfg: ExperimentConfig) -> int:
     prediction = read_pgm(args.image_a)
     target = read_pgm(args.image_b)
-    wcfg = WienerConfig(lam=cfg.wiener.lam)
-    whitening, _ = _whitening(cfg, prediction.shape)
-
-    run_dir = _make_run_dir(args, "loss")
-    _echo_config(run_dir, cfg)
-    v = wiener_filter(prediction, target, wcfg)
+    whitening = _whitening(cfg, prediction.shape)
+    v = wiener_filter(prediction, target, cfg.wiener)
     report = {
-        "wiener_loss": wiener_loss(prediction, target, whitening, wcfg),
-        "ti_distance": ti_distance(prediction, target, wcfg),
+        "wiener_loss": wiener_loss(prediction, target, whitening, cfg.wiener),
+        "ti_distance": ti_distance(prediction, target, cfg.wiener),
         "filter_concentration": concentration(v),
         "metrics": compute_metrics(prediction, target),
     }
+
+    run_dir = _make_run_dir(args, "loss")
+    _echo_config(run_dir, cfg)
     _write_json(run_dir / "loss.json", report)
     print(f"loss report written to {run_dir} (wiener_loss {report['wiener_loss']:.6g})")
     return 0
@@ -151,8 +147,6 @@ def _cmd_loss(args, cfg: ExperimentConfig) -> int:
 
 
 def _stride_mask(shape, stride: int) -> np.ndarray:
-    if stride < 1:
-        raise ConfigError(f"mask stride must be >= 1, got {stride}")
     rows = np.arange(shape[0]) % stride == 0
     cols = np.arange(shape[1]) % stride == 0
     return np.outer(rows, cols).astype(float)
@@ -205,8 +199,7 @@ def _cmd_recover(args, cfg: ExperimentConfig) -> int:
     if plane.max() > plane.min():  # min-max rescale so the target spans [0, 1]
         target = Signal.from_array((plane - plane.min()) / (plane.max() - plane.min()))
     rc = cfg.recover
-    wcfg = WienerConfig(lam=cfg.wiener.lam)
-    whitening, _ = _whitening(cfg, target.shape)
+    whitening = _whitening(cfg, target.shape)
 
     mask = _stride_mask(target.shape, rc.stride)
     masked_plane = target.plane() * mask
@@ -220,7 +213,7 @@ def _cmd_recover(args, cfg: ExperimentConfig) -> int:
     run_dir = _make_run_dir(args, "recover")
     _echo_config(run_dir, cfg)
 
-    objective = _recover_objective(rc, target, whitening, wcfg)
+    objective = _recover_objective(rc, target, whitening, cfg.wiener)
     x = masked.planes.copy()
     curve = []
     for it in range(rc.iterations):
@@ -275,11 +268,10 @@ def _defining_set(cfg: ExperimentConfig) -> np.ndarray:
 
 def _cmd_diffuse(args, cfg: ExperimentConfig) -> int:
     d = cfg.diffusion
-    check_chain_args(d.n_samples, d.init_variance, d.snapshot_stride)  # before the run dir
     defining = _defining_set(cfg)
     padded = tuple(2 * n for n in defining.shape[2:])
     penalty = make_window(WindowSpec(d.penalty_family, d.penalty_b), LagGrid(padded))
-    model = EnergyModel(defining, penalty, d.gamma, WienerConfig(lam=cfg.wiener.lam))
+    model = EnergyModel(defining, penalty, d.gamma, cfg.wiener)
     schedule = Schedule(
         cosine_schedule(d.T, d.alpha_start, d.alpha_end),
         cosine_schedule(d.T, d.beta_start, d.beta_end),
@@ -386,9 +378,7 @@ def _cmd_knn(args, cfg: ExperimentConfig) -> int:
     _echo_config(run_dir, cfg)
 
     baseline = evaluate_accuracy(train_set, test_set, k.baseline_k, DistanceSpec("manhattan"))
-    ti = evaluate_accuracy(
-        train_set, test_set, k.k, DistanceSpec("wiener_ti", WienerConfig(lam=k.lam))
-    )
+    ti = evaluate_accuracy(train_set, test_set, k.k, DistanceSpec("wiener_ti", cfg.wiener))
     report = {
         "n_train": len(train_set),
         "n_test": len(test_set),
@@ -403,7 +393,7 @@ def _cmd_knn(args, cfg: ExperimentConfig) -> int:
         "wiener_ti": {
             "distance": "wiener_ti",
             "k": k.k,
-            "lambda": k.lam,
+            "lambda": cfg.wiener.lam,
             "accuracy": ti.accuracy,
             "confusion": ti.confusion,
         },
@@ -438,35 +428,19 @@ def _cmd_train(args, cfg: ExperimentConfig) -> int:
 
     data = _train_data(cfg)
     model = DenseAutoencoder.initialize(t.width_tuple(), activation=t.activation, seed=t.seed)
-    tcfg = TrainConfig(
-        loss=t.loss,
-        batch_size=t.batch_size,
-        learning_rate=t.learning_rate,
-        epochs=t.epochs,
-        beta1=t.beta1,
-        beta2=t.beta2,
-        eps=t.eps,
-        whitening=cfg.window.spec(),
-        lam=t.lam,
-        seed=t.seed,
-    )
+    tcfg = t.trainer_config(whitening=cfg.window, lam=cfg.wiener.lam)
     run_dir = _make_run_dir(args, "train")
     _echo_config(run_dir, cfg)
+    diverged = None
     try:
         log = train(model, data, tcfg)
     except TrainingDivergedError as exc:
-        write_csv(
-            run_dir / "train_log.csv",
-            ["epoch", "loss", "concentration"],
-            [(i, l, c) for i, (l, c) in enumerate(zip(exc.log.losses, exc.log.concentrations))],
-        )
-        raise
+        diverged, log = exc, exc.log  # the log up to the last finite epoch is still written
+    rows = [(i, l, c) for i, (l, c) in enumerate(zip(log.losses, log.concentrations))]
+    write_csv(run_dir / "train_log.csv", ["epoch", "loss", "concentration"], rows)
+    if diverged is not None:
+        raise diverged
     save_model(run_dir / "model.wnae", model)
-    write_csv(
-        run_dir / "train_log.csv",
-        ["epoch", "loss", "concentration"],
-        [(i, l, c) for i, (l, c) in enumerate(zip(log.losses, log.concentrations))],
-    )
     report = {
         "loss": t.loss,
         "epochs": t.epochs,

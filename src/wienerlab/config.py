@@ -1,36 +1,29 @@
-"""Experiment configuration: INI-style sections per module, strict schema.
+"""Experiment configuration: INI-style sections, strict schema.
 
-Every key has a default; unknown sections or keys are rejected up front so
-runs never start from a half-understood config. The effective (fully
-defaulted) config is echoed into each run directory for reproducibility.
+[wiener] and [window] are the library's WienerConfig and WindowSpec, and
+[wiener] lambda is the one stabilizer that every subcommand reads. Every key
+has a default and unknown sections or keys are rejected. Each section is
+built by its validating constructor at load, so a bad value fails for every
+subcommand before any data or run directory is made; only settings that
+shape a subcommand's inputs (schedules, layer widths, set sizes) are checked
+as it builds them. The effective config is echoed into each run directory.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+from .diffusion import check_chain_args
 from .errors import ConfigError
 from .spectral import WindowSpec
+from .trainer import TrainConfig
+from .wiener import WienerConfig
 
-__all__ = ["ExperimentConfig", "load_config", "default_config"]
-
-
-@dataclass(frozen=True)
-class WienerSection:
-    lam: float = 1.0
-
-
-@dataclass(frozen=True)
-class WindowSection:
-    family: str = "laplace"
-    b: float = 2.0
-    epsilon: float = 0.3
-
-    def spec(self) -> WindowSpec:
-        return WindowSpec(self.family, self.b, self.epsilon)
+__all__ = ["ExperimentConfig", "load_config"]
 
 
 @dataclass(frozen=True)
@@ -55,6 +48,9 @@ class DiffusionSection:
     spread: float = 0.15
     data_seed: int = 7
 
+    def __post_init__(self):
+        check_chain_args(self.n_samples, self.init_variance, self.snapshot_stride, self.k_nearest)
+
 
 @dataclass(frozen=True)
 class KnnSection:
@@ -64,13 +60,18 @@ class KnnSection:
     pad: int = 6
     n_train: int = 500
     n_test: int = 200
-    lam: float = 1.0
     digit_size: int = 8
     train_seed: int = 11
     test_seed: int = 99
     shift_seed: int = 2
     data_images: str = ""
     data_labels: str = ""
+
+    def __post_init__(self):
+        for key in ("k", "baseline_k"):
+            value = getattr(self, key)
+            if not (1 <= value <= self.n_train):
+                raise ConfigError(f"[knn] {key} must be in 1..n_train={self.n_train}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,6 @@ class TrainSection:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    lam: float = 1.0
     seed: int = 5
     widths: str = "64,32,16,32,64"
     activation: str = "mish"
@@ -91,6 +91,14 @@ class TrainSection:
     data_seed: int = 3
     data_images: str = ""
     data_labels: str = ""
+
+    def __post_init__(self):
+        self.trainer_config()  # TrainConfig checks the shared fields
+
+    def trainer_config(self, **rest) -> TrainConfig:
+        """TrainConfig from the fields it shares with this section by name, plus `rest`."""
+        names = [f.name for f in fields(TrainConfig) if hasattr(self, f.name)]
+        return TrainConfig(**{name: getattr(self, name) for name in names}, **rest)
 
     def width_tuple(self) -> tuple[int, ...]:
         try:
@@ -108,14 +116,18 @@ class RecoverSection:
     log_every: int = 1
 
     def __post_init__(self):
-        if not (self.log_every >= 1):
-            raise ConfigError(f"[recover] log_every must be >= 1, got {self.log_every}")
+        if self.loss not in ("mse", "wiener"):
+            raise ConfigError(f"[recover] loss must be mse or wiener, got {self.loss!r}")
+        for key, least in (("stride", 1), ("iterations", 0), ("log_every", 1), ("step_size", 0)):
+            value = getattr(self, key)
+            if not (least <= value < math.inf):
+                raise ConfigError(f"[recover] {key} must be finite and >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    wiener: WienerSection = field(default_factory=WienerSection)
-    window: WindowSection = field(default_factory=WindowSection)
+    wiener: WienerConfig = field(default_factory=WienerConfig)
+    window: WindowSpec = field(default_factory=lambda: WindowSpec("laplace", 2.0, 0.3))
     diffusion: DiffusionSection = field(default_factory=DiffusionSection)
     knn: KnnSection = field(default_factory=KnnSection)
     train: TrainSection = field(default_factory=TrainSection)
@@ -124,42 +136,17 @@ class ExperimentConfig:
     def to_ini(self) -> str:
         """Effective config as INI text (every key explicit)."""
         out = io.StringIO()
-        for section_name in _SECTION_TYPES:
-            section = getattr(self, section_name)
-            out.write(f"[{section_name}]\n")
-            for f in fields(section):
-                key = "lambda" if f.name == "lam" else f.name
-                out.write(f"{key} = {getattr(section, f.name)}\n")
+        for section in fields(self):
+            values = getattr(self, section.name)
+            out.write(f"[{section.name}]\n")
+            for f in fields(values):
+                out.write(f"{_key(f.name)} = {getattr(values, f.name)}\n")
             out.write("\n")
         return out.getvalue()
 
 
-_SECTION_TYPES = {
-    "wiener": WienerSection,
-    "window": WindowSection,
-    "diffusion": DiffusionSection,
-    "knn": KnnSection,
-    "train": TrainSection,
-    "recover": RecoverSection,
-}
-
-
-def _coerce(section: str, key: str, raw: str, target_type: type):
-    try:
-        if target_type is bool:
-            low = raw.strip().lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        return target_type(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from exc
-
-
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()
+def _key(attr: str) -> str:
+    return "lambda" if attr == "lam" else attr
 
 
 def load_config(path=None) -> ExperimentConfig:
@@ -167,26 +154,29 @@ def load_config(path=None) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if path is None:
         return cfg
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # preserve key case, e.g. diffusion T
-    text = Path(path).read_text()
     try:
-        parser.read_string(text, source=str(path))
-    except configparser.Error as exc:
+        parser.read_string(Path(path).read_text(), source=str(path))
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
+    sections = {f.name for f in fields(cfg)}
     updates = {}
     for section_name in parser.sections():
-        if section_name not in _SECTION_TYPES:
+        if section_name not in sections:
             raise ConfigError(f"unknown config section [{section_name}]")
-        section_type = _SECTION_TYPES[section_name]
-        known = {f.name: f.type for f in fields(section_type)}
-        type_map = {f.name: type(getattr(section_type(), f.name)) for f in fields(section_type)}
+        default = getattr(cfg, section_name)
+        # key types from the default values: WindowSpec has no field defaults
+        types = {_key(f.name): (f.name, type(getattr(default, f.name))) for f in fields(default)}
         section_updates = {}
         for key, raw in parser.items(section_name):
-            attr = "lam" if key == "lambda" else key
-            if attr not in known:
+            if key not in types:
                 raise ConfigError(f"unknown key {key!r} in section [{section_name}]")
-            section_updates[attr] = _coerce(section_name, key, raw, type_map[attr])
-        updates[section_name] = replace(getattr(cfg, section_name), **section_updates)
+            attr, target_type = types[key]
+            try:
+                section_updates[attr] = target_type(raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section_name}] {key}: {exc}") from exc
+        updates[section_name] = replace(default, **section_updates)
     return replace(cfg, **updates)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,10 @@ MODEL_VERSION = 1
 def _read_bytes(path) -> bytes:
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
-        return gzip.decompress(raw)
+        try:
+            return gzip.decompress(raw)
+        except (OSError, EOFError, zlib.error) as exc:
+            raise FormatError(f"bad gzip stream: {exc}", offset=0) from exc
     return raw
 
 
@@ -138,6 +142,8 @@ def read_pgm(path) -> Signal:
             while pos < len(buf) and not buf[pos : pos + 1].isspace():
                 pos += 1
             tokens.append(buf[start:pos])
+    if pos >= len(buf):
+        raise FormatError("truncated PGM header", offset=pos)
     pos += 1  # single whitespace after maxval
     try:
         width, height, maxval = (int(t) for t in tokens)

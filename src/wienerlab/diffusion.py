@@ -179,7 +179,9 @@ def _step_noise(streams: list[np.random.Generator], beta: np.ndarray, sample: tu
             yield next(rows) if is_noisy else None
 
 
-def check_chain_args(n_samples: int, init_variance: float, snapshot_stride: int) -> None:
+def check_chain_args(
+    n_samples: int, init_variance: float, snapshot_stride: int, k_nearest: int = 1
+) -> None:
     """ConfigError unless run_diffusion's chain arguments are in range."""
     if n_samples < 1:
         raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
@@ -187,6 +189,8 @@ def check_chain_args(n_samples: int, init_variance: float, snapshot_stride: int)
         raise ConfigError(f"init_variance must be finite and >= 0, got {init_variance}")
     if snapshot_stride < 1:
         raise ConfigError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
+    if k_nearest < 1:
+        raise ConfigError(f"k_nearest must be >= 1, got {k_nearest}")
 
 
 def run_diffusion(
@@ -205,17 +209,17 @@ def run_diffusion(
     steps, so its path does not depend on how many chains run beside it. The
     state of all chains is one (chains, C, *extents) array, and each step is
     one batched energy and gradient pass. Energies and the mean concentration
-    of the k energy-nearest matching filters are recorded at every step
-    (entry 0 describes x0); snapshots are kept every `snapshot_stride` steps
-    plus the final state.
+    of the k_nearest (at most all) energy-nearest matching filters are
+    recorded at every step (entry 0 describes x0); snapshots are kept every
+    `snapshot_stride` steps plus the final state.
 
     A chain diverges at step t when its state x_t, its energy or its
     gradient there is not finite, or its energy exceeds DIVERGENCE_FACTOR
     times its step-0 energy. The NumericalError names the earliest such
     step and, at that step, the lowest diverging chain.
     """
-    check_chain_args(n_samples, init_variance, snapshot_stride)
-    k = max(1, min(k_nearest, len(model.defining)))
+    check_chain_args(n_samples, init_variance, snapshot_stride, k_nearest)
+    k = min(k_nearest, len(model.defining))
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_samples)]
     T = schedule.steps
 

@@ -7,12 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wienerlab import cli
 from wienerlab.cli import _mask_aware_mean_fill, _recover_objective, main
 from wienerlab.config import RecoverSection
 from wienerlab.dataio import read_pgm, load_model, write_pgm
 from wienerlab.datasets import make_digit_set
 from wienerlab.gradients import grad_wiener_loss
 from wienerlab.spectral import LagGrid, Signal, WindowSpec, make_window
+from wienerlab.trainer import TrainConfig
 from wienerlab.wiener import WienerConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -213,6 +215,18 @@ class TestKnnCommand:
         )
         assert np.array(report["baseline"]["confusion"]).sum() == 10
 
+    def test_wiener_lambda_is_the_ti_lambda(self, tmp_path):
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text(
+            "[wiener]\nlambda = 250\n"
+            "[knn]\nn_train = 20\nn_test = 5\nmax_shift = 1\npad = 1\nk = 3\nbaseline_k = 1\n"
+        )
+        out = tmp_path / "run"
+        assert main(["knn", "--config", str(cfgf), "--out", str(out)]) == 0
+        assert json.loads((out / "knn.json").read_text())["wiener_ti"]["lambda"] == 250.0
+        echoed = (out / "config.ini").read_text()
+        assert re.findall(r"^lambda = .*$", echoed, re.M) == ["lambda = 250.0"]
+
 
 class TestTrainCommand:
     def test_zero_epochs_saves_initial_model(self, tmp_path):
@@ -233,6 +247,27 @@ class TestTrainCommand:
         report = json.loads((out / "train.json").read_text())
         assert report["epochs"] == 2
 
+    def test_wiener_lambda_and_window_reach_train_config(self, tmp_path, monkeypatch):
+        seen = []
+        real_train = cli.train
+
+        def recording_train(model, data, cfg):
+            seen.append(cfg)
+            return real_train(model, data, cfg)
+
+        monkeypatch.setattr(cli, "train", recording_train)
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text(
+            "[wiener]\nlambda = 250\n[window]\nb = 3\n[train]\nn_train = 20\nepochs = 0\n"
+        )
+        assert main(["train", "--config", str(cfgf), "--out", str(tmp_path / "run")]) == 0
+        assert seen == [
+            TrainConfig(
+                loss="wiener", batch_size=32, learning_rate=3e-3, epochs=0, beta1=0.9, beta2=0.999,
+                eps=1e-8, whitening=WindowSpec("laplace", 3.0, 0.3), lam=250.0, seed=5,
+            )
+        ]
+
 
 class TestErrorHandling:
     def test_unknown_config_key_exits_2_without_artifacts(self, tmp_path):
@@ -243,6 +278,15 @@ class TestErrorHandling:
             out = tmp_path / "never"
             assert main(["diffuse", "--config", str(cfgf), "--out", str(out)]) == 2
             assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["filter", "loss", "recover", "diffuse", "knn", "train"])
+    def test_bad_window_fails_every_subcommand_at_load(self, tmp_path, digit_image, command):
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text("[window]\nb = -1\n")
+        images = {"filter": 2, "loss": 2, "recover": 1}.get(command, 0) * [str(digit_image)]
+        out = tmp_path / "never"
+        assert main([command, *images, "--config", str(cfgf), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_missing_image_exits_3(self, tmp_path):
         assert main(["filter", str(tmp_path / "no.pgm"), str(tmp_path / "no.pgm")]) == 3
@@ -255,6 +299,12 @@ class TestErrorHandling:
     def test_shape_mismatch_exits_3(self, tmp_path, digit_image):
         small = write_image(tmp_path / "small.pgm", np.zeros((4, 4)))
         assert main(["filter", str(small), str(digit_image)]) == 3
+
+    def test_loss_shape_mismatch_exits_3_without_artifacts(self, tmp_path, digit_image):
+        small = write_image(tmp_path / "small.pgm", np.zeros((4, 4)))
+        out = tmp_path / "never"
+        assert main(["loss", str(small), str(digit_image), "--out", str(out)]) == 3
+        assert not out.exists()
 
     def test_pgm_size_below_one_exits_3(self, tmp_path, digit_image, capsys):
         bad = tmp_path / "neg.pgm"
@@ -284,7 +334,7 @@ class TestErrorHandling:
     @pytest.mark.parametrize(
         "key, value",
         [("n_samples", "0"), ("init_variance", "-1"), ("init_variance", "nan"),
-         ("snapshot_stride", "0")],
+         ("snapshot_stride", "0"), ("k_nearest", "-4")],
     )
     def test_bad_chain_setting_exits_2_without_artifacts(self, tmp_path, key, value):
         cfgf = tmp_path / "c.ini"
@@ -292,6 +342,31 @@ class TestErrorHandling:
         cfgf.write_text("[diffusion]\n" + "".join(f"{k} = {v}\n" for k, v in settings.items()))
         out = tmp_path / "never"
         assert main(["diffuse", "--config", str(cfgf), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[knn]\nk = 0\n", "[knn]\nn_train = 20\nbaseline_k = 50\n", "[wiener]\nlambda = nan\n"],
+        ids=["k-0", "baseline_k-50", "lambda-nan"],
+    )
+    def test_bad_knn_setting_exits_2_without_artifacts(self, tmp_path, capsys, text):
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text(text)
+        out = tmp_path / "never"
+        assert main(["knn", "--config", str(cfgf), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("loss", "huber"), ("iterations", "-3"), ("step_size", "nan")]
+    )
+    def test_bad_recover_setting_exits_2_without_artifacts(
+        self, tmp_path, digit_image, key, value
+    ):
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text(f"[recover]\n{key} = {value}\n")
+        out = tmp_path / "never"
+        assert main(["recover", str(digit_image), "--config", str(cfgf), "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_log_every_zero_exits_2(self, tmp_path, digit_image):

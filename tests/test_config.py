@@ -1,7 +1,9 @@
 import pytest
 
-from wienerlab.config import default_config, load_config
+from wienerlab.config import ExperimentConfig, load_config
 from wienerlab.errors import ConfigError
+from wienerlab.spectral import WindowSpec
+from wienerlab.wiener import WienerConfig
 
 
 def test_defaults_without_file():
@@ -64,12 +66,12 @@ def test_bad_value_rejected(tmp_path):
 
 def test_lambda_alias_maps_to_lam(tmp_path):
     p = tmp_path / "c.ini"
-    p.write_text("[knn]\nlambda = 0.25\n")
-    assert load_config(p).knn.lam == 0.25
+    p.write_text("[wiener]\nlambda = 0.25\n")
+    assert load_config(p).wiener.lam == 0.25
 
 
 def test_echo_reparses_to_same_config(tmp_path):
-    cfg = default_config()
+    cfg = ExperimentConfig()
     p = tmp_path / "echo.ini"
     p.write_text(cfg.to_ini())
     again = load_config(p)
@@ -85,5 +87,71 @@ def test_case_preserved_for_T(tmp_path):
 def test_recover_log_every_zero_rejected(tmp_path):
     p = tmp_path / "c.ini"
     p.write_text("[recover]\nlog_every = 0\n")
+    with pytest.raises(ConfigError):
+        load_config(p)
+
+
+def test_wiener_and_window_sections_are_the_library_types(tmp_path):
+    p = tmp_path / "c.ini"
+    p.write_text("[wiener]\nlambda = 250\n[window]\nfamily = inverted_laplace\nb = 0.5\n")
+    cfg = load_config(p)
+    assert cfg.wiener == WienerConfig(lam=250.0)
+    assert cfg.window == WindowSpec("inverted_laplace", 0.5, 0.3)
+    assert ExperimentConfig().window == WindowSpec("laplace", 2.0, 0.3)
+
+
+@pytest.mark.parametrize("section", ["knn", "train"])
+def test_lambda_is_read_only_from_wiener(tmp_path, section):
+    p = tmp_path / "c.ini"
+    p.write_text(f"[{section}]\nlambda = 250\n")
+    with pytest.raises(ConfigError, match="unknown key 'lambda'"):
+        load_config(p)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[wiener]\nlambda = nan\n",
+        "[wiener]\nlambda = -1\n",
+        "[wiener]\nlambda = inf\n",
+        "[window]\nb = -1\n",
+        "[window]\nb = nan\n",
+        "[window]\nepsilon = -0.5\n",
+        "[window]\nfamily = gaussian\n",
+        "[recover]\nloss = huber\n",
+        "[recover]\niterations = -3\n",
+        "[recover]\nstride = 0\n",
+        "[recover]\nstep_size = nan\n",
+        "[recover]\nstep_size = -1\n",
+        "[knn]\nk = 0\n",
+        "[diffusion]\nk_nearest = 0\n",
+        "[diffusion]\ninit_variance = nan\n",
+        "[train]\nbatch_size = 0\n",
+        "[train]\nlearning_rate = nan\n",
+        "[train]\nloss = huber\n",
+        "[knn]\nn_train = 20\nbaseline_k = 50\n",
+        "[wiener]\nlambda = 5%\n",
+    ],
+    ids=lambda text: text.replace("\n", " ").strip(),
+)
+def test_bad_value_fails_at_load(tmp_path, text):
+    p = tmp_path / "c.ini"
+    p.write_text(text)
+    with pytest.raises(ConfigError):
+        load_config(p)
+
+
+def test_percent_sign_is_kept_verbatim(tmp_path):
+    p = tmp_path / "c.ini"
+    p.write_text("[diffusion]\ndataset = images-100%.idx\n")
+    cfg = load_config(p)
+    assert cfg.diffusion.dataset == "images-100%.idx"
+    p.write_text(cfg.to_ini())
+    assert load_config(p) == cfg
+
+
+def test_undecodable_config_rejected(tmp_path):
+    p = tmp_path / "c.ini"
+    p.write_bytes(b"[wiener]\nlambda = \xff\xfe\n")
     with pytest.raises(ConfigError):
         load_config(p)

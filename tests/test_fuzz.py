@@ -1,0 +1,156 @@
+"""Property tests of the input boundary: INI values, PGM, IDX and model bytes.
+
+Whatever the input, a subcommand ends in exit 0, 2, 3 or 4 without a
+traceback, and a reader returns its result or raises a library error.
+"""
+
+import gzip
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from wienerlab.cli import main
+from wienerlab.dataio import ingest_idx, load_model, save_model, write_pgm
+from wienerlab.errors import WienerlabError
+from wienerlab.spectral import Signal
+from wienerlab.trainer import DenseAutoencoder
+
+EXIT_CODES = {0, 2, 3, 4}
+
+# derandomized, so every run draws the same examples; the image and file
+# fixtures are written once and only read by the examples
+FUZZ = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=60,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e308", "-1e308", "1e309", "5e-324", "-0.0"]),
+    st.integers(-(10**6), 10**6).map(str),
+)
+VALUE = st.one_of(
+    NUMBER,
+    st.sampled_from(["laplace", "inverted_laplace", "", "5%", "%(b)s", "1,2", "0x10"]),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=12),
+)
+KEYS = {
+    "wiener": ["lambda", "lam", "direction"],
+    "window": ["family", "b", "epsilon", "lambda", "width"],
+}
+
+
+@st.composite
+def wiener_and_window_ini(draw) -> str:
+    lines = []
+    for section, keys in KEYS.items():
+        if draw(st.booleans()):
+            lines.append(f"[{section}]")
+            for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=3)):
+                lines.append(f"{key} = {draw(VALUE)}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def corrupted(draw, valid: bytes, header: int) -> bytes:
+    """`valid` with a few bytes overwritten, then possibly cut short and
+    extended; overwrites and cuts favour its first `header` bytes."""
+    raw = bytearray(valid)
+    position = st.one_of(st.integers(0, header - 1), st.integers(0, len(raw) - 1))
+    for pos, byte in draw(st.lists(st.tuples(position, st.integers(0, 255)), max_size=4)):
+        raw[pos] = byte
+    end = draw(st.one_of(st.just(len(raw)), st.integers(0, header), st.integers(0, len(raw))))
+    return bytes(raw[:end]) + draw(st.binary(max_size=16))
+
+
+def _pgm_bytes(plane: np.ndarray) -> bytes:
+    q = np.round(plane * 255).astype(np.uint8)
+    return b"P5\n8 8\n255\n" + q.tobytes()
+
+
+def _idx_pair(n: int = 12, size: int = 4) -> tuple[bytes, bytes]:
+    images = (np.arange(n * size * size) % 256).astype(np.uint8)
+    labels = (np.arange(n) % 10).astype(np.uint8)
+    head = np.array([0x803, n, size, size], dtype=">u4").tobytes()
+    return head + images.tobytes(), np.array([0x801, n], dtype=">u4").tobytes() + labels.tobytes()
+
+
+VALID_PGM = _pgm_bytes(np.random.default_rng(0).random((8, 8)))
+VALID_IDX_IMAGES, VALID_IDX_LABELS = _idx_pair()
+
+
+@pytest.fixture
+def images(tmp_path):
+    """8x8 PGMs: two of noise and one all-zero (singular at lambda 0)."""
+    rng = np.random.default_rng(1)
+    paths = {}
+    for name, plane in (("a", rng.random((8, 8))), ("b", rng.random((8, 8))), ("zero", None)):
+        paths[name] = tmp_path / f"{name}.pgm"
+        write_pgm(paths[name], Signal.from_array(np.zeros((8, 8)) if plane is None else plane))
+    return paths
+
+
+def _run(capsys, argv) -> None:
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc in EXIT_CODES and "Traceback" not in err, (argv, rc, err)
+
+
+@FUZZ
+@given(text=wiener_and_window_ini(), target=st.sampled_from(["b", "zero"]))
+def test_wiener_and_window_values_end_in_an_exit_code(tmp_path, capsys, images, text, target):
+    cfgf = tmp_path / "fuzz.ini"
+    cfgf.write_text(text, encoding="utf-8")
+    argv = ["loss", str(images["a"]), str(images[target]), "--config", str(cfgf)]
+    _run(capsys, argv + ["--out", str(tmp_path / "run")])
+
+
+@FUZZ
+@given(raw=corrupted(VALID_PGM, header=len(b"P5\n8 8\n255\n")))
+@example(raw=b"P5\n8 8\n255")  # the header ends the file
+def test_corrupted_pgm_ends_in_an_exit_code(tmp_path, capsys, images, raw):
+    bad = tmp_path / "fuzz.pgm"
+    bad.write_bytes(raw)
+    _run(capsys, ["filter", str(bad), str(images["a"]), "--out", str(tmp_path / "run")])
+
+
+@pytest.fixture(scope="module")
+def valid_model(tmp_path_factory) -> bytes:
+    path = tmp_path_factory.mktemp("model") / "m.wnae"
+    save_model(path, DenseAutoencoder.initialize((6, 3, 6), seed=0))
+    return path.read_bytes()
+
+
+@FUZZ
+@given(data=st.data())
+def test_corrupted_model_loads_or_raises_a_library_error(tmp_path, valid_model, data):
+    path = tmp_path / "fuzz.wnae"
+    path.write_bytes(data.draw(corrupted(valid_model, header=24)))  # magic to widths
+    try:
+        model = load_model(path)
+    except WienerlabError:
+        return
+    assert np.all(np.isfinite(model.theta))
+
+
+@FUZZ
+@given(
+    images_raw=corrupted(VALID_IDX_IMAGES, header=16),
+    labels_raw=corrupted(VALID_IDX_LABELS, header=8),
+)
+@example(images_raw=gzip.compress(VALID_IDX_IMAGES)[:-9], labels_raw=VALID_IDX_LABELS)
+@example(images_raw=b"\x1f\x8b" + bytes(20), labels_raw=VALID_IDX_LABELS)
+def test_corrupted_idx_pair_loads_or_raises_a_library_error(tmp_path, images_raw, labels_raw):
+    images_path, labels_path = tmp_path / "images-idx3-ubyte", tmp_path / "labels-idx1-ubyte"
+    images_path.write_bytes(images_raw)
+    labels_path.write_bytes(labels_raw)
+    try:
+        data = ingest_idx(images_path, labels_path)
+    except WienerlabError:
+        return
+    assert len(data) == len(data.label_ids) >= 1
