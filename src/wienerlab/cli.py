@@ -36,7 +36,7 @@ from .errors import ConfigError, FormatError, NumericalError, ShapeError, Wiener
 from .gradients import loss_and_grad
 from .knn import DistanceSpec, LabeledSet, evaluate_accuracy, make_translated_set
 from .metrics import compute_metrics, psnr
-from .spectral import LagGrid, Signal, WindowSpec, make_window
+from .spectral import LagGrid, Signal, WindowSpec, full_lag, make_window
 from .trainer import DenseAutoencoder, TrainingDivergedError, train
 from .wiener import (
     QuotientKernel,
@@ -89,7 +89,7 @@ def _echo_config(run_dir: Path, cfg: ExperimentConfig) -> None:
 
 
 def _whitening(cfg: ExperimentConfig, shape):
-    return make_window(cfg.window, LagGrid(tuple(2 * n for n in shape)))
+    return make_window(cfg.window, LagGrid(full_lag(shape)))
 
 
 # ---------------------------------------------------------------- filter
@@ -269,8 +269,8 @@ def _defining_set(cfg: ExperimentConfig) -> np.ndarray:
 def _cmd_diffuse(args, cfg: ExperimentConfig) -> int:
     d = cfg.diffusion
     defining = _defining_set(cfg)
-    padded = tuple(2 * n for n in defining.shape[2:])
-    penalty = make_window(WindowSpec(d.penalty_family, d.penalty_b), LagGrid(padded))
+    grid = LagGrid(full_lag(defining.shape[2:]))
+    penalty = make_window(WindowSpec(d.penalty_family, d.penalty_b), grid)
     model = EnergyModel(defining, penalty, d.gamma, cfg.wiener)
     schedule = Schedule(
         cosine_schedule(d.T, d.alpha_start, d.alpha_end),

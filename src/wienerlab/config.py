@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .diffusion import check_chain_args
+from .diffusion import check_chain_args, check_gamma
 from .errors import ConfigError
 from .spectral import WindowSpec
 from .trainer import TrainConfig
@@ -50,6 +50,8 @@ class DiffusionSection:
 
     def __post_init__(self):
         check_chain_args(self.n_samples, self.init_variance, self.snapshot_stride, self.k_nearest)
+        check_gamma(self.gamma)
+        WindowSpec(self.penalty_family, self.penalty_b)
 
 
 @dataclass(frozen=True)
@@ -154,7 +156,8 @@ def load_config(path=None) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if path is None:
         return cfg
-    parser = configparser.ConfigParser(interpolation=None)
+    # no default section: [DEFAULT] is an unknown section, never merged into the others
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str  # preserve key case, e.g. diffusion T
     try:
         parser.read_string(Path(path).read_text(), source=str(path))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError
 from .gradients import energy_breakdown, energy_terms
-from .spectral import LagFilter, Signal, as_stack
+from .spectral import LagFilter, Signal, as_stack, full_lag
 from .wiener import QuotientKernel, WienerConfig
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "Schedule",
     "Trajectory",
     "check_chain_args",
+    "check_gamma",
     "cosine_schedule",
     "energy",
     "langevin_step",
@@ -58,10 +59,9 @@ class EnergyModel:
 
     def __post_init__(self):
         defining = as_stack(self.defining)
-        if not (0 <= self.gamma < math.inf):
-            raise ConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
+        check_gamma(self.gamma)
         extents = defining.shape[2:]
-        expected = tuple(2 * n for n in extents)
+        expected = full_lag(extents)
         if self.penalty.grid.extents != expected:
             raise ShapeError(
                 f"penalty extents {self.penalty.grid.extents} != padded extents {expected}"
@@ -177,6 +177,12 @@ def _step_noise(streams: list[np.random.Generator], beta: np.ndarray, sample: tu
         rows = iter(np.moveaxis(Z, 1, 0))
         for is_noisy in noisy:
             yield next(rows) if is_noisy else None
+
+
+def check_gamma(gamma: float) -> None:
+    """ConfigError unless the zero-lag amplitude weight gamma is finite and >= 0."""
+    if not (0 <= gamma < math.inf):
+        raise ConfigError(f"gamma must be finite and >= 0, got {gamma}")
 
 
 def check_chain_args(

@@ -7,8 +7,10 @@ per-lag cotangent is carried back through the inverse real transform by
 multiplying with conj(K) = S / (|S|^2 + lam) (the adjoint of the forward
 quotient, S being the half spectrum of the padded fixed signal), then
 cropped to the unpadded extents (the adjoint of zero padding). Weight
-windows are converted to raw layout once, so no step shifts lags.
-Derivation in docs/gradient_note.md.
+windows are converted to raw layout once, so no step shifts lags. Values
+come from ``wiener.filter_identity_loss`` and ``wiener.zero_lag_fractions``,
+and ``central_differences`` is the one finite-difference loop (over a
+Signal's values or a model's parameters). Derivation in docs/gradient_note.md.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, UndefinedQuotientError
-from .spectral import LagFilter, Signal
-from .wiener import QuotientKernel, WienerConfig, whitened_residual
+from .errors import ConfigError, ShapeError
+from .spectral import LagFilter, Signal, check_pair
+from .wiener import QuotientKernel, WienerConfig, filter_identity_loss, zero_lag_fractions
 
 if TYPE_CHECKING:
     from .diffusion import EnergyModel
@@ -52,9 +54,8 @@ def loss_and_grad(
     `varying` is (*batch, channels, *extents) and `w_raw` the raw-layout
     whitening window; values sum over channels and lags, one per batch entry.
     """
-    weighted = whitened_residual(kernel, varying, w_raw)
-    values = 0.5 * np.sum(weighted**2, axis=(-1 - len(kernel.shape),) + kernel.axes)
-    return values, kernel.pullback(w_raw * weighted)
+    values, residual = filter_identity_loss(kernel, varying, w_raw)
+    return values, kernel.pullback(w_raw * residual)
 
 
 def grad_wiener_loss(
@@ -65,11 +66,7 @@ def grad_wiener_loss(
     The loss is a convex quadratic in the prediction (the filter is linear in
     it), so this gradient vanishes exactly at prediction == target.
     """
-    if prediction.shape != target.shape or prediction.channels != target.channels:
-        raise ShapeError(
-            f"shape mismatch: prediction {prediction.shape}x{prediction.channels} "
-            f"vs target {target.shape}x{target.channels}"
-        )
+    check_pair(prediction, target)
     kernel = QuotientKernel(target.planes, target.shape, cfg.lam)
     value, grad = loss_and_grad(kernel, prediction.planes, whitening.raw)
     return GradientResult(Signal(grad.ravel(), prediction.shape, prediction.channels), float(value))
@@ -117,20 +114,6 @@ def energy_terms(
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _penalty_quotient(v: np.ndarray, pen: np.ndarray, axes: tuple[int, ...]):
-    """Rayleigh quotient ||pen * v||^2 / ||v||^2 of each filter plane over `axes`,
-    and the squared norms ||v||^2, both with `axes` kept as length 1.
-
-    Scale-invariant: blind to a filter's amplitude, it measures only where the
-    filter's energy sits on the lag grid. A raw-layout filter needs a
-    raw-layout penalty (any common lag layout gives the same value).
-    """
-    norms = (v**2).sum(axis=axes, keepdims=True)
-    if (norms == 0.0).any():
-        raise UndefinedQuotientError("all-zero matching filter in energy sum")
-    return ((pen * v) ** 2).sum(axis=axes, keepdims=True) / norms, norms
-
-
 def _energy_chunk(model: "EnergyModel", X: np.ndarray):
     gamma = model.gamma
     pen = model.penalty.raw  # (1, *padded)
@@ -143,12 +126,14 @@ def _energy_chunk(model: "EnergyModel", X: np.ndarray):
     # np.sum's dispatch, which costs as much as the sum on these small arrays
     v = kernel.filters(X[:, None])  # (batch, n, C, *padded), raw layout
     with np.errstate(over="ignore", invalid="ignore"):
-        quot, norms = _penalty_quotient(v, pen, axes)
+        fractions, norms = zero_lag_fractions(v, (0,) * len(axes))
+        # Rayleigh quotient ||pen * v||^2 / ||v||^2: where a filter's energy sits
+        quot = ((pen * v) ** 2).sum(axis=axes, keepdims=True) / norms
         v0 = v[zero]  # (batch, n, C)
         energies = 0.5 * (quot.sum(axis=(2,) + axes) / channels) + 0.5 * gamma * (
             ((v0 - 1.0) ** 2).sum(axis=2) / channels
         )
-        concentrations = (v0**2 / norms[zero]).sum(axis=2) / channels
+        concentrations = fractions.sum(axis=2) / channels
 
         # d(R/2)/dv = (pen^2 v - R v) / ||v||^2 ; amplitude term adds gamma (v0 - 1) at zero lag
         g_v = (model.penalty_sq * v - quot * v) / norms / channels
@@ -181,26 +166,35 @@ class GradientCheckReport:
     n_elements: int
 
 
-def check_gradient(
-    f: Callable[[Signal], float], analytic: Signal, x: Signal, h: float = 1e-5
+def central_differences(
+    f: Callable[[np.ndarray], float], analytic: np.ndarray, x: np.ndarray, h: float
 ) -> GradientCheckReport:
-    """Central finite differences per element against a supplied analytic gradient.
+    """Central finite differences of f at the flat vector x, element by element,
+    against the analytic gradient there.
 
     rel = |a - n| / max(|a|, |n|, 1e-12). Report only; never raises on error
-    magnitude. Meaningful for inputs scaled to order one.
+    magnitude. f is called with one reused probe vector, so it must not keep it.
     """
     if h <= 0:
         raise ConfigError(f"step h must be > 0, got {h}")
-    a = analytic.data
-    num = np.empty_like(a)
-    base = x.data
-    for i in range(base.size):
-        up = base.copy()
-        up[i] += h
-        dn = base.copy()
-        dn[i] -= h
-        num[i] = (
-            f(Signal(up, x.shape, x.channels)) - f(Signal(dn, x.shape, x.channels))
-        ) / (2.0 * h)
-    rel = np.abs(a - num) / np.maximum(np.maximum(np.abs(a), np.abs(num)), 1e-12)
-    return GradientCheckReport(float(rel.max()), float(rel.mean()), base.size)
+    numeric = np.empty_like(x)
+    probe = x.copy()
+    for i in range(x.size):
+        probe[i] = x[i] + h
+        up = f(probe)
+        probe[i] = x[i] - h
+        numeric[i] = (up - f(probe)) / (2.0 * h)
+        probe[i] = x[i]
+    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
+    rel = np.abs(analytic - numeric) / scale
+    return GradientCheckReport(float(rel.max()), float(rel.mean()), x.size)
+
+
+def check_gradient(
+    f: Callable[[Signal], float], analytic: Signal, x: Signal, h: float = 1e-5
+) -> GradientCheckReport:
+    """``central_differences`` over the values of a Signal. Meaningful for
+    inputs scaled to order one."""
+    return central_differences(
+        lambda data: f(Signal(data, x.shape, x.channels)), analytic.data, x.data, h
+    )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .spectral import Signal, as_stack
+from .spectral import Signal, as_stack, check_pair
 from .wiener import QuotientKernel, WienerConfig, ti_distance
 
 __all__ = [
@@ -78,8 +78,7 @@ class DistanceSpec:
 
 
 def distance(a: Signal, b: Signal, spec: DistanceSpec) -> float:
-    if a.shape != b.shape or a.channels != b.channels:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
+    check_pair(a, b)
     if spec.kind == "manhattan":
         return float(np.sum(np.abs(a.data - b.data)))
     if spec.kind == "euclidean":

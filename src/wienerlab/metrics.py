@@ -10,8 +10,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ShapeError
-from .spectral import Signal
+from .spectral import Signal, check_pair
 
 __all__ = ["compute_metrics", "mae", "mse", "psnr", "ssim"]
 
@@ -20,18 +19,13 @@ _C1 = (0.01) ** 2
 _C2 = (0.03) ** 2
 
 
-def _check(a: Signal, b: Signal) -> None:
-    if a.shape != b.shape or a.channels != b.channels:
-        raise ShapeError(f"shape mismatch: {a.shape}x{a.channels} vs {b.shape}x{b.channels}")
-
-
 def mae(a: Signal, b: Signal) -> float:
-    _check(a, b)
+    check_pair(a, b)
     return float(np.mean(np.abs(a.data - b.data)))
 
 
 def mse(a: Signal, b: Signal) -> float:
-    _check(a, b)
+    check_pair(a, b)
     return float(np.mean((a.data - b.data) ** 2))
 
 
@@ -65,7 +59,7 @@ def _ssim_plane(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def ssim(a: Signal, b: Signal) -> float:
-    _check(a, b)
+    check_pair(a, b)
     return float(
         np.mean([_ssim_plane(pa, pb) for pa, pb in zip(a.planes, b.planes)])
     )

@@ -2,7 +2,8 @@
 
 Everything downstream works on signals padded to twice their extent per
 dimension, so that the circular convolution implied by the Fourier path
-approximates linear convolution. The transforms themselves live in one
+approximates linear convolution; ``full_lag`` is the one place that doubles
+extents. The transforms themselves live in one
 place, ``wiener.QuotientKernel`` (real FFTs: forward unnormalized, inverse
 scaled by 1/N, padding implied by the transform size). Inside the library
 filters, windows and penalties are kept in raw lag layout, zero lag at the
@@ -14,7 +15,8 @@ A ``Signal`` is one image or vector: the type of file I/O and of the
 single-pair functionals. Every *set* of samples (a training set, a defining
 set, a kNN set, the states of all Langevin chains) is instead one float64
 stack shaped (n, C, *extents), and ``as_stack`` is the one place that
-validates it.
+validates samples: a Signal is checked as the stack of itself alone.
+``check_pair`` is the one comparison of two Signals' extents and channels.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ __all__ = [
     "LagFilter",
     "WindowSpec",
     "as_stack",
+    "check_pair",
+    "full_lag",
     "pad_to_full_lag",
     "make_window",
 ]
@@ -47,21 +51,13 @@ class Signal:
     channels: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
-        if not (1 <= len(self.shape) <= 2):
-            raise ShapeError(f"signals must be rank 1 or 2, got extents {self.shape}")
-        if any(n <= 0 for n in self.shape):
-            raise ShapeError(f"extents must be positive, got {self.shape}")
-        if self.channels < 1:
-            raise ShapeError(f"channel count must be >= 1, got {self.channels}")
+        shape = tuple(int(n) for n in self.shape)
         data = np.ascontiguousarray(self.data, dtype=np.float64).ravel()
-        expected = self.channels * int(np.prod(self.shape))
-        if data.size != expected:
-            raise ShapeError(
-                f"data length {data.size} != channels*prod(shape) = {expected}"
-            )
-        if not np.all(np.isfinite(data)):
-            raise ConfigError("signal values must be finite")
+        planes = (1, self.channels) + shape
+        if min(planes) < 0 or data.size != math.prod(planes):
+            raise ShapeError(f"{data.size} values do not fill {self.channels} channels of {shape}")
+        as_stack(data.reshape(planes))  # rank, extents and finiteness: a stack of one
+        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "data", data)
 
     @classmethod
@@ -104,6 +100,17 @@ def as_stack(samples) -> np.ndarray:
         raise ConfigError("signal values must be finite")
     stack.flags.writeable = False
     return stack
+
+
+def check_pair(a: Signal, b: Signal) -> None:
+    """ShapeError unless two signals have the same extents and channel count."""
+    if a.shape != b.shape or a.channels != b.channels:
+        raise ShapeError(f"shape mismatch: {a.shape}x{a.channels} vs {b.shape}x{b.channels}")
+
+
+def full_lag(extents) -> tuple[int, ...]:
+    """Twice each extent: the grid on which every linear lag has its own bin."""
+    return tuple(2 * n for n in extents)
 
 
 @dataclass(frozen=True)
@@ -196,9 +203,7 @@ class WindowSpec:
 
 def pad_to_full_lag(s: Signal) -> Signal:
     """Zero-pad each dimension to twice its extent, content kept at the origin corner."""
-    if len(s.shape) > 2:
-        raise ShapeError(f"rank {len(s.shape)} signals are unsupported")
-    padded_shape = tuple(2 * n for n in s.shape)
+    padded_shape = full_lag(s.shape)
     out = np.zeros((s.channels,) + padded_shape)
     out[(slice(None),) + tuple(slice(0, n) for n in s.shape)] = s.planes
     return Signal(out.ravel(), padded_shape, s.channels)
@@ -206,9 +211,7 @@ def pad_to_full_lag(s: Signal) -> Signal:
 
 def make_window(spec: WindowSpec, g: LagGrid) -> LagFilter:
     """Evaluate a weight window over the centered lag grid (single plane)."""
-    l1 = g.lag_l1()
-    if spec.family == "laplace":
-        w = spec.epsilon + np.exp(-l1 / spec.b)
-    else:
-        w = 1.0 - np.exp(-l1 / spec.b)
+    with np.errstate(over="ignore"):  # a tiny b sends l1 / b to inf: exp(-inf) = 0
+        decay = np.exp(-g.lag_l1() / spec.b)
+    w = spec.epsilon + decay if spec.family == "laplace" else 1.0 - decay
     return LagFilter(w[np.newaxis], g)

@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError
-from .errors import UndefinedQuotientError
-from .gradients import GradientCheckReport, loss_and_grad
-from .spectral import LagGrid, WindowSpec, as_stack, make_window
-from .wiener import QuotientKernel
+from .gradients import GradientCheckReport, central_differences, loss_and_grad
+from .spectral import LagGrid, WindowSpec, as_stack, full_lag, make_window
+from .wiener import QuotientKernel, WienerConfig, zero_lag_fractions
 
 __all__ = [
     "DenseAutoencoder", "TrainConfig", "TrainLog", "TrainingDivergedError",
@@ -146,8 +145,7 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
         if not (0 <= self.learning_rate < math.inf and 0 < self.eps < math.inf):
             raise ConfigError("learning_rate must be >= 0 and eps > 0, both finite")
-        if not (0 <= self.lam < math.inf):
-            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
+        WienerConfig(self.lam)  # the one lambda rule
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError("moment decays must lie in [0, 1)")
 
@@ -217,7 +215,7 @@ def forward(model: DenseAutoencoder, batch) -> np.ndarray:
 def _window_raw(cfg: TrainConfig, extents: tuple[int, ...]):
     """Raw-layout whitening window on the full-lag grid of `extents`; None for MSE."""
     if cfg.loss == "wiener":
-        return make_window(cfg.whitening, LagGrid(tuple(2 * n for n in extents))).raw
+        return make_window(cfg.whitening, LagGrid(full_lag(extents))).raw
 
 
 def _batch_loss_and_grad(model: DenseAutoencoder, X, shape, cfg: TrainConfig, w_raw=None):
@@ -255,11 +253,7 @@ def _mean_concentration(model: DenseAutoencoder, X, shape, cfg: TrainConfig) -> 
     for i in range(0, len(X), cfg.batch_size):
         chunk = slice(i, i + cfg.batch_size)
         v = QuotientKernel(targets[chunk], shape[1:], cfg.lam).filters(out[chunk])
-        flat = v.reshape(v.shape[:2] + (-1,))
-        norms = np.sum(flat**2, axis=-1)
-        if np.any(norms == 0.0):
-            raise UndefinedQuotientError("concentration undefined for an all-zero filter")
-        fractions.append(flat[..., 0] ** 2 / norms)
+        fractions.append(zero_lag_fractions(v, (0,) * (len(shape) - 1))[0])
     return float(np.mean(np.concatenate(fractions)))
 
 
@@ -327,16 +321,10 @@ def grad_check_model(
     loss, d_out, A, D = _batch_loss_and_grad(model, X, shape, cfg, w_raw)
     analytic = _backward_matrix(model, A, D, d_out)
 
-    theta0 = model.flat_params()
-    numeric = np.empty_like(theta0)
-    probe = DenseAutoencoder(model.widths, model.activation, theta0)
-    for i in range(theta0.size):
-        probe.theta[i] = theta0[i] + h
-        lp = _batch_loss_and_grad(probe, X, shape, cfg, w_raw)[0]
-        probe.theta[i] = theta0[i] - h
-        lm = _batch_loss_and_grad(probe, X, shape, cfg, w_raw)[0]
-        probe.theta[i] = theta0[i]
-        numeric[i] = (lp - lm) / (2.0 * h)
-    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
-    rel = np.abs(analytic - numeric) / scale
-    return GradientCheckReport(float(rel.max()), float(rel.mean()), theta0.size)
+    probe = DenseAutoencoder(model.widths, model.activation)
+
+    def loss_at(theta: np.ndarray) -> float:
+        probe.set_flat_params(theta)
+        return _batch_loss_and_grad(probe, X, shape, cfg, w_raw)[0]
+
+    return central_differences(loss_at, analytic, model.flat_params(), h)

@@ -34,7 +34,7 @@ from .errors import (
     SingularSystemError,
     UndefinedQuotientError,
 )
-from .spectral import LagFilter, LagGrid, Signal, pad_to_full_lag
+from .spectral import LagFilter, LagGrid, Signal, check_pair, full_lag, pad_to_full_lag
 
 __all__ = [
     "WienerConfig",
@@ -85,7 +85,7 @@ class QuotientKernel:
 
     def __init__(self, fixed: np.ndarray, shape: tuple[int, ...], lam: float):
         self.shape = tuple(shape)
-        self.padded = tuple(2 * n for n in self.shape)
+        self.padded = full_lag(self.shape)
         self.axes = tuple(range(-len(self.shape), 0))
         if np.shape(fixed)[-len(self.shape):] != self.shape:
             raise ShapeError(f"fixed {np.shape(fixed)} does not end in extents {self.shape}")
@@ -209,22 +209,13 @@ def delta_filter(grid: LagGrid, channels: int = 1) -> LagFilter:
     return LagFilter(data, grid)
 
 
-def _check_pair(target: Signal, source: Signal) -> None:
-    if target.shape != source.shape:
-        raise ShapeError(f"shape mismatch: target {target.shape} vs source {source.shape}")
-    if target.channels != source.channels:
-        raise ShapeError(
-            f"channel mismatch: target {target.channels} vs source {source.channels}"
-        )
-
-
 def wiener_filter(target: Signal, source: Signal, cfg: WienerConfig) -> LagFilter:
     """Per-channel filter that convolves `source` to best approximate `target`.
 
     Both inputs are padded to full-lag size internally; the result lives on
     the centered lag grid of the padded extents.
     """
-    _check_pair(target, source)
+    check_pair(target, source)
     kernel = QuotientKernel(source.planes, source.shape, cfg.lam)
     return LagFilter.from_raw(kernel.filters(target.planes), LagGrid(kernel.padded))
 
@@ -252,7 +243,7 @@ def wiener_filter_direct(target: Signal, source: Signal, cfg: WienerConfig) -> L
     the circulant convolution matrix of the padded source. Kept deliberately
     independent of the spectral path.
     """
-    _check_pair(target, source)
+    check_pair(target, source)
     t = pad_to_full_lag(target).planes
     s = pad_to_full_lag(source).planes
     n = int(np.prod(t.shape[1:]))
@@ -275,13 +266,22 @@ def wiener_filter_direct(target: Signal, source: Signal, cfg: WienerConfig) -> L
     return LagFilter.from_raw(out, grid)
 
 
-def whitened_residual(kernel: QuotientKernel, varying: np.ndarray, w_raw: np.ndarray) -> np.ndarray:
-    """W * (v - delta) in raw layout, v the kernel's filters of the varying planes."""
+def filter_identity_loss(
+    kernel: QuotientKernel, varying: np.ndarray, w_raw: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Loss 0.5 * sum((W * (v - delta))^2) over channels and lags per batch entry
+    of `varying` (*batch, C, *extents), and the whitened residual W * (v - delta),
+    v the kernel's raw filters. NumericalError unless every value is finite."""
     if w_raw.shape[-len(kernel.shape):] != kernel.padded:
         raise ShapeError(f"whitening extents {w_raw.shape[1:]} != padded extents {kernel.padded}")
-    v = kernel.filters(varying)
-    v[(...,) + (0,) * len(kernel.shape)] -= 1.0
-    return w_raw * v
+    residual = kernel.filters(varying)
+    residual[(...,) + (0,) * len(kernel.shape)] -= 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual *= w_raw
+        values = 0.5 * np.sum(residual**2, axis=(-1 - len(kernel.shape),) + kernel.axes)
+    if not np.all(np.isfinite(values)):
+        raise NumericalError("non-finite filter loss: the whitened residual overflows")
+    return values, residual
 
 
 def wiener_loss(
@@ -292,9 +292,9 @@ def wiener_loss(
     The filter maps the target onto the prediction. Zero exactly when
     prediction == target; channels reduce by sum.
     """
-    _check_pair(prediction, target)
+    check_pair(prediction, target)
     kernel = QuotientKernel(target.planes, target.shape, cfg.lam)
-    return 0.5 * float(np.sum(whitened_residual(kernel, prediction.planes, whitening.raw) ** 2))
+    return float(filter_identity_loss(kernel, prediction.planes, whitening.raw)[0])
 
 
 def ti_distance(a: Signal, b: Signal, cfg: WienerConfig) -> float:
@@ -307,17 +307,24 @@ def ti_distance(a: Signal, b: Signal, cfg: WienerConfig) -> float:
     and Parseval over the other bins); only the maximum is read from the
     spatial domain. See ``QuotientKernel.ti_values``.
     """
-    _check_pair(a, b)
+    check_pair(a, b)
     vals, constant = QuotientKernel(b.planes, b.shape, cfg.lam).ti_values(a.planes)
     if np.any(constant):
         warnings.warn("constant matching filter; distance defaulting to 0", RuntimeWarning)
     return float(np.mean(vals))
 
 
+def zero_lag_fractions(planes: np.ndarray, zero: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Each filter plane's squared energy fraction at the lag bin `zero` (over the
+    trailing lag axes; all zeros in raw layout) and its squared norm, lag axes
+    kept as length 1. UndefinedQuotientError for an all-zero plane."""
+    axes = tuple(range(-len(zero), 0))
+    norms = (planes**2).sum(axis=axes, keepdims=True)
+    if (norms == 0.0).any():
+        raise UndefinedQuotientError("zero-lag energy fraction undefined for an all-zero filter")
+    return planes[(...,) + tuple(zero)] ** 2 / norms[(...,) + (0,) * len(zero)], norms
+
+
 def concentration(v: LagFilter) -> float:
-    """Fraction of squared filter energy at the zero-lag bin, in [0, 1]."""
-    axes = tuple(range(1, v.data.ndim))
-    norms = np.sum(v.data**2, axis=axes)
-    if np.any(norms == 0.0):
-        raise UndefinedQuotientError("concentration undefined for an all-zero filter")
-    return float(np.mean(v.zero_lag_values() ** 2 / norms))
+    """Fraction of squared filter energy at the zero-lag bin, in [0, 1], averaged over channels."""
+    return float(np.mean(zero_lag_fractions(v.data, v.grid.zero_lag_index)[0]))

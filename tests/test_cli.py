@@ -91,6 +91,31 @@ class TestLossCommand:
         assert report["wiener_loss"] > 0
         assert set(report["metrics"]) == {"mae", "mse", "psnr", "ssim"}
 
+    def test_overflowing_loss_exits_4_without_artifacts(self, tmp_path, digit_image, capsys):
+        # a 1e308 window floor squares the whitened residual past the float range
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text("[window]\nepsilon = 1e308\n")
+        out = tmp_path / "never"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning before the NumericalError
+            rc = main(["loss", str(digit_image), str(digit_image), "--config", str(cfgf),
+                       "--out", str(out)])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["recover", "train"])
+    def test_overflowing_loss_is_a_divergence(self, tmp_path, digit_image, capsys, command):
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text("[window]\nepsilon = 1e308\n[train]\nn_train = 20\nepochs = 1\n")
+        images = [str(digit_image)] if command == "recover" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, *images, "--config", str(cfgf), "--out", str(tmp_path / "run")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert re.search(r"(recovery|training) diverged at (iteration|epoch) 0", err), err
+
     def test_self_pair_is_zero_loss(self, tmp_path, digit_image):
         out = tmp_path / "run"
         assert main(["loss", str(digit_image), str(digit_image), "--out", str(out)]) == 0
@@ -346,8 +371,18 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize(
         "text",
-        ["[knn]\nk = 0\n", "[knn]\nn_train = 20\nbaseline_k = 50\n", "[wiener]\nlambda = nan\n"],
-        ids=["k-0", "baseline_k-50", "lambda-nan"],
+        [
+            "[knn]\nk = 0\n",
+            "[knn]\nn_train = 20\nbaseline_k = 50\n",
+            "[wiener]\nlambda = nan\n",
+            # the [diffusion] energy settings are checked at load, for knn too
+            "[diffusion]\npenalty_family = nope\n",
+            "[diffusion]\npenalty_b = -1\n",
+            "[diffusion]\ngamma = -1\n",
+            "[diffusion]\ngamma = nan\n",
+        ],
+        ids=["k-0", "baseline_k-50", "lambda-nan", "penalty_family-nope", "penalty_b--1",
+             "gamma--1", "gamma-nan"],
     )
     def test_bad_knn_setting_exits_2_without_artifacts(self, tmp_path, capsys, text):
         cfgf = tmp_path / "c.ini"

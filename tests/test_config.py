@@ -126,11 +126,18 @@ def test_lambda_is_read_only_from_wiener(tmp_path, section):
         "[knn]\nk = 0\n",
         "[diffusion]\nk_nearest = 0\n",
         "[diffusion]\ninit_variance = nan\n",
+        "[diffusion]\ngamma = -1\n",
+        "[diffusion]\ngamma = inf\n",
+        "[diffusion]\npenalty_family = nope\n",
+        "[diffusion]\npenalty_b = 0\n",
         "[train]\nbatch_size = 0\n",
         "[train]\nlearning_rate = nan\n",
         "[train]\nloss = huber\n",
         "[knn]\nn_train = 20\nbaseline_k = 50\n",
         "[wiener]\nlambda = 5%\n",
+        # configparser would merge [DEFAULT] keys into every section, or ignore them
+        "[DEFAULT]\nlambda = 5\n",
+        "[DEFAULT]\n[wiener]\nlambda = 2\n",
     ],
     ids=lambda text: text.replace("\n", " ").strip(),
 )

@@ -1,10 +1,14 @@
 """Property tests of the input boundary: INI values, PGM, IDX and model bytes.
 
 Whatever the input, a subcommand ends in exit 0, 2, 3 or 4 without a
-traceback, and a reader returns its result or raises a library error.
+traceback, and a reader returns its result or raises a library error. A
+`loss` run that exits 0 has written finite values without a numpy warning.
 """
 
 import gzip
+import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +46,7 @@ VALUE = st.one_of(
 KEYS = {
     "wiener": ["lambda", "lam", "direction"],
     "window": ["family", "b", "epsilon", "lambda", "width"],
+    "diffusion": ["penalty_family", "penalty_b", "gamma"],
 }
 
 
@@ -103,11 +108,24 @@ def _run(capsys, argv) -> None:
 
 @FUZZ
 @given(text=wiener_and_window_ini(), target=st.sampled_from(["b", "zero"]))
+@example(text="[window]\nepsilon = 1e308\n", target="b")  # the loss overflows
+@example(text="[window]\nb = 5e-324\n", target="b")  # l1 / b overflows in the window
 def test_wiener_and_window_values_end_in_an_exit_code(tmp_path, capsys, images, text, target):
     cfgf = tmp_path / "fuzz.ini"
     cfgf.write_text(text, encoding="utf-8")
+    out = tmp_path / "run"
     argv = ["loss", str(images["a"]), str(images[target]), "--config", str(cfgf)]
-    _run(capsys, argv + ["--out", str(tmp_path / "run")])
+    # a warning the CLI would print to stderr is recorded here instead
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc in EXIT_CODES and "Traceback" not in err, (text, rc, err)
+    if rc == 0:
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (text, caught)
+        report = json.loads((out / "loss.json").read_text())
+        for key in ("wiener_loss", "ti_distance"):
+            assert isinstance(report[key], float) and math.isfinite(report[key]), (text, report)
 
 
 @FUZZ

@@ -1,4 +1,5 @@
-"""Source-layout rules: every transform in the package goes through one kernel."""
+"""Source-layout rules: every transform in the package goes through one kernel,
+and each numerical or validation rule below is written in one place."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,66 @@ def test_fft_only_inside_the_quotient_kernel():
                 outside.append(f"{path.name}:{line}")
     assert not outside, f"np.fft used outside {KERNEL[1]}: {outside}"
     assert inside > 0  # the rule is vacuous if the kernel stops using np.fft
+
+
+def _sites(matches) -> list[str]:
+    """file:line of every node of the package's source for which `matches` holds."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if matches(node)
+    ]
+
+
+def _is_two(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and node.value == 2
+
+
+def test_all_zero_filter_error_is_raised_at_one_site():
+    def raises_it(node):
+        call = node.exc if isinstance(node, ast.Raise) else None
+        return isinstance(call, ast.Call) and getattr(call.func, "id", None) == "UndefinedQuotientError"
+
+    sites = _sites(raises_it)
+    assert len(sites) == 1, sites
+
+
+def test_full_lag_doubling_is_written_only_in_spectral():
+    # `2 * n for n in extents`: a comprehension doubling its own variable
+    def doubles(node):
+        if not isinstance(node, (ast.GeneratorExp, ast.ListComp)):
+            return False
+        elt, target = node.elt, node.generators[0].target
+        return (
+            isinstance(elt, ast.BinOp) and isinstance(elt.op, ast.Mult) and _is_two(elt.left)
+            and isinstance(elt.right, ast.Name) and isinstance(target, ast.Name)
+            and elt.right.id == target.id
+        )
+
+    sites = _sites(doubles)
+    assert sites and all(site.startswith("spectral.py:") for site in sites), sites
+
+
+def test_signal_pair_comparison_lives_only_in_spectral():
+    def compares_channels(node):
+        sides = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+        return len(sides) == 2 and all(
+            isinstance(side, ast.Attribute) and side.attr == "channels" for side in sides
+        )
+
+    sites = _sites(compares_channels)
+    assert sites and all(site.startswith("spectral.py:") for site in sites), sites
+
+
+def test_one_central_difference_loop():
+    # (f(x + h) - f(x - h)) / (2 * h)
+    def central_quotient(node):
+        return (
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Mult)
+            and _is_two(node.right.left)
+        )
+
+    sites = _sites(central_quotient)
+    assert len(sites) == 1, sites

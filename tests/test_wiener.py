@@ -14,7 +14,7 @@ from wienerlab.errors import (
     UndefinedQuotientError,
 )
 from wienerlab.spectral import LagFilter, LagGrid, Signal, WindowSpec, make_window
-from wienerlab import gradients, wiener
+from wienerlab import wiener
 from wienerlab.wiener import (
     QuotientKernel,
     WienerConfig,
@@ -157,9 +157,12 @@ class TestDirectOracle:
 
 def rayleigh_quotient(v: LagFilter, penalty: LagFilter) -> float:
     """The dataset energy's penalty quotient ||penalty * v||^2 / ||v||^2 of a
-    centered filter, averaged over channels (gradients._penalty_quotient)."""
-    quot, _ = gradients._penalty_quotient(v.raw, penalty.raw, tuple(range(1, v.data.ndim)))
-    return float(np.mean(quot))
+    centered filter, averaged over channels, formed as gradients._energy_chunk
+    forms it: over the norms of wiener.zero_lag_fractions, which rejects an
+    all-zero filter."""
+    axes = tuple(range(1, v.data.ndim))
+    _, norms = wiener.zero_lag_fractions(v.raw, (0,) * len(axes))
+    return float(np.mean(((penalty.raw * v.raw) ** 2).sum(axis=axes, keepdims=True) / norms))
 
 
 class TestRayleighQuotient:
