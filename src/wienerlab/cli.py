@@ -38,14 +38,7 @@ from .knn import DistanceSpec, LabeledSet, evaluate_accuracy, make_translated_se
 from .metrics import compute_metrics, psnr
 from .spectral import LagGrid, Signal, WindowSpec, full_lag, make_window
 from .trainer import DenseAutoencoder, TrainingDivergedError, train
-from .wiener import (
-    QuotientKernel,
-    WienerConfig,
-    concentration,
-    ti_distance,
-    wiener_filter,
-    wiener_loss,
-)
+from .wiener import QuotientKernel, WienerConfig, concentration, pair_report, wiener_filter
 
 __all__ = ["main"]
 
@@ -128,13 +121,8 @@ def _cmd_loss(args, cfg: ExperimentConfig) -> int:
     prediction = read_pgm(args.image_a)
     target = read_pgm(args.image_b)
     whitening = _whitening(cfg, prediction.shape)
-    v = wiener_filter(prediction, target, cfg.wiener)
-    report = {
-        "wiener_loss": wiener_loss(prediction, target, whitening, cfg.wiener),
-        "ti_distance": ti_distance(prediction, target, cfg.wiener),
-        "filter_concentration": concentration(v),
-        "metrics": compute_metrics(prediction, target),
-    }
+    report = pair_report(prediction, target, whitening, cfg.wiener)
+    report["metrics"] = compute_metrics(prediction, target)
 
     run_dir = _make_run_dir(args, "loss")
     _echo_config(run_dir, cfg)
@@ -171,8 +159,9 @@ def _recover_objective(rc, target: Signal, whitening, wcfg: WienerConfig):
     """x -> (loss, gradient) for the recovery descent, x shaped like target.planes.
 
     The filter loss keeps the target's quotient kernel and the raw whitening
-    window for the whole run, so a step costs two forward and two inverse
-    real transforms.
+    window for the whole run, so a step costs two forward real transforms,
+    the filter's inverse and the gradient's pruned inverse (its real
+    inverse runs over the kept half of the rows only).
     """
     if rc.loss == "mse":
 
@@ -215,7 +204,7 @@ def _cmd_recover(args, cfg: ExperimentConfig) -> int:
 
     objective = _recover_objective(rc, target, whitening, cfg.wiener)
     x = masked.planes.copy()
-    curve = []
+    logged, curve = [], []  # iterations and their losses
     for it in range(rc.iterations):
         try:
             loss_val, grad = objective(x)
@@ -225,11 +214,12 @@ def _cmd_recover(args, cfg: ExperimentConfig) -> int:
             write_pgm(run_dir / "recovered.pgm", Signal.from_array(np.clip(x[0], 0, 1)))
             raise NumericalError(f"recovery diverged at iteration {it} (last iterate saved)")
         if it % rc.log_every == 0:
-            curve.append((it, loss_val))
+            logged.append(it)
+            curve.append(loss_val)
         x = x - step * grad
     recovered = Signal.from_array(np.clip(x[0], 0.0, 1.0))
 
-    write_csv(run_dir / "loss_curve.csv", ["iteration", "loss"], curve)
+    write_csv(run_dir / "loss_curve.csv", ["iteration", "loss"], [logged, curve])
     write_pgm(run_dir / "masked.pgm", masked)
     write_pgm(run_dir / "baseline.pgm", baseline)
     write_pgm(run_dir / "recovered.pgm", recovered)
@@ -241,7 +231,7 @@ def _cmd_recover(args, cfg: ExperimentConfig) -> int:
         "psnr_masked": psnr(masked, target),
         "psnr_baseline": psnr(baseline, target),
         "psnr_recovered": psnr(recovered, target),
-        "final_loss": curve[-1][1] if curve else None,
+        "final_loss": curve[-1] if curve else None,
     }
     _write_json(run_dir / "recover.json", report)
     print(
@@ -289,24 +279,32 @@ def _cmd_diffuse(args, cfg: ExperimentConfig) -> int:
         k_nearest=d.k_nearest,
     )
 
-    rows = []
-    for c, traj in enumerate(trajectories):
-        for t, (e, conc) in enumerate(zip(traj.energies, traj.concentrations)):
-            rows.append((c, t, float(e), float(conc)))
-    write_csv(run_dir / "trajectory.csv", ["chain", "step", "energy", "concentration"], rows)
+    chains = np.arange(len(trajectories))
+    steps = len(trajectories[0].energies)
+    write_csv(
+        run_dir / "trajectory.csv",
+        ["chain", "step", "energy", "concentration"],
+        [
+            np.repeat(chains, steps),
+            np.tile(np.arange(steps), len(chains)),
+            np.concatenate([t.energies for t in trajectories]),
+            np.concatenate([t.concentrations for t in trajectories]),
+        ],
+    )
 
     if model.defining.ndim == 4:
         _write_sample_grids(run_dir, trajectories)
     else:
-        sample_rows = []
-        for c, traj in enumerate(trajectories):
-            for step, x in zip(traj.snapshot_steps, traj.samples):
-                sample_rows.append((c, step) + tuple(x.ravel().tolist()))
-        dim = model.defining[0].size
+        snapshots = len(trajectories[0].samples)
+        samples = np.concatenate([t.samples.reshape(snapshots, -1) for t in trajectories])
         write_csv(
             run_dir / "samples.csv",
-            ["chain", "step"] + [f"x{i}" for i in range(dim)],
-            sample_rows,
+            ["chain", "step"] + [f"x{i}" for i in range(samples.shape[1])],
+            [
+                np.repeat(chains, snapshots),
+                np.concatenate([t.snapshot_steps for t in trajectories]),
+                *samples.T,
+            ],
         )
 
     e0 = float(np.mean([t.energies[0] for t in trajectories]))
@@ -436,8 +434,12 @@ def _cmd_train(args, cfg: ExperimentConfig) -> int:
         log = train(model, data, tcfg)
     except TrainingDivergedError as exc:
         diverged, log = exc, exc.log  # the log up to the last finite epoch is still written
-    rows = [(i, l, c) for i, (l, c) in enumerate(zip(log.losses, log.concentrations))]
-    write_csv(run_dir / "train_log.csv", ["epoch", "loss", "concentration"], rows)
+    logged = len(log.concentrations)  # a diagnostic that diverged leaves its epoch's loss out
+    write_csv(
+        run_dir / "train_log.csv",
+        ["epoch", "loss", "concentration"],
+        [list(range(logged)), log.losses[:logged], log.concentrations],
+    )
     if diverged is not None:
         raise diverged
     save_model(run_dir / "model.wnae", model)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ShapeError
 from .knn import LabeledSet
 from .spectral import Signal
 from .trainer import DenseAutoencoder
@@ -212,9 +212,28 @@ def load_model(path, activation: str = "mish") -> DenseAutoencoder:
     return DenseAutoencoder(widths, activation, theta)
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    """Plain CSV with a header row; floats via repr for lossless round-trips."""
+CSV_BLOCK_ROWS = 512  # rows formatted per write: a long log's text is never held whole
+
+
+def write_csv(path, header: list[str], columns) -> None:
+    """Plain CSV with a header row; floats via repr for lossless round-trips.
+
+    `columns` holds one sequence per header name, all equally long. They are
+    formatted in blocks of CSV_BLOCK_ROWS rows; a NumPy array column in one
+    pass over each block's ``tolist()``: repr for floats, str for integers.
+    """
+    lengths = {len(column) for column in columns}
+    if len(columns) != len(header) or len(lengths) > 1:
+        raise ShapeError(f"{len(header)} CSV names against columns of lengths {sorted(lengths)}")
+    n = lengths.pop() if lengths else 0
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            cells = [_csv_cells(column[start : start + CSV_BLOCK_ROWS]) for column in columns]
+            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _csv_cells(column) -> list[str]:
+    if isinstance(column, np.ndarray):
+        return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
+    return [repr(x) if isinstance(x, float) else str(x) for x in column]

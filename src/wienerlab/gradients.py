@@ -54,7 +54,7 @@ def loss_and_grad(
     `varying` is (*batch, channels, *extents) and `w_raw` the raw-layout
     whitening window; values sum over channels and lags, one per batch entry.
     """
-    values, residual = filter_identity_loss(kernel, varying, w_raw)
+    values, residual = filter_identity_loss(kernel, kernel.filters(varying), w_raw)
     return values, kernel.pullback(w_raw * residual)
 
 

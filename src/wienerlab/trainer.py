@@ -4,7 +4,9 @@ Exists to exercise the filter-identity loss as a training criterion next to
 plain MSE at desk scale. The loss gradient with respect to reconstructions
 comes from one batched quotient-kernel pass per minibatch (or the MSE
 residual) and is pushed through the dense stack by hand; the optimizer is
-Adam. Single-threaded and fully seeded, so runs are reproducible
+Adam. The targets are transformed once per run: each minibatch takes its
+rows of one kernel over the training set (``_kernel_rows``).
+Single-threaded and fully seeded, so runs are reproducible
 parameter-for-parameter.
 
 All parameters live in one float64 vector ``theta`` (per layer: row-major
@@ -218,10 +220,38 @@ def _window_raw(cfg: TrainConfig, extents: tuple[int, ...]):
         return make_window(cfg.whitening, LagGrid(full_lag(extents))).raw
 
 
-def _batch_loss_and_grad(model: DenseAutoencoder, X, shape, cfg: TrainConfig, w_raw=None):
-    """Mean loss over the batch X (one flattened sample of shape (C, *extents)
-    per row), its gradient wrt the reconstructions and the forward pass
-    (A, D) for backprop; `w_raw` is built here when None."""
+KERNEL_CACHE_BYTES = 2**26  # spectra a run keeps; past this, kernels are built per minibatch
+
+
+def _kernel_rows(stack: np.ndarray, lam: float, batch_size: int):
+    """index -> the QuotientKernel of ``stack[index]``, `stack` shaped (n, C, *extents).
+
+    K and L take 24 B per half-spectrum bin, n*C*2h*(w+1)*24 B for the
+    stack. Within KERNEL_CACHE_BYTES the stack is transformed once and each
+    index is a row view of that one kernel. A larger stack is transformed
+    here once, `batch_size` rows at a time, into kernels that are not kept,
+    so a singular sample fails before training wherever it sits; each index
+    then builds the kernel of its rows (equal bit for bit to the row view).
+    """
+    extents = stack.shape[2:]
+    padded = full_lag(extents)
+    row_bytes = 24 * stack.shape[1] * math.prod(padded[:-1]) * (padded[-1] // 2 + 1)
+    if len(stack) * row_bytes <= KERNEL_CACHE_BYTES:
+        return QuotientKernel(stack, extents, lam).rows
+    for start in range(0, len(stack), batch_size):
+        QuotientKernel(stack[start : start + batch_size], extents, lam)
+    return lambda index: QuotientKernel(stack[index], extents, lam)
+
+
+def _batch_loss_and_grad(
+    model: DenseAutoencoder, X_all, idx, shape, cfg: TrainConfig, w_raw, kernel_rows
+):
+    """Mean loss over the batch X_all[idx] (one flattened sample of shape
+    (C, *extents) per row), its gradient wrt the reconstructions and the
+    forward pass (A, D) for backprop. Under the filter loss the batch's
+    kernel is ``kernel_rows(idx)`` (see ``_kernel_rows``) and `w_raw` its
+    whitening window; MSE reads neither."""
+    X = X_all[idx]
     A, D = _forward_matrix(model, X, prime=True)
     out = A[-1]
     B = X.shape[0]
@@ -231,28 +261,26 @@ def _batch_loss_and_grad(model: DenseAutoencoder, X, shape, cfg: TrainConfig, w_
         d_out = diff / B
     else:
         planes = (B,) + shape
-        kernel = QuotientKernel(X.reshape(planes), shape[1:], cfg.lam)
-        if w_raw is None:
-            w_raw = _window_raw(cfg, shape[1:])
-        vals, grads = loss_and_grad(kernel, out.reshape(planes), w_raw)
+        vals, grads = loss_and_grad(kernel_rows(idx), out.reshape(planes), w_raw)
         loss = float(np.mean(vals))
         d_out = grads.reshape(B, -1) / B
     return loss, d_out, A, D
 
 
-def _mean_concentration(model: DenseAutoencoder, X, shape, cfg: TrainConfig) -> float:
+def _mean_concentration(model: DenseAutoencoder, X, shape, cfg: TrainConfig, kernel_rows) -> float:
     """Mean zero-lag energy fraction of the reconstruction-target filters.
 
-    Filters are evaluated one minibatch-sized chunk at a time, so the
-    diagnostic's memory is bounded by the batch size, as training's is.
+    ``kernel_rows(rows)`` is the kernel of X's rows (see ``_kernel_rows``).
+    Filters are formed one minibatch-sized chunk of rows at a time, so the
+    filter stack is bounded by the batch size; the kernel's spectra are
+    those ``_kernel_rows`` keeps.
     """
     A, _ = _forward_matrix(model, X)
-    planes = (len(X),) + shape
-    out, targets = A[-1].reshape(planes), X.reshape(planes)
+    out = A[-1].reshape((len(X),) + shape)
     fractions = []
     for i in range(0, len(X), cfg.batch_size):
-        chunk = slice(i, i + cfg.batch_size)
-        v = QuotientKernel(targets[chunk], shape[1:], cfg.lam).filters(out[chunk])
+        chunk = slice(i, min(i + cfg.batch_size, len(X)))  # kernel_rows may cover more rows
+        v = kernel_rows(chunk).filters(out[chunk])
         fractions.append(zero_lag_fractions(v, (0,) * (len(shape) - 1))[0])
     return float(np.mean(np.concatenate(fractions)))
 
@@ -262,29 +290,39 @@ def train(model: DenseAutoencoder, data, cfg: TrainConfig) -> TrainLog:
     parameters are updated in place.
 
     The log records per-epoch mean loss and the mean reconstruction-target
-    filter concentration on a fixed evaluation subset. Raises
-    TrainingDivergedError (log attached) when the loss stops being finite or
-    exceeds DIVERGENCE_FACTOR times the first minibatch loss.
+    filter concentration on a fixed evaluation subset (the first 128 rows).
+    The targets the run reads (every training row under the filter loss,
+    the evaluation rows under MSE) are transformed once, before the first
+    epoch, into one kernel whose rows the minibatches and the diagnostic
+    take (``_kernel_rows``; past KERNEL_CACHE_BYTES, per-minibatch kernels).
+    So a sample that leaves the system singular (a zero denominator bin at
+    lambda = 0) raises SingularSystemError before the first epoch, wherever
+    it sits. Raises TrainingDivergedError (log attached) when the loss stops
+    being finite or exceeds DIVERGENCE_FACTOR times the first minibatch loss.
     """
     X_all, shape = _sample_matrix(model, data)
     n = len(X_all)
-    eval_X = X_all[: min(128, n)]
+    n_eval = min(128, n)
+    eval_X = X_all[:n_eval]
     rng = np.random.default_rng(cfg.seed)
 
+    kept = n if cfg.loss == "wiener" else n_eval
+    kernel_rows = _kernel_rows(X_all[:kept].reshape((kept,) + shape), cfg.lam, cfg.batch_size)
     w_raw = _window_raw(cfg, shape[1:])
     grad, m, v = (np.zeros_like(model.theta) for _ in range(3))
     step, first_loss = 0, None
 
     log = TrainLog()
-    log.initial_concentration = _mean_concentration(model, eval_X, shape, cfg)
+    log.initial_concentration = _mean_concentration(model, eval_X, shape, cfg, kernel_rows)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            X = X_all[idx]
             try:
-                loss, d_out, A, D = _batch_loss_and_grad(model, X, shape, cfg, w_raw)
+                loss, d_out, A, D = _batch_loss_and_grad(
+                    model, X_all, idx, shape, cfg, w_raw, kernel_rows
+                )
             except NumericalError:
                 loss = float("nan")
             if first_loss is None:
@@ -302,7 +340,7 @@ def train(model: DenseAutoencoder, data, cfg: TrainConfig) -> TrainLog:
             model.theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
         log.losses.append(float(np.mean(epoch_losses)))
         try:
-            log.concentrations.append(_mean_concentration(model, eval_X, shape, cfg))
+            log.concentrations.append(_mean_concentration(model, eval_X, shape, cfg, kernel_rows))
         except NumericalError:
             log.diverged = True
             raise TrainingDivergedError(epoch, log)
@@ -318,13 +356,17 @@ def grad_check_model(
         raise ConfigError(f"{model.n_params} parameters exceeds the 5k grad-check cap")
     X, shape = _sample_matrix(model, batch)
     w_raw = _window_raw(cfg, shape[1:])
-    loss, d_out, A, D = _batch_loss_and_grad(model, X, shape, cfg, w_raw)
+    kernel_rows = None
+    if cfg.loss == "wiener":
+        kernel_rows = _kernel_rows(X.reshape((len(X),) + shape), cfg.lam, len(X))
+    every = slice(None)
+    loss, d_out, A, D = _batch_loss_and_grad(model, X, every, shape, cfg, w_raw, kernel_rows)
     analytic = _backward_matrix(model, A, D, d_out)
 
     probe = DenseAutoencoder(model.widths, model.activation)
 
     def loss_at(theta: np.ndarray) -> float:
         probe.set_flat_params(theta)
-        return _batch_loss_and_grad(probe, X, shape, cfg, w_raw)[0]
+        return _batch_loss_and_grad(probe, X, every, shape, cfg, w_raw, kernel_rows)[0]
 
     return central_differences(loss_at, analytic, model.flat_params(), h)

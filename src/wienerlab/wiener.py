@@ -75,6 +75,13 @@ class QuotientKernel:
     Floating-point warnings are silenced inside: every non-finite result
     raises NumericalError instead.
 
+    ``rows(index)`` is the kernel of ``fixed[index]`` over the leading axis,
+    sharing K and L with no transform, so a loop over subsets of one fixed
+    set (the trainer's minibatches) transforms the set once. ``pullback``
+    inverts only what it keeps: each leading lag axis is inverted and
+    cropped to its unpadded extent before the next, so the final real
+    inverse runs over the kept rows alone. conj(K) is formed once per kernel.
+
     ``ti_values`` reduces each filter plane to its TI value without keeping
     the whole filter stack: it walks the broadcast batch in tiles of about
     TI_CHUNK_ELEMENTS spatial elements over its first two axes, takes each
@@ -101,14 +108,57 @@ class QuotientKernel:
         self.K = np.divide(np.conjugate(S, out=S), den, out=S)  # in place: S is not kept
         self.L = lam / den
 
+    def rows(self, index) -> "QuotientKernel":
+        """The kernel of ``fixed[index]``, `index` an index array or slice over the
+        fixed side's leading axis. It shares this kernel's K and L (a slice
+        views them, an index array copies its rows) and transforms nothing."""
+        if self.K.ndim == len(self.shape):
+            raise ShapeError("rows of a kernel need a leading batch axis on the fixed side")
+        sub = object.__new__(QuotientKernel)
+        sub.shape, sub.padded, sub.axes = self.shape, self.padded, self.axes
+        sub.K, sub.L = self.K[index], self.L[index]
+        return sub
+
     def filters(self, varying: np.ndarray) -> np.ndarray:
         """Raw-layout matching filters (*batch, *padded), varying side in the numerator."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            Q = self.K * self._spectrum(varying)
+            Q += self.L
+        return self._inverse(Q)
+
+    def filters_with_ti(self, varying: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``filters`` and each plane's ``ti_values`` result from one forward
+        transform of `varying`. Untiled, so meant for a small batch such as one pair.
+
+        Each quotient spectrum is formed as its own method forms it:
+        ``filters`` multiplies K by an unnamed transform, whose buffer NumPy
+        may reuse as the output with the factors swapped (past its 256 KB
+        temporary-elision size), ``ti_values`` by a named one. NumPy's complex
+        multiply can round the two orders apart in the last bit, so the TI
+        maxima are read from the filters when the two spectra are equal and
+        from a second inverse transform when they are not. The filters equal
+        ``filters``' bit for bit, and the TI results equal ``ti_values``'
+        whenever that method takes the batch in one tile (one plane always is).
+        """
+        X = self._spectrum(varying)
+        with np.errstate(over="ignore", invalid="ignore"):
+            Q = self.K * X.copy()  # as in filters: an unnamed factor
+            Q += self.L
+            Q_ti = self.K * X
+            Q_ti += self.L
+            v = self._inverse(Q)
+            if np.array_equal(Q_ti, Q):
+                peaks = v
+            else:
+                peaks = np.fft.irfftn(Q_ti, s=self.padded, axes=self.axes)
+        return (v, *self._ti(Q_ti, peaks))
+
+    def _spectrum(self, varying: np.ndarray) -> np.ndarray:
+        """rfftn of the varying side on the padded grid."""
         if np.shape(varying)[-len(self.shape):] != self.shape:
             raise ShapeError(f"varying {np.shape(varying)} does not end in extents {self.shape}")
         with np.errstate(over="ignore", invalid="ignore"):
-            Q = self.K * np.fft.rfftn(varying, s=self.padded, axes=self.axes)
-            Q += self.L
-            return self._inverse(Q)
+            return np.fft.rfftn(varying, s=self.padded, axes=self.axes)
 
     def ti_values(self, varying: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Negative maximum of each standardized filter plane, shaped (*batch,),
@@ -121,10 +171,7 @@ class QuotientKernel:
         spatial filter.
         """
         rank = len(self.shape)
-        if np.shape(varying)[-rank:] != self.shape:
-            raise ShapeError(f"varying {np.shape(varying)} does not end in extents {self.shape}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            X = np.fft.rfftn(varying, s=self.padded, axes=self.axes)
+        X = self._spectrum(varying)
         batch = np.broadcast_shapes(self.K.shape[:-rank], X.shape[:-rank])
         lead = max(len(batch), 2)  # tiles run along two leading axes, added if missing
         K, L, X = (a.reshape((1,) * (lead + rank - a.ndim) + a.shape) for a in (self.K, self.L, X))
@@ -145,13 +192,18 @@ class QuotientKernel:
                 with np.errstate(over="ignore", invalid="ignore"):
                     Q = K_t * X_t
                     Q += L_t
-                    mu, sigma = self._moments(Q)
-                    # _moments found every bin finite, which bounds every filter
-                    # value, so the spatial filter needs no finiteness scan
-                    peak = np.fft.irfftn(Q, s=self.padded, axes=self.axes).max(axis=self.axes)
-                constant[tile] = sigma == 0.0
-                values[tile] = -(peak - mu) / np.where(constant[tile], np.inf, sigma)
+                    # _ti raises unless every bin of Q is finite, which bounds
+                    # every filter value, so the spatial filter needs no scan
+                    values[tile], constant[tile] = self._ti(
+                        Q, np.fft.irfftn(Q, s=self.padded, axes=self.axes)
+                    )
         return values.reshape(batch), constant.reshape(batch)
+
+    def _ti(self, Q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """TI values and the constant-plane mask of the filters v = irfftn(Q)."""
+        mu, sigma = self._moments(Q)
+        constant = sigma == 0.0
+        return -(v.max(axis=self.axes) - mu) / np.where(constant, np.inf, sigma), constant
 
     @cached_property
     def _parseval_weights(self) -> np.ndarray:
@@ -186,17 +238,39 @@ class QuotientKernel:
         N = math.prod(self.padded)
         return dc.real / N, np.sqrt(sumsq) / N
 
+    @cached_property
+    def _K_conj(self) -> np.ndarray:
+        return np.conj(self.K)
+
     def pullback(self, cotangent: np.ndarray) -> np.ndarray:
         """Adjoint of ``filters``' linear part: raw-layout cotangent on the padded
-        grid -> gradient on the unpadded extents. The multiplier is conj(K)."""
+        grid -> gradient on the unpadded extents. The multiplier is conj(K).
+
+        The inverse is irfftn's own sequence of 1-D inverses, pruned: each
+        leading lag axis is cropped to its unpadded extent as soon as it is
+        inverted, so later inverses skip the rows the crop drops. The kept
+        values are those of the full inverse, bit for bit.
+        """
         if np.shape(cotangent)[-len(self.shape):] != self.padded:
             raise ShapeError(f"cotangent {np.shape(cotangent)} does not end in {self.padded}")
         with np.errstate(over="ignore", invalid="ignore"):
-            G = np.conj(self.K) * np.fft.rfftn(cotangent, axes=self.axes)
-            return self._inverse(G)[(...,) + tuple(slice(0, n) for n in self.shape)]
+            # in place, conj(K) first: NumPy's complex multiply can round the
+            # two factor orders apart, and `K * temporary` may swap them
+            G = np.fft.rfftn(cotangent, axes=self.axes)
+            np.multiply(self._K_conj, G, out=G)
+            for axis, n, m in zip(self.axes[:-1], self.shape, self.padded):
+                G = np.fft.ifft(G, m, axis)
+                G = G[(...,) + (slice(0, n),) + (slice(None),) * (-1 - axis)]
+            out = np.fft.irfft(G, self.padded[-1], -1)[..., : self.shape[-1]]
+        return self._finite(out)
 
     def _inverse(self, spectrum: np.ndarray) -> np.ndarray:
-        out = np.fft.irfftn(spectrum, s=self.padded, axes=self.axes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.fft.irfftn(spectrum, s=self.padded, axes=self.axes)
+        return self._finite(out)
+
+    @staticmethod
+    def _finite(out: np.ndarray) -> np.ndarray:
         if not np.isfinite(out).all():
             raise NumericalError("non-finite values in the matching filter or its pullback")
         return out
@@ -267,14 +341,15 @@ def wiener_filter_direct(target: Signal, source: Signal, cfg: WienerConfig) -> L
 
 
 def filter_identity_loss(
-    kernel: QuotientKernel, varying: np.ndarray, w_raw: np.ndarray
+    kernel: QuotientKernel, filters: np.ndarray, w_raw: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Loss 0.5 * sum((W * (v - delta))^2) over channels and lags per batch entry
-    of `varying` (*batch, C, *extents), and the whitened residual W * (v - delta),
-    v the kernel's raw filters. NumericalError unless every value is finite."""
+    of the kernel's raw filters v = `filters` (*batch, C, *padded), and the
+    whitened residual W * (v - delta), formed in place in `filters`.
+    NumericalError unless every value is finite."""
     if w_raw.shape[-len(kernel.shape):] != kernel.padded:
         raise ShapeError(f"whitening extents {w_raw.shape[1:]} != padded extents {kernel.padded}")
-    residual = kernel.filters(varying)
+    residual = filters
     residual[(...,) + (0,) * len(kernel.shape)] -= 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         residual *= w_raw
@@ -294,7 +369,7 @@ def wiener_loss(
     """
     check_pair(prediction, target)
     kernel = QuotientKernel(target.planes, target.shape, cfg.lam)
-    return float(filter_identity_loss(kernel, prediction.planes, whitening.raw)[0])
+    return float(filter_identity_loss(kernel, kernel.filters(prediction.planes), whitening.raw)[0])
 
 
 def ti_distance(a: Signal, b: Signal, cfg: WienerConfig) -> float:
@@ -308,10 +383,35 @@ def ti_distance(a: Signal, b: Signal, cfg: WienerConfig) -> float:
     spatial domain. See ``QuotientKernel.ti_values``.
     """
     check_pair(a, b)
-    vals, constant = QuotientKernel(b.planes, b.shape, cfg.lam).ti_values(a.planes)
+    return _mean_ti(*QuotientKernel(b.planes, b.shape, cfg.lam).ti_values(a.planes))
+
+
+def _mean_ti(values: np.ndarray, constant: np.ndarray) -> float:
     if np.any(constant):
         warnings.warn("constant matching filter; distance defaulting to 0", RuntimeWarning)
-    return float(np.mean(vals))
+    return float(np.mean(values))
+
+
+def pair_report(
+    prediction: Signal, target: Signal, whitening: LagFilter, cfg: WienerConfig
+) -> dict[str, float]:
+    """``wiener_loss``, ``ti_distance`` and the ``concentration`` of
+    ``wiener_filter(prediction, target)`` from the target's one kernel and
+    one filter of the prediction (``QuotientKernel.filters_with_ti``): two
+    forward real transforms and one inverse, where the three functions take
+    six and three (a second inverse when the TI spectrum rounds apart from
+    the filter's, see there). The loss and the concentration equal theirs
+    bit for bit, and so does the TI value of a pair whose planes
+    ``ti_values`` takes in one tile, as it does a single-channel pair."""
+    check_pair(prediction, target)
+    kernel = QuotientKernel(target.planes, target.shape, cfg.lam)
+    raw, values, constant = kernel.filters_with_ti(prediction.planes)
+    focus = concentration(LagFilter.from_raw(raw, LagGrid(kernel.padded)))
+    return {
+        "wiener_loss": float(filter_identity_loss(kernel, raw, whitening.raw)[0]),  # consumes raw
+        "ti_distance": _mean_ti(values, constant),
+        "filter_concentration": focus,
+    }
 
 
 def zero_lag_fractions(planes: np.ndarray, zero: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:

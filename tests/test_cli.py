@@ -1,3 +1,4 @@
+import collections
 import configparser
 import json
 import re
@@ -12,12 +13,17 @@ from wienerlab.cli import _mask_aware_mean_fill, _recover_objective, main
 from wienerlab.config import RecoverSection
 from wienerlab.dataio import read_pgm, load_model, write_pgm
 from wienerlab.datasets import make_digit_set
+from wienerlab.diffusion import run_diffusion
 from wienerlab.gradients import grad_wiener_loss
 from wienerlab.spectral import LagGrid, Signal, WindowSpec, make_window
 from wienerlab.trainer import TrainConfig
 from wienerlab.wiener import WienerConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+FFT_NAMES = (
+    "fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+    "fftn", "ifftn", "rfftn", "irfftn",
+)
 
 # 512 two-cluster latents of length 31 at lambda 0.1, with noise variances
 # 0.01 -> 0.8; step sizes from 1 up make its chains diverge
@@ -116,6 +122,20 @@ class TestLossCommand:
         err = capsys.readouterr().err
         assert re.search(r"(recovery|training) diverged at (iteration|epoch) 0", err), err
 
+    def test_one_kernel_and_one_filter(self, tmp_path, digit_image, monkeypatch):
+        # the loss, the TI distance and the concentration share the target's
+        # kernel and one filter: two forward transforms and one inverse
+        calls = collections.Counter()
+        for name in FFT_NAMES:
+            def counted(*args, _name=name, _original=getattr(np.fft, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        other = write_image(tmp_path / "o.pgm", np.random.default_rng(3).random((16, 16)))
+        assert main(["loss", str(other), str(digit_image), "--out", str(tmp_path / "run")]) == 0
+        assert calls == {"rfftn": 2, "irfftn": 1}
+
     def test_self_pair_is_zero_loss(self, tmp_path, digit_image):
         out = tmp_path / "run"
         assert main(["loss", str(digit_image), str(digit_image), "--out", str(out)]) == 0
@@ -204,6 +224,41 @@ class TestDiffuseCommand:
             outs.append(out)
         for fname in ("trajectory.csv", "samples.csv", "diffuse.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    def test_csvs_match_a_row_by_row_reference(self, tmp_path, monkeypatch):
+        # the CSVs are written from columns; each row must read as the
+        # per-(chain, step) tuples written one value at a time
+        trajectories = []
+
+        def capture(*args, **kwargs):
+            trajectories.extend(run_diffusion(*args, **kwargs))
+            return trajectories
+
+        monkeypatch.setattr(cli, "run_diffusion", capture)
+        out = tmp_path / "run"
+        cfgf = self.short_config(tmp_path)
+        assert main(["diffuse", "--config", str(cfgf), "--out", str(out)]) == 0
+        rows = [
+            (c, t, e, conc)
+            for c, traj in enumerate(trajectories)
+            for t, (e, conc) in enumerate(zip(traj.energies, traj.concentrations))
+        ]
+        sample_rows = [
+            (c, step) + tuple(x.ravel().tolist())
+            for c, traj in enumerate(trajectories)
+            for step, x in zip(traj.snapshot_steps, traj.samples)
+        ]
+        dim = trajectories[0].samples[0].size
+        sample_header = ["chain", "step"] + [f"x{i}" for i in range(dim)]
+        for name, header, body in (
+            ("trajectory.csv", ["chain", "step", "energy", "concentration"], rows),
+            ("samples.csv", sample_header, sample_rows),
+        ):
+            lines = [",".join(header)]
+            lines += [
+                ",".join(repr(x) if isinstance(x, float) else str(x) for x in row) for row in body
+            ]
+            assert (out / name).read_text() == "\n".join(lines) + "\n", name
 
     def test_seed_changes_outputs(self, tmp_path):
         cfgf = self.short_config(tmp_path)
@@ -535,6 +590,24 @@ class TestExternalDataPaths:
         assert main(["train", "--config", str(cfgf), "--out", str(out)]) == 0
         report = json.loads((out / "train.json").read_text())
         assert report["n_train"] == 20
+
+    @pytest.mark.parametrize("zero_row", [3, 135])
+    def test_singular_training_set_exits_4_before_the_first_epoch(self, tmp_path, capsys, zero_row):
+        # lambda = 0 and one all-zero image, inside or beyond the 128 evaluation rows
+        img_path, lab_path = self._write_idx_pair(tmp_path, n=140, size=8)
+        raw = bytearray(img_path.read_bytes())
+        raw[16 + 64 * zero_row : 16 + 64 * (zero_row + 1)] = bytes(64)
+        img_path.write_bytes(bytes(raw))
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text(
+            f"[wiener]\nlambda = 0\n[train]\ndata_images = {img_path}\n"
+            f"data_labels = {lab_path}\nn_train = 140\nepochs = 1\nloss = wiener\nbatch_size = 32\n"
+        )
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfgf), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: zero denominator bin with lambda = 0"), err
+        assert sorted(p.name for p in out.iterdir()) == ["config.ini"]
 
     def test_diffuse_reads_idx_dataset(self, tmp_path):
         img_path, _ = self._write_idx_pair(tmp_path, n=6, size=6)

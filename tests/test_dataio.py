@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from wienerlab import dataio
 from wienerlab.dataio import (
     ingest_idx,
     load_model,
@@ -14,7 +15,7 @@ from wienerlab.dataio import (
     write_csv,
     write_pgm,
 )
-from wienerlab.errors import FormatError
+from wienerlab.errors import FormatError, ShapeError
 from wienerlab.spectral import Signal
 from wienerlab.trainer import DenseAutoencoder
 
@@ -227,11 +228,45 @@ class TestModelBinary:
             load_model(p)
 
 
+def _row_text(header, rows) -> str:
+    """CSV text written row by row: repr for floats, str for anything else."""
+    lines = [",".join(header)]
+    lines += [",".join(repr(x) if isinstance(x, float) else str(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 class TestCsv:
+    @pytest.mark.parametrize("block", [None, 7, 1])
+    def test_columns_write_the_text_of_rows(self, tmp_path, monkeypatch, block):
+        if block is not None:  # 29 rows: blocks of 7 leave a short last block
+            monkeypatch.setattr(dataio, "CSV_BLOCK_ROWS", block)
+        rng = np.random.default_rng(0)
+        special = [0.1 + 0.2, -0.0, 1e-300, 5e-324, 1e308, np.inf, -np.inf, np.nan, 3.0]
+        floats = np.concatenate([rng.standard_normal(20), special])
+        ints = np.arange(len(floats)) * 7 - 30
+        names = [f"r{i}" for i in range(len(floats))]
+        header = ["i", "x", "name", "y"]
+        rows = [
+            (int(i), float(x), n, float(y))
+            for i, x, n, y in zip(ints, floats, names, floats[::-1])
+        ]
+        write_csv(tmp_path / "cols.csv", header, [ints, floats, names, floats[::-1]])
+        assert (tmp_path / "cols.csv").read_text() == _row_text(header, rows)
+        write_csv(tmp_path / "lists.csv", header, [list(column) for column in zip(*rows)])
+        assert (tmp_path / "lists.csv").read_text() == _row_text(header, rows)
+        write_csv(tmp_path / "empty.csv", header, [[], [], [], []])
+        assert (tmp_path / "empty.csv").read_text() == "i,x,name,y\n"
+
+    @pytest.mark.parametrize("columns", [[[1, 2], [0.5]], [[1, 2]]])
+    def test_ragged_or_missing_columns_are_rejected(self, tmp_path, columns):
+        with pytest.raises(ShapeError):
+            write_csv(tmp_path / "bad.csv", ["a", "b"], columns)
+        assert not (tmp_path / "bad.csv").exists()
+
     def test_floats_roundtrip_via_repr(self, tmp_path):
         p = tmp_path / "t.csv"
         value = 0.1 + 0.2  # not exactly representable as "0.3"
-        write_csv(p, ["a", "b"], [(1, value)])
+        write_csv(p, ["a", "b"], [[1], [value]])
         lines = p.read_text().strip().splitlines()
         assert lines[0] == "a,b"
         assert float(lines[1].split(",")[1]) == value

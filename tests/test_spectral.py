@@ -144,6 +144,27 @@ class TestFFT:
         rhs = np.sum(u * k.pullback(g))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    @pytest.mark.parametrize("extents", [(7,), (8,), (5, 7), (6, 4)])
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+    def test_pruned_pullback_is_the_adjoint_and_the_cropped_full_inverse(
+        self, extents, channels, lead
+    ):
+        # odd and even extents of rank 1 and 2, behind channel and batch axes
+        rng = np.random.default_rng(4)
+        planes = lead + (channels,) + extents
+        k = QuotientKernel(rng.random(planes), extents, 0.7)
+        u = rng.random(planes)
+        g = rng.random(lead + (channels,) + k.padded)
+        Au = k.filters(u) - k.filters(np.zeros_like(u))
+        pulled = k.pullback(g)
+        assert pulled.shape == planes
+        assert np.sum(u * pulled) == pytest.approx(np.sum(Au * g), rel=1e-12)
+        # reference: the full inverse over the padded grid, then the crop
+        full = np.fft.irfftn(np.conj(k.K) * np.fft.rfftn(g, axes=k.axes), s=k.padded, axes=k.axes)
+        cropped = full[(...,) + tuple(slice(0, n) for n in extents)]
+        np.testing.assert_allclose(pulled, cropped, rtol=1e-14, atol=0)
+
     def test_nonfinite_rejected(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # NumericalError only, no numpy warning first

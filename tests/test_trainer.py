@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wienerlab.datasets import make_digit_set
-from wienerlab.errors import ConfigError, ShapeError
+from wienerlab.errors import ConfigError, ShapeError, SingularSystemError
 from wienerlab.spectral import Signal, WindowSpec
 from wienerlab.gradients import grad_wiener_loss
 from wienerlab.spectral import LagGrid, make_window
@@ -13,6 +13,7 @@ from wienerlab.trainer import (
     TrainConfig,
     TrainingDivergedError,
     _batch_loss_and_grad,
+    _kernel_rows,
     _mean_concentration,
     forward,
     grad_check_model,
@@ -118,10 +119,13 @@ class TestFlatParameters:
         data = digits(8)
         X = data.reshape(len(data), -1)
         forward(model, data)
-        _mean_concentration(model, X, data.shape[1:], TrainConfig(loss="wiener", batch_size=4))
+        cfg = TrainConfig(loss="wiener", batch_size=4)
+        kernel_rows = _kernel_rows(data, cfg.lam, cfg.batch_size)
+        _mean_concentration(model, X, data.shape[1:], cfg, kernel_rows)
         assert seen == [False] * 3 * 2  # three hidden layers, two passes
         seen.clear()
-        _batch_loss_and_grad(model, X, data.shape[1:], TrainConfig(loss="mse"))
+        mse = TrainConfig(loss="mse")
+        _batch_loss_and_grad(model, X, slice(None), data.shape[1:], mse, None, None)
         assert seen == [True] * 3
 
 
@@ -292,8 +296,10 @@ class TestBatchedFilterLoss:
         model = DenseAutoencoder.initialize((64, 16, 64), seed=9)
         cfg = TrainConfig(loss="wiener", whitening=WindowSpec("laplace", 2.0, 0.3), lam=0.7)
         X = data.reshape(len(data), -1)
-        loss, d_out, A, _ = _batch_loss_and_grad(model, X, data.shape[1:], cfg)
         W = make_window(cfg.whitening, LagGrid((16, 16)))
+        loss, d_out, A, _ = _batch_loss_and_grad(
+            model, X, slice(None), data.shape[1:], cfg, W.raw, _kernel_rows(data, cfg.lam, 32)
+        )
         refs = [
             grad_wiener_loss(
                 Signal(A[-1][i], (8, 8)), Signal.from_planes(data[i]), W, WienerConfig(lam=cfg.lam)
@@ -309,6 +315,69 @@ class TestBatchedFilterLoss:
     def test_nonfinite_config_rejected(self, field, value):
         with pytest.raises(ConfigError):
             TrainConfig(**{field: value})
+
+
+class _CountingKernel(QuotientKernel):
+    """A QuotientKernel that counts the kernels built by transforming planes."""
+
+    built = 0
+
+    def __init__(self, fixed, shape, lam):
+        _CountingKernel.built += 1
+        super().__init__(fixed, shape, lam)
+
+
+# 8x8 digits pad to 16x16: 16 * 9 half-spectrum bins of 24 B per sample
+_FIVE_DIGITS_BYTES = 5 * 16 * 9 * 24
+
+
+class TestSharedKernel:
+    @pytest.mark.parametrize("loss", ["mse", "wiener"])
+    @pytest.mark.parametrize(
+        "n, batch_size", [(64, 16), (50, 16), (37, 10), (140, 32), (150, 24)]
+    )
+    def test_one_kernel_matches_a_kernel_per_minibatch(self, monkeypatch, loss, n, batch_size):
+        # n not a multiple of the batch size leaves a short last minibatch and
+        # diagnostic chunk; n > 128 puts training rows beyond the 128 evaluation
+        # rows, and batch 24 ends their last diagnostic chunk short. A budget of
+        # five samples' spectra makes train build a kernel per minibatch and per
+        # diagnostic chunk instead of keeping one.
+        data = digits(n, seed=7)
+        cfg = TrainConfig(
+            loss=loss, learning_rate=3e-3, epochs=2, batch_size=batch_size, seed=7,
+            whitening=WindowSpec("laplace", 2.0, 0.3), lam=0.8,
+        )
+        monkeypatch.setattr(trainer, "QuotientKernel", _CountingKernel)
+        runs, built = [], []
+        for budget in (trainer.KERNEL_CACHE_BYTES, _FIVE_DIGITS_BYTES):
+            monkeypatch.setattr(trainer, "KERNEL_CACHE_BYTES", budget)
+            _CountingKernel.built = 0
+            model = DenseAutoencoder.initialize((64, 16, 64), "tanh", seed=7)
+            runs.append((model, train(model, data, cfg)))
+            built.append(_CountingKernel.built)
+        assert built[0] == 1 and built[1] > 2 * -(-n // batch_size)
+        (shared, shared_log), (per_batch, per_batch_log) = runs
+        np.testing.assert_array_equal(shared.theta, per_batch.theta)
+        assert shared_log.losses == per_batch_log.losses
+        assert shared_log.concentrations == per_batch_log.concentrations
+        assert shared_log.initial_concentration == per_batch_log.initial_concentration
+
+    @pytest.mark.parametrize("budget", [None, _FIVE_DIGITS_BYTES])
+    @pytest.mark.parametrize("zero_row", [3, 135])
+    def test_singular_sample_fails_before_the_first_epoch(self, monkeypatch, zero_row, budget):
+        # lambda = 0 and an all-zero target: one zero denominator bin, inside or
+        # beyond the evaluation rows, fails the same way with one kept kernel
+        # and with kernels built per minibatch
+        if budget is not None:
+            monkeypatch.setattr(trainer, "KERNEL_CACHE_BYTES", budget)
+        data = digits(140, seed=8).copy()
+        data[zero_row] = 0.0
+        model = DenseAutoencoder.initialize((64, 16, 64), seed=8)
+        theta0 = model.flat_params()
+        cfg = TrainConfig(loss="wiener", epochs=1, batch_size=32, lam=0.0)
+        with pytest.raises(SingularSystemError, match="zero denominator"):
+            train(model, data, cfg)
+        np.testing.assert_array_equal(model.theta, theta0)
 
 
 class TestGradCheckModel:

@@ -381,3 +381,69 @@ class TestConcentration:
     def test_zero_filter_undefined(self):
         with pytest.raises(UndefinedQuotientError):
             concentration(LagFilter(np.zeros(8), LagGrid((8,))))
+
+
+class TestKernelRows:
+    @pytest.mark.parametrize(
+        "fixed_shape, extents",
+        [((10, 2, 5, 6), (5, 6)), ((10, 1, 9), (9,)), ((10, 3, 4, 7), (4, 7))],
+    )
+    @pytest.mark.parametrize(
+        "index",
+        [np.array([4, 0, 6, 2]), np.array([9]), np.arange(10)[::-1], slice(3, 7), slice(8, 12)],
+        ids=["array", "one-row", "reversed", "slice", "short-last-slice"],
+    )
+    def test_rows_equal_a_kernel_built_on_those_rows(self, fixed_shape, extents, index):
+        rng = np.random.default_rng(60)
+        fixed = rng.random(fixed_shape)
+        sub = QuotientKernel(fixed, extents, 0.4).rows(index)
+        ref = QuotientKernel(fixed[index], extents, 0.4)
+        np.testing.assert_array_equal(sub.K, ref.K)
+        np.testing.assert_array_equal(sub.L, ref.L)
+        varying = rng.random(fixed[index].shape)
+        v = sub.filters(varying)
+        np.testing.assert_array_equal(v, ref.filters(varying))
+        zero = (0,) * len(extents)
+        np.testing.assert_array_equal(
+            wiener.zero_lag_fractions(v, zero)[0],
+            wiener.zero_lag_fractions(ref.filters(varying), zero)[0],
+        )
+        g = rng.random(v.shape)
+        np.testing.assert_array_equal(sub.pullback(g), ref.pullback(g))
+        for got, want in zip(sub.ti_values(varying), ref.ti_values(varying)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_rows_need_a_leading_axis(self):
+        with pytest.raises(ShapeError):
+            QuotientKernel(np.ones(6), (6,), 1.0).rows(slice(0, 1))
+
+    # 96 x 96 pads to a half spectrum past NumPy's 256 KB temporary-elision
+    # size, where filters' product may round apart from ti_values'
+    @pytest.mark.parametrize("planes", [(3, 5, 6), (1, 96, 96), (2, 9)])
+    def test_filters_with_ti_is_filters_and_ti_values(self, planes):
+        rng = np.random.default_rng(61)
+        kernel = QuotientKernel(rng.random(planes), planes[1:], 0.3)
+        varying = rng.random(planes)
+        v, values, constant = kernel.filters_with_ti(varying)
+        np.testing.assert_array_equal(v, kernel.filters(varying))
+        want_values, want_constant = kernel.ti_values(varying)
+        np.testing.assert_array_equal(values, want_values)
+        np.testing.assert_array_equal(constant, want_constant)
+
+    @pytest.mark.parametrize(
+        "shape, channels", [((12, 10), 1), ((7,), 2), ((96, 96), 1), ((128, 100), 1), ((30, 20), 3)]
+    )
+    def test_pair_report_equals_the_pairwise_functionals(self, shape, channels):
+        rng = np.random.default_rng(62)
+        n = int(np.prod(shape)) * channels
+        a = Signal(rng.random(n), shape, channels)
+        b = Signal(rng.random(n), shape, channels)
+        cfg = WienerConfig(0.6)
+        grid = LagGrid(tuple(2 * s for s in shape))
+        whitening = make_window(WindowSpec("laplace", 2.0, 0.2), grid)
+        report = wiener.pair_report(a, b, whitening, cfg)
+        assert report == {
+            "wiener_loss": wiener_loss(a, b, whitening, cfg),
+            "ti_distance": ti_distance(a, b, cfg),
+            "filter_concentration": concentration(wiener_filter(a, b, cfg)),
+        }
