@@ -29,8 +29,8 @@ from .gradients import (
     grad_energy,
     grad_wiener_loss,
 )
-from .diffusion import EnergyModel, Schedule, Trajectory, cosine_schedule, energy, langevin_step, run_diffusion
-from .knn import DistanceSpec, LabeledSet, evaluate_accuracy, knn_classify, make_translated_set
+from .diffusion import EnergyModel, Schedule, Trajectory, cosine_schedule, energy, run_diffusion
+from .knn import DistanceSpec, LabeledSet, evaluate_accuracy, make_translated_set
 
 __version__ = "0.1.0"
 
@@ -57,11 +57,9 @@ __all__ = [
     "Trajectory",
     "cosine_schedule",
     "energy",
-    "langevin_step",
     "run_diffusion",
     "LabeledSet",
     "DistanceSpec",
-    "knn_classify",
     "make_translated_set",
     "evaluate_accuracy",
     "__version__",

@@ -6,8 +6,8 @@ noise. All chains advance in lockstep, in the style of annealed Langevin
 dynamics (Song & Ermon 2019, arXiv:1907.05600): their states form one
 (chains, C, *extents) array, and each step is one batched energy and
 gradient pass through the defining set's quotient kernel. The defining set
-and each chain's snapshots are stacks too; a ``Signal`` appears only in the
-single-state functions (``energy``, ``langevin_step``). Per-chain RNG
+and each chain's snapshots are stacks too; a ``Signal`` appears only in
+``energy``, a one-state view of ``gradients.energy_terms``. Per-chain RNG
 streams are derived from the master seed by chain index. Each chain draws
 its step noise from its own stream in blocks of steps, in the same stream
 order as one draw per step of a chain run alone, so chains are independent
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError
-from .gradients import energy_breakdown, energy_terms
+from .gradients import energy_terms
 from .spectral import LagFilter, Signal, as_stack, full_lag
 from .wiener import QuotientKernel, WienerConfig
 
@@ -34,7 +34,6 @@ __all__ = [
     "check_gamma",
     "cosine_schedule",
     "energy",
-    "langevin_step",
     "run_diffusion",
     "nearest_defining_sample",
 ]
@@ -127,27 +126,7 @@ def cosine_schedule(T: int, start: float, end: float) -> np.ndarray:
 
 def energy(x: Signal, model: EnergyModel) -> float:
     """Dataset energy sum at x, accumulated in dataset index order."""
-    return energy_breakdown(x, model).value
-
-
-def langevin_step(
-    x: Signal,
-    model: EnergyModel,
-    alpha_t: float,
-    beta_t: float,
-    rng: np.random.Generator,
-) -> Signal:
-    """One update x - (alpha_t/2) * dE/dx + z, with z ~ N(0, beta_t I)."""
-    if not (0 < alpha_t < math.inf):
-        raise ConfigError(f"alpha_t must be finite and > 0, got {alpha_t}")
-    if not (0 <= beta_t < math.inf):
-        raise ConfigError(f"beta_t must be finite and >= 0, got {beta_t}")
-    bd = energy_breakdown(x, model)
-    noise = rng.standard_normal((1, *x.planes.shape)) if beta_t > 0 else None
-    X = _update(x.planes[None], bd.grad.planes[None], alpha_t, beta_t, noise)
-    if not np.all(np.isfinite(X)):
-        raise NumericalError("non-finite state after the Langevin step")
-    return Signal(X.ravel(), x.shape, x.channels)
+    return float(energy_terms(model, x.planes[None])[0][0])
 
 
 def _update(

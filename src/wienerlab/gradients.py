@@ -10,7 +10,9 @@ cropped to the unpadded extents (the adjoint of zero padding). Weight
 windows are converted to raw layout once, so no step shifts lags. Values
 come from ``wiener.filter_identity_loss`` and ``wiener.zero_lag_fractions``,
 and ``central_differences`` is the one finite-difference loop (over a
-Signal's values or a model's parameters). Derivation in docs/gradient_note.md.
+Signal's values or a model's parameters). ``energy_terms`` is the one energy
+path, over a batch of signals; ``grad_energy`` reads it at one signal.
+Derivation in docs/gradient_note.md.
 """
 
 from __future__ import annotations
@@ -29,9 +31,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "GradientResult",
-    "EnergyBreakdown",
     "grad_wiener_loss",
-    "energy_breakdown",
     "grad_energy",
     "check_gradient",
     "GradientCheckReport",
@@ -70,16 +70,6 @@ def grad_wiener_loss(
     kernel = QuotientKernel(target.planes, target.shape, cfg.lam)
     value, grad = loss_and_grad(kernel, prediction.planes, whitening.raw)
     return GradientResult(Signal(grad.ravel(), prediction.shape, prediction.channels), float(value))
-
-
-@dataclass(frozen=True, eq=False)
-class EnergyBreakdown:
-    """Energy value, its gradient, and per-defining-sample diagnostics."""
-
-    value: float
-    grad: Signal
-    sample_energies: np.ndarray
-    sample_concentrations: np.ndarray
 
 
 # Elements of the (signals, n_defining, C, *padded) filter stack evaluated at
@@ -142,21 +132,10 @@ def _energy_chunk(model: "EnergyModel", X: np.ndarray):
     return energies.sum(axis=1), grads, energies, concentrations
 
 
-def energy_breakdown(x: Signal, model: "EnergyModel") -> EnergyBreakdown:
-    """Evaluate the dataset energy sum at one signal, its gradient, and per-sample terms.
-
-    A single-signal view of ``energy_terms``; the reported order is the
-    dataset index order.
-    """
-    values, grads, energies, concentrations = energy_terms(model, x.planes[None])
-    grad = Signal(grads[0].ravel(), x.shape, x.channels)
-    return EnergyBreakdown(float(values[0]), grad, energies[0], concentrations[0])
-
-
 def grad_energy(x: Signal, model: "EnergyModel") -> GradientResult:
     """Gradient of the dataset energy with respect to the diffusing signal."""
-    bd = energy_breakdown(x, model)
-    return GradientResult(bd.grad, bd.value)
+    values, grads = energy_terms(model, x.planes[None])[:2]
+    return GradientResult(Signal(grads[0].ravel(), x.shape, x.channels), float(values[0]))
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .spectral import Signal, as_stack, check_pair
-from .wiener import QuotientKernel, WienerConfig, ti_distance
+from .spectral import as_stack
+from .wiener import QuotientKernel, WienerConfig
 
 __all__ = [
     "LabeledSet",
     "DistanceSpec",
     "EvalResult",
-    "distance",
-    "knn_classify",
     "make_translated_set",
     "evaluate_accuracy",
 ]
@@ -77,15 +75,6 @@ class DistanceSpec:
             raise ConfigError(f"unknown distance kind {self.kind!r}")
 
 
-def distance(a: Signal, b: Signal, spec: DistanceSpec) -> float:
-    check_pair(a, b)
-    if spec.kind == "manhattan":
-        return float(np.sum(np.abs(a.data - b.data)))
-    if spec.kind == "euclidean":
-        return float(np.linalg.norm(a.data - b.data))
-    return ti_distance(a, b, spec.wiener_cfg)
-
-
 def _set_kernel(train: LabeledSet, lam: float) -> QuotientKernel:
     """The set's quotient kernel, fixed side shaped (n, 1, C, *extents) so that
     a stack of m queries broadcasts against it to (n, m, C)."""
@@ -96,13 +85,11 @@ def _set_kernel(train: LabeledSet, lam: float) -> QuotientKernel:
 
 def _distance_matrix(train: LabeledSet, queries: np.ndarray, spec: DistanceSpec) -> np.ndarray:
     """(m, n) distances from each of the m queries, shaped (m, C, *extents),
-    to every training sample: the same quantity as ``distance`` per pair.
+    to every training sample; a TI entry is ``ti_distance`` of its pair.
 
     TI is one ``ti_values`` pass of all queries against the set's kernel;
     element-wise kinds are one pass over the set's flat stack per query.
     """
-    if queries.shape[1:] != train.stack.shape[1:]:
-        raise ShapeError(f"query shape {queries.shape[1:]} vs set shape {train.stack.shape[1:]}")
     if spec.kind == "wiener_ti":
         values = _set_kernel(train, spec.wiener_cfg.lam).ti_values(queries)[0]  # (n, m, C)
         return values.mean(axis=-1).T
@@ -115,11 +102,6 @@ def _distance_matrix(train: LabeledSet, queries: np.ndarray, spec: DistanceSpec)
         else:
             row[:] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     return out
-
-
-def _distances_to_set(query: Signal, train: LabeledSet, spec: DistanceSpec) -> np.ndarray:
-    """Distances from one query to every training signal."""
-    return _distance_matrix(train, query.planes[np.newaxis], spec)[0]
 
 
 def _vote(dists: np.ndarray, labels: np.ndarray, k: int) -> int:
@@ -136,16 +118,6 @@ def _vote(dists: np.ndarray, labels: np.ndarray, k: int) -> int:
         return tied[0]
     min_sum = min(sums[c] for c in tied)
     return min(c for c in tied if sums[c] == min_sum)
-
-
-def _check_k(train: LabeledSet, k: int) -> None:
-    if not (1 <= k <= len(train)):
-        raise ConfigError(f"k must be in 1..{len(train)}, got {k}")
-
-
-def knn_classify(train: LabeledSet, query: Signal, k: int, dist: DistanceSpec) -> int:
-    _check_k(train, k)
-    return _vote(_distances_to_set(query, train, dist), train.label_ids, k)
 
 
 def make_translated_set(
@@ -192,7 +164,8 @@ def evaluate_accuracy(
         raise ShapeError(
             f"train shape {train.stack.shape[1:]} != test shape {test.stack.shape[1:]}"
         )
-    _check_k(train, k)
+    if not (1 <= k <= len(train)):
+        raise ConfigError(f"k must be in 1..{len(train)}, got {k}")
     dists = _distance_matrix(train, test.stack, dist)
     predictions = [_vote(row, train.label_ids, k) for row in dists]
     confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=int)

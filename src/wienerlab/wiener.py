@@ -73,7 +73,9 @@ class QuotientKernel:
     transform size. Filters and cotangents are in raw lag layout (zero lag
     at the origin corner); varying batches broadcast against the fixed one.
     Floating-point warnings are silenced inside: every non-finite result
-    raises NumericalError instead.
+    raises NumericalError instead. Every quotient spectrum K * X + L is
+    one ``_quotient`` product, so ``filters``, ``filters_with_ti`` and
+    ``ti_values`` round it alike at every size.
 
     ``rows(index)`` is the kernel of ``fixed[index]`` over the leading axis,
     sharing K and L with no transform, so a loop over subsets of one fixed
@@ -121,37 +123,26 @@ class QuotientKernel:
 
     def filters(self, varying: np.ndarray) -> np.ndarray:
         """Raw-layout matching filters (*batch, *padded), varying side in the numerator."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            Q = self.K * self._spectrum(varying)
-            Q += self.L
-        return self._inverse(Q)
+        return self._inverse(self._quotient(self.K, self.L, self._spectrum(varying)))
 
     def filters_with_ti(self, varying: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``filters`` and each plane's ``ti_values`` result from one forward
-        transform of `varying`. Untiled, so meant for a small batch such as one pair.
+        and one inverse transform of `varying`. Untiled, so meant for a small
+        batch such as one pair; its TI results equal ``ti_values``' whenever
+        that method takes the batch in one tile (one plane always is)."""
+        Q = self._quotient(self.K, self.L, self._spectrum(varying))
+        v = self._inverse(Q)
+        return (v, *self._ti(Q, v))
 
-        Each quotient spectrum is formed as its own method forms it:
-        ``filters`` multiplies K by an unnamed transform, whose buffer NumPy
-        may reuse as the output with the factors swapped (past its 256 KB
-        temporary-elision size), ``ti_values`` by a named one. NumPy's complex
-        multiply can round the two orders apart in the last bit, so the TI
-        maxima are read from the filters when the two spectra are equal and
-        from a second inverse transform when they are not. The filters equal
-        ``filters``' bit for bit, and the TI results equal ``ti_values``'
-        whenever that method takes the batch in one tile (one plane always is).
-        """
-        X = self._spectrum(varying)
+    @staticmethod
+    def _quotient(K: np.ndarray, L: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """K * X + L, the one quotient product. Both factors are named, so it
+        rounds one way at every size: NumPy may write a product into the
+        buffer of an unnamed temporary factor, with the factors swapped."""
         with np.errstate(over="ignore", invalid="ignore"):
-            Q = self.K * X.copy()  # as in filters: an unnamed factor
-            Q += self.L
-            Q_ti = self.K * X
-            Q_ti += self.L
-            v = self._inverse(Q)
-            if np.array_equal(Q_ti, Q):
-                peaks = v
-            else:
-                peaks = np.fft.irfftn(Q_ti, s=self.padded, axes=self.axes)
-        return (v, *self._ti(Q_ti, peaks))
+            Q = K * X
+            Q += L
+        return Q
 
     def _spectrum(self, varying: np.ndarray) -> np.ndarray:
         """rfftn of the varying side on the padded grid."""
@@ -168,7 +159,8 @@ class QuotientKernel:
         filter elements over its first two axes (whole rows of the second
         axis when one fits); each plane's mean and spread come from its
         spectrum (``_moments``), and only its maximum is read from the
-        spatial filter.
+        spatial filter. A plane's spread can move in the last bits with the
+        number of planes in its tile (see ``_moments``).
         """
         rank = len(self.shape)
         X = self._spectrum(varying)
@@ -189,9 +181,8 @@ class QuotientKernel:
                     a[tuple(t if n > 1 else slice(None) for t, n in zip(tile, a.shape))]
                     for a in (K, L, X)
                 )
+                Q = self._quotient(K_t, L_t, X_t)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    Q = K_t * X_t
-                    Q += L_t
                     # _ti raises unless every bin of Q is finite, which bounds
                     # every filter value, so the spatial filter needs no scan
                     values[tile], constant[tile] = self._ti(
@@ -222,10 +213,10 @@ class QuotientKernel:
         variance is sum(|Q|^2 over the other bins) / N^2 (Parseval), each
         half-spectrum bin counted twice unless it is its own mirror image
         (the zero and Nyquist columns). Nothing cancels, and a constant plane
-        has spread exactly 0. Each plane is summed on its own in a fixed
-        order (einsum, not a BLAS product whose order depends on the row
-        count), so its moments do not depend on how many planes share Q.
-        Raises NumericalError unless every bin of Q is finite.
+        has spread exactly 0. The einsum's summation order depends on how
+        many planes Q holds, so a plane's spread can differ in the last bits
+        between Q holding it alone and Q holding several planes; its mean
+        cannot. Raises NumericalError unless every bin of Q is finite.
         """
         rank = len(self.shape)
         parts = np.ascontiguousarray(Q).view(np.float64)  # real and imaginary parts interleaved
@@ -399,10 +390,10 @@ def pair_report(
     ``wiener_filter(prediction, target)`` from the target's one kernel and
     one filter of the prediction (``QuotientKernel.filters_with_ti``): two
     forward real transforms and one inverse, where the three functions take
-    six and three (a second inverse when the TI spectrum rounds apart from
-    the filter's, see there). The loss and the concentration equal theirs
-    bit for bit, and so does the TI value of a pair whose planes
-    ``ti_values`` takes in one tile, as it does a single-channel pair."""
+    six and three. The loss and the concentration equal theirs bit for bit,
+    and so does the TI value of a pair whose planes ``ti_values`` takes in
+    one tile, as it does a single-channel pair; a multichannel pair can
+    differ in the last bits (see ``QuotientKernel._moments``)."""
     check_pair(prediction, target)
     kernel = QuotientKernel(target.planes, target.shape, cfg.lam)
     raw, values, constant = kernel.filters_with_ti(prediction.planes)

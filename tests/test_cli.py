@@ -122,9 +122,8 @@ class TestLossCommand:
         err = capsys.readouterr().err
         assert re.search(r"(recovery|training) diverged at (iteration|epoch) 0", err), err
 
-    def test_one_kernel_and_one_filter(self, tmp_path, digit_image, monkeypatch):
-        # the loss, the TI distance and the concentration share the target's
-        # kernel and one filter: two forward transforms and one inverse
+    @staticmethod
+    def _loss_fft_calls(tmp_path, monkeypatch, prediction, target) -> collections.Counter:
         calls = collections.Counter()
         for name in FFT_NAMES:
             def counted(*args, _name=name, _original=getattr(np.fft, name), **kwargs):
@@ -132,8 +131,23 @@ class TestLossCommand:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
+        assert main(["loss", str(prediction), str(target), "--out", str(tmp_path / "run")]) == 0
+        return calls
+
+    def test_one_kernel_and_one_filter(self, tmp_path, digit_image, monkeypatch):
+        # the loss, the TI distance and the concentration share the target's
+        # kernel and one filter: two forward transforms and one inverse
         other = write_image(tmp_path / "o.pgm", np.random.default_rng(3).random((16, 16)))
-        assert main(["loss", str(other), str(digit_image), "--out", str(tmp_path / "run")]) == 0
+        calls = self._loss_fft_calls(tmp_path, monkeypatch, other, digit_image)
+        assert calls == {"rfftn": 2, "irfftn": 1}
+
+    def test_one_inverse_past_the_temporary_elision_size(self, tmp_path, monkeypatch):
+        # a 128 x 128 pair pads to a 256 x 129 half spectrum (about 528 KB), past
+        # the size where NumPy may reuse an unnamed factor's buffer; the filter's
+        # and the TI value's spectra are still one product, inverted once
+        rng = np.random.default_rng(4)
+        a, b = (write_image(tmp_path / f"{n}.pgm", rng.random((128, 128))) for n in "ab")
+        calls = self._loss_fft_calls(tmp_path, monkeypatch, a, b)
         assert calls == {"rfftn": 2, "irfftn": 1}
 
     def test_self_pair_is_zero_loss(self, tmp_path, digit_image):

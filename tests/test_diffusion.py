@@ -10,14 +10,14 @@ from wienerlab.diffusion import (
     EnergyModel,
     Schedule,
     _lockstep_terms,
+    _update,
     cosine_schedule,
     energy,
-    langevin_step,
     nearest_defining_sample,
     run_diffusion,
 )
 from wienerlab.errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError
-from wienerlab.gradients import energy_breakdown
+from wienerlab.gradients import energy_terms, grad_energy
 from wienerlab.spectral import LagGrid, Signal, WindowSpec, make_window
 from wienerlab.wiener import WienerConfig
 
@@ -26,6 +26,17 @@ def toy_model(gamma=0.5, lam=0.5, pen_b=0.5, n=8, dim=8, seed=7):
     samples, ids = two_cluster_latents(n, dim=dim, separation=2.0, spread=0.15, seed=seed)
     pen = make_window(WindowSpec("inverted_laplace", b=pen_b), LagGrid((2 * dim,)))
     return EnergyModel(samples, pen, gamma, WienerConfig(lam=lam)), ids
+
+
+def reference_step(x, model, alpha_t, beta_t, rng):
+    """x - (alpha_t/2) * dE/dx + sqrt(beta_t) * z, z standard normals drawn from
+    `rng` when beta_t > 0: the Langevin update, written apart from the library's."""
+    grad = energy_terms(model, x[None])[1][0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = x - (alpha_t / 2.0) * grad
+        if beta_t > 0:
+            x = x + math.sqrt(beta_t) * rng.standard_normal(x.shape)
+    return x
 
 
 def reference_two_cluster_latents(n, dim, separation, spread, seed):
@@ -97,20 +108,15 @@ class TestSchedule:
 class TestEnergy:
     def test_defining_sample_term_drops_out(self):
         model, _ = toy_model()
-        y0 = Signal.from_planes(model.defining[0])
-        from wienerlab.gradients import energy_breakdown
-
-        bd = energy_breakdown(y0, model)
-        assert bd.sample_energies[0] == pytest.approx(0.0, abs=1e-18)
-        assert bd.value == pytest.approx(float(np.sum(bd.sample_energies[1:])), rel=1e-12)
+        values, _, sample_energies, _ = energy_terms(model, model.defining[:1])
+        assert sample_energies[0, 0] == pytest.approx(0.0, abs=1e-18)
+        assert values[0] == pytest.approx(float(np.sum(sample_energies[0, 1:])), rel=1e-12)
 
     def test_gamma_zero_reduces_to_quotient_sum(self):
         m1, _ = toy_model(gamma=0.0)
         x = Signal(np.random.default_rng(1).normal(0, 1, 8), (8,))
-        from wienerlab.gradients import energy_breakdown
-
-        bd = energy_breakdown(x, m1)
-        assert energy(x, m1) == pytest.approx(float(np.sum(bd.sample_energies)))
+        sample_energies = energy_terms(m1, x.planes[None])[2]
+        assert energy(x, m1) == pytest.approx(float(np.sum(sample_energies)))
 
     def test_bit_identical_reevaluation(self):
         model, _ = toy_model()
@@ -123,63 +129,52 @@ class TestEnergy:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError):
-                energy_breakdown(x, model)
+                energy(x, model)
+            with pytest.raises(NumericalError):
+                grad_energy(x, model)
 
 
 class TestLangevinStep:
     def test_fixed_point_with_zero_gradient_zero_noise(self):
         model, _ = toy_model()
-        y0 = Signal.from_planes(model.defining[0])
+        y0 = model.defining[0]
         # at a defining sample with a zero-at-center penalty the term gradients
         # cancel exactly only for the single-sample model
         single = EnergyModel(model.defining[:1], model.penalty, model.gamma, model.wiener_cfg)
-        out = langevin_step(y0, single, alpha_t=0.5, beta_t=0.0, rng=np.random.default_rng(0))
-        np.testing.assert_allclose(out.data, y0.data, atol=1e-9)
+        out = reference_step(y0, single, 0.5, 0.0, np.random.default_rng(0))
+        np.testing.assert_allclose(out, y0, atol=1e-9)
 
     def test_descent_at_small_step(self):
         model, _ = toy_model()
         rng = np.random.default_rng(3)
         wins = 0
         for _ in range(20):
-            x = Signal(rng.normal(0, 1, 8), (8,))
-            out = langevin_step(x, model, alpha_t=0.05, beta_t=0.0, rng=rng)
-            wins += int(energy(out, model) < energy(x, model))
+            x = rng.normal(0, 1, (1, 8))
+            out = reference_step(x, model, 0.05, 0.0, rng)
+            wins += int(energy_terms(model, out[None])[0][0] < energy_terms(model, x[None])[0][0])
         assert wins >= 19
 
     def test_seeded_step_is_bit_identical(self):
         model, _ = toy_model()
-        x = Signal(np.random.default_rng(4).normal(0, 1, 8), (8,))
-        a = langevin_step(x, model, 0.1, 0.3, np.random.default_rng(99))
-        b = langevin_step(x, model, 0.1, 0.3, np.random.default_rng(99))
-        np.testing.assert_array_equal(a.data, b.data)
+        X = np.random.default_rng(4).normal(0, 1, (1, 1, 8))
+        grads = energy_terms(model, X)[1]
+        a = _update(X, grads, 0.1, 0.3, np.random.default_rng(99).standard_normal(X.shape))
+        b = _update(X, grads, 0.1, 0.3, np.random.default_rng(99).standard_normal(X.shape))
+        np.testing.assert_array_equal(a, b)
         # the update x - (alpha/2) grad + N(0, beta I) noise, drawn with rng.normal
-        grad = energy_breakdown(x, model).grad.data
-        noise = np.random.default_rng(99).normal(0.0, math.sqrt(0.3), size=x.planes.shape)
-        assert a.data.tobytes() == ((x.data - (0.1 / 2.0) * grad) + noise.ravel()).tobytes()
-
-    def test_invalid_steps_rejected(self):
-        model, _ = toy_model()
-        x = Signal.from_planes(model.defining[0])
-        with pytest.raises(ConfigError):
-            langevin_step(x, model, 0.0, 0.0, np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            langevin_step(x, model, 0.1, -1.0, np.random.default_rng(0))
-        for bad in (np.nan, np.inf):
-            with pytest.raises(ConfigError):
-                langevin_step(x, model, bad, 0.0, np.random.default_rng(0))
-            with pytest.raises(ConfigError):
-                langevin_step(x, model, 0.1, bad, np.random.default_rng(0))
+        noise = np.random.default_rng(99).normal(0.0, math.sqrt(0.3), size=X.shape)
+        assert a.tobytes() == ((X - (0.1 / 2.0) * grads) + noise).tobytes()
+        assert _update(X, grads, 0.1, 0.0, None).tobytes() == (X - 0.05 * grads).tobytes()
 
 
 class TestRunDiffusion:
-    def test_degenerate_single_step_matches_langevin_step(self):
+    def test_degenerate_single_step_matches_the_reference_step(self):
         model, _ = toy_model()
         sched = Schedule(np.array([0.1]), np.array([0.0]))
         trajs = run_diffusion(model, sched, 1, 1.0, seed=5, snapshot_stride=1)
         assert len(trajs) == 1
-        x0 = Signal.from_planes(trajs[0].samples[0])
-        manual = langevin_step(x0, model, 0.1, 0.0, np.random.default_rng(0))
-        np.testing.assert_allclose(trajs[0].final, manual.planes, atol=1e-15)
+        manual = reference_step(trajs[0].samples[0], model, 0.1, 0.0, np.random.default_rng(0))
+        np.testing.assert_allclose(trajs[0].final, manual, atol=1e-15)
 
     @pytest.mark.parametrize("T,stride", [(10, 3), (10, 5), (7, 7), (1, 4), (20, 1)])
     def test_snapshot_count_invariant(self, T, stride):
@@ -231,27 +226,24 @@ class TestRunDiffusion:
 
 
 def replay_chain(model, sched, n_samples, init_variance, seed, chain, k):
-    """Chain `chain` of run_diffusion, stepped by hand with langevin_step on its
+    """Chain `chain` of run_diffusion, stepped alone by ``reference_step`` on its
     own stream: states by step, energies, concentrations, and the step at
     which it diverges (None if it does not)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(n_samples)[chain])
-    x = Signal.from_planes(rng.normal(0.0, math.sqrt(init_variance), size=model.defining.shape[1:]))
+    x = rng.normal(0.0, math.sqrt(init_variance), size=model.defining.shape[1:])
     states, energies, concentrations = {0: x}, [], []
     for t in range(sched.steps + 1):
         try:
-            bd = energy_breakdown(x, model)
-        except NumericalError:
+            values, _, sample_energies, sample_concentrations = energy_terms(model, x[None])
+        except NumericalError:  # a non-finite state fails here too
             return states, energies, concentrations, t
-        if not bd.value <= DIVERGENCE_FACTOR * (energies[0] if energies else np.inf):
+        if not values[0] <= DIVERGENCE_FACTOR * (energies[0] if energies else np.inf):
             return states, energies, concentrations, t
-        energies.append(bd.value)
-        nearest = np.argsort(bd.sample_energies, kind="stable")[:k]
-        concentrations.append(float(np.mean(bd.sample_concentrations[nearest])))
+        energies.append(float(values[0]))
+        nearest = np.argsort(sample_energies[0], kind="stable")[:k]
+        concentrations.append(float(np.mean(sample_concentrations[0, nearest])))
         if t < sched.steps:
-            try:
-                x = langevin_step(x, model, sched.alpha[t], sched.beta[t], rng)
-            except NumericalError:
-                return states, energies, concentrations, t + 1
+            x = reference_step(x, model, sched.alpha[t], sched.beta[t], rng)
             states[t + 1] = x
     return states, energies, concentrations, None
 
@@ -271,7 +263,7 @@ class TestLockstep:
             assert diverged is None
             assert traj.snapshot_steps == [0, 5, 10, 12]
             for step, snap in zip(traj.snapshot_steps, traj.samples):
-                np.testing.assert_array_equal(snap, states[step].planes)
+                np.testing.assert_array_equal(snap, states[step])
             np.testing.assert_array_equal(traj.energies, energies)
             np.testing.assert_array_equal(traj.concentrations, concentrations)
 
@@ -293,7 +285,7 @@ class TestLockstep:
                 model, sched, n, 0.7, 13, chain, k=3
             )
             assert diverged is None
-            replayed = np.stack([states[t].planes for t in range(T + 1)])
+            replayed = np.stack([states[t] for t in range(T + 1)])
             assert traj.samples.tobytes() == replayed.tobytes()
             assert traj.energies == energies
             assert traj.concentrations == concentrations

@@ -100,10 +100,11 @@ def images(tmp_path):
     return paths
 
 
-def _run(capsys, argv) -> None:
+def _run(capsys, argv) -> int:
     rc = main(argv)
     err = capsys.readouterr().err
     assert rc in EXIT_CODES and "Traceback" not in err, (argv, rc, err)
+    return rc
 
 
 @FUZZ
@@ -172,3 +173,43 @@ def test_corrupted_idx_pair_loads_or_raises_a_library_error(tmp_path, images_raw
     except WienerlabError:
         return
     assert len(data) == len(data.label_ids) >= 1
+
+
+# 10 of the 12 4x4 images for knn, 8 for a one-epoch train
+IDX_RUNS = """[knn]
+n_train = 6
+n_test = 4
+k = 1
+baseline_k = 1
+pad = 1
+max_shift = 1
+data_images = {images}
+data_labels = {labels}
+[train]
+n_train = 8
+epochs = 1
+batch_size = 4
+widths = 16,4,16
+data_images = {images}
+data_labels = {labels}
+"""
+
+
+@FUZZ
+@given(
+    images_raw=corrupted(VALID_IDX_IMAGES, header=16),
+    labels_raw=corrupted(VALID_IDX_LABELS, header=8),
+)
+@example(images_raw=VALID_IDX_IMAGES, labels_raw=VALID_IDX_LABELS)
+def test_corrupted_idx_pair_through_knn_and_train_ends_in_an_exit_code(
+    tmp_path, capsys, images_raw, labels_raw
+):
+    images_path, labels_path = tmp_path / "images-idx3-ubyte", tmp_path / "labels-idx1-ubyte"
+    images_path.write_bytes(images_raw)
+    labels_path.write_bytes(labels_raw)
+    cfgf = tmp_path / "idx.ini"
+    cfgf.write_text(IDX_RUNS.format(images=images_path, labels=labels_path), encoding="utf-8")
+    valid = (images_raw, labels_raw) == (VALID_IDX_IMAGES, VALID_IDX_LABELS)
+    for command in ("knn", "train"):
+        rc = _run(capsys, [command, "--config", str(cfgf), "--out", str(tmp_path / command)])
+        assert rc == 0 or not valid, (command, rc)

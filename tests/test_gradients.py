@@ -5,12 +5,13 @@ from wienerlab.diffusion import EnergyModel, energy
 from wienerlab.errors import ConfigError, ShapeError
 from wienerlab.gradients import (
     check_gradient,
-    energy_breakdown,
+    energy_terms,
     grad_energy,
     grad_wiener_loss,
+    loss_and_grad,
 )
 from wienerlab.spectral import LagGrid, Signal, WindowSpec, make_window
-from wienerlab.wiener import WienerConfig, wiener_loss
+from wienerlab.wiener import QuotientKernel, WienerConfig, wiener_loss
 
 
 def unit_signal(shape, seed):
@@ -133,10 +134,10 @@ class TestGradEnergy:
     def test_breakdown_terms_sum_to_value(self):
         model = toy_model(n_samples=4)
         x = unit_signal((16,), 14)
-        bd = energy_breakdown(x, model)
-        assert bd.value == pytest.approx(float(np.sum(bd.sample_energies)), rel=1e-14)
-        assert bd.sample_energies.shape == (4,)
-        assert bd.sample_concentrations.shape == (4,)
+        values, grads, sample_energies, sample_concentrations = energy_terms(model, x.planes[None])
+        assert values[0] == pytest.approx(float(np.sum(sample_energies)), rel=1e-14)
+        assert grads.shape == (1, 1, 16)
+        assert sample_energies.shape == sample_concentrations.shape == (1, 4)
 
     def test_descent_direction_decreases_energy(self):
         # backtracking step from 20 random starts must decrease E in >= 19
@@ -145,15 +146,98 @@ class TestGradEnergy:
         wins = 0
         for _ in range(20):
             x = Signal(rng.normal(0, 1, 8), (8,))
-            bd = energy_breakdown(x, model)
+            res = grad_energy(x, model)
             step = 1.0
             for _ in range(30):
-                trial = Signal(x.data - step * bd.grad.data, x.shape)
-                if energy(trial, model) < bd.value:
+                trial = Signal(x.data - step * res.grad.data, x.shape)
+                if energy(trial, model) < res.value:
                     wins += 1
                     break
                 step *= 0.5
         assert wins >= 19
+
+
+def dense_quotient(fixed: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """J and b with J @ x.ravel() + b the flat raw-layout matching filter of any
+    varying plane x against one fixed plane, from the dense system
+    A v = Y^T P x + lam * delta, A = Y^T Y + lam I, Y the circulant of the
+    padded fixed plane and P the zero padding. J = A^-1 Y^T P is the filter's
+    Jacobian. Solved with np.linalg.solve: no FFT."""
+    padded = tuple(2 * n for n in fixed.shape)
+    P = np.zeros((int(np.prod(padded)), fixed.size))
+    kept = np.ravel_multi_index(np.indices(fixed.shape).reshape(fixed.ndim, -1), padded)
+    P[kept, np.arange(fixed.size)] = 1.0
+    plane = (P @ fixed.ravel()).reshape(padded)
+    axes = tuple(range(plane.ndim))
+    # column k is the plane shifted by lag k, so Y @ v is the circular convolution
+    Y = np.stack([np.roll(plane, k, axes).ravel() for k in np.ndindex(padded)], axis=1)
+    A = Y.T @ Y + lam * np.eye(len(Y))
+    delta = np.zeros(len(Y))
+    delta[0] = 1.0
+    return np.linalg.solve(A, Y.T @ P), np.linalg.solve(A, lam * delta)
+
+
+ORACLE_SHAPES = [(1,), (2,), (7,), (16,), (31,), (32,), (2, 3), (3, 3), (5, 4), (6, 6)]
+ORACLE_LAMBDAS = (1e-3, 1.0, 250.0)
+
+
+def assert_close_to_scale(got: np.ndarray, want: np.ndarray, case: str) -> None:
+    """Each entry within 1e-9 of the largest entry's magnitude: a gradient entry
+    that cancels to near zero keeps the rounding error of its parts."""
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max(), err_msg=case)
+
+
+class TestDenseAdjointOracle:
+    """Every gradient pulls back through ``QuotientKernel.pullback``; these hold
+    it to J^T of the dense solve for odd and even extents and 1-3 channels."""
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_loss_gradient_is_the_dense_adjoint(self, shape):
+        # loss 0.5 * ||W (v - delta)||^2 summed over channels; gradient J^T W^2 (v - delta)
+        rng = np.random.default_rng(sum(shape))
+        whitening = whitening_for(shape).raw
+        w = whitening.ravel()
+        for lam in ORACLE_LAMBDAS:
+            for channels in (1, 2, 3):
+                fixed, x = rng.random((2, channels, *shape))
+                value, grad = loss_and_grad(QuotientKernel(fixed, shape, lam), x, whitening)
+                want_value, want_grad = 0.0, []
+                for f, xc in zip(fixed, x):
+                    J, b = dense_quotient(f, lam)
+                    residual = J @ xc.ravel() + b
+                    residual[0] -= 1.0
+                    want_value += 0.5 * np.sum((w * residual) ** 2)
+                    want_grad.append(J.T @ (w**2 * residual))
+                case = f"lambda {lam}, {channels} channels"
+                np.testing.assert_allclose(value, want_value, rtol=1e-9, err_msg=case)
+                assert_close_to_scale(grad.reshape(channels, -1), np.array(want_grad), case)
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_energy_gradient_is_the_dense_adjoint(self, shape):
+        # the sum over defining samples of J^T g_v, g_v the derivative of each
+        # sample's term in its filter v
+        rng = np.random.default_rng(sum(shape) + 1)
+        padded = LagGrid(tuple(2 * n for n in shape))
+        pen = make_window(WindowSpec("inverted_laplace", b=1.5), padded)
+        p = pen.raw.ravel()
+        gamma = 0.7
+        for lam in ORACLE_LAMBDAS:
+            for channels in (1, 2, 3):
+                defining = rng.random((3, channels, *shape))
+                X = rng.random((2, channels, *shape))
+                grads = energy_terms(EnergyModel(defining, pen, gamma, WienerConfig(lam)), X)[1]
+                want = np.zeros((len(X), channels, int(np.prod(shape))))
+                for sample in defining:
+                    for c, f in enumerate(sample):
+                        J, b = dense_quotient(f, lam)
+                        for i, x in enumerate(X[:, c]):
+                            v = J @ x.ravel() + b
+                            norm = v @ v
+                            g_v = (p**2 * v - np.sum((p * v) ** 2) / norm * v) / norm / channels
+                            g_v[0] += gamma * (v[0] - 1.0) / channels
+                            want[i, c] += J.T @ g_v
+                case = f"lambda {lam}, {channels} channels"
+                assert_close_to_scale(grads.reshape(want.shape), want, case)
 
 
 class TestCheckGradient:

@@ -6,9 +6,9 @@ from wienerlab.errors import ConfigError, ShapeError
 from wienerlab.knn import (
     DistanceSpec,
     LabeledSet,
-    distance,
+    _distance_matrix,
+    _set_kernel,
     evaluate_accuracy,
-    knn_classify,
     make_translated_set,
 )
 from wienerlab import wiener
@@ -26,8 +26,18 @@ def labeled(images, labels):
 
 
 def queries(ls):
-    """One Signal per sample of a set, for the single-query functions."""
+    """One Signal per sample of a set, for the pairwise functions."""
     return [Signal.from_planes(planes) for planes in ls.stack]
+
+
+def to_set(query, train, spec):
+    """Distances from one query Signal to every sample of `train`."""
+    return _distance_matrix(train, query.planes[np.newaxis], spec)[0]
+
+
+def classify(train, query, k, spec):
+    """The class ``evaluate_accuracy`` predicts for one query Signal."""
+    return evaluate_accuracy(train, LabeledSet(query.planes[None], [0]), k, spec).predictions[0]
 
 
 class TestLabeledSet:
@@ -89,12 +99,14 @@ class TestDistances:
     def test_manhattan(self):
         a = sig([[0.0, 1.0]])
         b = sig([[0.5, 0.2]])
-        assert distance(a, b, DistanceSpec("manhattan")) == pytest.approx(1.3)
+        one = LabeledSet(b.planes[None], [0])
+        assert to_set(a, one, DistanceSpec("manhattan"))[0] == pytest.approx(1.3)
 
     def test_euclidean(self):
         a = sig([3.0, 0.0])
         b = sig([0.0, 4.0])
-        assert distance(a, b, DistanceSpec("euclidean")) == pytest.approx(5.0)
+        one = LabeledSet(b.planes[None], [0])
+        assert to_set(a, one, DistanceSpec("euclidean"))[0] == pytest.approx(5.0)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -105,14 +117,12 @@ class TestDistances:
         spec = DistanceSpec("wiener_ti", WienerConfig(lam=1.0))
         query = sig(rng.random((8, 8)))
         train = labeled([rng.random((8, 8)) for _ in range(5)], [0, 1, 2, 3, 4])
-        from wienerlab.knn import _distances_to_set, _set_kernel
-
-        batch = _distances_to_set(query, train, spec)
-        singles = [distance(query, t, spec) for t in queries(train)]
+        batch = to_set(query, train, spec)
+        singles = [ti_distance(query, t, spec.wiener_cfg) for t in queries(train)]
         np.testing.assert_allclose(batch, singles, atol=1e-12)
         # the set's kernel is built once and reused by every later query
         kernel = _set_kernel(train, 1.0)
-        np.testing.assert_array_equal(_distances_to_set(query, train, spec), batch)
+        np.testing.assert_array_equal(to_set(query, train, spec), batch)
         assert _set_kernel(train, 1.0) is kernel
 
     def test_multichannel_ti_matches_pairwise(self):
@@ -121,63 +131,59 @@ class TestDistances:
         query = Signal.from_planes(rng.random((2, 6, 6)))
         planes = rng.random((4, 2, 6, 6))
         train = LabeledSet(planes, [0, 1, 2, 3])
-        from wienerlab.knn import _distances_to_set
-
-        singles = [distance(query, t, spec) for t in queries(train)]
-        np.testing.assert_allclose(_distances_to_set(query, train, spec), singles, atol=1e-12)
+        singles = [ti_distance(query, t, spec.wiener_cfg) for t in queries(train)]
+        np.testing.assert_allclose(to_set(query, train, spec), singles, atol=1e-12)
 
     @pytest.mark.parametrize("channels", [1, 2])
     def test_batched_elementwise_matches_pairwise(self, channels):
-        from wienerlab.knn import _distances_to_set
-
         rng = np.random.default_rng(2)
         query = Signal.from_planes(rng.random((channels, 5, 7)))
         train = LabeledSet(rng.random((23, channels, 5, 7)), [0] * 23)
-        man = DistanceSpec("manhattan")
-        pairs = [distance(query, t, man) for t in queries(train)]
-        np.testing.assert_array_equal(_distances_to_set(query, train, man), pairs)
-        euc = DistanceSpec("euclidean")
-        pairs = [distance(query, t, euc) for t in queries(train)]
-        np.testing.assert_allclose(_distances_to_set(query, train, euc), pairs, rtol=1e-12)
+        pairs = [float(np.abs(query.data - t.data).sum()) for t in queries(train)]
+        np.testing.assert_array_equal(to_set(query, train, DistanceSpec("manhattan")), pairs)
+        pairs = [float(np.linalg.norm(query.data - t.data)) for t in queries(train)]
+        np.testing.assert_allclose(
+            to_set(query, train, DistanceSpec("euclidean")), pairs, rtol=1e-12
+        )
 
     def test_query_shape_mismatch(self):
         train = labeled([np.ones((4, 4))], [0])
         with pytest.raises(ShapeError):
-            knn_classify(train, sig(np.ones((5, 5))), 1, DistanceSpec("wiener_ti"))
+            classify(train, sig(np.ones((5, 5))), 1, DistanceSpec("wiener_ti"))
 
 
 class TestKnnClassify:
     def test_single_sample_forces_its_label(self):
         train = labeled([np.ones((3, 3))], [7])
         rng = np.random.default_rng(1)
-        assert knn_classify(train, sig(rng.random((3, 3))), 1, DistanceSpec("manhattan")) == 7
+        assert classify(train, sig(rng.random((3, 3))), 1, DistanceSpec("manhattan")) == 7
 
     @pytest.mark.parametrize("kind", ["manhattan", "euclidean", "wiener_ti"])
     def test_query_equal_to_training_sample(self, kind):
         base = make_digit_set(20, size=8, seed=2)
         spec = DistanceSpec(kind, WienerConfig(lam=1.0))
-        pred = knn_classify(base, Signal.from_planes(base.stack[4]), 1, spec)
+        pred = classify(base, Signal.from_planes(base.stack[4]), 1, spec)
         assert pred == base.labels[4]
 
     def test_majority_vote(self):
         train = labeled([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0]], [1, 1, 2])
-        assert knn_classify(train, sig([0.0, 0.05]), 3, DistanceSpec("manhattan")) == 1
+        assert classify(train, sig([0.0, 0.05]), 3, DistanceSpec("manhattan")) == 1
 
     def test_tie_broken_by_summed_distance(self):
         train = labeled([[0.0, 0.0], [1.0, 1.0], [0.3, 0.0], [0.8, 1.0]], [3, 3, 5, 5])
         # k=4: two votes each; class 5 has the smaller summed distance to the query
-        assert knn_classify(train, sig([0.4, 0.2]), 4, DistanceSpec("manhattan")) == 5
+        assert classify(train, sig([0.4, 0.2]), 4, DistanceSpec("manhattan")) == 5
 
     def test_exact_tie_falls_back_to_lowest_class(self):
         train = labeled([[1.0, 0.0], [0.0, 1.0]], [6, 4])
-        assert knn_classify(train, sig([0.5, 0.5]), 2, DistanceSpec("manhattan")) == 4
+        assert classify(train, sig([0.5, 0.5]), 2, DistanceSpec("manhattan")) == 4
 
     def test_k_bounds(self):
         train = labeled([[0.0]], [0])
         with pytest.raises(ConfigError):
-            knn_classify(train, sig([0.0]), 2, DistanceSpec("manhattan"))
+            classify(train, sig([0.0]), 2, DistanceSpec("manhattan"))
         with pytest.raises(ConfigError):
-            knn_classify(LabeledSet([], []), sig([0.0]), 1, DistanceSpec("manhattan"))
+            classify(LabeledSet([], []), sig([0.0]), 1, DistanceSpec("manhattan"))
 
 
 class TestMakeTranslatedSet:
@@ -253,13 +259,11 @@ class TestTranslationInvariantRanking:
         qbase = make_digit_set(3, size=8, seed=8)
         qpad = make_translated_set(qbase, 0, 6, seed=0)
         rng = np.random.default_rng(9)
-        from wienerlab.knn import _distances_to_set
-
         for q in queries(qpad):
-            d0 = _distances_to_set(q, train, spec)
+            d0 = to_set(q, train, spec)
             k = tuple(int(v) for v in rng.integers(-6, 7, size=2))
             shifted = Signal.from_array(np.roll(q.plane(), k, axis=(0, 1)))
-            d1 = _distances_to_set(shifted, train, spec)
+            d1 = to_set(shifted, train, spec)
             np.testing.assert_allclose(d0, d1, atol=1e-9)
             np.testing.assert_array_equal(np.argsort(d0, kind="stable"), np.argsort(d1, kind="stable"))
 
@@ -275,8 +279,6 @@ class TestAllQueriesDistanceMatrix:
         ],
     )
     def test_ti_matrix_equals_per_pair_ti_distance(self, monkeypatch, budget):
-        from wienerlab.knn import _distance_matrix
-
         if budget is not None:
             monkeypatch.setattr(wiener, "TI_CHUNK_ELEMENTS", budget)
         rng = np.random.default_rng(60)
@@ -296,7 +298,7 @@ class TestAllQueriesDistanceMatrix:
         test = make_translated_set(make_digit_set(11, size=8, seed=62), 2, 2, seed=2)
         spec = DistanceSpec(kind, WienerConfig(lam=1.0))
         res = evaluate_accuracy(train, test, 3, spec)
-        expected = [knn_classify(train, q, 3, spec) for q in queries(test)]
+        expected = [classify(train, q, 3, spec) for q in queries(test)]
         assert res.predictions == expected
         confusion = np.zeros((10, 10), dtype=int)
         for lab, pred in zip(test.labels, expected):
@@ -425,8 +427,6 @@ class TestTranslatedQueryConsistency:
         qbase = make_digit_set(200, size=8, seed=77)
         plain = make_translated_set(qbase, 0, 6, seed=3)
         shifted = make_translated_set(qbase, 5, 6, seed=4)  # 5 px <= 25% of 20
-        agree = sum(
-            int(knn_classify(train, a, 10, spec) == knn_classify(train, b, 10, spec))
-            for a, b in zip(queries(plain), queries(shifted))
-        )
-        assert agree >= 190
+        a = evaluate_accuracy(train, plain, 10, spec).predictions
+        b = evaluate_accuracy(train, shifted, 10, spec).predictions
+        assert sum(int(p == q) for p, q in zip(a, b)) >= 190

@@ -106,3 +106,35 @@ def test_one_central_difference_loop():
 
     sites = _sites(central_quotient)
     assert len(sites) == 1, sites
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names a module lists in its ``__all__``."""
+    for node in tree.body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if "__all__" in targets:
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_module_function_is_used_or_exported():
+    # a helper that only tests reach is a second path the program never takes
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    references = [
+        (name, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    ]
+    unused = [
+        f"{name}:{fn.lineno} {fn.name}"
+        for name, tree in trees.items()
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        and fn.name not in _exported(tree)
+        and not any(
+            ref == fn.name and not (where == name and fn.lineno <= line <= fn.end_lineno)
+            for where, line, ref in references
+        )
+    ]
+    assert not unused, unused

@@ -79,7 +79,7 @@ class TestWienerFilter:
         # filter, loss, gradient, energy and kNN all share the kernel's check
         from wienerlab.diffusion import EnergyModel
         from wienerlab.gradients import grad_wiener_loss
-        from wienerlab.knn import DistanceSpec, LabeledSet, knn_classify
+        from wienerlab.knn import DistanceSpec, LabeledSet, evaluate_accuracy
 
         y = Signal(np.zeros(8), (8,))
         x = random_signal((8,), 3)
@@ -90,8 +90,11 @@ class TestWienerFilter:
             lambda: wiener_loss(x, y, w, cfg),
             lambda: grad_wiener_loss(x, y, w, cfg),
             lambda: EnergyModel(y.planes[None], pen, 1.0, cfg),
-            lambda: knn_classify(
-                LabeledSet(y.planes[None], [0]), x, 1, DistanceSpec("wiener_ti", cfg)
+            lambda: evaluate_accuracy(
+                LabeledSet(y.planes[None], [0]),
+                LabeledSet(x.planes[None], [0]),
+                1,
+                DistanceSpec("wiener_ti", cfg),
             ),
         ]
         for call in calls:
@@ -417,8 +420,19 @@ class TestKernelRows:
         with pytest.raises(ShapeError):
             QuotientKernel(np.ones(6), (6,), 1.0).rows(slice(0, 1))
 
-    # 96 x 96 pads to a half spectrum past NumPy's 256 KB temporary-elision
-    # size, where filters' product may round apart from ti_values'
+    @pytest.mark.parametrize("shape", [(128, 128), (96, 96), (12, 10), (9,)])
+    def test_filters_invert_the_product_of_named_factors(self, shape):
+        # 96 x 96 and up pad to a half spectrum past NumPy's 256 KB temporary-
+        # elision size, where `K * <unnamed transform>` may swap the factors
+        rng = np.random.default_rng(63)
+        kernel = QuotientKernel(rng.random((1, *shape)), shape, 0.3)
+        x = rng.random((1, *shape))
+        X = np.fft.rfftn(x, s=kernel.padded, axes=kernel.axes)
+        Q = kernel.K * X
+        Q += kernel.L
+        want = np.fft.irfftn(Q, s=kernel.padded, axes=kernel.axes)
+        assert kernel.filters(x).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("planes", [(3, 5, 6), (1, 96, 96), (2, 9)])
     def test_filters_with_ti_is_filters_and_ti_values(self, planes):
         rng = np.random.default_rng(61)
