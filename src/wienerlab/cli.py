@@ -1,7 +1,7 @@
 """Command-line surface: five experiment subcommands plus pairwise tools.
 
     wienerlab <filter|loss|recover|diffuse|knn|train> [--config <ini>]
-              [--out <dir>] [--seed <int>] ...
+              [--out <dir>] [--seed <int>, diffuse|knn|train only] ...
 
 Outputs land in --out (used verbatim) or a timestamped directory under
 ./runs. Every run directory receives the effective config; re-running with
@@ -269,7 +269,7 @@ def _cmd_diffuse(args, cfg: ExperimentConfig) -> int:
 
     run_dir = _make_run_dir(args, "diffuse")
     _echo_config(run_dir, cfg)
-    trajectories = run_diffusion(
+    run = run_diffusion(
         model,
         schedule,
         d.n_samples,
@@ -279,39 +279,36 @@ def _cmd_diffuse(args, cfg: ExperimentConfig) -> int:
         k_nearest=d.k_nearest,
     )
 
-    chains = np.arange(len(trajectories))
-    steps = len(trajectories[0].energies)
+    chains, steps = run.energies.shape
     write_csv(
         run_dir / "trajectory.csv",
         ["chain", "step", "energy", "concentration"],
         [
-            np.repeat(chains, steps),
-            np.tile(np.arange(steps), len(chains)),
-            np.concatenate([t.energies for t in trajectories]),
-            np.concatenate([t.concentrations for t in trajectories]),
+            np.repeat(np.arange(chains), steps),
+            np.tile(np.arange(steps), chains),
+            run.energies.ravel(),
+            run.concentrations.ravel(),
         ],
     )
 
     if model.defining.ndim == 4:
-        _write_sample_grids(run_dir, trajectories)
+        _write_sample_grids(run_dir, run)
     else:
-        snapshots = len(trajectories[0].samples)
-        samples = np.concatenate([t.samples.reshape(snapshots, -1) for t in trajectories])
+        snapshots = run.snapshot_steps.size
+        samples = run.samples.reshape(chains * snapshots, -1)
         write_csv(
             run_dir / "samples.csv",
             ["chain", "step"] + [f"x{i}" for i in range(samples.shape[1])],
             [
-                np.repeat(chains, snapshots),
-                np.concatenate([t.snapshot_steps for t in trajectories]),
+                np.repeat(np.arange(chains), snapshots),
+                np.tile(run.snapshot_steps, chains),
                 *samples.T,
             ],
         )
 
-    e0 = float(np.mean([t.energies[0] for t in trajectories]))
-    eT = float(np.mean([t.energies[-1] for t in trajectories]))
-    c0 = float(np.mean([t.concentrations[0] for t in trajectories]))
-    cT = float(np.mean([t.concentrations[-1] for t in trajectories]))
-    nearest = [nearest_defining_sample(t.final, model) for t in trajectories]
+    e0, eT = float(np.mean(run.energies[:, 0])), float(np.mean(run.energies[:, -1]))
+    c0, cT = float(np.mean(run.concentrations[:, 0])), float(np.mean(run.concentrations[:, -1]))
+    nearest = [nearest_defining_sample(x, model) for x in run.final]
     report = {
         "n_chains": d.n_samples,
         "steps": d.T,
@@ -331,19 +328,17 @@ def _cmd_diffuse(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _write_sample_grids(run_dir: Path, trajectories) -> None:
-    """One tiled image per snapshot step: chains left to right, row-major."""
-    n = len(trajectories)
+def _write_sample_grids(run_dir: Path, run) -> None:
+    """One tiled image per snapshot step: chains left to right, row-major, each
+    tile padded by a one-pixel zero border that the last row and column drop."""
+    n, snapshots, _, h, w = run.samples.shape
     cols = int(np.ceil(np.sqrt(n)))
     rows = int(np.ceil(n / cols))
-    steps = trajectories[0].snapshot_steps
-    h, w = trajectories[0].samples.shape[-2:]
-    for si, step in enumerate(steps):
-        grid = np.zeros((rows * (h + 1) - 1, cols * (w + 1) - 1))
-        for c, traj in enumerate(trajectories):
-            r, q = divmod(c, cols)
-            plane = np.clip(traj.samples[si, 0], 0.0, 1.0)
-            grid[r * (h + 1) : r * (h + 1) + h, q * (w + 1) : q * (w + 1) + w] = plane
+    tiles = np.zeros((rows * cols, snapshots, h + 1, w + 1))
+    tiles[:n, :, :h, :w] = np.clip(run.samples[:, :, 0], 0.0, 1.0)
+    grids = tiles.reshape(rows, cols, snapshots, h + 1, w + 1).transpose(2, 0, 3, 1, 4)
+    grids = grids.reshape(snapshots, rows * (h + 1), cols * (w + 1))[:, :-1, :-1]
+    for step, grid in zip(run.snapshot_steps, grids):
         write_pgm(run_dir / f"samples_step{step:05d}.pgm", Signal.from_array(grid))
 
 
@@ -469,10 +464,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"wienerlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed_key=None):
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--out", default=None, help="output directory (default: runs/<cmd>-<stamp>)")
-        p.add_argument("--seed", type=int, default=None, help="override the experiment seed")
+        if seed_key:
+            p.add_argument("--seed", type=int, help="override [{}] {}".format(*seed_key))
+        p.set_defaults(seed=None, seed_key=seed_key)
 
     p = sub.add_parser("filter", help="matching filter between two images")
     p.add_argument("image_a", help="target image (PGM)")
@@ -489,15 +486,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("diffuse", help="Langevin generation from the dataset energy")
-    common(p)
+    common(p, ("diffusion", "seed"))
 
     p = sub.add_parser("knn", help="translated-digit classification experiment")
-    common(p)
+    common(p, ("knn", "shift_seed"))
 
     p = sub.add_parser("train", help="autoencoder training under mse or the filter loss")
     p.add_argument("--loss", choices=("mse", "wiener"), default=None, help="override train.loss")
     p.add_argument("--epochs", type=int, default=None, help="override train.epochs")
-    common(p)
+    common(p, ("train", "seed"))
 
     return parser
 
@@ -512,23 +509,18 @@ _COMMANDS = {
 }
 
 
-def _apply_seed(cfg: ExperimentConfig, command: str, seed: int | None) -> ExperimentConfig:
+def _apply_seed(cfg: ExperimentConfig, seed_key, seed: int | None) -> ExperimentConfig:
     if seed is None:
         return cfg
-    if command == "diffuse":
-        return replace(cfg, diffusion=replace(cfg.diffusion, seed=seed))
-    if command == "train":
-        return replace(cfg, train=replace(cfg.train, seed=seed))
-    if command == "knn":
-        return replace(cfg, knn=replace(cfg.knn, shift_seed=seed))
-    return cfg
+    section, key = seed_key
+    return replace(cfg, **{section: replace(getattr(cfg, section), **{key: seed})})
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        cfg = _apply_seed(cfg, args.command, args.seed)
+        cfg = _apply_seed(cfg, args.seed_key, args.seed)
         return _COMMANDS[args.command](args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -135,6 +135,14 @@ class ExperimentConfig:
     train: TrainSection = field(default_factory=TrainSection)
     recover: RecoverSection = field(default_factory=RecoverSection)
 
+    def __post_init__(self):
+        # a NumPy generator takes no negative seed; dataclasses.replace brings
+        # a --seed override through here too
+        for section in fields(self):
+            for key, value in vars(getattr(self, section.name)).items():
+                if key.endswith("seed") and value < 0:
+                    raise ConfigError(f"[{section.name}] {key} must be >= 0, got {value}")
+
     def to_ini(self) -> str:
         """Effective config as INI text (every key explicit)."""
         out = io.StringIO()

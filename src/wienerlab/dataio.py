@@ -219,8 +219,8 @@ def write_csv(path, header: list[str], columns) -> None:
     """Plain CSV with a header row; floats via repr for lossless round-trips.
 
     `columns` holds one sequence per header name, all equally long. They are
-    formatted in blocks of CSV_BLOCK_ROWS rows; a NumPy array column in one
-    pass over each block's ``tolist()``: repr for floats, str for integers.
+    formatted in blocks of CSV_BLOCK_ROWS rows, each column of a block as one
+    array's ``tolist()``: repr for floats, str for everything else.
     """
     lengths = {len(column) for column in columns}
     if len(columns) != len(header) or len(lengths) > 1:
@@ -234,6 +234,5 @@ def write_csv(path, header: list[str], columns) -> None:
 
 
 def _csv_cells(column) -> list[str]:
-    if isinstance(column, np.ndarray):
-        return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
-    return [repr(x) if isinstance(x, float) else str(x) for x in column]
+    column = np.asarray(column)
+    return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))

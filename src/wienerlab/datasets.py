@@ -91,6 +91,8 @@ def two_cluster_latents(
     """
     if n < 2:
         raise ConfigError(f"need at least 2 samples, got {n}")
+    if dim < 1 or not (0 <= spread < np.inf):
+        raise ConfigError(f"need dim >= 1 and a finite spread >= 0, got {dim} and {spread}")
     pattern_rng = np.random.default_rng(90210)
     center_a = separation * pattern_rng.uniform(-1.3, 1.3, size=dim)
     center_b = separation * pattern_rng.uniform(-1.3, 1.3, size=dim)

@@ -6,8 +6,9 @@ noise. All chains advance in lockstep, in the style of annealed Langevin
 dynamics (Song & Ermon 2019, arXiv:1907.05600): their states form one
 (chains, C, *extents) array, and each step is one batched energy and
 gradient pass through the defining set's quotient kernel. The defining set
-and each chain's snapshots are stacks too; a ``Signal`` appears only in
-``energy``, a one-state view of ``gradients.energy_terms``. Per-chain RNG
+is a stack too, and a run's output is one ``Trajectory`` record of arrays
+over all chains; a ``Signal`` appears only in ``energy``, a one-state view
+of ``gradients.energy_terms``. Per-chain RNG
 streams are derived from the master seed by chain index. Each chain draws
 its step noise from its own stream in blocks of steps, in the same stream
 order as one draw per step of a chain run alone, so chains are independent
@@ -96,21 +97,22 @@ class Schedule:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Per-chain log: strided snapshots plus per-step energy and focus diagnostics.
+    """Every chain's log: strided snapshots plus per-step energy and focus diagnostics.
 
-    ``samples`` stacks the chain's states at ``snapshot_steps``, shaped
-    (snapshots, C, *extents).
+    ``samples`` holds each chain's states at the int array ``snapshot_steps``,
+    shaped (chains, snapshots, C, *extents); ``energies`` and
+    ``concentrations`` are shaped (chains, T+1), entry 0 describing x0.
     """
 
     samples: np.ndarray
-    energies: list[float]
-    concentrations: list[float]
-    snapshot_steps: list[int]
+    energies: np.ndarray
+    concentrations: np.ndarray
+    snapshot_steps: np.ndarray
 
     @property
     def final(self) -> np.ndarray:
-        """The state after the last step, shaped (C, *extents)."""
-        return self.samples[-1]
+        """Every chain's state after the last step, shaped (chains, C, *extents)."""
+        return self.samples[:, -1]
 
 
 def cosine_schedule(T: int, start: float, end: float) -> np.ndarray:
@@ -186,8 +188,8 @@ def run_diffusion(
     seed: int,
     snapshot_stride: int = 20,
     k_nearest: int = 1,
-) -> list[Trajectory]:
-    """Run independent Langevin chains in lockstep and log their trajectories.
+) -> Trajectory:
+    """Run independent Langevin chains in lockstep and log them in one record.
 
     Chain c starts at x0 ~ N(0, init_variance I) and takes its step noise
     from its own stream, SeedSequence(seed).spawn(n_samples)[c], in blocks of
@@ -212,8 +214,8 @@ def run_diffusion(
     X = np.stack([rng.normal(0.0, math.sqrt(init_variance), size=sample) for rng in streams])
     snapshots = [X]
     snapshot_steps = [0]
-    energies = np.empty((T + 1, n_samples))
-    concentrations = np.empty((T + 1, n_samples))
+    energies = np.empty((n_samples, T + 1))
+    concentrations = np.empty((n_samples, T + 1))
     limit = np.full(n_samples, np.inf)
     chains = np.arange(n_samples)[:, None]
     noise = _step_noise(streams, schedule.beta, sample)
@@ -221,9 +223,9 @@ def run_diffusion(
         values, grads, sample_energies, sample_concentrations = _lockstep_terms(
             model, X, t, limit
         )
-        energies[t] = values
+        energies[:, t] = values
         nearest = np.argsort(sample_energies, axis=1, kind="stable")[:, :k]
-        concentrations[t] = sample_concentrations[chains, nearest].sum(axis=1) / k  # their mean
+        concentrations[:, t] = sample_concentrations[chains, nearest].sum(axis=1) / k  # their mean
         if t == 0:
             limit = DIVERGENCE_FACTOR * values
         if t == T:
@@ -233,16 +235,7 @@ def run_diffusion(
             snapshots.append(X)
             snapshot_steps.append(t + 1)
 
-    states = np.stack(snapshots, axis=1)  # (chains, snapshots, C, *extents)
-    return [
-        Trajectory(
-            states[c],
-            energies[:, c].tolist(),
-            concentrations[:, c].tolist(),
-            list(snapshot_steps),
-        )
-        for c in range(n_samples)
-    ]
+    return Trajectory(np.stack(snapshots, 1), energies, concentrations, np.array(snapshot_steps))
 
 
 def _lockstep_terms(model: EnergyModel, X: np.ndarray, step: int, limit: np.ndarray):

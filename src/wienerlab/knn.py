@@ -34,9 +34,6 @@ class LabeledSet:
     The set keeps ``stack``, the read-only float64 view that ``as_stack``
     validates, and ``label_ids``, a read-only int array of the n class ids,
     so shape, finiteness and label range are checked once for the whole set.
-
-    The quotient kernel of the set is built on the first TI query per
-    lambda and kept, so every later query against the set reuses it.
     """
 
     def __init__(self, samples, labels):
@@ -50,7 +47,6 @@ class LabeledSet:
         ids.flags.writeable = False
         self.stack = stack
         self.label_ids = ids
-        self._cache: dict = {}  # quotient kernels by lambda
 
     def __len__(self) -> int:
         return len(self.stack)
@@ -75,24 +71,17 @@ class DistanceSpec:
             raise ConfigError(f"unknown distance kind {self.kind!r}")
 
 
-def _set_kernel(train: LabeledSet, lam: float) -> QuotientKernel:
-    """The set's quotient kernel, fixed side shaped (n, 1, C, *extents) so that
-    a stack of m queries broadcasts against it to (n, m, C)."""
-    if lam not in train._cache:
-        train._cache[lam] = QuotientKernel(train.stack[:, np.newaxis], train.shape, lam)
-    return train._cache[lam]
-
-
 def _distance_matrix(train: LabeledSet, queries: np.ndarray, spec: DistanceSpec) -> np.ndarray:
     """(m, n) distances from each of the m queries, shaped (m, C, *extents),
     to every training sample; a TI entry is ``ti_distance`` of its pair.
 
-    TI is one ``ti_values`` pass of all queries against the set's kernel;
+    TI is one ``ti_values`` pass of all queries against the set's quotient
+    kernel, whose fixed side (n, 1, C, *extents) broadcasts them to (n, m, C);
     element-wise kinds are one pass over the set's flat stack per query.
     """
     if spec.kind == "wiener_ti":
-        values = _set_kernel(train, spec.wiener_cfg.lam).ti_values(queries)[0]  # (n, m, C)
-        return values.mean(axis=-1).T
+        kernel = QuotientKernel(train.stack[:, np.newaxis], train.shape, spec.wiener_cfg.lam)
+        return kernel.ti_values(queries)[0].mean(axis=-1).T
     flat = train.stack.reshape(len(train), -1)
     out = np.empty((len(queries), len(train)))
     for row, query in zip(out, queries.reshape(len(queries), -1)):

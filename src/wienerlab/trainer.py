@@ -157,7 +157,6 @@ class TrainLog:
     losses: list[float] = field(default_factory=list)  # per epoch
     concentrations: list[float] = field(default_factory=list)
     initial_concentration: float = float("nan")
-    diverged: bool = False
 
 
 class TrainingDivergedError(NumericalError):
@@ -328,7 +327,6 @@ def train(model: DenseAutoencoder, data, cfg: TrainConfig) -> TrainLog:
             if first_loss is None:
                 first_loss = loss
             if not (np.isfinite(loss) and loss <= DIVERGENCE_FACTOR * first_loss):
-                log.diverged = True
                 raise TrainingDivergedError(epoch, log)
             epoch_losses.append(loss)
             _backward_matrix(model, A, D, d_out, grad)
@@ -342,7 +340,6 @@ def train(model: DenseAutoencoder, data, cfg: TrainConfig) -> TrainLog:
         try:
             log.concentrations.append(_mean_concentration(model, eval_X, shape, cfg, kernel_rows))
         except NumericalError:
-            log.diverged = True
             raise TrainingDivergedError(epoch, log)
     return log
 

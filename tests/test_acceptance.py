@@ -180,18 +180,18 @@ def test_criterion_5_diffusion_behavior():
     ok = True
     for gamma in (0.5, 1.0):
         model = EnergyModel(samples, pen, gamma, WienerConfig(lam=0.5))
-        trajs = run_diffusion(model, schedule, 50, 1.0, seed=2024, snapshot_stride=200)
+        run = run_diffusion(model, schedule, 50, 1.0, seed=2024, snapshot_stride=200)
         counts = [0, 0]
         collapsed = 0
         floor = 0.5 * np.sqrt(schedule.beta[-1])
-        for t in trajs:
-            idx, dist = nearest_defining_sample(t.final, model)
+        for x in run.final:
+            idx, dist = nearest_defining_sample(x, model)
             counts[ids[idx]] += 1
             collapsed += int(dist < floor)
-        e0 = float(np.mean([t.energies[0] for t in trajs]))
-        eT = float(np.mean([t.energies[-1] for t in trajs]))
-        c0 = float(np.mean([t.concentrations[0] for t in trajs]))
-        cT = float(np.mean([t.concentrations[-1] for t in trajs]))
+        e0 = float(np.mean(run.energies[:, 0]))
+        eT = float(np.mean(run.energies[:, -1]))
+        c0 = float(np.mean(run.concentrations[:, 0]))
+        cT = float(np.mean(run.concentrations[:, -1]))
         ok_gamma = (
             min(counts) >= 10  # (a) each cluster holds >= 20% of 50 chains
             and eT < e0  # (b) mean energy decreased

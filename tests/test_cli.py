@@ -242,27 +242,30 @@ class TestDiffuseCommand:
     def test_csvs_match_a_row_by_row_reference(self, tmp_path, monkeypatch):
         # the CSVs are written from columns; each row must read as the
         # per-(chain, step) tuples written one value at a time
-        trajectories = []
+        runs = []
 
         def capture(*args, **kwargs):
-            trajectories.extend(run_diffusion(*args, **kwargs))
-            return trajectories
+            runs.append(run_diffusion(*args, **kwargs))
+            return runs[-1]
 
         monkeypatch.setattr(cli, "run_diffusion", capture)
         out = tmp_path / "run"
         cfgf = self.short_config(tmp_path)
         assert main(["diffuse", "--config", str(cfgf), "--out", str(out)]) == 0
+        (run,) = runs
         rows = [
             (c, t, e, conc)
-            for c, traj in enumerate(trajectories)
-            for t, (e, conc) in enumerate(zip(traj.energies, traj.concentrations))
+            for c, (energies, concentrations) in enumerate(
+                zip(run.energies.tolist(), run.concentrations.tolist())
+            )
+            for t, (e, conc) in enumerate(zip(energies, concentrations))
         ]
         sample_rows = [
             (c, step) + tuple(x.ravel().tolist())
-            for c, traj in enumerate(trajectories)
-            for step, x in zip(traj.snapshot_steps, traj.samples)
+            for c, chain in enumerate(run.samples)
+            for step, x in zip(run.snapshot_steps.tolist(), chain)
         ]
-        dim = trajectories[0].samples[0].size
+        dim = run.samples[0, 0].size
         sample_header = ["chain", "step"] + [f"x{i}" for i in range(dim)]
         for name, header, body in (
             ("trajectory.csv", ["chain", "step", "energy", "concentration"], rows),
@@ -293,6 +296,36 @@ class TestDiffuseCommand:
         assert len(grids) == 2  # steps 0 and 5
         for g in grids:
             read_pgm(g)
+
+    @pytest.mark.parametrize("chains", [4, 5, 7])  # 2x2, and 3x2 and 3x3 with empty tiles
+    def test_sample_grids_match_a_chain_by_chain_reference(self, tmp_path, monkeypatch, chains):
+        runs = []
+
+        def capture(*args, **kwargs):
+            runs.append(run_diffusion(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run_diffusion", capture)
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text(
+            f"[diffusion]\ndataset = digits\nT = 4\nn_samples = {chains}\nsnapshot_stride = 3\n"
+        )
+        out = tmp_path / "run"
+        assert main(["diffuse", "--config", str(cfgf), "--out", str(out)]) == 0
+        (run,) = runs
+        cols = int(np.ceil(np.sqrt(chains)))
+        rows = int(np.ceil(chains / cols))
+        h, w = run.samples.shape[-2:]
+        assert run.snapshot_steps.tolist() == [0, 3, 4]
+        for si, step in enumerate(run.snapshot_steps.tolist()):
+            grid = np.zeros((rows * (h + 1) - 1, cols * (w + 1) - 1))
+            for c in range(chains):
+                r, q = divmod(c, cols)
+                plane = np.clip(run.samples[c, si, 0], 0.0, 1.0)
+                grid[r * (h + 1) : r * (h + 1) + h, q * (w + 1) : q * (w + 1) + w] = plane
+            write_pgm(tmp_path / "reference.pgm", Signal.from_array(grid))
+            name = f"samples_step{step:05d}.pgm"
+            assert (out / name).read_bytes() == (tmp_path / "reference.pgm").read_bytes(), name
 
 
 class TestKnnCommand:
@@ -381,6 +414,17 @@ class TestErrorHandling:
         out = tmp_path / "never"
         assert main([command, *images, "--config", str(cfgf), "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["filter", "loss", "recover"])
+    def test_seed_is_a_usage_error_where_no_seed_acts(self, tmp_path, capsys, command):
+        argv = [command] + {"filter": 2, "loss": 2, "recover": 1}[command] * ["a.pgm"]
+        argv += ["--out", str(tmp_path / "never")]
+        assert main(argv) == 3  # parsed: the missing image is a data error
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
 
     def test_missing_image_exits_3(self, tmp_path):
         assert main(["filter", str(tmp_path / "no.pgm"), str(tmp_path / "no.pgm")]) == 3

@@ -263,6 +263,13 @@ class TestCsv:
             write_csv(tmp_path / "bad.csv", ["a", "b"], columns)
         assert not (tmp_path / "bad.csv").exists()
 
+    def test_numpy_scalars_in_list_columns_write_plain_numbers(self, tmp_path):
+        p = tmp_path / "s.csv"
+        floats = [np.float64(0.5), np.float64(0.1 + 0.2), np.float64(-np.inf)]
+        ints = [np.int64(3), np.int64(-4), np.int64(0)]
+        write_csv(p, ["x", "n"], [floats, ints])
+        assert p.read_text() == "x,n\n0.5,3\n0.30000000000000004,-4\n-inf,0\n"
+
     def test_floats_roundtrip_via_repr(self, tmp_path):
         p = tmp_path / "t.csv"
         value = 0.1 + 0.2  # not exactly representable as "0.3"

@@ -171,10 +171,10 @@ class TestRunDiffusion:
     def test_degenerate_single_step_matches_the_reference_step(self):
         model, _ = toy_model()
         sched = Schedule(np.array([0.1]), np.array([0.0]))
-        trajs = run_diffusion(model, sched, 1, 1.0, seed=5, snapshot_stride=1)
-        assert len(trajs) == 1
-        manual = reference_step(trajs[0].samples[0], model, 0.1, 0.0, np.random.default_rng(0))
-        np.testing.assert_allclose(trajs[0].final, manual, atol=1e-15)
+        run = run_diffusion(model, sched, 1, 1.0, seed=5, snapshot_stride=1)
+        assert run.samples.shape == (1, 2, 1, 8)
+        manual = reference_step(run.samples[0, 0], model, 0.1, 0.0, np.random.default_rng(0))
+        np.testing.assert_allclose(run.final[0], manual, atol=1e-15)
 
     @pytest.mark.parametrize("T,stride", [(10, 3), (10, 5), (7, 7), (1, 4), (20, 1)])
     def test_snapshot_count_invariant(self, T, stride):
@@ -183,23 +183,25 @@ class TestRunDiffusion:
             cosine_schedule(max(T, 2), 1.0, 0.01)[:T] if T >= 2 else np.array([0.5]),
             np.zeros(T),
         )
-        trajs = run_diffusion(model, sched, 2, 0.5, seed=6, snapshot_stride=stride)
-        for traj in trajs:
-            assert len(traj.samples) == int(np.ceil(T / stride)) + 1
-            assert traj.snapshot_steps[0] == 0
-            assert traj.snapshot_steps[-1] == T
-            assert len(traj.energies) == T + 1
-            assert len(traj.concentrations) == T + 1
+        run = run_diffusion(model, sched, 2, 0.5, seed=6, snapshot_stride=stride)
+        snapshots = int(np.ceil(T / stride)) + 1
+        assert run.samples.shape == (2, snapshots, 1, 8)
+        assert run.final.shape == (2, 1, 8)
+        assert run.snapshot_steps.shape == (snapshots,)
+        assert run.snapshot_steps.dtype.kind == "i"
+        assert run.snapshot_steps[0] == 0
+        assert run.snapshot_steps[-1] == T
+        assert run.energies.shape == (2, T + 1)
+        assert run.concentrations.shape == (2, T + 1)
 
     def test_reproducible_trajectories(self):
         model, _ = toy_model()
         sched = Schedule(cosine_schedule(12, 1.0, 0.01), cosine_schedule(12, 0.001, 0.02))
         a = run_diffusion(model, sched, 3, 1.0, seed=42, snapshot_stride=4)
         b = run_diffusion(model, sched, 3, 1.0, seed=42, snapshot_stride=4)
-        for ta, tb in zip(a, b):
-            np.testing.assert_array_equal(ta.final, tb.final)
-            assert ta.energies == tb.energies
-            assert ta.concentrations == tb.concentrations
+        np.testing.assert_array_equal(a.final, b.final)
+        np.testing.assert_array_equal(a.energies, b.energies)
+        np.testing.assert_array_equal(a.concentrations, b.concentrations)
 
     def test_chains_are_independent_of_count(self):
         # chain i is driven by its own stream: adding more chains must not
@@ -208,8 +210,7 @@ class TestRunDiffusion:
         sched = Schedule(cosine_schedule(8, 1.0, 0.01), cosine_schedule(8, 0.001, 0.02))
         a = run_diffusion(model, sched, 2, 1.0, seed=7)
         b = run_diffusion(model, sched, 5, 1.0, seed=7)
-        for ta, tb in zip(a, b[:2]):
-            np.testing.assert_array_equal(ta.final, tb.final)
+        np.testing.assert_array_equal(a.final, b.final[:2])
 
     def test_invalid_args_rejected(self):
         model, _ = toy_model()
@@ -254,18 +255,18 @@ class TestLockstep:
         model, _ = toy_model()
         T = 12
         sched = Schedule(cosine_schedule(T, 1.0, 0.01), cosine_schedule(T, 0.001, 0.02))
-        trajs = run_diffusion(model, sched, n_samples, 0.7, seed=21, snapshot_stride=5, k_nearest=2)
-        assert len(trajs) == n_samples
-        for chain, traj in enumerate(trajs):
+        run = run_diffusion(model, sched, n_samples, 0.7, seed=21, snapshot_stride=5, k_nearest=2)
+        assert len(run.samples) == n_samples
+        assert run.snapshot_steps.tolist() == [0, 5, 10, 12]
+        for chain in range(n_samples):
             states, energies, concentrations, diverged = replay_chain(
                 model, sched, n_samples, 0.7, 21, chain, k=2
             )
             assert diverged is None
-            assert traj.snapshot_steps == [0, 5, 10, 12]
-            for step, snap in zip(traj.snapshot_steps, traj.samples):
+            for step, snap in zip(run.snapshot_steps, run.samples[chain]):
                 np.testing.assert_array_equal(snap, states[step])
-            np.testing.assert_array_equal(traj.energies, energies)
-            np.testing.assert_array_equal(traj.concentrations, concentrations)
+            np.testing.assert_array_equal(run.energies[chain], energies)
+            np.testing.assert_array_equal(run.concentrations[chain], concentrations)
 
     @pytest.mark.parametrize("steps_per_block", [1, 5, None])  # None: the whole run
     def test_noise_blocks_match_chains_replayed_by_hand(self, monkeypatch, steps_per_block):
@@ -279,16 +280,16 @@ class TestLockstep:
         per_step = n * math.prod(model.defining.shape[1:])
         budget = per_step * (steps_per_block or T)
         monkeypatch.setattr(diffusion, "NOISE_BLOCK_ELEMENTS", budget)
-        trajs = run_diffusion(model, sched, n, 0.7, seed=13, snapshot_stride=1, k_nearest=3)
-        for chain, traj in enumerate(trajs):
+        run = run_diffusion(model, sched, n, 0.7, seed=13, snapshot_stride=1, k_nearest=3)
+        for chain in range(n):
             states, energies, concentrations, diverged = replay_chain(
                 model, sched, n, 0.7, 13, chain, k=3
             )
             assert diverged is None
             replayed = np.stack([states[t] for t in range(T + 1)])
-            assert traj.samples.tobytes() == replayed.tobytes()
-            assert traj.energies == energies
-            assert traj.concentrations == concentrations
+            assert run.samples[chain].tobytes() == replayed.tobytes()
+            assert run.energies[chain].tolist() == energies
+            assert run.concentrations[chain].tolist() == concentrations
 
     def test_chunked_batch_matches_whole_batch(self, monkeypatch):
         model, _ = toy_model()

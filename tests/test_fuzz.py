@@ -9,6 +9,7 @@ import gzip
 import json
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wienerlab.cli import main
+from wienerlab.config import ExperimentConfig, _key
 from wienerlab.dataio import ingest_idx, load_model, save_model, write_pgm
 from wienerlab.errors import WienerlabError
 from wienerlab.spectral import Signal
@@ -213,3 +215,66 @@ def test_corrupted_idx_pair_through_knn_and_train_ends_in_an_exit_code(
     for command in ("knn", "train"):
         rc = _run(capsys, [command, "--config", str(cfgf), "--out", str(tmp_path / command)])
         assert rc == 0 or not valid, (command, rc)
+
+
+# every subcommand at tiny sizes; each section's keys go to the subcommands that read it
+TINY = {
+    "diffusion": {"T": 3, "n_samples": 2, "n_defining": 2, "dim": 4, "snapshot_stride": 2},
+    "knn": {"n_train": 10, "n_test": 4, "k": 1, "baseline_k": 1, "pad": 1, "max_shift": 1},
+    "train": {"n_train": 8, "epochs": 1, "batch_size": 4, "widths": "64,4,64"},
+    "recover": {"iterations": 2},
+}
+READERS = {
+    "wiener": ("filter", "loss", "recover", "diffuse", "knn", "train"),
+    "window": ("loss", "recover", "train"),
+    "diffusion": ("diffuse",),
+    "knn": ("knn",),
+    "train": ("train",),
+    "recover": ("recover",),
+}
+NUMERIC_KEYS = [
+    (section.name, _key(f.name))
+    for section in fields(ExperimentConfig)
+    for f in fields(getattr(ExperimentConfig(), section.name))
+    if type(getattr(getattr(ExperimentConfig(), section.name), f.name)) in (int, float)
+]
+
+
+def _run_tiny(tmp_path, capsys, images, commands, section="", key="", value="") -> list[int]:
+    """Exit codes of `commands` on the TINY config, with [section] key = value."""
+    sections = {name: dict(values) for name, values in TINY.items()}
+    if section:
+        sections.setdefault(section, {})[key] = value
+    cfgf = tmp_path / "tiny.ini"
+    cfgf.write_text(
+        "".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+            for name, values in sections.items()
+        ),
+        encoding="utf-8",
+    )
+    pgms = {"filter": 2, "loss": 2, "recover": 1}
+    return [
+        _run(
+            capsys,
+            [command, *[str(images["a"]), str(images["b"])][: pgms.get(command, 0)]]
+            + ["--config", str(cfgf), "--out", str(tmp_path / command)],
+        )
+        for command in commands
+    ]
+
+
+def test_tiny_config_runs_every_subcommand(tmp_path, capsys, images):
+    assert _run_tiny(tmp_path, capsys, images, READERS["wiener"]) == [0] * 6
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+@pytest.mark.parametrize("section,key", NUMERIC_KEYS)
+def test_every_numeric_key_ends_in_an_exit_code(tmp_path, capsys, images, section, key, value):
+    _run_tiny(tmp_path, capsys, images, READERS[section], section, key, value)
+
+
+@pytest.mark.parametrize("command", ["diffuse", "knn", "train"])
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys, command):
+    assert _run(capsys, [command, "--seed", "-1", "--out", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run").exists()
