@@ -8,12 +8,20 @@ Outputs land in --out (used verbatim) or a timestamped directory under
 the same config and seed reproduces all numeric outputs bit for bit (the
 directory name is the only thing that varies). Exit codes: 0 ok, 2 config
 error, 3 data/format error, 4 numerical failure.
+
+On glibc, `main` first keeps the process heap: freed buffers below 32 MiB
+stay in the heap for reuse instead of going back to the kernel and being
+faulted in again on the next step. A `GLIBC_TUNABLES` or `MALLOC_*`
+environment variable leaves glibc's own settings in charge; importing this
+module changes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -161,7 +169,9 @@ def _recover_objective(rc, target: Signal, whitening, wcfg: WienerConfig):
     The filter loss keeps the target's quotient kernel and the raw whitening
     window for the whole run, so a step costs two forward real transforms,
     the filter's inverse and the gradient's pruned inverse (its real
-    inverse runs over the kept half of the rows only).
+    inverse runs over the kept half of the rows only). The whitened
+    cotangent is formed in the residual's buffer, so a step allocates no
+    copy of it, and the caller updates the iterate in place.
     """
     if rc.loss == "mse":
 
@@ -216,7 +226,7 @@ def _cmd_recover(args, cfg: ExperimentConfig) -> int:
         if it % rc.log_every == 0:
             logged.append(it)
             curve.append(loss_val)
-        x = x - step * grad
+        x -= step * grad
     recovered = Signal.from_array(np.clip(x[0], 0.0, 1.0))
 
     write_csv(run_dir / "loss_curve.csv", ["iteration", "loss"], [logged, curve])
@@ -516,7 +526,26 @@ def _apply_seed(cfg: ExperimentConfig, seed_key, seed: int | None) -> Experiment
     return replace(cfg, **{section: replace(getattr(cfg, section), **{key: seed})})
 
 
+def _keep_heap() -> None:
+    """On glibc, serve blocks below 32 MiB from the heap and trim it only past
+    256 MiB free, so a loop's freed transform buffers are reused rather than
+    returned and faulted in again. Does nothing elsewhere or when the user
+    tunes glibc's allocator through the environment; setting the same values
+    again is harmless."""
+    if "GLIBC_TUNABLES" in os.environ or any(k.startswith("MALLOC_") for k in os.environ):
+        return
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_heap()
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .diffusion import check_chain_args, check_gamma
-from .errors import ConfigError
+from .errors import ConfigError, check_seed
 from .spectral import WindowSpec
 from .trainer import TrainConfig
 from .wiener import WienerConfig
@@ -136,12 +136,11 @@ class ExperimentConfig:
     recover: RecoverSection = field(default_factory=RecoverSection)
 
     def __post_init__(self):
-        # a NumPy generator takes no negative seed; dataclasses.replace brings
-        # a --seed override through here too
+        # dataclasses.replace brings a --seed override through here too
         for section in fields(self):
             for key, value in vars(getattr(self, section.name)).items():
-                if key.endswith("seed") and value < 0:
-                    raise ConfigError(f"[{section.name}] {key} must be >= 0, got {value}")
+                if key.endswith("seed"):
+                    check_seed(value, f"[{section.name}] {key}")
 
     def to_ini(self) -> str:
         """Effective config as INI text (every key explicit)."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_seed
 from .knn import LabeledSet
 
 __all__ = ["digit_glyph", "make_digit_set", "two_cluster_latents"]
@@ -55,6 +55,7 @@ def make_digit_set(
         raise ConfigError(f"canvas must be at least 8 pixels, got {size}")
     if n < 1:
         raise ConfigError(f"need at least one sample, got {n}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     # per-sample draws in the order integers, integers, uniform, normal: the
     # order fixes the output, so the draws stay one sample at a time
@@ -93,6 +94,7 @@ def two_cluster_latents(
         raise ConfigError(f"need at least 2 samples, got {n}")
     if dim < 1 or not (0 <= spread < np.inf):
         raise ConfigError(f"need dim >= 1 and a finite spread >= 0, got {dim} and {spread}")
+    check_seed(seed)
     pattern_rng = np.random.default_rng(90210)
     center_a = separation * pattern_rng.uniform(-1.3, 1.3, size=dim)
     center_b = separation * pattern_rng.uniform(-1.3, 1.3, size=dim)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError
+from .errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError, check_seed
 from .gradients import energy_terms
 from .spectral import LagFilter, Signal, as_stack, full_lag
 from .wiener import QuotientKernel, WienerConfig
@@ -206,6 +206,7 @@ def run_diffusion(
     step and, at that step, the lowest diverging chain.
     """
     check_chain_args(n_samples, init_variance, snapshot_stride, k_nearest)
+    check_seed(seed)
     k = min(k_nearest, len(model.defining))
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_samples)]
     T = schedule.steps

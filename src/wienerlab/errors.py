@@ -1,4 +1,5 @@
-"""Exception taxonomy shared across the library and mapped to CLI exit codes."""
+"""Exception taxonomy shared across the library and mapped to CLI exit codes,
+plus the seed and divergence rules that modules on every branch share."""
 
 
 class WienerlabError(Exception):
@@ -30,6 +31,12 @@ class NumericalError(WienerlabError, ArithmeticError):
 # A training loss or chain energy above this multiple of its first value
 # counts as divergence, even while it is still finite.
 DIVERGENCE_FACTOR = 1e6
+
+
+def check_seed(seed: int, name: str = "seed") -> None:
+    """ConfigError unless `seed` is >= 0: a NumPy generator takes no negative seed."""
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0, got {seed}")
 
 
 class SingularSystemError(NumericalError):

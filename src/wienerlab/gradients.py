@@ -55,7 +55,8 @@ def loss_and_grad(
     whitening window; values sum over channels and lags, one per batch entry.
     """
     values, residual = filter_identity_loss(kernel, kernel.filters(varying), w_raw)
-    return values, kernel.pullback(w_raw * residual)
+    residual *= w_raw  # the cotangent W^2 * (v - delta), in the residual's own buffer
+    return values, kernel.pullback(residual)
 
 
 def grad_wiener_loss(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_seed
 from .spectral import as_stack
 from .wiener import QuotientKernel, WienerConfig
 
@@ -120,6 +120,7 @@ def make_translated_set(
         raise ConfigError(f"max_shift {max_shift} exceeds pad {pad}")
     if len(base.shape) != 2:
         raise ShapeError("translated sets are defined for 2-d image sets")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     n, channels, h, w = base.stack.shape
     # one (row, column) draw per image; max_shift <= pad, so the shifted

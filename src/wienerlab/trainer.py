@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError
+from .errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError, check_seed
 from .gradients import GradientCheckReport, central_differences, loss_and_grad
 from .spectral import LagGrid, WindowSpec, as_stack, full_lag, make_window
 from .wiener import QuotientKernel, WienerConfig, zero_lag_fractions
@@ -103,6 +103,7 @@ class DenseAutoencoder:
     @classmethod
     def initialize(cls, widths, activation: str = "mish", seed: int = 0) -> "DenseAutoencoder":
         """Fan-in-scaled uniform init, zero biases, seeded."""
+        check_seed(seed)
         model = cls(widths, activation)
         rng = np.random.default_rng(seed)
         for w in model.weights:
@@ -150,6 +151,7 @@ class TrainConfig:
         WienerConfig(self.lam)  # the one lambda rule
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError("moment decays must lie in [0, 1)")
+        check_seed(self.seed)
 
 
 @dataclass(eq=False)

@@ -1,7 +1,10 @@
 import collections
 import configparser
+import importlib.util
 import json
+import os
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -19,7 +22,8 @@ from wienerlab.spectral import LagGrid, Signal, WindowSpec, make_window
 from wienerlab.trainer import TrainConfig
 from wienerlab.wiener import WienerConfig
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 FFT_NAMES = (
     "fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
     "fftn", "ifftn", "rfftn", "irfftn",
@@ -693,3 +697,98 @@ class TestEchoedConfigContract:
         for fname in ("trajectory.csv", "samples.csv", "diffuse.json"):
             assert (first / fname).read_bytes() == (second / fname).read_bytes()
         assert (first / "config.ini").read_text() == (second / "config.ini").read_text()
+
+
+def _on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+def _allocator_tuned_by_env() -> bool:
+    return "GLIBC_TUNABLES" in os.environ or any(k.startswith("MALLOC_") for k in os.environ)
+
+
+class _FakeLibc:
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+class TestHeapPolicy:
+    @pytest.fixture
+    def libc(self, monkeypatch):
+        """A stand-in C library on a glibc host with no allocator variables set."""
+        fake = _FakeLibc()
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: fake)
+        monkeypatch.setattr(cli.os, "confstr", lambda name: "glibc 2.36")
+        for key in list(os.environ):
+            if key == "GLIBC_TUNABLES" or key.startswith("MALLOC_"):
+                monkeypatch.delenv(key)
+        return fake
+
+    def test_main_sets_both_thresholds_the_same_on_every_call(self, tmp_path, libc):
+        expected = [(-3, 32 << 20), (-1, 256 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+        for _ in range(2):
+            assert main(["filter", str(tmp_path / "a.pgm"), str(tmp_path / "a.pgm")]) == 3
+        assert libc.calls == expected * 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=1"),
+            ("MALLOC_ARENA_MAX", "2"),
+            ("MALLOC_MMAP_THRESHOLD_", "131072"),
+            ("MALLOC_", ""),
+        ],
+    )
+    def test_allocator_variables_leave_the_allocator_alone(
+        self, tmp_path, libc, monkeypatch, key, value
+    ):
+        monkeypatch.setenv(key, value)
+        assert main(["filter", str(tmp_path / "a.pgm"), str(tmp_path / "a.pgm")]) == 3
+        assert libc.calls == []
+
+    @pytest.mark.parametrize("error", [ValueError, OSError, AttributeError, None])
+    def test_other_c_libraries_leave_the_allocator_alone(self, tmp_path, libc, monkeypatch, error):
+        def confstr(name):
+            if error is None:
+                return None  # a name the C library does not know
+            raise error(name)
+
+        monkeypatch.setattr(cli.os, "confstr", confstr)
+        assert main(["filter", str(tmp_path / "a.pgm"), str(tmp_path / "a.pgm")]) == 3
+        assert libc.calls == []
+
+    @pytest.mark.skipif(not _on_glibc(), reason="the heap policy acts on glibc only")
+    @pytest.mark.skipif(_allocator_tuned_by_env(), reason="glibc is tuned by the environment")
+    def test_recover_steps_fault_in_no_fresh_pages(self, tmp_path):
+        # Without the policy glibc returned and re-faulted the steps' 0.25-0.5 MB
+        # transform buffers: 200-640 minor faults per 128x128 step, depending
+        # on the order of allocations; with it a step reuses its heap (about 0).
+        resource = pytest.importorskip("resource")
+        spec = importlib.util.spec_from_file_location("_workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads  # dataclasses resolve their module by name
+        try:
+            spec.loader.exec_module(workloads)
+        finally:
+            del sys.modules[spec.name]
+        image = workloads.write_pgm(tmp_path / "target.pgm", workloads.smooth_image(0))
+
+        def faults(iterations: int) -> int:
+            cfgf = tmp_path / f"{iterations}.ini"
+            cfgf.write_text(f"[recover]\nloss = wiener\niterations = {iterations}\n")
+            out = tmp_path / f"run{iterations}"
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            assert main(["recover", image, "--config", str(cfgf), "--out", str(out)]) == 0
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        faults(10)  # warm-up: the heap grows to the run's working set once
+        short = faults(10)
+        per_step = (faults(50) - short) / 40
+        assert per_step < 50, f"{per_step:.0f} minor faults per recover step"

@@ -162,3 +162,17 @@ def test_undecodable_config_rejected(tmp_path):
     p.write_bytes(b"[wiener]\nlambda = \xff\xfe\n")
     with pytest.raises(ConfigError):
         load_config(p)
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("diffusion", "seed"), ("diffusion", "data_seed"), ("knn", "train_seed"),
+        ("knn", "test_seed"), ("knn", "shift_seed"), ("train", "seed"), ("train", "data_seed"),
+    ],
+)
+def test_negative_seed_fails_at_load(tmp_path, section, key):
+    p = tmp_path / "c.ini"
+    p.write_text(f"[{section}]\n{key} = -1\n")
+    with pytest.raises(ConfigError, match=f"{key} must be >= 0, got -1"):
+        load_config(p)

@@ -62,6 +62,10 @@ class TestTwoClusterLatents:
         assert stack.tobytes() == expected.tobytes()
         assert ids.tolist() == expected_ids
 
+    def test_negative_seed_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            two_cluster_latents(4, seed=-1)
+
 
 class TestCosineSchedule:
     def test_fullscale_preset_endpoints_decreasing(self):
@@ -224,6 +228,12 @@ class TestRunDiffusion:
                 run_diffusion(model, sched, 1, bad, seed=0)
         with pytest.raises(ConfigError):
             run_diffusion(model, sched, 1, 1.0, seed=0, snapshot_stride=0)
+
+    def test_negative_seed_is_a_config_error(self):
+        model, _ = toy_model()
+        sched = Schedule(np.ones(2), np.zeros(2))
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            run_diffusion(model, sched, 1, 1.0, seed=-1)
 
 
 def replay_chain(model, sched, n_samples, init_variance, seed, chain, k):

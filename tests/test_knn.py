@@ -245,6 +245,11 @@ class TestMakeTranslatedSet:
         with pytest.raises(ConfigError):
             make_translated_set(base, 5, 4, seed=0)
 
+    def test_negative_seed_is_a_config_error(self):
+        base = make_digit_set(2, size=8, seed=6)
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            make_translated_set(base, 2, 4, seed=-1)
+
 
 class TestTranslationInvariantRanking:
     def test_rankings_identical_under_query_shift(self):
@@ -359,6 +364,10 @@ class TestDigitGlyphs:
     def test_out_of_range(self):
         with pytest.raises(ConfigError):
             digit_glyph(10)
+
+    def test_negative_seed_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            make_digit_set(3, seed=-1)
 
     def test_matches_string_table_and_returns_a_copy(self):
         from wienerlab.datasets import _GLYPHS

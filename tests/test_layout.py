@@ -2,6 +2,9 @@
 and each numerical or validation rule below is written in one place."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import wienerlab
@@ -138,3 +141,105 @@ def test_every_module_function_is_used_or_exported():
         )
     ]
     assert not unused, unused
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every name and attribute read or written under `node`, imports included."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            found.update(a.name for a in sub.names)
+    return found
+
+
+def test_negative_seed_rule_is_written_once_and_every_seeded_entry_point_calls_it():
+    def compares_seed_to_zero(node):
+        return (
+            isinstance(node, ast.Compare) and "seed" in _names(node.left)
+            and any(isinstance(c, ast.Constant) and c.value == 0 for c in node.comparators)
+        )
+
+    sites = _sites(compares_seed_to_zero)
+    assert len(sites) == 1 and sites[0].startswith("errors.py:"), sites
+
+    # a function that turns a `seed` parameter into a NumPy generator checks it first
+    unchecked, checked = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            params = {a.arg for a in fn.args.args + fn.args.kwonlyargs}
+            seeds_rng = any(
+                isinstance(call, ast.Call)
+                and getattr(call.func, "attr", None) in ("default_rng", "SeedSequence")
+                and any(isinstance(arg, ast.Name) and arg.id in params for arg in call.args)
+                for call in ast.walk(fn)
+            )
+            if seeds_rng:
+                (checked if "check_seed" in _names(fn) else unchecked).append(f"{path.name} {fn.name}")
+    assert not unchecked, unchecked
+    assert len(checked) >= 5, checked  # datasets (2), knn, diffusion, trainer
+    assert "check_seed" in _names(ast.parse((SRC / "config.py").read_text()))
+
+
+def test_allocator_settings_live_in_one_cli_helper_reached_only_from_main():
+    allocator = {"ctypes", "mallopt"}
+
+    def mentions(node):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            return any(a.name in allocator for a in node.names)
+        return getattr(node, "id", None) in allocator or getattr(node, "attr", None) in allocator
+
+    sites = _sites(mentions)
+    assert sites and all(site.startswith("cli.py:") for site in sites), sites
+    tree = ast.parse((SRC / "cli.py").read_text())
+    top = [n for n in tree.body if not isinstance(n, (ast.Import, ast.ImportFrom))]
+    users = [n for n in top if allocator & _names(n)]
+    assert len(users) == 1 and isinstance(users[0], ast.FunctionDef), users
+    helper = users[0].name
+    callers = [
+        n.name if isinstance(n, ast.FunctionDef) else f"line {n.lineno}"
+        for n in top
+        if helper in _names(n) and n is not users[0]
+    ]
+    assert callers == ["main"], callers
+
+
+def test_importing_the_package_leaves_the_allocator_alone():
+    # a spy on every C library the process loads records any mallopt lookup;
+    # calling the CLI's helper afterwards shows that the spy would see one
+    code = """
+import ctypes, os
+calls = []
+real = ctypes.CDLL
+class Spy:
+    def __init__(self, *args, **kwargs):
+        self._lib = real(*args, **kwargs)
+    def __getattr__(self, name):
+        if name == "mallopt":
+            calls.append(name)
+        return getattr(self._lib, name)
+ctypes.CDLL = Spy
+import wienerlab, wienerlab.cli
+print(len(calls))
+try:
+    glibc = bool(os.confstr("CS_GNU_LIBC_VERSION"))
+except (AttributeError, ValueError, OSError):
+    glibc = False
+wienerlab.cli._keep_heap()
+print(len(calls), int(glibc))
+"""
+    env = {
+        k: v for k, v in os.environ.items()
+        if k != "GLIBC_TUNABLES" and not k.startswith("MALLOC_")
+    }
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC.parent), env.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert out[0] == "0"  # import: no lookup
+    assert out[1] == out[2]  # the helper: one lookup on glibc, none elsewhere

@@ -69,6 +69,10 @@ class TestInitialization:
         with pytest.raises(ConfigError):
             DenseAutoencoder.initialize((4, 4), activation="swish")
 
+    def test_negative_seed_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            DenseAutoencoder.initialize((4, 4), seed=-1)
+
     def test_flat_param_roundtrip(self):
         model = DenseAutoencoder.initialize((6, 3, 6), seed=4)
         theta = model.flat_params()
@@ -289,6 +293,10 @@ class TestTrain:
             TrainConfig(loss="huber")
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=0)
+
+    def test_negative_seed_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
 
 
 class TestBatchedFilterLoss:
