@@ -405,7 +405,7 @@ def _cmd_knn(args, cfg: ExperimentConfig) -> int:
     _write_json(run_dir / "knn.json", report)
     print(
         f"knn: manhattan {baseline.accuracy:.3f} vs translation-invariant {ti.accuracy:.3f} "
-        f"(gap {report['gap']:+.3f}) ({run_dir})"
+        f"(gap {report['gap']:+.3f}; TI exact on {ti.exact_fraction:.1%} of pairs) ({run_dir})"
     )
     return 0
 

@@ -33,17 +33,26 @@ class LabeledSet:
     ``samples`` is an array shaped (n, C, *extents), extents of rank 1 or 2.
     The set keeps ``stack``, the read-only float64 view that ``as_stack``
     validates, and ``label_ids``, a read-only int array of the n class ids,
-    so shape, finiteness and label range are checked once for the whole set.
+    so shape, finiteness and labels (integral, in range) are checked once
+    for the whole set.
     """
 
     def __init__(self, samples, labels):
         stack = as_stack(samples)
-        ids = np.array(labels, dtype=np.int64)
+        ids = np.asarray(labels)
         if ids.shape != stack.shape[:1]:
             raise ConfigError(f"{len(stack)} samples vs labels shaped {ids.shape}")
-        bad = ids[(ids < 0) | (ids >= N_CLASSES)]
+        if ids.dtype.kind not in "iu":
+            try:
+                ids = ids.astype(np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"labels are not class ids: {exc}") from exc
+        # NaN fails every comparison, so one test rejects it, infinities,
+        # fractions and ids outside the range before any cast
+        bad = ids[~((ids >= 0) & (ids < N_CLASSES) & (ids == np.floor(ids)))]
         if bad.size:
-            raise ConfigError(f"label {bad[0]} outside class range 0..{N_CLASSES - 1}")
+            raise ConfigError(f"label {bad[0]} is not a class id in 0..{N_CLASSES - 1}")
+        ids = ids.astype(np.int64)
         ids.flags.writeable = False
         self.stack = stack
         self.label_ids = ids
@@ -71,17 +80,46 @@ class DistanceSpec:
             raise ConfigError(f"unknown distance kind {self.kind!r}")
 
 
-def _distance_matrix(train: LabeledSet, queries: np.ndarray, spec: DistanceSpec) -> np.ndarray:
+def _distance_matrix(
+    train: LabeledSet, queries: np.ndarray, spec: DistanceSpec, k: int
+) -> tuple[np.ndarray, float]:
     """(m, n) distances from each of the m queries, shaped (m, C, *extents),
-    to every training sample; a TI entry is ``ti_distance`` of its pair.
+    to every training sample, exact wherever the k nearest can lie, and the
+    fraction of the m * n entries computed exactly.
 
-    TI is one ``ti_values`` pass of all queries against the set's quotient
-    kernel, whose fixed side (n, 1, C, *extents) broadcasts them to (n, m, C);
-    element-wise kinds are one pass over the set's flat stack per query.
+    Element-wise kinds are exact everywhere: one pass over the set's flat
+    stack per query. A TI entry is ``ti_distance`` of its pair, found in two
+    passes over the set's quotient kernel, whose fixed side (n, 1, C, *extents)
+    broadcasts the queries to (n, m, C):
+
+    * ``ti_bounds`` gives every pair a lower bound lb on its value (the
+      channel mean of the planes' bounds) and the planes' moments;
+    * per query, the pairs of its k lowest bounds are computed exactly, and
+      the largest of them is at least its k-th smallest value; every other
+      pair whose lb is not strictly greater than that is computed too.
+
+    A pair left out has a value above k others, so it is +inf here, and the
+    stable-argsort vote sees the k nearest, their order and their distances
+    as in the full matrix. With k = n every entry is exact.
     """
     if spec.kind == "wiener_ti":
         kernel = QuotientKernel(train.stack[:, np.newaxis], train.shape, spec.wiener_cfg.lam)
-        return kernel.ti_values(queries)[0].mean(axis=-1).T
+        lower, mu, sigma = kernel.ti_bounds(queries)  # (n, m, C)
+        lb = lower.mean(axis=-1).T
+        out = np.full(lb.shape, np.inf)
+        exact = np.zeros(lb.shape, dtype=bool)
+
+        def compute(rows, cols):  # query rows and training columns
+            index = (cols, rows)
+            values = kernel.ti_values_at(queries, index, mu[index], sigma[index])
+            out[rows, cols] = values.mean(axis=-1)
+            exact[rows, cols] = True
+
+        first = np.argpartition(lb, k - 1, axis=1)[:, :k]
+        compute(np.repeat(np.arange(len(lb)), k), first.ravel())
+        kth = np.take_along_axis(out, first, axis=1).max(axis=1)
+        compute(*np.nonzero((lb <= kth[:, np.newaxis]) & ~exact))
+        return out, float(exact.mean())
     flat = train.stack.reshape(len(train), -1)
     out = np.empty((len(queries), len(train)))
     for row, query in zip(out, queries.reshape(len(queries), -1)):
@@ -90,7 +128,7 @@ def _distance_matrix(train: LabeledSet, queries: np.ndarray, spec: DistanceSpec)
             np.sum(np.abs(diff, out=diff), axis=1, out=row)
         else:
             row[:] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return out
+    return out, 1.0
 
 
 def _vote(dists: np.ndarray, labels: np.ndarray, k: int) -> int:
@@ -140,6 +178,7 @@ class EvalResult:
     accuracy: float
     confusion: np.ndarray  # confusion[true, predicted]
     predictions: list[int]
+    exact_fraction: float  # share of distances computed exactly; below 1 only for TI
 
 
 def evaluate_accuracy(
@@ -147,18 +186,22 @@ def evaluate_accuracy(
 ) -> EvalResult:
     """Fraction of correct predictions plus the per-class confusion matrix.
 
-    The whole (m, n) distance matrix is computed in one pass, then each
-    query votes on its row.
+    Each query votes on its row of ``_distance_matrix``, exact wherever its
+    k nearest can lie (a TI row is +inf where a bound rules a pair out).
+    `k` is an integer in 1..len(train).
     """
     if train.stack.shape[1:] != test.stack.shape[1:]:
         raise ShapeError(
             f"train shape {train.stack.shape[1:]} != test shape {test.stack.shape[1:]}"
         )
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ConfigError(f"k must be an integer, got {k!r}")
+    k = int(k)
     if not (1 <= k <= len(train)):
         raise ConfigError(f"k must be in 1..{len(train)}, got {k}")
-    dists = _distance_matrix(train, test.stack, dist)
+    dists, exact_fraction = _distance_matrix(train, test.stack, dist, k)
     predictions = [_vote(row, train.label_ids, k) for row in dists]
     confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=int)
     np.add.at(confusion, (test.label_ids, predictions), 1)
     correct = int(np.sum(test.label_ids == predictions))
-    return EvalResult(correct / len(test), confusion, predictions)
+    return EvalResult(correct / len(test), confusion, predictions, exact_fraction)

@@ -48,7 +48,12 @@ __all__ = [
 ]
 
 ORACLE_SIZE_CAP = 4096  # padded elements per channel; dense solve is O(n^3)
-TI_CHUNK_ELEMENTS = 2**16  # spatial filter elements per tile of QuotientKernel.ti_values
+TI_CHUNK_ELEMENTS = 2**16  # spatial filter elements per tile of QuotientKernel's TI passes
+
+
+def _tile_cells(cell: int) -> int:
+    """How many cells of `cell` filter elements one TI tile holds (at least one)."""
+    return max(1, TI_CHUNK_ELEMENTS // cell)
 
 
 @dataclass(frozen=True)
@@ -89,7 +94,12 @@ class QuotientKernel:
     TI_CHUNK_ELEMENTS spatial elements over its first two axes, takes each
     plane's mean from the DC bin and its spread from Parseval over the
     non-DC bins of the half spectrum, and reads only the maximum from the
-    spatial domain.
+    spatial domain. ``ti_bounds`` walks the same tiles but stops the inverse
+    after its leading lag axes: it returns each plane's moments and a lower
+    bound on its TI value, and ``ti_values_at`` finishes the inverse for
+    chosen planes only, from those moments, so a search that needs only the
+    smallest values (the kNN vote) inverts few filters whole. The values of
+    ``ti_values_at`` equal those of ``ti_values`` bit for bit.
     """
 
     def __init__(self, fixed: np.ndarray, shape: tuple[int, ...], lam: float):
@@ -155,46 +165,124 @@ class QuotientKernel:
         """Negative maximum of each standardized filter plane, shaped (*batch,),
         and a mask of the constant planes, whose value is 0 by convention.
 
-        The broadcast batch is walked in tiles of about TI_CHUNK_ELEMENTS
-        filter elements over its first two axes (whole rows of the second
-        axis when one fits); each plane's mean and spread come from its
-        spectrum (``_moments``), and only its maximum is read from the
-        spatial filter. A plane's spread can move in the last bits with the
-        number of planes in its tile (see ``_moments``).
+        Each plane's mean and spread come from its spectrum (``_moments``),
+        and only its maximum is read from the spatial filter. A plane's
+        spread can move in the last bits with the number of planes in its
+        tile (see ``_tiled`` and ``_moments``).
         """
+        # _moments raises unless every bin of Q is finite, which bounds every
+        # filter value, so the spatial filter needs no scan
+        return self._tiled(
+            varying,
+            lambda Q: self._ti(Q, np.fft.irfftn(Q, s=self.padded, axes=self.axes)),
+            (np.float64, bool),
+        )
+
+    def ti_bounds(self, varying: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A lower bound on each plane's ``ti_values`` value, and the plane's
+        mean and spread, each shaped (*batch,), from the tiles ``ti_values``
+        walks, so the moments are the ones it standardizes with.
+
+        The inverse stops before its last axis: Y inverts every lag axis but
+        the last, as ``irfftn`` does first, and the real inverse of each row
+        of Y is at most sum(c * |Y|) over the row, c = 2/w per bin and 1/w on
+        the zero and Nyquist columns (the triangle inequality). The bound is
+        tight for a spike filter, such as that of an exact translate, so the
+        maximum is raised by a relative 1e-9 to cover rounding. A constant
+        plane's bound is -inf.
+        """
+
+        def peak_bound(Q):
+            Y = Q
+            for axis, m in zip(self.axes[:-1], self.padded):
+                Y = np.fft.ifft(Y, m, axis)
+            rows = np.einsum("...k,k->...", np.abs(Y), self._row_weights)
+            return rows.reshape(rows.shape[: rows.ndim + 1 - len(self.shape)] + (-1,)).max(axis=-1)
+
+        mu, sigma, peak = self._tiled(
+            varying, lambda Q: (*self._moments(Q), peak_bound(Q)), (np.float64,) * 3
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            lower = self._standardize(peak * (1 + 1e-9), mu, sigma)
+        return np.where(sigma == 0.0, -np.inf, lower), mu, sigma
+
+    def ti_values_at(
+        self, varying: np.ndarray, index: tuple, mu: np.ndarray, sigma: np.ndarray
+    ) -> np.ndarray:
+        """``ti_values``' values of the planes at `index`, a pair of index arrays
+        into the first two axes of the broadcast batch, shaped (p, *rest).
+        `mu` and `sigma` are those planes' moments from ``ti_bounds``, so each
+        value equals ``ti_values``' bit for bit. The p entries are inverted in
+        chunks of at most TI_CHUNK_ELEMENTS / 2 filter elements: a chunk also
+        holds its entries' gathered K, L and spectrum, which a tile only views."""
+        _, tiled, factors = self._leading(varying)
+        step = _tile_cells(2 * math.prod(self.padded) * math.prod(tiled[2:]))
+        maxima = np.empty((len(index[0]),) + tiled[2:])
+        for start in range(0, len(maxima), step):
+            pick = tuple(i[start : start + step] for i in index)
+            Q = self._quotient(
+                *(a[tuple(i if n > 1 else 0 for i, n in zip(pick, a.shape))] for a in factors)
+            )
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = np.fft.irfftn(Q, s=self.padded, axes=self.axes)
+            maxima[start : start + step] = v.max(axis=self.axes)
+        return self._standardize(maxima, mu, sigma)
+
+    def _leading(self, varying: np.ndarray) -> tuple[tuple, tuple, tuple]:
+        """The broadcast batch of the fixed side and `varying`, that batch with
+        length-1 axes put in front until it has two, and K, L and the spectrum
+        of `varying`, each reshaped to the padded batch's rank."""
         rank = len(self.shape)
         X = self._spectrum(varying)
         batch = np.broadcast_shapes(self.K.shape[:-rank], X.shape[:-rank])
-        lead = max(len(batch), 2)  # tiles run along two leading axes, added if missing
-        K, L, X = (a.reshape((1,) * (lead + rank - a.ndim) + a.shape) for a in (self.K, self.L, X))
-        tiled = (1,) * (lead - len(batch)) + batch
+        lead = max(len(batch), 2)
+        factors = tuple(
+            a.reshape((1,) * (lead + rank - a.ndim) + a.shape) for a in (self.K, self.L, X)
+        )
+        return batch, (1,) * (lead - len(batch)) + batch, factors
+
+    def _tiled(self, varying: np.ndarray, reduce, dtypes: tuple) -> tuple[np.ndarray, ...]:
+        """``reduce`` of the quotient of each tile of the broadcast batch, its
+        per-plane results assembled into arrays of `dtypes`, shaped (*batch,).
+
+        The batch is walked in tiles of about TI_CHUNK_ELEMENTS filter elements
+        over its first two axes (whole rows of the second axis when one fits).
+        """
+        batch, tiled, factors = self._leading(varying)
         n0, n1 = tiled[:2]
-        cell = math.prod(self.padded) * math.prod(tiled[2:])  # filter elements per (i, j)
-        step1 = min(n1, max(1, TI_CHUNK_ELEMENTS // cell))
-        step0 = max(1, TI_CHUNK_ELEMENTS // (cell * step1))
-        values = np.empty(tiled)
-        constant = np.empty(tiled, dtype=bool)
+        cells = _tile_cells(math.prod(self.padded) * math.prod(tiled[2:]))
+        step1 = min(n1, cells)
+        step0 = max(1, cells // step1)
+        outs = tuple(np.empty(tiled, dtype=dtype) for dtype in dtypes)
         for i in range(0, n0, step0):
             for j in range(0, n1, step1):
                 tile = (slice(i, i + step0), slice(j, j + step1))
-                K_t, L_t, X_t = (
-                    a[tuple(t if n > 1 else slice(None) for t, n in zip(tile, a.shape))]
-                    for a in (K, L, X)
+                Q = self._quotient(
+                    *(a[tuple(t if n > 1 else slice(None) for t, n in zip(tile, a.shape))]
+                      for a in factors)
                 )
-                Q = self._quotient(K_t, L_t, X_t)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    # _ti raises unless every bin of Q is finite, which bounds
-                    # every filter value, so the spatial filter needs no scan
-                    values[tile], constant[tile] = self._ti(
-                        Q, np.fft.irfftn(Q, s=self.padded, axes=self.axes)
-                    )
-        return values.reshape(batch), constant.reshape(batch)
+                    for out, part in zip(outs, reduce(Q)):
+                        out[tile] = part
+        return tuple(out.reshape(batch) for out in outs)
 
     def _ti(self, Q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """TI values and the constant-plane mask of the filters v = irfftn(Q)."""
         mu, sigma = self._moments(Q)
-        constant = sigma == 0.0
-        return -(v.max(axis=self.axes) - mu) / np.where(constant, np.inf, sigma), constant
+        return self._standardize(v.max(axis=self.axes), mu, sigma), sigma == 0.0
+
+    @staticmethod
+    def _standardize(peak: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        """-(peak - mu) / sigma, and 0 where sigma is 0 (a constant plane)."""
+        return -(peak - mu) / np.where(sigma == 0.0, np.inf, sigma)
+
+    @cached_property
+    def _row_weights(self) -> np.ndarray:
+        """Weights c of ``ti_bounds``' row bound: 2/w per bin of a half-spectrum
+        row, 1/w on the zero and Nyquist columns, w the padded last extent."""
+        weights = np.full(self.K.shape[-1], 2.0)
+        weights[0] = weights[-1] = 1.0
+        return weights / self.padded[-1]
 
     @cached_property
     def _parseval_weights(self) -> np.ndarray:

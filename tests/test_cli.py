@@ -346,6 +346,20 @@ class TestKnnCommand:
         )
         assert np.array(report["baseline"]["confusion"]).sum() == 10
 
+    def test_summary_line_reports_the_exact_ti_fraction_outside_the_report(
+        self, tmp_path, capsys
+    ):
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text(
+            "[knn]\nn_train = 60\nn_test = 6\nmax_shift = 2\npad = 2\nk = 3\nbaseline_k = 1\n"
+        )
+        out = tmp_path / "run"
+        assert main(["knn", "--config", str(cfgf), "--out", str(out)]) == 0
+        line = capsys.readouterr().out
+        fraction = float(re.search(r"TI exact on ([0-9.]+)% of pairs", line).group(1))
+        assert 0.0 < fraction <= 100.0
+        assert "exact" not in (out / "knn.json").read_text()
+
     def test_wiener_lambda_is_the_ti_lambda(self, tmp_path):
         cfgf = tmp_path / "c.ini"
         cfgf.write_text(

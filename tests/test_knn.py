@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wienerlab.datasets import digit_glyph, make_digit_set
 from wienerlab.errors import ConfigError, ShapeError
@@ -7,12 +11,13 @@ from wienerlab.knn import (
     DistanceSpec,
     LabeledSet,
     _distance_matrix,
+    _vote,
     evaluate_accuracy,
     make_translated_set,
 )
 from wienerlab import wiener
 from wienerlab.spectral import Signal
-from wienerlab.wiener import WienerConfig, ti_distance
+from wienerlab.wiener import QuotientKernel, WienerConfig, ti_distance
 
 
 def sig(arr):
@@ -30,8 +35,9 @@ def queries(ls):
 
 
 def to_set(query, train, spec):
-    """Distances from one query Signal to every sample of `train`."""
-    return _distance_matrix(train, query.planes[np.newaxis], spec)[0]
+    """Distances from one query Signal to every sample of `train`; k = len(train)
+    makes every entry exact."""
+    return _distance_matrix(train, query.planes[np.newaxis], spec, len(train))[0][0]
 
 
 def classify(train, query, k, spec):
@@ -92,6 +98,27 @@ class TestLabeledSet:
     def test_empty_signal_list_rejected(self):
         with pytest.raises(ConfigError):
             LabeledSet([], [])
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[1.7, 2.2], [0.0, np.nan], [0, np.inf], [1, -np.inf], ["a", "b"], [None, 1], [1, 10.0]],
+    )
+    def test_non_class_id_labels_rejected(self, labels):
+        with pytest.raises(ConfigError):
+            LabeledSet(np.ones((2, 1, 3)), labels)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.array([3, 9], dtype=np.uint8),  # IDX labels
+            np.array([3, 9], dtype=np.int32),
+            np.array([3.0, 9.0]),  # integral floats
+            [np.int64(3), 9],
+        ],
+    )
+    def test_integral_labels_accepted(self, labels):
+        ls = LabeledSet(np.ones((2, 1, 3)), labels)
+        assert ls.labels == [3, 9] and ls.label_ids.dtype == np.int64
 
 
 class TestDistances:
@@ -287,7 +314,8 @@ class TestAllQueriesDistanceMatrix:
         train = LabeledSet(rng.random((13, 2, 5, 6)), np.arange(13) % 10)
         qs = rng.random((5, 2, 5, 6))
         cfg = WienerConfig(lam=0.5)
-        matrix = _distance_matrix(train, qs, DistanceSpec("wiener_ti", cfg))
+        matrix, exact = _distance_matrix(train, qs, DistanceSpec("wiener_ti", cfg), len(train))
+        assert exact == 1.0
         pairs = [
             [ti_distance(Signal.from_planes(q), t, cfg) for t in queries(train)] for q in qs
         ]
@@ -307,6 +335,20 @@ class TestAllQueriesDistanceMatrix:
             confusion[lab, pred] += 1
         np.testing.assert_array_equal(res.confusion, confusion)
         assert res.accuracy == sum(p == l for p, l in zip(expected, test.labels)) / len(test)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", None, True])
+    def test_non_integer_k_is_a_config_error(self, k):
+        base = make_digit_set(4, size=8, seed=63)
+        with pytest.raises(ConfigError, match="k must be an integer"):
+            evaluate_accuracy(base, base, k, DistanceSpec("manhattan"))
+
+    @pytest.mark.parametrize("kind", ["manhattan", "wiener_ti"])
+    def test_numpy_integer_k_is_accepted(self, kind):
+        base = make_digit_set(6, size=8, seed=64)
+        spec = DistanceSpec(kind)
+        want = evaluate_accuracy(base, base, 3, spec).predictions
+        for k in (np.int64(3), np.uint8(3), np.int32(3)):
+            assert evaluate_accuracy(base, base, k, spec).predictions == want
 
     def test_k_checked_before_any_distance(self):
         base = make_digit_set(4, size=8, seed=63)
@@ -436,3 +478,77 @@ class TestTranslatedQueryConsistency:
         a = evaluate_accuracy(train, plain, 10, spec).predictions
         b = evaluate_accuracy(train, shifted, 10, spec).predictions
         assert sum(int(p == q) for p, q in zip(a, b)) >= 190
+
+
+def _pruning_case(data):
+    """A random training set and queries with exact ties (duplicated training
+    rows), exact translates (a spike filter, where the bound is tight) and an
+    all-zero query (a constant filter when lambda is 0)."""
+    rank = data.draw(st.sampled_from([1, 2]), label="rank")
+    extents = tuple(data.draw(st.integers(2, 6), label="extent") for _ in range(rank))
+    channels = data.draw(st.integers(1, 3), label="channels")
+    n = data.draw(st.integers(1, 12), label="n")
+    lam = data.draw(st.sampled_from([0.0, 1e-12, 0.3, 2.0]), label="lam")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    # content in the leading half of each extent, so a shift by less than
+    # half an extent is an exact translate that never wraps
+    block = (slice(None), slice(None)) + tuple(slice(0, (e + 1) // 2) for e in extents)
+    train = np.zeros((n, channels) + extents)
+    train[block] = 0.1 + rng.random(train[block].shape)
+    for i in range(1, n):
+        if rng.random() < 0.3:
+            train[i] = train[rng.integers(i)]
+    queries = [rng.random((channels,) + extents), np.zeros((channels,) + extents)]
+    for _ in range(data.draw(st.integers(0, 3), label="translates")):
+        shift = tuple(int(rng.integers(0, e // 2 + 1)) for e in extents)
+        queries.append(np.roll(train[rng.integers(n)], shift, axis=tuple(range(1, rank + 1))))
+    k = data.draw(st.one_of(st.sampled_from([1, n]), st.integers(1, n)), label="k")
+    labels = rng.integers(0, 10, size=n)
+    return LabeledSet(train, labels), np.array(queries), WienerConfig(lam), k
+
+
+class TestPrunedTiMatrix:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_pruned_neighbours_and_votes_equal_the_full_matrix(self, data):
+        train, qs, cfg, k = _pruning_case(data)
+        spec = DistanceSpec("wiener_ti", cfg)
+        full, everything = _distance_matrix(train, qs, spec, len(train))
+        pruned, fraction = _distance_matrix(train, qs, spec, k)
+        assert everything == 1.0 and 0.0 < fraction <= 1.0
+        assert np.isfinite(full).all()
+        computed = np.isfinite(pruned)
+        assert fraction == computed.mean()
+        # every computed entry is the full matrix's, and pruned ones are +inf
+        assert pruned[computed].tobytes() == full[computed].tobytes()
+        assert np.all(pruned[~computed] == np.inf)
+        for row, want in zip(pruned, full):
+            nearest = np.argsort(row, kind="stable")[:k]
+            np.testing.assert_array_equal(nearest, np.argsort(want, kind="stable")[:k])
+            assert row[nearest].tobytes() == want[nearest].tobytes()
+            assert _vote(row, train.label_ids, k) == _vote(want, train.label_ids, k)
+        # each bound is a lower bound on its pair's exact value
+        kernel = QuotientKernel(train.stack[:, np.newaxis], train.shape, cfg.lam)
+        lower = kernel.ti_bounds(qs)[0].mean(axis=-1).T
+        assert np.all(lower <= full)
+        # and the exact values are the pairwise ti_distance, bit for bit
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # constant filters
+            pairs = [
+                [ti_distance(Signal.from_planes(q), t, cfg) for t in queries(train)] for q in qs
+            ]
+        assert full.tobytes() == np.array(pairs).tobytes()
+
+    def test_pruning_is_on_for_translated_digits(self):
+        train = make_translated_set(make_digit_set(200, size=8, seed=11), 0, 6, seed=1)
+        test = make_translated_set(make_digit_set(20, size=8, seed=77), 5, 6, seed=4)
+        spec = DistanceSpec("wiener_ti", WienerConfig(lam=1.0))
+        res = evaluate_accuracy(train, test, 10, spec)
+        assert res.exact_fraction < 0.2
+        full, _ = _distance_matrix(train, test.stack, spec, len(train))
+        assert res.predictions == [_vote(row, train.label_ids, 10) for row in full]
+
+    def test_element_wise_kinds_are_exact_everywhere(self):
+        base = make_digit_set(12, size=8, seed=66)
+        for kind in ("manhattan", "euclidean"):
+            assert evaluate_accuracy(base, base, 1, DistanceSpec(kind)).exact_fraction == 1.0

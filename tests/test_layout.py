@@ -62,6 +62,22 @@ def _is_two(node: ast.AST) -> bool:
     return isinstance(node, ast.Constant) and node.value == 2
 
 
+def test_ti_tile_budget_is_read_in_one_function():
+    # every TI pass sizes its tiles or chunks through that one function
+    readers = [
+        f"{path.name}:{fn.lineno} {fn.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, (ast.FunctionDef, ast.Lambda))
+        and any(
+            isinstance(node, ast.Name) and node.id == "TI_CHUNK_ELEMENTS"
+            and isinstance(node.ctx, ast.Load)
+            for node in ast.walk(fn)
+        )
+    ]
+    assert len(readers) == 1, readers
+
+
 def test_all_zero_filter_error_is_raised_at_one_site():
     def raises_it(node):
         call = node.exc if isinstance(node, ast.Raise) else None

@@ -366,6 +366,60 @@ class TestTiValues:
                 kernel.ti_values(query)
 
 
+class TestTiBounds:
+    @pytest.mark.parametrize(
+        "fixed_shape, varying_shape, extents",
+        [
+            ((7, 1, 1, 10), (4, 1, 10), (10,)),  # rank 1
+            ((11, 1, 1, 6, 5), (3, 1, 6, 5), (6, 5)),  # rank 2
+            ((9, 1, 3, 4, 6), (5, 3, 4, 6), (4, 6)),  # multi-channel
+        ],
+    )
+    def test_bounds_below_values_and_exact_values_at_any_index(
+        self, monkeypatch, fixed_shape, varying_shape, extents
+    ):
+        rng = np.random.default_rng(55)
+        kernel = QuotientKernel(rng.random(fixed_shape), extents, 0.5)
+        varying = rng.random(varying_shape)
+        cell = int(np.prod(kernel.padded)) * varying_shape[1]
+        # the library's budget; tiles of 1 x 3 pairs and pass-2 chunks of 1;
+        # pass-2 chunks of 3, which do not divide the 8 pairs picked below
+        for budget in (None, 3 * cell, 6 * cell):
+            if budget is not None:
+                monkeypatch.setattr(wiener, "TI_CHUNK_ELEMENTS", budget)
+            values, _ = kernel.ti_values(varying)
+            lower, mu, sigma = kernel.ti_bounds(varying)
+            assert lower.shape == mu.shape == sigma.shape == values.shape
+            assert np.all(lower <= values)
+            rows = rng.integers(0, fixed_shape[0], size=8)
+            cols = rng.integers(0, varying_shape[0], size=8)
+            at = kernel.ti_values_at(varying, (rows, cols), mu[rows, cols], sigma[rows, cols])
+            assert at.tobytes() == values[rows, cols].tobytes()
+
+    @pytest.mark.parametrize("extents, shift", [((8,), (3,)), ((6, 8), (2, 3))])
+    def test_bound_is_tight_for_a_spike_filter(self, extents, shift):
+        # an exact translate: with lambda 0 the filter is a shifted unit spike
+        rng = np.random.default_rng(56)
+        plane = np.zeros(extents)
+        plane[tuple(slice(0, e // 2) for e in extents)] = 0.5 + rng.random(
+            tuple(e // 2 for e in extents)
+        )
+        kernel = QuotientKernel(plane[np.newaxis], extents, 0.0)
+        moved = np.roll(plane, shift, axis=tuple(range(len(extents))))[np.newaxis]
+        values, _ = kernel.ti_values(moved)
+        lower = kernel.ti_bounds(moved)[0]
+        assert np.all(lower <= values)
+        np.testing.assert_allclose(lower, values, rtol=1e-8)
+
+    def test_constant_plane_bound_is_minus_infinity(self):
+        kernel = QuotientKernel(np.random.default_rng(57).random((3, 1, 8)), (8,), 0.0)
+        lower, mu, sigma = kernel.ti_bounds(np.zeros((1, 8)))
+        assert np.all(lower == -np.inf) and np.all(sigma == 0.0)
+        index = (np.arange(3), np.zeros(3, int))
+        at = kernel.ti_values_at(np.zeros((1, 8)), index, mu[index], sigma[index])
+        assert np.all(at == 0.0)
+
+
 class TestConcentration:
     def test_delta_is_one(self):
         assert concentration(delta_filter(LagGrid((8, 8)))) == pytest.approx(1.0)
