@@ -93,10 +93,13 @@ def _distance_matrix(
     broadcasts the queries to (n, m, C):
 
     * ``ti_bounds`` gives every pair a lower bound lb on its value (the
-      channel mean of the planes' bounds) and the planes' moments;
-    * per query, the pairs of its k lowest bounds are computed exactly, and
-      the largest of them is at least its k-th smallest value; every other
-      pair whose lb is not strictly greater than that is computed too.
+      channel mean of the planes' bounds), with no exact moments: each
+      plane's spread is bounded from below by Parseval with a relative
+      slack, so a near-constant plane's bound is -inf;
+    * per query, the pairs of its k lowest bounds are computed exactly,
+      exact moments included (``ti_values_at``), and the largest of them is
+      at least its k-th smallest value; every other pair whose lb is not
+      strictly greater than that is computed too.
 
     A pair left out has a value above k others, so it is +inf here, and the
     stable-argsort vote sees the k nearest, their order and their distances
@@ -104,15 +107,12 @@ def _distance_matrix(
     """
     if spec.kind == "wiener_ti":
         kernel = QuotientKernel(train.stack[:, np.newaxis], train.shape, spec.wiener_cfg.lam)
-        lower, mu, sigma = kernel.ti_bounds(queries)  # (n, m, C)
-        lb = lower.mean(axis=-1).T
+        lb = kernel.ti_bounds(queries).mean(axis=-1).T  # (n, m, C) bounds -> (m, n)
         out = np.full(lb.shape, np.inf)
         exact = np.zeros(lb.shape, dtype=bool)
 
         def compute(rows, cols):  # query rows and training columns
-            index = (cols, rows)
-            values = kernel.ti_values_at(queries, index, mu[index], sigma[index])
-            out[rows, cols] = values.mean(axis=-1)
+            out[rows, cols] = kernel.ti_values_at(queries, (cols, rows)).mean(axis=-1)
             exact[rows, cols] = True
 
         first = np.argpartition(lb, k - 1, axis=1)[:, :k]

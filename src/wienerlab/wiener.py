@@ -94,12 +94,14 @@ class QuotientKernel:
     TI_CHUNK_ELEMENTS spatial elements over its first two axes, takes each
     plane's mean from the DC bin and its spread from Parseval over the
     non-DC bins of the half spectrum, and reads only the maximum from the
-    spatial domain. ``ti_bounds`` walks the same tiles but stops the inverse
-    after its leading lag axes: it returns each plane's moments and a lower
-    bound on its TI value, and ``ti_values_at`` finishes the inverse for
-    chosen planes only, from those moments, so a search that needs only the
-    smallest values (the kNN vote) inverts few filters whole. The values of
-    ``ti_values_at`` equal those of ``ti_values`` bit for bit.
+    spatial domain. ``ti_bounds`` walks the same tiles, with the leading lag
+    axes laid out last, and stops the inverse after them: it bounds each
+    plane's maximum by its row sums and its spread from below by Parseval
+    with a relative slack, and takes no exact moments. ``ti_values_at``
+    finishes chosen planes only, exact moments included, so a search that
+    needs only the smallest values (the kNN vote) inverts few filters
+    whole. The values of ``ti_values_at`` equal those of ``ti_values`` bit
+    for bit.
     """
 
     def __init__(self, fixed: np.ndarray, shape: tuple[int, ...], lam: float):
@@ -138,8 +140,8 @@ class QuotientKernel:
     def filters_with_ti(self, varying: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``filters`` and each plane's ``ti_values`` result from one forward
         and one inverse transform of `varying`. Untiled, so meant for a small
-        batch such as one pair; its TI results equal ``ti_values``' whenever
-        that method takes the batch in one tile (one plane always is)."""
+        batch such as one pair; its TI results equal ``ti_values``' bit for
+        bit."""
         Q = self._quotient(self.K, self.L, self._spectrum(varying))
         v = self._inverse(Q)
         return (v, *self._ti(Q, v))
@@ -166,67 +168,74 @@ class QuotientKernel:
         and a mask of the constant planes, whose value is 0 by convention.
 
         Each plane's mean and spread come from its spectrum (``_moments``),
-        and only its maximum is read from the spatial filter. A plane's
-        spread can move in the last bits with the number of planes in its
-        tile (see ``_tiled`` and ``_moments``).
+        and only its maximum is read from the spatial filter.
         """
-        # _moments raises unless every bin of Q is finite, which bounds every
-        # filter value, so the spatial filter needs no scan
-        return self._tiled(
-            varying,
-            lambda Q: self._ti(Q, np.fft.irfftn(Q, s=self.padded, axes=self.axes)),
-            (np.float64, bool),
-        )
+        return self._tiled(varying, self._ti, (np.float64, bool))
 
-    def ti_bounds(self, varying: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A lower bound on each plane's ``ti_values`` value, and the plane's
-        mean and spread, each shaped (*batch,), from the tiles ``ti_values``
-        walks, so the moments are the ones it standardizes with.
+    def ti_bounds(self, varying: np.ndarray) -> np.ndarray:
+        """A lower bound on each plane's ``ti_values`` value, shaped (*batch,),
+        with no exact moments and no real inverse.
 
-        The inverse stops before its last axis: Y inverts every lag axis but
-        the last, as ``irfftn`` does first, and the real inverse of each row
-        of Y is at most sum(c * |Y|) over the row, c = 2/w per bin and 1/w on
-        the zero and Nyquist columns (the triangle inequality). The bound is
-        tight for a spike filter, such as that of an exact translate, so the
-        maximum is raised by a relative 1e-9 to cover rounding. A constant
-        plane's bound is -inf.
+        Each tile holds Q with the half-spectrum axis first among the lag
+        axes, so the leading lag axes, inverted by ``ifft`` as ``irfftn``
+        does first, are contiguous. With a = |Y| of that partial inverse
+        and c = 2/w per half-spectrum bin, 1/w on the zero and Nyquist
+        columns (w the padded last extent):
+
+        * the real inverse of each row of Y is at most sum(c * a) over the
+          row (the triangle inequality), so the plane's maximum is at most
+          P, the largest row sum. The bound is tight for a spike filter, such as
+          that of an exact translate, so P is raised by a relative 1e-9 to
+          cover rounding;
+        * sum(c * a^2) over the plane is its sum of squares (Parseval per
+          row), so with N padded bins N^2 sigma^2 is at least
+          N * (1 - eps) * sum(c * a^2) - |Q[0]|^2, the slack eps = 1e-10
+          covering the rounding of the cancellation.
+
+        The bound is -max(P - mu, 0) / sigma_lo with the exact mean
+        mu = Q[0].real / N, and -inf where sigma_lo is not positive, which
+        includes every constant plane. ``ti_values_at`` takes the exact
+        moments of the planes it finishes.
         """
+        rank = len(self.shape)
+        N = math.prod(self.padded)
+        c = self._row_weights
 
-        def peak_bound(Q):
+        def bound_parts(Q):  # row bound P, mean and N^2 sigma_lo^2 of each plane
             Y = Q
-            for axis, m in zip(self.axes[:-1], self.padded):
+            for axis, m in zip(range(1 - rank, 0), self.padded[:-1]):
                 Y = np.fft.ifft(Y, m, axis)
-            rows = np.einsum("...k,k->...", np.abs(Y), self._row_weights)
-            return rows.reshape(rows.shape[: rows.ndim + 1 - len(self.shape)] + (-1,)).max(axis=-1)
+            a = np.abs(Y).reshape(Y.shape[:-rank] + (len(c), -1))  # (..., bins, rows)
+            peak = (c @ a).max(axis=-1)
+            a *= a
+            dc = Q[(...,) + (0,) * rank]
+            return peak, dc.real / N, N * (1 - 1e-10) * (c @ a).sum(axis=-1) - abs(dc) ** 2
 
-        mu, sigma, peak = self._tiled(
-            varying, lambda Q: (*self._moments(Q), peak_bound(Q)), (np.float64,) * 3
-        )
-        with np.errstate(over="ignore", invalid="ignore"):
-            lower = self._standardize(peak * (1 + 1e-9), mu, sigma)
-        return np.where(sigma == 0.0, -np.inf, lower), mu, sigma
+        peak, mu, var_lo = self._tiled(varying, bound_parts, (np.float64,) * 3, lag_first=True)
+        if not np.all(np.isfinite(var_lo)):
+            raise NumericalError("non-finite spectral power of the matching filter")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lower = -np.maximum(peak * (1 + 1e-9) - mu, 0.0) * N / np.sqrt(var_lo)
+        return np.where(var_lo > 0.0, lower, -np.inf)
 
-    def ti_values_at(
-        self, varying: np.ndarray, index: tuple, mu: np.ndarray, sigma: np.ndarray
-    ) -> np.ndarray:
+    def ti_values_at(self, varying: np.ndarray, index: tuple) -> np.ndarray:
         """``ti_values``' values of the planes at `index`, a pair of index arrays
         into the first two axes of the broadcast batch, shaped (p, *rest).
-        `mu` and `sigma` are those planes' moments from ``ti_bounds``, so each
-        value equals ``ti_values``' bit for bit. The p entries are inverted in
-        chunks of at most TI_CHUNK_ELEMENTS / 2 filter elements: a chunk also
-        holds its entries' gathered K, L and spectrum, which a tile only views."""
+        Each plane's moments are taken here, from the same quotient bins as
+        in ``ti_values``' tiles, so each value equals ``ti_values``' bit for
+        bit. The p entries are inverted in chunks of at most
+        TI_CHUNK_ELEMENTS / 2 filter elements: a chunk also holds its
+        entries' gathered K, L and spectrum, which a tile only views."""
         _, tiled, factors = self._leading(varying)
         step = _tile_cells(2 * math.prod(self.padded) * math.prod(tiled[2:]))
-        maxima = np.empty((len(index[0]),) + tiled[2:])
-        for start in range(0, len(maxima), step):
+        values = np.empty((len(index[0]),) + tiled[2:])
+        for start in range(0, len(values), step):
             pick = tuple(i[start : start + step] for i in index)
             Q = self._quotient(
                 *(a[tuple(i if n > 1 else 0 for i, n in zip(pick, a.shape))] for a in factors)
             )
-            with np.errstate(over="ignore", invalid="ignore"):
-                v = np.fft.irfftn(Q, s=self.padded, axes=self.axes)
-            maxima[start : start + step] = v.max(axis=self.axes)
-        return self._standardize(maxima, mu, sigma)
+            values[start : start + step] = self._ti(Q)[0]
+        return values
 
     def _leading(self, varying: np.ndarray) -> tuple[tuple, tuple, tuple]:
         """The broadcast batch of the fixed side and `varying`, that batch with
@@ -241,14 +250,23 @@ class QuotientKernel:
         )
         return batch, (1,) * (lead - len(batch)) + batch, factors
 
-    def _tiled(self, varying: np.ndarray, reduce, dtypes: tuple) -> tuple[np.ndarray, ...]:
+    def _tiled(
+        self, varying: np.ndarray, reduce, dtypes: tuple, lag_first: bool = False
+    ) -> tuple[np.ndarray, ...]:
         """``reduce`` of the quotient of each tile of the broadcast batch, its
         per-plane results assembled into arrays of `dtypes`, shaped (*batch,).
 
         The batch is walked in tiles of about TI_CHUNK_ELEMENTS filter elements
         over its first two axes (whole rows of the second axis when one fits).
+        With `lag_first`, each tile's quotient has the half-spectrum axis first
+        among its lag axes: the spectrum of `varying` is transposed once, and
+        each tile's slices of K and L in turn, so no whole copy of them is
+        kept. A tile's factors are C-ordered, so its quotient is too.
         """
         batch, tiled, factors = self._leading(varying)
+        if lag_first:  # the transposed spectrum replaces the first, which is let go
+            factors = [np.moveaxis(a, -1, -len(self.shape)) for a in factors]
+            factors[2] = np.ascontiguousarray(factors[2])
         n0, n1 = tiled[:2]
         cells = _tile_cells(math.prod(self.padded) * math.prod(tiled[2:]))
         step1 = min(n1, cells)
@@ -257,29 +275,32 @@ class QuotientKernel:
         for i in range(0, n0, step0):
             for j in range(0, n1, step1):
                 tile = (slice(i, i + step0), slice(j, j + step1))
-                Q = self._quotient(
-                    *(a[tuple(t if n > 1 else slice(None) for t, n in zip(tile, a.shape))]
-                      for a in factors)
-                )
+                Q = self._quotient(*(
+                    np.ascontiguousarray(a[tuple(t if n > 1 else slice(None)
+                                                 for t, n in zip(tile, a.shape))])
+                    for a in factors
+                ))
                 with np.errstate(over="ignore", invalid="ignore"):
                     for out, part in zip(outs, reduce(Q)):
                         out[tile] = part
         return tuple(out.reshape(batch) for out in outs)
 
-    def _ti(self, Q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """TI values and the constant-plane mask of the filters v = irfftn(Q)."""
+    def _ti(self, Q: np.ndarray, v: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """TI values and the constant-plane mask of the filters v = irfftn(Q),
+        inverted here unless given. ``_moments`` raises unless every bin of Q
+        is finite, which bounds every filter value, so v needs no scan."""
         mu, sigma = self._moments(Q)
-        return self._standardize(v.max(axis=self.axes), mu, sigma), sigma == 0.0
-
-    @staticmethod
-    def _standardize(peak: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        """-(peak - mu) / sigma, and 0 where sigma is 0 (a constant plane)."""
-        return -(peak - mu) / np.where(sigma == 0.0, np.inf, sigma)
+        if v is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = np.fft.irfftn(Q, s=self.padded, axes=self.axes)
+        constant = sigma == 0.0  # its value -(max - mu) / inf is 0
+        return -(v.max(axis=self.axes) - mu) / np.where(constant, np.inf, sigma), constant
 
     @cached_property
     def _row_weights(self) -> np.ndarray:
-        """Weights c of ``ti_bounds``' row bound: 2/w per bin of a half-spectrum
-        row, 1/w on the zero and Nyquist columns, w the padded last extent."""
+        """Weights c of ``ti_bounds``' row bound and sum of squares: 2/w per bin
+        of a half-spectrum row, 1/w on the zero and Nyquist columns, w the
+        padded last extent."""
         weights = np.full(self.K.shape[-1], 2.0)
         weights[0] = weights[-1] = 1.0
         return weights / self.padded[-1]
@@ -301,16 +322,17 @@ class QuotientKernel:
         variance is sum(|Q|^2 over the other bins) / N^2 (Parseval), each
         half-spectrum bin counted twice unless it is its own mirror image
         (the zero and Nyquist columns). Nothing cancels, and a constant plane
-        has spread exactly 0. The einsum's summation order depends on how
-        many planes Q holds, so a plane's spread can differ in the last bits
-        between Q holding it alone and Q holding several planes; its mean
-        cannot. Raises NumericalError unless every bin of Q is finite.
+        has spread exactly 0. Each plane's weighted squares are summed on
+        their own, along its contiguous bins, so its moments do not depend on
+        how many planes Q holds. Raises NumericalError unless every bin of Q
+        is finite.
         """
         rank = len(self.shape)
         parts = np.ascontiguousarray(Q).view(np.float64)  # real and imaginary parts interleaved
         with np.errstate(over="ignore", invalid="ignore"):
             sq = (parts * parts).reshape(Q.shape[:-rank] + (-1,))
-            sumsq = np.einsum("...k,k->...", sq, self._parseval_weights)
+            sq *= self._parseval_weights
+            sumsq = np.add.reduce(sq, axis=-1)
         dc = Q[(...,) + (0,) * rank]
         if not (np.all(np.isfinite(sumsq)) and np.all(np.isfinite(dc))):
             raise NumericalError("non-finite spectral power of the matching filter")
@@ -478,10 +500,8 @@ def pair_report(
     ``wiener_filter(prediction, target)`` from the target's one kernel and
     one filter of the prediction (``QuotientKernel.filters_with_ti``): two
     forward real transforms and one inverse, where the three functions take
-    six and three. The loss and the concentration equal theirs bit for bit,
-    and so does the TI value of a pair whose planes ``ti_values`` takes in
-    one tile, as it does a single-channel pair; a multichannel pair can
-    differ in the last bits (see ``QuotientKernel._moments``)."""
+    six and three. The loss, the TI value and the concentration equal
+    theirs bit for bit."""
     check_pair(prediction, target)
     kernel = QuotientKernel(target.planes, target.shape, cfg.lam)
     raw, values, constant = kernel.filters_with_ti(prediction.planes)

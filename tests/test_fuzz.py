@@ -232,12 +232,21 @@ READERS = {
     "train": ("train",),
     "recover": ("recover",),
 }
-NUMERIC_KEYS = [
-    (section.name, _key(f.name))
-    for section in fields(ExperimentConfig)
-    for f in fields(getattr(ExperimentConfig(), section.name))
-    if type(getattr(getattr(ExperimentConfig(), section.name), f.name)) in (int, float)
-]
+
+
+def _keys_of_type(*types) -> list[tuple[str, str]]:
+    """(section, key) of every config field whose default is of one of `types`."""
+    defaults = ExperimentConfig()
+    return [
+        (section.name, _key(f.name))
+        for section in fields(defaults)
+        for f in fields(getattr(defaults, section.name))
+        if type(getattr(getattr(defaults, section.name), f.name)) in types
+    ]
+
+
+NUMERIC_KEYS = _keys_of_type(int, float)
+STRING_KEYS = _keys_of_type(str)
 
 
 def _run_tiny(tmp_path, capsys, images, commands, section="", key="", value="") -> list[int]:
@@ -271,6 +280,14 @@ def test_tiny_config_runs_every_subcommand(tmp_path, capsys, images):
 @pytest.mark.parametrize("value", ["-1", "0"])
 @pytest.mark.parametrize("section,key", NUMERIC_KEYS)
 def test_every_numeric_key_ends_in_an_exit_code(tmp_path, capsys, images, section, key, value):
+    _run_tiny(tmp_path, capsys, images, READERS[section], section, key, value)
+
+
+@pytest.mark.parametrize("value", ["", "nope", "1,,2", "missing"])
+@pytest.mark.parametrize("section,key", STRING_KEYS)
+def test_every_string_key_ends_in_an_exit_code(tmp_path, capsys, images, section, key, value):
+    if value == "missing":  # a path that does not exist
+        value = str(tmp_path / "missing")
     _run_tiny(tmp_path, capsys, images, READERS[section], section, key, value)
 
 

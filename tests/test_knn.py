@@ -482,26 +482,40 @@ class TestTranslatedQueryConsistency:
 
 def _pruning_case(data):
     """A random training set and queries with exact ties (duplicated training
-    rows), exact translates (a spike filter, where the bound is tight) and an
-    all-zero query (a constant filter when lambda is 0)."""
+    rows), exact translates (a spike filter, where the bound is tight), an
+    all-zero query (a constant filter when lambda is 0) and near-constant
+    planes: a constant plus noise at 1e-12 relative, and zero-mean training
+    rows, whose filter against the zero query at small lambda is a constant
+    plus a relative 1e-12, so that the bound on its spread rests on its slack."""
     rank = data.draw(st.sampled_from([1, 2]), label="rank")
     extents = tuple(data.draw(st.integers(2, 6), label="extent") for _ in range(rank))
     channels = data.draw(st.integers(1, 3), label="channels")
     n = data.draw(st.integers(1, 12), label="n")
-    lam = data.draw(st.sampled_from([0.0, 1e-12, 0.3, 2.0]), label="lam")
+    lam = data.draw(st.sampled_from([0.0, 1e-12, 0.3, 2.0, 1e8]), label="lam")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     # content in the leading half of each extent, so a shift by less than
     # half an extent is an exact translate that never wraps
     block = (slice(None), slice(None)) + tuple(slice(0, (e + 1) // 2) for e in extents)
     train = np.zeros((n, channels) + extents)
     train[block] = 0.1 + rng.random(train[block].shape)
+    lags = tuple(range(1, rank + 1))
+
+    def near_constant():
+        return rng.uniform(0.5, 2.0) * (1 + 1e-12 * rng.standard_normal((channels,) + extents))
+
+    for i in range(n):
+        kind = rng.random()
+        if kind < 0.15:
+            train[i] = near_constant()
+        elif kind < 0.3 and lam > 0:  # a zero DC bin is singular at lambda 0
+            train[i] -= train[i].mean(axis=lags, keepdims=True)
     for i in range(1, n):
         if rng.random() < 0.3:
             train[i] = train[rng.integers(i)]
-    queries = [rng.random((channels,) + extents), np.zeros((channels,) + extents)]
+    queries = [rng.random((channels,) + extents), np.zeros((channels,) + extents), near_constant()]
     for _ in range(data.draw(st.integers(0, 3), label="translates")):
         shift = tuple(int(rng.integers(0, e // 2 + 1)) for e in extents)
-        queries.append(np.roll(train[rng.integers(n)], shift, axis=tuple(range(1, rank + 1))))
+        queries.append(np.roll(train[rng.integers(n)], shift, axis=lags))
     k = data.draw(st.one_of(st.sampled_from([1, n]), st.integers(1, n)), label="k")
     labels = rng.integers(0, 10, size=n)
     return LabeledSet(train, labels), np.array(queries), WienerConfig(lam), k
@@ -527,9 +541,14 @@ class TestPrunedTiMatrix:
             np.testing.assert_array_equal(nearest, np.argsort(want, kind="stable")[:k])
             assert row[nearest].tobytes() == want[nearest].tobytes()
             assert _vote(row, train.label_ids, k) == _vote(want, train.label_ids, k)
-        # each bound is a lower bound on its pair's exact value
+        # each bound is a lower bound on its plane's and its pair's exact
+        # value, and a constant plane's bound is -inf
         kernel = QuotientKernel(train.stack[:, np.newaxis], train.shape, cfg.lam)
-        lower = kernel.ti_bounds(qs)[0].mean(axis=-1).T
+        bounds = kernel.ti_bounds(qs)
+        values, constant = kernel.ti_values(qs)
+        assert np.all(bounds <= values)
+        assert np.all(bounds[constant] == -np.inf)
+        lower = bounds.mean(axis=-1).T
         assert np.all(lower <= full)
         # and the exact values are the pairwise ti_distance, bit for bit
         with warnings.catch_warnings():

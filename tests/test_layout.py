@@ -48,6 +48,16 @@ def test_fft_only_inside_the_quotient_kernel():
     assert inside > 0  # the rule is vacuous if the kernel stops using np.fft
 
 
+# np.fft call sites in the kernel's module; fewer is progress, so lower this
+# when a site goes, and never raise it
+FFT_CALL_SITES = 8
+
+
+def test_fft_call_sites_do_not_grow():
+    sites = _fft_uses(ast.parse((SRC / KERNEL[0]).read_text()))
+    assert len(sites) <= FFT_CALL_SITES, sites
+
+
 def _sites(matches) -> list[str]:
     """file:line of every node of the package's source for which `matches` holds."""
     return [
