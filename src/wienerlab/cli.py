@@ -4,10 +4,12 @@
               [--out <dir>] [--seed <int>, diffuse|knn|train only] ...
 
 Outputs land in --out (used verbatim) or a timestamped directory under
-./runs. Every run directory receives the effective config; re-running with
-the same config and seed reproduces all numeric outputs bit for bit (the
-directory name is the only thing that varies). Exit codes: 0 ok, 2 config
-error, 3 data/format error, 4 numerical failure.
+./runs. Every run directory receives the effective config and the report
+`<command>.json`, and stdout one summary line ending in `(<run dir>)`;
+re-running with the same config and seed reproduces all numeric outputs bit
+for bit (the directory name is the only thing that varies). Exit codes: 0
+ok, 2 config error, 3 data/format error or any OS error on a path, 4
+numerical failure.
 
 On glibc, `main` first keeps the process heap: freed buffers below 32 MiB
 stay in the heap for reuse instead of going back to the kernel and being
@@ -71,22 +73,32 @@ def _write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
 
 
-def _make_run_dir(args, name: str) -> Path:
+def _make_run_dir(args) -> Path:
     if args.out:
         run_dir = Path(args.out)
     else:
         stamp = time.strftime("%Y%m%d-%H%M%S")
-        run_dir = Path("runs") / f"{name}-{stamp}"
+        run_dir = Path("runs") / f"{args.command}-{stamp}"
         n = 1
         while run_dir.exists():
-            run_dir = Path("runs") / f"{name}-{stamp}-{n}"
+            run_dir = Path("runs") / f"{args.command}-{stamp}-{n}"
             n += 1
     run_dir.mkdir(parents=True, exist_ok=True)
     return run_dir
 
 
-def _echo_config(run_dir: Path, cfg: ExperimentConfig) -> None:
+def _run(args, cfg: ExperimentConfig) -> int:
+    """Run one subcommand. `args.command_fn` reads and checks every input and
+    returns a writer, so a bad input leaves no run directory; the directory
+    then gets the effective config, the writer's artifacts (partial ones too,
+    if it raises) and `<command>.json`, and stdout one summary line."""
+    write = args.command_fn(args, cfg)
+    run_dir = _make_run_dir(args)
     (run_dir / "config.ini").write_text(cfg.to_ini())
+    report, summary = write(run_dir)
+    _write_json(run_dir / f"{args.command}.json", report)
+    print(f"{summary} ({run_dir})")
+    return 0
 
 
 def _whitening(cfg: ExperimentConfig, shape):
@@ -96,47 +108,39 @@ def _whitening(cfg: ExperimentConfig, shape):
 # ---------------------------------------------------------------- filter
 
 
-def _cmd_filter(args, cfg: ExperimentConfig) -> int:
-    target = read_pgm(args.image_a)
-    source = read_pgm(args.image_b)
-    v = wiener_filter(target, source, cfg.wiener)
+def _cmd_filter(args, cfg: ExperimentConfig):
+    v = wiener_filter(read_pgm(args.image_a), read_pgm(args.image_b), cfg.wiener)
 
-    run_dir = _make_run_dir(args, "filter")
-    _echo_config(run_dir, cfg)
-    plane = v.data[0]
-    lo, hi = float(plane.min()), float(plane.max())
-    scale = hi - lo if hi > lo else 1.0
-    write_pgm(run_dir / "filter.pgm", Signal.from_array((plane - lo) / scale))
+    def write(run_dir):
+        plane = v.data[0]
+        lo, hi = float(plane.min()), float(plane.max())
+        scale = hi - lo if hi > lo else 1.0
+        write_pgm(run_dir / "filter.pgm", Signal.from_array((plane - lo) / scale))
 
-    center = v.grid.zero_lag_index
-    argmax = np.unravel_index(int(np.argmax(plane)), plane.shape)
-    report = {
-        "zero_lag_value": float(v.zero_lag_values()[0]),
-        "concentration": concentration(v),
-        "argmax_lag": [int(a - c) for a, c in zip(argmax, center)],
-        "normalization": {"min": lo, "max": hi},
-        "lambda": cfg.wiener.lam,
-    }
-    _write_json(run_dir / "filter.json", report)
-    print(f"filter written to {run_dir} (concentration {report['concentration']:.4f})")
-    return 0
+        center = v.grid.zero_lag_index
+        argmax = np.unravel_index(int(np.argmax(plane)), plane.shape)
+        report = {
+            "zero_lag_value": float(v.zero_lag_values()[0]),
+            "concentration": concentration(v),
+            "argmax_lag": [int(a - c) for a, c in zip(argmax, center)],
+            "normalization": {"min": lo, "max": hi},
+            "lambda": cfg.wiener.lam,
+        }
+        return report, f"filter: concentration {report['concentration']:.4f}"
+
+    return write
 
 
 # ---------------------------------------------------------------- loss
 
 
-def _cmd_loss(args, cfg: ExperimentConfig) -> int:
+def _cmd_loss(args, cfg: ExperimentConfig):
     prediction = read_pgm(args.image_a)
     target = read_pgm(args.image_b)
     whitening = _whitening(cfg, prediction.shape)
     report = pair_report(prediction, target, whitening, cfg.wiener)
     report["metrics"] = compute_metrics(prediction, target)
-
-    run_dir = _make_run_dir(args, "loss")
-    _echo_config(run_dir, cfg)
-    _write_json(run_dir / "loss.json", report)
-    print(f"loss report written to {run_dir} (wiener_loss {report['wiener_loss']:.6g})")
-    return 0
+    return lambda run_dir: (report, f"loss: wiener_loss {report['wiener_loss']:.6g}")
 
 
 # ---------------------------------------------------------------- recover
@@ -190,7 +194,7 @@ def _recover_objective(rc, target: Signal, whitening, wcfg: WienerConfig):
     return objective
 
 
-def _cmd_recover(args, cfg: ExperimentConfig) -> int:
+def _cmd_recover(args, cfg: ExperimentConfig):
     target = read_pgm(args.image)
     if len(target.shape) != 2:
         raise ShapeError("recover expects a 2-d image")
@@ -209,46 +213,44 @@ def _cmd_recover(args, cfg: ExperimentConfig) -> int:
     if step <= 0:
         step = 0.5 if rc.loss == "mse" else 2.0
 
-    run_dir = _make_run_dir(args, "recover")
-    _echo_config(run_dir, cfg)
+    def write(run_dir):
+        objective = _recover_objective(rc, target, whitening, cfg.wiener)
+        x = masked.planes.copy()
+        logged, curve = [], []  # iterations and their losses
+        for it in range(rc.iterations):
+            try:
+                loss_val, grad = objective(x)
+            except NumericalError:
+                loss_val = float("nan")
+            if not np.isfinite(loss_val):
+                write_pgm(run_dir / "recovered.pgm", Signal.from_array(np.clip(x[0], 0, 1)))
+                raise NumericalError(f"recovery diverged at iteration {it} (last iterate saved)")
+            if it % rc.log_every == 0:
+                logged.append(it)
+                curve.append(loss_val)
+            x -= step * grad
+        recovered = Signal.from_array(np.clip(x[0], 0.0, 1.0))
 
-    objective = _recover_objective(rc, target, whitening, cfg.wiener)
-    x = masked.planes.copy()
-    logged, curve = [], []  # iterations and their losses
-    for it in range(rc.iterations):
-        try:
-            loss_val, grad = objective(x)
-        except NumericalError:
-            loss_val = float("nan")
-        if not np.isfinite(loss_val):
-            write_pgm(run_dir / "recovered.pgm", Signal.from_array(np.clip(x[0], 0, 1)))
-            raise NumericalError(f"recovery diverged at iteration {it} (last iterate saved)")
-        if it % rc.log_every == 0:
-            logged.append(it)
-            curve.append(loss_val)
-        x -= step * grad
-    recovered = Signal.from_array(np.clip(x[0], 0.0, 1.0))
+        write_csv(run_dir / "loss_curve.csv", ["iteration", "loss"], [logged, curve])
+        write_pgm(run_dir / "masked.pgm", masked)
+        write_pgm(run_dir / "baseline.pgm", baseline)
+        write_pgm(run_dir / "recovered.pgm", recovered)
+        report = {
+            "loss": rc.loss,
+            "stride": rc.stride,
+            "iterations": rc.iterations,
+            "step_size": step,
+            "psnr_masked": psnr(masked, target),
+            "psnr_baseline": psnr(baseline, target),
+            "psnr_recovered": psnr(recovered, target),
+            "final_loss": curve[-1] if curve else None,
+        }
+        return report, (
+            f"recover: psnr masked {report['psnr_masked']:.2f} -> recovered "
+            f"{report['psnr_recovered']:.2f}"
+        )
 
-    write_csv(run_dir / "loss_curve.csv", ["iteration", "loss"], [logged, curve])
-    write_pgm(run_dir / "masked.pgm", masked)
-    write_pgm(run_dir / "baseline.pgm", baseline)
-    write_pgm(run_dir / "recovered.pgm", recovered)
-    report = {
-        "loss": rc.loss,
-        "stride": rc.stride,
-        "iterations": rc.iterations,
-        "step_size": step,
-        "psnr_masked": psnr(masked, target),
-        "psnr_baseline": psnr(baseline, target),
-        "psnr_recovered": psnr(recovered, target),
-        "final_loss": curve[-1] if curve else None,
-    }
-    _write_json(run_dir / "recover.json", report)
-    print(
-        f"recover: psnr masked {report['psnr_masked']:.2f} -> recovered "
-        f"{report['psnr_recovered']:.2f} ({run_dir})"
-    )
-    return 0
+    return write
 
 
 # ---------------------------------------------------------------- diffuse
@@ -266,7 +268,7 @@ def _defining_set(cfg: ExperimentConfig) -> np.ndarray:
     return read_idx_images(d.dataset, d.n_defining)[:, np.newaxis]
 
 
-def _cmd_diffuse(args, cfg: ExperimentConfig) -> int:
+def _cmd_diffuse(args, cfg: ExperimentConfig):
     d = cfg.diffusion
     defining = _defining_set(cfg)
     grid = LagGrid(full_lag(defining.shape[2:]))
@@ -277,65 +279,57 @@ def _cmd_diffuse(args, cfg: ExperimentConfig) -> int:
         cosine_schedule(d.T, d.beta_start, d.beta_end),
     )
 
-    run_dir = _make_run_dir(args, "diffuse")
-    _echo_config(run_dir, cfg)
-    run = run_diffusion(
-        model,
-        schedule,
-        d.n_samples,
-        d.init_variance,
-        d.seed,
-        snapshot_stride=d.snapshot_stride,
-        k_nearest=d.k_nearest,
-    )
-
-    chains, steps = run.energies.shape
-    write_csv(
-        run_dir / "trajectory.csv",
-        ["chain", "step", "energy", "concentration"],
-        [
-            np.repeat(np.arange(chains), steps),
-            np.tile(np.arange(steps), chains),
-            run.energies.ravel(),
-            run.concentrations.ravel(),
-        ],
-    )
-
-    if model.defining.ndim == 4:
-        _write_sample_grids(run_dir, run)
-    else:
-        snapshots = run.snapshot_steps.size
-        samples = run.samples.reshape(chains * snapshots, -1)
+    def write(run_dir):
+        run = run_diffusion(
+            model, schedule, d.n_samples, d.init_variance, d.seed,
+            snapshot_stride=d.snapshot_stride, k_nearest=d.k_nearest,
+        )
+        chains, steps = run.energies.shape
         write_csv(
-            run_dir / "samples.csv",
-            ["chain", "step"] + [f"x{i}" for i in range(samples.shape[1])],
+            run_dir / "trajectory.csv",
+            ["chain", "step", "energy", "concentration"],
             [
-                np.repeat(np.arange(chains), snapshots),
-                np.tile(run.snapshot_steps, chains),
-                *samples.T,
+                np.repeat(np.arange(chains), steps),
+                np.tile(np.arange(steps), chains),
+                run.energies.ravel(),
+                run.concentrations.ravel(),
             ],
         )
 
-    e0, eT = float(np.mean(run.energies[:, 0])), float(np.mean(run.energies[:, -1]))
-    c0, cT = float(np.mean(run.concentrations[:, 0])), float(np.mean(run.concentrations[:, -1]))
-    nearest = [nearest_defining_sample(x, model) for x in run.final]
-    report = {
-        "n_chains": d.n_samples,
-        "steps": d.T,
-        "mean_energy_initial": e0,
-        "mean_energy_final": eT,
-        "mean_concentration_initial": c0,
-        "mean_concentration_final": cT,
-        "nearest_sample_counts": np.bincount(
-            [i for i, _ in nearest], minlength=len(model.defining)
-        ).tolist(),
-        "mean_distance_to_nearest": float(np.mean([dist for _, dist in nearest])),
-    }
-    _write_json(run_dir / "diffuse.json", report)
-    print(
-        f"diffuse: energy {e0:.3f} -> {eT:.3f}, concentration {c0:.3f} -> {cT:.3f} ({run_dir})"
-    )
-    return 0
+        if model.defining.ndim == 4:
+            _write_sample_grids(run_dir, run)
+        else:
+            snapshots = run.snapshot_steps.size
+            samples = run.samples.reshape(chains * snapshots, -1)
+            write_csv(
+                run_dir / "samples.csv",
+                ["chain", "step"] + [f"x{i}" for i in range(samples.shape[1])],
+                [
+                    np.repeat(np.arange(chains), snapshots),
+                    np.tile(run.snapshot_steps, chains),
+                    *samples.T,
+                ],
+            )
+
+        e0, eT = float(np.mean(run.energies[:, 0])), float(np.mean(run.energies[:, -1]))
+        c0, cT = float(np.mean(run.concentrations[:, 0])), float(np.mean(run.concentrations[:, -1]))
+        nearest = [nearest_defining_sample(x, model) for x in run.final]
+        report = {
+            "n_chains": d.n_samples,
+            "steps": d.T,
+            "mean_energy_initial": e0,
+            "mean_energy_final": eT,
+            "mean_concentration_initial": c0,
+            "mean_concentration_final": cT,
+            "nearest_sample_counts": np.bincount(
+                [i for i, _ in nearest], minlength=len(model.defining)
+            ).tolist(),
+            "mean_distance_to_nearest": float(np.mean([dist for _, dist in nearest])),
+        }
+        summary = f"diffuse: energy {e0:.3f} -> {eT:.3f}, concentration {c0:.3f} -> {cT:.3f}"
+        return report, summary
+
+    return write
 
 
 def _write_sample_grids(run_dir: Path, run) -> None:
@@ -374,40 +368,39 @@ def _knn_sets(cfg: ExperimentConfig) -> tuple[LabeledSet, LabeledSet]:
     return train_set, test_set
 
 
-def _cmd_knn(args, cfg: ExperimentConfig) -> int:
+def _cmd_knn(args, cfg: ExperimentConfig):
     k = cfg.knn
     train_set, test_set = _knn_sets(cfg)
-    run_dir = _make_run_dir(args, "knn")
-    _echo_config(run_dir, cfg)
 
-    baseline = evaluate_accuracy(train_set, test_set, k.baseline_k, DistanceSpec("manhattan"))
-    ti = evaluate_accuracy(train_set, test_set, k.k, DistanceSpec("wiener_ti", cfg.wiener))
-    report = {
-        "n_train": len(train_set),
-        "n_test": len(test_set),
-        "max_shift": k.max_shift,
-        "pad": k.pad,
-        "baseline": {
-            "distance": "manhattan",
-            "k": k.baseline_k,
-            "accuracy": baseline.accuracy,
-            "confusion": baseline.confusion,
-        },
-        "wiener_ti": {
-            "distance": "wiener_ti",
-            "k": k.k,
-            "lambda": cfg.wiener.lam,
-            "accuracy": ti.accuracy,
-            "confusion": ti.confusion,
-        },
-        "gap": ti.accuracy - baseline.accuracy,
-    }
-    _write_json(run_dir / "knn.json", report)
-    print(
-        f"knn: manhattan {baseline.accuracy:.3f} vs translation-invariant {ti.accuracy:.3f} "
-        f"(gap {report['gap']:+.3f}; TI exact on {ti.exact_fraction:.1%} of pairs) ({run_dir})"
-    )
-    return 0
+    def write(run_dir):
+        baseline = evaluate_accuracy(train_set, test_set, k.baseline_k, DistanceSpec("manhattan"))
+        ti = evaluate_accuracy(train_set, test_set, k.k, DistanceSpec("wiener_ti", cfg.wiener))
+        report = {
+            "n_train": len(train_set),
+            "n_test": len(test_set),
+            "max_shift": k.max_shift,
+            "pad": k.pad,
+            "baseline": {
+                "distance": "manhattan",
+                "k": k.baseline_k,
+                "accuracy": baseline.accuracy,
+                "confusion": baseline.confusion,
+            },
+            "wiener_ti": {
+                "distance": "wiener_ti",
+                "k": k.k,
+                "lambda": cfg.wiener.lam,
+                "accuracy": ti.accuracy,
+                "confusion": ti.confusion,
+            },
+            "gap": ti.accuracy - baseline.accuracy,
+        }
+        return report, (
+            f"knn: manhattan {baseline.accuracy:.3f} vs translation-invariant {ti.accuracy:.3f} "
+            f"(gap {report['gap']:+.3f}; TI exact on {ti.exact_fraction:.1%} of pairs)"
+        )
+
+    return write
 
 
 # ---------------------------------------------------------------- train
@@ -421,45 +414,39 @@ def _train_data(cfg: ExperimentConfig) -> np.ndarray:
     return make_digit_set(t.n_train, size=t.digit_size, seed=t.data_seed).stack
 
 
-def _cmd_train(args, cfg: ExperimentConfig) -> int:
+def _cmd_train(args, cfg: ExperimentConfig):
     t = cfg.train
-    if args.loss:
-        t = replace(t, loss=args.loss)
-    if args.epochs is not None:
-        t = replace(t, epochs=args.epochs)
-    cfg = replace(cfg, train=t)
-
     data = _train_data(cfg)
     model = DenseAutoencoder.initialize(t.width_tuple(), activation=t.activation, seed=t.seed)
     tcfg = t.trainer_config(whitening=cfg.window, lam=cfg.wiener.lam)
-    run_dir = _make_run_dir(args, "train")
-    _echo_config(run_dir, cfg)
-    diverged = None
-    try:
-        log = train(model, data, tcfg)
-    except TrainingDivergedError as exc:
-        diverged, log = exc, exc.log  # the log up to the last finite epoch is still written
-    logged = len(log.concentrations)  # a diagnostic that diverged leaves its epoch's loss out
-    write_csv(
-        run_dir / "train_log.csv",
-        ["epoch", "loss", "concentration"],
-        [list(range(logged)), log.losses[:logged], log.concentrations],
-    )
-    if diverged is not None:
-        raise diverged
-    save_model(run_dir / "model.wnae", model)
-    report = {
-        "loss": t.loss,
-        "epochs": t.epochs,
-        "n_train": len(data),
-        "final_loss": log.losses[-1] if log.losses else None,
-        "initial_concentration": log.initial_concentration,
-        "final_concentration": log.concentrations[-1] if log.concentrations else None,
-    }
-    _write_json(run_dir / "train.json", report)
-    final = f"{log.losses[-1]:.6g}" if log.losses else "n/a"
-    print(f"train[{t.loss}]: final loss {final} ({run_dir})")
-    return 0
+
+    def write(run_dir):
+        diverged = None
+        try:
+            log = train(model, data, tcfg)
+        except TrainingDivergedError as exc:
+            diverged, log = exc, exc.log  # the log up to the last finite epoch is still written
+        logged = len(log.concentrations)  # a diagnostic that diverged leaves its epoch's loss out
+        write_csv(
+            run_dir / "train_log.csv",
+            ["epoch", "loss", "concentration"],
+            [list(range(logged)), log.losses[:logged], log.concentrations],
+        )
+        if diverged is not None:
+            raise diverged
+        save_model(run_dir / "model.wnae", model)
+        report = {
+            "loss": t.loss,
+            "epochs": t.epochs,
+            "n_train": len(data),
+            "final_loss": log.losses[-1] if log.losses else None,
+            "initial_concentration": log.initial_concentration,
+            "final_concentration": log.concentrations[-1] if log.concentrations else None,
+        }
+        final = f"{log.losses[-1]:.6g}" if log.losses else "n/a"
+        return report, f"train[{t.loss}]: final loss {final}"
+
+    return write
 
 
 # ---------------------------------------------------------------- main
@@ -474,56 +461,50 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"wienerlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_key=None):
+    def common(p, command_fn, **overrides):
+        """--config and --out, plus one flag per override of a config (section, key)."""
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--out", default=None, help="output directory (default: runs/<cmd>-<stamp>)")
-        if seed_key:
-            p.add_argument("--seed", type=int, help="override [{}] {}".format(*seed_key))
-        p.set_defaults(seed=None, seed_key=seed_key)
+        for flag, (section, key) in overrides.items():
+            kind = {"choices": ("mse", "wiener")} if flag == "loss" else {"type": int}
+            p.add_argument(f"--{flag}", **kind, help=f"override [{section}] {key}")
+        p.set_defaults(command_fn=command_fn, overrides=overrides)
 
     p = sub.add_parser("filter", help="matching filter between two images")
     p.add_argument("image_a", help="target image (PGM)")
     p.add_argument("image_b", help="source image (PGM)")
-    common(p)
+    common(p, _cmd_filter)
 
     p = sub.add_parser("loss", help="loss and distance report between two images")
     p.add_argument("image_a", help="prediction image (PGM)")
     p.add_argument("image_b", help="target image (PGM)")
-    common(p)
+    common(p, _cmd_loss)
 
     p = sub.add_parser("recover", help="masked-image recovery by loss descent")
     p.add_argument("image", help="target image (PGM)")
-    common(p)
+    common(p, _cmd_recover)
 
     p = sub.add_parser("diffuse", help="Langevin generation from the dataset energy")
-    common(p, ("diffusion", "seed"))
+    common(p, _cmd_diffuse, seed=("diffusion", "seed"))
 
     p = sub.add_parser("knn", help="translated-digit classification experiment")
-    common(p, ("knn", "shift_seed"))
+    common(p, _cmd_knn, seed=("knn", "shift_seed"))
 
     p = sub.add_parser("train", help="autoencoder training under mse or the filter loss")
-    p.add_argument("--loss", choices=("mse", "wiener"), default=None, help="override train.loss")
-    p.add_argument("--epochs", type=int, default=None, help="override train.epochs")
-    common(p, ("train", "seed"))
+    common(
+        p, _cmd_train, seed=("train", "seed"), loss=("train", "loss"), epochs=("train", "epochs")
+    )
 
     return parser
 
 
-_COMMANDS = {
-    "filter": _cmd_filter,
-    "loss": _cmd_loss,
-    "recover": _cmd_recover,
-    "diffuse": _cmd_diffuse,
-    "knn": _cmd_knn,
-    "train": _cmd_train,
-}
-
-
-def _apply_seed(cfg: ExperimentConfig, seed_key, seed: int | None) -> ExperimentConfig:
-    if seed is None:
-        return cfg
-    section, key = seed_key
-    return replace(cfg, **{section: replace(getattr(cfg, section), **{key: seed})})
+def _override(cfg: ExperimentConfig, args) -> ExperimentConfig:
+    """`cfg` with each override flag given on the command line set in its section."""
+    for flag, (section, key) in args.overrides.items():
+        value = getattr(args, flag)
+        if value is not None:
+            cfg = replace(cfg, **{section: replace(getattr(cfg, section), **{key: value})})
+    return cfg
 
 
 def _keep_heap() -> None:
@@ -548,13 +529,11 @@ def main(argv=None) -> int:
     _keep_heap()
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        cfg = _apply_seed(cfg, args.seed_key, args.seed)
-        return _COMMANDS[args.command](args, cfg)
+        return _run(args, _override(load_config(args.config), args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, ShapeError, FileNotFoundError, IsADirectoryError) as exc:
+    except (FormatError, ShapeError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

@@ -70,6 +70,8 @@ class KnnSection:
     data_labels: str = ""
 
     def __post_init__(self):
+        if self.data_labels and not self.data_images:  # labels alone would be ignored
+            raise ConfigError("[knn] data_labels needs data_images")
         for key in ("k", "baseline_k"):
             value = getattr(self, key)
             if not (1 <= value <= self.n_train):
@@ -95,6 +97,8 @@ class TrainSection:
     data_labels: str = ""
 
     def __post_init__(self):
+        if self.data_labels and not self.data_images:  # labels alone would be ignored
+            raise ConfigError("[train] data_labels needs data_images")
         self.trainer_config()  # TrainConfig checks the shared fields
 
     def trainer_config(self, **rest) -> TrainConfig:

@@ -13,7 +13,7 @@ import pytest
 
 from wienerlab import cli
 from wienerlab.cli import _mask_aware_mean_fill, _recover_objective, main
-from wienerlab.config import RecoverSection
+from wienerlab.config import RecoverSection, load_config
 from wienerlab.dataio import read_pgm, load_model, write_pgm
 from wienerlab.datasets import make_digit_set
 from wienerlab.diffusion import run_diffusion
@@ -444,6 +444,34 @@ class TestErrorHandling:
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
 
+    @pytest.mark.parametrize("command", ["filter", "loss", "recover", "diffuse", "knn", "train"])
+    def test_input_path_under_a_regular_file_exits_3_without_artifacts(
+        self, tmp_path, capsys, command
+    ):
+        (tmp_path / "file").write_text("")
+        path = tmp_path / "file" / "input"
+        keys = {"diffuse": "[diffusion]\ndataset", "knn": "[knn]\ndata_images",
+                "train": "[train]\ndata_images"}
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text(f"{keys[command]} = {path}\n" if command in keys else "")
+        images = {"filter": 2, "loss": 2, "recover": 1}.get(command, 0) * [str(path)]
+        out = tmp_path / "never"
+        assert main([command, *images, "--config", str(cfgf), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, under", [("--out", False), ("--out", True), ("--config", True)])
+    def test_out_or_config_path_at_a_regular_file_exits_3(
+        self, tmp_path, capsys, digit_image, flag, under
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        path = blocker / "c.ini" if under else blocker
+        argv = ["loss", str(digit_image), str(digit_image), flag, str(path)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert blocker.read_text() == "kept"
+
     def test_missing_image_exits_3(self, tmp_path):
         assert main(["filter", str(tmp_path / "no.pgm"), str(tmp_path / "no.pgm")]) == 3
 
@@ -511,9 +539,10 @@ class TestErrorHandling:
             "[diffusion]\npenalty_b = -1\n",
             "[diffusion]\ngamma = -1\n",
             "[diffusion]\ngamma = nan\n",
+            "[knn]\ndata_labels = nope\n",  # labels without images
         ],
         ids=["k-0", "baseline_k-50", "lambda-nan", "penalty_family-nope", "penalty_b--1",
-             "gamma--1", "gamma-nan"],
+             "gamma--1", "gamma-nan", "data_labels-nope"],
     )
     def test_bad_knn_setting_exits_2_without_artifacts(self, tmp_path, capsys, text):
         cfgf = tmp_path / "c.ini"
@@ -711,6 +740,15 @@ class TestEchoedConfigContract:
         for fname in ("trajectory.csv", "samples.csv", "diffuse.json"):
             assert (first / fname).read_bytes() == (second / fname).read_bytes()
         assert (first / "config.ini").read_text() == (second / "config.ini").read_text()
+
+    def test_override_flags_are_echoed_and_checked(self, tmp_path):
+        out = tmp_path / "run"
+        argv = ["train", "--loss", "mse", "--epochs", "0", "--seed", "3", "--out", str(out)]
+        assert main(argv) == 0
+        echoed = load_config(out / "config.ini").train
+        assert (echoed.loss, echoed.epochs, echoed.seed) == ("mse", 0, 3)
+        assert main(["train", "--epochs", "-1", "--out", str(tmp_path / "never")]) == 2
+        assert not (tmp_path / "never").exists()
 
 
 def _on_glibc() -> bool:

@@ -134,6 +134,9 @@ def test_lambda_is_read_only_from_wiener(tmp_path, section):
         "[train]\nlearning_rate = nan\n",
         "[train]\nloss = huber\n",
         "[knn]\nn_train = 20\nbaseline_k = 50\n",
+        # labels without images would be ignored for the built-in digits
+        "[knn]\ndata_labels = nope\n",
+        "[train]\ndata_labels = /nonexist\n",
         "[wiener]\nlambda = 5%\n",
         # configparser would merge [DEFAULT] keys into every section, or ignore them
         "[DEFAULT]\nlambda = 5\n",

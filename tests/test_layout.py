@@ -235,6 +235,20 @@ def test_allocator_settings_live_in_one_cli_helper_reached_only_from_main():
     assert callers == ["main"], callers
 
 
+def test_run_skeleton_lives_in_one_cli_function():
+    # only `_run` makes the run directory, echoes the config and writes the
+    # report JSON, and it prints the summary line: no subcommand prints
+    functions = [n for n in ast.parse((SRC / "cli.py").read_text()).body
+                 if isinstance(n, ast.FunctionDef)]
+    for name in ("_make_run_dir", "to_ini", "_write_json"):
+        users = [fn.name for fn in functions if name in _names(fn)]
+        assert users == ["_run"], (name, users)
+    commands = [fn for fn in functions if fn.name.startswith("_cmd_")]
+    assert len(commands) == 6, [fn.name for fn in commands]
+    printing = [fn.name for fn in commands if "print" in _names(fn)]
+    assert not printing, printing
+
+
 def test_importing_the_package_leaves_the_allocator_alone():
     # a spy on every C library the process loads records any mallopt lookup;
     # calling the CLI's helper afterwards shows that the spy would see one
