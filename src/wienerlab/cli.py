@@ -3,9 +3,10 @@
     wienerlab <filter|loss|recover|diffuse|knn|train> [--config <ini>]
               [--out <dir>] [--seed <int>, diffuse|knn|train only] ...
 
-Outputs land in --out (used verbatim) or a timestamped directory under
-./runs. Every run directory receives the effective config and the report
-`<command>.json`, and stdout one summary line ending in `(<run dir>)`;
+Outputs land in --out (used verbatim; refused unless absent or an empty
+directory) or a timestamped directory under ./runs. Every run directory
+receives the effective config and the report `<command>.json`, and stdout
+one summary line ending in `(<run dir>)`;
 re-running with the same config and seed reproduces all numeric outputs bit
 for bit (the directory name is the only thing that varies). Exit codes: 0
 ok, 2 config error, 3 data/format error or any OS error on a path, 4
@@ -73,27 +74,34 @@ def _write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
 
 
-def _make_run_dir(args) -> Path:
+def _run_dir(args) -> Path:
+    """--out, verbatim, or a fresh timestamped directory under ./runs. An --out
+    that exists is refused unless it is an empty directory, so no run writes
+    into another's files."""
     if args.out:
         run_dir = Path(args.out)
-    else:
-        stamp = time.strftime("%Y%m%d-%H%M%S")
-        run_dir = Path("runs") / f"{args.command}-{stamp}"
-        n = 1
-        while run_dir.exists():
-            run_dir = Path("runs") / f"{args.command}-{stamp}-{n}"
-            n += 1
-    run_dir.mkdir(parents=True, exist_ok=True)
+        if run_dir.exists() and not (run_dir.is_dir() and not any(run_dir.iterdir())):
+            raise FileExistsError(f"--out {run_dir} exists and is not an empty directory")
+        return run_dir
+    stamp = time.strftime("%Y%m%d-%H%M%S")
+    run_dir = Path("runs") / f"{args.command}-{stamp}"
+    n = 1
+    while run_dir.exists():
+        run_dir = Path("runs") / f"{args.command}-{stamp}-{n}"
+        n += 1
     return run_dir
 
 
-def _run(args, cfg: ExperimentConfig) -> int:
-    """Run one subcommand. `args.command_fn` reads and checks every input and
-    returns a writer, so a bad input leaves no run directory; the directory
-    then gets the effective config, the writer's artifacts (partial ones too,
-    if it raises) and `<command>.json`, and stdout one summary line."""
+def _run(args) -> int:
+    """Run one subcommand. --out is checked before the config is loaded, then
+    `args.command_fn` reads and checks every input and returns a writer, so
+    a bad input or --out leaves no run directory; the directory then gets
+    the effective config, the writer's artifacts (partial ones too, if it
+    raises) and `<command>.json`, and stdout one summary line."""
+    run_dir = _run_dir(args)
+    cfg = _override(load_config(args.config), args)
     write = args.command_fn(args, cfg)
-    run_dir = _make_run_dir(args)
+    run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.ini").write_text(cfg.to_ini())
     report, summary = write(run_dir)
     _write_json(run_dir / f"{args.command}.json", report)
@@ -179,9 +187,10 @@ def _recover_objective(rc, target: Signal, whitening, wcfg: WienerConfig):
     """
     if rc.loss == "mse":
 
-        def objective(x):
+        def objective(x):  # an overflow ends the descent as a non-finite loss
             diff = x - target.planes
-            return 0.5 * float(np.sum(diff**2)), diff
+            with np.errstate(over="ignore", invalid="ignore"):
+                return 0.5 * float(np.sum(diff**2)), diff
 
         return objective
     kernel = QuotientKernel(target.planes, target.shape, wcfg.lam)
@@ -529,7 +538,7 @@ def main(argv=None) -> int:
     _keep_heap()
     args = _build_parser().parse_args(argv)
     try:
-        return _run(args, _override(load_config(args.config), args))
+        return _run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -8,13 +8,14 @@ translation-invariant distance unaffected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError, check_seed
-from .spectral import as_stack
-from .wiener import QuotientKernel, WienerConfig
+from .spectral import as_stack, full_lag
+from .wiener import QuotientKernel, WienerConfig, _tile_cells
 
 __all__ = [
     "LabeledSet",
@@ -89,8 +90,11 @@ def _distance_matrix(
 
     Element-wise kinds are exact everywhere: one pass over the set's flat
     stack per query. A TI entry is ``ti_distance`` of its pair, found in two
-    passes over the set's quotient kernel, whose fixed side (n, 1, C, *extents)
-    broadcasts the queries to (n, m, C):
+    passes that stream the set through quotient kernels of one block of
+    training rows at a time, each block about one TI tile of filter elements
+    against one query (``wiener._tile_cells``). A block's fixed side
+    (b, 1, C, *extents) broadcasts the queries, transformed once, to
+    (b, m, C):
 
     * ``ti_bounds`` gives every pair a lower bound lb on its value (the
       channel mean of the planes' bounds), with no exact moments: each
@@ -99,20 +103,38 @@ def _distance_matrix(
     * per query, the pairs of its k lowest bounds are computed exactly,
       exact moments included (``ti_values_at``), and the largest of them is
       at least its k-th smallest value; every other pair whose lb is not
-      strictly greater than that is computed too.
+      strictly greater than that is computed too. Each of these two rounds
+      builds kernels over the distinct training rows it finishes only.
 
-    A pair left out has a value above k others, so it is +inf here, and the
-    stable-argsort vote sees the k nearest, their order and their distances
-    as in the full matrix. With k = n every entry is exact.
+    So the spectra of one block are held at a time, besides the (m, n)
+    bounds. Each row is transformed alone, so a block's kernel is bit for
+    bit those rows of the whole set's. A pair left out has a value above k
+    others, so it is +inf here, and the stable-argsort vote sees the k
+    nearest, their order and their distances as in the full matrix. With
+    k = n every entry is exact.
     """
     if spec.kind == "wiener_ti":
-        kernel = QuotientKernel(train.stack[:, np.newaxis], train.shape, spec.wiener_cfg.lam)
-        lb = kernel.ti_bounds(queries).mean(axis=-1).T  # (n, m, C) bounds -> (m, n)
+        block = _tile_cells(math.prod(full_lag(train.shape)) * train.stack.shape[1])
+        spectra = queries
+
+        def kernels(rows):  # (offset, kernel) of each block of training rows in `rows`
+            for start in range(0, len(rows), block):
+                fixed = train.stack[rows[start : start + block], np.newaxis]
+                yield start, QuotientKernel(fixed, train.shape, spec.wiener_cfg.lam)
+
+        lb = np.empty((len(queries), len(train)))  # (m, n)
+        for start, kernel in kernels(np.arange(len(train))):
+            spectra = kernel.spectrum(spectra)  # a spectrum is passed through as it is
+            lb[:, start : start + block] = kernel.ti_bounds(spectra).mean(axis=-1).T
         out = np.full(lb.shape, np.inf)
         exact = np.zeros(lb.shape, dtype=bool)
 
         def compute(rows, cols):  # query rows and training columns
-            out[rows, cols] = kernel.ti_values_at(queries, (cols, rows)).mean(axis=-1)
+            distinct, col = np.unique(cols, return_inverse=True)
+            for start, kernel in kernels(distinct):
+                pick = (col >= start) & (col < start + block)
+                at = (col[pick] - start, rows[pick])
+                out[rows[pick], cols[pick]] = kernel.ti_values_at(spectra, at).mean(axis=-1)
             exact[rows, cols] = True
 
         first = np.argpartition(lb, k - 1, axis=1)[:, :k]

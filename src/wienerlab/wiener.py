@@ -88,6 +88,9 @@ class QuotientKernel:
     inverts only what it keeps: each leading lag axis is inverted and
     cropped to its unpadded extent before the next, so the final real
     inverse runs over the kept rows alone. conj(K) is formed once per kernel.
+    Every method that takes the varying side takes its ``spectrum`` as well,
+    so a varying batch met by many kernels (the kNN's training blocks) is
+    transformed once.
 
     ``ti_values`` reduces each filter plane to its TI value without keeping
     the whole filter stack: it walks the broadcast batch in tiles of about
@@ -135,14 +138,14 @@ class QuotientKernel:
 
     def filters(self, varying: np.ndarray) -> np.ndarray:
         """Raw-layout matching filters (*batch, *padded), varying side in the numerator."""
-        return self._inverse(self._quotient(self.K, self.L, self._spectrum(varying)))
+        return self._inverse(self._quotient(self.K, self.L, self.spectrum(varying)))
 
     def filters_with_ti(self, varying: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``filters`` and each plane's ``ti_values`` result from one forward
         and one inverse transform of `varying`. Untiled, so meant for a small
         batch such as one pair; its TI results equal ``ti_values``' bit for
         bit."""
-        Q = self._quotient(self.K, self.L, self._spectrum(varying))
+        Q = self._quotient(self.K, self.L, self.spectrum(varying))
         v = self._inverse(Q)
         return (v, *self._ti(Q, v))
 
@@ -156,10 +159,17 @@ class QuotientKernel:
             Q += L
         return Q
 
-    def _spectrum(self, varying: np.ndarray) -> np.ndarray:
-        """rfftn of the varying side on the padded grid."""
-        if np.shape(varying)[-len(self.shape):] != self.shape:
-            raise ShapeError(f"varying {np.shape(varying)} does not end in extents {self.shape}")
+    def spectrum(self, varying: np.ndarray) -> np.ndarray:
+        """rfftn of the varying side on the padded grid. A complex `varying` is
+        taken to be that spectrum already and is returned as it is, so every
+        method here accepts a spectrum in place of its signals: a caller that
+        meets several kernels of the same extents transforms them once."""
+        spectral = np.iscomplexobj(varying)
+        extents = self.K.shape[-len(self.shape):] if spectral else self.shape
+        if np.shape(varying)[-len(self.shape):] != extents:
+            raise ShapeError(f"varying {np.shape(varying)} does not end in extents {extents}")
+        if spectral:
+            return varying
         with np.errstate(over="ignore", invalid="ignore"):
             return np.fft.rfftn(varying, s=self.padded, axes=self.axes)
 
@@ -242,7 +252,7 @@ class QuotientKernel:
         length-1 axes put in front until it has two, and K, L and the spectrum
         of `varying`, each reshaped to the padded batch's rank."""
         rank = len(self.shape)
-        X = self._spectrum(varying)
+        X = self.spectrum(varying)
         batch = np.broadcast_shapes(self.K.shape[:-rank], X.shape[:-rank])
         lead = max(len(batch), 2)
         factors = tuple(

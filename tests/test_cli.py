@@ -182,6 +182,20 @@ class TestRecoverCommand:
         for name in ("masked.pgm", "baseline.pgm", "recovered.pgm"):
             read_pgm(out / name)
 
+    def test_mse_overflow_is_a_divergence_without_warnings(self, tmp_path, capsys):
+        # a huge step squares the mse residual past the float range: the run
+        # ends in one line on stderr, with no numpy warning before it
+        image = write_image(tmp_path / "x.pgm", np.random.default_rng(5).random((16, 16)))
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text("[recover]\niterations = 50\nstep_size = 1e150\nloss = mse\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["recover", str(image), "--config", str(cfgf), "--out", str(tmp_path / "run")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: recovery diverged at iteration")
+        assert err.count("\n") == 1, err
+
     def test_loss_curve_monotone_after_smoothing(self, tmp_path, digit_image):
         out = tmp_path / "run"
         assert main(["recover", str(digit_image), "--out", str(out)]) == 0
@@ -471,6 +485,22 @@ class TestErrorHandling:
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("data error: ")
         assert blocker.read_text() == "kept"
+
+    def test_reused_out_exits_3_and_keeps_the_first_run(self, tmp_path, capsys, digit_image):
+        out = tmp_path / "run"
+        argv = ["loss", str(digit_image), str(digit_image), "--out", str(out)]
+        assert main(argv) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("data error: --out ")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+    def test_empty_out_directory_is_used(self, tmp_path, digit_image):
+        out = tmp_path / "run"
+        out.mkdir()
+        assert main(["loss", str(digit_image), str(digit_image), "--out", str(out)]) == 0
+        assert (out / "loss.json").is_file()
 
     def test_missing_image_exits_3(self, tmp_path):
         assert main(["filter", str(tmp_path / "no.pgm"), str(tmp_path / "no.pgm")]) == 3
@@ -835,7 +865,7 @@ class TestHeapPolicy:
         def faults(iterations: int) -> int:
             cfgf = tmp_path / f"{iterations}.ini"
             cfgf.write_text(f"[recover]\nloss = wiener\niterations = {iterations}\n")
-            out = tmp_path / f"run{iterations}"
+            out = tmp_path / f"run{len(list(tmp_path.glob('run*')))}"  # --out is never reused
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             assert main(["recover", image, "--config", str(cfgf), "--out", str(out)]) == 0
             return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before

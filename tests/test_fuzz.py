@@ -8,8 +8,10 @@ traceback, and a reader returns its result or raises a library error. A
 import gzip
 import json
 import math
+import tempfile
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +104,12 @@ def images(tmp_path):
     return paths
 
 
+def _fresh(tmp_path) -> str:
+    """A new empty run directory: the examples of a test share tmp_path, and
+    an --out that is not empty is refused."""
+    return tempfile.mkdtemp(dir=tmp_path)
+
+
 def _run(capsys, argv) -> int:
     rc = main(argv)
     err = capsys.readouterr().err
@@ -116,7 +124,7 @@ def _run(capsys, argv) -> int:
 def test_wiener_and_window_values_end_in_an_exit_code(tmp_path, capsys, images, text, target):
     cfgf = tmp_path / "fuzz.ini"
     cfgf.write_text(text, encoding="utf-8")
-    out = tmp_path / "run"
+    out = Path(_fresh(tmp_path))
     argv = ["loss", str(images["a"]), str(images[target]), "--config", str(cfgf)]
     # a warning the CLI would print to stderr is recorded here instead
     with warnings.catch_warnings(record=True) as caught:
@@ -137,7 +145,7 @@ def test_wiener_and_window_values_end_in_an_exit_code(tmp_path, capsys, images, 
 def test_corrupted_pgm_ends_in_an_exit_code(tmp_path, capsys, images, raw):
     bad = tmp_path / "fuzz.pgm"
     bad.write_bytes(raw)
-    _run(capsys, ["filter", str(bad), str(images["a"]), "--out", str(tmp_path / "run")])
+    _run(capsys, ["filter", str(bad), str(images["a"]), "--out", _fresh(tmp_path)])
 
 
 @pytest.fixture(scope="module")
@@ -213,7 +221,7 @@ def test_corrupted_idx_pair_through_knn_and_train_ends_in_an_exit_code(
     cfgf.write_text(IDX_RUNS.format(images=images_path, labels=labels_path), encoding="utf-8")
     valid = (images_raw, labels_raw) == (VALID_IDX_IMAGES, VALID_IDX_LABELS)
     for command in ("knn", "train"):
-        rc = _run(capsys, [command, "--config", str(cfgf), "--out", str(tmp_path / command)])
+        rc = _run(capsys, [command, "--config", str(cfgf), "--out", _fresh(tmp_path)])
         assert rc == 0 or not valid, (command, rc)
 
 
@@ -267,7 +275,7 @@ def _run_tiny(tmp_path, capsys, images, commands, section="", key="", value="") 
         _run(
             capsys,
             [command, *[str(images["a"]), str(images["b"])][: pgms.get(command, 0)]]
-            + ["--config", str(cfgf), "--out", str(tmp_path / command)],
+            + ["--config", str(cfgf), "--out", _fresh(tmp_path)],
         )
         for command in commands
     ]
@@ -295,3 +303,34 @@ def test_every_string_key_ends_in_an_exit_code(tmp_path, capsys, images, section
 def test_negative_seed_flag_is_a_config_error(tmp_path, capsys, command):
     assert _run(capsys, [command, "--seed", "-1", "--out", str(tmp_path / "run")]) == 2
     assert not (tmp_path / "run").exists()
+
+
+@st.composite
+def tiny_knn(draw) -> dict[str, int]:
+    """[knn] sizes from their smallest valid values to one past the largest."""
+    n_train, pad = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    return {
+        "n_train": n_train,
+        "n_test": draw(st.integers(1, 3)),
+        "k": draw(st.integers(1, n_train + 1)),
+        "baseline_k": draw(st.integers(1, n_train + 1)),
+        "pad": pad,
+        "max_shift": draw(st.integers(0, pad + 1)),
+    }
+
+
+SMALLEST_KNN = {"n_train": 1, "n_test": 1, "k": 1, "baseline_k": 1, "pad": 0, "max_shift": 0}
+
+
+@FUZZ
+@given(knn=tiny_knn())
+@example(knn=SMALLEST_KNN)
+@example(knn={**SMALLEST_KNN, "n_train": 3, "k": 4})  # k = n_train + 1
+def test_knn_keys_at_tiny_sizes_end_in_their_exit_code(tmp_path, capsys, knn):
+    cfgf = tmp_path / "knn.ini"
+    cfgf.write_text("[knn]\n" + "".join(f"{k} = {v}\n" for k, v in knn.items()))
+    out = Path(_fresh(tmp_path))
+    rc = _run(capsys, ["knn", "--config", str(cfgf), "--out", str(out)])
+    valid = max(knn["k"], knn["baseline_k"]) <= knn["n_train"] and knn["max_shift"] <= knn["pad"]
+    assert rc == (0 if valid else 2), (knn, rc)
+    assert (out / "knn.json").is_file() == valid, knn

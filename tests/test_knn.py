@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +18,7 @@ from wienerlab.knn import (
     make_translated_set,
 )
 from wienerlab import wiener
-from wienerlab.spectral import Signal
+from wienerlab.spectral import Signal, full_lag
 from wienerlab.wiener import QuotientKernel, WienerConfig, ti_distance
 
 
@@ -302,9 +304,12 @@ class TestAllQueriesDistanceMatrix:
     @pytest.mark.parametrize(
         "budget",
         [
-            None,  # the library's chunk budget: one tile
+            None,  # the library's chunk budget: one tile, one block of all 13 rows
             3 * 5 * 2 * 120,  # tiles of 3 training samples x all 5 queries; 13 % 3 != 0
             2 * 2 * 120,  # tiles of 1 training sample x 2 queries; 5 % 2 != 0
+            2 * 120,  # blocks of 1 training row
+            3 * 2 * 120,  # blocks of 3 training rows; 13 % 3 != 0
+            13 * 2 * 120,  # one block of exactly the 13 rows
         ],
     )
     def test_ti_matrix_equals_per_pair_ti_distance(self, monkeypatch, budget):
@@ -521,14 +526,28 @@ def _pruning_case(data):
     return LabeledSet(train, labels), np.array(queries), WienerConfig(lam), k
 
 
+def _block_budget(train, rows):
+    """A TI_CHUNK_ELEMENTS that streams `train` in blocks of `rows` training rows."""
+    return rows * math.prod(full_lag(train.shape)) * train.stack.shape[1]
+
+
 class TestPrunedTiMatrix:
+    # blocks of 1 training row, of 3 (which need not divide n), of at least n
+    # rows, and the library's budget
+    @pytest.mark.parametrize("rows", [1, 3, "n", None])
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
-    def test_pruned_neighbours_and_votes_equal_the_full_matrix(self, data):
+    def test_pruned_neighbours_and_votes_equal_the_full_matrix(self, data, rows):
         train, qs, cfg, k = _pruning_case(data)
         spec = DistanceSpec("wiener_ti", cfg)
-        full, everything = _distance_matrix(train, qs, spec, len(train))
-        pruned, fraction = _distance_matrix(train, qs, spec, k)
+        with pytest.MonkeyPatch.context() as mp:
+            if rows is not None:
+                budget = _block_budget(train, len(train) if rows == "n" else rows)
+                mp.setattr(wiener, "TI_CHUNK_ELEMENTS", budget)
+            full, everything = _distance_matrix(train, qs, spec, len(train))
+            pruned, fraction = _distance_matrix(train, qs, spec, k)
+        # the bounds, and so the prunes, do not move with the block size
+        assert pruned.tobytes() == _distance_matrix(train, qs, spec, k)[0].tobytes()
         assert everything == 1.0 and 0.0 < fraction <= 1.0
         assert np.isfinite(full).all()
         computed = np.isfinite(pruned)
@@ -557,6 +576,21 @@ class TestPrunedTiMatrix:
                 [ti_distance(Signal.from_planes(q), t, cfg) for t in queries(train)] for q in qs
             ]
         assert full.tobytes() == np.array(pairs).tobytes()
+
+    def test_peak_memory_is_below_half_the_whole_set_kernel(self):
+        # 1000 training digits padded to 20 x 20: their K and L would take
+        # 1000 x 40 x 21 x 24 B, about 20 MB; the streamed passes hold one
+        # block of rows at a time, besides the (m, n) bounds and distances
+        train = make_translated_set(make_digit_set(1000, size=8, seed=11), 0, 6, seed=1)
+        test = make_translated_set(make_digit_set(5, size=8, seed=77), 6, 6, seed=4)
+        whole = len(train) * 40 * 21 * 24
+        tracemalloc.start()
+        try:
+            evaluate_accuracy(train, test, 10, DistanceSpec("wiener_ti"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole / 2, f"peak {peak / 2**20:.1f} MiB"
 
     def test_pruning_is_on_for_translated_digits(self):
         train = make_translated_set(make_digit_set(200, size=8, seed=11), 0, 6, seed=1)

@@ -240,7 +240,7 @@ def test_run_skeleton_lives_in_one_cli_function():
     # report JSON, and it prints the summary line: no subcommand prints
     functions = [n for n in ast.parse((SRC / "cli.py").read_text()).body
                  if isinstance(n, ast.FunctionDef)]
-    for name in ("_make_run_dir", "to_ini", "_write_json"):
+    for name in ("_run_dir", "to_ini", "_write_json"):
         users = [fn.name for fn in functions if name in _names(fn)]
         assert users == ["_run"], (name, users)
     commands = [fn for fn in functions if fn.name.startswith("_cmd_")]

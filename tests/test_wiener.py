@@ -437,6 +437,22 @@ class TestTiBounds:
         assert np.all(at == 0.0)
 
 
+    def test_a_spectrum_stands_in_for_its_signals(self):
+        # the kNN transforms its queries once and meets every training block
+        # with their spectrum: each TI result is the same bits
+        rng = np.random.default_rng(59)
+        kernel = QuotientKernel(rng.random((6, 1, 2, 5, 6)), (5, 6), 0.5)
+        varying = rng.random((4, 2, 5, 6))
+        X = kernel.spectrum(varying)
+        assert X.shape == (4, 2, 10, 7) and kernel.spectrum(X) is X
+        index = (np.array([5, 0, 3]), np.array([1, 3, 0]))
+        assert kernel.ti_bounds(X).tobytes() == kernel.ti_bounds(varying).tobytes()
+        assert (kernel.ti_values_at(X, index).tobytes()
+                == kernel.ti_values_at(varying, index).tobytes())
+        with pytest.raises(ShapeError):  # a spectrum on another grid
+            kernel.spectrum(X[..., :6])
+
+
 class TestConcentration:
     def test_delta_is_one(self):
         assert concentration(delta_filter(LagGrid((8, 8)))) == pytest.approx(1.0)
