@@ -175,13 +175,14 @@ def _mask_aware_mean_fill(masked: np.ndarray, mask: np.ndarray, stride: int) -> 
     return np.where(mask != 0, masked, means)
 
 
-def _recover_objective(rc, target: Signal, whitening, wcfg: WienerConfig):
+def _recover_objective(rc, target: Signal, w_raw: np.ndarray | None, wcfg: WienerConfig):
     """x -> (loss, gradient) for the recovery descent, x shaped like target.planes.
 
-    The filter loss keeps the target's quotient kernel and the raw whitening
-    window for the whole run, so a step costs two forward real transforms,
-    the filter's inverse and the gradient's pruned inverse (its real
-    inverse runs over the kept half of the rows only). The whitened
+    The filter loss keeps the target's quotient kernel and `w_raw`, the raw
+    whitening window (None for mse, which reads no window), for the whole
+    run, so a step costs two forward real transforms, the filter's inverse
+    and the gradient's pruned inverse (its real inverse runs over the kept
+    half of the rows only). The whitened
     cotangent is formed in the residual's buffer, so a step allocates no
     copy of it, and the caller updates the iterate in place.
     """
@@ -194,7 +195,6 @@ def _recover_objective(rc, target: Signal, whitening, wcfg: WienerConfig):
 
         return objective
     kernel = QuotientKernel(target.planes, target.shape, wcfg.lam)
-    w_raw = whitening.raw
 
     def objective(x):
         value, grad = loss_and_grad(kernel, x, w_raw)
@@ -211,7 +211,8 @@ def _cmd_recover(args, cfg: ExperimentConfig):
     if plane.max() > plane.min():  # min-max rescale so the target spans [0, 1]
         target = Signal.from_array((plane - plane.min()) / (plane.max() - plane.min()))
     rc = cfg.recover
-    whitening = _whitening(cfg, target.shape)
+    # the raw window alone: the centered one it is rolled from is let go
+    w_raw = _whitening(cfg, target.shape).raw if rc.loss == "wiener" else None
 
     mask = _stride_mask(target.shape, rc.stride)
     masked_plane = target.plane() * mask
@@ -223,7 +224,7 @@ def _cmd_recover(args, cfg: ExperimentConfig):
         step = 0.5 if rc.loss == "mse" else 2.0
 
     def write(run_dir):
-        objective = _recover_objective(rc, target, whitening, cfg.wiener)
+        objective = _recover_objective(rc, target, w_raw, cfg.wiener)
         x = masked.planes.copy()
         logged, curve = [], []  # iterations and their losses
         for it in range(rc.iterations):

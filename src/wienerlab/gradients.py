@@ -86,7 +86,9 @@ def energy_terms(
     `X` is (batch, C, *extents). Each defining sample contributes half its
     penalty quotient plus the zero-lag amplitude correction gamma/2 * (v0 - 1)^2.
     Every (signal, defining sample) pair goes through the defining set's
-    kernel in one filter pass and one pullback per chunk of signals. Returns
+    kernel in one filter pass and one pullback per chunk of signals; the
+    pullback sums each signal's cotangents over the defining set before its
+    inverse, so it inverts one gradient per signal. Returns
     the values (batch,), the gradients (batch, C, *extents), and the
     per-sample energies and zero-lag concentrations (batch, n_defining) in
     dataset index order. Overflow shows up as non-finite values, which the
@@ -115,7 +117,8 @@ def _energy_chunk(model: "EnergyModel", X: np.ndarray):
 
     # channel means are sum / channels, as in np.mean; the ndarray methods skip
     # np.sum's dispatch, which costs as much as the sum on these small arrays
-    v = kernel.filters(X[:, None])  # (batch, n, C, *padded), raw layout
+    varying = X[:, None]  # (batch, 1, C, *extents), broadcast over the defining set
+    v = kernel.filters(varying)  # (batch, n, C, *padded), raw layout
     with np.errstate(over="ignore", invalid="ignore"):
         fractions, norms = zero_lag_fractions(v, (0,) * len(axes))
         # Rayleigh quotient ||pen * v||^2 / ||v||^2: where a filter's energy sits
@@ -129,7 +132,8 @@ def _energy_chunk(model: "EnergyModel", X: np.ndarray):
         # d(R/2)/dv = (pen^2 v - R v) / ||v||^2 ; amplitude term adds gamma (v0 - 1) at zero lag
         g_v = (model.penalty_sq * v - quot * v) / norms / channels
         g_v[zero] += gamma * (v0 - 1.0) / channels
-    grads = kernel.pullback(g_v).sum(axis=1)
+    # the pullback sums over the defining set on the spectrum: one inverse per signal
+    grads = kernel.pullback(g_v, varying.shape[: -len(axes)])[:, 0]
     return energies.sum(axis=1), grads, energies, concentrations
 
 

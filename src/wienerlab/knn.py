@@ -89,10 +89,11 @@ def _distance_matrix(
     fraction of the m * n entries computed exactly.
 
     Element-wise kinds are exact everywhere: one pass over the set's flat
-    stack per query. A TI entry is ``ti_distance`` of its pair, found in two
-    passes that stream the set through quotient kernels of one block of
-    training rows at a time, each block about one TI tile of filter elements
-    against one query (``wiener._tile_cells``). A block's fixed side
+    stack per query, into one difference buffer. A TI entry is
+    ``ti_distance`` of its pair, found in two passes that stream the set
+    through quotient kernels of one block of training rows at a time, each
+    block about one TI tile of filter elements against one query
+    (``wiener._tile_cells``). A block's fixed side
     (b, 1, C, *extents) broadcasts the queries, transformed once, to
     (b, m, C):
 
@@ -144,8 +145,9 @@ def _distance_matrix(
         return out, float(exact.mean())
     flat = train.stack.reshape(len(train), -1)
     out = np.empty((len(queries), len(train)))
+    diff = np.empty_like(flat)  # one difference buffer, reused by every query
     for row, query in zip(out, queries.reshape(len(queries), -1)):
-        diff = flat - query
+        np.subtract(flat, query, out=diff)
         if spec.kind == "manhattan":
             np.sum(np.abs(diff, out=diff), axis=1, out=row)
         else:

@@ -129,10 +129,13 @@ class LagGrid:
         return tuple(n // 2 for n in self.extents)
 
     def lag_l1(self) -> np.ndarray:
-        """Per-bin Manhattan distance from the zero-lag bin."""
-        axes = [np.abs(np.arange(n) - n // 2) for n in self.extents]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return sum(grids).astype(np.float64)
+        """Per-bin Manhattan distance from the zero-lag bin, as float64: each
+        axis's profile is added into one grid by broadcasting."""
+        out = np.zeros(self.extents)
+        for axis, n in enumerate(self.extents):
+            profile = np.abs(np.arange(n) - n // 2)
+            out += profile.reshape((n,) + (1,) * (len(self.extents) - 1 - axis))
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,8 +213,15 @@ def pad_to_full_lag(s: Signal) -> Signal:
 
 
 def make_window(spec: WindowSpec, g: LagGrid) -> LagFilter:
-    """Evaluate a weight window over the centered lag grid (single plane)."""
+    """Evaluate a weight window over the centered lag grid (single plane),
+    every step in the buffer of ``g.lag_l1()``, so the grid is held once."""
+    w = g.lag_l1()
+    np.negative(w, out=w)
     with np.errstate(over="ignore"):  # a tiny b sends l1 / b to inf: exp(-inf) = 0
-        decay = np.exp(-g.lag_l1() / spec.b)
-    w = spec.epsilon + decay if spec.family == "laplace" else 1.0 - decay
+        w /= spec.b
+    np.exp(w, out=w)
+    if spec.family == "laplace":
+        w += spec.epsilon
+    else:
+        np.subtract(1.0, w, out=w)
     return LagFilter(w[np.newaxis], g)

@@ -87,7 +87,9 @@ class QuotientKernel:
     set (the trainer's minibatches) transforms the set once. ``pullback``
     inverts only what it keeps: each leading lag axis is inverted and
     cropped to its unpadded extent before the next, so the final real
-    inverse runs over the kept rows alone. conj(K) is formed once per kernel.
+    inverse runs over the kept rows alone, and it sums a broadcast varying
+    side's gradient on the spectrum, before any inverse. A kernel holds K
+    and L and no other spectrum: ``pullback`` forms conj(K) as it multiplies.
     Every method that takes the varying side takes its ``spectrum`` as well,
     so a varying batch met by many kernels (the kNN's training blocks) is
     transformed once.
@@ -349,26 +351,38 @@ class QuotientKernel:
         N = math.prod(self.padded)
         return dc.real / N, np.sqrt(sumsq) / N
 
-    @cached_property
-    def _K_conj(self) -> np.ndarray:
-        return np.conj(self.K)
-
-    def pullback(self, cotangent: np.ndarray) -> np.ndarray:
+    def pullback(self, cotangent: np.ndarray, batch: tuple[int, ...] | None = None) -> np.ndarray:
         """Adjoint of ``filters``' linear part: raw-layout cotangent on the padded
-        grid -> gradient on the unpadded extents. The multiplier is conj(K).
+        grid -> gradient on the unpadded extents. The multiplier is conj(K),
+        formed inside the product, so a kernel keeps K and L alone.
+
+        `batch` is the varying side's shape before its lag axes, of the same
+        rank as the cotangent's, when ``filters`` broadcast it: the adjoint
+        of that broadcast sums the axes where `batch` is 1 and the cotangent
+        is not. The sum is taken on the spectrum, before the inverse, so the
+        inverse runs once per entry of `batch`.
 
         The inverse is irfftn's own sequence of 1-D inverses, pruned: each
         leading lag axis is cropped to its unpadded extent as soon as it is
         inverted, so later inverses skip the rows the crop drops. The kept
         values are those of the full inverse, bit for bit.
         """
-        if np.shape(cotangent)[-len(self.shape):] != self.padded:
+        rank = len(self.shape)
+        if np.shape(cotangent)[-rank:] != self.padded:
             raise ShapeError(f"cotangent {np.shape(cotangent)} does not end in {self.padded}")
+        lead = np.shape(cotangent)[:-rank]
+        summed = ()
+        if batch is not None:
+            if len(batch) != len(lead) or any(n not in (1, m) for n, m in zip(batch, lead)):
+                raise ShapeError(f"varying batch {tuple(batch)} does not broadcast to {lead}")
+            summed = tuple(i for i, (n, m) in enumerate(zip(batch, lead)) if n < m)
         with np.errstate(over="ignore", invalid="ignore"):
             # in place, conj(K) first: NumPy's complex multiply can round the
             # two factor orders apart, and `K * temporary` may swap them
             G = np.fft.rfftn(cotangent, axes=self.axes)
-            np.multiply(self._K_conj, G, out=G)
+            np.multiply(np.conj(self.K), G, out=G)
+            if summed:
+                G = G.sum(axis=summed, keepdims=True)
             for axis, n, m in zip(self.axes[:-1], self.shape, self.padded):
                 G = np.fft.ifft(G, m, axis)
                 G = G[(...,) + (slice(0, n),) + (slice(None),) * (-1 - axis)]

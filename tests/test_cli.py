@@ -230,7 +230,7 @@ class TestRecoverCommand:
         target = Signal.from_array(rng.random((10, 12)))
         whitening = make_window(WindowSpec("laplace", 2.0, 0.3), LagGrid((20, 24)))
         cfg = WienerConfig(lam=0.5)
-        objective = _recover_objective(RecoverSection(loss="wiener"), target, whitening, cfg)
+        objective = _recover_objective(RecoverSection(loss="wiener"), target, whitening.raw, cfg)
         for _ in range(3):  # one kernel, several iterates
             x = rng.random((1, 10, 12))
             value, grad = objective(x)

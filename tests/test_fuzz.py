@@ -334,3 +334,65 @@ def test_knn_keys_at_tiny_sizes_end_in_their_exit_code(tmp_path, capsys, knn):
     valid = max(knn["k"], knn["baseline_k"]) <= knn["n_train"] and knn["max_shift"] <= knn["pad"]
     assert rc == (0 if valid else 2), (knn, rc)
     assert (out / "knn.json").is_file() == valid, knn
+
+
+# recover's images at their smallest: one pixel, one row, one column, flat, black
+TINY_IMAGES = {
+    "1x1": [[0.5]],
+    "1x2": [[0.2, 0.9]],
+    "2x1": [[0.2], [0.9]],
+    "constant": [[0.4] * 3] * 3,
+    "zero": [[0.0] * 3] * 3,
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_images(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    paths = {}
+    for name, plane in TINY_IMAGES.items():
+        paths[name] = root / f"{name}.pgm"
+        write_pgm(paths[name], Signal.from_array(np.array(plane)))
+    return paths
+
+
+@st.composite
+def tiny_recover(draw) -> dict:
+    """[recover] values from their smallest valid values to one past them,
+    either loss, and lambda 0 or 1."""
+    return {
+        "stride": draw(st.integers(1, 2)),
+        "iterations": draw(st.integers(0, 1)),
+        "log_every": draw(st.integers(1, 2)),
+        "step_size": draw(st.sampled_from([0.0, 1.0])),
+        "loss": draw(st.sampled_from(["mse", "wiener"])),
+        "lambda": draw(st.sampled_from([0.0, 1.0])),
+    }
+
+
+SMALLEST_RECOVER = {
+    "stride": 1, "iterations": 0, "log_every": 1, "step_size": 0.0, "loss": "wiener", "lambda": 0.0
+}
+
+
+@settings(FUZZ, max_examples=120)
+@given(recover=tiny_recover(), image=st.sampled_from(sorted(TINY_IMAGES)))
+@example(recover={**SMALLEST_RECOVER, "iterations": 1}, image="zero")  # singular at lambda 0
+@example(recover={**SMALLEST_RECOVER, "iterations": 1, "lambda": 1.0}, image="1x1")
+def test_recover_keys_at_tiny_sizes_end_in_an_exit_code(
+    tmp_path, capsys, tiny_images, recover, image
+):
+    recover = dict(recover)
+    cfgf = tmp_path / "recover.ini"
+    cfgf.write_text(
+        f"[wiener]\nlambda = {recover.pop('lambda')}\n[recover]\n"
+        + "".join(f"{k} = {v}\n" for k, v in recover.items())
+    )
+    out = Path(_fresh(tmp_path))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["recover", str(tiny_images[image]), "--config", str(cfgf), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc in EXIT_CODES and "Traceback" not in err, (recover, image, rc, err)
+    assert not caught, (recover, image, [str(w.message) for w in caught])
+    assert (out / "recover.json").is_file() == (rc == 0), (recover, image, rc)

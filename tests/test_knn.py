@@ -172,6 +172,20 @@ class TestDistances:
             to_set(query, train, DistanceSpec("euclidean")), pairs, rtol=1e-12
         )
 
+    @pytest.mark.parametrize("kind", ["manhattan", "euclidean"])
+    def test_elementwise_distances_hold_one_difference_buffer(self, kind):
+        rng = np.random.default_rng(3)
+        train = LabeledSet(rng.random((2000, 1, 20, 20)), [0] * 2000)
+        qs = rng.random((5, 1, 20, 20))
+        buffer = train.stack.nbytes  # one (n, d) difference
+        tracemalloc.start()
+        try:
+            _distance_matrix(train, qs, DistanceSpec(kind), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * buffer, f"peak {peak / buffer:.2f} buffers"
+
     def test_query_shape_mismatch(self):
         train = labeled([np.ones((4, 4))], [0])
         with pytest.raises(ShapeError):

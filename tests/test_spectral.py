@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -165,6 +166,32 @@ class TestFFT:
         cropped = full[(...,) + tuple(slice(0, n) for n in extents)]
         np.testing.assert_allclose(pulled, cropped, rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("extents", [(7,), (8,), (5, 7), (6, 4)])
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    def test_pullback_sums_a_broadcast_varying_side_before_its_inverse(self, extents, channels):
+        # filters broadcast a (batch, 1, C) varying side over an (n, C) fixed
+        # set, so the adjoint sums the n cotangents of each varying entry
+        rng = np.random.default_rng(5)
+        k = QuotientKernel(rng.random((4, channels) + extents), extents, 0.7)
+        g = rng.random((3, 4, channels) + k.padded)
+        summed = k.pullback(g, (3, 1, channels))
+        assert summed.shape == (3, 1, channels) + extents
+        # the two orders round apart, so entries that cancel to near zero are
+        # held to 1e-14 of the largest entry
+        want = k.pullback(g).sum(axis=1)
+        tol = 1e-14 * np.abs(want).max()
+        np.testing.assert_allclose(summed[:, 0], want, rtol=1e-14, atol=tol)
+        for batch in ((2, 1, channels), (1, channels)):
+            with pytest.raises(ShapeError):
+                k.pullback(g, batch)
+
+    def test_a_kernel_holds_no_spectrum_besides_k_and_l(self):
+        rng = np.random.default_rng(6)
+        k = QuotientKernel(rng.random((2, 1, 6, 5)), (6, 5), 0.7)
+        k.pullback(k.filters(rng.random((2, 1, 6, 5))))
+        arrays = {name for name, value in vars(k).items() if isinstance(value, np.ndarray)}
+        assert arrays == {"K", "L"}
+
     def test_nonfinite_rejected(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # NumericalError only, no numpy warning first
@@ -237,6 +264,27 @@ class TestWindows:
     def test_inverted_laplace_value_at_l1_four(self):
         w = make_window(WindowSpec("inverted_laplace", b=2.0), LagGrid((16,)))
         assert w.data[0][8 + 4] == pytest.approx(1.0 - np.exp(-2.0))
+
+    @pytest.mark.parametrize("family", ["laplace", "inverted_laplace"])
+    @pytest.mark.parametrize("extents", [(7,), (8,), (5, 7), (6, 4), (1, 2)])
+    def test_window_equals_the_meshgrid_formula_bit_for_bit(self, family, extents):
+        spec = WindowSpec(family, b=1.7, epsilon=0.3)
+        axes = [np.abs(np.arange(n) - n // 2) for n in extents]
+        l1 = sum(np.meshgrid(*axes, indexing="ij")).astype(np.float64)
+        decay = np.exp(-l1 / spec.b)
+        want = spec.epsilon + decay if family == "laplace" else 1.0 - decay
+        got = make_window(spec, LagGrid(extents)).data[0]
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    def test_window_is_built_in_one_grid(self):
+        grid = LagGrid((512, 512))
+        tracemalloc.start()
+        try:
+            make_window(WindowSpec("laplace", 2.0, 0.3), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 512 * 512 * 8, f"peak {peak / (512 * 512 * 8):.2f} grids"
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ConfigError):
