@@ -417,10 +417,13 @@ def _cmd_knn(args, cfg: ExperimentConfig):
 
 
 def _train_data(cfg: ExperimentConfig) -> np.ndarray:
-    """The training set as a stack (n, C, *extents)."""
+    """The training set as a stack (n, C, *extents). Labels are not used; a
+    `data_labels` file is read only to check it against the images."""
     t = cfg.train
+    if t.data_labels:
+        return ingest_idx(t.data_images, t.data_labels, t.n_train).stack
     if t.data_images:
-        return ingest_idx(t.data_images, t.data_labels or None, t.n_train).stack
+        return read_idx_images(t.data_images, t.n_train)[:, np.newaxis]
     return make_digit_set(t.n_train, size=t.digit_size, seed=t.data_seed).stack
 
 

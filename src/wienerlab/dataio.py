@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError
 from .knn import LabeledSet
 from .spectral import Signal
 from .trainer import DenseAutoencoder
@@ -56,7 +56,8 @@ def read_idx_images(path, limit: int | None = None) -> np.ndarray:
     """(count, rows, cols) array of float64 pixels in [0, 1].
 
     With `limit`, only the first `limit` images (all of them if the file
-    holds fewer) are converted from the 8-bit payload.
+    holds fewer) are converted from the 8-bit payload; a `limit` below 1 is
+    a ConfigError, not a slice from the end.
     """
     return _read_idx_images(path, limit)[1]
 
@@ -64,6 +65,8 @@ def read_idx_images(path, limit: int | None = None) -> np.ndarray:
 def _read_idx_images(path, limit: int | None) -> tuple[int, np.ndarray]:
     """The image count from the header, and the first `limit` images as in
     ``read_idx_images``."""
+    if limit is not None and limit < 1:
+        raise ConfigError(f"a set size read from an IDX file must be at least 1, got {limit}")
     buf = _read_bytes(path)
     magic = _be32(buf, 0)
     if magic != IDX_IMAGE_MAGIC:

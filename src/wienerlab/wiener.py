@@ -82,14 +82,15 @@ class QuotientKernel:
     one ``_quotient`` product, so ``filters``, ``filters_with_ti`` and
     ``ti_values`` round it alike at every size.
 
+    ``_forward`` is the one forward transform and ``_inverse`` the one
+    inverse, irfftn's own 1-D inverses; it is pruned there alone, for
+    ``pullback``: each leading lag axis is cropped once it is inverted.
+
     ``rows(index)`` is the kernel of ``fixed[index]`` over the leading axis,
     sharing K and L with no transform, so a loop over subsets of one fixed
     set (the trainer's minibatches) transforms the set once. ``pullback``
-    inverts only what it keeps: each leading lag axis is inverted and
-    cropped to its unpadded extent before the next, so the final real
-    inverse runs over the kept rows alone, and it sums a broadcast varying
-    side's gradient on the spectrum, before any inverse. A kernel holds K
-    and L and no other spectrum: ``pullback`` forms conj(K) as it multiplies.
+    sums a broadcast varying side's gradient on the spectrum, before any
+    inverse, and forms conj(K) as it multiplies: a kernel holds K and L alone.
     Every method that takes the varying side takes its ``spectrum`` as well,
     so a varying batch met by many kernels (the kNN's training blocks) is
     transformed once.
@@ -99,14 +100,11 @@ class QuotientKernel:
     TI_CHUNK_ELEMENTS spatial elements over its first two axes, takes each
     plane's mean from the DC bin and its spread from Parseval over the
     non-DC bins of the half spectrum, and reads only the maximum from the
-    spatial domain. ``ti_bounds`` walks the same tiles, with the leading lag
-    axes laid out last, and stops the inverse after them: it bounds each
-    plane's maximum by its row sums and its spread from below by Parseval
-    with a relative slack, and takes no exact moments. ``ti_values_at``
-    finishes chosen planes only, exact moments included, so a search that
-    needs only the smallest values (the kNN vote) inverts few filters
-    whole. The values of ``ti_values_at`` equal those of ``ti_values`` bit
-    for bit.
+    spatial domain. ``ti_bounds`` walks the same tiles, stops the inverse
+    after ``_unwind`` and bounds each plane's value from below, with no
+    exact moments. ``ti_values_at`` finishes chosen planes only, so a search
+    that needs only the smallest values (the kNN vote) inverts few filters
+    whole; its values equal ``ti_values``' bit for bit.
     """
 
     def __init__(self, fixed: np.ndarray, shape: tuple[int, ...], lam: float):
@@ -115,8 +113,8 @@ class QuotientKernel:
         self.axes = tuple(range(-len(self.shape), 0))
         if np.shape(fixed)[-len(self.shape):] != self.shape:
             raise ShapeError(f"fixed {np.shape(fixed)} does not end in extents {self.shape}")
+        S = self._forward(fixed)
         with np.errstate(over="ignore", invalid="ignore"):
-            S = np.fft.rfftn(fixed, s=self.padded, axes=self.axes)
             den = S.real**2
             den += S.imag**2
             den += lam
@@ -170,10 +168,7 @@ class QuotientKernel:
         extents = self.K.shape[-len(self.shape):] if spectral else self.shape
         if np.shape(varying)[-len(self.shape):] != extents:
             raise ShapeError(f"varying {np.shape(varying)} does not end in extents {extents}")
-        if spectral:
-            return varying
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.fft.rfftn(varying, s=self.padded, axes=self.axes)
+        return varying if spectral else self._forward(varying)
 
     def ti_values(self, varying: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Negative maximum of each standardized filter plane, shaped (*batch,),
@@ -189,7 +184,7 @@ class QuotientKernel:
         with no exact moments and no real inverse.
 
         Each tile holds Q with the half-spectrum axis first among the lag
-        axes, so the leading lag axes, inverted by ``ifft`` as ``irfftn``
+        axes, so the leading lag axes, which ``_unwind`` inverts as ``irfftn``
         does first, are contiguous. With a = |Y| of that partial inverse
         and c = 2/w per half-spectrum bin, 1/w on the zero and Nyquist
         columns (w the padded last extent):
@@ -214,9 +209,7 @@ class QuotientKernel:
         c = self._row_weights
 
         def bound_parts(Q):  # row bound P, mean and N^2 sigma_lo^2 of each plane
-            Y = Q
-            for axis, m in zip(range(1 - rank, 0), self.padded[:-1]):
-                Y = np.fft.ifft(Y, m, axis)
+            Y = self._unwind(Q, range(1 - rank, 0))
             a = np.abs(Y).reshape(Y.shape[:-rank] + (len(c), -1))  # (..., bins, rows)
             peak = (c @ a).max(axis=-1)
             a *= a
@@ -302,17 +295,13 @@ class QuotientKernel:
         inverted here unless given. ``_moments`` raises unless every bin of Q
         is finite, which bounds every filter value, so v needs no scan."""
         mu, sigma = self._moments(Q)
-        if v is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                v = np.fft.irfftn(Q, s=self.padded, axes=self.axes)
+        v = self._inverse(Q, check=False) if v is None else v
         constant = sigma == 0.0  # its value -(max - mu) / inf is 0
         return -(v.max(axis=self.axes) - mu) / np.where(constant, np.inf, sigma), constant
 
     @cached_property
     def _row_weights(self) -> np.ndarray:
-        """Weights c of ``ti_bounds``' row bound and sum of squares: 2/w per bin
-        of a half-spectrum row, 1/w on the zero and Nyquist columns, w the
-        padded last extent."""
+        """The weights c of ``ti_bounds``' row bound and sum of squares."""
         weights = np.full(self.K.shape[-1], 2.0)
         weights[0] = weights[-1] = 1.0
         return weights / self.padded[-1]
@@ -361,11 +350,6 @@ class QuotientKernel:
         of that broadcast sums the axes where `batch` is 1 and the cotangent
         is not. The sum is taken on the spectrum, before the inverse, so the
         inverse runs once per entry of `batch`.
-
-        The inverse is irfftn's own sequence of 1-D inverses, pruned: each
-        leading lag axis is cropped to its unpadded extent as soon as it is
-        inverted, so later inverses skip the rows the crop drops. The kept
-        values are those of the full inverse, bit for bit.
         """
         rank = len(self.shape)
         if np.shape(cotangent)[-rank:] != self.padded:
@@ -376,27 +360,42 @@ class QuotientKernel:
             if len(batch) != len(lead) or any(n not in (1, m) for n, m in zip(batch, lead)):
                 raise ShapeError(f"varying batch {tuple(batch)} does not broadcast to {lead}")
             summed = tuple(i for i, (n, m) in enumerate(zip(batch, lead)) if n < m)
+        G = self._forward(cotangent)
         with np.errstate(over="ignore", invalid="ignore"):
             # in place, conj(K) first: NumPy's complex multiply can round the
             # two factor orders apart, and `K * temporary` may swap them
-            G = np.fft.rfftn(cotangent, axes=self.axes)
             np.multiply(np.conj(self.K), G, out=G)
             if summed:
                 G = G.sum(axis=summed, keepdims=True)
-            for axis, n, m in zip(self.axes[:-1], self.shape, self.padded):
-                G = np.fft.ifft(G, m, axis)
-                G = G[(...,) + (slice(0, n),) + (slice(None),) * (-1 - axis)]
-            out = np.fft.irfft(G, self.padded[-1], -1)[..., : self.shape[-1]]
-        return self._finite(out)
+        return self._inverse(G, crop=True)
 
-    def _inverse(self, spectrum: np.ndarray) -> np.ndarray:
+    def _forward(self, x: np.ndarray) -> np.ndarray:
+        """rfftn of the real planes `x` on the padded grid: the one forward transform."""
         with np.errstate(over="ignore", invalid="ignore"):
-            out = np.fft.irfftn(spectrum, s=self.padded, axes=self.axes)
-        return self._finite(out)
+            return np.fft.rfftn(x, s=self.padded, axes=self.axes)
 
-    @staticmethod
-    def _finite(out: np.ndarray) -> np.ndarray:
-        if not np.isfinite(out).all():
+    def _unwind(self, Y: np.ndarray, axes, crop: bool = False) -> np.ndarray:
+        """irfftn's leading steps: one ifft per lag axis in `axes`. With `crop`,
+        each axis is cut to its unpadded extent as soon as it is inverted."""
+        for axis, n, m in zip(axes, self.shape, self.padded):
+            Y = np.fft.ifft(Y, m, axis)
+            Y = Y[(...,) + (slice(0, n if crop else m),) + (slice(None),) * (-1 - axis)]
+        return Y
+
+    def _inverse(self, Q: np.ndarray, crop: bool = False, check: bool = True) -> np.ndarray:
+        """irfftn of the half spectra Q on the padded grid: the one inverse.
+        With `crop` it is pruned to the unpadded extents: each leading lag
+        axis is cropped as soon as ``_unwind`` inverts it, so later inverses
+        skip the dropped rows, and irfftn makes the same 1-D inverses, so the
+        kept values are the full inverse's bit for bit. With `check`,
+        NumericalError unless every value is finite."""
+        lead = len(self.shape) - 1 if crop else 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            Q = self._unwind(Q, self.axes[:lead], crop)
+            out = np.fft.irfftn(Q, s=self.padded[lead:], axes=self.axes[lead:])
+        if crop:
+            out = out[..., : self.shape[-1]]
+        if check and not np.isfinite(out).all():
             raise NumericalError("non-finite values in the matching filter or its pullback")
         return out
 

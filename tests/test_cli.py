@@ -726,6 +726,39 @@ class TestExternalDataPaths:
         report = json.loads((out / "train.json").read_text())
         assert report["n_train"] == 20
 
+    def test_train_reads_images_without_a_labels_file(self, tmp_path):
+        # train uses no labels, so a file whose name gives no labels path runs;
+        # a data_labels file that is set is still checked against the images
+        img_path, lab_path = self._write_idx_pair(tmp_path, n=20, size=8)
+        plain = img_path.rename(tmp_path / "plain.idx")
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text(f"[train]\ndata_images = {plain}\nn_train = 20\nepochs = 1\nloss = mse\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfgf), "--out", str(out)]) == 0
+        assert json.loads((out / "train.json").read_text())["n_train"] == 20
+        lab_path.write_bytes(lab_path.read_bytes()[:-1])  # one label short of the images
+        with open(cfgf, "a") as f:
+            f.write(f"data_labels = {lab_path}\n")
+        assert main(["train", "--config", str(cfgf), "--out", str(tmp_path / "x")]) == 3
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command, section, size", [
+        ("diffuse", "[diffusion]\nT = 4\nn_samples = 2\nsnapshot_stride = 4\ndataset", "n_defining"),
+        ("train", "[train]\nepochs = 1\nloss = mse\ndata_images", "n_train"),
+    ], ids=["diffuse", "train"])
+    @pytest.mark.parametrize("n", [0, -1, -5, -39])
+    def test_set_size_below_1_of_an_idx_file_exits_2(
+        self, tmp_path, capsys, command, section, size, n
+    ):
+        # a negative size once sliced the file from its end: -1 read 39 of 40 images
+        img_path, _ = self._write_idx_pair(tmp_path, n=40, size=8)
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text(f"{section} = {img_path}\n{size} = {n}\n")
+        out = tmp_path / "never"
+        assert main([command, "--config", str(cfgf), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("zero_row", [3, 135])
     def test_singular_training_set_exits_4_before_the_first_epoch(self, tmp_path, capsys, zero_row):
         # lambda = 0 and one all-zero image, inside or beyond the 128 evaluation rows

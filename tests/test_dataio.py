@@ -15,7 +15,7 @@ from wienerlab.dataio import (
     write_csv,
     write_pgm,
 )
-from wienerlab.errors import FormatError, ShapeError
+from wienerlab.errors import ConfigError, FormatError, ShapeError
 from wienerlab.spectral import Signal
 from wienerlab.trainer import DenseAutoencoder
 
@@ -98,7 +98,7 @@ class TestIdx:
         np.testing.assert_array_equal(ls.stack[:, 0], imgs / 255.0)
         assert ls.labels == [9, 0, 9, 3]
 
-    @pytest.mark.parametrize("limit", [0, 1, 4, 7, 9, 20])
+    @pytest.mark.parametrize("limit", [1, 4, 7, 9, 20])
     def test_limited_read_equals_full_read_then_slice(self, tmp_path, limit):
         imgs = np.random.default_rng(3).integers(0, 256, size=(9, 4, 6)).astype(np.uint8)
         labels = [3, 1, 4, 1, 5, 9, 2, 6, 5]
@@ -108,10 +108,20 @@ class TestIdx:
         part = read_idx_images(path, limit)
         assert part.dtype == np.float64
         assert part.tobytes() == read_idx_images(path)[:limit].tobytes()
-        if limit:
-            ls = ingest_idx(path, limit=limit)
-            assert ls.stack.tobytes() == ingest_idx(path).stack[:limit].tobytes()
-            assert ls.labels == labels[:limit]
+        ls = ingest_idx(path, limit=limit)
+        assert ls.stack.tobytes() == ingest_idx(path).stack[:limit].tobytes()
+        assert ls.labels == labels[:limit]
+
+    @pytest.mark.parametrize("limit", [0, -1, -8])
+    def test_limit_below_one_is_a_config_error(self, tmp_path, limit):
+        # a set size is not a slice: -1 would read all images but the last
+        path = tmp_path / "l-images-idx3-ubyte"
+        path.write_bytes(idx_image_bytes(np.zeros((9, 4, 6))))
+        (tmp_path / "l-labels-idx1-ubyte").write_bytes(idx_label_bytes([0] * 9))
+        with pytest.raises(ConfigError, match="at least 1"):
+            read_idx_images(path, limit)
+        with pytest.raises(ConfigError, match="at least 1"):
+            ingest_idx(path, limit=limit)
 
     def test_limited_ingest_still_checks_the_whole_pair(self, tmp_path):
         imgs = np.zeros((3, 2, 2), dtype=np.uint8)

@@ -166,6 +166,30 @@ class TestFFT:
         cropped = full[(...,) + tuple(slice(0, n) for n in extents)]
         np.testing.assert_allclose(pulled, cropped, rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("extents", [(5, 7), (6, 4)])
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    def test_pullback_inverts_only_the_kept_rows(self, monkeypatch, extents, channels):
+        # one forward transform, one complex inverse over all the padded rows,
+        # then one real inverse over the extents[0] rows that the crop keeps
+        rng = np.random.default_rng(7)
+        k = QuotientKernel(rng.random((channels,) + extents), extents, 0.7)
+        g = rng.random((channels,) + k.padded)
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+            def spy(a, *args, _name=name, _original=getattr(np.fft, name), **kwargs):
+                out = _original(a, *args, **kwargs)
+                calls.append((_name, np.shape(a), out.shape))
+                return out
+            monkeypatch.setattr(np.fft, name, spy)
+        k.pullback(g)
+        half = (channels, k.padded[0], k.padded[1] // 2 + 1)
+        kept = (channels, extents[0], k.padded[1] // 2 + 1)
+        assert calls == [
+            ("rfftn", g.shape, half),
+            ("ifft", half, half),
+            ("irfftn", kept, (channels, extents[0], k.padded[1])),
+        ]
+
     @pytest.mark.parametrize("extents", [(7,), (8,), (5, 7), (6, 4)])
     @pytest.mark.parametrize("channels", [1, 2, 3])
     def test_pullback_sums_a_broadcast_varying_side_before_its_inverse(self, extents, channels):
