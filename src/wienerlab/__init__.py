@@ -6,31 +6,12 @@ gradient, a translation-invariant distance, and a non-parametric Langevin
 generator, plus desk-scale experiment harnesses behind the ``wienerlab`` CLI.
 """
 
-from .spectral import (
-    LagFilter,
-    LagGrid,
-    Signal,
-    WindowSpec,
-    make_window,
-    pad_to_full_lag,
-)
-from .wiener import (
-    WienerConfig,
-    concentration,
-    delta_filter,
-    ti_distance,
-    wiener_filter,
-    wiener_filter_direct,
-    wiener_loss,
-)
-from .gradients import (
-    GradientResult,
-    check_gradient,
-    grad_energy,
-    grad_wiener_loss,
-)
-from .diffusion import EnergyModel, Schedule, Trajectory, cosine_schedule, energy, run_diffusion
+from .spectral import LagFilter, LagGrid, Signal, WindowSpec, make_window
+from .wiener import WienerConfig, concentration, ti_distance, wiener_filter, wiener_loss
+from .diffusion import EnergyModel, Schedule, Trajectory, cosine_schedule, run_diffusion
 from .knn import DistanceSpec, LabeledSet, evaluate_accuracy, make_translated_set
+from .trainer import forward
+from .dataio import load_model
 
 __version__ = "0.1.0"
 
@@ -40,27 +21,21 @@ __all__ = [
     "LagFilter",
     "WindowSpec",
     "WienerConfig",
-    "pad_to_full_lag",
     "make_window",
-    "delta_filter",
     "wiener_filter",
-    "wiener_filter_direct",
     "wiener_loss",
     "ti_distance",
     "concentration",
-    "GradientResult",
-    "grad_wiener_loss",
-    "grad_energy",
-    "check_gradient",
     "EnergyModel",
     "Schedule",
     "Trajectory",
     "cosine_schedule",
-    "energy",
     "run_diffusion",
     "LabeledSet",
     "DistanceSpec",
     "make_translated_set",
     "evaluate_accuracy",
+    "forward",
+    "load_model",
     "__version__",
 ]

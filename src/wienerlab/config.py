@@ -4,9 +4,10 @@
 [wiener] lambda is the one stabilizer that every subcommand reads. Every key
 has a default and unknown sections or keys are rejected. Each section is
 built by its validating constructor at load, so a bad value fails for every
-subcommand before any data or run directory is made; only settings that
-shape a subcommand's inputs (schedules, layer widths, set sizes) are checked
-as it builds them. The effective config is echoed into each run directory.
+subcommand before any data or run directory is made, the [knn] set sizes
+included; only settings that shape a subcommand's inputs (schedules, layer
+widths, the other set sizes) are checked as it builds them. The effective
+config is echoed into each run directory.
 """
 
 from __future__ import annotations
@@ -72,6 +73,10 @@ class KnnSection:
     def __post_init__(self):
         if self.data_labels and not self.data_images:  # labels alone would be ignored
             raise ConfigError("[knn] data_labels needs data_images")
+        for key in ("n_train", "n_test"):
+            value = getattr(self, key)
+            if value < 1:
+                raise ConfigError(f"[knn] {key} must be >= 1, got {value}")
         for key in ("k", "baseline_k"):
             value = getattr(self, key)
             if not (1 <= value <= self.n_train):

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ConfigError, check_seed
 from .knn import LabeledSet
 
-__all__ = ["digit_glyph", "make_digit_set", "two_cluster_latents"]
+__all__ = ["make_digit_set", "two_cluster_latents"]
 
 _GLYPHS = [
     # 5x7 rows per digit, 0..9
@@ -30,13 +30,6 @@ _GLYPHS = [
 
 
 _BITMAPS = np.array([[[float(c) for c in row] for row in glyph] for glyph in _GLYPHS])  # (10, 7, 5)
-
-
-def digit_glyph(d: int) -> np.ndarray:
-    """The 7x5 binary bitmap of digit d (a copy of the table parsed at import)."""
-    if not (0 <= d <= 9):
-        raise ConfigError(f"digit must be 0..9, got {d}")
-    return _BITMAPS[d].copy()
 
 
 def make_digit_set(

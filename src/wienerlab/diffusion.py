@@ -7,8 +7,8 @@ dynamics (Song & Ermon 2019, arXiv:1907.05600): their states form one
 (chains, C, *extents) array, and each step is one batched energy and
 gradient pass through the defining set's quotient kernel. The defining set
 is a stack too, and a run's output is one ``Trajectory`` record of arrays
-over all chains; a ``Signal`` appears only in ``energy``, a one-state view
-of ``gradients.energy_terms``. Per-chain RNG
+over all chains; no ``Signal`` appears here. The energy of one state is
+``gradients.energy_terms`` on a batch of one. Per-chain RNG
 streams are derived from the master seed by chain index. Each chain draws
 its step noise from its own stream in blocks of steps, in the same stream
 order as one draw per step of a chain run alone, so chains are independent
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError, check_seed
 from .gradients import energy_terms
-from .spectral import LagFilter, Signal, as_stack, full_lag
+from .spectral import LagFilter, as_stack, full_lag
 from .wiener import QuotientKernel, WienerConfig
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "check_chain_args",
     "check_gamma",
     "cosine_schedule",
-    "energy",
     "run_diffusion",
     "nearest_defining_sample",
 ]
@@ -124,11 +123,6 @@ def cosine_schedule(T: int, start: float, end: float) -> np.ndarray:
     t = np.arange(T, dtype=np.float64)
     w = (1.0 + np.cos(np.pi * (t / (T - 1)))) / 2.0  # w[0] = 1, w[T-1] = 0 exactly
     return start * w + end * (1.0 - w)
-
-
-def energy(x: Signal, model: EnergyModel) -> float:
-    """Dataset energy sum at x, accumulated in dataset index order."""
-    return float(energy_terms(model, x.planes[None])[0][0])
 
 
 def _update(

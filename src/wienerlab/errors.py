@@ -45,7 +45,3 @@ class SingularSystemError(NumericalError):
 
 class UndefinedQuotientError(NumericalError):
     """Quotient requested for an all-zero filter."""
-
-
-class OracleSizeError(WienerlabError, ValueError):
-    """Dense reference solver asked to factor a system above its size cap."""

@@ -1,4 +1,4 @@
-"""Analytic gradients of the filter-based functionals, plus a finite-difference harness.
+"""Analytic gradients of the filter-based functionals, on batches.
 
 The matching filter depends on the differentiated signal only through the
 spectral numerator, which is linear in it. Every gradient here is therefore
@@ -8,42 +8,26 @@ multiplying with conj(K) = S / (|S|^2 + lam) (the adjoint of the forward
 quotient, S being the half spectrum of the padded fixed signal), then
 cropped to the unpadded extents (the adjoint of zero padding). Weight
 windows are converted to raw layout once, so no step shifts lags. Values
-come from ``wiener.filter_identity_loss`` and ``wiener.zero_lag_fractions``,
-and ``central_differences`` is the one finite-difference loop (over a
-Signal's values or a model's parameters). ``energy_terms`` is the one energy
-path, over a batch of signals; ``grad_energy`` reads it at one signal.
-Derivation in docs/gradient_note.md.
+come from ``wiener.filter_identity_loss`` and ``wiener.zero_lag_fractions``.
+``loss_and_grad`` is the one loss path and ``energy_terms`` the one energy
+path, each over a batch of signals; one signal is a batch of one. The
+finite-difference checks that hold them to their values live with the
+tests. Derivation in docs/gradient_note.md.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-from .spectral import LagFilter, Signal, check_pair
-from .wiener import QuotientKernel, WienerConfig, filter_identity_loss, zero_lag_fractions
+from .errors import ShapeError
+from .wiener import QuotientKernel, filter_identity_loss, zero_lag_fractions
 
 if TYPE_CHECKING:
     from .diffusion import EnergyModel
 
-__all__ = [
-    "GradientResult",
-    "grad_wiener_loss",
-    "grad_energy",
-    "check_gradient",
-    "GradientCheckReport",
-]
-
-
-@dataclass(frozen=True, eq=False)
-class GradientResult:
-    """Gradient with respect to the varying signal plus the functional's value there."""
-
-    grad: Signal
-    value: float
+__all__ = ["loss_and_grad", "energy_terms"]
 
 
 def loss_and_grad(
@@ -57,20 +41,6 @@ def loss_and_grad(
     values, residual = filter_identity_loss(kernel, kernel.filters(varying), w_raw)
     residual *= w_raw  # the cotangent W^2 * (v - delta), in the residual's own buffer
     return values, kernel.pullback(residual)
-
-
-def grad_wiener_loss(
-    prediction: Signal, target: Signal, whitening: LagFilter, cfg: WienerConfig
-) -> GradientResult:
-    """Analytic gradient of the whitened filter-identity loss wrt the prediction.
-
-    The loss is a convex quadratic in the prediction (the filter is linear in
-    it), so this gradient vanishes exactly at prediction == target.
-    """
-    check_pair(prediction, target)
-    kernel = QuotientKernel(target.planes, target.shape, cfg.lam)
-    value, grad = loss_and_grad(kernel, prediction.planes, whitening.raw)
-    return GradientResult(Signal(grad.ravel(), prediction.shape, prediction.channels), float(value))
 
 
 # Elements of the (signals, n_defining, C, *padded) filter stack evaluated at
@@ -135,50 +105,3 @@ def _energy_chunk(model: "EnergyModel", X: np.ndarray):
     # the pullback sums over the defining set on the spectrum: one inverse per signal
     grads = kernel.pullback(g_v, varying.shape[: -len(axes)])[:, 0]
     return energies.sum(axis=1), grads, energies, concentrations
-
-
-def grad_energy(x: Signal, model: "EnergyModel") -> GradientResult:
-    """Gradient of the dataset energy with respect to the diffusing signal."""
-    values, grads = energy_terms(model, x.planes[None])[:2]
-    return GradientResult(Signal(grads[0].ravel(), x.shape, x.channels), float(values[0]))
-
-
-@dataclass(frozen=True)
-class GradientCheckReport:
-    max_rel_error: float
-    mean_rel_error: float
-    n_elements: int
-
-
-def central_differences(
-    f: Callable[[np.ndarray], float], analytic: np.ndarray, x: np.ndarray, h: float
-) -> GradientCheckReport:
-    """Central finite differences of f at the flat vector x, element by element,
-    against the analytic gradient there.
-
-    rel = |a - n| / max(|a|, |n|, 1e-12). Report only; never raises on error
-    magnitude. f is called with one reused probe vector, so it must not keep it.
-    """
-    if h <= 0:
-        raise ConfigError(f"step h must be > 0, got {h}")
-    numeric = np.empty_like(x)
-    probe = x.copy()
-    for i in range(x.size):
-        probe[i] = x[i] + h
-        up = f(probe)
-        probe[i] = x[i] - h
-        numeric[i] = (up - f(probe)) / (2.0 * h)
-        probe[i] = x[i]
-    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
-    rel = np.abs(analytic - numeric) / scale
-    return GradientCheckReport(float(rel.max()), float(rel.mean()), x.size)
-
-
-def check_gradient(
-    f: Callable[[Signal], float], analytic: Signal, x: Signal, h: float = 1e-5
-) -> GradientCheckReport:
-    """``central_differences`` over the values of a Signal. Meaningful for
-    inputs scaled to order one."""
-    return central_differences(
-        lambda data: f(Signal(data, x.shape, x.channels)), analytic.data, x.data, h
-    )

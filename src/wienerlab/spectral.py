@@ -37,7 +37,6 @@ __all__ = [
     "as_stack",
     "check_pair",
     "full_lag",
-    "pad_to_full_lag",
     "make_window",
 ]
 
@@ -202,14 +201,6 @@ class WindowSpec:
             raise ConfigError(f"window scale b must be finite and > 0, got {self.b}")
         if not (0 <= self.epsilon < math.inf):
             raise ConfigError(f"window floor epsilon must be finite and >= 0, got {self.epsilon}")
-
-
-def pad_to_full_lag(s: Signal) -> Signal:
-    """Zero-pad each dimension to twice its extent, content kept at the origin corner."""
-    padded_shape = full_lag(s.shape)
-    out = np.zeros((s.channels,) + padded_shape)
-    out[(slice(None),) + tuple(slice(0, n) for n in s.shape)] = s.planes
-    return Signal(out.ravel(), padded_shape, s.channels)
 
 
 def make_window(spec: WindowSpec, g: LagGrid) -> LagFilter:

@@ -28,13 +28,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError, check_seed
-from .gradients import GradientCheckReport, central_differences, loss_and_grad
+from .gradients import loss_and_grad
 from .spectral import LagGrid, WindowSpec, as_stack, full_lag, make_window
 from .wiener import QuotientKernel, WienerConfig, zero_lag_fractions
 
 __all__ = [
     "DenseAutoencoder", "TrainConfig", "TrainLog", "TrainingDivergedError",
-    "forward", "train", "grad_check_model",
+    "forward", "train",
 ]
 
 
@@ -344,28 +344,3 @@ def train(model: DenseAutoencoder, data, cfg: TrainConfig) -> TrainLog:
         except NumericalError:
             raise TrainingDivergedError(epoch, log)
     return log
-
-
-def grad_check_model(
-    model: DenseAutoencoder, batch, cfg: TrainConfig, h: float = 1e-6
-) -> GradientCheckReport:
-    """Finite-difference check of end-to-end parameter gradients on a stack of
-    samples (n, C, *extents) (report only)."""
-    if model.n_params > 5000:
-        raise ConfigError(f"{model.n_params} parameters exceeds the 5k grad-check cap")
-    X, shape = _sample_matrix(model, batch)
-    w_raw = _window_raw(cfg, shape[1:])
-    kernel_rows = None
-    if cfg.loss == "wiener":
-        kernel_rows = _kernel_rows(X.reshape((len(X),) + shape), cfg.lam, len(X))
-    every = slice(None)
-    loss, d_out, A, D = _batch_loss_and_grad(model, X, every, shape, cfg, w_raw, kernel_rows)
-    analytic = _backward_matrix(model, A, D, d_out)
-
-    probe = DenseAutoencoder(model.widths, model.activation)
-
-    def loss_at(theta: np.ndarray) -> float:
-        probe.set_flat_params(theta)
-        return _batch_loss_and_grad(probe, X, every, shape, cfg, w_raw, kernel_rows)[0]
-
-    return central_differences(loss_at, analytic, model.flat_params(), h)

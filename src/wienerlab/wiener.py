@@ -2,15 +2,11 @@
 
 The matching filter between two equally shaped signals is the convolutional
 filter v minimizing ||Y v - x||^2, where Y is circular convolution with the
-padded source. Solved two ways:
-
-  * ``QuotientKernel``: the spectral quotient (conj(S)*X + lam) / (|S|^2 + lam)
-    with real FFTs, O(N log N). Every filter, loss, gradient, energy and TI
-    distance in the library goes through it; ``wiener_filter`` is the
-    centered single-pair wrapper.
-  * ``wiener_filter_direct``: the same least-squares problem assembled as an
-    explicit circulant system and solved densely. O(N^3); exists purely as an
-    exact cross-check of the fast path.
+padded source. ``QuotientKernel`` solves it as the spectral quotient
+(conj(S)*X + lam) / (|S|^2 + lam) with real FFTs, O(N log N). Every filter,
+loss, gradient, energy and TI distance in the library goes through it;
+``wiener_filter`` is the centered single-pair wrapper. The dense circulant
+solve that cross-checks it lives with the tests, apart from this module.
 
 The stabilizer ``lam`` is added to numerator and denominator so that
 identical inputs always yield the unit zero-lag spike (the convolutional
@@ -29,25 +25,21 @@ import numpy as np
 from .errors import (
     ConfigError,
     NumericalError,
-    OracleSizeError,
     ShapeError,
     SingularSystemError,
     UndefinedQuotientError,
 )
-from .spectral import LagFilter, LagGrid, Signal, check_pair, full_lag, pad_to_full_lag
+from .spectral import LagFilter, LagGrid, Signal, check_pair, full_lag
 
 __all__ = [
     "WienerConfig",
     "QuotientKernel",
-    "delta_filter",
     "wiener_filter",
-    "wiener_filter_direct",
     "wiener_loss",
     "ti_distance",
     "concentration",
 ]
 
-ORACLE_SIZE_CAP = 4096  # padded elements per channel; dense solve is O(n^3)
 TI_CHUNK_ELEMENTS = 2**16  # spatial filter elements per tile of QuotientKernel's TI passes
 
 
@@ -400,13 +392,6 @@ class QuotientKernel:
         return out
 
 
-def delta_filter(grid: LagGrid, channels: int = 1) -> LagFilter:
-    """Unit spike at the zero-lag bin: the convolutional identity."""
-    data = np.zeros((channels,) + grid.extents)
-    data[(slice(None),) + grid.zero_lag_index] = 1.0
-    return LagFilter(data, grid)
-
-
 def wiener_filter(target: Signal, source: Signal, cfg: WienerConfig) -> LagFilter:
     """Per-channel filter that convolves `source` to best approximate `target`.
 
@@ -416,52 +401,6 @@ def wiener_filter(target: Signal, source: Signal, cfg: WienerConfig) -> LagFilte
     check_pair(target, source)
     kernel = QuotientKernel(source.planes, source.shape, cfg.lam)
     return LagFilter.from_raw(kernel.filters(target.planes), LagGrid(kernel.padded))
-
-
-def _circulant_1d(s: np.ndarray) -> np.ndarray:
-    n = s.size
-    i = np.arange(n)
-    return s[(i[:, None] - i[None, :]) % n]
-
-
-def _circulant_2d(s: np.ndarray) -> np.ndarray:
-    h, w = s.shape
-    r = np.arange(h)
-    c = np.arange(w)
-    dr = (r[:, None] - r[None, :]) % h  # (h, h)
-    dc = (c[:, None] - c[None, :]) % w  # (w, w)
-    # Y[(r,c),(r',c')] = s[(r-r')%h, (c-c')%w], flattened row-major
-    return s[dr[:, None, :, None], dc[None, :, None, :]].reshape(h * w, h * w)
-
-
-def wiener_filter_direct(target: Signal, source: Signal, cfg: WienerConfig) -> LagFilter:
-    """Dense circulant least-squares reference for ``wiener_filter``.
-
-    Solves (Y^T Y + lam I) v = Y^T x + lam * delta by LU factorization, with Y
-    the circulant convolution matrix of the padded source. Kept deliberately
-    independent of the spectral path.
-    """
-    check_pair(target, source)
-    t = pad_to_full_lag(target).planes
-    s = pad_to_full_lag(source).planes
-    n = int(np.prod(t.shape[1:]))
-    if n > ORACLE_SIZE_CAP:
-        raise OracleSizeError(f"padded size {n} exceeds dense-solve cap {ORACLE_SIZE_CAP}")
-    grid = LagGrid(t.shape[1:])
-    delta = np.zeros(n)
-    delta[0] = 1.0  # zero lag in raw (uncentered) layout
-    out = np.empty_like(t)
-    for c in range(t.shape[0]):
-        plane = s[c]
-        Y = _circulant_1d(plane) if plane.ndim == 1 else _circulant_2d(plane)
-        A = Y.T @ Y + cfg.lam * np.eye(n)
-        b = Y.T @ t[c].ravel() + cfg.lam * delta
-        try:
-            v = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"dense system is singular: {exc}") from exc
-        out[c] = v.reshape(t.shape[1:])
-    return LagFilter.from_raw(out, grid)
 
 
 def filter_identity_loss(

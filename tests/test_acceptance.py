@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import check_gradient, delta_filter, grad_check_model, wiener_filter_direct
 from wienerlab.cli import main
 from wienerlab.datasets import make_digit_set, two_cluster_latents
 from wienerlab.diffusion import (
@@ -21,18 +22,11 @@ from wienerlab.diffusion import (
     nearest_defining_sample,
     run_diffusion,
 )
-from wienerlab.gradients import check_gradient, grad_energy, grad_wiener_loss
+from wienerlab.gradients import energy_terms, loss_and_grad
 from wienerlab.knn import DistanceSpec, evaluate_accuracy, make_translated_set
 from wienerlab.spectral import LagGrid, Signal, WindowSpec, make_window
-from wienerlab.trainer import DenseAutoencoder, TrainConfig, forward, grad_check_model, train
-from wienerlab.wiener import (
-    WienerConfig,
-    delta_filter,
-    wiener_filter,
-    wiener_filter_direct,
-    wiener_loss,
-)
-from wienerlab.diffusion import energy
+from wienerlab.trainer import DenseAutoencoder, TrainConfig, forward, train
+from wienerlab.wiener import QuotientKernel, WienerConfig, wiener_filter, wiener_loss
 
 
 def report(num, name, ok, detail):
@@ -104,6 +98,13 @@ def test_criterion_2_convolutional_identity():
     )
 
 
+def check_energy_gradient(x, model):
+    """Finite differences of the dataset energy at one state, a batch of one."""
+    grad = Signal.from_planes(energy_terms(model, x.planes[None])[1][0])
+    energy = lambda xx: float(energy_terms(model, xx.planes[None])[0][0])
+    return check_gradient(energy, grad, x, h=1e-5)
+
+
 def test_criterion_3_gradient_fidelity():
     rng = np.random.default_rng(103)
     t0 = time.perf_counter()
@@ -113,8 +114,10 @@ def test_criterion_3_gradient_fidelity():
         targ = Signal.from_array(rng.random((16, 16)))
         w = make_window(WindowSpec("laplace", 2.0, 0.1), LagGrid((32, 32)))
         cfg = WienerConfig(lam=lam)
-        res = grad_wiener_loss(pred, targ, w, cfg)
-        rep = check_gradient(lambda p: wiener_loss(p, targ, w, cfg), res.grad, pred, h=1e-5)
+        grad = loss_and_grad(QuotientKernel(targ.planes, targ.shape, lam), pred.planes, w.raw)[1]
+        rep = check_gradient(
+            lambda p: wiener_loss(p, targ, w, cfg), Signal.from_planes(grad), pred, h=1e-5
+        )
         worst_loss = max(worst_loss, rep.max_rel_error)
 
     pen1 = make_window(WindowSpec("inverted_laplace", 3.0), LagGrid((32,)))
@@ -122,16 +125,14 @@ def test_criterion_3_gradient_fidelity():
         np.stack([rng.random((1, 16)) for _ in range(3)]), pen1, 1.0, WienerConfig(lam=0.1)
     )
     x1 = Signal(rng.random(16), (16,))
-    res1 = grad_energy(x1, model1)
-    rep1 = check_gradient(lambda xx: energy(xx, model1), res1.grad, x1, h=1e-5)
+    rep1 = check_energy_gradient(x1, model1)
 
     pen2 = make_window(WindowSpec("inverted_laplace", 2.0), LagGrid((16, 16)))
     model2 = EnergyModel(
         np.stack([rng.random((1, 8, 8)) for _ in range(2)]), pen2, 1.0, WienerConfig(lam=1.0)
     )
     x2 = Signal.from_array(rng.random((8, 8)))
-    res2 = grad_energy(x2, model2)
-    rep2 = check_gradient(lambda xx: energy(xx, model2), res2.grad, x2, h=1e-5)
+    rep2 = check_energy_gradient(x2, model2)
     worst_energy = max(rep1.max_rel_error, rep2.max_rel_error)
 
     # end-to-end parameter check is roundoff-limited, so it gets a larger step
@@ -319,7 +320,7 @@ def test_criterion_9_performance_scaling():
         t0 = time.perf_counter()
         wiener_filter(pred, targ, cfg)
         wiener_loss(pred, targ, w, cfg)
-        grad_wiener_loss(pred, targ, w, cfg)
+        loss_and_grad(QuotientKernel(targ.planes, targ.shape, cfg.lam), pred.planes, w.raw)
         return time.perf_counter() - t0
 
     # interleaved min-of-7 per size: robust to transient machine load

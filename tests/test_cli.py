@@ -17,10 +17,10 @@ from wienerlab.config import RecoverSection, load_config
 from wienerlab.dataio import read_pgm, load_model, write_pgm
 from wienerlab.datasets import make_digit_set
 from wienerlab.diffusion import run_diffusion
-from wienerlab.gradients import grad_wiener_loss
+from wienerlab.gradients import loss_and_grad
 from wienerlab.spectral import LagGrid, Signal, WindowSpec, make_window
 from wienerlab.trainer import TrainConfig
-from wienerlab.wiener import WienerConfig
+from wienerlab.wiener import QuotientKernel, WienerConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -225,7 +225,7 @@ class TestRecoverCommand:
             assert np.abs(got - expected).max() < 1e-12
         assert np.all(_mask_aware_mean_fill(masked, mask, 1)[1:4, 1:3] == 0.0)
 
-    def test_cached_target_gradient_matches_grad_wiener_loss(self):
+    def test_cached_target_gradient_matches_a_fresh_kernel(self):
         rng = np.random.default_rng(4)
         target = Signal.from_array(rng.random((10, 12)))
         whitening = make_window(WindowSpec("laplace", 2.0, 0.3), LagGrid((20, 24)))
@@ -234,9 +234,10 @@ class TestRecoverCommand:
         for _ in range(3):  # one kernel, several iterates
             x = rng.random((1, 10, 12))
             value, grad = objective(x)
-            ref = grad_wiener_loss(Signal.from_array(x[0]), target, whitening, cfg)
-            assert value == pytest.approx(ref.value, rel=1e-12)
-            assert np.abs(grad - ref.grad.planes).max() < 1e-12
+            kernel = QuotientKernel(target.planes, target.shape, cfg.lam)
+            ref_value, ref_grad = loss_and_grad(kernel, x, whitening.raw)
+            assert value == pytest.approx(float(ref_value), rel=1e-12)
+            assert np.abs(grad - ref_grad).max() < 1e-12
 
 
 class TestDiffuseCommand:
@@ -757,6 +758,27 @@ class TestExternalDataPaths:
         out = tmp_path / "never"
         assert main([command, "--config", str(cfgf), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["idx", "digits"])
+    @pytest.mark.parametrize("key, n", [("n_test", -1), ("n_test", 0), ("n_test", -3), ("n_train", 0)])
+    def test_knn_set_size_below_1_exits_2_naming_the_key(self, tmp_path, capsys, source, key, n):
+        # these once failed later as "a set needs at least one sample" or
+        # "need at least one sample", or blamed k for n_train = 0
+        data = ""
+        if source == "idx":
+            img_path, lab_path = self._write_idx_pair(tmp_path, n=40)
+            data = f"data_images = {img_path}\ndata_labels = {lab_path}\n"
+        sizes = {"n_train": 16, "n_test": 8, key: n}
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text(
+            "[knn]\n" + data + "".join(f"{k} = {v}\n" for k, v in sizes.items())
+            + "k = 3\nbaseline_k = 1\n"
+        )
+        out = tmp_path / "never"
+        assert main(["knn", "--config", str(cfgf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [knn] {key} must be >= 1, got {n}"), err
         assert not out.exists()
 
     @pytest.mark.parametrize("zero_row", [3, 135])

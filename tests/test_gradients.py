@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from wienerlab.diffusion import EnergyModel, energy
+from oracles import check_gradient
+from wienerlab.diffusion import EnergyModel
 from wienerlab.errors import ConfigError, ShapeError
-from wienerlab.gradients import (
-    check_gradient,
-    energy_terms,
-    grad_energy,
-    grad_wiener_loss,
-    loss_and_grad,
-)
+from wienerlab.gradients import energy_terms, loss_and_grad
 from wienerlab.spectral import LagGrid, Signal, WindowSpec, make_window
 from wienerlab.wiener import QuotientKernel, WienerConfig, wiener_loss
 
@@ -22,6 +17,23 @@ def whitening_for(shape, spec=("laplace", 2.0, 0.1)):
     return make_window(WindowSpec(*spec), LagGrid(tuple(2 * n for n in shape)))
 
 
+def loss_grad(pred, targ, w, cfg):
+    """The filter loss and its gradient at one prediction: a batch of one."""
+    kernel = QuotientKernel(targ.planes, targ.shape, cfg.lam)
+    value, grad = loss_and_grad(kernel, pred.planes, w.raw)
+    return float(value), Signal.from_planes(grad)
+
+
+def energy_grad(x, model):
+    """The dataset energy and its gradient at one state: a batch of one."""
+    values, grads = energy_terms(model, x.planes[None])[:2]
+    return float(values[0]), Signal.from_planes(grads[0])
+
+
+def energy(x, model):
+    return energy_grad(x, model)[0]
+
+
 def toy_model(n_samples=3, dim=16, lam=0.1, gamma=1.0, pen_b=3.0, seed=7):
     rng = np.random.default_rng(seed)
     ys = np.stack([rng.random((1, dim)) for _ in range(n_samples)])
@@ -32,9 +44,9 @@ def toy_model(n_samples=3, dim=16, lam=0.1, gamma=1.0, pen_b=3.0, seed=7):
 class TestGradWienerLoss:
     def test_gradient_vanishes_at_target(self):
         y = unit_signal((8, 8), 1)
-        res = grad_wiener_loss(y, y, whitening_for(y.shape), WienerConfig(lam=1.0))
-        assert np.abs(res.grad.data).max() < 1e-9
-        assert res.value == pytest.approx(0.0, abs=1e-25)
+        value, grad = loss_grad(y, y, whitening_for(y.shape), WienerConfig(lam=1.0))
+        assert np.abs(grad.data).max() < 1e-9
+        assert value == pytest.approx(0.0, abs=1e-25)
 
     @pytest.mark.parametrize("lam", [0.1, 1.0, 250.0])
     def test_matches_finite_differences_6x6(self, lam):
@@ -42,8 +54,8 @@ class TestGradWienerLoss:
         targ = unit_signal((6, 6), 3)
         w = whitening_for((6, 6))
         cfg = WienerConfig(lam=lam)
-        res = grad_wiener_loss(pred, targ, w, cfg)
-        rep = check_gradient(lambda p: wiener_loss(p, targ, w, cfg), res.grad, pred, h=1e-5)
+        grad = loss_grad(pred, targ, w, cfg)[1]
+        rep = check_gradient(lambda p: wiener_loss(p, targ, w, cfg), grad, pred, h=1e-5)
         assert rep.max_rel_error < 1e-5
 
     def test_value_field_equals_loss(self):
@@ -51,8 +63,8 @@ class TestGradWienerLoss:
         targ = unit_signal((6, 6), 5)
         w = whitening_for((6, 6))
         cfg = WienerConfig(lam=1.0)
-        res = grad_wiener_loss(pred, targ, w, cfg)
-        assert abs(res.value - wiener_loss(pred, targ, w, cfg)) < 1e-12
+        value = loss_grad(pred, targ, w, cfg)[0]
+        assert abs(value - wiener_loss(pred, targ, w, cfg)) < 1e-12
 
     def test_descent_to_target_decreases_loss(self):
         # plain descent from noise toward a fixed 8x8 target; the loss is a
@@ -65,9 +77,9 @@ class TestGradWienerLoss:
         step = 1e-2
         losses = []
         for _ in range(200):
-            res = grad_wiener_loss(Signal.from_array(x), targ, w, cfg)
-            losses.append(res.value)
-            g = res.grad.plane()
+            value, grad = loss_grad(Signal.from_array(x), targ, w, cfg)
+            losses.append(value)
+            g = grad.plane()
             # line-search safeguard: halve until the step strictly decreases
             while True:
                 trial = x - step * g
@@ -84,13 +96,13 @@ class TestGradWienerLoss:
         targ = Signal.from_planes(rng.random((2, 5, 5)))
         w = whitening_for((5, 5))
         cfg = WienerConfig(lam=1.0)
-        res = grad_wiener_loss(pred, targ, w, cfg)
-        rep = check_gradient(lambda p: wiener_loss(p, targ, w, cfg), res.grad, pred, h=1e-5)
+        grad = loss_grad(pred, targ, w, cfg)[1]
+        rep = check_gradient(lambda p: wiener_loss(p, targ, w, cfg), grad, pred, h=1e-5)
         assert rep.max_rel_error < 1e-5
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            grad_wiener_loss(
+            loss_grad(
                 unit_signal((4, 4), 8), unit_signal((5, 5), 9),
                 whitening_for((4, 4)), WienerConfig(),
             )
@@ -102,29 +114,29 @@ class TestGradEnergy:
         y = Signal(rng.random(16), (16,))
         pen = make_window(WindowSpec("inverted_laplace", b=3.0), LagGrid((32,)))
         model = EnergyModel(y.planes[None], pen, 2.0, WienerConfig(lam=0.5))
-        res = grad_energy(y, model)
-        assert np.abs(res.grad.data).max() < 1e-8
-        assert res.value == pytest.approx(0.0, abs=1e-20)
+        value, grad = energy_grad(y, model)
+        assert np.abs(grad.data).max() < 1e-8
+        assert value == pytest.approx(0.0, abs=1e-20)
 
     def test_matches_finite_differences(self):
         model = toy_model()
         x = unit_signal((16,), 11)
-        res = grad_energy(x, model)
-        rep = check_gradient(lambda xx: energy(xx, model), res.grad, x, h=1e-5)
+        grad = energy_grad(x, model)[1]
+        rep = check_gradient(lambda xx: energy(xx, model), grad, x, h=1e-5)
         assert rep.max_rel_error < 1e-5
 
     def test_gamma_linearity(self):
         x = unit_signal((16,), 12)
         grads = {}
         for gamma in (0.0, 1.0, 2.0):
-            grads[gamma] = grad_energy(x, toy_model(gamma=gamma)).grad.data
+            grads[gamma] = energy_grad(x, toy_model(gamma=gamma))[1].data
         lhs = grads[2.0] - grads[0.0]
         rhs = 2.0 * (grads[1.0] - grads[0.0])
         assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            grad_energy(unit_signal((8,), 13), toy_model(dim=16))
+            energy_grad(unit_signal((8,), 13), toy_model(dim=16))
 
     def test_empty_defining_set_rejected(self):
         pen = make_window(WindowSpec("inverted_laplace", b=1.0), LagGrid((8,)))
@@ -146,11 +158,11 @@ class TestGradEnergy:
         wins = 0
         for _ in range(20):
             x = Signal(rng.normal(0, 1, 8), (8,))
-            res = grad_energy(x, model)
+            value, grad = energy_grad(x, model)
             step = 1.0
             for _ in range(30):
-                trial = Signal(x.data - step * res.grad.data, x.shape)
-                if energy(trial, model) < res.value:
+                trial = Signal(x.data - step * grad.data, x.shape)
+                if energy(trial, model) < value:
                     wins += 1
                     break
                 step *= 0.5

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wienerlab.datasets import digit_glyph, make_digit_set
+from wienerlab.datasets import _BITMAPS, make_digit_set
 from wienerlab.errors import ConfigError, ShapeError
 from wienerlab.knn import (
     DistanceSpec,
@@ -416,29 +416,21 @@ class TestEvaluateAccuracy:
 
 class TestDigitGlyphs:
     def test_ten_distinct_glyphs(self):
-        glyphs = [digit_glyph(d) for d in range(10)]
-        for d, g in enumerate(glyphs):
-            assert g.shape == (7, 5)
-            for other in glyphs[d + 1 :]:
+        assert _BITMAPS.shape == (10, 7, 5)
+        for d, g in enumerate(_BITMAPS):
+            for other in _BITMAPS[d + 1 :]:
                 assert np.any(g != other)
-
-    def test_out_of_range(self):
-        with pytest.raises(ConfigError):
-            digit_glyph(10)
 
     def test_negative_seed_is_a_config_error(self):
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             make_digit_set(3, seed=-1)
 
-    def test_matches_string_table_and_returns_a_copy(self):
+    def test_bitmaps_match_string_table(self):
         from wienerlab.datasets import _GLYPHS
 
         for d, rows in enumerate(_GLYPHS):
             expected = np.array([[float(c) for c in row] for row in rows])
-            glyph = digit_glyph(d)
-            np.testing.assert_array_equal(glyph, expected)
-            glyph[:] = -1.0  # the cached table must not change
-            np.testing.assert_array_equal(digit_glyph(d), expected)
+            np.testing.assert_array_equal(_BITMAPS[d], expected)
 
     def test_digit_set_values_in_unit_interval(self):
         s = make_digit_set(30, size=8, seed=17)
@@ -457,7 +449,7 @@ def reference_digit_set(n, size, seed, noise, jitter, intensity=(0.7, 1.0)) -> n
         r = min(max(row0 + dr, 0), size - 7)
         c = min(max(col0 + dc, 0), size - 5)
         img = np.zeros((size, size))
-        img[r : r + 7, c : c + 5] = digit_glyph(i % 10) * rng.uniform(*intensity)
+        img[r : r + 7, c : c + 5] = _BITMAPS[i % 10] * rng.uniform(*intensity)
         if noise > 0:
             img = img + rng.normal(0.0, noise, size=img.shape)
         images.append(np.clip(img, 0.0, 1.0))

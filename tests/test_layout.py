@@ -1,5 +1,6 @@
 """Source-layout rules: every transform in the package goes through one kernel,
-and each numerical or validation rule below is written in one place."""
+each numerical or validation rule below is written in one place, and the
+verification harnesses in tests/oracles.py stay apart from the package."""
 
 import ast
 import collections
@@ -12,6 +13,7 @@ import wienerlab
 
 SRC = Path(wienerlab.__file__).parent
 KERNEL = ("wiener.py", "QuotientKernel")
+ORACLES = Path(__file__).with_name("oracles.py")
 
 
 def _fft_uses(tree: ast.AST) -> list[int]:
@@ -73,11 +75,12 @@ def test_one_forward_and_one_inverse_transform():
     assert called == {"rfftn": 1, "ifft": 1, "irfftn": 1}, called
 
 
-def _sites(matches) -> list[str]:
-    """file:line of every node of the package's source for which `matches` holds."""
+def _sites(matches, paths=None) -> list[str]:
+    """file:line of every node of the package's source (or of `paths`) for
+    which `matches` holds."""
     return [
         f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
+        for path in (paths or sorted(SRC.glob("*.py")))
         for node in ast.walk(ast.parse(path.read_text()))
         if matches(node)
     ]
@@ -140,7 +143,8 @@ def test_signal_pair_comparison_lives_only_in_spectral():
 
 
 def test_one_central_difference_loop():
-    # (f(x + h) - f(x - h)) / (2 * h)
+    # (f(x + h) - f(x - h)) / (2 * h): once, in the test-side harness, and
+    # never in the package
     def central_quotient(node):
         return (
             isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
@@ -148,21 +152,32 @@ def test_one_central_difference_loop():
             and _is_two(node.right.left)
         )
 
-    sites = _sites(central_quotient)
+    in_package = _sites(central_quotient)
+    assert not in_package, in_package
+    sites = _sites(central_quotient, [ORACLES])
     assert len(sites) == 1, sites
 
 
-def _exported(tree: ast.Module) -> set[str]:
-    """The names a module lists in its ``__all__``."""
-    for node in tree.body:
-        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
-        if "__all__" in targets:
-            return set(ast.literal_eval(node.value))
-    return set()
+def test_oracles_stay_independent_of_the_fast_path():
+    # the dense oracle takes no FFT and nothing from the kernel's module, and
+    # the package never reaches back into the harnesses
+    tree = ast.parse(ORACLES.read_text())
+    assert not _fft_uses(tree)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+    assert not [m for m in imported if m.startswith("wienerlab.wiener")], imported
+    mentions = [path.name for path in sorted(SRC.glob("*.py")) if "oracles" in path.read_text()]
+    assert not mentions, mentions
 
 
 def test_every_module_function_is_used_or_exported():
-    # a helper that only tests reach is a second path the program never takes
+    # a helper that only tests reach is a second path the program never takes:
+    # a function needs a reader in the package outside its own body, or a
+    # place in the package's public list; a module's own __all__ is no excuse
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     references = [
         (name, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
@@ -175,13 +190,20 @@ def test_every_module_function_is_used_or_exported():
         for name, tree in trees.items()
         for fn in tree.body
         if isinstance(fn, ast.FunctionDef)
-        and fn.name not in _exported(tree)
+        and fn.name not in wienerlab.__all__
         and not any(
             ref == fn.name and not (where == name and fn.lineno <= line <= fn.end_lineno)
             for where, line, ref in references
         )
     ]
     assert not unused, unused
+
+
+def test_readme_library_section_names_the_public_list():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    missing = [name for name in wienerlab.__all__ if f"`{name}`" not in section]
+    assert not missing, missing
 
 
 def _names(node: ast.AST) -> set[str]:

@@ -6,6 +6,7 @@ import pytest
 import hypothesis
 from hypothesis import strategies as st
 
+from oracles import pad_to_full_lag
 from wienerlab.errors import ConfigError, NumericalError, ShapeError
 from wienerlab.diffusion import EnergyModel
 from wienerlab.knn import LabeledSet
@@ -16,7 +17,6 @@ from wienerlab.spectral import (
     WindowSpec,
     as_stack,
     make_window,
-    pad_to_full_lag,
 )
 from wienerlab.trainer import DenseAutoencoder, TrainConfig, train
 from wienerlab.wiener import QuotientKernel, WienerConfig
