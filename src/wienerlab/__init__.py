@@ -6,7 +6,7 @@ gradient, a translation-invariant distance, and a non-parametric Langevin
 generator, plus desk-scale experiment harnesses behind the ``wienerlab`` CLI.
 """
 
-from .spectral import LagFilter, LagGrid, Signal, WindowSpec, make_window
+from .spectral import LagFilter, Signal, WindowSpec, make_window
 from .wiener import WienerConfig, concentration, ti_distance, wiener_filter, wiener_loss
 from .diffusion import EnergyModel, Schedule, Trajectory, cosine_schedule, run_diffusion
 from .knn import DistanceSpec, LabeledSet, evaluate_accuracy, make_translated_set
@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Signal",
-    "LagGrid",
     "LagFilter",
     "WindowSpec",
     "WienerConfig",

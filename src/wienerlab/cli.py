@@ -47,7 +47,7 @@ from .errors import ConfigError, FormatError, NumericalError, ShapeError, Wiener
 from .gradients import loss_and_grad
 from .knn import DistanceSpec, LabeledSet, evaluate_accuracy, make_translated_set
 from .metrics import compute_metrics, psnr
-from .spectral import LagGrid, Signal, WindowSpec, full_lag, make_window
+from .spectral import Signal, WindowSpec, make_window
 from .trainer import DenseAutoencoder, TrainingDivergedError, train
 from .wiener import QuotientKernel, WienerConfig, concentration, pair_report, wiener_filter
 
@@ -109,10 +109,6 @@ def _run(args) -> int:
     return 0
 
 
-def _whitening(cfg: ExperimentConfig, shape):
-    return make_window(cfg.window, LagGrid(full_lag(shape)))
-
-
 # ---------------------------------------------------------------- filter
 
 
@@ -125,7 +121,7 @@ def _cmd_filter(args, cfg: ExperimentConfig):
         scale = hi - lo if hi > lo else 1.0
         write_pgm(run_dir / "filter.pgm", Signal.from_array((plane - lo) / scale))
 
-        center = v.grid.zero_lag_index
+        center = v.zero_lag_index
         argmax = np.unravel_index(int(np.argmax(plane)), plane.shape)
         report = {
             "zero_lag_value": float(v.zero_lag_values()[0]),
@@ -145,8 +141,7 @@ def _cmd_filter(args, cfg: ExperimentConfig):
 def _cmd_loss(args, cfg: ExperimentConfig):
     prediction = read_pgm(args.image_a)
     target = read_pgm(args.image_b)
-    whitening = _whitening(cfg, prediction.shape)
-    report = pair_report(prediction, target, whitening, cfg.wiener)
+    report = pair_report(prediction, target, cfg.window, cfg.wiener)
     report["metrics"] = compute_metrics(prediction, target)
     return lambda run_dir: (report, f"loss: wiener_loss {report['wiener_loss']:.6g}")
 
@@ -211,8 +206,7 @@ def _cmd_recover(args, cfg: ExperimentConfig):
     if plane.max() > plane.min():  # min-max rescale so the target spans [0, 1]
         target = Signal.from_array((plane - plane.min()) / (plane.max() - plane.min()))
     rc = cfg.recover
-    # the raw window alone: the centered one it is rolled from is let go
-    w_raw = _whitening(cfg, target.shape).raw if rc.loss == "wiener" else None
+    w_raw = make_window(cfg.window, target.shape) if rc.loss == "wiener" else None
 
     mask = _stride_mask(target.shape, rc.stride)
     masked_plane = target.plane() * mask
@@ -281,9 +275,7 @@ def _defining_set(cfg: ExperimentConfig) -> np.ndarray:
 def _cmd_diffuse(args, cfg: ExperimentConfig):
     d = cfg.diffusion
     defining = _defining_set(cfg)
-    grid = LagGrid(full_lag(defining.shape[2:]))
-    penalty = make_window(WindowSpec(d.penalty_family, d.penalty_b), grid)
-    model = EnergyModel(defining, penalty, d.gamma, cfg.wiener)
+    model = EnergyModel(defining, WindowSpec(d.penalty_family, d.penalty_b), d.gamma, cfg.wiener)
     schedule = Schedule(
         cosine_schedule(d.T, d.alpha_start, d.alpha_end),
         cosine_schedule(d.T, d.beta_start, d.beta_end),

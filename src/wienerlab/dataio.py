@@ -33,7 +33,7 @@ __all__ = [
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 MODEL_MAGIC = b"WNAE"
-MODEL_VERSION = 1
+MODEL_VERSION = 2  # 2 records the activation; 1 did not, so it cannot be read
 
 
 def _read_bytes(path) -> bytes:
@@ -179,17 +179,21 @@ def write_pgm(path, s: Signal) -> None:
 
 
 def save_model(path, model: DenseAutoencoder) -> None:
-    """Versioned flat binary: magic, version, layer widths, little-endian f64 params."""
+    """Versioned flat binary: magic, version, layer widths, the activation's
+    name (its byte count, then ASCII), little-endian f64 params."""
+    name = model.activation.encode("ascii")
     with open(path, "wb") as f:
         f.write(MODEL_MAGIC)
         f.write(struct.pack("<I", MODEL_VERSION))
         f.write(struct.pack("<I", len(model.widths)))
         f.write(struct.pack(f"<{len(model.widths)}I", *model.widths))
+        f.write(struct.pack("<I", len(name)) + name)
         f.write(model.flat_params().astype("<f8").tobytes())
 
 
-def load_model(path, activation: str = "mish") -> DenseAutoencoder:
-    """Read a model file; a truncated or inconsistent one raises FormatError."""
+def load_model(path) -> DenseAutoencoder:
+    """Read a model file, activation included; a truncated or inconsistent one,
+    an unknown activation or another version raises FormatError."""
     buf = Path(path).read_bytes()
     if buf[:4] != MODEL_MAGIC:
         raise FormatError("bad model magic", offset=0)
@@ -198,12 +202,16 @@ def load_model(path, activation: str = "mish") -> DenseAutoencoder:
     version, n_widths = struct.unpack_from("<II", buf, 4)
     if version != MODEL_VERSION:
         raise FormatError(f"unsupported model version {version}", offset=4)
-    pos = 12 + 4 * n_widths
-    if pos > len(buf):
+    name_at = 12 + 4 * n_widths + 4
+    if name_at > len(buf):
         raise FormatError(f"truncated layer widths: {n_widths} declared", offset=len(buf))
     widths = struct.unpack_from(f"<{n_widths}I", buf, 12)
     if n_widths < 2 or min(widths) < 1:
         raise FormatError(f"bad layer widths {widths}", offset=12)
+    pos = name_at + struct.unpack_from("<I", buf, name_at - 4)[0]
+    if pos > len(buf):
+        raise FormatError("truncated activation name", offset=len(buf))
+    activation = buf[name_at:pos].decode("ascii", errors="replace")
     n_params = DenseAutoencoder.param_count(widths)
     if len(buf) - pos != 8 * n_params:
         raise FormatError(
@@ -212,7 +220,10 @@ def load_model(path, activation: str = "mish") -> DenseAutoencoder:
     theta = np.frombuffer(buf, dtype="<f8", offset=pos)
     if not np.all(np.isfinite(theta)):
         raise FormatError("non-finite parameter values", offset=pos)
-    return DenseAutoencoder(widths, activation, theta)
+    try:
+        return DenseAutoencoder(widths, activation, theta)
+    except ConfigError as exc:  # the widths and values are checked: an unknown activation
+        raise FormatError(str(exc), offset=name_at) from exc
 
 
 CSV_BLOCK_ROWS = 512  # rows formatted per write: a long log's text is never held whole

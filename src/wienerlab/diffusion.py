@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError, check_seed
+from .errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, check_seed
 from .gradients import energy_terms
-from .spectral import LagFilter, as_stack, full_lag
+from .spectral import WindowSpec, as_stack, make_window
 from .wiener import QuotientKernel, WienerConfig
 
 __all__ = [
@@ -47,12 +47,13 @@ class EnergyModel:
 
     ``defining`` is the set as one stack (n, C, *extents), kept as the
     read-only view that ``as_stack`` validates. The quotient kernel of this
-    fixed set and the squared raw penalty are built at construction; the
-    per-step energy and gradient then cost one filter pass and one pullback.
+    fixed set, the penalty window on its full-lag grid (``penalty_window``,
+    raw layout) and its square are built at construction; the per-step
+    energy and gradient then cost one filter pass and one pullback.
     """
 
     defining: np.ndarray
-    penalty: LagFilter
+    penalty: WindowSpec
     gamma: float
     wiener_cfg: WienerConfig
 
@@ -60,14 +61,11 @@ class EnergyModel:
         defining = as_stack(self.defining)
         check_gamma(self.gamma)
         extents = defining.shape[2:]
-        expected = full_lag(extents)
-        if self.penalty.grid.extents != expected:
-            raise ShapeError(
-                f"penalty extents {self.penalty.grid.extents} != padded extents {expected}"
-            )
+        window = make_window(self.penalty, extents)
         object.__setattr__(self, "defining", defining)
         object.__setattr__(self, "kernel", QuotientKernel(defining, extents, self.wiener_cfg.lam))
-        object.__setattr__(self, "penalty_sq", self.penalty.raw**2)
+        object.__setattr__(self, "penalty_window", window)
+        object.__setattr__(self, "penalty_sq", window**2)
 
 
 @dataclass(frozen=True, eq=False)

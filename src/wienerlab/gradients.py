@@ -7,12 +7,12 @@ per-lag cotangent is carried back through the inverse real transform by
 multiplying with conj(K) = S / (|S|^2 + lam) (the adjoint of the forward
 quotient, S being the half spectrum of the padded fixed signal), then
 cropped to the unpadded extents (the adjoint of zero padding). Weight
-windows are converted to raw layout once, so no step shifts lags. Values
-come from ``wiener.filter_identity_loss`` and ``wiener.zero_lag_fractions``.
-``loss_and_grad`` is the one loss path and ``energy_terms`` the one energy
-path, each over a batch of signals; one signal is a batch of one. The
-finite-difference checks that hold them to their values live with the
-tests. Derivation in docs/gradient_note.md.
+windows are built in raw layout (``spectral.make_window``), so no step
+shifts lags. Values come from ``wiener.filter_identity_loss`` and
+``wiener.zero_lag_fractions``. ``loss_and_grad`` is the one loss path and
+``energy_terms`` the one energy path, each over a batch of signals; one
+signal is a batch of one. The finite-difference checks that hold them to
+their values live with the tests. Derivation in docs/gradient_note.md.
 """
 
 from __future__ import annotations
@@ -35,8 +35,9 @@ def loss_and_grad(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whitened filter-identity loss and its gradient for a batch of varying planes.
 
-    `varying` is (*batch, channels, *extents) and `w_raw` the raw-layout
-    whitening window; values sum over channels and lags, one per batch entry.
+    `varying` is (*batch, channels, *extents) and `w_raw` the whitening
+    window from ``make_window``; values sum over channels and lags, one per
+    batch entry.
     """
     values, residual = filter_identity_loss(kernel, kernel.filters(varying), w_raw)
     residual *= w_raw  # the cotangent W^2 * (v - delta), in the residual's own buffer
@@ -79,7 +80,7 @@ def energy_terms(
 
 def _energy_chunk(model: "EnergyModel", X: np.ndarray):
     gamma = model.gamma
-    pen = model.penalty.raw  # (1, *padded)
+    pen = model.penalty_window  # (*padded), raw layout
     kernel = model.kernel  # fixed side: the defining set, (n, C, *extents)
     axes = kernel.axes
     zero = (...,) + (0,) * len(axes)

@@ -77,7 +77,7 @@ class DistanceSpec:
     wiener_cfg: WienerConfig = field(default_factory=WienerConfig)
 
     def __post_init__(self):
-        if self.kind not in ("manhattan", "euclidean", "wiener_ti"):
+        if self.kind not in ("manhattan", "wiener_ti"):
             raise ConfigError(f"unknown distance kind {self.kind!r}")
 
 
@@ -88,7 +88,7 @@ def _distance_matrix(
     to every training sample, exact wherever the k nearest can lie, and the
     fraction of the m * n entries computed exactly.
 
-    Element-wise kinds are exact everywhere: one pass over the set's flat
+    Manhattan distances are exact everywhere: one pass over the set's flat
     stack per query, into one difference buffer. A TI entry is
     ``ti_distance`` of its pair, found in two passes that stream the set
     through quotient kernels of one block of training rows at a time, each
@@ -148,10 +148,7 @@ def _distance_matrix(
     diff = np.empty_like(flat)  # one difference buffer, reused by every query
     for row, query in zip(out, queries.reshape(len(queries), -1)):
         np.subtract(flat, query, out=diff)
-        if spec.kind == "manhattan":
-            np.sum(np.abs(diff, out=diff), axis=1, out=row)
-        else:
-            row[:] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        np.sum(np.abs(diff, out=diff), axis=1, out=row)
     return out, 1.0
 
 

@@ -7,9 +7,10 @@ extents. The transforms themselves live in one
 place, ``wiener.QuotientKernel`` (real FFTs: forward unnormalized, inverse
 scaled by 1/N, padding implied by the transform size). Inside the library
 filters, windows and penalties are kept in raw lag layout, zero lag at the
-origin corner. The public ``LagFilter`` is centered instead, zero lag at
-floor(extent/2) in each dimension; ``LagFilter.from_raw`` and
-``LagFilter.raw`` are the only places that convert between the two.
+origin corner: ``make_window`` builds each window that way, once, where its
+extents are known. The public ``LagFilter`` is centered instead, zero lag at
+floor(extent/2) in each dimension; ``LagFilter.from_raw`` is the one
+conversion.
 
 A ``Signal`` is one image or vector: the type of file I/O and of the
 single-pair functionals. Every *set* of samples (a training set, a defining
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .errors import ConfigError, ShapeError
 
 __all__ = [
     "Signal",
-    "LagGrid",
     "LagFilter",
     "WindowSpec",
     "as_stack",
@@ -112,74 +111,40 @@ def full_lag(extents) -> tuple[int, ...]:
     return tuple(2 * n for n in extents)
 
 
-@dataclass(frozen=True)
-class LagGrid:
-    """Padded extents plus the centered zero-lag coordinate."""
-
-    extents: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "extents", tuple(int(n) for n in self.extents))
-        if not (1 <= len(self.extents) <= 2):
-            raise ShapeError(f"lag grids must be rank 1 or 2, got {self.extents}")
-
-    @property
-    def zero_lag_index(self) -> tuple[int, ...]:
-        return tuple(n // 2 for n in self.extents)
-
-    def lag_l1(self) -> np.ndarray:
-        """Per-bin Manhattan distance from the zero-lag bin, as float64: each
-        axis's profile is added into one grid by broadcasting."""
-        out = np.zeros(self.extents)
-        for axis, n in enumerate(self.extents):
-            profile = np.abs(np.arange(n) - n // 2)
-            out += profile.reshape((n,) + (1,) * (len(self.extents) - 1 - axis))
-        return out
-
-
 @dataclass(frozen=True, eq=False)
 class LagFilter:
-    """Real grid over centered lags, one plane per channel."""
+    """Real grid over centered lags, one plane per channel: ``data`` is shaped
+    (channels, *extents), extents of rank 1 or 2, with zero lag at
+    floor(extent/2) in each dimension."""
 
-    data: np.ndarray  # (channels, *extents)
-    grid: LagGrid
+    data: np.ndarray
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim == len(self.grid.extents):
-            data = data[np.newaxis]
-        if data.shape[1:] != self.grid.extents:
-            raise ShapeError(
-                f"filter extents {data.shape[1:]} != grid extents {self.grid.extents}"
-            )
+        if data.ndim not in (2, 3) or 0 in data.shape:
+            raise ShapeError(f"a lag filter is (channels, *extents) of rank 1 or 2: {data.shape}")
         if not np.all(np.isfinite(data)):
             raise ConfigError("filter values must be finite")
         object.__setattr__(self, "data", data)
 
     @classmethod
-    def from_raw(cls, raw: np.ndarray, grid: LagGrid) -> "LagFilter":
-        """Center raw-layout planes: the zero-lag bin moves from the origin corner
-        to ``grid.zero_lag_index``."""
-        axes = tuple(range(-len(grid.extents), 0))
-        return cls(np.roll(raw, grid.zero_lag_index, axis=axes), grid)
-
-    @cached_property
-    def raw(self) -> np.ndarray:
-        """Planes (channels, *extents) in raw layout, zero lag at the origin corner
-        (computed once per filter and read-only, since every caller shares it)."""
-        axes = tuple(range(1, self.data.ndim))
-        raw = np.roll(self.data, tuple(-k for k in self.grid.zero_lag_index), axis=axes)
-        raw.flags.writeable = False
-        return raw
+    def from_raw(cls, raw: np.ndarray) -> "LagFilter":
+        """Center raw-layout planes (channels, *extents): the zero-lag bin moves
+        from the origin corner to ``zero_lag_index``."""
+        zero = tuple(n // 2 for n in np.shape(raw)[1:])
+        return cls(np.roll(raw, zero, axis=tuple(range(1, len(zero) + 1))))
 
     @property
     def channels(self) -> int:
         return self.data.shape[0]
 
+    @property
+    def zero_lag_index(self) -> tuple[int, ...]:
+        return tuple(n // 2 for n in self.data.shape[1:])
+
     def zero_lag_values(self) -> np.ndarray:
         """Zero-lag coefficient per channel."""
-        idx = (slice(None),) + self.grid.zero_lag_index
-        return self.data[idx]
+        return self.data[(slice(None),) + self.zero_lag_index]
 
 
 @dataclass(frozen=True)
@@ -203,10 +168,15 @@ class WindowSpec:
             raise ConfigError(f"window floor epsilon must be finite and >= 0, got {self.epsilon}")
 
 
-def make_window(spec: WindowSpec, g: LagGrid) -> LagFilter:
-    """Evaluate a weight window over the centered lag grid (single plane),
-    every step in the buffer of ``g.lag_l1()``, so the grid is held once."""
-    w = g.lag_l1()
+def make_window(spec: WindowSpec, extents) -> np.ndarray:
+    """The weight window of the signals of `extents`, in raw lag layout: shaped
+    ``full_lag(extents)``, with |lag| = min(k, n - k) at bin k of an axis of
+    n bins. Every step runs in one grid buffer."""
+    padded = full_lag(extents)
+    w = np.zeros(padded)
+    for axis, n in enumerate(padded):
+        k = np.arange(n)
+        w += np.minimum(k, n - k).reshape((n,) + (1,) * (len(padded) - 1 - axis))
     np.negative(w, out=w)
     with np.errstate(over="ignore"):  # a tiny b sends l1 / b to inf: exp(-inf) = 0
         w /= spec.b
@@ -215,4 +185,4 @@ def make_window(spec: WindowSpec, g: LagGrid) -> LagFilter:
         w += spec.epsilon
     else:
         np.subtract(1.0, w, out=w)
-    return LagFilter(w[np.newaxis], g)
+    return w

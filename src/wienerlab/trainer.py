@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError, check_seed
 from .gradients import loss_and_grad
-from .spectral import LagGrid, WindowSpec, as_stack, full_lag, make_window
+from .spectral import WindowSpec, as_stack, full_lag, make_window
 from .wiener import QuotientKernel, WienerConfig, zero_lag_fractions
 
 __all__ = [
@@ -215,12 +215,6 @@ def forward(model: DenseAutoencoder, batch) -> np.ndarray:
     return A[-1].reshape((len(X),) + shape)
 
 
-def _window_raw(cfg: TrainConfig, extents: tuple[int, ...]):
-    """Raw-layout whitening window on the full-lag grid of `extents`; None for MSE."""
-    if cfg.loss == "wiener":
-        return make_window(cfg.whitening, LagGrid(full_lag(extents))).raw
-
-
 KERNEL_CACHE_BYTES = 2**26  # spectra a run keeps; past this, kernels are built per minibatch
 
 
@@ -309,7 +303,7 @@ def train(model: DenseAutoencoder, data, cfg: TrainConfig) -> TrainLog:
 
     kept = n if cfg.loss == "wiener" else n_eval
     kernel_rows = _kernel_rows(X_all[:kept].reshape((kept,) + shape), cfg.lam, cfg.batch_size)
-    w_raw = _window_raw(cfg, shape[1:])
+    w_raw = make_window(cfg.whitening, shape[1:]) if cfg.loss == "wiener" else None
     grad, m, v = (np.zeros_like(model.theta) for _ in range(3))
     step, first_loss = 0, None
 

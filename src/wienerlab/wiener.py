@@ -29,7 +29,7 @@ from .errors import (
     SingularSystemError,
     UndefinedQuotientError,
 )
-from .spectral import LagFilter, LagGrid, Signal, check_pair, full_lag
+from .spectral import LagFilter, Signal, WindowSpec, check_pair, full_lag, make_window
 
 __all__ = [
     "WienerConfig",
@@ -71,8 +71,8 @@ class QuotientKernel:
     at the origin corner); varying batches broadcast against the fixed one.
     Floating-point warnings are silenced inside: every non-finite result
     raises NumericalError instead. Every quotient spectrum K * X + L is
-    one ``_quotient`` product, so ``filters``, ``filters_with_ti`` and
-    ``ti_values`` round it alike at every size.
+    one ``_quotient`` product, so ``filters``, ``filters_with_ti``,
+    ``ti_bounds`` and ``ti_values_at`` round it alike at every size.
 
     ``_forward`` is the one forward transform and ``_inverse`` the one
     inverse, irfftn's own 1-D inverses; it is pruned there alone, for
@@ -87,16 +87,15 @@ class QuotientKernel:
     so a varying batch met by many kernels (the kNN's training blocks) is
     transformed once.
 
-    ``ti_values`` reduces each filter plane to its TI value without keeping
-    the whole filter stack: it walks the broadcast batch in tiles of about
-    TI_CHUNK_ELEMENTS spatial elements over its first two axes, takes each
-    plane's mean from the DC bin and its spread from Parseval over the
-    non-DC bins of the half spectrum, and reads only the maximum from the
-    spatial domain. ``ti_bounds`` walks the same tiles, stops the inverse
-    after ``_unwind`` and bounds each plane's value from below, with no
-    exact moments. ``ti_values_at`` finishes chosen planes only, so a search
-    that needs only the smallest values (the kNN vote) inverts few filters
-    whole; its values equal ``ti_values``' bit for bit.
+    A plane's TI value takes its mean from the DC bin and its spread from
+    Parseval over the non-DC bins of the half spectrum, and reads only the
+    maximum from the spatial domain (``_ti``). ``filters_with_ti`` gives
+    them for a small batch. ``ti_bounds`` walks a large one in tiles of
+    about TI_CHUNK_ELEMENTS spatial elements over its first two axes, stops
+    the inverse after ``_unwind`` and bounds each plane's value from below,
+    with no exact moments. ``ti_values_at`` finishes chosen planes only, so
+    a search that needs only the smallest values (the kNN vote) inverts few
+    filters whole; its values equal ``filters_with_ti``' bit for bit.
     """
 
     def __init__(self, fixed: np.ndarray, shape: tuple[int, ...], lam: float):
@@ -133,10 +132,10 @@ class QuotientKernel:
         return self._inverse(self._quotient(self.K, self.L, self.spectrum(varying)))
 
     def filters_with_ti(self, varying: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``filters`` and each plane's ``ti_values`` result from one forward
-        and one inverse transform of `varying`. Untiled, so meant for a small
-        batch such as one pair; its TI results equal ``ti_values``' bit for
-        bit."""
+        """``filters``, the negative maximum of each standardized filter plane,
+        shaped (*batch,), and a mask of the constant planes, whose value is 0
+        by convention, from one forward and one inverse transform of
+        `varying`. Untiled, so meant for a small batch such as one pair."""
         Q = self._quotient(self.K, self.L, self.spectrum(varying))
         v = self._inverse(Q)
         return (v, *self._ti(Q, v))
@@ -162,22 +161,17 @@ class QuotientKernel:
             raise ShapeError(f"varying {np.shape(varying)} does not end in extents {extents}")
         return varying if spectral else self._forward(varying)
 
-    def ti_values(self, varying: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Negative maximum of each standardized filter plane, shaped (*batch,),
-        and a mask of the constant planes, whose value is 0 by convention.
-
-        Each plane's mean and spread come from its spectrum (``_moments``),
-        and only its maximum is read from the spatial filter.
-        """
-        return self._tiled(varying, self._ti, (np.float64, bool))
-
     def ti_bounds(self, varying: np.ndarray) -> np.ndarray:
-        """A lower bound on each plane's ``ti_values`` value, shaped (*batch,),
-        with no exact moments and no real inverse.
+        """A lower bound on each plane's TI value, shaped (*batch,), with no
+        exact moments and no real inverse.
 
-        Each tile holds Q with the half-spectrum axis first among the lag
-        axes, so the leading lag axes, which ``_unwind`` inverts as ``irfftn``
-        does first, are contiguous. With a = |Y| of that partial inverse
+        The batch is walked in tiles of about TI_CHUNK_ELEMENTS filter
+        elements over its first two axes (whole rows of the second axis when
+        one fits). Each tile holds Q with the half-spectrum axis first among
+        the lag axes, so the leading lag axes, which ``_unwind`` inverts as
+        ``irfftn`` does first, are contiguous: the spectrum of `varying` is
+        transposed once, and each tile's slices of K and L in turn, so no
+        whole copy of them is kept. With a = |Y| of that partial inverse
         and c = 2/w per half-spectrum bin, 1/w on the zero and Nyquist
         columns (w the padded last extent):
 
@@ -199,16 +193,33 @@ class QuotientKernel:
         rank = len(self.shape)
         N = math.prod(self.padded)
         c = self._row_weights
-
-        def bound_parts(Q):  # row bound P, mean and N^2 sigma_lo^2 of each plane
-            Y = self._unwind(Q, range(1 - rank, 0))
-            a = np.abs(Y).reshape(Y.shape[:-rank] + (len(c), -1))  # (..., bins, rows)
-            peak = (c @ a).max(axis=-1)
-            a *= a
-            dc = Q[(...,) + (0,) * rank]
-            return peak, dc.real / N, N * (1 - 1e-10) * (c @ a).sum(axis=-1) - abs(dc) ** 2
-
-        peak, mu, var_lo = self._tiled(varying, bound_parts, (np.float64,) * 3, lag_first=True)
+        batch, tiled, factors = self._leading(varying)
+        # the transposed spectrum replaces the first, which is let go
+        factors = [np.moveaxis(f, -1, -rank) for f in factors]
+        factors[2] = np.ascontiguousarray(factors[2])
+        n0, n1 = tiled[:2]
+        cells = _tile_cells(N * math.prod(tiled[2:]))
+        step1 = min(n1, cells)
+        step0 = max(1, cells // step1)
+        peak, mu, var_lo = (np.empty(tiled) for _ in range(3))  # row bound P, mean, N^2 sigma_lo^2
+        for i in range(0, n0, step0):
+            for j in range(0, n1, step1):
+                tile = (slice(i, i + step0), slice(j, j + step1))
+                Q = self._quotient(*(  # C-ordered factors, so Q is C-ordered too
+                    np.ascontiguousarray(f[tuple(t if n > 1 else slice(None)
+                                                 for t, n in zip(tile, f.shape))])
+                    for f in factors
+                ))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    Y = self._unwind(Q, range(1 - rank, 0))
+                    a = np.abs(Y).reshape(Y.shape[:-rank] + (len(c), -1))  # (..., bins, rows)
+                    peak[tile] = (c @ a).max(axis=-1)
+                    a *= a
+                    dc = Q[(...,) + (0,) * rank]
+                    mu[tile] = dc.real / N
+                    var_lo[tile] = N * (1 - 1e-10) * (c @ a).sum(axis=-1) - abs(dc) ** 2
+                del Q, Y, a, dc  # freed before the next tile's arrays are made
+        peak, mu, var_lo = (x.reshape(batch) for x in (peak, mu, var_lo))
         if not np.all(np.isfinite(var_lo)):
             raise NumericalError("non-finite spectral power of the matching filter")
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -216,13 +227,13 @@ class QuotientKernel:
         return np.where(var_lo > 0.0, lower, -np.inf)
 
     def ti_values_at(self, varying: np.ndarray, index: tuple) -> np.ndarray:
-        """``ti_values``' values of the planes at `index`, a pair of index arrays
-        into the first two axes of the broadcast batch, shaped (p, *rest).
-        Each plane's moments are taken here, from the same quotient bins as
-        in ``ti_values``' tiles, so each value equals ``ti_values``' bit for
-        bit. The p entries are inverted in chunks of at most
-        TI_CHUNK_ELEMENTS / 2 filter elements: a chunk also holds its
-        entries' gathered K, L and spectrum, which a tile only views."""
+        """The TI values of the planes at `index`, a pair of index arrays into
+        the first two axes of the broadcast batch, shaped (p, *rest). Each
+        plane's moments are taken here, from the same quotient bins as in
+        ``filters_with_ti``, and summed over that plane alone, so each value
+        equals ``filters_with_ti``' bit for bit. The p entries are inverted in
+        chunks of at most TI_CHUNK_ELEMENTS / 2 filter elements: a chunk also
+        holds its entries' gathered K, L and spectrum."""
         _, tiled, factors = self._leading(varying)
         step = _tile_cells(2 * math.prod(self.padded) * math.prod(tiled[2:]))
         values = np.empty((len(index[0]),) + tiled[2:])
@@ -246,41 +257,6 @@ class QuotientKernel:
             a.reshape((1,) * (lead + rank - a.ndim) + a.shape) for a in (self.K, self.L, X)
         )
         return batch, (1,) * (lead - len(batch)) + batch, factors
-
-    def _tiled(
-        self, varying: np.ndarray, reduce, dtypes: tuple, lag_first: bool = False
-    ) -> tuple[np.ndarray, ...]:
-        """``reduce`` of the quotient of each tile of the broadcast batch, its
-        per-plane results assembled into arrays of `dtypes`, shaped (*batch,).
-
-        The batch is walked in tiles of about TI_CHUNK_ELEMENTS filter elements
-        over its first two axes (whole rows of the second axis when one fits).
-        With `lag_first`, each tile's quotient has the half-spectrum axis first
-        among its lag axes: the spectrum of `varying` is transposed once, and
-        each tile's slices of K and L in turn, so no whole copy of them is
-        kept. A tile's factors are C-ordered, so its quotient is too.
-        """
-        batch, tiled, factors = self._leading(varying)
-        if lag_first:  # the transposed spectrum replaces the first, which is let go
-            factors = [np.moveaxis(a, -1, -len(self.shape)) for a in factors]
-            factors[2] = np.ascontiguousarray(factors[2])
-        n0, n1 = tiled[:2]
-        cells = _tile_cells(math.prod(self.padded) * math.prod(tiled[2:]))
-        step1 = min(n1, cells)
-        step0 = max(1, cells // step1)
-        outs = tuple(np.empty(tiled, dtype=dtype) for dtype in dtypes)
-        for i in range(0, n0, step0):
-            for j in range(0, n1, step1):
-                tile = (slice(i, i + step0), slice(j, j + step1))
-                Q = self._quotient(*(
-                    np.ascontiguousarray(a[tuple(t if n > 1 else slice(None)
-                                                 for t, n in zip(tile, a.shape))])
-                    for a in factors
-                ))
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for out, part in zip(outs, reduce(Q)):
-                        out[tile] = part
-        return tuple(out.reshape(batch) for out in outs)
 
     def _ti(self, Q: np.ndarray, v: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """TI values and the constant-plane mask of the filters v = irfftn(Q),
@@ -400,7 +376,7 @@ def wiener_filter(target: Signal, source: Signal, cfg: WienerConfig) -> LagFilte
     """
     check_pair(target, source)
     kernel = QuotientKernel(source.planes, source.shape, cfg.lam)
-    return LagFilter.from_raw(kernel.filters(target.planes), LagGrid(kernel.padded))
+    return LagFilter.from_raw(kernel.filters(target.planes))
 
 
 def filter_identity_loss(
@@ -410,20 +386,21 @@ def filter_identity_loss(
     of the kernel's raw filters v = `filters` (*batch, C, *padded), and the
     whitened residual W * (v - delta), formed in place in `filters`.
     NumericalError unless every value is finite."""
-    if w_raw.shape[-len(kernel.shape):] != kernel.padded:
-        raise ShapeError(f"whitening extents {w_raw.shape[1:]} != padded extents {kernel.padded}")
+    rank = len(kernel.shape)
+    if w_raw.shape[-rank:] != kernel.padded:
+        raise ShapeError(f"whitening extents {w_raw.shape[-rank:]} != padded extents {kernel.padded}")
     residual = filters
-    residual[(...,) + (0,) * len(kernel.shape)] -= 1.0
+    residual[(...,) + (0,) * rank] -= 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         residual *= w_raw
-        values = 0.5 * np.sum(residual**2, axis=(-1 - len(kernel.shape),) + kernel.axes)
+        values = 0.5 * np.sum(residual**2, axis=(-1 - rank,) + kernel.axes)
     if not np.all(np.isfinite(values)):
         raise NumericalError("non-finite filter loss: the whitened residual overflows")
     return values, residual
 
 
 def wiener_loss(
-    prediction: Signal, target: Signal, whitening: LagFilter, cfg: WienerConfig
+    prediction: Signal, target: Signal, whitening: WindowSpec, cfg: WienerConfig
 ) -> float:
     """Half the squared whitened distance between the matching filter and the identity.
 
@@ -432,7 +409,8 @@ def wiener_loss(
     """
     check_pair(prediction, target)
     kernel = QuotientKernel(target.planes, target.shape, cfg.lam)
-    return float(filter_identity_loss(kernel, kernel.filters(prediction.planes), whitening.raw)[0])
+    w_raw = make_window(whitening, target.shape)
+    return float(filter_identity_loss(kernel, kernel.filters(prediction.planes), w_raw)[0])
 
 
 def ti_distance(a: Signal, b: Signal, cfg: WienerConfig) -> float:
@@ -443,10 +421,10 @@ def ti_distance(a: Signal, b: Signal, cfg: WienerConfig) -> float:
     more similar; the self-distance -sqrt(nbins - 1) is the global minimum.
     Each plane's mean and spread come from the filter's spectrum (the DC bin
     and Parseval over the other bins); only the maximum is read from the
-    spatial domain. See ``QuotientKernel.ti_values``.
+    spatial domain. See ``QuotientKernel.filters_with_ti``.
     """
     check_pair(a, b)
-    return _mean_ti(*QuotientKernel(b.planes, b.shape, cfg.lam).ti_values(a.planes))
+    return _mean_ti(*QuotientKernel(b.planes, b.shape, cfg.lam).filters_with_ti(a.planes)[1:])
 
 
 def _mean_ti(values: np.ndarray, constant: np.ndarray) -> float:
@@ -456,7 +434,7 @@ def _mean_ti(values: np.ndarray, constant: np.ndarray) -> float:
 
 
 def pair_report(
-    prediction: Signal, target: Signal, whitening: LagFilter, cfg: WienerConfig
+    prediction: Signal, target: Signal, whitening: WindowSpec, cfg: WienerConfig
 ) -> dict[str, float]:
     """``wiener_loss``, ``ti_distance`` and the ``concentration`` of
     ``wiener_filter(prediction, target)`` from the target's one kernel and
@@ -467,9 +445,10 @@ def pair_report(
     check_pair(prediction, target)
     kernel = QuotientKernel(target.planes, target.shape, cfg.lam)
     raw, values, constant = kernel.filters_with_ti(prediction.planes)
-    focus = concentration(LagFilter.from_raw(raw, LagGrid(kernel.padded)))
+    focus = concentration(LagFilter.from_raw(raw))
+    w_raw = make_window(whitening, target.shape)
     return {
-        "wiener_loss": float(filter_identity_loss(kernel, raw, whitening.raw)[0]),  # consumes raw
+        "wiener_loss": float(filter_identity_loss(kernel, raw, w_raw)[0]),  # consumes raw
         "ti_distance": _mean_ti(values, constant),
         "filter_concentration": focus,
     }
@@ -488,4 +467,4 @@ def zero_lag_fractions(planes: np.ndarray, zero: tuple[int, ...]) -> tuple[np.nd
 
 def concentration(v: LagFilter) -> float:
     """Fraction of squared filter energy at the zero-lag bin, in [0, 1], averaged over channels."""
-    return float(np.mean(zero_lag_fractions(v.data, v.grid.zero_lag_index)[0]))
+    return float(np.mean(zero_lag_fractions(v.data, v.zero_lag_index)[0]))

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from wienerlab.errors import ConfigError, SingularSystemError, WienerlabError
-from wienerlab.spectral import LagFilter, LagGrid, Signal, check_pair, full_lag
+from wienerlab.spectral import LagFilter, Signal, check_pair, full_lag, make_window
 from wienerlab.trainer import (
     DenseAutoencoder,
     TrainConfig,
@@ -24,7 +24,6 @@ from wienerlab.trainer import (
     _batch_loss_and_grad,
     _kernel_rows,
     _sample_matrix,
-    _window_raw,
 )
 
 ORACLE_SIZE_CAP = 4096  # padded elements per channel; dense solve is O(n^3)
@@ -42,12 +41,13 @@ def pad_to_full_lag(s: Signal) -> Signal:
     return Signal(out.ravel(), padded_shape, s.channels)
 
 
-def delta_filter(grid: LagGrid, channels: int = 1) -> LagFilter:
-    """Unit spike at the zero-lag bin: the convolutional identity, which the
-    filter of any signal against itself must equal."""
-    data = np.zeros((channels,) + grid.extents)
-    data[(slice(None),) + grid.zero_lag_index] = 1.0
-    return LagFilter(data, grid)
+def delta_filter(extents: tuple[int, ...], channels: int = 1) -> LagFilter:
+    """Unit spike at the zero-lag bin of a centered lag grid of `extents`: the
+    convolutional identity, which the filter of any signal against itself
+    must equal."""
+    data = np.zeros((channels,) + tuple(extents))
+    data[(slice(None),) + tuple(n // 2 for n in extents)] = 1.0
+    return LagFilter(data)
 
 
 def _circulant_1d(s: np.ndarray) -> np.ndarray:
@@ -79,7 +79,6 @@ def wiener_filter_direct(target: Signal, source: Signal, cfg) -> LagFilter:
     n = int(np.prod(t.shape[1:]))
     if n > ORACLE_SIZE_CAP:
         raise OracleSizeError(f"padded size {n} exceeds dense-solve cap {ORACLE_SIZE_CAP}")
-    grid = LagGrid(t.shape[1:])
     delta = np.zeros(n)
     delta[0] = 1.0  # zero lag in raw (uncentered) layout
     out = np.empty_like(t)
@@ -93,7 +92,7 @@ def wiener_filter_direct(target: Signal, source: Signal, cfg) -> LagFilter:
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"dense system is singular: {exc}") from exc
         out[c] = v.reshape(t.shape[1:])
-    return LagFilter.from_raw(out, grid)
+    return LagFilter.from_raw(out)
 
 
 @dataclass(frozen=True)
@@ -145,9 +144,9 @@ def grad_check_model(
     if model.n_params > 5000:
         raise ConfigError(f"{model.n_params} parameters exceeds the 5k grad-check cap")
     X, shape = _sample_matrix(model, batch)
-    w_raw = _window_raw(cfg, shape[1:])
-    kernel_rows = None
+    w_raw = kernel_rows = None
     if cfg.loss == "wiener":
+        w_raw = make_window(cfg.whitening, shape[1:])
         kernel_rows = _kernel_rows(X.reshape((len(X),) + shape), cfg.lam, len(X))
     every = slice(None)
     loss, d_out, A, D = _batch_loss_and_grad(model, X, every, shape, cfg, w_raw, kernel_rows)

@@ -24,7 +24,7 @@ from wienerlab.diffusion import (
 )
 from wienerlab.gradients import energy_terms, loss_and_grad
 from wienerlab.knn import DistanceSpec, evaluate_accuracy, make_translated_set
-from wienerlab.spectral import LagGrid, Signal, WindowSpec, make_window
+from wienerlab.spectral import Signal, WindowSpec, make_window
 from wienerlab.trainer import DenseAutoencoder, TrainConfig, forward, train
 from wienerlab.wiener import QuotientKernel, WienerConfig, wiener_filter, wiener_loss
 
@@ -79,7 +79,7 @@ def test_criterion_2_convolutional_identity():
     for _ in range(20):
         y = Signal.from_array(rng.random((12, 12)))
         v = wiener_filter(y, y, WienerConfig(lam=float(rng.choice([1e-3, 1.0, 250.0]))))
-        worst_id = max(worst_id, np.abs(v.data - delta_filter(v.grid).data).max())
+        worst_id = max(worst_id, np.abs(v.data - delta_filter(v.data.shape[1:]).data).max())
     worst_eq = 0.0
     for _ in range(20):
         img = margin_image(16, 6, rng)
@@ -87,7 +87,7 @@ def test_criterion_2_convolutional_identity():
         y = Signal.from_array(img)
         x = Signal.from_array(np.roll(img, k, axis=(0, 1)))
         v = wiener_filter(x, y, WienerConfig(lam=1e-12))
-        expect = np.roll(delta_filter(v.grid).data, k, axis=(1, 2))
+        expect = np.roll(delta_filter(v.data.shape[1:]).data, k, axis=(1, 2))
         worst_eq = max(worst_eq, np.abs(v.data - expect).max())
     elapsed = time.perf_counter() - t0
     report(
@@ -112,22 +112,23 @@ def test_criterion_3_gradient_fidelity():
     for lam in (0.1, 1.0, 250.0):
         pred = Signal.from_array(rng.random((16, 16)))
         targ = Signal.from_array(rng.random((16, 16)))
-        w = make_window(WindowSpec("laplace", 2.0, 0.1), LagGrid((32, 32)))
+        w = WindowSpec("laplace", 2.0, 0.1)
         cfg = WienerConfig(lam=lam)
-        grad = loss_and_grad(QuotientKernel(targ.planes, targ.shape, lam), pred.planes, w.raw)[1]
+        w_raw = make_window(w, targ.shape)
+        grad = loss_and_grad(QuotientKernel(targ.planes, targ.shape, lam), pred.planes, w_raw)[1]
         rep = check_gradient(
             lambda p: wiener_loss(p, targ, w, cfg), Signal.from_planes(grad), pred, h=1e-5
         )
         worst_loss = max(worst_loss, rep.max_rel_error)
 
-    pen1 = make_window(WindowSpec("inverted_laplace", 3.0), LagGrid((32,)))
+    pen1 = WindowSpec("inverted_laplace", 3.0)
     model1 = EnergyModel(
         np.stack([rng.random((1, 16)) for _ in range(3)]), pen1, 1.0, WienerConfig(lam=0.1)
     )
     x1 = Signal(rng.random(16), (16,))
     rep1 = check_energy_gradient(x1, model1)
 
-    pen2 = make_window(WindowSpec("inverted_laplace", 2.0), LagGrid((16, 16)))
+    pen2 = WindowSpec("inverted_laplace", 2.0)
     model2 = EnergyModel(
         np.stack([rng.random((1, 8, 8)) for _ in range(2)]), pen2, 1.0, WienerConfig(lam=1.0)
     )
@@ -175,7 +176,7 @@ def test_criterion_4_translation_robust_classification():
 def test_criterion_5_diffusion_behavior():
     t0 = time.perf_counter()
     samples, ids = two_cluster_latents(8, dim=8, separation=2.0, spread=0.15, seed=7)
-    pen = make_window(WindowSpec("inverted_laplace", 0.5), LagGrid((16,)))
+    pen = WindowSpec("inverted_laplace", 0.5)
     schedule = Schedule(cosine_schedule(200, 5.0, 0.01), cosine_schedule(200, 0.001, 0.08))
     details = []
     ok = True
@@ -312,7 +313,7 @@ def test_criterion_9_performance_scaling():
         inputs[n] = (
             Signal.from_array(rng.random((n, n))),
             Signal.from_array(rng.random((n, n))),
-            make_window(WindowSpec("laplace", 2.0, 0.3), LagGrid((2 * n, 2 * n))),
+            WindowSpec("laplace", 2.0, 0.3),
         )
 
     def one(n):
@@ -320,7 +321,8 @@ def test_criterion_9_performance_scaling():
         t0 = time.perf_counter()
         wiener_filter(pred, targ, cfg)
         wiener_loss(pred, targ, w, cfg)
-        loss_and_grad(QuotientKernel(targ.planes, targ.shape, cfg.lam), pred.planes, w.raw)
+        w_raw = make_window(w, targ.shape)
+        loss_and_grad(QuotientKernel(targ.planes, targ.shape, cfg.lam), pred.planes, w_raw)
         return time.perf_counter() - t0
 
     # interleaved min-of-7 per size: robust to transient machine load

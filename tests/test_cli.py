@@ -18,7 +18,7 @@ from wienerlab.dataio import read_pgm, load_model, write_pgm
 from wienerlab.datasets import make_digit_set
 from wienerlab.diffusion import run_diffusion
 from wienerlab.gradients import loss_and_grad
-from wienerlab.spectral import LagGrid, Signal, WindowSpec, make_window
+from wienerlab.spectral import Signal, WindowSpec, make_window
 from wienerlab.trainer import TrainConfig
 from wienerlab.wiener import QuotientKernel, WienerConfig
 
@@ -228,14 +228,14 @@ class TestRecoverCommand:
     def test_cached_target_gradient_matches_a_fresh_kernel(self):
         rng = np.random.default_rng(4)
         target = Signal.from_array(rng.random((10, 12)))
-        whitening = make_window(WindowSpec("laplace", 2.0, 0.3), LagGrid((20, 24)))
+        whitening = make_window(WindowSpec("laplace", 2.0, 0.3), target.shape)
         cfg = WienerConfig(lam=0.5)
-        objective = _recover_objective(RecoverSection(loss="wiener"), target, whitening.raw, cfg)
+        objective = _recover_objective(RecoverSection(loss="wiener"), target, whitening, cfg)
         for _ in range(3):  # one kernel, several iterates
             x = rng.random((1, 10, 12))
             value, grad = objective(x)
             kernel = QuotientKernel(target.planes, target.shape, cfg.lam)
-            ref_value, ref_grad = loss_and_grad(kernel, x, whitening.raw)
+            ref_value, ref_grad = loss_and_grad(kernel, x, whitening)
             assert value == pytest.approx(float(ref_value), rel=1e-12)
             assert np.abs(grad - ref_grad).max() < 1e-12
 
@@ -396,6 +396,13 @@ class TestTrainCommand:
         assert model.widths == (64, 32, 16, 32, 64)
         lines = (out / "train_log.csv").read_text().strip().splitlines()
         assert lines == ["epoch,loss,concentration"]
+
+    def test_model_file_keeps_the_configured_activation(self, tmp_path):
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text("[train]\nn_train = 40\nepochs = 1\nactivation = tanh\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfgf), "--out", str(out)]) == 0
+        assert load_model(out / "model.wnae").activation == "tanh"
 
     def test_short_mse_run_logs_epochs(self, tmp_path):
         cfgf = tmp_path / "c.ini"

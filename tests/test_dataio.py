@@ -17,7 +17,7 @@ from wienerlab.dataio import (
 )
 from wienerlab.errors import ConfigError, FormatError, ShapeError
 from wienerlab.spectral import Signal
-from wienerlab.trainer import DenseAutoencoder
+from wienerlab.trainer import DenseAutoencoder, forward
 
 
 def idx_image_bytes(images: np.ndarray) -> bytes:
@@ -194,6 +194,43 @@ class TestModelBinary:
         back = load_model(p)
         assert back.widths == (10, 4, 10)
         np.testing.assert_array_equal(back.flat_params(), model.flat_params())
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_roundtrip_keeps_the_activation(self, tmp_path, activation):
+        model = DenseAutoencoder.initialize((12, 5, 12), activation=activation, seed=5)
+        p = tmp_path / "m.wnae"
+        save_model(p, model)
+        raw = p.read_bytes()
+        assert struct.unpack_from("<I", raw, 4) == (2,)  # version 2 records the activation
+        name = activation.encode()
+        assert raw[24:28 + len(name)] == struct.pack("<I", len(name)) + name
+        back = load_model(p)
+        assert back.activation == activation
+        batch = np.random.default_rng(6).standard_normal((7, 1, 12))
+        assert forward(back, batch).tobytes() == forward(model, batch).tobytes()
+
+    def test_version_1_file_is_a_format_error(self, tmp_path):
+        # version 1 did not record the activation, so it cannot say which model it holds
+        model = DenseAutoencoder.initialize((4, 3, 4), seed=1)
+        p = tmp_path / "v1.wnae"
+        p.write_bytes(
+            b"WNAE" + struct.pack("<II3I", 1, 3, 4, 3, 4)
+            + model.flat_params().astype("<f8").tobytes()
+        )
+        with pytest.raises(FormatError, match="version 1") as err:
+            load_model(p)
+        assert err.value.offset == 4
+
+    @pytest.mark.parametrize("name", [b"gelu", b"", b"\xffmish"])
+    def test_unknown_activation_is_a_format_error(self, tmp_path, name):
+        p = tmp_path / "m.wnae"
+        save_model(p, DenseAutoencoder.initialize((4, 3, 4), activation="relu", seed=1))
+        raw = p.read_bytes()
+        at = 12 + 4 * 3  # the name's byte count follows the three widths
+        p.write_bytes(raw[:at] + struct.pack("<I", len(name)) + name + raw[at + 4 + len("relu"):])
+        with pytest.raises(FormatError, match="activation") as err:
+            load_model(p)
+        assert err.value.offset == at + 4
 
     def test_magic_checked(self, tmp_path):
         p = tmp_path / "bad.wnae"

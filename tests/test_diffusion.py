@@ -17,13 +17,13 @@ from wienerlab.diffusion import (
 )
 from wienerlab.errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError
 from wienerlab.gradients import energy_terms
-from wienerlab.spectral import LagGrid, Signal, WindowSpec, make_window
+from wienerlab.spectral import Signal, WindowSpec, make_window
 from wienerlab.wiener import WienerConfig
 
 
 def toy_model(gamma=0.5, lam=0.5, pen_b=0.5, n=8, dim=8, seed=7):
     samples, ids = two_cluster_latents(n, dim=dim, separation=2.0, spread=0.15, seed=seed)
-    pen = make_window(WindowSpec("inverted_laplace", b=pen_b), LagGrid((2 * dim,)))
+    pen = WindowSpec("inverted_laplace", b=pen_b)
     return EnergyModel(samples, pen, gamma, WienerConfig(lam=lam)), ids
 
 
@@ -333,17 +333,22 @@ class TestLockstep:
 
 class TestEnergyModelValidation:
     def test_mixed_shapes_rejected(self):
-        pen = make_window(WindowSpec("inverted_laplace", b=1.0), LagGrid((16,)))
+        pen = WindowSpec("inverted_laplace", b=1.0)
         with pytest.raises(ShapeError):
             EnergyModel([np.ones((1, 8)), np.ones((1, 6))], pen, 1.0, WienerConfig())
 
-    def test_wrong_penalty_extents_rejected(self):
-        pen = make_window(WindowSpec("inverted_laplace", b=1.0), LagGrid((8,)))
-        with pytest.raises(ShapeError):
-            EnergyModel(np.ones((1, 1, 8)), pen, 1.0, WienerConfig())
+    @pytest.mark.parametrize("extents", [(8,), (3, 5)])
+    def test_penalty_window_is_built_on_the_defining_sets_grid(self, extents):
+        pen = WindowSpec("inverted_laplace", b=1.3)
+        model = EnergyModel(np.ones((2, 1, *extents)), pen, 1.0, WienerConfig())
+        assert model.penalty is pen
+        want = make_window(pen, extents)
+        assert model.penalty_window.shape == tuple(2 * n for n in extents)
+        assert model.penalty_window.tobytes() == want.tobytes()
+        assert model.penalty_sq.tobytes() == (want**2).tobytes()
 
     def test_negative_gamma_rejected(self):
-        pen = make_window(WindowSpec("inverted_laplace", b=1.0), LagGrid((16,)))
+        pen = WindowSpec("inverted_laplace", b=1.0)
         with pytest.raises(ConfigError):
             EnergyModel(np.ones((1, 1, 8)), pen, -0.1, WienerConfig())
         for bad in (np.nan, np.inf):

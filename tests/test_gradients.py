@@ -5,7 +5,7 @@ from oracles import check_gradient
 from wienerlab.diffusion import EnergyModel
 from wienerlab.errors import ConfigError, ShapeError
 from wienerlab.gradients import energy_terms, loss_and_grad
-from wienerlab.spectral import LagGrid, Signal, WindowSpec, make_window
+from wienerlab.spectral import Signal, WindowSpec, make_window
 from wienerlab.wiener import QuotientKernel, WienerConfig, wiener_loss
 
 
@@ -13,14 +13,14 @@ def unit_signal(shape, seed):
     return Signal.from_array(np.random.default_rng(seed).random(shape))
 
 
-def whitening_for(shape, spec=("laplace", 2.0, 0.1)):
-    return make_window(WindowSpec(*spec), LagGrid(tuple(2 * n for n in shape)))
+WHITENING = WindowSpec("laplace", 2.0, 0.1)
 
 
 def loss_grad(pred, targ, w, cfg):
-    """The filter loss and its gradient at one prediction: a batch of one."""
+    """The filter loss and its gradient at one prediction, whitened by the
+    window of spec `w` on the target's grid: a batch of one."""
     kernel = QuotientKernel(targ.planes, targ.shape, cfg.lam)
-    value, grad = loss_and_grad(kernel, pred.planes, w.raw)
+    value, grad = loss_and_grad(kernel, pred.planes, make_window(w, targ.shape))
     return float(value), Signal.from_planes(grad)
 
 
@@ -37,14 +37,14 @@ def energy(x, model):
 def toy_model(n_samples=3, dim=16, lam=0.1, gamma=1.0, pen_b=3.0, seed=7):
     rng = np.random.default_rng(seed)
     ys = np.stack([rng.random((1, dim)) for _ in range(n_samples)])
-    pen = make_window(WindowSpec("inverted_laplace", b=pen_b), LagGrid((2 * dim,)))
+    pen = WindowSpec("inverted_laplace", b=pen_b)
     return EnergyModel(ys, pen, gamma, WienerConfig(lam=lam))
 
 
 class TestGradWienerLoss:
     def test_gradient_vanishes_at_target(self):
         y = unit_signal((8, 8), 1)
-        value, grad = loss_grad(y, y, whitening_for(y.shape), WienerConfig(lam=1.0))
+        value, grad = loss_grad(y, y, WHITENING, WienerConfig(lam=1.0))
         assert np.abs(grad.data).max() < 1e-9
         assert value == pytest.approx(0.0, abs=1e-25)
 
@@ -52,7 +52,7 @@ class TestGradWienerLoss:
     def test_matches_finite_differences_6x6(self, lam):
         pred = unit_signal((6, 6), 2)
         targ = unit_signal((6, 6), 3)
-        w = whitening_for((6, 6))
+        w = WHITENING
         cfg = WienerConfig(lam=lam)
         grad = loss_grad(pred, targ, w, cfg)[1]
         rep = check_gradient(lambda p: wiener_loss(p, targ, w, cfg), grad, pred, h=1e-5)
@@ -61,7 +61,7 @@ class TestGradWienerLoss:
     def test_value_field_equals_loss(self):
         pred = unit_signal((6, 6), 4)
         targ = unit_signal((6, 6), 5)
-        w = whitening_for((6, 6))
+        w = WHITENING
         cfg = WienerConfig(lam=1.0)
         value = loss_grad(pred, targ, w, cfg)[0]
         assert abs(value - wiener_loss(pred, targ, w, cfg)) < 1e-12
@@ -72,7 +72,7 @@ class TestGradWienerLoss:
         rng = np.random.default_rng(6)
         targ = Signal.from_array(rng.random((8, 8)))
         x = rng.random((8, 8))
-        w = whitening_for((8, 8))
+        w = WHITENING
         cfg = WienerConfig(lam=1.0)
         step = 1e-2
         losses = []
@@ -94,7 +94,7 @@ class TestGradWienerLoss:
         rng = np.random.default_rng(7)
         pred = Signal.from_planes(rng.random((2, 5, 5)))
         targ = Signal.from_planes(rng.random((2, 5, 5)))
-        w = whitening_for((5, 5))
+        w = WHITENING
         cfg = WienerConfig(lam=1.0)
         grad = loss_grad(pred, targ, w, cfg)[1]
         rep = check_gradient(lambda p: wiener_loss(p, targ, w, cfg), grad, pred, h=1e-5)
@@ -102,17 +102,19 @@ class TestGradWienerLoss:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            loss_grad(
-                unit_signal((4, 4), 8), unit_signal((5, 5), 9),
-                whitening_for((4, 4)), WienerConfig(),
-            )
+            loss_grad(unit_signal((4, 4), 8), unit_signal((5, 5), 9), WHITENING, WienerConfig())
+        # a window on another grid: the message names both grids whole
+        y = unit_signal((4, 4), 8)
+        kernel = QuotientKernel(y.planes, y.shape, 1.0)
+        with pytest.raises(ShapeError, match=r"extents \(10, 8\) != padded extents \(8, 8\)"):
+            loss_and_grad(kernel, y.planes, make_window(WHITENING, (5, 4)))
 
 
 class TestGradEnergy:
     def test_stationary_at_defining_sample(self):
         rng = np.random.default_rng(10)
         y = Signal(rng.random(16), (16,))
-        pen = make_window(WindowSpec("inverted_laplace", b=3.0), LagGrid((32,)))
+        pen = WindowSpec("inverted_laplace", b=3.0)
         model = EnergyModel(y.planes[None], pen, 2.0, WienerConfig(lam=0.5))
         value, grad = energy_grad(y, model)
         assert np.abs(grad.data).max() < 1e-8
@@ -139,7 +141,7 @@ class TestGradEnergy:
             energy_grad(unit_signal((8,), 13), toy_model(dim=16))
 
     def test_empty_defining_set_rejected(self):
-        pen = make_window(WindowSpec("inverted_laplace", b=1.0), LagGrid((8,)))
+        pen = WindowSpec("inverted_laplace", b=1.0)
         with pytest.raises(ConfigError):
             EnergyModel(np.empty((0, 1, 4)), pen, 1.0, WienerConfig())
 
@@ -207,7 +209,7 @@ class TestDenseAdjointOracle:
     def test_loss_gradient_is_the_dense_adjoint(self, shape):
         # loss 0.5 * ||W (v - delta)||^2 summed over channels; gradient J^T W^2 (v - delta)
         rng = np.random.default_rng(sum(shape))
-        whitening = whitening_for(shape).raw
+        whitening = make_window(WHITENING, shape)
         w = whitening.ravel()
         for lam in ORACLE_LAMBDAS:
             for channels in (1, 2, 3):
@@ -229,9 +231,8 @@ class TestDenseAdjointOracle:
         # the sum over defining samples of J^T g_v, g_v the derivative of each
         # sample's term in its filter v
         rng = np.random.default_rng(sum(shape) + 1)
-        padded = LagGrid(tuple(2 * n for n in shape))
-        pen = make_window(WindowSpec("inverted_laplace", b=1.5), padded)
-        p = pen.raw.ravel()
+        pen = WindowSpec("inverted_laplace", b=1.5)
+        p = make_window(pen, shape).ravel()
         gamma = 0.7
         for lam in ORACLE_LAMBDAS:
             for channels in (1, 2, 3):

@@ -90,6 +90,22 @@ def _is_two(node: ast.AST) -> bool:
     return isinstance(node, ast.Constant) and node.value == 2
 
 
+def test_np_roll_is_called_only_in_lag_filter_from_raw():
+    # windows are built in raw layout where their extents are known, so the
+    # one layout conversion is centering a raw filter at the public boundary
+    def rolls(node):
+        func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+        return getattr(func, "attr", None) == "roll" or getattr(func, "id", None) == "roll"
+
+    sites = _sites(rolls)
+    tree = ast.parse((SRC / "spectral.py").read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "LagFilter")
+    fn = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "from_raw")
+    assert len(sites) == 1, sites
+    path, line = sites[0].split(":")
+    assert path == "spectral.py" and fn.lineno <= int(line) <= fn.end_lineno, sites
+
+
 def test_ti_tile_budget_is_read_in_one_function():
     # every TI pass sizes its tiles or chunks through that one function
     readers = [

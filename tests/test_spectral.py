@@ -12,7 +12,6 @@ from wienerlab.diffusion import EnergyModel
 from wienerlab.knn import LabeledSet
 from wienerlab.spectral import (
     LagFilter,
-    LagGrid,
     Signal,
     WindowSpec,
     as_stack,
@@ -64,7 +63,7 @@ class TestAsStack:
     @pytest.mark.parametrize("stack, error", MALFORMED_STACKS)
     def test_every_set_consumer_raises_the_labeled_set_error(self, stack, error):
         labels = [0] * len(stack)
-        pen = make_window(WindowSpec("inverted_laplace", 1.0), LagGrid((6,)))
+        pen = WindowSpec("inverted_laplace", 1.0)
         model = DenseAutoencoder.initialize((3, 2, 3), seed=0)
         consumers = [
             lambda: as_stack(stack),
@@ -241,29 +240,35 @@ class TestFFT:
 
 class TestCentering:
     def test_length4_example(self):
-        g = LagGrid((4,))
-        centered = LagFilter.from_raw(np.array([10.0, 11.0, 12.0, 13.0]), g)
+        centered = LagFilter.from_raw(np.array([[10.0, 11.0, 12.0, 13.0]]))
         np.testing.assert_array_equal(centered.data[0], [12.0, 13.0, 10.0, 11.0])
-        assert centered.data[0][g.zero_lag_index[0]] == 10.0
+        assert centered.data[0][centered.zero_lag_index[0]] == 10.0
 
     def test_delta_moves_to_center(self):
-        g = LagGrid((6, 6))
-        raw = np.zeros((6, 6))
-        raw[0, 0] = 1.0
-        centered = LagFilter.from_raw(raw, g)
+        raw = np.zeros((1, 6, 6))
+        raw[0, 0, 0] = 1.0
+        centered = LagFilter.from_raw(raw)
         assert centered.data[0][3, 3] == 1.0
 
-    def test_roundtrip_identity(self):
-        g = LagGrid((6, 6))
-        raw = np.random.default_rng(5).random((1, 6, 6))
-        np.testing.assert_array_equal(LagFilter.from_raw(raw, g).raw, raw)
+    def test_from_raw_rolls_each_lag_axis_by_its_zero_lag_index(self):
+        raw = np.random.default_rng(5).random((2, 6, 4))
+        centered = LagFilter.from_raw(raw)
+        assert centered.zero_lag_index == (3, 2) and centered.channels == 2
+        np.testing.assert_array_equal(np.roll(centered.data, (-3, -2), axis=(1, 2)), raw)
 
-    def test_extent_mismatch(self):
+    @pytest.mark.parametrize("data", [np.zeros(4), np.zeros((1, 2, 2, 2)), np.zeros((1, 0))])
+    def test_rank_and_extents_checked(self, data):
         with pytest.raises(ShapeError):
-            LagFilter.from_raw(np.zeros(4), LagGrid((6,)))
+            LagFilter(data)
+        with pytest.raises(ShapeError):
+            LagFilter.from_raw(data)
+
+    def test_non_finite_values_rejected(self):
+        with pytest.raises(ConfigError):
+            LagFilter(np.array([[0.0, np.nan]]))
 
     def test_zero_lag_index_is_floor_half(self):
-        assert LagGrid((7, 4)).zero_lag_index == (3, 2)
+        assert LagFilter(np.zeros((1, 7, 4))).zero_lag_index == (3, 2)
 
     def test_kernel_identity_is_raw_spike(self):
         # filters stay in raw layout inside: identical sides give the spike at
@@ -273,38 +278,46 @@ class TestCentering:
         spike = np.zeros((10, 14))
         spike[0, 0] = 1.0
         assert np.abs(v - spike).max() < 1e-12
-        assert LagFilter.from_raw(v, LagGrid((10, 14))).data[0][5, 7] == pytest.approx(1.0)
+        assert LagFilter.from_raw(v[None]).data[0][5, 7] == pytest.approx(1.0)
 
 
 class TestWindows:
     def test_inverted_laplace_zero_at_zero_lag(self):
-        w = make_window(WindowSpec("inverted_laplace", b=1.0), LagGrid((8, 8)))
-        assert w.data[0][4, 4] == 0.0
+        w = make_window(WindowSpec("inverted_laplace", b=1.0), (4, 4))
+        assert w.shape == (8, 8) and w[0, 0] == 0.0
 
     def test_laplace_value_at_l1_one(self):
-        w = make_window(WindowSpec("laplace", b=1.0, epsilon=0.0), LagGrid((8,)))
-        assert w.data[0][5] == pytest.approx(np.exp(-1.0))
+        w = make_window(WindowSpec("laplace", b=1.0, epsilon=0.0), (4,))
+        assert w[1] == w[-1] == pytest.approx(np.exp(-1.0))
 
     def test_inverted_laplace_value_at_l1_four(self):
-        w = make_window(WindowSpec("inverted_laplace", b=2.0), LagGrid((16,)))
-        assert w.data[0][8 + 4] == pytest.approx(1.0 - np.exp(-2.0))
+        w = make_window(WindowSpec("inverted_laplace", b=2.0), (8,))
+        assert w[4] == w[-4] == pytest.approx(1.0 - np.exp(-2.0))
+
+    @staticmethod
+    def _formula(spec, l1):
+        decay = np.exp(-l1.astype(np.float64) / spec.b)
+        return spec.epsilon + decay if spec.family == "laplace" else 1.0 - decay
 
     @pytest.mark.parametrize("family", ["laplace", "inverted_laplace"])
     @pytest.mark.parametrize("extents", [(7,), (8,), (5, 7), (6, 4), (1, 2)])
     def test_window_equals_the_meshgrid_formula_bit_for_bit(self, family, extents):
+        # raw layout: |lag| = min(k, n - k) at bin k of an axis of n bins
         spec = WindowSpec(family, b=1.7, epsilon=0.3)
-        axes = [np.abs(np.arange(n) - n // 2) for n in extents]
-        l1 = sum(np.meshgrid(*axes, indexing="ij")).astype(np.float64)
-        decay = np.exp(-l1 / spec.b)
-        want = spec.epsilon + decay if family == "laplace" else 1.0 - decay
-        got = make_window(spec, LagGrid(extents)).data[0]
+        padded = tuple(2 * n for n in extents)
+        axes = [np.minimum(np.arange(n), n - np.arange(n)) for n in padded]
+        want = self._formula(spec, sum(np.meshgrid(*axes, indexing="ij")))
+        got = make_window(spec, extents)
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        # centered, zero lag sits at floor(n/2) as on every public LagFilter
+        axes = [np.abs(np.arange(n) - n // 2) for n in padded]
+        want = self._formula(spec, sum(np.meshgrid(*axes, indexing="ij")))
+        assert LagFilter.from_raw(got[None]).data[0].tobytes() == want.tobytes()
 
     def test_window_is_built_in_one_grid(self):
-        grid = LagGrid((512, 512))
         tracemalloc.start()
         try:
-            make_window(WindowSpec("laplace", 2.0, 0.3), grid)
+            make_window(WindowSpec("laplace", 2.0, 0.3), (256, 256))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -324,9 +337,8 @@ class TestWindows:
             WindowSpec("laplace", b=b, epsilon=epsilon)
 
     def test_inverted_laplace_strictly_increasing_with_decaying_steps(self):
-        w = make_window(WindowSpec("inverted_laplace", b=2.0), LagGrid((32,))).data[0]
-        c = 16
-        right = w[c:]
+        w = make_window(WindowSpec("inverted_laplace", b=2.0), (16,))
+        right = w[:17]  # lags 0..16
         steps = np.diff(right)
         assert np.all(steps > 0)  # strictly increasing in |lag|
         assert np.all(np.diff(np.abs(steps)) < 0)  # gradient magnitude decays
@@ -337,9 +349,7 @@ class TestWindows:
         n=st.sampled_from([6, 8, 12, 16]),
     )
     def test_window_symmetric_under_lag_negation(self, family, b, n):
-        w = make_window(WindowSpec(family, b=b), LagGrid((n, n))).data[0]
-        c = n // 2
-        # compare +tau against -tau wherever both bins exist
-        for dr in range(0, c):
-            for dc in range(0, c):
-                assert w[c + dr, c + dc] == pytest.approx(w[c - dr, c - dc], abs=1e-15)
+        w = make_window(WindowSpec(family, b=b), (n // 2, n // 2))
+        # in raw layout lag -tau sits at bin (n - tau) % n
+        flipped = w[(-np.arange(n)) % n][:, (-np.arange(n)) % n]
+        np.testing.assert_array_equal(w, flipped)

@@ -4,7 +4,7 @@ import pytest
 from oracles import grad_check_model
 from wienerlab.datasets import make_digit_set
 from wienerlab.errors import ConfigError, ShapeError, SingularSystemError
-from wienerlab.spectral import LagGrid, WindowSpec, make_window
+from wienerlab.spectral import WindowSpec, make_window
 from wienerlab import trainer
 from wienerlab.gradients import loss_and_grad
 from wienerlab.trainer import (
@@ -155,7 +155,7 @@ def _reference_train(weights, biases, activation, data, cfg):
     X_all = data.reshape(len(data), -1)
     extents = data.shape[2:]
     planes_of = lambda B: (B,) + data.shape[1:]
-    w_raw = make_window(cfg.whitening, LagGrid(tuple(2 * n for n in extents))).raw
+    w_raw = make_window(cfg.whitening, extents)
     params = weights + biases
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
@@ -303,13 +303,13 @@ class TestBatchedFilterLoss:
         model = DenseAutoencoder.initialize((64, 16, 64), seed=9)
         cfg = TrainConfig(loss="wiener", whitening=WindowSpec("laplace", 2.0, 0.3), lam=0.7)
         X = data.reshape(len(data), -1)
-        W = make_window(cfg.whitening, LagGrid((16, 16)))
+        W = make_window(cfg.whitening, (8, 8))
         loss, d_out, A, _ = _batch_loss_and_grad(
-            model, X, slice(None), data.shape[1:], cfg, W.raw, _kernel_rows(data, cfg.lam, 32)
+            model, X, slice(None), data.shape[1:], cfg, W, _kernel_rows(data, cfg.lam, 32)
         )
         refs = [
             loss_and_grad(
-                QuotientKernel(data[i], (8, 8), cfg.lam), A[-1][i].reshape(1, 8, 8), W.raw
+                QuotientKernel(data[i], (8, 8), cfg.lam), A[-1][i].reshape(1, 8, 8), W
             )
             for i in range(len(data))
         ]

@@ -13,7 +13,7 @@ from wienerlab.errors import (
     SingularSystemError,
     UndefinedQuotientError,
 )
-from wienerlab.spectral import LagFilter, LagGrid, Signal, WindowSpec, make_window
+from wienerlab.spectral import LagFilter, Signal, WindowSpec, make_window
 from wienerlab import wiener
 from wienerlab.wiener import (
     QuotientKernel,
@@ -41,7 +41,7 @@ class TestWienerFilter:
     def test_identity_gives_delta(self, lam):
         y = random_signal((9, 9), 10)
         v = wiener_filter(y, y, WienerConfig(lam=lam))
-        d = delta_filter(v.grid)
+        d = delta_filter(v.data.shape[1:])
         assert np.abs(v.data - d.data).max() < 1e-10
 
     def test_translation_gives_shifted_delta(self):
@@ -49,7 +49,7 @@ class TestWienerFilter:
         y = Signal.from_array(img)
         x = Signal.from_array(np.roll(img, (2, 4), axis=(0, 1)))
         v = wiener_filter(x, y, WienerConfig(lam=1e-12))
-        expected = np.roll(delta_filter(v.grid).data, (2, 4), axis=(1, 2))
+        expected = np.roll(delta_filter(v.data.shape[1:]).data, (2, 4), axis=(1, 2))
         assert np.abs(v.data - expected).max() < 1e-9
 
     def test_matches_direct_oracle_1d(self):
@@ -82,11 +82,13 @@ class TestWienerFilter:
         y = Signal(np.zeros(8), (8,))
         x = random_signal((8,), 3)
         cfg = WienerConfig(lam=0.0)
-        w = make_window(WindowSpec("laplace", 2.0), LagGrid((16,)))
-        pen = make_window(WindowSpec("inverted_laplace", 1.0), LagGrid((16,)))
+        w = WindowSpec("laplace", 2.0)
+        pen = WindowSpec("inverted_laplace", 1.0)
         calls = [
             lambda: wiener_loss(x, y, w, cfg),
-            lambda: loss_and_grad(QuotientKernel(y.planes, y.shape, cfg.lam), x.planes, w.raw),
+            lambda: loss_and_grad(
+                QuotientKernel(y.planes, y.shape, cfg.lam), x.planes, make_window(w, y.shape)
+            ),
             lambda: EnergyModel(y.planes[None], pen, 1.0, cfg),
             lambda: evaluate_accuracy(
                 LabeledSet(y.planes[None], [0]),
@@ -127,7 +129,7 @@ class TestDirectOracle:
     def test_identity_any_lambda(self):
         y = random_signal((6,), 20)
         v = wiener_filter_direct(y, y, WienerConfig(lam=3.0))
-        d = delta_filter(v.grid)
+        d = delta_filter(v.data.shape[1:])
         assert np.abs(v.data - d.data).max() < 1e-10
 
     def test_size_cap(self):
@@ -156,62 +158,51 @@ class TestDirectOracle:
             assert np.abs(vf.data - vd.data).max() / np.abs(vd.data).max() < 1e-8
 
 
-def rayleigh_quotient(v: LagFilter, penalty: LagFilter) -> float:
-    """The dataset energy's penalty quotient ||penalty * v||^2 / ||v||^2 of a
-    centered filter, averaged over channels, formed as gradients._energy_chunk
-    forms it: over the norms of wiener.zero_lag_fractions, which rejects an
-    all-zero filter."""
-    axes = tuple(range(1, v.data.ndim))
-    _, norms = wiener.zero_lag_fractions(v.raw, (0,) * len(axes))
-    return float(np.mean(((penalty.raw * v.raw) ** 2).sum(axis=axes, keepdims=True) / norms))
+def rayleigh_quotient(v: np.ndarray, penalty: np.ndarray) -> float:
+    """The dataset energy's penalty quotient ||penalty * v||^2 / ||v||^2 of raw
+    filter planes (channels, *padded), averaged over channels, formed as
+    gradients._energy_chunk forms it: over the norms of
+    wiener.zero_lag_fractions, which rejects an all-zero filter."""
+    axes = tuple(range(1, v.ndim))
+    _, norms = wiener.zero_lag_fractions(v, (0,) * len(axes))
+    return float(np.mean(((penalty * v) ** 2).sum(axis=axes, keepdims=True) / norms))
 
 
 class TestRayleighQuotient:
     def test_delta_with_zero_center_penalty_is_zero(self):
-        g = LagGrid((8, 8))
-        v = delta_filter(g)
-        pen = make_window(WindowSpec("inverted_laplace", b=2.0), g)
+        v = np.zeros((1, 8, 8))
+        v[0, 0, 0] = 1.0  # the raw identity spike
+        pen = make_window(WindowSpec("inverted_laplace", b=2.0), (4, 4))
         assert rayleigh_quotient(v, pen) == 0.0
 
     def test_one_hot_off_center(self):
-        g = LagGrid((8,))
-        data = np.zeros(8)
-        data[6] = 2.5  # lag +2
-        v = LagFilter(data, g)
-        pen = make_window(WindowSpec("inverted_laplace", b=2.0), g)
+        v = np.zeros((1, 8))
+        v[0, 2] = 2.5  # lag +2
+        pen = make_window(WindowSpec("inverted_laplace", b=2.0), (4,))
         expect = (1.0 - np.exp(-1.0)) ** 2
         assert rayleigh_quotient(v, pen) == pytest.approx(expect, rel=1e-12)
 
     def test_two_bin_example(self):
-        g = LagGrid((2,))
-        v = LagFilter(np.array([1.0, 1.0]), g)
-        pen = LagFilter(np.array([0.0, 0.7]), g)
+        v = np.array([[1.0, 1.0]])
+        pen = np.array([0.0, 0.7])
         assert rayleigh_quotient(v, pen) == pytest.approx(0.7**2 / 2)
 
     def test_zero_filter_undefined(self):
-        g = LagGrid((4,))
         with pytest.raises(UndefinedQuotientError):
-            rayleigh_quotient(LagFilter(np.zeros(4), g), delta_filter(g))
+            rayleigh_quotient(np.zeros((1, 4)), np.ones(4))
 
     @hypothesis.given(c=st.floats(-10, 10).filter(lambda c: abs(c) > 1e-3), seed=st.integers(0, 99))
     def test_scale_invariance(self, c, seed):
-        g = LagGrid((12,))
         rng = np.random.default_rng(seed)
-        v = LagFilter(rng.standard_normal(12), g)
-        pen = make_window(WindowSpec("inverted_laplace", b=1.5), g)
-        scaled = LagFilter(c * v.data[0], g)
-        assert rayleigh_quotient(scaled, pen) == pytest.approx(
-            rayleigh_quotient(v, pen), rel=1e-9
-        )
+        v = rng.standard_normal((1, 12))
+        pen = make_window(WindowSpec("inverted_laplace", b=1.5), (6,))
+        assert rayleigh_quotient(c * v, pen) == pytest.approx(rayleigh_quotient(v, pen), rel=1e-9)
 
 
 class TestWienerLoss:
-    def whitening(self, shape, spec=("laplace", 2.0, 0.1)):
-        return make_window(WindowSpec(*spec), LagGrid(tuple(2 * n for n in shape)))
-
     def test_zero_at_equality(self):
         y = random_signal((8, 8), 30)
-        w = self.whitening(y.shape)
+        w = WindowSpec("laplace", 2.0, 0.1)
         assert wiener_loss(y, y, w, WienerConfig(lam=5.0)) == pytest.approx(0.0, abs=1e-25)
 
     def test_shift_by_three_frozen_value(self):
@@ -222,7 +213,7 @@ class TestWienerLoss:
         y = np.zeros(16)
         y[:12] = rng.random(12)
         x = np.roll(y, 3)
-        w = make_window(WindowSpec("inverted_laplace", b=2.0), LagGrid((32,)))
+        w = WindowSpec("inverted_laplace", b=2.0)
         loss = wiener_loss(
             Signal(x, (16,)), Signal(y, (16,)), w, WienerConfig(lam=1e-12)
         )
@@ -231,7 +222,7 @@ class TestWienerLoss:
 
     def test_nonnegative_and_zero_only_at_delta(self):
         rng = np.random.default_rng(32)
-        w = self.whitening((6, 6))
+        w = WindowSpec("laplace", 2.0, 0.1)
         for _ in range(50):
             a = Signal.from_array(rng.random((6, 6)))
             b = Signal.from_array(rng.random((6, 6)))
@@ -281,6 +272,13 @@ def spatial_ti_values(v: np.ndarray, rank: int) -> np.ndarray:
     return -(flat.max(axis=-1) - flat.mean(axis=-1)) / flat.std(axis=-1)
 
 
+def every_plane(kernel: QuotientKernel, varying: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``ti_values_at`` of every plane of the broadcast batch, shaped like `values`."""
+    lead = (1,) * max(0, 2 - values.ndim) + values.shape
+    index = tuple(i.ravel() for i in np.indices(lead[:2]))
+    return kernel.ti_values_at(varying, index).reshape(values.shape)
+
+
 class TestTiValues:
     @pytest.mark.parametrize(
         "fixed_shape, varying_shape, extents",
@@ -291,22 +289,24 @@ class TestTiValues:
             ((2, 4, 6), (5, 2, 4, 6), (4, 6)),  # the varying side has the leading batch axis
         ],
     )
-    def test_chunked_matches_unchunked_and_spatial_reference(
+    def test_chunks_change_no_bit_and_values_match_the_spatial_reference(
         self, monkeypatch, fixed_shape, varying_shape, extents
     ):
         rng = np.random.default_rng(50)
         kernel = QuotientKernel(rng.random(fixed_shape), extents, 0.5)
         varying = rng.random(varying_shape)
-        whole, whole_flat = kernel.ti_values(varying)
+        _, whole, whole_flat = kernel.filters_with_ti(varying)
+        bounds = kernel.ti_bounds(varying)
+        assert every_plane(kernel, varying, whole).tobytes() == whole.tobytes()
         # a chunk of 2 leading rows at most, and no set size above is a multiple of it
         padded = int(np.prod(kernel.padded))
         monkeypatch.setattr(wiener, "TI_CHUNK_ELEMENTS", 2 * padded * int(np.prod(whole.shape[1:])))
-        chunked, chunked_flat = kernel.ti_values(varying)
-        np.testing.assert_allclose(chunked, whole, rtol=1e-12, atol=0)
+        assert kernel.ti_bounds(varying).tobytes() == bounds.tobytes()
+        assert every_plane(kernel, varying, whole).tobytes() == whole.tobytes()
         reference = spatial_ti_values(kernel.filters(varying), len(extents))
         assert whole.shape == reference.shape
         np.testing.assert_allclose(whole, reference, rtol=1e-12, atol=0)
-        assert not whole_flat.any() and not chunked_flat.any()
+        assert not whole_flat.any()
 
     def test_tiles_over_both_leading_axes_change_no_bit(self, monkeypatch):
         # fixed (7, 1, C) against varying (5, C): batch (7, 5, C), tiled over 7 and 5
@@ -314,15 +314,16 @@ class TestTiValues:
         fixed = rng.random((7, 2, 4, 6))
         kernel = QuotientKernel(fixed[:, np.newaxis], (4, 6), 0.5)
         varying = rng.random((5, 2, 4, 6))
-        whole, _ = kernel.ti_values(varying)
+        whole = kernel.filters_with_ti(varying)[1]
         assert whole.shape == (7, 5, 2)
+        bounds = kernel.ti_bounds(varying)
         cell = 2 * int(np.prod(kernel.padded))
         for budget in (3 * 5 * cell, 2 * cell, cell):  # 3x5, 1x2 and 1x1 tiles
             monkeypatch.setattr(wiener, "TI_CHUNK_ELEMENTS", budget)
-            tiled, _ = kernel.ti_values(varying)
-            np.testing.assert_array_equal(tiled, whole)
+            assert kernel.ti_bounds(varying).tobytes() == bounds.tobytes()
+            assert every_plane(kernel, varying, whole).tobytes() == whole.tobytes()
         for i, j in [(0, 0), (3, 4), (6, 2)]:  # a plane's value is its single-pair value
-            single, _ = QuotientKernel(fixed[i], (4, 6), 0.5).ti_values(varying[j])
+            single = QuotientKernel(fixed[i], (4, 6), 0.5).filters_with_ti(varying[j])[1]
             np.testing.assert_array_equal(single, whole[i, j])
 
     @pytest.mark.parametrize("shape", [(12,), (6, 5), (4, 7)])
@@ -355,7 +356,7 @@ class TestTiValues:
     @pytest.mark.parametrize("bad_bin", [(0, 0), (0, 3), (2, 1), (4, 3)])
     def test_any_non_finite_bin_raises(self, bad_bin):
         # the DC bin carries no Parseval weight, so it is checked on its own;
-        # a finite Q is what lets ti_values skip scanning the spatial filter
+        # a finite Q is what lets ti_values_at skip scanning the spatial filter
         kernel = QuotientKernel(np.ones((4, 6)), (4, 6), 1.0)
         Q = np.ones((2,) + kernel.K.shape, dtype=complex)
         Q[(1,) + bad_bin] = np.inf
@@ -366,7 +367,7 @@ class TestTiValues:
 
     def test_constant_plane_is_zero_and_flagged(self):
         kernel = QuotientKernel(np.random.default_rng(52).random((3, 1, 8)), (8,), 0.0)
-        values, constant = kernel.ti_values(np.zeros((1, 8)))
+        _, values, constant = kernel.filters_with_ti(np.zeros((1, 8)))
         assert constant.shape == (3, 1) and constant.all()
         assert np.all(values == 0.0)
 
@@ -377,7 +378,9 @@ class TestTiValues:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError):
-                kernel.ti_values(query)
+                kernel.filters_with_ti(query)
+            with pytest.raises(NumericalError):
+                kernel.ti_values_at(query, (np.arange(4), np.zeros(4, int)))
 
 
 class TestTiBounds:
@@ -401,7 +404,7 @@ class TestTiBounds:
         for budget in (None, 3 * cell, 6 * cell):
             if budget is not None:
                 monkeypatch.setattr(wiener, "TI_CHUNK_ELEMENTS", budget)
-            values, _ = kernel.ti_values(varying)
+            values = kernel.filters_with_ti(varying)[1]
             lower = kernel.ti_bounds(varying)
             assert lower.shape == values.shape
             assert np.all(lower <= values)
@@ -420,7 +423,7 @@ class TestTiBounds:
         )
         kernel = QuotientKernel(plane[np.newaxis], extents, 0.0)
         moved = np.roll(plane, shift, axis=tuple(range(len(extents))))[np.newaxis]
-        values, _ = kernel.ti_values(moved)
+        values = kernel.filters_with_ti(moved)[1]
         lower = kernel.ti_bounds(moved)
         assert np.all(lower <= values)
         np.testing.assert_allclose(lower, values, rtol=1e-8)
@@ -428,7 +431,7 @@ class TestTiBounds:
     def test_constant_plane_bound_is_minus_infinity(self):
         kernel = QuotientKernel(np.random.default_rng(57).random((3, 1, 8)), (8,), 0.0)
         lower = kernel.ti_bounds(np.zeros((1, 8)))
-        constant = kernel.ti_values(np.zeros((1, 8)))[1]
+        constant = kernel.filters_with_ti(np.zeros((1, 8)))[2]
         assert np.all(lower == -np.inf) and np.all(constant)
         index = (np.arange(3), np.zeros(3, int))
         at = kernel.ti_values_at(np.zeros((1, 8)), index)
@@ -453,22 +456,20 @@ class TestTiBounds:
 
 class TestConcentration:
     def test_delta_is_one(self):
-        assert concentration(delta_filter(LagGrid((8, 8)))) == pytest.approx(1.0)
+        assert concentration(delta_filter((8, 8))) == pytest.approx(1.0)
 
     def test_uniform_is_one_over_n(self):
-        g = LagGrid((10,))
-        v = LagFilter(np.full(10, 0.3), g)
+        v = LagFilter(np.full((1, 10), 0.3))
         assert concentration(v) == pytest.approx(0.1)
 
     def test_shifted_delta_is_zero(self):
-        g = LagGrid((8,))
-        data = np.zeros(8)
-        data[2] = 1.0
-        assert concentration(LagFilter(data, g)) == 0.0
+        data = np.zeros((1, 8))
+        data[0, 2] = 1.0
+        assert concentration(LagFilter(data)) == 0.0
 
     def test_zero_filter_undefined(self):
         with pytest.raises(UndefinedQuotientError):
-            concentration(LagFilter(np.zeros(8), LagGrid((8,))))
+            concentration(LagFilter(np.zeros((1, 8))))
 
 
 class TestKernelRows:
@@ -498,7 +499,7 @@ class TestKernelRows:
         )
         g = rng.random(v.shape)
         np.testing.assert_array_equal(sub.pullback(g), ref.pullback(g))
-        for got, want in zip(sub.ti_values(varying), ref.ti_values(varying)):
+        for got, want in zip(sub.filters_with_ti(varying), ref.filters_with_ti(varying)):
             np.testing.assert_array_equal(got, want)
 
     def test_rows_need_a_leading_axis(self):
@@ -519,15 +520,16 @@ class TestKernelRows:
         assert kernel.filters(x).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("planes", [(3, 5, 6), (1, 96, 96), (2, 9)])
-    def test_filters_with_ti_is_filters_and_ti_values(self, planes):
+    def test_filters_with_ti_is_filters_and_ti_values_at(self, planes):
         rng = np.random.default_rng(61)
         kernel = QuotientKernel(rng.random(planes), planes[1:], 0.3)
         varying = rng.random(planes)
         v, values, constant = kernel.filters_with_ti(varying)
         np.testing.assert_array_equal(v, kernel.filters(varying))
-        want_values, want_constant = kernel.ti_values(varying)
-        np.testing.assert_array_equal(values, want_values)
-        np.testing.assert_array_equal(constant, want_constant)
+        assert every_plane(kernel, varying, values).tobytes() == values.tobytes()
+        reference = spatial_ti_values(v, len(planes) - 1)
+        np.testing.assert_allclose(values, reference, rtol=1e-12, atol=0)
+        assert values.shape == constant.shape and not constant.any()
 
     @pytest.mark.parametrize(
         "shape, channels",
@@ -544,8 +546,7 @@ class TestKernelRows:
         a = Signal(rng.random(n), shape, channels)
         b = Signal(rng.random(n), shape, channels)
         cfg = WienerConfig(0.6)
-        grid = LagGrid(tuple(2 * s for s in shape))
-        whitening = make_window(WindowSpec("laplace", 2.0, 0.2), grid)
+        whitening = WindowSpec("laplace", 2.0, 0.2)
         report = wiener.pair_report(a, b, whitening, cfg)
         assert report == {
             "wiener_loss": wiener_loss(a, b, whitening, cfg),
