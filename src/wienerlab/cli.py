@@ -12,11 +12,17 @@ for bit (the directory name is the only thing that varies). Exit codes: 0
 ok, 2 config error, 3 data/format error or any OS error on a path, 4
 numerical failure.
 
+Importing this module before NumPy caps NumPy's BLAS at one thread: it sets
+`OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and `MKL_NUM_THREADS` to 1, so no
+idle BLAS worker spins beside the main thread. A user who sets any of them
+or `GOTO_NUM_THREADS` keeps their own setting, and once NumPy is loaded the
+environment is left alone.
+
 On glibc, `main` first keeps the process heap: freed buffers below 32 MiB
 stay in the heap for reuse instead of going back to the kernel and being
 faulted in again on the next step. A `GLIBC_TUNABLES` or `MALLOC_*`
 environment variable leaves glibc's own settings in charge; importing this
-module changes nothing.
+module leaves the allocator alone.
 """
 
 from __future__ import annotations
@@ -29,6 +35,13 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+
+# BLAS reads its thread count once, when NumPy loads it
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(
+    key in os.environ for key in (*_BLAS_THREADS, "GOTO_NUM_THREADS")
+):
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
 
 import numpy as np
 
@@ -423,6 +436,11 @@ def _cmd_train(args, cfg: ExperimentConfig):
     t = cfg.train
     data = _train_data(cfg)
     model = DenseAutoencoder.initialize(t.width_tuple(), activation=t.activation, seed=t.seed)
+    width = data[0].size
+    if not model.widths[0] == model.widths[-1] == width:
+        raise ConfigError(
+            f"[train] widths {t.widths!r} must start and end at the sample width {width}"
+        )
     tcfg = t.trainer_config(whitening=cfg.window, lam=cfg.wiener.lam)
 
     def write(run_dir):

@@ -553,6 +553,18 @@ class TestErrorHandling:
         assert err.startswith("config error: ") and "Traceback" not in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("widths", ["64,4,63", "63,4,64", "16,4,16"])
+    def test_train_widths_off_the_sample_width_exit_2_without_artifacts(
+        self, tmp_path, capsys, widths
+    ):
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text(f"[train]\nn_train = 20\nepochs = 1\nwidths = {widths}\n")
+        out = tmp_path / "never"
+        assert main(["train", "--config", str(cfgf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [train] widths ") and "sample width 64" in err, err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key, value",
         [("n_samples", "0"), ("init_variance", "-1"), ("init_variance", "nan"),

@@ -336,6 +336,88 @@ def test_knn_keys_at_tiny_sizes_end_in_their_exit_code(tmp_path, capsys, knn):
     assert (out / "knn.json").is_file() == valid, knn
 
 
+def _config_run(tmp_path, capsys, argv, text) -> tuple[int, bool]:
+    """Exit code of the subcommand `argv` on the INI `text`, failing on a
+    traceback or a warning, and whether its report was written."""
+    cfgf = tmp_path / f"{argv[0]}.ini"
+    cfgf.write_text(text)
+    out = Path(_fresh(tmp_path))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([*argv, "--config", str(cfgf), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc in EXIT_CODES and "Traceback" not in err, (argv, text, rc, err)
+    assert not caught, (argv, text, [str(w.message) for w in caught])
+    return rc, (out / f"{argv[0]}.json").is_file()
+
+
+@st.composite
+def tiny_diffusion(draw) -> dict[str, int]:
+    """[diffusion] sizes from one below their smallest valid values to one
+    past them; k_nearest to one past the defining set, which it is clipped to."""
+    n_defining = draw(st.integers(1, 3))
+    return {
+        "T": draw(st.integers(1, 3)),
+        "n_samples": draw(st.integers(0, 2)),
+        "n_defining": n_defining,
+        "dim": draw(st.integers(0, 2)),
+        "snapshot_stride": draw(st.integers(0, 4)),
+        "k_nearest": draw(st.integers(0, n_defining + 1)),
+    }
+
+
+SMALLEST_DIFFUSION = {
+    "T": 2, "n_samples": 1, "n_defining": 2, "dim": 1, "snapshot_stride": 1, "k_nearest": 1
+}
+
+
+@FUZZ
+@given(diffusion=tiny_diffusion())
+@example(diffusion=SMALLEST_DIFFUSION)
+@example(diffusion={**SMALLEST_DIFFUSION, "k_nearest": 3, "snapshot_stride": 3})
+def test_diffusion_keys_at_tiny_sizes_end_in_their_exit_code(tmp_path, capsys, diffusion):
+    text = "[diffusion]\n" + "".join(f"{k} = {v}\n" for k, v in diffusion.items())
+    rc, written = _config_run(tmp_path, capsys, ["diffuse"], text)
+    valid = diffusion["T"] >= 2 and diffusion["n_defining"] >= 2 and min(
+        diffusion["n_samples"], diffusion["dim"], diffusion["snapshot_stride"],
+        diffusion["k_nearest"],
+    ) >= 1
+    assert rc == (0 if valid else 2), (diffusion, rc)
+    assert written == valid, diffusion
+
+
+@st.composite
+def tiny_train(draw) -> dict[str, int]:
+    """[train] sizes from one below their smallest valid values to one past
+    them, with widths that start and end at the digits' pixel count."""
+    size = draw(st.integers(7, 9))
+    return {
+        "n_train": draw(st.integers(0, 2)),
+        "epochs": draw(st.integers(-1, 1)),
+        "batch_size": draw(st.integers(0, 2)),
+        "digit_size": size,
+        "widths": f"{size * size},2,{size * size}",
+    }
+
+
+SMALLEST_TRAIN = {"n_train": 1, "epochs": 0, "batch_size": 1, "digit_size": 8, "widths": "64,2,64"}
+
+
+@FUZZ
+@given(train=tiny_train(), loss=st.sampled_from(["mse", "wiener"]))
+@example(train=SMALLEST_TRAIN, loss="wiener")
+@example(train={**SMALLEST_TRAIN, "epochs": 1, "batch_size": 2}, loss="wiener")  # batch > set
+def test_train_keys_at_tiny_sizes_end_in_their_exit_code(tmp_path, capsys, train, loss):
+    text = f"[train]\nloss = {loss}\n" + "".join(f"{k} = {v}\n" for k, v in train.items())
+    rc, written = _config_run(tmp_path, capsys, ["train"], text)
+    valid = (
+        min(train["n_train"], train["batch_size"]) >= 1 and train["epochs"] >= 0
+        and train["digit_size"] >= 8
+    )
+    assert rc == (0 if valid else 2), (train, loss, rc)
+    assert written == valid, train
+
+
 # recover's images at their smallest: one pixel, one row, one column, flat, black
 TINY_IMAGES = {
     "1x1": [[0.5]],
@@ -383,16 +465,8 @@ def test_recover_keys_at_tiny_sizes_end_in_an_exit_code(
     tmp_path, capsys, tiny_images, recover, image
 ):
     recover = dict(recover)
-    cfgf = tmp_path / "recover.ini"
-    cfgf.write_text(
-        f"[wiener]\nlambda = {recover.pop('lambda')}\n[recover]\n"
-        + "".join(f"{k} = {v}\n" for k, v in recover.items())
+    text = f"[wiener]\nlambda = {recover.pop('lambda')}\n[recover]\n" + "".join(
+        f"{k} = {v}\n" for k, v in recover.items()
     )
-    out = Path(_fresh(tmp_path))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = main(["recover", str(tiny_images[image]), "--config", str(cfgf), "--out", str(out)])
-    err = capsys.readouterr().err
-    assert rc in EXIT_CODES and "Traceback" not in err, (recover, image, rc, err)
-    assert not caught, (recover, image, [str(w.message) for w in caught])
-    assert (out / "recover.json").is_file() == (rc == 0), (recover, image, rc)
+    rc, written = _config_run(tmp_path, capsys, ["recover", str(tiny_images[image])], text)
+    assert written == (rc == 0), (recover, image, rc)

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import wienerlab
 
 SRC = Path(wienerlab.__file__).parent
@@ -207,6 +209,7 @@ def test_every_module_function_is_used_or_exported():
         for fn in tree.body
         if isinstance(fn, ast.FunctionDef)
         and fn.name not in wienerlab.__all__
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))  # module hooks
         and not any(
             ref == fn.name and not (where == name and fn.lineno <= line <= fn.end_lineno)
             for where, line, ref in references
@@ -336,3 +339,73 @@ print(len(calls), int(glibc))
     ).stdout.split()
     assert out[0] == "0"  # import: no lookup
     assert out[1] == out[2]  # the helper: one lookup on glibc, none elsewhere
+
+
+def test_package_init_imports_none_of_its_modules():
+    # each public name is imported on first access, so the package loads no NumPy
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    relative = [n.lineno for n in tree.body if isinstance(n, ast.ImportFrom) and n.level]
+    assert not relative, relative
+
+
+def _fresh_python(code: str, **env_vars: str) -> list[str]:
+    """stdout lines of `code` in a new interpreter whose environment holds no
+    thread variable but `env_vars`."""
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env.update(env_vars, PYTHONPATH=os.pathsep.join([str(SRC.parent), env.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+
+
+THREAD_ENV = """
+import os, sys
+def threads():
+    return sorted(f"{k}={v}" for k, v in os.environ.items() if k.endswith("_NUM_THREADS"))
+"""
+
+
+def test_importing_the_package_loads_no_numpy_and_sets_no_thread_variable():
+    out = _fresh_python(THREAD_ENV + "import wienerlab\nprint('numpy' in sys.modules, threads())")
+    assert out == ["False []"]
+
+
+def test_importing_the_cli_caps_blas_at_one_thread():
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads in")
+    code = THREAD_ENV + "import wienerlab.cli\nprint(len(os.listdir('/proc/self/task')), threads())"
+    capped = ["MKL_NUM_THREADS=1", "OMP_NUM_THREADS=1", "OPENBLAS_NUM_THREADS=1"]
+    assert _fresh_python(code) == [f"1 {capped}"]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("OPENBLAS_NUM_THREADS", "2"), ("OMP_NUM_THREADS", "3"), ("GOTO_NUM_THREADS", "2")],
+)
+def test_a_thread_variable_the_user_set_leaves_the_environment_alone(key, value):
+    out = _fresh_python(THREAD_ENV + "import wienerlab.cli\nprint(threads())", **{key: value})
+    assert out == [str([f"{key}={value}"])]
+
+
+def test_importing_numpy_first_leaves_the_environment_alone():
+    out = _fresh_python(THREAD_ENV + "import numpy, wienerlab.cli\nprint(threads())")
+    assert out == ["[]"]
+
+
+def test_every_public_name_resolves_lazily():
+    code = """
+import importlib, wienerlab
+print(len(wienerlab.__all__), set(wienerlab.__all__) <= set(dir(wienerlab)))
+names = [n for n in wienerlab.__all__ if n != "__version__"]
+star = {}
+exec("from wienerlab import *", star)
+homes = {n: getattr(importlib.import_module(f"wienerlab.{wienerlab._HOMES[n]}"), n) for n in names}
+print(all(getattr(wienerlab, n) is homes[n] is star[n] for n in names), star["__version__"])
+try:
+    wienerlab.nope
+except AttributeError as exc:
+    print(exc)
+"""
+    assert _fresh_python(code) == [
+        "21 True", f"True {wienerlab.__version__}", "module 'wienerlab' has no attribute 'nope'"
+    ]
