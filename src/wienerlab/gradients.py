@@ -91,10 +91,11 @@ def _energy_chunk(model: "EnergyModel", X: np.ndarray):
     varying = X[:, None]  # (batch, 1, C, *extents), broadcast over the defining set
     v = kernel.filters(varying)  # (batch, n, C, *padded), raw layout
     with np.errstate(over="ignore", invalid="ignore"):
-        fractions, norms = zero_lag_fractions(v, (0,) * len(axes))
+        norms = (v**2).sum(axis=axes, keepdims=True)
+        v0 = v[zero]  # (batch, n, C)
+        fractions = zero_lag_fractions(v0, norms[zero])
         # Rayleigh quotient ||pen * v||^2 / ||v||^2: where a filter's energy sits
         quot = ((pen * v) ** 2).sum(axis=axes, keepdims=True) / norms
-        v0 = v[zero]  # (batch, n, C)
         energies = 0.5 * (quot.sum(axis=(2,) + axes) / channels) + 0.5 * gamma * (
             ((v0 - 1.0) ** 2).sum(axis=2) / channels
         )

@@ -2,8 +2,10 @@
 
 Includes synthesis of translated test sets: images are zero-padded, then
 rigidly shifted by per-image random integer offsets, which is the mechanism
-that defeats element-wise distances while leaving the filter-based
-translation-invariant distance unaffected.
+that defeats element-wise distances. The filter-based TI distance moves
+little under it: a shift inside the zero margin leaves it unchanged at
+lambda = 0, and for lambda > 0 it drifts with the shift, because the
+lambda/D term of the filter stays at zero lag.
 """
 
 from __future__ import annotations

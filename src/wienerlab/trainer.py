@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError, check_seed
 from .gradients import loss_and_grad
 from .spectral import WindowSpec, as_stack, full_lag, make_window
-from .wiener import QuotientKernel, WienerConfig, zero_lag_fractions
+from .wiener import QuotientKernel, WienerConfig
 
 __all__ = [
     "DenseAutoencoder", "TrainConfig", "TrainLog", "TrainingDivergedError",
@@ -40,7 +40,11 @@ __all__ = [
 
 # Each activation maps (z, prime) to (act(z), act'(z) if prime else None).
 def _mish(z: np.ndarray, prime: bool):
-    sp = np.logaddexp(0.0, z)  # softplus
+    # softplus as max(z, 0) + log1p(exp(-|z|)), the formula of logaddexp(0, z)
+    # in vectorized ufuncs (logaddexp itself runs a scalar loop)
+    sp = np.exp(-np.abs(z))
+    np.log1p(sp, out=sp)
+    sp += np.maximum(z, 0.0)
     t = np.tanh(sp)
     # sigmoid(z) = 1 - exp(-softplus(z)) = -expm1(-sp)
     return z * t, (t - z * (1.0 - t * t) * np.expm1(-sp) if prime else None)
@@ -266,8 +270,9 @@ def _mean_concentration(model: DenseAutoencoder, X, shape, cfg: TrainConfig, ker
     """Mean zero-lag energy fraction of the reconstruction-target filters.
 
     ``kernel_rows(rows)`` is the kernel of X's rows (see ``_kernel_rows``).
-    Filters are formed one minibatch-sized chunk of rows at a time, so the
-    filter stack is bounded by the batch size; the kernel's spectra are
+    The fractions are read from the quotient spectra, one minibatch-sized
+    chunk of rows at a time, with one forward transform per chunk and no
+    inverse (``QuotientKernel.concentrations``); the kernel's spectra are
     those ``_kernel_rows`` keeps.
     """
     A, _ = _forward_matrix(model, X)
@@ -275,8 +280,7 @@ def _mean_concentration(model: DenseAutoencoder, X, shape, cfg: TrainConfig, ker
     fractions = []
     for i in range(0, len(X), cfg.batch_size):
         chunk = slice(i, min(i + cfg.batch_size, len(X)))  # kernel_rows may cover more rows
-        v = kernel_rows(chunk).filters(out[chunk])
-        fractions.append(zero_lag_fractions(v, (0,) * (len(shape) - 1))[0])
+        fractions.append(kernel_rows(chunk).concentrations(out[chunk]))
     return float(np.mean(np.concatenate(fractions)))
 
 
@@ -308,33 +312,38 @@ def train(model: DenseAutoencoder, data, cfg: TrainConfig) -> TrainLog:
     step, first_loss = 0, None
 
     log = TrainLog()
-    log.initial_concentration = _mean_concentration(model, eval_X, shape, cfg, kernel_rows)
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
+    # a non-finite value ends the run through the loss guard or NumericalError,
+    # so the step and the diagnostic raise no floating-point warnings first
+    with np.errstate(over="ignore", invalid="ignore"):
+        log.initial_concentration = _mean_concentration(model, eval_X, shape, cfg, kernel_rows)
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            epoch_losses = []
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                try:
+                    loss, d_out, A, D = _batch_loss_and_grad(
+                        model, X_all, idx, shape, cfg, w_raw, kernel_rows
+                    )
+                except NumericalError:
+                    loss = float("nan")
+                if first_loss is None:
+                    first_loss = loss
+                if not (np.isfinite(loss) and loss <= DIVERGENCE_FACTOR * first_loss):
+                    raise TrainingDivergedError(epoch, log)
+                epoch_losses.append(loss)
+                _backward_matrix(model, A, D, d_out, grad)
+                step += 1
+                m = cfg.beta1 * m + (1 - cfg.beta1) * grad
+                v = cfg.beta2 * v + (1 - cfg.beta2) * grad * grad
+                m_hat = m / (1 - cfg.beta1**step)
+                v_hat = v / (1 - cfg.beta2**step)
+                model.theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            log.losses.append(float(np.mean(epoch_losses)))
             try:
-                loss, d_out, A, D = _batch_loss_and_grad(
-                    model, X_all, idx, shape, cfg, w_raw, kernel_rows
+                log.concentrations.append(
+                    _mean_concentration(model, eval_X, shape, cfg, kernel_rows)
                 )
             except NumericalError:
-                loss = float("nan")
-            if first_loss is None:
-                first_loss = loss
-            if not (np.isfinite(loss) and loss <= DIVERGENCE_FACTOR * first_loss):
                 raise TrainingDivergedError(epoch, log)
-            epoch_losses.append(loss)
-            _backward_matrix(model, A, D, d_out, grad)
-            step += 1
-            m = cfg.beta1 * m + (1 - cfg.beta1) * grad
-            v = cfg.beta2 * v + (1 - cfg.beta2) * grad * grad
-            m_hat = m / (1 - cfg.beta1**step)
-            v_hat = v / (1 - cfg.beta2**step)
-            model.theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
-        log.losses.append(float(np.mean(epoch_losses)))
-        try:
-            log.concentrations.append(_mean_concentration(model, eval_X, shape, cfg, kernel_rows))
-        except NumericalError:
-            raise TrainingDivergedError(epoch, log)
     return log

@@ -77,6 +77,8 @@ class QuotientKernel:
     ``_forward`` is the one forward transform and ``_inverse`` the one
     inverse, irfftn's own 1-D inverses; it is pruned there alone, for
     ``pullback``: each leading lag axis is cropped once it is inverted.
+    ``concentrations`` (the trainer's diagnostic) reads each filter's
+    zero-lag energy fraction from Q by Parseval and inverts nothing.
 
     ``rows(index)`` is the kernel of ``fixed[index]`` over the leading axis,
     sharing K and L with no transform, so a loop over subsets of one fixed
@@ -268,21 +270,48 @@ class QuotientKernel:
         return -(v.max(axis=self.axes) - mu) / np.where(constant, np.inf, sigma), constant
 
     @cached_property
-    def _row_weights(self) -> np.ndarray:
-        """The weights c of ``ti_bounds``' row bound and sum of squares."""
+    def _column_weights(self) -> np.ndarray:
+        """How many bins of the full spectrum each half-spectrum column stands
+        for: 2, and 1 on the zero and Nyquist columns, their own mirror images."""
         weights = np.full(self.K.shape[-1], 2.0)
         weights[0] = weights[-1] = 1.0
-        return weights / self.padded[-1]
+        return weights
+
+    @cached_property
+    def _row_weights(self) -> np.ndarray:
+        """The weights c of ``ti_bounds``' row bound and sum of squares."""
+        return self._column_weights / self.padded[-1]
 
     @cached_property
     def _parseval_weights(self) -> np.ndarray:
         """Weights of the interleaved (real, imaginary) half-spectrum parts in
-        ``_moments``: 2 per bin, 1 on the zero and Nyquist columns, 0 at DC."""
+        ``_moments``: the column weights, and 0 at DC."""
         rank = len(self.shape)
-        weights = np.full(self.K.shape[-rank:], 2.0)
-        weights[..., 0] = weights[..., -1] = 1.0
+        weights = np.broadcast_to(self._column_weights, self.K.shape[-rank:]).copy()
         weights[(0,) * rank] = 0.0
         return np.repeat(weights, 2, axis=-1).ravel()
+
+    def concentrations(self, varying: np.ndarray) -> np.ndarray:
+        """Each filter plane's zero-lag energy fraction v[0]^2 / sum(v^2), shaped
+        (*batch,), from one forward transform of `varying` and no inverse.
+
+        With N padded bins and w the column weights, N * v[0] = sum(w * Re Q)
+        and N * sum(v^2) = sum(w * |Q|^2) (Parseval) over the half spectra Q
+        of the filters. NumericalError unless every bin of Q is finite;
+        ``zero_lag_fractions`` rejects an all-zero filter.
+        """
+        Q = self._quotient(self.K, self.L, self.spectrum(varying))
+        w = self._column_weights
+        lag = tuple(range(1 - len(self.shape), 0))  # the lag axes left once w reduces the last
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = Q.real**2
+            power += Q.imag**2
+            sums = (power @ w).sum(axis=lag)
+            zero = (Q.real @ w).sum(axis=lag)
+        if not np.all(np.isfinite(sums)):
+            raise NumericalError("non-finite spectral power of the matching filter")
+        N = math.prod(self.padded)
+        return zero_lag_fractions(zero / N, sums / N)
 
     def _moments(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean and standard deviation of each spatial plane of the half spectra Q.
@@ -393,7 +422,8 @@ def filter_identity_loss(
     residual[(...,) + (0,) * rank] -= 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         residual *= w_raw
-        values = 0.5 * np.sum(residual**2, axis=(-1 - rank,) + kernel.axes)
+        flat = residual.reshape(residual.shape[: -1 - rank] + (-1,))  # channels and lags
+        values = 0.5 * np.einsum("...i,...i->...", flat, flat)  # no squared grid
     if not np.all(np.isfinite(values)):
         raise NumericalError("non-finite filter loss: the whitened residual overflows")
     return values, residual
@@ -416,9 +446,13 @@ def wiener_loss(
 def ti_distance(a: Signal, b: Signal, cfg: WienerConfig) -> float:
     """Negative maximum of the standardized matching filter.
 
-    Sensitive to how focused the filter's energy is, blind to where the focus
-    sits, hence invariant to rigid translation of either signal. Lower means
-    more similar; the self-distance -sqrt(nbins - 1) is the global minimum.
+    Sensitive to how focused the filter's energy is. At lambda = 0 it is
+    blind to where the focus sits: a translate of either signal that stays
+    inside the zero margin shifts the filter circularly and keeps the value.
+    For lambda > 0 it is not translation-invariant: the lambda/D term of the
+    filter stays at zero lag while the matched part moves with the shift, so
+    the value changes with the shift. Lower means more similar; the
+    self-distance -sqrt(nbins - 1) is the global minimum.
     Each plane's mean and spread come from the filter's spectrum (the DC bin
     and Parseval over the other bins); only the maximum is read from the
     spatial domain. See ``QuotientKernel.filters_with_ti``.
@@ -454,17 +488,18 @@ def pair_report(
     }
 
 
-def zero_lag_fractions(planes: np.ndarray, zero: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Each filter plane's squared energy fraction at the lag bin `zero` (over the
-    trailing lag axes; all zeros in raw layout) and its squared norm, lag axes
-    kept as length 1. UndefinedQuotientError for an all-zero plane."""
-    axes = tuple(range(-len(zero), 0))
-    norms = (planes**2).sum(axis=axes, keepdims=True)
+def zero_lag_fractions(zero: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Each filter plane's squared energy fraction at zero lag, zero^2 / norms,
+    from its zero-lag value and its squared norm, however they were taken:
+    summed over the spatial plane (``concentration``, the Langevin energy) or
+    read from its spectrum (``QuotientKernel.concentrations``).
+    UndefinedQuotientError for an all-zero plane."""
     if (norms == 0.0).any():
         raise UndefinedQuotientError("zero-lag energy fraction undefined for an all-zero filter")
-    return planes[(...,) + tuple(zero)] ** 2 / norms[(...,) + (0,) * len(zero)], norms
+    return zero**2 / norms
 
 
 def concentration(v: LagFilter) -> float:
     """Fraction of squared filter energy at the zero-lag bin, in [0, 1], averaged over channels."""
-    return float(np.mean(zero_lag_fractions(v.data, v.zero_lag_index)[0]))
+    norms = (v.data**2).sum(axis=tuple(range(1, v.data.ndim)))
+    return float(np.mean(zero_lag_fractions(v.data[(...,) + v.zero_lag_index], norms)))

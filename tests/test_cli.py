@@ -535,6 +535,18 @@ class TestErrorHandling:
         assert capsys.readouterr().err.startswith("data error: ")
         assert not (tmp_path / "run").exists()
 
+    def test_diverging_training_writes_only_the_error_line(self, tmp_path, capsys):
+        # a step of 1e308 overflows the forward pass after the first update:
+        # the run ends in its error line, with no numpy warning before it
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text("[train]\nn_train = 40\nepochs = 3\nlearning_rate = 1e308\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["train", "--config", str(cfgf), "--out", str(tmp_path / "run")])
+        assert rc == 4
+        assert not caught, [f"{w.filename}:{w.lineno} {w.message}" for w in caught]
+        assert capsys.readouterr().err == "numerical failure: training diverged at epoch 0\n"
+
     def test_diverging_training_exits_4(self, tmp_path):
         cfgf = tmp_path / "c.ini"
         cfgf.write_text("[train]\nn_train = 60\nepochs = 30\nlearning_rate = 1e12\nloss = mse\n")

@@ -291,6 +291,17 @@ def test_every_numeric_key_ends_in_an_exit_code(tmp_path, capsys, images, sectio
     _run_tiny(tmp_path, capsys, images, READERS[section], section, key, value)
 
 
+FLOAT_KEYS = _keys_of_type(float)
+
+
+@pytest.mark.parametrize("value", ["1e308", "5e-324", "inf", "-inf", "nan"])
+@pytest.mark.parametrize("section,key", FLOAT_KEYS)
+def test_every_float_key_at_its_extremes_ends_in_an_exit_code(
+    tmp_path, capsys, images, section, key, value
+):
+    _run_tiny(tmp_path, capsys, images, READERS[section], section, key, value)
+
+
 @pytest.mark.parametrize("value", ["", "nope", "1,,2", "missing"])
 @pytest.mark.parametrize("section,key", STRING_KEYS)
 def test_every_string_key_ends_in_an_exit_code(tmp_path, capsys, images, section, key, value):

@@ -1,9 +1,17 @@
+import collections
+
 import numpy as np
 import pytest
 
 from oracles import grad_check_model
 from wienerlab.datasets import make_digit_set
-from wienerlab.errors import ConfigError, ShapeError, SingularSystemError
+from wienerlab.errors import (
+    ConfigError,
+    NumericalError,
+    ShapeError,
+    SingularSystemError,
+    UndefinedQuotientError,
+)
 from wienerlab.spectral import WindowSpec, make_window
 from wienerlab import trainer
 from wienerlab.gradients import loss_and_grad
@@ -17,7 +25,7 @@ from wienerlab.trainer import (
     forward,
     train,
 )
-from wienerlab.wiener import QuotientKernel
+from wienerlab.wiener import QuotientKernel, zero_lag_fractions
 
 
 def digits(n, seed=3):
@@ -231,6 +239,15 @@ class TestMishDerivative:
         _, d = trainer._mish(self.Z, True)
         np.testing.assert_allclose(d, (up - dn) / (2 * h), rtol=1e-6, atol=1e-8)
 
+    def test_value_matches_logaddexp_softplus(self):
+        Z = np.concatenate([self.Z, [np.inf, -np.inf, np.nan]])
+        with np.errstate(invalid="ignore"):  # -inf * tanh(0) and NaN
+            got, _ = trainer._mish(Z, False)
+            want = Z * np.tanh(np.logaddexp(0.0, Z))
+        # infinities and NaNs in the same places, the rest within 4.5e-16
+        np.testing.assert_allclose(got, want, rtol=0, atol=4.5e-16)
+        assert got[-3] == np.inf and np.isnan(got[-2:]).all()
+
     def test_value_unchanged_with_derivative(self):
         a, _ = trainer._mish(self.Z, True)
         b, none = trainer._mish(self.Z, False)
@@ -385,6 +402,48 @@ class TestSharedKernel:
         with pytest.raises(SingularSystemError, match="zero denominator"):
             train(model, data, cfg)
         np.testing.assert_array_equal(model.theta, theta0)
+
+
+class TestConcentrationDiagnostic:
+    @staticmethod
+    def _diagnostic(model, data, lam):
+        cfg = TrainConfig(loss="wiener", batch_size=4, lam=lam)
+        kernel_rows = _kernel_rows(data, lam, cfg.batch_size)
+        return lambda: _mean_concentration(
+            model, data.reshape(len(data), -1), data.shape[1:], cfg, kernel_rows
+        )
+
+    def test_one_forward_per_chunk_and_no_inverse(self, monkeypatch):
+        data = digits(10, seed=14)
+        model = DenseAutoencoder.initialize((64, 16, 64), seed=14)
+        diagnostic = self._diagnostic(model, data, 0.8)  # the kernel is built here
+        calls = collections.Counter()
+        for name in ("_forward", "_inverse"):
+            def spy(self, *args, _name=name, _original=getattr(QuotientKernel, name), **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(QuotientKernel, name, spy)
+        value = diagnostic()
+        assert calls == {"_forward": 3}  # 10 rows in chunks of 4
+        monkeypatch.undo()
+        v = QuotientKernel(data, (8, 8), 0.8).filters(forward(model, data))
+        spatial = zero_lag_fractions(v[..., 0, 0], (v**2).sum(axis=(-2, -1)))
+        assert value == pytest.approx(np.mean(spatial), rel=1e-12)
+
+    def test_all_zero_filter_is_undefined(self):
+        # zero parameters reconstruct zeros, so at lambda = 0 every filter is zero
+        diagnostic = self._diagnostic(DenseAutoencoder((64, 16, 64)), digits(6), 0.0)
+        with pytest.raises(UndefinedQuotientError):
+            diagnostic()
+
+    def test_nonfinite_filter_is_a_numerical_error(self):
+        model = DenseAutoencoder.initialize((64, 16, 64), seed=15)
+        model.theta[...] = 1e300  # the forward pass overflows
+        diagnostic = self._diagnostic(model, digits(6), 1.0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError) as err:
+            diagnostic()
+        assert not isinstance(err.value, UndefinedQuotientError)
 
 
 class TestGradCheckModel:

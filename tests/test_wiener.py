@@ -161,10 +161,12 @@ class TestDirectOracle:
 def rayleigh_quotient(v: np.ndarray, penalty: np.ndarray) -> float:
     """The dataset energy's penalty quotient ||penalty * v||^2 / ||v||^2 of raw
     filter planes (channels, *padded), averaged over channels, formed as
-    gradients._energy_chunk forms it: over the norms of
-    wiener.zero_lag_fractions, which rejects an all-zero filter."""
+    gradients._energy_chunk forms it: over norms that
+    wiener.zero_lag_fractions has checked, rejecting an all-zero filter."""
     axes = tuple(range(1, v.ndim))
-    _, norms = wiener.zero_lag_fractions(v, (0,) * len(axes))
+    zero = (...,) + (0,) * len(axes)
+    norms = (v**2).sum(axis=axes, keepdims=True)
+    wiener.zero_lag_fractions(v[zero], norms[zero])
     return float(np.mean(((penalty * v) ** 2).sum(axis=axes, keepdims=True) / norms))
 
 
@@ -246,6 +248,31 @@ class TestTiDistance:
         for k in [(1, 0), (0, 3), (4, 4), (5, 2)]:
             shifted = Signal.from_array(np.roll(img, k, axis=(0, 1)))
             assert ti_distance(shifted, y, cfg) == pytest.approx(base, abs=1e-9)
+
+    def test_translates_keep_the_value_only_at_lambda_zero(self):
+        # the README's 16x16 pair: at lambda = 0 a translate inside the zero
+        # margin shifts the filter circularly and reads the pair's own value;
+        # at lambda = 1 the lambda/D term stays at zero lag while the matched
+        # part moves, so the value drifts with the shift
+        plane = np.zeros((16, 16))
+        plane[:12, :12] = np.random.default_rng(0).random((12, 12))
+        y = Signal.from_array(plane)
+
+        def values(lam):
+            cfg = WienerConfig(lam=lam)
+            moved = [
+                ti_distance(Signal.from_array(np.roll(plane, s, axis=(0, 1))), y, cfg)
+                for s in [(2, 3), (1, 0), (4, 4), (0, 1)]
+            ]
+            return ti_distance(y, y, cfg), np.array(moved)
+
+        base, moved = values(0.0)
+        assert base == pytest.approx(-np.sqrt(32 * 32 - 1), rel=1e-12)
+        np.testing.assert_allclose(moved, base, rtol=1e-12)
+        base, moved = values(1.0)
+        assert base == pytest.approx(-np.sqrt(32 * 32 - 1), rel=1e-12)
+        assert np.all(moved - base > 2.0), (base, moved)  # -29.2 to -29.8 against -31.98
+        assert np.ptp(moved) > 0.5, moved  # and each shift reads its own value
 
     def test_noise_is_farther_than_self(self):
         rng = np.random.default_rng(42)
@@ -472,6 +499,25 @@ class TestConcentration:
             concentration(LagFilter(np.zeros((1, 8))))
 
 
+class TestSpectralConcentrations:
+    @pytest.mark.parametrize("extents", [(1,), (7,), (9,), (5, 7), (3, 9), (1, 5)])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 1e8])
+    def test_equal_the_spatial_fractions_of_the_filters(self, extents, channels, lam):
+        # Parseval on the quotient spectra against the zero-lag value and the
+        # squared norm summed over each inverted filter plane
+        rng = np.random.default_rng(64)
+        kernel = QuotientKernel(rng.random((4, channels) + extents), extents, lam)
+        varying = rng.random((4, channels) + extents)
+        v = kernel.filters(varying)
+        want = wiener.zero_lag_fractions(
+            v[(...,) + (0,) * len(extents)], (v**2).sum(axis=kernel.axes)
+        )
+        got = kernel.concentrations(varying)
+        assert got.shape == (4, channels)
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+
+
 class TestKernelRows:
     @pytest.mark.parametrize(
         "fixed_shape, extents",
@@ -492,11 +538,7 @@ class TestKernelRows:
         varying = rng.random(fixed[index].shape)
         v = sub.filters(varying)
         np.testing.assert_array_equal(v, ref.filters(varying))
-        zero = (0,) * len(extents)
-        np.testing.assert_array_equal(
-            wiener.zero_lag_fractions(v, zero)[0],
-            wiener.zero_lag_fractions(ref.filters(varying), zero)[0],
-        )
+        np.testing.assert_array_equal(sub.concentrations(varying), ref.concentrations(varying))
         g = rng.random(v.shape)
         np.testing.assert_array_equal(sub.pullback(g), ref.pullback(g))
         for got, want in zip(sub.filters_with_ti(varying), ref.filters_with_ti(varying)):
