@@ -16,8 +16,6 @@ __version__ = "0.1.0"
 
 # public name -> the module that defines it
 _HOMES = {
-    "Signal": "spectral",
-    "LagFilter": "spectral",
     "WindowSpec": "spectral",
     "WienerConfig": "wiener",
     "make_window": "spectral",

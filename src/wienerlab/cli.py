@@ -6,11 +6,12 @@
 Outputs land in --out (used verbatim; refused unless absent or an empty
 directory) or a timestamped directory under ./runs. Every run directory
 receives the effective config and the report `<command>.json`, and stdout
-one summary line ending in `(<run dir>)`;
-re-running with the same config and seed reproduces all numeric outputs bit
-for bit (the directory name is the only thing that varies). Exit codes: 0
-ok, 2 config error, 3 data/format error or any OS error on a path, 4
-numerical failure.
+one summary line ending in `(<run dir>)`. On one machine and one
+NumPy/OpenBLAS build, re-running with the same config and seed reproduces
+all numeric outputs bit for bit (the directory name is the only thing that
+varies); another SIMD level or BLAS kernel moves the last bits, within the
+drift the README states. Exit codes: 0 ok, 2 config error, 3 data/format
+error or any OS error on a path, 4 numerical failure.
 
 Importing this module before NumPy caps NumPy's BLAS at one thread: it sets
 `OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and `MKL_NUM_THREADS` to 1, so no
@@ -60,7 +61,7 @@ from .errors import ConfigError, FormatError, NumericalError, ShapeError, Wiener
 from .gradients import loss_and_grad
 from .knn import DistanceSpec, LabeledSet, evaluate_accuracy, make_translated_set
 from .metrics import compute_metrics, psnr
-from .spectral import Signal, WindowSpec, make_window
+from .spectral import WindowSpec, make_window, zero_lag_index
 from .trainer import DenseAutoencoder, TrainingDivergedError, train
 from .wiener import QuotientKernel, WienerConfig, concentration, pair_report, wiener_filter
 
@@ -129,15 +130,15 @@ def _cmd_filter(args, cfg: ExperimentConfig):
     v = wiener_filter(read_pgm(args.image_a), read_pgm(args.image_b), cfg.wiener)
 
     def write(run_dir):
-        plane = v.data[0]
+        plane = v[0]
         lo, hi = float(plane.min()), float(plane.max())
         scale = hi - lo if hi > lo else 1.0
-        write_pgm(run_dir / "filter.pgm", Signal.from_array((plane - lo) / scale))
+        write_pgm(run_dir / "filter.pgm", (plane - lo) / scale)
 
-        center = v.zero_lag_index
+        center = zero_lag_index(plane.shape)
         argmax = np.unravel_index(int(np.argmax(plane)), plane.shape)
         report = {
-            "zero_lag_value": float(v.zero_lag_values()[0]),
+            "zero_lag_value": float(plane[center]),
             "concentration": concentration(v),
             "argmax_lag": [int(a - c) for a, c in zip(argmax, center)],
             "normalization": {"min": lo, "max": hi},
@@ -183,8 +184,8 @@ def _mask_aware_mean_fill(masked: np.ndarray, mask: np.ndarray, stride: int) -> 
     return np.where(mask != 0, masked, means)
 
 
-def _recover_objective(rc, target: Signal, w_raw: np.ndarray | None, wcfg: WienerConfig):
-    """x -> (loss, gradient) for the recovery descent, x shaped like target.planes.
+def _recover_objective(rc, target: np.ndarray, w_raw: np.ndarray | None, wcfg: WienerConfig):
+    """x -> (loss, gradient) for the recovery descent, x shaped like target (1, H, W).
 
     The filter loss keeps the target's quotient kernel and `w_raw`, the raw
     whitening window (None for mse, which reads no window), for the whole
@@ -197,12 +198,12 @@ def _recover_objective(rc, target: Signal, w_raw: np.ndarray | None, wcfg: Wiene
     if rc.loss == "mse":
 
         def objective(x):  # an overflow ends the descent as a non-finite loss
-            diff = x - target.planes
+            diff = x - target
             with np.errstate(over="ignore", invalid="ignore"):
                 return 0.5 * float(np.sum(diff**2)), diff
 
         return objective
-    kernel = QuotientKernel(target.planes, target.shape, wcfg.lam)
+    kernel = QuotientKernel(target, target.shape[1:], wcfg.lam)
 
     def objective(x):
         value, grad = loss_and_grad(kernel, x, w_raw)
@@ -212,19 +213,16 @@ def _recover_objective(rc, target: Signal, w_raw: np.ndarray | None, wcfg: Wiene
 
 
 def _cmd_recover(args, cfg: ExperimentConfig):
-    target = read_pgm(args.image)
-    if len(target.shape) != 2:
-        raise ShapeError("recover expects a 2-d image")
-    plane = target.plane()
+    plane = read_pgm(args.image)[0]
     if plane.max() > plane.min():  # min-max rescale so the target spans [0, 1]
-        target = Signal.from_array((plane - plane.min()) / (plane.max() - plane.min()))
+        plane = (plane - plane.min()) / (plane.max() - plane.min())
     rc = cfg.recover
-    w_raw = make_window(cfg.window, target.shape) if rc.loss == "wiener" else None
+    w_raw = make_window(cfg.window, plane.shape) if rc.loss == "wiener" else None
 
-    mask = _stride_mask(target.shape, rc.stride)
-    masked_plane = target.plane() * mask
-    masked = Signal.from_array(masked_plane)
-    baseline = Signal.from_array(_mask_aware_mean_fill(masked_plane, mask, rc.stride))
+    mask = _stride_mask(plane.shape, rc.stride)
+    masked_plane = plane * mask
+    target, masked = plane[None], masked_plane[None]  # the signals (1, H, W)
+    baseline = _mask_aware_mean_fill(masked_plane, mask, rc.stride)[None]
 
     step = rc.step_size
     if step <= 0:
@@ -232,7 +230,7 @@ def _cmd_recover(args, cfg: ExperimentConfig):
 
     def write(run_dir):
         objective = _recover_objective(rc, target, w_raw, cfg.wiener)
-        x = masked.planes.copy()
+        x = masked.copy()
         logged, curve = [], []  # iterations and their losses
         for it in range(rc.iterations):
             try:
@@ -240,18 +238,18 @@ def _cmd_recover(args, cfg: ExperimentConfig):
             except NumericalError:
                 loss_val = float("nan")
             if not np.isfinite(loss_val):
-                write_pgm(run_dir / "recovered.pgm", Signal.from_array(np.clip(x[0], 0, 1)))
+                write_pgm(run_dir / "recovered.pgm", np.clip(x[0], 0, 1))
                 raise NumericalError(f"recovery diverged at iteration {it} (last iterate saved)")
             if it % rc.log_every == 0:
                 logged.append(it)
                 curve.append(loss_val)
             x -= step * grad
-        recovered = Signal.from_array(np.clip(x[0], 0.0, 1.0))
+        recovered = np.clip(x, 0.0, 1.0)
 
         write_csv(run_dir / "loss_curve.csv", ["iteration", "loss"], [logged, curve])
-        write_pgm(run_dir / "masked.pgm", masked)
-        write_pgm(run_dir / "baseline.pgm", baseline)
-        write_pgm(run_dir / "recovered.pgm", recovered)
+        write_pgm(run_dir / "masked.pgm", masked_plane)
+        write_pgm(run_dir / "baseline.pgm", baseline[0])
+        write_pgm(run_dir / "recovered.pgm", recovered[0])
         report = {
             "loss": rc.loss,
             "stride": rc.stride,
@@ -329,6 +327,9 @@ def _cmd_diffuse(args, cfg: ExperimentConfig):
         e0, eT = float(np.mean(run.energies[:, 0])), float(np.mean(run.energies[:, -1]))
         c0, cT = float(np.mean(run.concentrations[:, 0])), float(np.mean(run.concentrations[:, -1]))
         nearest = [nearest_defining_sample(x, model) for x in run.final]
+        for chain, (_, dist) in enumerate(nearest):
+            if not np.isfinite(dist):
+                raise NumericalError(f"chain {chain}: its distance to the defining set overflows")
         report = {
             "n_chains": d.n_samples,
             "steps": d.T,
@@ -358,7 +359,7 @@ def _write_sample_grids(run_dir: Path, run) -> None:
     grids = tiles.reshape(rows, cols, snapshots, h + 1, w + 1).transpose(2, 0, 3, 1, 4)
     grids = grids.reshape(snapshots, rows * (h + 1), cols * (w + 1))[:, :-1, :-1]
     for step, grid in zip(run.snapshot_steps, grids):
-        write_pgm(run_dir / f"samples_step{step:05d}.pgm", Signal.from_array(grid))
+        write_pgm(run_dir / f"samples_step{step:05d}.pgm", grid)
 
 
 # ---------------------------------------------------------------- knn

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
 from .knn import LabeledSet
-from .spectral import Signal
 from .trainer import DenseAutoencoder
 
 __all__ = [
@@ -122,8 +121,8 @@ def ingest_idx(images_path, labels_path=None, limit: int | None = None) -> Label
     return LabeledSet(images[:, np.newaxis], labels[: len(images)])
 
 
-def read_pgm(path) -> Signal:
-    """Binary P5 image scaled to [0, 1]."""
+def read_pgm(path) -> np.ndarray:
+    """Binary P5 image scaled to [0, 1], as one signal shaped (1, height, width)."""
     buf = Path(path).read_bytes()
     if buf[:2] != b"P5":
         raise FormatError("not a binary PGM (P5) file", offset=0)
@@ -162,15 +161,11 @@ def read_pgm(path) -> Signal:
         raise FormatError(
             f"truncated PGM payload: have {data.size} pixels, need {need}", offset=pos
         )
-    img = data[:need].reshape(height, width).astype(np.float64) / 255.0
-    return Signal.from_array(img)
+    return data[:need].reshape(1, height, width).astype(np.float64) / 255.0
 
 
-def write_pgm(path, s: Signal) -> None:
-    """Clamp to [0, 1], quantize to 8 bits, write binary P5 (first channel)."""
-    plane = s.planes[0]
-    if plane.ndim == 1:
-        plane = plane[np.newaxis, :]
+def write_pgm(path, plane: np.ndarray) -> None:
+    """Clamp the 2-D `plane` to [0, 1], quantize to 8 bits, write binary P5."""
     q = np.round(np.clip(plane, 0.0, 1.0) * 255.0).astype(np.uint8)
     height, width = q.shape
     with open(path, "wb") as f:

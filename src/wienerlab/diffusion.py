@@ -7,12 +7,11 @@ dynamics (Song & Ermon 2019, arXiv:1907.05600): their states form one
 (chains, C, *extents) array, and each step is one batched energy and
 gradient pass through the defining set's quotient kernel. The defining set
 is a stack too, and a run's output is one ``Trajectory`` record of arrays
-over all chains; no ``Signal`` appears here. The energy of one state is
-``gradients.energy_terms`` on a batch of one. Per-chain RNG
-streams are derived from the master seed by chain index. Each chain draws
-its step noise from its own stream in blocks of steps, in the same stream
-order as one draw per step of a chain run alone, so chains are independent
-and the whole run is reproducible.
+over all chains. The energy of one state is ``gradients.energy_terms`` on a
+batch of one. Per-chain RNG streams are derived from the master seed by
+chain index. Each chain draws its step noise from its own stream in blocks
+of steps, in the same stream order as one draw per step of a chain run
+alone, so chains are independent and the whole run is reproducible.
 """
 
 from __future__ import annotations
@@ -220,7 +219,8 @@ def run_diffusion(
         nearest = np.argsort(sample_energies, axis=1, kind="stable")[:, :k]
         concentrations[:, t] = sample_concentrations[chains, nearest].sum(axis=1) / k  # their mean
         if t == 0:
-            limit = DIVERGENCE_FACTOR * values
+            with np.errstate(over="ignore"):  # an infinite limit is never exceeded
+                limit = DIVERGENCE_FACTOR * values
         if t == T:
             break
         X = _update(X, grads, schedule.alpha[t], schedule.beta[t], next(noise))
@@ -266,8 +266,9 @@ def _chain_failure(model: EnergyModel, x: np.ndarray, limit: float) -> str | Non
 
 def nearest_defining_sample(x: np.ndarray, model: EnergyModel) -> tuple[int, float]:
     """Index of, and Euclidean distance to, the defining sample closest to the
-    state x, shaped (C, *extents)."""
+    state x, shaped (C, *extents). A distance that overflows reads inf."""
     x = np.ravel(x)
-    dists = [float(np.linalg.norm(x - y.ravel())) for y in model.defining]
+    with np.errstate(over="ignore"):
+        dists = [float(np.linalg.norm(x - y.ravel())) for y in model.defining]
     idx = int(np.argmin(dists))
     return idx, dists[idx]

@@ -1,8 +1,9 @@
 """Per-sample image quality metrics: MAE, MSE, PSNR, SSIM.
 
-Values are expected in [0, 1]; PSNR uses peak 1.0 and reports +inf for
-identical inputs. SSIM uses a uniform 8x8 sliding window with stride 1 and
-the usual stabilizing constants (0.01*peak)^2 and (0.03*peak)^2.
+Each metric compares two signals of one shape (C, *extents). Values are
+expected in [0, 1]; PSNR uses peak 1.0 and reports +inf for identical
+inputs. SSIM uses a uniform 8x8 sliding window with stride 1 and the usual
+stabilizing constants (0.01*peak)^2 and (0.03*peak)^2.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .spectral import Signal, check_pair
+from .spectral import as_pair
 
 __all__ = ["compute_metrics", "mae", "mse", "psnr", "ssim"]
 
@@ -19,17 +20,17 @@ _C1 = (0.01) ** 2
 _C2 = (0.03) ** 2
 
 
-def mae(a: Signal, b: Signal) -> float:
-    check_pair(a, b)
-    return float(np.mean(np.abs(a.data - b.data)))
+def mae(a, b) -> float:
+    a, b = as_pair(a, b)
+    return float(np.mean(np.abs(a - b)))
 
 
-def mse(a: Signal, b: Signal) -> float:
-    check_pair(a, b)
-    return float(np.mean((a.data - b.data) ** 2))
+def mse(a, b) -> float:
+    a, b = as_pair(a, b)
+    return float(np.mean((a - b) ** 2))
 
 
-def psnr(a: Signal, b: Signal) -> float:
+def psnr(a, b) -> float:
     """Peak signal-to-noise ratio in dB against peak value 1.0."""
     m = mse(a, b)
     if m == 0.0:
@@ -58,13 +59,11 @@ def _ssim_plane(x: np.ndarray, y: np.ndarray) -> float:
     return float(s.mean())
 
 
-def ssim(a: Signal, b: Signal) -> float:
-    check_pair(a, b)
-    return float(
-        np.mean([_ssim_plane(pa, pb) for pa, pb in zip(a.planes, b.planes)])
-    )
+def ssim(a, b) -> float:
+    a, b = as_pair(a, b)
+    return float(np.mean([_ssim_plane(pa, pb) for pa, pb in zip(a, b)]))
 
 
-def compute_metrics(a: Signal, b: Signal) -> dict:
+def compute_metrics(a, b) -> dict:
     """MAE, MSE, PSNR and SSIM of one pair; identical inputs give PSNR +inf."""
     return {"mae": mae(a, b), "mse": mse(a, b), "psnr": psnr(a, b), "ssim": ssim(a, b)}

@@ -8,16 +8,16 @@ place, ``wiener.QuotientKernel`` (real FFTs: forward unnormalized, inverse
 scaled by 1/N, padding implied by the transform size). Inside the library
 filters, windows and penalties are kept in raw lag layout, zero lag at the
 origin corner: ``make_window`` builds each window that way, once, where its
-extents are known. The public ``LagFilter`` is centered instead, zero lag at
-floor(extent/2) in each dimension; ``LagFilter.from_raw`` is the one
-conversion.
+extents are known. A filter handed out is centered instead, zero lag at
+``zero_lag_index``, floor(extent/2) in each dimension; ``centered`` is the
+one conversion.
 
-A ``Signal`` is one image or vector: the type of file I/O and of the
-single-pair functionals. Every *set* of samples (a training set, a defining
-set, a kNN set, the states of all Langevin chains) is instead one float64
-stack shaped (n, C, *extents), and ``as_stack`` is the one place that
-validates samples: a Signal is checked as the stack of itself alone.
-``check_pair`` is the one comparison of two Signals' extents and channels.
+One signal (an image or a vector) is a float64 array shaped (C, *extents),
+and every *set* of samples (a training set, a defining set, a kNN set, the
+states of all Langevin chains) is one float64 stack shaped (n, C, *extents).
+``as_stack`` is the one place that validates samples: ``as_pair`` checks
+each signal of a pair as the stack of itself alone, then compares their
+shapes.
 """
 
 from __future__ import annotations
@@ -30,53 +30,14 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 
 __all__ = [
-    "Signal",
-    "LagFilter",
     "WindowSpec",
+    "as_pair",
     "as_stack",
-    "check_pair",
+    "centered",
     "full_lag",
     "make_window",
+    "zero_lag_index",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class Signal:
-    """Real-valued grid: flat float64 data + extents + independent channel planes."""
-
-    data: np.ndarray
-    shape: tuple[int, ...]
-    channels: int = 1
-
-    def __post_init__(self):
-        shape = tuple(int(n) for n in self.shape)
-        data = np.ascontiguousarray(self.data, dtype=np.float64).ravel()
-        planes = (1, self.channels) + shape
-        if min(planes) < 0 or data.size != math.prod(planes):
-            raise ShapeError(f"{data.size} values do not fill {self.channels} channels of {shape}")
-        as_stack(data.reshape(planes))  # rank, extents and finiteness: a stack of one
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "data", data)
-
-    @classmethod
-    def from_array(cls, arr) -> "Signal":
-        """Single-channel signal whose extents are the array's shape."""
-        arr = np.asarray(arr, dtype=np.float64)
-        return cls(arr.ravel(), arr.shape, 1)
-
-    @classmethod
-    def from_planes(cls, planes) -> "Signal":
-        """Multi-channel signal from an array shaped (channels, *extents)."""
-        planes = np.asarray(planes, dtype=np.float64)
-        return cls(planes.ravel(), planes.shape[1:], planes.shape[0])
-
-    @property
-    def planes(self) -> np.ndarray:
-        """View shaped (channels, *extents)."""
-        return self.data.reshape((self.channels,) + self.shape)
-
-    def plane(self, c: int = 0) -> np.ndarray:
-        return self.planes[c]
 
 
 def as_stack(samples) -> np.ndarray:
@@ -100,10 +61,14 @@ def as_stack(samples) -> np.ndarray:
     return stack
 
 
-def check_pair(a: Signal, b: Signal) -> None:
-    """ShapeError unless two signals have the same extents and channel count."""
-    if a.shape != b.shape or a.channels != b.channels:
-        raise ShapeError(f"shape mismatch: {a.shape}x{a.channels} vs {b.shape}x{b.channels}")
+def as_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Two signals as read-only float64 arrays shaped (C, *extents), each
+    validated by ``as_stack`` as the stack of itself alone. ShapeError
+    unless their shapes are equal."""
+    a, b = (as_stack([x])[0] for x in (a, b))
+    if a.shape != b.shape:
+        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return a, b
 
 
 def full_lag(extents) -> tuple[int, ...]:
@@ -111,40 +76,16 @@ def full_lag(extents) -> tuple[int, ...]:
     return tuple(2 * n for n in extents)
 
 
-@dataclass(frozen=True, eq=False)
-class LagFilter:
-    """Real grid over centered lags, one plane per channel: ``data`` is shaped
-    (channels, *extents), extents of rank 1 or 2, with zero lag at
-    floor(extent/2) in each dimension."""
+def zero_lag_index(extents) -> tuple[int, ...]:
+    """The zero-lag bin of a centered lag grid of `extents`: floor(n/2) per axis."""
+    return tuple(n // 2 for n in extents)
 
-    data: np.ndarray
 
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim not in (2, 3) or 0 in data.shape:
-            raise ShapeError(f"a lag filter is (channels, *extents) of rank 1 or 2: {data.shape}")
-        if not np.all(np.isfinite(data)):
-            raise ConfigError("filter values must be finite")
-        object.__setattr__(self, "data", data)
-
-    @classmethod
-    def from_raw(cls, raw: np.ndarray) -> "LagFilter":
-        """Center raw-layout planes (channels, *extents): the zero-lag bin moves
-        from the origin corner to ``zero_lag_index``."""
-        zero = tuple(n // 2 for n in np.shape(raw)[1:])
-        return cls(np.roll(raw, zero, axis=tuple(range(1, len(zero) + 1))))
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def zero_lag_index(self) -> tuple[int, ...]:
-        return tuple(n // 2 for n in self.data.shape[1:])
-
-    def zero_lag_values(self) -> np.ndarray:
-        """Zero-lag coefficient per channel."""
-        return self.data[(slice(None),) + self.zero_lag_index]
+def centered(raw: np.ndarray) -> np.ndarray:
+    """Raw-layout planes (C, *extents) centered: the zero-lag bin moves from
+    the origin corner to ``zero_lag_index(extents)``."""
+    zero = zero_lag_index(np.shape(raw)[1:])
+    return np.roll(raw, zero, axis=tuple(range(1, len(zero) + 1)))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .errors import (
     SingularSystemError,
     UndefinedQuotientError,
 )
-from .spectral import LagFilter, Signal, WindowSpec, check_pair, full_lag, make_window
+from .spectral import WindowSpec, as_pair, as_stack, centered, full_lag, make_window, zero_lag_index
 
 __all__ = [
     "WienerConfig",
@@ -37,6 +37,7 @@ __all__ = [
     "wiener_filter",
     "wiener_loss",
     "ti_distance",
+    "pair_report",
     "concentration",
 ]
 
@@ -397,15 +398,16 @@ class QuotientKernel:
         return out
 
 
-def wiener_filter(target: Signal, source: Signal, cfg: WienerConfig) -> LagFilter:
-    """Per-channel filter that convolves `source` to best approximate `target`.
+def wiener_filter(target, source, cfg: WienerConfig) -> np.ndarray:
+    """Per-channel filter that convolves `source` to best approximate `target`,
+    both shaped (C, *extents).
 
-    Both inputs are padded to full-lag size internally; the result lives on
-    the centered lag grid of the padded extents.
+    Both inputs are padded to full-lag size internally; the result, shaped
+    (C, *padded), lives on the centered lag grid of the padded extents.
     """
-    check_pair(target, source)
-    kernel = QuotientKernel(source.planes, source.shape, cfg.lam)
-    return LagFilter.from_raw(kernel.filters(target.planes))
+    target, source = as_pair(target, source)
+    kernel = QuotientKernel(source, source.shape[1:], cfg.lam)
+    return centered(kernel.filters(target))
 
 
 def filter_identity_loss(
@@ -429,21 +431,19 @@ def filter_identity_loss(
     return values, residual
 
 
-def wiener_loss(
-    prediction: Signal, target: Signal, whitening: WindowSpec, cfg: WienerConfig
-) -> float:
+def wiener_loss(prediction, target, whitening: WindowSpec, cfg: WienerConfig) -> float:
     """Half the squared whitened distance between the matching filter and the identity.
 
     The filter maps the target onto the prediction. Zero exactly when
     prediction == target; channels reduce by sum.
     """
-    check_pair(prediction, target)
-    kernel = QuotientKernel(target.planes, target.shape, cfg.lam)
-    w_raw = make_window(whitening, target.shape)
-    return float(filter_identity_loss(kernel, kernel.filters(prediction.planes), w_raw)[0])
+    prediction, target = as_pair(prediction, target)
+    kernel = QuotientKernel(target, target.shape[1:], cfg.lam)
+    w_raw = make_window(whitening, target.shape[1:])
+    return float(filter_identity_loss(kernel, kernel.filters(prediction), w_raw)[0])
 
 
-def ti_distance(a: Signal, b: Signal, cfg: WienerConfig) -> float:
+def ti_distance(a, b, cfg: WienerConfig) -> float:
     """Negative maximum of the standardized matching filter.
 
     Sensitive to how focused the filter's energy is. At lambda = 0 it is
@@ -457,8 +457,8 @@ def ti_distance(a: Signal, b: Signal, cfg: WienerConfig) -> float:
     and Parseval over the other bins); only the maximum is read from the
     spatial domain. See ``QuotientKernel.filters_with_ti``.
     """
-    check_pair(a, b)
-    return _mean_ti(*QuotientKernel(b.planes, b.shape, cfg.lam).filters_with_ti(a.planes)[1:])
+    a, b = as_pair(a, b)
+    return _mean_ti(*QuotientKernel(b, b.shape[1:], cfg.lam).filters_with_ti(a)[1:])
 
 
 def _mean_ti(values: np.ndarray, constant: np.ndarray) -> float:
@@ -467,20 +467,18 @@ def _mean_ti(values: np.ndarray, constant: np.ndarray) -> float:
     return float(np.mean(values))
 
 
-def pair_report(
-    prediction: Signal, target: Signal, whitening: WindowSpec, cfg: WienerConfig
-) -> dict[str, float]:
+def pair_report(prediction, target, whitening: WindowSpec, cfg: WienerConfig) -> dict[str, float]:
     """``wiener_loss``, ``ti_distance`` and the ``concentration`` of
     ``wiener_filter(prediction, target)`` from the target's one kernel and
     one filter of the prediction (``QuotientKernel.filters_with_ti``): two
     forward real transforms and one inverse, where the three functions take
     six and three. The loss, the TI value and the concentration equal
     theirs bit for bit."""
-    check_pair(prediction, target)
-    kernel = QuotientKernel(target.planes, target.shape, cfg.lam)
-    raw, values, constant = kernel.filters_with_ti(prediction.planes)
-    focus = concentration(LagFilter.from_raw(raw))
-    w_raw = make_window(whitening, target.shape)
+    prediction, target = as_pair(prediction, target)
+    kernel = QuotientKernel(target, target.shape[1:], cfg.lam)
+    raw, values, constant = kernel.filters_with_ti(prediction)
+    focus = concentration(centered(raw))
+    w_raw = make_window(whitening, target.shape[1:])
     return {
         "wiener_loss": float(filter_identity_loss(kernel, raw, w_raw)[0]),  # consumes raw
         "ti_distance": _mean_ti(values, constant),
@@ -499,7 +497,10 @@ def zero_lag_fractions(zero: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return zero**2 / norms
 
 
-def concentration(v: LagFilter) -> float:
-    """Fraction of squared filter energy at the zero-lag bin, in [0, 1], averaged over channels."""
-    norms = (v.data**2).sum(axis=tuple(range(1, v.data.ndim)))
-    return float(np.mean(zero_lag_fractions(v.data[(...,) + v.zero_lag_index], norms)))
+def concentration(v) -> float:
+    """Fraction of squared filter energy at the zero-lag bin, in [0, 1], averaged
+    over channels, of centered filter planes (C, *extents) such as
+    ``wiener_filter`` returns: zero lag sits at ``zero_lag_index(extents)``."""
+    v = as_stack([v])[0]
+    norms = (v**2).sum(axis=tuple(range(1, v.ndim)))
+    return float(np.mean(zero_lag_fractions(v[(...,) + zero_lag_index(v.shape[1:])], norms)))

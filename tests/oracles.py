@@ -4,8 +4,9 @@ spike and finite differences.
 Nothing in the package imports this module, and it takes no FFT and nothing
 from ``wienerlab.wiener``: the dense circulant solve is independent of the
 spectral fast path by construction. ``central_differences`` is the one
-finite-difference loop, over a Signal's values (``check_gradient``) or a
-model's parameters (``grad_check_model``).
+finite-difference loop, over a signal's values (``check_gradient``) or a
+model's parameters (``grad_check_model``). A signal is one float64 array
+shaped (C, *extents), as in the package.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from wienerlab.errors import ConfigError, SingularSystemError, WienerlabError
-from wienerlab.spectral import LagFilter, Signal, check_pair, full_lag, make_window
+from wienerlab.spectral import as_pair, centered, full_lag, make_window, zero_lag_index
 from wienerlab.trainer import (
     DenseAutoencoder,
     TrainConfig,
@@ -33,21 +34,21 @@ class OracleSizeError(WienerlabError, ValueError):
     """Dense reference solver asked to factor a system above its size cap."""
 
 
-def pad_to_full_lag(s: Signal) -> Signal:
-    """Zero-pad each dimension to twice its extent, content kept at the origin corner."""
-    padded_shape = full_lag(s.shape)
-    out = np.zeros((s.channels,) + padded_shape)
-    out[(slice(None),) + tuple(slice(0, n) for n in s.shape)] = s.planes
-    return Signal(out.ravel(), padded_shape, s.channels)
+def pad_to_full_lag(s: np.ndarray) -> np.ndarray:
+    """Zero-pad each lag axis of the signal `s` (C, *extents) to twice its
+    extent, content kept at the origin corner."""
+    out = np.zeros(s.shape[:1] + full_lag(s.shape[1:]))
+    out[(slice(None),) + tuple(slice(0, n) for n in s.shape[1:])] = s
+    return out
 
 
-def delta_filter(extents: tuple[int, ...], channels: int = 1) -> LagFilter:
-    """Unit spike at the zero-lag bin of a centered lag grid of `extents`: the
-    convolutional identity, which the filter of any signal against itself
-    must equal."""
+def delta_filter(extents: tuple[int, ...], channels: int = 1) -> np.ndarray:
+    """Unit spike at the zero-lag bin of centered filter planes (channels,
+    *extents): the convolutional identity, which the filter of any signal
+    against itself must equal."""
     data = np.zeros((channels,) + tuple(extents))
-    data[(slice(None),) + tuple(n // 2 for n in extents)] = 1.0
-    return LagFilter(data)
+    data[(slice(None),) + zero_lag_index(extents)] = 1.0
+    return data
 
 
 def _circulant_1d(s: np.ndarray) -> np.ndarray:
@@ -66,16 +67,16 @@ def _circulant_2d(s: np.ndarray) -> np.ndarray:
     return s[dr[:, None, :, None], dc[None, :, None, :]].reshape(h * w, h * w)
 
 
-def wiener_filter_direct(target: Signal, source: Signal, cfg) -> LagFilter:
+def wiener_filter_direct(target, source, cfg) -> np.ndarray:
     """Dense circulant least-squares reference for ``wiener_filter``.
 
     Solves (Y^T Y + lam I) v = Y^T x + lam * delta by LU factorization, with Y
     the circulant convolution matrix of the padded source and lam = cfg.lam
     (a ``WienerConfig``). Kept deliberately independent of the spectral path.
     """
-    check_pair(target, source)
-    t = pad_to_full_lag(target).planes
-    s = pad_to_full_lag(source).planes
+    target, source = as_pair(target, source)
+    t = pad_to_full_lag(target)
+    s = pad_to_full_lag(source)
     n = int(np.prod(t.shape[1:]))
     if n > ORACLE_SIZE_CAP:
         raise OracleSizeError(f"padded size {n} exceeds dense-solve cap {ORACLE_SIZE_CAP}")
@@ -92,7 +93,7 @@ def wiener_filter_direct(target: Signal, source: Signal, cfg) -> LagFilter:
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"dense system is singular: {exc}") from exc
         out[c] = v.reshape(t.shape[1:])
-    return LagFilter.from_raw(out)
+    return centered(out)
 
 
 @dataclass(frozen=True)
@@ -127,12 +128,13 @@ def central_differences(
 
 
 def check_gradient(
-    f: Callable[[Signal], float], analytic: Signal, x: Signal, h: float = 1e-5
+    f: Callable[[np.ndarray], float], analytic: np.ndarray, x: np.ndarray, h: float = 1e-5
 ) -> GradientCheckReport:
-    """``central_differences`` over the values of a Signal. Meaningful for
-    inputs scaled to order one."""
+    """``central_differences`` over the values of the signal `x`, `analytic`
+    shaped like it. Meaningful for inputs scaled to order one."""
+    x = np.asarray(x, dtype=np.float64)
     return central_differences(
-        lambda data: f(Signal(data, x.shape, x.channels)), analytic.data, x.data, h
+        lambda data: f(data.reshape(x.shape)), np.ravel(analytic), x.ravel(), h
     )
 
 

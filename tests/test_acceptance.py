@@ -24,7 +24,7 @@ from wienerlab.diffusion import (
 )
 from wienerlab.gradients import energy_terms, loss_and_grad
 from wienerlab.knn import DistanceSpec, evaluate_accuracy, make_translated_set
-from wienerlab.spectral import Signal, WindowSpec, make_window
+from wienerlab.spectral import WindowSpec, make_window
 from wienerlab.trainer import DenseAutoencoder, TrainConfig, forward, train
 from wienerlab.wiener import QuotientKernel, WienerConfig, wiener_filter, wiener_loss
 
@@ -48,21 +48,21 @@ def test_criterion_1_oracle_equivalence():
     lams = (1e-3, 1.0, 250.0)
     for i in range(50):
         n = int(rng.integers(8, 33))
-        x = Signal(rng.random(n), (n,))
-        y = Signal(rng.random(n), (n,))
+        x = rng.random(n)[None]
+        y = rng.random(n)[None]
         for lam in lams:
             cfg = WienerConfig(lam=lam)
             vf = wiener_filter(x, y, cfg)
             vd = wiener_filter_direct(x, y, cfg)
-            worst = max(worst, np.abs(vf.data - vd.data).max() / np.abs(vd.data).max())
+            worst = max(worst, np.abs(vf - vd).max() / np.abs(vd).max())
     for i in range(10):
-        x = Signal.from_array(rng.random((6, 6)))
-        y = Signal.from_array(rng.random((6, 6)))
+        x = rng.random((6, 6))[None]
+        y = rng.random((6, 6))[None]
         for lam in lams:
             cfg = WienerConfig(lam=lam)
             vf = wiener_filter(x, y, cfg)
             vd = wiener_filter_direct(x, y, cfg)
-            worst = max(worst, np.abs(vf.data - vd.data).max() / np.abs(vd.data).max())
+            worst = max(worst, np.abs(vf - vd).max() / np.abs(vd).max())
     elapsed = time.perf_counter() - t0
     report(
         1,
@@ -77,18 +77,18 @@ def test_criterion_2_convolutional_identity():
     t0 = time.perf_counter()
     worst_id = 0.0
     for _ in range(20):
-        y = Signal.from_array(rng.random((12, 12)))
+        y = rng.random((12, 12))[None]
         v = wiener_filter(y, y, WienerConfig(lam=float(rng.choice([1e-3, 1.0, 250.0]))))
-        worst_id = max(worst_id, np.abs(v.data - delta_filter(v.data.shape[1:]).data).max())
+        worst_id = max(worst_id, np.abs(v - delta_filter(v.shape[1:])).max())
     worst_eq = 0.0
     for _ in range(20):
         img = margin_image(16, 6, rng)
         k = (int(rng.integers(0, 7)), int(rng.integers(0, 7)))
-        y = Signal.from_array(img)
-        x = Signal.from_array(np.roll(img, k, axis=(0, 1)))
+        y = img[None]
+        x = np.roll(img, k, axis=(0, 1))[None]
         v = wiener_filter(x, y, WienerConfig(lam=1e-12))
-        expect = np.roll(delta_filter(v.data.shape[1:]).data, k, axis=(1, 2))
-        worst_eq = max(worst_eq, np.abs(v.data - expect).max())
+        expect = np.roll(delta_filter(v.shape[1:]), k, axis=(1, 2))
+        worst_eq = max(worst_eq, np.abs(v - expect).max())
     elapsed = time.perf_counter() - t0
     report(
         2,
@@ -100,8 +100,8 @@ def test_criterion_2_convolutional_identity():
 
 def check_energy_gradient(x, model):
     """Finite differences of the dataset energy at one state, a batch of one."""
-    grad = Signal.from_planes(energy_terms(model, x.planes[None])[1][0])
-    energy = lambda xx: float(energy_terms(model, xx.planes[None])[0][0])
+    grad = energy_terms(model, x[None])[1][0]
+    energy = lambda xx: float(energy_terms(model, xx[None])[0][0])
     return check_gradient(energy, grad, x, h=1e-5)
 
 
@@ -110,29 +110,27 @@ def test_criterion_3_gradient_fidelity():
     t0 = time.perf_counter()
     worst_loss = 0.0
     for lam in (0.1, 1.0, 250.0):
-        pred = Signal.from_array(rng.random((16, 16)))
-        targ = Signal.from_array(rng.random((16, 16)))
+        pred = rng.random((16, 16))[None]
+        targ = rng.random((16, 16))[None]
         w = WindowSpec("laplace", 2.0, 0.1)
         cfg = WienerConfig(lam=lam)
-        w_raw = make_window(w, targ.shape)
-        grad = loss_and_grad(QuotientKernel(targ.planes, targ.shape, lam), pred.planes, w_raw)[1]
-        rep = check_gradient(
-            lambda p: wiener_loss(p, targ, w, cfg), Signal.from_planes(grad), pred, h=1e-5
-        )
+        w_raw = make_window(w, targ.shape[1:])
+        grad = loss_and_grad(QuotientKernel(targ, targ.shape[1:], lam), pred, w_raw)[1]
+        rep = check_gradient(lambda p: wiener_loss(p, targ, w, cfg), grad, pred, h=1e-5)
         worst_loss = max(worst_loss, rep.max_rel_error)
 
     pen1 = WindowSpec("inverted_laplace", 3.0)
     model1 = EnergyModel(
         np.stack([rng.random((1, 16)) for _ in range(3)]), pen1, 1.0, WienerConfig(lam=0.1)
     )
-    x1 = Signal(rng.random(16), (16,))
+    x1 = rng.random(16)[None]
     rep1 = check_energy_gradient(x1, model1)
 
     pen2 = WindowSpec("inverted_laplace", 2.0)
     model2 = EnergyModel(
         np.stack([rng.random((1, 8, 8)) for _ in range(2)]), pen2, 1.0, WienerConfig(lam=1.0)
     )
-    x2 = Signal.from_array(rng.random((8, 8)))
+    x2 = rng.random((8, 8))[None]
     rep2 = check_energy_gradient(x2, model2)
     worst_energy = max(rep1.max_rel_error, rep2.max_rel_error)
 
@@ -268,7 +266,7 @@ def test_criterion_8_reproducibility(tmp_path):
     digit = tmp_path / "digit.pgm"
     from wienerlab.dataio import write_pgm
 
-    write_pgm(digit, Signal.from_planes(make_digit_set(1, size=16, seed=4).stack[0]))
+    write_pgm(digit, make_digit_set(1, size=16, seed=4).stack[0, 0])
     cfgf = tmp_path / "c.ini"
     cfgf.write_text(
         "[diffusion]\nT = 25\nn_samples = 4\nsnapshot_stride = 5\n"
@@ -311,8 +309,8 @@ def test_criterion_9_performance_scaling():
     rng = np.random.default_rng(1)
     for n in sizes:
         inputs[n] = (
-            Signal.from_array(rng.random((n, n))),
-            Signal.from_array(rng.random((n, n))),
+            rng.random((n, n))[None],
+            rng.random((n, n))[None],
             WindowSpec("laplace", 2.0, 0.3),
         )
 
@@ -321,8 +319,8 @@ def test_criterion_9_performance_scaling():
         t0 = time.perf_counter()
         wiener_filter(pred, targ, cfg)
         wiener_loss(pred, targ, w, cfg)
-        w_raw = make_window(w, targ.shape)
-        loss_and_grad(QuotientKernel(targ.planes, targ.shape, cfg.lam), pred.planes, w_raw)
+        w_raw = make_window(w, targ.shape[1:])
+        loss_and_grad(QuotientKernel(targ, targ.shape[1:], cfg.lam), pred, w_raw)
         return time.perf_counter() - t0
 
     # interleaved min-of-7 per size: robust to transient machine load

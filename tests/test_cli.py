@@ -18,7 +18,7 @@ from wienerlab.dataio import read_pgm, load_model, write_pgm
 from wienerlab.datasets import make_digit_set
 from wienerlab.diffusion import run_diffusion
 from wienerlab.gradients import loss_and_grad
-from wienerlab.spectral import Signal, WindowSpec, make_window
+from wienerlab.spectral import WindowSpec, make_window
 from wienerlab.trainer import TrainConfig
 from wienerlab.wiener import QuotientKernel, WienerConfig
 
@@ -51,12 +51,12 @@ REDUCED_SIZES = {
 @pytest.fixture
 def digit_image(tmp_path):
     p = tmp_path / "digit.pgm"
-    write_pgm(p, Signal.from_planes(make_digit_set(1, size=16, seed=4).stack[0]))
+    write_pgm(p, make_digit_set(1, size=16, seed=4).stack[0, 0])
     return p
 
 
 def write_image(path, arr):
-    write_pgm(path, Signal.from_array(np.asarray(arr, dtype=float)))
+    write_pgm(path, np.asarray(arr, dtype=float))
     return path
 
 
@@ -227,14 +227,14 @@ class TestRecoverCommand:
 
     def test_cached_target_gradient_matches_a_fresh_kernel(self):
         rng = np.random.default_rng(4)
-        target = Signal.from_array(rng.random((10, 12)))
-        whitening = make_window(WindowSpec("laplace", 2.0, 0.3), target.shape)
+        target = rng.random((10, 12))[None]
+        whitening = make_window(WindowSpec("laplace", 2.0, 0.3), target.shape[1:])
         cfg = WienerConfig(lam=0.5)
         objective = _recover_objective(RecoverSection(loss="wiener"), target, whitening, cfg)
         for _ in range(3):  # one kernel, several iterates
             x = rng.random((1, 10, 12))
             value, grad = objective(x)
-            kernel = QuotientKernel(target.planes, target.shape, cfg.lam)
+            kernel = QuotientKernel(target, target.shape[1:], cfg.lam)
             ref_value, ref_grad = loss_and_grad(kernel, x, whitening)
             assert value == pytest.approx(float(ref_value), rel=1e-12)
             assert np.abs(grad - ref_grad).max() < 1e-12
@@ -342,7 +342,7 @@ class TestDiffuseCommand:
                 r, q = divmod(c, cols)
                 plane = np.clip(run.samples[c, si, 0], 0.0, 1.0)
                 grid[r * (h + 1) : r * (h + 1) + h, q * (w + 1) : q * (w + 1) + w] = plane
-            write_pgm(tmp_path / "reference.pgm", Signal.from_array(grid))
+            write_pgm(tmp_path / "reference.pgm", grid)
             name = f"samples_step{step:05d}.pgm"
             assert (out / name).read_bytes() == (tmp_path / "reference.pgm").read_bytes(), name
 

@@ -16,7 +16,6 @@ from wienerlab.dataio import (
     write_pgm,
 )
 from wienerlab.errors import ConfigError, FormatError, ShapeError
-from wienerlab.spectral import Signal
 from wienerlab.trainer import DenseAutoencoder, forward
 
 
@@ -145,22 +144,22 @@ class TestPgm:
     def test_roundtrip_within_quantization(self, tmp_path):
         img = np.random.default_rng(1).random((9, 7))
         p = tmp_path / "img.pgm"
-        write_pgm(p, Signal.from_array(img))
+        write_pgm(p, img)
         back = read_pgm(p)
-        assert back.shape == (9, 7)
-        assert np.abs(back.plane() - img).max() <= 1.0 / 255.0
+        assert back.shape == (1, 9, 7)
+        assert np.abs(back[0] - img).max() <= 1.0 / 255.0
 
     def test_write_clamps(self, tmp_path):
         img = np.array([[-0.5, 0.5], [1.5, 1.0]])
         p = tmp_path / "clamp.pgm"
-        write_pgm(p, Signal.from_array(img))
-        back = read_pgm(p).plane()
+        write_pgm(p, img)
+        back = read_pgm(p)[0]
         assert back[0, 0] == 0.0 and back[1, 0] == 1.0
 
     def test_header_comments_tolerated(self, tmp_path):
         p = tmp_path / "c.pgm"
         p.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes([0, 128, 255, 64]))
-        img = read_pgm(p).plane()
+        img = read_pgm(p)[0]
         assert img.shape == (2, 2)
         assert img[0, 1] == pytest.approx(128 / 255)
 

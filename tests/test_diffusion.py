@@ -17,7 +17,7 @@ from wienerlab.diffusion import (
 )
 from wienerlab.errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError
 from wienerlab.gradients import energy_terms
-from wienerlab.spectral import Signal, WindowSpec, make_window
+from wienerlab.spectral import WindowSpec, make_window
 from wienerlab.wiener import WienerConfig
 
 
@@ -117,23 +117,23 @@ class TestEnergy:
 
     def test_gamma_zero_reduces_to_quotient_sum(self):
         m1, _ = toy_model(gamma=0.0)
-        x = Signal(np.random.default_rng(1).normal(0, 1, 8), (8,))
-        values, _, sample_energies, _ = energy_terms(m1, x.planes[None])
+        X = np.random.default_rng(1).normal(0, 1, (1, 1, 8))  # one state
+        values, _, sample_energies, _ = energy_terms(m1, X)
         assert values[0] == pytest.approx(float(np.sum(sample_energies)))
 
     def test_bit_identical_reevaluation(self):
         model, _ = toy_model()
-        x = Signal(np.random.default_rng(2).normal(0, 1, 8), (8,))
-        first, again = (energy_terms(model, x.planes[None])[:2] for _ in range(2))
+        X = np.random.default_rng(2).normal(0, 1, (1, 1, 8))
+        first, again = (energy_terms(model, X)[:2] for _ in range(2))
         assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
 
     def test_overflow_raises_numerical_error_without_warnings(self):
         model, _ = toy_model()
-        x = Signal(np.full(8, 1e200), (8,))  # finite, but the filter norms overflow
+        X = np.full((1, 1, 8), 1e200)  # finite, but the filter norms overflow
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError):
-                energy_terms(model, x.planes[None])
+                energy_terms(model, X)
 
 
 class TestLangevinStep:

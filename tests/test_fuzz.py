@@ -8,6 +8,7 @@ traceback, and a reader returns its result or raises a library error. A
 import gzip
 import json
 import math
+import re
 import tempfile
 import warnings
 from dataclasses import fields
@@ -22,7 +23,6 @@ from wienerlab.cli import main
 from wienerlab.config import ExperimentConfig, _key
 from wienerlab.dataio import ingest_idx, load_model, save_model, write_pgm
 from wienerlab.errors import WienerlabError
-from wienerlab.spectral import Signal
 from wienerlab.trainer import DenseAutoencoder
 
 EXIT_CODES = {0, 2, 3, 4}
@@ -82,10 +82,10 @@ def _pgm_bytes(plane: np.ndarray) -> bytes:
     return b"P5\n8 8\n255\n" + q.tobytes()
 
 
-def _idx_pair(n: int = 12, size: int = 4) -> tuple[bytes, bytes]:
-    images = (np.arange(n * size * size) % 256).astype(np.uint8)
+def _idx_pair(n: int = 12, rows: int = 4, cols: int = 4) -> tuple[bytes, bytes]:
+    images = (np.arange(n * rows * cols) % 256).astype(np.uint8)
     labels = (np.arange(n) % 10).astype(np.uint8)
-    head = np.array([0x803, n, size, size], dtype=">u4").tobytes()
+    head = np.array([0x803, n, rows, cols], dtype=">u4").tobytes()
     return head + images.tobytes(), np.array([0x801, n], dtype=">u4").tobytes() + labels.tobytes()
 
 
@@ -100,7 +100,7 @@ def images(tmp_path):
     paths = {}
     for name, plane in (("a", rng.random((8, 8))), ("b", rng.random((8, 8))), ("zero", None)):
         paths[name] = tmp_path / f"{name}.pgm"
-        write_pgm(paths[name], Signal.from_array(np.zeros((8, 8)) if plane is None else plane))
+        write_pgm(paths[name], np.zeros((8, 8)) if plane is None else plane)
     return paths
 
 
@@ -294,12 +294,44 @@ def test_every_numeric_key_ends_in_an_exit_code(tmp_path, capsys, images, sectio
 FLOAT_KEYS = _keys_of_type(float)
 
 
+# a numpy warning raises here, so a run must end in its exit code without one
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("value", ["1e308", "5e-324", "inf", "-inf", "nan"])
 @pytest.mark.parametrize("section,key", FLOAT_KEYS)
 def test_every_float_key_at_its_extremes_ends_in_an_exit_code(
     tmp_path, capsys, images, section, key, value
 ):
     _run_tiny(tmp_path, capsys, images, READERS[section], section, key, value)
+
+
+def test_a_nearest_distance_that_overflows_is_a_numerical_failure(tmp_path, capsys):
+    # chains started at variance 1e308 stay finite, but their squared
+    # distances to the defining set overflow
+    cfgf = tmp_path / "huge.ini"
+    cfgf.write_text("[diffusion]\n" + "".join(
+        f"{k} = {v}\n" for k, v in {**TINY["diffusion"], "init_variance": "1e308"}.items()
+    ))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["diffuse", "--config", str(cfgf), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 4 and re.fullmatch(r"numerical failure: chain \d+: .* overflows\n", err), err
+    assert not (tmp_path / "run" / "diffuse.json").exists()
+
+
+@pytest.mark.parametrize("widths, rc", [(None, 2), ("35,8,35", 0)])
+def test_train_widths_against_idx_images_of_another_size(tmp_path, capsys, widths, rc):
+    # 5x7 images: 35 pixels per sample against the default widths' 64
+    images = tmp_path / "images-idx3-ubyte"
+    images.write_bytes(_idx_pair(n=8, rows=5, cols=7)[0])
+    text = f"[train]\nn_train = 8\nepochs = 1\nbatch_size = 4\ndata_images = {images}\n"
+    cfgf = tmp_path / "train.ini"
+    cfgf.write_text(text + (f"widths = {widths}\n" if widths else ""))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfgf), "--out", str(out)]) == rc
+    err = capsys.readouterr().err
+    assert ("sample width 35" in err) == (rc == 2), err
+    assert out.exists() == (rc == 0)
 
 
 @pytest.mark.parametrize("value", ["", "nope", "1,,2", "missing"])
@@ -445,7 +477,7 @@ def tiny_images(tmp_path_factory):
     paths = {}
     for name, plane in TINY_IMAGES.items():
         paths[name] = root / f"{name}.pgm"
-        write_pgm(paths[name], Signal.from_array(np.array(plane)))
+        write_pgm(paths[name], np.array(plane))
     return paths
 
 

@@ -5,12 +5,12 @@ from oracles import check_gradient
 from wienerlab.diffusion import EnergyModel
 from wienerlab.errors import ConfigError, ShapeError
 from wienerlab.gradients import energy_terms, loss_and_grad
-from wienerlab.spectral import Signal, WindowSpec, make_window
+from wienerlab.spectral import WindowSpec, make_window
 from wienerlab.wiener import QuotientKernel, WienerConfig, wiener_loss
 
 
 def unit_signal(shape, seed):
-    return Signal.from_array(np.random.default_rng(seed).random(shape))
+    return np.random.default_rng(seed).random(shape)[None]
 
 
 WHITENING = WindowSpec("laplace", 2.0, 0.1)
@@ -19,15 +19,15 @@ WHITENING = WindowSpec("laplace", 2.0, 0.1)
 def loss_grad(pred, targ, w, cfg):
     """The filter loss and its gradient at one prediction, whitened by the
     window of spec `w` on the target's grid: a batch of one."""
-    kernel = QuotientKernel(targ.planes, targ.shape, cfg.lam)
-    value, grad = loss_and_grad(kernel, pred.planes, make_window(w, targ.shape))
-    return float(value), Signal.from_planes(grad)
+    kernel = QuotientKernel(targ, targ.shape[1:], cfg.lam)
+    value, grad = loss_and_grad(kernel, pred, make_window(w, targ.shape[1:]))
+    return float(value), grad
 
 
 def energy_grad(x, model):
     """The dataset energy and its gradient at one state: a batch of one."""
-    values, grads = energy_terms(model, x.planes[None])[:2]
-    return float(values[0]), Signal.from_planes(grads[0])
+    values, grads = energy_terms(model, x[None])[:2]
+    return float(values[0]), grads[0]
 
 
 def energy(x, model):
@@ -45,7 +45,7 @@ class TestGradWienerLoss:
     def test_gradient_vanishes_at_target(self):
         y = unit_signal((8, 8), 1)
         value, grad = loss_grad(y, y, WHITENING, WienerConfig(lam=1.0))
-        assert np.abs(grad.data).max() < 1e-9
+        assert np.abs(grad).max() < 1e-9
         assert value == pytest.approx(0.0, abs=1e-25)
 
     @pytest.mark.parametrize("lam", [0.1, 1.0, 250.0])
@@ -70,20 +70,20 @@ class TestGradWienerLoss:
         # plain descent from noise toward a fixed 8x8 target; the loss is a
         # convex quadratic in the prediction so a safe fixed step must descend
         rng = np.random.default_rng(6)
-        targ = Signal.from_array(rng.random((8, 8)))
+        targ = rng.random((8, 8))[None]
         x = rng.random((8, 8))
         w = WHITENING
         cfg = WienerConfig(lam=1.0)
         step = 1e-2
         losses = []
         for _ in range(200):
-            value, grad = loss_grad(Signal.from_array(x), targ, w, cfg)
+            value, grad = loss_grad(x[None], targ, w, cfg)
             losses.append(value)
-            g = grad.plane()
+            g = grad[0]
             # line-search safeguard: halve until the step strictly decreases
             while True:
                 trial = x - step * g
-                trial_val = wiener_loss(Signal.from_array(trial), targ, w, cfg)
+                trial_val = wiener_loss(trial[None], targ, w, cfg)
                 if trial_val < losses[-1] or step < 1e-12:
                     break
                 step *= 0.5
@@ -92,8 +92,8 @@ class TestGradWienerLoss:
 
     def test_multichannel_gradient(self):
         rng = np.random.default_rng(7)
-        pred = Signal.from_planes(rng.random((2, 5, 5)))
-        targ = Signal.from_planes(rng.random((2, 5, 5)))
+        pred = rng.random((2, 5, 5))
+        targ = rng.random((2, 5, 5))
         w = WHITENING
         cfg = WienerConfig(lam=1.0)
         grad = loss_grad(pred, targ, w, cfg)[1]
@@ -105,19 +105,19 @@ class TestGradWienerLoss:
             loss_grad(unit_signal((4, 4), 8), unit_signal((5, 5), 9), WHITENING, WienerConfig())
         # a window on another grid: the message names both grids whole
         y = unit_signal((4, 4), 8)
-        kernel = QuotientKernel(y.planes, y.shape, 1.0)
+        kernel = QuotientKernel(y, y.shape[1:], 1.0)
         with pytest.raises(ShapeError, match=r"extents \(10, 8\) != padded extents \(8, 8\)"):
-            loss_and_grad(kernel, y.planes, make_window(WHITENING, (5, 4)))
+            loss_and_grad(kernel, y, make_window(WHITENING, (5, 4)))
 
 
 class TestGradEnergy:
     def test_stationary_at_defining_sample(self):
         rng = np.random.default_rng(10)
-        y = Signal(rng.random(16), (16,))
+        y = rng.random(16)[None]
         pen = WindowSpec("inverted_laplace", b=3.0)
-        model = EnergyModel(y.planes[None], pen, 2.0, WienerConfig(lam=0.5))
+        model = EnergyModel(y[None], pen, 2.0, WienerConfig(lam=0.5))
         value, grad = energy_grad(y, model)
-        assert np.abs(grad.data).max() < 1e-8
+        assert np.abs(grad).max() < 1e-8
         assert value == pytest.approx(0.0, abs=1e-20)
 
     def test_matches_finite_differences(self):
@@ -131,7 +131,7 @@ class TestGradEnergy:
         x = unit_signal((16,), 12)
         grads = {}
         for gamma in (0.0, 1.0, 2.0):
-            grads[gamma] = energy_grad(x, toy_model(gamma=gamma))[1].data
+            grads[gamma] = energy_grad(x, toy_model(gamma=gamma))[1]
         lhs = grads[2.0] - grads[0.0]
         rhs = 2.0 * (grads[1.0] - grads[0.0])
         assert np.abs(lhs - rhs).max() < 1e-10
@@ -148,7 +148,7 @@ class TestGradEnergy:
     def test_breakdown_terms_sum_to_value(self):
         model = toy_model(n_samples=4)
         x = unit_signal((16,), 14)
-        values, grads, sample_energies, sample_concentrations = energy_terms(model, x.planes[None])
+        values, grads, sample_energies, sample_concentrations = energy_terms(model, x[None])
         assert values[0] == pytest.approx(float(np.sum(sample_energies)), rel=1e-14)
         assert grads.shape == (1, 1, 16)
         assert sample_energies.shape == sample_concentrations.shape == (1, 4)
@@ -159,11 +159,11 @@ class TestGradEnergy:
         rng = np.random.default_rng(15)
         wins = 0
         for _ in range(20):
-            x = Signal(rng.normal(0, 1, 8), (8,))
+            x = rng.normal(0, 1, 8)[None]
             value, grad = energy_grad(x, model)
             step = 1.0
             for _ in range(30):
-                trial = Signal(x.data - step * grad.data, x.shape)
+                trial = x - step * grad
                 if energy(trial, model) < value:
                     wins += 1
                     break
@@ -256,16 +256,16 @@ class TestDenseAdjointOracle:
 class TestCheckGradient:
     def test_quadratic_self_test(self):
         # order-one entries keep the finite-difference roundoff below 1e-9
-        x = Signal.from_array(0.8 + 0.4 * np.random.default_rng(20).random((3, 3)))
-        f = lambda s: 0.5 * float(np.sum(s.data**2))
+        x = (0.8 + 0.4 * np.random.default_rng(20).random((3, 3)))[None]
+        f = lambda s: 0.5 * float(np.sum(s**2))
         rep = check_gradient(f, x, x, h=1e-6)
         assert rep.max_rel_error < 1e-9
         assert rep.n_elements == 9
 
     def test_reports_bad_gradient(self):
         x = unit_signal((4,), 21)
-        wrong = Signal(2.0 * x.data, x.shape)
-        rep = check_gradient(lambda s: 0.5 * float(np.sum(s.data**2)), wrong, x, h=1e-6)
+        wrong = 2.0 * x
+        rep = check_gradient(lambda s: 0.5 * float(np.sum(s**2)), wrong, x, h=1e-6)
         assert rep.max_rel_error > 0.4
 
     def test_nonpositive_step_rejected(self):

@@ -18,12 +18,12 @@ from wienerlab.knn import (
     make_translated_set,
 )
 from wienerlab import wiener
-from wienerlab.spectral import Signal, full_lag
+from wienerlab.spectral import full_lag
 from wienerlab.wiener import QuotientKernel, WienerConfig, ti_distance
 
 
 def sig(arr):
-    return Signal.from_array(np.asarray(arr, dtype=float))
+    return np.asarray(arr, dtype=float)[None]
 
 
 def labeled(images, labels):
@@ -31,20 +31,15 @@ def labeled(images, labels):
     return LabeledSet(np.asarray(images, dtype=float)[:, np.newaxis], labels)
 
 
-def queries(ls):
-    """One Signal per sample of a set, for the pairwise functions."""
-    return [Signal.from_planes(planes) for planes in ls.stack]
-
-
 def to_set(query, train, spec):
-    """Distances from one query Signal to every sample of `train`; k = len(train)
-    makes every entry exact."""
-    return _distance_matrix(train, query.planes[np.newaxis], spec, len(train))[0][0]
+    """Distances from one query signal (C, *extents) to every sample of
+    `train`; k = len(train) makes every entry exact."""
+    return _distance_matrix(train, query[np.newaxis], spec, len(train))[0][0]
 
 
 def classify(train, query, k, spec):
-    """The class ``evaluate_accuracy`` predicts for one query Signal."""
-    return evaluate_accuracy(train, LabeledSet(query.planes[None], [0]), k, spec).predictions[0]
+    """The class ``evaluate_accuracy`` predicts for one query signal."""
+    return evaluate_accuracy(train, LabeledSet(query[None], [0]), k, spec).predictions[0]
 
 
 class TestLabeledSet:
@@ -127,7 +122,7 @@ class TestDistances:
     def test_manhattan(self):
         a = sig([[0.0, 1.0]])
         b = sig([[0.5, 0.2]])
-        one = LabeledSet(b.planes[None], [0])
+        one = LabeledSet(b[None], [0])
         assert to_set(a, one, DistanceSpec("manhattan"))[0] == pytest.approx(1.3)
 
     def test_euclidean_is_an_unknown_kind(self):
@@ -144,7 +139,7 @@ class TestDistances:
         query = sig(rng.random((8, 8)))
         train = labeled([rng.random((8, 8)) for _ in range(5)], [0, 1, 2, 3, 4])
         batch = to_set(query, train, spec)
-        singles = [ti_distance(query, t, spec.wiener_cfg) for t in queries(train)]
+        singles = [ti_distance(query, t, spec.wiener_cfg) for t in train.stack]
         np.testing.assert_allclose(batch, singles, atol=1e-12)
         # a repeated query against the set gives the same bits
         np.testing.assert_array_equal(to_set(query, train, spec), batch)
@@ -152,18 +147,18 @@ class TestDistances:
     def test_multichannel_ti_matches_pairwise(self):
         rng = np.random.default_rng(1)
         spec = DistanceSpec("wiener_ti", WienerConfig(lam=0.5))
-        query = Signal.from_planes(rng.random((2, 6, 6)))
+        query = rng.random((2, 6, 6))
         planes = rng.random((4, 2, 6, 6))
         train = LabeledSet(planes, [0, 1, 2, 3])
-        singles = [ti_distance(query, t, spec.wiener_cfg) for t in queries(train)]
+        singles = [ti_distance(query, t, spec.wiener_cfg) for t in train.stack]
         np.testing.assert_allclose(to_set(query, train, spec), singles, atol=1e-12)
 
     @pytest.mark.parametrize("channels", [1, 2])
     def test_batched_elementwise_matches_pairwise(self, channels):
         rng = np.random.default_rng(2)
-        query = Signal.from_planes(rng.random((channels, 5, 7)))
+        query = rng.random((channels, 5, 7))
         train = LabeledSet(rng.random((23, channels, 5, 7)), [0] * 23)
-        pairs = [float(np.abs(query.data - t.data).sum()) for t in queries(train)]
+        pairs = [float(np.abs(query - t).sum()) for t in train.stack]
         np.testing.assert_array_equal(to_set(query, train, DistanceSpec("manhattan")), pairs)
 
     @pytest.mark.parametrize("kind", ["manhattan"])
@@ -196,7 +191,7 @@ class TestKnnClassify:
     def test_query_equal_to_training_sample(self, kind):
         base = make_digit_set(20, size=8, seed=2)
         spec = DistanceSpec(kind, WienerConfig(lam=1.0))
-        pred = classify(base, Signal.from_planes(base.stack[4]), 1, spec)
+        pred = classify(base, base.stack[4], 1, spec)
         assert pred == base.labels[4]
 
     def test_majority_vote(self):
@@ -298,10 +293,10 @@ class TestTranslationInvariantRanking:
         qbase = make_digit_set(3, size=8, seed=8)
         qpad = make_translated_set(qbase, 0, 6, seed=0)
         rng = np.random.default_rng(9)
-        for q in queries(qpad):
+        for q in qpad.stack:
             d0 = to_set(q, train, spec)
             k = tuple(int(v) for v in rng.integers(-6, 7, size=2))
-            shifted = Signal.from_array(np.roll(q.plane(), k, axis=(0, 1)))
+            shifted = np.roll(q[0], k, axis=(0, 1))[None]
             d1 = to_set(shifted, train, spec)
             np.testing.assert_allclose(d0, d1, atol=1e-9)
             np.testing.assert_array_equal(np.argsort(d0, kind="stable"), np.argsort(d1, kind="stable"))
@@ -330,7 +325,7 @@ class TestAllQueriesDistanceMatrix:
         matrix, exact = _distance_matrix(train, qs, DistanceSpec("wiener_ti", cfg), len(train))
         assert exact == 1.0
         pairs = [
-            [ti_distance(Signal.from_planes(q), t, cfg) for t in queries(train)] for q in qs
+            [ti_distance(q, t, cfg) for t in train.stack] for q in qs
         ]
         assert matrix.shape == (5, 13)
         np.testing.assert_array_equal(matrix, pairs)
@@ -341,7 +336,7 @@ class TestAllQueriesDistanceMatrix:
         test = make_translated_set(make_digit_set(11, size=8, seed=62), 2, 2, seed=2)
         spec = DistanceSpec(kind, WienerConfig(lam=1.0))
         res = evaluate_accuracy(train, test, 3, spec)
-        expected = [classify(train, q, 3, spec) for q in queries(test)]
+        expected = [classify(train, q, 3, spec) for q in test.stack]
         assert res.predictions == expected
         confusion = np.zeros((10, 10), dtype=int)
         for lab, pred in zip(test.labels, expected):
@@ -573,7 +568,7 @@ class TestPrunedTiMatrix:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # constant filters
             pairs = [
-                [ti_distance(Signal.from_planes(q), t, cfg) for t in queries(train)] for q in qs
+                [ti_distance(q, t, cfg) for t in train.stack] for q in qs
             ]
         assert full.tobytes() == np.array(pairs).tobytes()
 

@@ -92,7 +92,7 @@ def _is_two(node: ast.AST) -> bool:
     return isinstance(node, ast.Constant) and node.value == 2
 
 
-def test_np_roll_is_called_only_in_lag_filter_from_raw():
+def test_np_roll_is_called_only_in_spectral_centered():
     # windows are built in raw layout where their extents are known, so the
     # one layout conversion is centering a raw filter at the public boundary
     def rolls(node):
@@ -101,8 +101,7 @@ def test_np_roll_is_called_only_in_lag_filter_from_raw():
 
     sites = _sites(rolls)
     tree = ast.parse((SRC / "spectral.py").read_text())
-    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "LagFilter")
-    fn = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "from_raw")
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "centered")
     assert len(sites) == 1, sites
     path, line = sites[0].split(":")
     assert path == "spectral.py" and fn.lineno <= int(line) <= fn.end_lineno, sites
@@ -150,14 +149,50 @@ def test_full_lag_doubling_is_written_only_in_spectral():
 
 
 def test_signal_pair_comparison_lives_only_in_spectral():
-    def compares_channels(node):
-        sides = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
-        return len(sides) == 2 and all(
-            isinstance(side, ast.Attribute) and side.attr == "channels" for side in sides
+    # a ShapeError raised when two arrays' shapes differ
+    def compares_shapes(node):
+        if not isinstance(node, ast.If) or "ShapeError" not in _names(node):
+            return False
+        return any(
+            isinstance(cmp, ast.Compare) and len(cmp.comparators) == 1 and all(
+                isinstance(side, ast.Attribute) and side.attr == "shape"
+                for side in (cmp.left, cmp.comparators[0])
+            )
+            for cmp in ast.walk(node.test)
         )
 
-    sites = _sites(compares_channels)
+    sites = _sites(compares_shapes)
     assert sites and all(site.startswith("spectral.py:") for site in sites), sites
+
+
+def test_every_pairwise_function_checks_its_pair_through_as_pair():
+    # a public function of two signals (two or more parameters, in wiener's or
+    # metrics' __all__) calls spectral.as_pair itself, or another such
+    # function that does: input checking stays in one place
+    calls, pairwise = {}, []
+    for module in ("wiener", "metrics"):
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        public = next(
+            ast.literal_eval(n.value) for n in tree.body
+            if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == "__all__"
+        )
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef):
+                calls[fn.name] = {
+                    getattr(c.func, "id", None) for c in ast.walk(fn) if isinstance(c, ast.Call)
+                }
+                if fn.name in public and len(fn.args.args) >= 2:
+                    pairwise.append(fn.name)
+    assert len(pairwise) == 9, pairwise  # 4 in wiener, 5 in metrics
+
+    def checks(name, seen=()):
+        return "as_pair" in calls[name] or any(
+            checks(other, seen + (name,))
+            for other in calls[name] & set(pairwise) - set(seen) - {name}
+        )
+
+    unchecked = [name for name in pairwise if not checks(name)]
+    assert not unchecked, unchecked
 
 
 def test_one_central_difference_loop():
@@ -407,5 +442,5 @@ except AttributeError as exc:
     print(exc)
 """
     assert _fresh_python(code) == [
-        "21 True", f"True {wienerlab.__version__}", "module 'wienerlab' has no attribute 'nope'"
+        "19 True", f"True {wienerlab.__version__}", "module 'wienerlab' has no attribute 'nope'"
     ]

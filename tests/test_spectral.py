@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -11,39 +12,43 @@ from wienerlab.errors import ConfigError, NumericalError, ShapeError
 from wienerlab.diffusion import EnergyModel
 from wienerlab.knn import LabeledSet
 from wienerlab.spectral import (
-    LagFilter,
-    Signal,
     WindowSpec,
+    as_pair,
     as_stack,
+    centered,
     make_window,
 )
 from wienerlab.trainer import DenseAutoencoder, TrainConfig, train
-from wienerlab.wiener import QuotientKernel, WienerConfig
+from wienerlab.wiener import QuotientKernel, WienerConfig, concentration
 
 
-class TestSignal:
-    def test_flat_data_and_planes(self):
-        s = Signal(np.arange(12.0), (2, 3), channels=2)
-        assert s.planes.shape == (2, 2, 3)
-        assert s.plane(1)[1, 2] == 11.0
+class TestAsPair:
+    def test_signals_come_back_read_only_in_float64_with_their_values(self):
+        arr = np.arange(12).reshape(2, 2, 3)  # integers, two channels
+        a, b = as_pair(arr, arr.tolist())
+        assert a.dtype == b.dtype == np.float64 and a.shape == b.shape == (2, 2, 3)
+        assert not (a.flags.writeable or b.flags.writeable)
+        np.testing.assert_array_equal(a, arr)
+        assert b[1, 1, 2] == 11.0
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            Signal(np.zeros(5), (2, 3))
+    @pytest.mark.parametrize("other", [np.zeros((1, 3, 2)), np.zeros((2, 2, 3)), np.zeros((1, 6))])
+    def test_shape_mismatch_rejected_naming_both_shapes(self, other):
+        with pytest.raises(ShapeError, match=rf"\(1, 2, 3\) vs {re.escape(str(other.shape))}"):
+            as_pair(np.zeros((1, 2, 3)), other)
 
-    def test_nan_rejected(self):
-        with pytest.raises(ConfigError):
-            Signal(np.array([1.0, np.nan]), (2,))
-
-    def test_rank3_rejected(self):
-        with pytest.raises(ShapeError):
-            Signal(np.zeros(8), (2, 2, 2))
-
-    def test_from_array_roundtrip(self):
-        arr = np.random.default_rng(0).random((4, 5))
-        s = Signal.from_array(arr)
-        assert s.shape == (4, 5) and s.channels == 1
-        np.testing.assert_array_equal(s.plane(), arr)
+    @pytest.mark.parametrize("bad, error", [
+        (np.array([[1.0, np.nan]]), ConfigError),
+        (np.array([[np.inf, 0.0]]), ConfigError),
+        (np.zeros(2), ShapeError),  # no channel axis
+        (np.zeros((1, 1, 1, 2)), ShapeError),  # rank-3 extents
+        (np.zeros((1, 0)), ShapeError),  # empty extent
+        ([[1.0], [1.0, 2.0]], ShapeError),  # ragged
+    ])
+    def test_each_side_is_checked_as_a_stack_of_one(self, bad, error):
+        good = np.zeros((1, 2))
+        for pair in ((bad, good), (good, bad)):
+            with pytest.raises(error):
+                as_pair(*pair)
 
 
 # the malformed stacks of test_knn's LabeledSet test, with the class it raises
@@ -79,28 +84,28 @@ class TestAsStack:
 class TestPadding:
     def test_28x28_pads_to_56x56_top_left(self):
         img = np.random.default_rng(1).random((28, 28))
-        p = pad_to_full_lag(Signal.from_array(img))
-        assert p.shape == (56, 56)
-        np.testing.assert_array_equal(p.plane()[:28, :28], img)
-        assert np.all(p.plane()[28:, :] == 0) and np.all(p.plane()[:, 28:] == 0)
+        p = pad_to_full_lag(img[None])
+        assert p.shape == (1, 56, 56)
+        np.testing.assert_array_equal(p[0, :28, :28], img)
+        assert np.all(p[0, 28:, :] == 0) and np.all(p[0, :, 28:] == 0)
 
     def test_length_1_signal(self):
-        p = pad_to_full_lag(Signal(np.array([5.0]), (1,)))
-        np.testing.assert_array_equal(p.data, [5.0, 0.0])
+        p = pad_to_full_lag(np.array([[5.0]]))
+        np.testing.assert_array_equal(p, [[5.0, 0.0]])
 
     def test_mass_preserved(self):
         img = np.random.default_rng(2).random((8, 8))
-        p = pad_to_full_lag(Signal.from_array(img))
-        assert p.data.sum() == pytest.approx(img.sum(), abs=0)
+        p = pad_to_full_lag(img[None])
+        assert p.sum() == pytest.approx(img.sum(), abs=0)
 
     @hypothesis.given(
         rows=st.integers(1, 12), cols=st.integers(1, 12), seed=st.integers(0, 2**16)
     )
     def test_padding_only_appends_zeros(self, rows, cols, seed):
         img = np.random.default_rng(seed).random((rows, cols))
-        p = pad_to_full_lag(Signal.from_array(img))
-        np.testing.assert_array_equal(p.plane()[:rows, :cols], img)
-        assert np.count_nonzero(p.plane()) == np.count_nonzero(img)
+        p = pad_to_full_lag(img[None])
+        np.testing.assert_array_equal(p[0, :rows, :cols], img)
+        assert np.count_nonzero(p) == np.count_nonzero(img)
 
 
 def spike_kernel(shape):
@@ -240,45 +245,44 @@ class TestFFT:
 
 class TestCentering:
     def test_length4_example(self):
-        centered = LagFilter.from_raw(np.array([[10.0, 11.0, 12.0, 13.0]]))
-        np.testing.assert_array_equal(centered.data[0], [12.0, 13.0, 10.0, 11.0])
-        assert centered.data[0][centered.zero_lag_index[0]] == 10.0
+        v = centered(np.array([[10.0, 11.0, 12.0, 13.0]]))
+        np.testing.assert_array_equal(v[0], [12.0, 13.0, 10.0, 11.0])
+        assert v[0][4 // 2] == 10.0
 
     def test_delta_moves_to_center(self):
         raw = np.zeros((1, 6, 6))
         raw[0, 0, 0] = 1.0
-        centered = LagFilter.from_raw(raw)
-        assert centered.data[0][3, 3] == 1.0
+        assert centered(raw)[0][3, 3] == 1.0
 
-    def test_from_raw_rolls_each_lag_axis_by_its_zero_lag_index(self):
+    def test_centered_rolls_each_lag_axis_by_its_zero_lag_index(self):
         raw = np.random.default_rng(5).random((2, 6, 4))
-        centered = LagFilter.from_raw(raw)
-        assert centered.zero_lag_index == (3, 2) and centered.channels == 2
-        np.testing.assert_array_equal(np.roll(centered.data, (-3, -2), axis=(1, 2)), raw)
+        v = centered(raw)
+        assert v.shape == (2, 6, 4)
+        np.testing.assert_array_equal(np.roll(v, (-3, -2), axis=(1, 2)), raw)
 
     @pytest.mark.parametrize("data", [np.zeros(4), np.zeros((1, 2, 2, 2)), np.zeros((1, 0))])
-    def test_rank_and_extents_checked(self, data):
+    def test_rank_and_extents_of_centered_planes_checked(self, data):
         with pytest.raises(ShapeError):
-            LagFilter(data)
-        with pytest.raises(ShapeError):
-            LagFilter.from_raw(data)
+            concentration(data)
 
     def test_non_finite_values_rejected(self):
         with pytest.raises(ConfigError):
-            LagFilter(np.array([[0.0, np.nan]]))
+            concentration(np.array([[0.0, np.nan]]))
 
     def test_zero_lag_index_is_floor_half(self):
-        assert LagFilter(np.zeros((1, 7, 4))).zero_lag_index == (3, 2)
+        raw = np.zeros((1, 7, 4))
+        raw[0, 0, 0] = 1.0
+        assert np.argwhere(centered(raw)[0]).tolist() == [[3, 2]]
 
     def test_kernel_identity_is_raw_spike(self):
         # filters stay in raw layout inside: identical sides give the spike at
-        # the origin corner, which the LagFilter boundary moves to the center
+        # the origin corner, which ``centered`` moves to the center
         y = np.random.default_rng(6).random((5, 7))
         v = QuotientKernel(y, y.shape, 1.0).filters(y)
         spike = np.zeros((10, 14))
         spike[0, 0] = 1.0
         assert np.abs(v - spike).max() < 1e-12
-        assert LagFilter.from_raw(v[None]).data[0][5, 7] == pytest.approx(1.0)
+        assert centered(v[None])[0][5, 7] == pytest.approx(1.0)
 
 
 class TestWindows:
@@ -309,10 +313,10 @@ class TestWindows:
         want = self._formula(spec, sum(np.meshgrid(*axes, indexing="ij")))
         got = make_window(spec, extents)
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
-        # centered, zero lag sits at floor(n/2) as on every public LagFilter
+        # centered, zero lag sits at floor(n/2) as on every filter handed out
         axes = [np.abs(np.arange(n) - n // 2) for n in padded]
         want = self._formula(spec, sum(np.meshgrid(*axes, indexing="ij")))
-        assert LagFilter.from_raw(got[None]).data[0].tobytes() == want.tobytes()
+        assert centered(got[None])[0].tobytes() == want.tobytes()
 
     def test_window_is_built_in_one_grid(self):
         tracemalloc.start()

@@ -13,7 +13,7 @@ from wienerlab.errors import (
     SingularSystemError,
     UndefinedQuotientError,
 )
-from wienerlab.spectral import LagFilter, Signal, WindowSpec, make_window
+from wienerlab.spectral import WindowSpec, make_window
 from wienerlab import wiener
 from wienerlab.wiener import (
     QuotientKernel,
@@ -26,7 +26,7 @@ from wienerlab.wiener import (
 
 
 def random_signal(shape, seed):
-    return Signal.from_array(np.random.default_rng(seed).random(shape))
+    return np.random.default_rng(seed).random(shape)[None]
 
 
 def margin_image(n, margin, seed):
@@ -41,34 +41,33 @@ class TestWienerFilter:
     def test_identity_gives_delta(self, lam):
         y = random_signal((9, 9), 10)
         v = wiener_filter(y, y, WienerConfig(lam=lam))
-        d = delta_filter(v.data.shape[1:])
-        assert np.abs(v.data - d.data).max() < 1e-10
+        assert np.abs(v - delta_filter(v.shape[1:])).max() < 1e-10
 
     def test_translation_gives_shifted_delta(self):
         img = margin_image(16, 5, 11)
-        y = Signal.from_array(img)
-        x = Signal.from_array(np.roll(img, (2, 4), axis=(0, 1)))
+        y = img[None]
+        x = np.roll(img, (2, 4), axis=(0, 1))[None]
         v = wiener_filter(x, y, WienerConfig(lam=1e-12))
-        expected = np.roll(delta_filter(v.data.shape[1:]).data, (2, 4), axis=(1, 2))
-        assert np.abs(v.data - expected).max() < 1e-9
+        expected = np.roll(delta_filter(v.shape[1:]), (2, 4), axis=(1, 2))
+        assert np.abs(v - expected).max() < 1e-9
 
     def test_matches_direct_oracle_1d(self):
         rng = np.random.default_rng(12)
         for lam in (0.5,):
             n = 12
-            x = Signal(rng.random(n), (n,))
-            y = Signal(rng.random(n), (n,))
+            x = rng.random(n)[None]
+            y = rng.random(n)[None]
             vf = wiener_filter(x, y, WienerConfig(lam=lam))
             vd = wiener_filter_direct(x, y, WienerConfig(lam=lam))
-            scale = np.abs(vd.data).max()
-            assert np.abs(vf.data - vd.data).max() / scale < 1e-8
+            scale = np.abs(vd).max()
+            assert np.abs(vf - vd).max() / scale < 1e-8
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             wiener_filter(random_signal((4, 4), 0), random_signal((5, 5), 1), WienerConfig())
 
     def test_lambda_zero_zero_bin_is_singular(self):
-        y = Signal(np.zeros(8), (8,))
+        y = np.zeros((1, 8))
         x = random_signal((8,), 3)
         with pytest.raises(SingularSystemError):
             wiener_filter(x, y, WienerConfig(lam=0.0))
@@ -79,7 +78,7 @@ class TestWienerFilter:
         from wienerlab.gradients import loss_and_grad
         from wienerlab.knn import DistanceSpec, LabeledSet, evaluate_accuracy
 
-        y = Signal(np.zeros(8), (8,))
+        y = np.zeros((1, 8))
         x = random_signal((8,), 3)
         cfg = WienerConfig(lam=0.0)
         w = WindowSpec("laplace", 2.0)
@@ -87,12 +86,12 @@ class TestWienerFilter:
         calls = [
             lambda: wiener_loss(x, y, w, cfg),
             lambda: loss_and_grad(
-                QuotientKernel(y.planes, y.shape, cfg.lam), x.planes, make_window(w, y.shape)
+                QuotientKernel(y, y.shape[1:], cfg.lam), x, make_window(w, y.shape[1:])
             ),
-            lambda: EnergyModel(y.planes[None], pen, 1.0, cfg),
+            lambda: EnergyModel(y[None], pen, 1.0, cfg),
             lambda: evaluate_accuracy(
-                LabeledSet(y.planes[None], [0]),
-                LabeledSet(x.planes[None], [0]),
+                LabeledSet(y[None], [0]),
+                LabeledSet(x[None], [0]),
                 1,
                 DistanceSpec("wiener_ti", cfg),
             ),
@@ -103,7 +102,7 @@ class TestWienerFilter:
 
     def test_overflowing_finite_input_is_numerical(self):
         # |S|^2 overflows for finite inputs near 1e200: a numerical failure, not a config error
-        big = Signal(np.full(8, 1e200), (8,))
+        big = np.full((1, 8), 1e200)
         with pytest.raises(NumericalError):
             wiener_filter(random_signal((8,), 4), big, WienerConfig())
 
@@ -115,22 +114,18 @@ class TestWienerFilter:
     def test_multichannel_filters_are_per_plane(self):
         rng = np.random.default_rng(13)
         planes = rng.random((3, 6, 6))
-        s = Signal.from_planes(planes)
-        v = wiener_filter(s, s, WienerConfig(lam=1.0))
-        assert v.channels == 3
+        v = wiener_filter(planes, planes, WienerConfig(lam=1.0))
+        assert v.shape == (3, 12, 12)
         for c in range(3):
-            single = wiener_filter(
-                Signal.from_array(planes[c]), Signal.from_array(planes[c]), WienerConfig(lam=1.0)
-            )
-            np.testing.assert_allclose(v.data[c], single.data[0], atol=1e-14)
+            single = wiener_filter(planes[c][None], planes[c][None], WienerConfig(lam=1.0))
+            np.testing.assert_allclose(v[c], single[0], atol=1e-14)
 
 
 class TestDirectOracle:
     def test_identity_any_lambda(self):
         y = random_signal((6,), 20)
         v = wiener_filter_direct(y, y, WienerConfig(lam=3.0))
-        d = delta_filter(v.data.shape[1:])
-        assert np.abs(v.data - d.data).max() < 1e-10
+        assert np.abs(v - delta_filter(v.shape[1:])).max() < 1e-10
 
     def test_size_cap(self):
         big = random_signal((64, 64), 21)  # padded 128x128 = 16384 > 4096
@@ -142,20 +137,20 @@ class TestDirectOracle:
         rng = np.random.default_rng(22)
         for _ in range(5):
             n = int(rng.integers(8, 33))
-            x = Signal(rng.random(n), (n,))
-            y = Signal(rng.random(n), (n,))
+            x = rng.random(n)[None]
+            y = rng.random(n)[None]
             vf = wiener_filter(x, y, WienerConfig(lam=lam))
             vd = wiener_filter_direct(x, y, WienerConfig(lam=lam))
-            assert np.abs(vf.data - vd.data).max() / np.abs(vd.data).max() < 1e-8
+            assert np.abs(vf - vd).max() / np.abs(vd).max() < 1e-8
 
     def test_oracle_equivalence_2d(self):
         rng = np.random.default_rng(23)
         for _ in range(3):
-            x = Signal.from_array(rng.random((6, 6)))
-            y = Signal.from_array(rng.random((6, 6)))
+            x = rng.random((6, 6))[None]
+            y = rng.random((6, 6))[None]
             vf = wiener_filter(x, y, WienerConfig(lam=1.0))
             vd = wiener_filter_direct(x, y, WienerConfig(lam=1.0))
-            assert np.abs(vf.data - vd.data).max() / np.abs(vd.data).max() < 1e-8
+            assert np.abs(vf - vd).max() / np.abs(vd).max() < 1e-8
 
 
 def rayleigh_quotient(v: np.ndarray, penalty: np.ndarray) -> float:
@@ -216,9 +211,7 @@ class TestWienerLoss:
         y[:12] = rng.random(12)
         x = np.roll(y, 3)
         w = WindowSpec("inverted_laplace", b=2.0)
-        loss = wiener_loss(
-            Signal(x, (16,)), Signal(y, (16,)), w, WienerConfig(lam=1e-12)
-        )
+        loss = wiener_loss(x[None], y[None], w, WienerConfig(lam=1e-12))
         assert loss == pytest.approx(0.5 * (1.0 - np.exp(-1.5)) ** 2, abs=1e-9)
         assert loss == pytest.approx(0.301763, abs=5e-7)
 
@@ -226,8 +219,8 @@ class TestWienerLoss:
         rng = np.random.default_rng(32)
         w = WindowSpec("laplace", 2.0, 0.1)
         for _ in range(50):
-            a = Signal.from_array(rng.random((6, 6)))
-            b = Signal.from_array(rng.random((6, 6)))
+            a = rng.random((6, 6))[None]
+            b = rng.random((6, 6))[None]
             val = wiener_loss(a, b, w, WienerConfig(lam=1.0))
             assert val >= 0.0
             assert val > 1e-8  # random pairs never produce the identity filter
@@ -242,11 +235,11 @@ class TestTiDistance:
 
     def test_translation_invariance(self):
         img = margin_image(16, 5, 41)
-        y = Signal.from_array(img)
+        y = img[None]
         cfg = WienerConfig(lam=1e-12)
         base = ti_distance(y, y, cfg)
         for k in [(1, 0), (0, 3), (4, 4), (5, 2)]:
-            shifted = Signal.from_array(np.roll(img, k, axis=(0, 1)))
+            shifted = np.roll(img, k, axis=(0, 1))[None]
             assert ti_distance(shifted, y, cfg) == pytest.approx(base, abs=1e-9)
 
     def test_translates_keep_the_value_only_at_lambda_zero(self):
@@ -256,12 +249,12 @@ class TestTiDistance:
         # part moves, so the value drifts with the shift
         plane = np.zeros((16, 16))
         plane[:12, :12] = np.random.default_rng(0).random((12, 12))
-        y = Signal.from_array(plane)
+        y = plane[None]
 
         def values(lam):
             cfg = WienerConfig(lam=lam)
             moved = [
-                ti_distance(Signal.from_array(np.roll(plane, s, axis=(0, 1))), y, cfg)
+                ti_distance(np.roll(plane, s, axis=(0, 1))[None], y, cfg)
                 for s in [(2, 3), (1, 0), (4, 4), (0, 1)]
             ]
             return ti_distance(y, y, cfg), np.array(moved)
@@ -279,14 +272,14 @@ class TestTiDistance:
         cfg = WienerConfig(lam=1.0)
         wins = 0
         for _ in range(100):
-            y = Signal.from_array(rng.random((12, 12)))
-            noise = Signal.from_array(rng.random((12, 12)))
+            y = rng.random((12, 12))[None]
+            noise = rng.random((12, 12))[None]
             wins += int(ti_distance(y, y, cfg) <= ti_distance(noise, y, cfg))
         assert wins >= 99
 
     def test_constant_filter_returns_zero_with_warning(self):
         # all-zero target with lam=0 produces the all-zero (constant) filter
-        a = Signal(np.zeros(8), (8,))
+        a = np.zeros((1, 8))
         b = random_signal((8,), 43)
         with pytest.warns(RuntimeWarning):
             val = ti_distance(a, b, WienerConfig(lam=0.0))
@@ -486,17 +479,16 @@ class TestConcentration:
         assert concentration(delta_filter((8, 8))) == pytest.approx(1.0)
 
     def test_uniform_is_one_over_n(self):
-        v = LagFilter(np.full((1, 10), 0.3))
-        assert concentration(v) == pytest.approx(0.1)
+        assert concentration(np.full((1, 10), 0.3)) == pytest.approx(0.1)
 
     def test_shifted_delta_is_zero(self):
         data = np.zeros((1, 8))
         data[0, 2] = 1.0
-        assert concentration(LagFilter(data)) == 0.0
+        assert concentration(data) == 0.0
 
     def test_zero_filter_undefined(self):
         with pytest.raises(UndefinedQuotientError):
-            concentration(LagFilter(np.zeros((1, 8))))
+            concentration(np.zeros((1, 8)))
 
 
 class TestSpectralConcentrations:
@@ -585,8 +577,8 @@ class TestKernelRows:
         # while the moments' reduction depended on the number of planes
         rng = np.random.default_rng(62)
         n = int(np.prod(shape)) * channels
-        a = Signal(rng.random(n), shape, channels)
-        b = Signal(rng.random(n), shape, channels)
+        a = rng.random(n).reshape((channels, *shape))
+        b = rng.random(n).reshape((channels, *shape))
         cfg = WienerConfig(0.6)
         whitening = WindowSpec("laplace", 2.0, 0.2)
         report = wiener.pair_report(a, b, whitening, cfg)
