@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 # public name -> the module that defines it
 _HOMES = {
     "WindowSpec": "spectral",
-    "WienerConfig": "wiener",
     "make_window": "spectral",
     "wiener_filter": "wiener",
     "wiener_loss": "wiener",
@@ -29,7 +28,6 @@ _HOMES = {
     "cosine_schedule": "diffusion",
     "run_diffusion": "diffusion",
     "LabeledSet": "knn",
-    "DistanceSpec": "knn",
     "make_translated_set": "knn",
     "evaluate_accuracy": "knn",
     "forward": "trainer",

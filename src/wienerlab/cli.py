@@ -6,12 +6,13 @@
 Outputs land in --out (used verbatim; refused unless absent or an empty
 directory) or a timestamped directory under ./runs. Every run directory
 receives the effective config and the report `<command>.json`, and stdout
-one summary line ending in `(<run dir>)`. On one machine and one
-NumPy/OpenBLAS build, re-running with the same config and seed reproduces
-all numeric outputs bit for bit (the directory name is the only thing that
-varies); another SIMD level or BLAS kernel moves the last bits, within the
-drift the README states. Exit codes: 0 ok, 2 config error, 3 data/format
-error or any OS error on a path, 4 numerical failure.
+one summary line ending in `(<run dir>)`. Re-running with the same config
+and seed reproduces all numeric outputs bit for bit on one NumPy/OpenBLAS
+build; only the directory name varies. `knn.json`, `config.ini` and the
+images of `recover` stay so under other SIMD levels and BLAS kernels, and
+`recover.json` and `loss_curve.csv` above SSE4; other outputs move in the
+last bits, within the drift the README states. Exit codes: 0 ok, 2 config
+error, 3 data/format error or any OS error on a path, 4 numerical failure.
 
 Importing this module before NumPy caps NumPy's BLAS at one thread: it sets
 `OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and `MKL_NUM_THREADS` to 1, so no
@@ -59,11 +60,11 @@ from .diffusion import (
 )
 from .errors import ConfigError, FormatError, NumericalError, ShapeError, WienerlabError
 from .gradients import loss_and_grad
-from .knn import DistanceSpec, LabeledSet, evaluate_accuracy, make_translated_set
+from .knn import LabeledSet, evaluate_accuracy, make_translated_set
 from .metrics import compute_metrics, psnr
 from .spectral import WindowSpec, make_window, zero_lag_index
 from .trainer import DenseAutoencoder, TrainingDivergedError, train
-from .wiener import QuotientKernel, WienerConfig, concentration, pair_report, wiener_filter
+from .wiener import QuotientKernel, concentration, pair_report, wiener_filter
 
 __all__ = ["main"]
 
@@ -127,7 +128,7 @@ def _run(args) -> int:
 
 
 def _cmd_filter(args, cfg: ExperimentConfig):
-    v = wiener_filter(read_pgm(args.image_a), read_pgm(args.image_b), cfg.wiener)
+    v = wiener_filter(read_pgm(args.image_a), read_pgm(args.image_b), cfg.wiener.lam)
 
     def write(run_dir):
         plane = v[0]
@@ -155,7 +156,7 @@ def _cmd_filter(args, cfg: ExperimentConfig):
 def _cmd_loss(args, cfg: ExperimentConfig):
     prediction = read_pgm(args.image_a)
     target = read_pgm(args.image_b)
-    report = pair_report(prediction, target, cfg.window, cfg.wiener)
+    report = pair_report(prediction, target, cfg.window, cfg.wiener.lam)
     report["metrics"] = compute_metrics(prediction, target)
     return lambda run_dir: (report, f"loss: wiener_loss {report['wiener_loss']:.6g}")
 
@@ -184,7 +185,7 @@ def _mask_aware_mean_fill(masked: np.ndarray, mask: np.ndarray, stride: int) -> 
     return np.where(mask != 0, masked, means)
 
 
-def _recover_objective(rc, target: np.ndarray, w_raw: np.ndarray | None, wcfg: WienerConfig):
+def _recover_objective(rc, target: np.ndarray, w_raw: np.ndarray | None, lam: float):
     """x -> (loss, gradient) for the recovery descent, x shaped like target (1, H, W).
 
     The filter loss keeps the target's quotient kernel and `w_raw`, the raw
@@ -203,7 +204,7 @@ def _recover_objective(rc, target: np.ndarray, w_raw: np.ndarray | None, wcfg: W
                 return 0.5 * float(np.sum(diff**2)), diff
 
         return objective
-    kernel = QuotientKernel(target, target.shape[1:], wcfg.lam)
+    kernel = QuotientKernel(target, target.shape[1:], lam)
 
     def objective(x):
         value, grad = loss_and_grad(kernel, x, w_raw)
@@ -229,7 +230,7 @@ def _cmd_recover(args, cfg: ExperimentConfig):
         step = 0.5 if rc.loss == "mse" else 2.0
 
     def write(run_dir):
-        objective = _recover_objective(rc, target, w_raw, cfg.wiener)
+        objective = _recover_objective(rc, target, w_raw, cfg.wiener.lam)
         x = masked.copy()
         logged, curve = [], []  # iterations and their losses
         for it in range(rc.iterations):
@@ -286,7 +287,7 @@ def _defining_set(cfg: ExperimentConfig) -> np.ndarray:
 def _cmd_diffuse(args, cfg: ExperimentConfig):
     d = cfg.diffusion
     defining = _defining_set(cfg)
-    model = EnergyModel(defining, WindowSpec(d.penalty_family, d.penalty_b), d.gamma, cfg.wiener)
+    model = EnergyModel(defining, WindowSpec(d.penalty_family, d.penalty_b), d.gamma, cfg.wiener.lam)
     schedule = Schedule(
         cosine_schedule(d.T, d.alpha_start, d.alpha_end),
         cosine_schedule(d.T, d.beta_start, d.beta_end),
@@ -389,8 +390,8 @@ def _cmd_knn(args, cfg: ExperimentConfig):
     train_set, test_set = _knn_sets(cfg)
 
     def write(run_dir):
-        baseline = evaluate_accuracy(train_set, test_set, k.baseline_k, DistanceSpec("manhattan"))
-        ti = evaluate_accuracy(train_set, test_set, k.k, DistanceSpec("wiener_ti", cfg.wiener))
+        baseline = evaluate_accuracy(train_set, test_set, k.baseline_k)
+        ti = evaluate_accuracy(train_set, test_set, k.k, "wiener_ti", cfg.wiener.lam)
         report = {
             "n_train": len(train_set),
             "n_test": len(test_set),

@@ -1,7 +1,7 @@
 """Experiment configuration: INI-style sections, strict schema.
 
-[wiener] and [window] are the library's WienerConfig and WindowSpec, and
-[wiener] lambda is the one stabilizer that every subcommand reads. Every key
+[window] is the library's WindowSpec, and [wiener] lambda, checked by
+``wiener.check_lambda``, is the one stabilizer every subcommand reads. Every key
 has a default and unknown sections or keys are rejected. Each section is
 built by its validating constructor at load, so a bad value fails for every
 subcommand before any data or run directory is made, the [knn] set sizes
@@ -22,9 +22,17 @@ from .diffusion import check_chain_args, check_gamma
 from .errors import ConfigError, check_seed
 from .spectral import WindowSpec
 from .trainer import TrainConfig
-from .wiener import WienerConfig
+from .wiener import check_lambda
 
 __all__ = ["ExperimentConfig", "load_config"]
+
+
+@dataclass(frozen=True)
+class WienerSection:
+    lam: float = 1.0  # INI key `lambda`
+
+    def __post_init__(self):
+        check_lambda(self.lam)
 
 
 @dataclass(frozen=True)
@@ -137,7 +145,7 @@ class RecoverSection:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    wiener: WienerConfig = field(default_factory=WienerConfig)
+    wiener: WienerSection = field(default_factory=WienerSection)
     window: WindowSpec = field(default_factory=lambda: WindowSpec("laplace", 2.0, 0.3))
     diffusion: DiffusionSection = field(default_factory=DiffusionSection)
     knn: KnnSection = field(default_factory=KnnSection)

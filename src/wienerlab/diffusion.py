@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, check_seed
 from .gradients import energy_terms
 from .spectral import WindowSpec, as_stack, make_window
-from .wiener import QuotientKernel, WienerConfig
+from .wiener import QuotientKernel
 
 __all__ = [
     "EnergyModel",
@@ -54,7 +54,7 @@ class EnergyModel:
     defining: np.ndarray
     penalty: WindowSpec
     gamma: float
-    wiener_cfg: WienerConfig
+    lam: float
 
     def __post_init__(self):
         defining = as_stack(self.defining)
@@ -62,7 +62,7 @@ class EnergyModel:
         extents = defining.shape[2:]
         window = make_window(self.penalty, extents)
         object.__setattr__(self, "defining", defining)
-        object.__setattr__(self, "kernel", QuotientKernel(defining, extents, self.wiener_cfg.lam))
+        object.__setattr__(self, "kernel", QuotientKernel(defining, extents, self.lam))
         object.__setattr__(self, "penalty_window", window)
         object.__setattr__(self, "penalty_sq", window**2)
 

@@ -11,17 +11,16 @@ lambda/D term of the filter stays at zero lag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError, check_seed
 from .spectral import as_stack, full_lag
-from .wiener import QuotientKernel, WienerConfig, _tile_cells
+from .wiener import QuotientKernel, _tile_cells
 
 __all__ = [
     "LabeledSet",
-    "DistanceSpec",
     "EvalResult",
     "make_translated_set",
     "evaluate_accuracy",
@@ -73,22 +72,13 @@ class LabeledSet:
         return self.label_ids.tolist()
 
 
-@dataclass(frozen=True)
-class DistanceSpec:
-    kind: str = "manhattan"
-    wiener_cfg: WienerConfig = field(default_factory=WienerConfig)
-
-    def __post_init__(self):
-        if self.kind not in ("manhattan", "wiener_ti"):
-            raise ConfigError(f"unknown distance kind {self.kind!r}")
-
-
 def _distance_matrix(
-    train: LabeledSet, queries: np.ndarray, spec: DistanceSpec, k: int
+    train: LabeledSet, queries: np.ndarray, kind: str, lam: float, k: int
 ) -> tuple[np.ndarray, float]:
-    """(m, n) distances from each of the m queries, shaped (m, C, *extents),
-    to every training sample, exact wherever the k nearest can lie, and the
-    fraction of the m * n entries computed exactly.
+    """(m, n) distances of `kind` from each of the m queries, shaped
+    (m, C, *extents), to every training sample, exact wherever the k nearest
+    can lie, and the fraction of the m * n entries computed exactly. `lam`
+    is the TI distance's stabilizer; ConfigError for an unknown kind.
 
     Manhattan distances are exact everywhere: one pass over the set's flat
     stack per query, into one difference buffer. A TI entry is
@@ -116,14 +106,16 @@ def _distance_matrix(
     nearest, their order and their distances as in the full matrix. With
     k = n every entry is exact.
     """
-    if spec.kind == "wiener_ti":
+    if kind not in ("manhattan", "wiener_ti"):
+        raise ConfigError(f"unknown distance kind {kind!r}")
+    if kind == "wiener_ti":
         block = _tile_cells(math.prod(full_lag(train.shape)) * train.stack.shape[1])
         spectra = queries
 
         def kernels(rows):  # (offset, kernel) of each block of training rows in `rows`
             for start in range(0, len(rows), block):
                 fixed = train.stack[rows[start : start + block], np.newaxis]
-                yield start, QuotientKernel(fixed, train.shape, spec.wiener_cfg.lam)
+                yield start, QuotientKernel(fixed, train.shape, lam)
 
         lb = np.empty((len(queries), len(train)))  # (m, n)
         for start, kernel in kernels(np.arange(len(train))):
@@ -205,13 +197,14 @@ class EvalResult:
 
 
 def evaluate_accuracy(
-    train: LabeledSet, test: LabeledSet, k: int, dist: DistanceSpec
+    train: LabeledSet, test: LabeledSet, k: int, kind: str = "manhattan", lam: float = 1.0
 ) -> EvalResult:
     """Fraction of correct predictions plus the per-class confusion matrix.
 
     Each query votes on its row of ``_distance_matrix``, exact wherever its
     k nearest can lie (a TI row is +inf where a bound rules a pair out).
-    `k` is an integer in 1..len(train).
+    `k` is an integer in 1..len(train); `kind` is "manhattan" or
+    "wiener_ti", the TI distance at stabilizer `lam`.
     """
     if train.stack.shape[1:] != test.stack.shape[1:]:
         raise ShapeError(
@@ -222,7 +215,7 @@ def evaluate_accuracy(
     k = int(k)
     if not (1 <= k <= len(train)):
         raise ConfigError(f"k must be in 1..{len(train)}, got {k}")
-    dists, exact_fraction = _distance_matrix(train, test.stack, dist, k)
+    dists, exact_fraction = _distance_matrix(train, test.stack, kind, lam, k)
     predictions = [_vote(row, train.label_ids, k) for row in dists]
     confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=int)
     np.add.at(confusion, (test.label_ids, predictions), 1)

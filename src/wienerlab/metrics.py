@@ -8,6 +8,8 @@ stabilizing constants (0.01*peak)^2 and (0.03*peak)^2.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -35,7 +37,7 @@ def psnr(a, b) -> float:
     m = mse(a, b)
     if m == 0.0:
         return float("inf")
-    return float(-10.0 * np.log10(m))
+    return -10.0 * math.log10(m)
 
 
 def _ssim_plane(x: np.ndarray, y: np.ndarray) -> float:

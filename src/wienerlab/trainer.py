@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError, check_seed
 from .gradients import loss_and_grad
 from .spectral import WindowSpec, as_stack, full_lag, make_window
-from .wiener import QuotientKernel, WienerConfig
+from .wiener import QuotientKernel, check_lambda
 
 __all__ = [
     "DenseAutoencoder", "TrainConfig", "TrainLog", "TrainingDivergedError",
@@ -152,7 +152,7 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
         if not (0 <= self.learning_rate < math.inf and 0 < self.eps < math.inf):
             raise ConfigError("learning_rate must be >= 0 and eps > 0, both finite")
-        WienerConfig(self.lam)  # the one lambda rule
+        check_lambda(self.lam)
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError("moment decays must lie in [0, 1)")
         check_seed(self.seed)

@@ -8,16 +8,16 @@ loss, gradient, energy and TI distance in the library goes through it;
 ``wiener_filter`` is the centered single-pair wrapper. The dense circulant
 solve that cross-checks it lives with the tests, apart from this module.
 
-The stabilizer ``lam`` is added to numerator and denominator so that
-identical inputs always yield the unit zero-lag spike (the convolutional
-identity), for every lam >= 0.
+The stabilizer ``lam``, a float, is added to numerator and denominator so
+that identical inputs always yield the unit zero-lag spike (the convolutional
+identity), for every lam >= 0; ``check_lambda``, the one rule for it, is the
+first thing every ``QuotientKernel`` does, so every entry point rejects any other.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,7 +32,7 @@ from .errors import (
 from .spectral import WindowSpec, as_pair, as_stack, centered, full_lag, make_window, zero_lag_index
 
 __all__ = [
-    "WienerConfig",
+    "check_lambda",
     "QuotientKernel",
     "wiener_filter",
     "wiener_loss",
@@ -49,15 +49,11 @@ def _tile_cells(cell: int) -> int:
     return max(1, TI_CHUNK_ELEMENTS // cell)
 
 
-@dataclass(frozen=True)
-class WienerConfig:
-    """Stabilizer magnitude lambda of the spectral quotient."""
-
-    lam: float = 1.0
-
-    def __post_init__(self):
-        if not (0 <= self.lam < math.inf):
-            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
+def check_lambda(lam: float) -> None:
+    """ConfigError unless the stabilizer lambda is finite and >= 0: the one
+    lambda rule, which every quotient kernel applies first."""
+    if not (0 <= lam < math.inf):
+        raise ConfigError(f"lambda must be finite and >= 0, got {lam}")
 
 
 class QuotientKernel:
@@ -102,6 +98,7 @@ class QuotientKernel:
     """
 
     def __init__(self, fixed: np.ndarray, shape: tuple[int, ...], lam: float):
+        check_lambda(lam)
         self.shape = tuple(shape)
         self.padded = full_lag(self.shape)
         self.axes = tuple(range(-len(self.shape), 0))
@@ -398,7 +395,7 @@ class QuotientKernel:
         return out
 
 
-def wiener_filter(target, source, cfg: WienerConfig) -> np.ndarray:
+def wiener_filter(target, source, lam: float) -> np.ndarray:
     """Per-channel filter that convolves `source` to best approximate `target`,
     both shaped (C, *extents).
 
@@ -406,7 +403,7 @@ def wiener_filter(target, source, cfg: WienerConfig) -> np.ndarray:
     (C, *padded), lives on the centered lag grid of the padded extents.
     """
     target, source = as_pair(target, source)
-    kernel = QuotientKernel(source, source.shape[1:], cfg.lam)
+    kernel = QuotientKernel(source, source.shape[1:], lam)
     return centered(kernel.filters(target))
 
 
@@ -431,19 +428,19 @@ def filter_identity_loss(
     return values, residual
 
 
-def wiener_loss(prediction, target, whitening: WindowSpec, cfg: WienerConfig) -> float:
+def wiener_loss(prediction, target, whitening: WindowSpec, lam: float) -> float:
     """Half the squared whitened distance between the matching filter and the identity.
 
     The filter maps the target onto the prediction. Zero exactly when
     prediction == target; channels reduce by sum.
     """
     prediction, target = as_pair(prediction, target)
-    kernel = QuotientKernel(target, target.shape[1:], cfg.lam)
+    kernel = QuotientKernel(target, target.shape[1:], lam)
     w_raw = make_window(whitening, target.shape[1:])
     return float(filter_identity_loss(kernel, kernel.filters(prediction), w_raw)[0])
 
 
-def ti_distance(a, b, cfg: WienerConfig) -> float:
+def ti_distance(a, b, lam: float) -> float:
     """Negative maximum of the standardized matching filter.
 
     Sensitive to how focused the filter's energy is. At lambda = 0 it is
@@ -458,7 +455,7 @@ def ti_distance(a, b, cfg: WienerConfig) -> float:
     spatial domain. See ``QuotientKernel.filters_with_ti``.
     """
     a, b = as_pair(a, b)
-    return _mean_ti(*QuotientKernel(b, b.shape[1:], cfg.lam).filters_with_ti(a)[1:])
+    return _mean_ti(*QuotientKernel(b, b.shape[1:], lam).filters_with_ti(a)[1:])
 
 
 def _mean_ti(values: np.ndarray, constant: np.ndarray) -> float:
@@ -467,7 +464,7 @@ def _mean_ti(values: np.ndarray, constant: np.ndarray) -> float:
     return float(np.mean(values))
 
 
-def pair_report(prediction, target, whitening: WindowSpec, cfg: WienerConfig) -> dict[str, float]:
+def pair_report(prediction, target, whitening: WindowSpec, lam: float) -> dict[str, float]:
     """``wiener_loss``, ``ti_distance`` and the ``concentration`` of
     ``wiener_filter(prediction, target)`` from the target's one kernel and
     one filter of the prediction (``QuotientKernel.filters_with_ti``): two
@@ -475,7 +472,7 @@ def pair_report(prediction, target, whitening: WindowSpec, cfg: WienerConfig) ->
     six and three. The loss, the TI value and the concentration equal
     theirs bit for bit."""
     prediction, target = as_pair(prediction, target)
-    kernel = QuotientKernel(target, target.shape[1:], cfg.lam)
+    kernel = QuotientKernel(target, target.shape[1:], lam)
     raw, values, constant = kernel.filters_with_ti(prediction)
     focus = concentration(centered(raw))
     w_raw = make_window(whitening, target.shape[1:])

@@ -67,12 +67,12 @@ def _circulant_2d(s: np.ndarray) -> np.ndarray:
     return s[dr[:, None, :, None], dc[None, :, None, :]].reshape(h * w, h * w)
 
 
-def wiener_filter_direct(target, source, cfg) -> np.ndarray:
+def wiener_filter_direct(target, source, lam: float) -> np.ndarray:
     """Dense circulant least-squares reference for ``wiener_filter``.
 
     Solves (Y^T Y + lam I) v = Y^T x + lam * delta by LU factorization, with Y
-    the circulant convolution matrix of the padded source and lam = cfg.lam
-    (a ``WienerConfig``). Kept deliberately independent of the spectral path.
+    the circulant convolution matrix of the padded source. Kept deliberately
+    independent of the spectral path.
     """
     target, source = as_pair(target, source)
     t = pad_to_full_lag(target)
@@ -86,8 +86,8 @@ def wiener_filter_direct(target, source, cfg) -> np.ndarray:
     for c in range(t.shape[0]):
         plane = s[c]
         Y = _circulant_1d(plane) if plane.ndim == 1 else _circulant_2d(plane)
-        A = Y.T @ Y + cfg.lam * np.eye(n)
-        b = Y.T @ t[c].ravel() + cfg.lam * delta
+        A = Y.T @ Y + lam * np.eye(n)
+        b = Y.T @ t[c].ravel() + lam * delta
         try:
             v = np.linalg.solve(A, b)
         except np.linalg.LinAlgError as exc:

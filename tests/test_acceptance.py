@@ -23,10 +23,10 @@ from wienerlab.diffusion import (
     run_diffusion,
 )
 from wienerlab.gradients import energy_terms, loss_and_grad
-from wienerlab.knn import DistanceSpec, evaluate_accuracy, make_translated_set
+from wienerlab.knn import evaluate_accuracy, make_translated_set
 from wienerlab.spectral import WindowSpec, make_window
 from wienerlab.trainer import DenseAutoencoder, TrainConfig, forward, train
-from wienerlab.wiener import QuotientKernel, WienerConfig, wiener_filter, wiener_loss
+from wienerlab.wiener import QuotientKernel, wiener_filter, wiener_loss
 
 
 def report(num, name, ok, detail):
@@ -51,17 +51,15 @@ def test_criterion_1_oracle_equivalence():
         x = rng.random(n)[None]
         y = rng.random(n)[None]
         for lam in lams:
-            cfg = WienerConfig(lam=lam)
-            vf = wiener_filter(x, y, cfg)
-            vd = wiener_filter_direct(x, y, cfg)
+            vf = wiener_filter(x, y, lam)
+            vd = wiener_filter_direct(x, y, lam)
             worst = max(worst, np.abs(vf - vd).max() / np.abs(vd).max())
     for i in range(10):
         x = rng.random((6, 6))[None]
         y = rng.random((6, 6))[None]
         for lam in lams:
-            cfg = WienerConfig(lam=lam)
-            vf = wiener_filter(x, y, cfg)
-            vd = wiener_filter_direct(x, y, cfg)
+            vf = wiener_filter(x, y, lam)
+            vd = wiener_filter_direct(x, y, lam)
             worst = max(worst, np.abs(vf - vd).max() / np.abs(vd).max())
     elapsed = time.perf_counter() - t0
     report(
@@ -78,7 +76,7 @@ def test_criterion_2_convolutional_identity():
     worst_id = 0.0
     for _ in range(20):
         y = rng.random((12, 12))[None]
-        v = wiener_filter(y, y, WienerConfig(lam=float(rng.choice([1e-3, 1.0, 250.0]))))
+        v = wiener_filter(y, y, float(rng.choice([1e-3, 1.0, 250.0])))
         worst_id = max(worst_id, np.abs(v - delta_filter(v.shape[1:])).max())
     worst_eq = 0.0
     for _ in range(20):
@@ -86,7 +84,7 @@ def test_criterion_2_convolutional_identity():
         k = (int(rng.integers(0, 7)), int(rng.integers(0, 7)))
         y = img[None]
         x = np.roll(img, k, axis=(0, 1))[None]
-        v = wiener_filter(x, y, WienerConfig(lam=1e-12))
+        v = wiener_filter(x, y, 1e-12)
         expect = np.roll(delta_filter(v.shape[1:]), k, axis=(1, 2))
         worst_eq = max(worst_eq, np.abs(v - expect).max())
     elapsed = time.perf_counter() - t0
@@ -113,23 +111,18 @@ def test_criterion_3_gradient_fidelity():
         pred = rng.random((16, 16))[None]
         targ = rng.random((16, 16))[None]
         w = WindowSpec("laplace", 2.0, 0.1)
-        cfg = WienerConfig(lam=lam)
         w_raw = make_window(w, targ.shape[1:])
         grad = loss_and_grad(QuotientKernel(targ, targ.shape[1:], lam), pred, w_raw)[1]
-        rep = check_gradient(lambda p: wiener_loss(p, targ, w, cfg), grad, pred, h=1e-5)
+        rep = check_gradient(lambda p: wiener_loss(p, targ, w, lam), grad, pred, h=1e-5)
         worst_loss = max(worst_loss, rep.max_rel_error)
 
     pen1 = WindowSpec("inverted_laplace", 3.0)
-    model1 = EnergyModel(
-        np.stack([rng.random((1, 16)) for _ in range(3)]), pen1, 1.0, WienerConfig(lam=0.1)
-    )
+    model1 = EnergyModel(np.stack([rng.random((1, 16)) for _ in range(3)]), pen1, 1.0, 0.1)
     x1 = rng.random(16)[None]
     rep1 = check_energy_gradient(x1, model1)
 
     pen2 = WindowSpec("inverted_laplace", 2.0)
-    model2 = EnergyModel(
-        np.stack([rng.random((1, 8, 8)) for _ in range(2)]), pen2, 1.0, WienerConfig(lam=1.0)
-    )
+    model2 = EnergyModel(np.stack([rng.random((1, 8, 8)) for _ in range(2)]), pen2, 1.0, 1.0)
     x2 = rng.random((8, 8))[None]
     rep2 = check_energy_gradient(x2, model2)
     worst_energy = max(rep1.max_rel_error, rep2.max_rel_error)
@@ -157,10 +150,8 @@ def test_criterion_4_translation_robust_classification():
     test_base = make_digit_set(200, size=8, seed=99)
     train_set = make_translated_set(train_base, 0, 6, seed=1)
     test_set = make_translated_set(test_base, 6, 6, seed=2)
-    baseline = evaluate_accuracy(train_set, test_set, 3, DistanceSpec("manhattan"))
-    ti = evaluate_accuracy(
-        train_set, test_set, 10, DistanceSpec("wiener_ti", WienerConfig(lam=1.0))
-    )
+    baseline = evaluate_accuracy(train_set, test_set, 3, "manhattan")
+    ti = evaluate_accuracy(train_set, test_set, 10, "wiener_ti", 1.0)
     gap = ti.accuracy - baseline.accuracy
     elapsed = time.perf_counter() - t0
     report(
@@ -179,7 +170,7 @@ def test_criterion_5_diffusion_behavior():
     details = []
     ok = True
     for gamma in (0.5, 1.0):
-        model = EnergyModel(samples, pen, gamma, WienerConfig(lam=0.5))
+        model = EnergyModel(samples, pen, gamma, 0.5)
         run = run_diffusion(model, schedule, 50, 1.0, seed=2024, snapshot_stride=200)
         counts = [0, 0]
         collapsed = 0
@@ -303,7 +294,7 @@ def test_criterion_8_reproducibility(tmp_path):
 
 
 def test_criterion_9_performance_scaling():
-    cfg = WienerConfig(lam=1.0)
+    lam = 1.0
     sizes = (32, 64, 128)
     inputs = {}
     rng = np.random.default_rng(1)
@@ -317,10 +308,10 @@ def test_criterion_9_performance_scaling():
     def one(n):
         pred, targ, w = inputs[n]
         t0 = time.perf_counter()
-        wiener_filter(pred, targ, cfg)
-        wiener_loss(pred, targ, w, cfg)
+        wiener_filter(pred, targ, lam)
+        wiener_loss(pred, targ, w, lam)
         w_raw = make_window(w, targ.shape[1:])
-        loss_and_grad(QuotientKernel(targ, targ.shape[1:], cfg.lam), pred, w_raw)
+        loss_and_grad(QuotientKernel(targ, targ.shape[1:], lam), pred, w_raw)
         return time.perf_counter() - t0
 
     # interleaved min-of-7 per size: robust to transient machine load

@@ -20,7 +20,7 @@ from wienerlab.diffusion import run_diffusion
 from wienerlab.gradients import loss_and_grad
 from wienerlab.spectral import WindowSpec, make_window
 from wienerlab.trainer import TrainConfig
-from wienerlab.wiener import QuotientKernel, WienerConfig
+from wienerlab.wiener import QuotientKernel
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -229,12 +229,12 @@ class TestRecoverCommand:
         rng = np.random.default_rng(4)
         target = rng.random((10, 12))[None]
         whitening = make_window(WindowSpec("laplace", 2.0, 0.3), target.shape[1:])
-        cfg = WienerConfig(lam=0.5)
-        objective = _recover_objective(RecoverSection(loss="wiener"), target, whitening, cfg)
+        lam = 0.5
+        objective = _recover_objective(RecoverSection(loss="wiener"), target, whitening, lam)
         for _ in range(3):  # one kernel, several iterates
             x = rng.random((1, 10, 12))
             value, grad = objective(x)
-            kernel = QuotientKernel(target, target.shape[1:], cfg.lam)
+            kernel = QuotientKernel(target, target.shape[1:], lam)
             ref_value, ref_grad = loss_and_grad(kernel, x, whitening)
             assert value == pytest.approx(float(ref_value), rel=1e-12)
             assert np.abs(grad - ref_grad).max() < 1e-12

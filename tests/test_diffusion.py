@@ -18,13 +18,12 @@ from wienerlab.diffusion import (
 from wienerlab.errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError
 from wienerlab.gradients import energy_terms
 from wienerlab.spectral import WindowSpec, make_window
-from wienerlab.wiener import WienerConfig
 
 
 def toy_model(gamma=0.5, lam=0.5, pen_b=0.5, n=8, dim=8, seed=7):
     samples, ids = two_cluster_latents(n, dim=dim, separation=2.0, spread=0.15, seed=seed)
     pen = WindowSpec("inverted_laplace", b=pen_b)
-    return EnergyModel(samples, pen, gamma, WienerConfig(lam=lam)), ids
+    return EnergyModel(samples, pen, gamma, lam), ids
 
 
 def reference_step(x, model, alpha_t, beta_t, rng):
@@ -142,7 +141,7 @@ class TestLangevinStep:
         y0 = model.defining[0]
         # at a defining sample with a zero-at-center penalty the term gradients
         # cancel exactly only for the single-sample model
-        single = EnergyModel(model.defining[:1], model.penalty, model.gamma, model.wiener_cfg)
+        single = EnergyModel(model.defining[:1], model.penalty, model.gamma, model.lam)
         out = reference_step(y0, single, 0.5, 0.0, np.random.default_rng(0))
         np.testing.assert_allclose(out, y0, atol=1e-9)
 
@@ -335,12 +334,12 @@ class TestEnergyModelValidation:
     def test_mixed_shapes_rejected(self):
         pen = WindowSpec("inverted_laplace", b=1.0)
         with pytest.raises(ShapeError):
-            EnergyModel([np.ones((1, 8)), np.ones((1, 6))], pen, 1.0, WienerConfig())
+            EnergyModel([np.ones((1, 8)), np.ones((1, 6))], pen, 1.0, 1.0)
 
     @pytest.mark.parametrize("extents", [(8,), (3, 5)])
     def test_penalty_window_is_built_on_the_defining_sets_grid(self, extents):
         pen = WindowSpec("inverted_laplace", b=1.3)
-        model = EnergyModel(np.ones((2, 1, *extents)), pen, 1.0, WienerConfig())
+        model = EnergyModel(np.ones((2, 1, *extents)), pen, 1.0, 1.0)
         assert model.penalty is pen
         want = make_window(pen, extents)
         assert model.penalty_window.shape == tuple(2 * n for n in extents)
@@ -350,10 +349,10 @@ class TestEnergyModelValidation:
     def test_negative_gamma_rejected(self):
         pen = WindowSpec("inverted_laplace", b=1.0)
         with pytest.raises(ConfigError):
-            EnergyModel(np.ones((1, 1, 8)), pen, -0.1, WienerConfig())
+            EnergyModel(np.ones((1, 1, 8)), pen, -0.1, 1.0)
         for bad in (np.nan, np.inf):
             with pytest.raises(ConfigError):
-                EnergyModel(np.ones((1, 1, 8)), pen, bad, WienerConfig())
+                EnergyModel(np.ones((1, 1, 8)), pen, bad, 1.0)
 
     def test_nearest_defining_sample(self):
         model, _ = toy_model()

@@ -6,7 +6,7 @@ from wienerlab.diffusion import EnergyModel
 from wienerlab.errors import ConfigError, ShapeError
 from wienerlab.gradients import energy_terms, loss_and_grad
 from wienerlab.spectral import WindowSpec, make_window
-from wienerlab.wiener import QuotientKernel, WienerConfig, wiener_loss
+from wienerlab.wiener import QuotientKernel, wiener_loss
 
 
 def unit_signal(shape, seed):
@@ -16,10 +16,10 @@ def unit_signal(shape, seed):
 WHITENING = WindowSpec("laplace", 2.0, 0.1)
 
 
-def loss_grad(pred, targ, w, cfg):
+def loss_grad(pred, targ, w, lam):
     """The filter loss and its gradient at one prediction, whitened by the
     window of spec `w` on the target's grid: a batch of one."""
-    kernel = QuotientKernel(targ, targ.shape[1:], cfg.lam)
+    kernel = QuotientKernel(targ, targ.shape[1:], lam)
     value, grad = loss_and_grad(kernel, pred, make_window(w, targ.shape[1:]))
     return float(value), grad
 
@@ -38,13 +38,13 @@ def toy_model(n_samples=3, dim=16, lam=0.1, gamma=1.0, pen_b=3.0, seed=7):
     rng = np.random.default_rng(seed)
     ys = np.stack([rng.random((1, dim)) for _ in range(n_samples)])
     pen = WindowSpec("inverted_laplace", b=pen_b)
-    return EnergyModel(ys, pen, gamma, WienerConfig(lam=lam))
+    return EnergyModel(ys, pen, gamma, lam)
 
 
 class TestGradWienerLoss:
     def test_gradient_vanishes_at_target(self):
         y = unit_signal((8, 8), 1)
-        value, grad = loss_grad(y, y, WHITENING, WienerConfig(lam=1.0))
+        value, grad = loss_grad(y, y, WHITENING, 1.0)
         assert np.abs(grad).max() < 1e-9
         assert value == pytest.approx(0.0, abs=1e-25)
 
@@ -53,18 +53,17 @@ class TestGradWienerLoss:
         pred = unit_signal((6, 6), 2)
         targ = unit_signal((6, 6), 3)
         w = WHITENING
-        cfg = WienerConfig(lam=lam)
-        grad = loss_grad(pred, targ, w, cfg)[1]
-        rep = check_gradient(lambda p: wiener_loss(p, targ, w, cfg), grad, pred, h=1e-5)
+        grad = loss_grad(pred, targ, w, lam)[1]
+        rep = check_gradient(lambda p: wiener_loss(p, targ, w, lam), grad, pred, h=1e-5)
         assert rep.max_rel_error < 1e-5
 
     def test_value_field_equals_loss(self):
         pred = unit_signal((6, 6), 4)
         targ = unit_signal((6, 6), 5)
         w = WHITENING
-        cfg = WienerConfig(lam=1.0)
-        value = loss_grad(pred, targ, w, cfg)[0]
-        assert abs(value - wiener_loss(pred, targ, w, cfg)) < 1e-12
+        lam = 1.0
+        value = loss_grad(pred, targ, w, lam)[0]
+        assert abs(value - wiener_loss(pred, targ, w, lam)) < 1e-12
 
     def test_descent_to_target_decreases_loss(self):
         # plain descent from noise toward a fixed 8x8 target; the loss is a
@@ -73,17 +72,17 @@ class TestGradWienerLoss:
         targ = rng.random((8, 8))[None]
         x = rng.random((8, 8))
         w = WHITENING
-        cfg = WienerConfig(lam=1.0)
+        lam = 1.0
         step = 1e-2
         losses = []
         for _ in range(200):
-            value, grad = loss_grad(x[None], targ, w, cfg)
+            value, grad = loss_grad(x[None], targ, w, lam)
             losses.append(value)
             g = grad[0]
             # line-search safeguard: halve until the step strictly decreases
             while True:
                 trial = x - step * g
-                trial_val = wiener_loss(trial[None], targ, w, cfg)
+                trial_val = wiener_loss(trial[None], targ, w, lam)
                 if trial_val < losses[-1] or step < 1e-12:
                     break
                 step *= 0.5
@@ -95,14 +94,14 @@ class TestGradWienerLoss:
         pred = rng.random((2, 5, 5))
         targ = rng.random((2, 5, 5))
         w = WHITENING
-        cfg = WienerConfig(lam=1.0)
-        grad = loss_grad(pred, targ, w, cfg)[1]
-        rep = check_gradient(lambda p: wiener_loss(p, targ, w, cfg), grad, pred, h=1e-5)
+        lam = 1.0
+        grad = loss_grad(pred, targ, w, lam)[1]
+        rep = check_gradient(lambda p: wiener_loss(p, targ, w, lam), grad, pred, h=1e-5)
         assert rep.max_rel_error < 1e-5
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            loss_grad(unit_signal((4, 4), 8), unit_signal((5, 5), 9), WHITENING, WienerConfig())
+            loss_grad(unit_signal((4, 4), 8), unit_signal((5, 5), 9), WHITENING, 1.0)
         # a window on another grid: the message names both grids whole
         y = unit_signal((4, 4), 8)
         kernel = QuotientKernel(y, y.shape[1:], 1.0)
@@ -115,7 +114,7 @@ class TestGradEnergy:
         rng = np.random.default_rng(10)
         y = rng.random(16)[None]
         pen = WindowSpec("inverted_laplace", b=3.0)
-        model = EnergyModel(y[None], pen, 2.0, WienerConfig(lam=0.5))
+        model = EnergyModel(y[None], pen, 2.0, 0.5)
         value, grad = energy_grad(y, model)
         assert np.abs(grad).max() < 1e-8
         assert value == pytest.approx(0.0, abs=1e-20)
@@ -143,7 +142,7 @@ class TestGradEnergy:
     def test_empty_defining_set_rejected(self):
         pen = WindowSpec("inverted_laplace", b=1.0)
         with pytest.raises(ConfigError):
-            EnergyModel(np.empty((0, 1, 4)), pen, 1.0, WienerConfig())
+            EnergyModel(np.empty((0, 1, 4)), pen, 1.0, 1.0)
 
     def test_breakdown_terms_sum_to_value(self):
         model = toy_model(n_samples=4)
@@ -238,7 +237,7 @@ class TestDenseAdjointOracle:
             for channels in (1, 2, 3):
                 defining = rng.random((3, channels, *shape))
                 X = rng.random((2, channels, *shape))
-                grads = energy_terms(EnergyModel(defining, pen, gamma, WienerConfig(lam)), X)[1]
+                grads = energy_terms(EnergyModel(defining, pen, gamma, lam), X)[1]
                 want = np.zeros((len(X), channels, int(np.prod(shape))))
                 for sample in defining:
                     for c, f in enumerate(sample):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from wienerlab.datasets import _BITMAPS, make_digit_set
 from wienerlab.errors import ConfigError, ShapeError
 from wienerlab.knn import (
-    DistanceSpec,
     LabeledSet,
     _distance_matrix,
     _vote,
@@ -19,7 +18,7 @@ from wienerlab.knn import (
 )
 from wienerlab import wiener
 from wienerlab.spectral import full_lag
-from wienerlab.wiener import QuotientKernel, WienerConfig, ti_distance
+from wienerlab.wiener import QuotientKernel, ti_distance
 
 
 def sig(arr):
@@ -31,15 +30,15 @@ def labeled(images, labels):
     return LabeledSet(np.asarray(images, dtype=float)[:, np.newaxis], labels)
 
 
-def to_set(query, train, spec):
-    """Distances from one query signal (C, *extents) to every sample of
-    `train`; k = len(train) makes every entry exact."""
-    return _distance_matrix(train, query[np.newaxis], spec, len(train))[0][0]
+def to_set(query, train, kind, lam=1.0):
+    """Distances of `kind` from one query signal (C, *extents) to every sample
+    of `train`; k = len(train) makes every entry exact."""
+    return _distance_matrix(train, query[np.newaxis], kind, lam, len(train))[0][0]
 
 
-def classify(train, query, k, spec):
+def classify(train, query, k, kind, lam=1.0):
     """The class ``evaluate_accuracy`` predicts for one query signal."""
-    return evaluate_accuracy(train, LabeledSet(query[None], [0]), k, spec).predictions[0]
+    return evaluate_accuracy(train, LabeledSet(query[None], [0]), k, kind, lam).predictions[0]
 
 
 class TestLabeledSet:
@@ -123,35 +122,37 @@ class TestDistances:
         a = sig([[0.0, 1.0]])
         b = sig([[0.5, 0.2]])
         one = LabeledSet(b[None], [0])
-        assert to_set(a, one, DistanceSpec("manhattan"))[0] == pytest.approx(1.3)
+        assert to_set(a, one, "manhattan")[0] == pytest.approx(1.3)
 
     def test_euclidean_is_an_unknown_kind(self):
+        one = labeled([[0.5, 0.2]], [0])
         with pytest.raises(ConfigError, match="unknown distance kind 'euclidean'"):
-            DistanceSpec("euclidean")
+            evaluate_accuracy(one, one, 1, "euclidean")
 
     def test_unknown_kind(self):
+        one = labeled([[0.5, 0.2]], [0])
         with pytest.raises(ConfigError):
-            DistanceSpec("cosine")
+            evaluate_accuracy(one, one, 1, "cosine")
+        with pytest.raises(ConfigError, match="unknown distance kind 'cosine'"):
+            _distance_matrix(one, one.stack, "cosine", 1.0, 1)
 
     def test_wiener_ti_matches_batch_path(self):
         rng = np.random.default_rng(0)
-        spec = DistanceSpec("wiener_ti", WienerConfig(lam=1.0))
         query = sig(rng.random((8, 8)))
         train = labeled([rng.random((8, 8)) for _ in range(5)], [0, 1, 2, 3, 4])
-        batch = to_set(query, train, spec)
-        singles = [ti_distance(query, t, spec.wiener_cfg) for t in train.stack]
+        batch = to_set(query, train, "wiener_ti", 1.0)
+        singles = [ti_distance(query, t, 1.0) for t in train.stack]
         np.testing.assert_allclose(batch, singles, atol=1e-12)
         # a repeated query against the set gives the same bits
-        np.testing.assert_array_equal(to_set(query, train, spec), batch)
+        np.testing.assert_array_equal(to_set(query, train, "wiener_ti", 1.0), batch)
 
     def test_multichannel_ti_matches_pairwise(self):
         rng = np.random.default_rng(1)
-        spec = DistanceSpec("wiener_ti", WienerConfig(lam=0.5))
         query = rng.random((2, 6, 6))
         planes = rng.random((4, 2, 6, 6))
         train = LabeledSet(planes, [0, 1, 2, 3])
-        singles = [ti_distance(query, t, spec.wiener_cfg) for t in train.stack]
-        np.testing.assert_allclose(to_set(query, train, spec), singles, atol=1e-12)
+        singles = [ti_distance(query, t, 0.5) for t in train.stack]
+        np.testing.assert_allclose(to_set(query, train, "wiener_ti", 0.5), singles, atol=1e-12)
 
     @pytest.mark.parametrize("channels", [1, 2])
     def test_batched_elementwise_matches_pairwise(self, channels):
@@ -159,7 +160,7 @@ class TestDistances:
         query = rng.random((channels, 5, 7))
         train = LabeledSet(rng.random((23, channels, 5, 7)), [0] * 23)
         pairs = [float(np.abs(query - t).sum()) for t in train.stack]
-        np.testing.assert_array_equal(to_set(query, train, DistanceSpec("manhattan")), pairs)
+        np.testing.assert_array_equal(to_set(query, train, "manhattan"), pairs)
 
     @pytest.mark.parametrize("kind", ["manhattan"])
     def test_elementwise_distances_hold_one_difference_buffer(self, kind):
@@ -169,7 +170,7 @@ class TestDistances:
         buffer = train.stack.nbytes  # one (n, d) difference
         tracemalloc.start()
         try:
-            _distance_matrix(train, qs, DistanceSpec(kind), 1)
+            _distance_matrix(train, qs, kind, 1.0, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -178,41 +179,40 @@ class TestDistances:
     def test_query_shape_mismatch(self):
         train = labeled([np.ones((4, 4))], [0])
         with pytest.raises(ShapeError):
-            classify(train, sig(np.ones((5, 5))), 1, DistanceSpec("wiener_ti"))
+            classify(train, sig(np.ones((5, 5))), 1, "wiener_ti")
 
 
 class TestKnnClassify:
     def test_single_sample_forces_its_label(self):
         train = labeled([np.ones((3, 3))], [7])
         rng = np.random.default_rng(1)
-        assert classify(train, sig(rng.random((3, 3))), 1, DistanceSpec("manhattan")) == 7
+        assert classify(train, sig(rng.random((3, 3))), 1, "manhattan") == 7
 
     @pytest.mark.parametrize("kind", ["manhattan", "wiener_ti"])
     def test_query_equal_to_training_sample(self, kind):
         base = make_digit_set(20, size=8, seed=2)
-        spec = DistanceSpec(kind, WienerConfig(lam=1.0))
-        pred = classify(base, base.stack[4], 1, spec)
+        pred = classify(base, base.stack[4], 1, kind, 1.0)
         assert pred == base.labels[4]
 
     def test_majority_vote(self):
         train = labeled([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0]], [1, 1, 2])
-        assert classify(train, sig([0.0, 0.05]), 3, DistanceSpec("manhattan")) == 1
+        assert classify(train, sig([0.0, 0.05]), 3, "manhattan") == 1
 
     def test_tie_broken_by_summed_distance(self):
         train = labeled([[0.0, 0.0], [1.0, 1.0], [0.3, 0.0], [0.8, 1.0]], [3, 3, 5, 5])
         # k=4: two votes each; class 5 has the smaller summed distance to the query
-        assert classify(train, sig([0.4, 0.2]), 4, DistanceSpec("manhattan")) == 5
+        assert classify(train, sig([0.4, 0.2]), 4, "manhattan") == 5
 
     def test_exact_tie_falls_back_to_lowest_class(self):
         train = labeled([[1.0, 0.0], [0.0, 1.0]], [6, 4])
-        assert classify(train, sig([0.5, 0.5]), 2, DistanceSpec("manhattan")) == 4
+        assert classify(train, sig([0.5, 0.5]), 2, "manhattan") == 4
 
     def test_k_bounds(self):
         train = labeled([[0.0]], [0])
         with pytest.raises(ConfigError):
-            classify(train, sig([0.0]), 2, DistanceSpec("manhattan"))
+            classify(train, sig([0.0]), 2, "manhattan")
         with pytest.raises(ConfigError):
-            classify(LabeledSet([], []), sig([0.0]), 1, DistanceSpec("manhattan"))
+            classify(LabeledSet([], []), sig([0.0]), 1, "manhattan")
 
 
 class TestMakeTranslatedSet:
@@ -289,15 +289,15 @@ class TestTranslationInvariantRanking:
         # zero margin that shifts never wrap
         base = make_digit_set(12, size=8, seed=7)
         train = make_translated_set(base, 0, 6, seed=0)
-        spec = DistanceSpec("wiener_ti", WienerConfig(lam=1e-12))
+        lam = 1e-12
         qbase = make_digit_set(3, size=8, seed=8)
         qpad = make_translated_set(qbase, 0, 6, seed=0)
         rng = np.random.default_rng(9)
         for q in qpad.stack:
-            d0 = to_set(q, train, spec)
+            d0 = to_set(q, train, "wiener_ti", lam)
             k = tuple(int(v) for v in rng.integers(-6, 7, size=2))
             shifted = np.roll(q[0], k, axis=(0, 1))[None]
-            d1 = to_set(shifted, train, spec)
+            d1 = to_set(shifted, train, "wiener_ti", lam)
             np.testing.assert_allclose(d0, d1, atol=1e-9)
             np.testing.assert_array_equal(np.argsort(d0, kind="stable"), np.argsort(d1, kind="stable"))
 
@@ -321,11 +321,11 @@ class TestAllQueriesDistanceMatrix:
         rng = np.random.default_rng(60)
         train = LabeledSet(rng.random((13, 2, 5, 6)), np.arange(13) % 10)
         qs = rng.random((5, 2, 5, 6))
-        cfg = WienerConfig(lam=0.5)
-        matrix, exact = _distance_matrix(train, qs, DistanceSpec("wiener_ti", cfg), len(train))
+        lam = 0.5
+        matrix, exact = _distance_matrix(train, qs, "wiener_ti", lam, len(train))
         assert exact == 1.0
         pairs = [
-            [ti_distance(q, t, cfg) for t in train.stack] for q in qs
+            [ti_distance(q, t, lam) for t in train.stack] for q in qs
         ]
         assert matrix.shape == (5, 13)
         np.testing.assert_array_equal(matrix, pairs)
@@ -334,9 +334,8 @@ class TestAllQueriesDistanceMatrix:
     def test_evaluate_accuracy_matches_per_query_classification(self, kind):
         train = make_translated_set(make_digit_set(37, size=8, seed=61), 0, 2, seed=1)
         test = make_translated_set(make_digit_set(11, size=8, seed=62), 2, 2, seed=2)
-        spec = DistanceSpec(kind, WienerConfig(lam=1.0))
-        res = evaluate_accuracy(train, test, 3, spec)
-        expected = [classify(train, q, 3, spec) for q in test.stack]
+        res = evaluate_accuracy(train, test, 3, kind, 1.0)
+        expected = [classify(train, q, 3, kind, 1.0) for q in test.stack]
         assert res.predictions == expected
         confusion = np.zeros((10, 10), dtype=int)
         for lab, pred in zip(test.labels, expected):
@@ -348,32 +347,31 @@ class TestAllQueriesDistanceMatrix:
     def test_non_integer_k_is_a_config_error(self, k):
         base = make_digit_set(4, size=8, seed=63)
         with pytest.raises(ConfigError, match="k must be an integer"):
-            evaluate_accuracy(base, base, k, DistanceSpec("manhattan"))
+            evaluate_accuracy(base, base, k, "manhattan")
 
     @pytest.mark.parametrize("kind", ["manhattan", "wiener_ti"])
     def test_numpy_integer_k_is_accepted(self, kind):
         base = make_digit_set(6, size=8, seed=64)
-        spec = DistanceSpec(kind)
-        want = evaluate_accuracy(base, base, 3, spec).predictions
+        want = evaluate_accuracy(base, base, 3, kind).predictions
         for k in (np.int64(3), np.uint8(3), np.int32(3)):
-            assert evaluate_accuracy(base, base, k, spec).predictions == want
+            assert evaluate_accuracy(base, base, k, kind).predictions == want
 
     def test_k_checked_before_any_distance(self):
         base = make_digit_set(4, size=8, seed=63)
         with pytest.raises(ConfigError):
-            evaluate_accuracy(base, base, 5, DistanceSpec("wiener_ti"))
+            evaluate_accuracy(base, base, 5, "wiener_ti")
 
     def test_channel_mismatch(self):
         train = LabeledSet(np.ones((2, 2, 3, 3)), [0, 1])
         test = LabeledSet(np.ones((2, 1, 3, 3)), [0, 1])
         with pytest.raises(ShapeError):
-            evaluate_accuracy(train, test, 1, DistanceSpec("manhattan"))
+            evaluate_accuracy(train, test, 1, "manhattan")
 
 
 class TestEvaluateAccuracy:
     def test_self_test_is_perfect(self):
         base = make_digit_set(30, size=8, seed=10)
-        res = evaluate_accuracy(base, base, 1, DistanceSpec("manhattan"))
+        res = evaluate_accuracy(base, base, 1, "manhattan")
         assert res.accuracy == 1.0
         assert res.confusion.trace() == 30
 
@@ -382,14 +380,14 @@ class TestEvaluateAccuracy:
         ones_planes = ones.stack[ones.label_ids == 1]
         train = LabeledSet(ones_planes, [1] * len(ones_planes))
         test = make_digit_set(40, size=8, seed=12)
-        res = evaluate_accuracy(train, test, 1, DistanceSpec("manhattan"))
+        res = evaluate_accuracy(train, test, 1, "manhattan")
         freq = sum(1 for l in test.labels if l == 1) / len(test)
         assert res.accuracy == pytest.approx(freq)
 
     def test_confusion_rows_sum_to_class_counts(self):
         train = make_digit_set(50, size=8, seed=13)
         test = make_digit_set(20, size=8, seed=14)
-        res = evaluate_accuracy(train, test, 3, DistanceSpec("manhattan"))
+        res = evaluate_accuracy(train, test, 3, "manhattan")
         for c in range(10):
             assert res.confusion[c].sum() == sum(1 for l in test.labels if l == c)
 
@@ -399,7 +397,7 @@ class TestEvaluateAccuracy:
                 make_digit_set(10, size=8, seed=15),
                 make_digit_set(10, size=9, seed=16),
                 1,
-                DistanceSpec("manhattan"),
+                "manhattan",
             )
 
 
@@ -471,12 +469,11 @@ class TestTranslatedQueryConsistency:
         # pre-build simulation measured 200/200 agreement, the gate is the
         # calibrated >= 95%
         train = make_translated_set(make_digit_set(500, size=8, seed=11), 0, 6, seed=1)
-        spec = DistanceSpec("wiener_ti", WienerConfig(lam=1.0))
         qbase = make_digit_set(200, size=8, seed=77)
         plain = make_translated_set(qbase, 0, 6, seed=3)
         shifted = make_translated_set(qbase, 5, 6, seed=4)  # 5 px <= 25% of 20
-        a = evaluate_accuracy(train, plain, 10, spec).predictions
-        b = evaluate_accuracy(train, shifted, 10, spec).predictions
+        a = evaluate_accuracy(train, plain, 10, "wiener_ti", 1.0).predictions
+        b = evaluate_accuracy(train, shifted, 10, "wiener_ti", 1.0).predictions
         assert sum(int(p == q) for p, q in zip(a, b)) >= 190
 
 
@@ -518,7 +515,7 @@ def _pruning_case(data):
         queries.append(np.roll(train[rng.integers(n)], shift, axis=lags))
     k = data.draw(st.one_of(st.sampled_from([1, n]), st.integers(1, n)), label="k")
     labels = rng.integers(0, 10, size=n)
-    return LabeledSet(train, labels), np.array(queries), WienerConfig(lam), k
+    return LabeledSet(train, labels), np.array(queries), lam, k
 
 
 def _block_budget(train, rows):
@@ -533,16 +530,15 @@ class TestPrunedTiMatrix:
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_pruned_neighbours_and_votes_equal_the_full_matrix(self, data, rows):
-        train, qs, cfg, k = _pruning_case(data)
-        spec = DistanceSpec("wiener_ti", cfg)
+        train, qs, lam, k = _pruning_case(data)
         with pytest.MonkeyPatch.context() as mp:
             if rows is not None:
                 budget = _block_budget(train, len(train) if rows == "n" else rows)
                 mp.setattr(wiener, "TI_CHUNK_ELEMENTS", budget)
-            full, everything = _distance_matrix(train, qs, spec, len(train))
-            pruned, fraction = _distance_matrix(train, qs, spec, k)
+            full, everything = _distance_matrix(train, qs, "wiener_ti", lam, len(train))
+            pruned, fraction = _distance_matrix(train, qs, "wiener_ti", lam, k)
         # the bounds, and so the prunes, do not move with the block size
-        assert pruned.tobytes() == _distance_matrix(train, qs, spec, k)[0].tobytes()
+        assert pruned.tobytes() == _distance_matrix(train, qs, "wiener_ti", lam, k)[0].tobytes()
         assert everything == 1.0 and 0.0 < fraction <= 1.0
         assert np.isfinite(full).all()
         computed = np.isfinite(pruned)
@@ -557,7 +553,7 @@ class TestPrunedTiMatrix:
             assert _vote(row, train.label_ids, k) == _vote(want, train.label_ids, k)
         # each bound is a lower bound on its plane's and its pair's exact
         # value, and a constant plane's bound is -inf
-        kernel = QuotientKernel(train.stack[:, np.newaxis], train.shape, cfg.lam)
+        kernel = QuotientKernel(train.stack[:, np.newaxis], train.shape, lam)
         bounds = kernel.ti_bounds(qs)
         _, values, constant = kernel.filters_with_ti(qs)
         assert np.all(bounds <= values)
@@ -568,7 +564,7 @@ class TestPrunedTiMatrix:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # constant filters
             pairs = [
-                [ti_distance(q, t, cfg) for t in train.stack] for q in qs
+                [ti_distance(q, t, lam) for t in train.stack] for q in qs
             ]
         assert full.tobytes() == np.array(pairs).tobytes()
 
@@ -581,7 +577,7 @@ class TestPrunedTiMatrix:
         whole = len(train) * 40 * 21 * 24
         tracemalloc.start()
         try:
-            evaluate_accuracy(train, test, 10, DistanceSpec("wiener_ti"))
+            evaluate_accuracy(train, test, 10, "wiener_ti")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -590,12 +586,11 @@ class TestPrunedTiMatrix:
     def test_pruning_is_on_for_translated_digits(self):
         train = make_translated_set(make_digit_set(200, size=8, seed=11), 0, 6, seed=1)
         test = make_translated_set(make_digit_set(20, size=8, seed=77), 5, 6, seed=4)
-        spec = DistanceSpec("wiener_ti", WienerConfig(lam=1.0))
-        res = evaluate_accuracy(train, test, 10, spec)
+        res = evaluate_accuracy(train, test, 10, "wiener_ti", 1.0)
         assert res.exact_fraction < 0.2
-        full, _ = _distance_matrix(train, test.stack, spec, len(train))
+        full, _ = _distance_matrix(train, test.stack, "wiener_ti", 1.0, len(train))
         assert res.predictions == [_vote(row, train.label_ids, 10) for row in full]
 
     def test_element_wise_kinds_are_exact_everywhere(self):
         base = make_digit_set(12, size=8, seed=66)
-        assert evaluate_accuracy(base, base, 1, DistanceSpec("manhattan")).exact_fraction == 1.0
+        assert evaluate_accuracy(base, base, 1, "manhattan").exact_fraction == 1.0

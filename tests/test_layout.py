@@ -303,6 +303,52 @@ def test_negative_seed_rule_is_written_once_and_every_seeded_entry_point_calls_i
     assert "check_seed" in _names(ast.parse((SRC / "config.py").read_text()))
 
 
+def test_lambda_rule_is_written_once_and_every_quotient_kernel_applies_it_first():
+    def bounds_lambda(node):  # a comparison of `lam` with 0 or with infinity
+        if not isinstance(node, ast.Compare):
+            return False
+        operands = [node.left, *node.comparators]
+        return any("lam" in _names(o) for o in operands) and any(
+            (isinstance(o, ast.Constant) and o.value == 0) or "inf" in _names(o) for o in operands
+        )
+
+    sites = _sites(bounds_lambda)
+    assert len(sites) == 1 and sites[0].startswith("wiener.py:"), sites
+    rule = next(
+        fn for fn in ast.parse((SRC / "wiener.py").read_text()).body
+        if isinstance(fn, ast.FunctionDef) and fn.lineno <= int(sites[0].split(":")[1]) <= fn.end_lineno
+    )
+    assert rule.name == "check_lambda"
+
+    # the kernel's first statement applies it, so no lambda reaches the quotient unchecked
+    kernel = next(
+        n for n in ast.parse((SRC / KERNEL[0]).read_text()).body
+        if isinstance(n, ast.ClassDef) and n.name == KERNEL[1]
+    )
+    init = next(n for n in kernel.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+    first = init.body[0]
+    assert isinstance(first, ast.Expr) and isinstance(first.value, ast.Call), ast.dump(first)
+    assert getattr(first.value.func, "id", None) == "check_lambda"
+    assert [ast.unparse(a) for a in first.value.args] == ["lam"]
+
+    # a dataclass with a `lam` field checks it as it is built: by the rule, or
+    # by building the quotient kernel that applies it
+    fields = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef) and any(
+                isinstance(f, ast.AnnAssign) and getattr(f.target, "id", None) == "lam"
+                for f in cls.body
+            ):
+                post = [f for f in cls.body if getattr(f, "name", None) == "__post_init__"]
+                checked = bool(post) and bool({"check_lambda", "QuotientKernel"} & _names(post[0]))
+                fields.append((f"{path.name} {cls.name}", checked))
+    assert {name for name, _ in fields} >= {
+        "config.py WienerSection", "trainer.py TrainConfig", "diffusion.py EnergyModel"
+    }, fields
+    assert all(checked for _, checked in fields), fields
+
+
 def test_allocator_settings_live_in_one_cli_helper_reached_only_from_main():
     allocator = {"ctypes", "mallopt"}
 
@@ -442,5 +488,5 @@ except AttributeError as exc:
     print(exc)
 """
     assert _fresh_python(code) == [
-        "19 True", f"True {wienerlab.__version__}", "module 'wienerlab' has no attribute 'nope'"
+        "17 True", f"True {wienerlab.__version__}", "module 'wienerlab' has no attribute 'nope'"
     ]

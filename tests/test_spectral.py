@@ -19,7 +19,7 @@ from wienerlab.spectral import (
     make_window,
 )
 from wienerlab.trainer import DenseAutoencoder, TrainConfig, train
-from wienerlab.wiener import QuotientKernel, WienerConfig, concentration
+from wienerlab.wiener import QuotientKernel, concentration
 
 
 class TestAsPair:
@@ -73,7 +73,7 @@ class TestAsStack:
         consumers = [
             lambda: as_stack(stack),
             lambda: LabeledSet(stack, labels),
-            lambda: EnergyModel(stack, pen, 1.0, WienerConfig()),
+            lambda: EnergyModel(stack, pen, 1.0, 1.0),
             lambda: train(model, stack, TrainConfig(epochs=1)),
         ]
         for consume in consumers:

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from wienerlab.spectral import WindowSpec, make_window
 from wienerlab import wiener
 from wienerlab.wiener import (
     QuotientKernel,
-    WienerConfig,
+    check_lambda,
     concentration,
     ti_distance,
     wiener_filter,
@@ -36,18 +37,43 @@ def margin_image(n, margin, seed):
     return img
 
 
+def _lambda_entry_points():
+    from wienerlab.diffusion import EnergyModel
+    from wienerlab.knn import LabeledSet, evaluate_accuracy
+    from wienerlab.trainer import TrainConfig
+
+    x, y = random_signal((6, 6), 5), random_signal((6, 6), 6)
+    w = WindowSpec("laplace", 2.0)
+    pen = WindowSpec("inverted_laplace", 1.0)
+    return {
+        "QuotientKernel": lambda lam: QuotientKernel(x, (6, 6), lam),
+        "wiener_filter": lambda lam: wiener_filter(x, y, lam),
+        "wiener_loss": lambda lam: wiener_loss(x, y, w, lam),
+        "ti_distance": lambda lam: ti_distance(x, y, lam),
+        "pair_report": lambda lam: wiener.pair_report(x, y, w, lam),
+        "EnergyModel": lambda lam: EnergyModel(y[None], pen, 1.0, lam),
+        "evaluate_accuracy": lambda lam: evaluate_accuracy(
+            LabeledSet(y[None], [0]), LabeledSet(x[None], [0]), 1, "wiener_ti", lam
+        ),
+        "TrainConfig": lambda lam: TrainConfig(lam=lam),
+    }
+
+
+LAMBDA_ENTRY_POINTS = _lambda_entry_points()
+
+
 class TestWienerFilter:
     @pytest.mark.parametrize("lam", [1e-3, 1.0, 250.0])
     def test_identity_gives_delta(self, lam):
         y = random_signal((9, 9), 10)
-        v = wiener_filter(y, y, WienerConfig(lam=lam))
+        v = wiener_filter(y, y, lam)
         assert np.abs(v - delta_filter(v.shape[1:])).max() < 1e-10
 
     def test_translation_gives_shifted_delta(self):
         img = margin_image(16, 5, 11)
         y = img[None]
         x = np.roll(img, (2, 4), axis=(0, 1))[None]
-        v = wiener_filter(x, y, WienerConfig(lam=1e-12))
+        v = wiener_filter(x, y, 1e-12)
         expected = np.roll(delta_filter(v.shape[1:]), (2, 4), axis=(1, 2))
         assert np.abs(v - expected).max() < 1e-9
 
@@ -57,43 +83,40 @@ class TestWienerFilter:
             n = 12
             x = rng.random(n)[None]
             y = rng.random(n)[None]
-            vf = wiener_filter(x, y, WienerConfig(lam=lam))
-            vd = wiener_filter_direct(x, y, WienerConfig(lam=lam))
+            vf = wiener_filter(x, y, lam)
+            vd = wiener_filter_direct(x, y, lam)
             scale = np.abs(vd).max()
             assert np.abs(vf - vd).max() / scale < 1e-8
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            wiener_filter(random_signal((4, 4), 0), random_signal((5, 5), 1), WienerConfig())
+            wiener_filter(random_signal((4, 4), 0), random_signal((5, 5), 1), 1.0)
 
     def test_lambda_zero_zero_bin_is_singular(self):
         y = np.zeros((1, 8))
         x = random_signal((8,), 3)
         with pytest.raises(SingularSystemError):
-            wiener_filter(x, y, WienerConfig(lam=0.0))
+            wiener_filter(x, y, 0.0)
 
     def test_lambda_zero_zero_bin_is_one_error_class_everywhere(self):
         # filter, loss, gradient, energy and kNN all share the kernel's check
         from wienerlab.diffusion import EnergyModel
         from wienerlab.gradients import loss_and_grad
-        from wienerlab.knn import DistanceSpec, LabeledSet, evaluate_accuracy
+        from wienerlab.knn import LabeledSet, evaluate_accuracy
 
         y = np.zeros((1, 8))
         x = random_signal((8,), 3)
-        cfg = WienerConfig(lam=0.0)
+        lam = 0.0
         w = WindowSpec("laplace", 2.0)
         pen = WindowSpec("inverted_laplace", 1.0)
         calls = [
-            lambda: wiener_loss(x, y, w, cfg),
+            lambda: wiener_loss(x, y, w, lam),
             lambda: loss_and_grad(
-                QuotientKernel(y, y.shape[1:], cfg.lam), x, make_window(w, y.shape[1:])
+                QuotientKernel(y, y.shape[1:], lam), x, make_window(w, y.shape[1:])
             ),
-            lambda: EnergyModel(y[None], pen, 1.0, cfg),
+            lambda: EnergyModel(y[None], pen, 1.0, lam),
             lambda: evaluate_accuracy(
-                LabeledSet(y[None], [0]),
-                LabeledSet(x[None], [0]),
-                1,
-                DistanceSpec("wiener_ti", cfg),
+                LabeledSet(y[None], [0]), LabeledSet(x[None], [0]), 1, "wiener_ti", lam
             ),
         ]
         for call in calls:
@@ -104,33 +127,41 @@ class TestWienerFilter:
         # |S|^2 overflows for finite inputs near 1e200: a numerical failure, not a config error
         big = np.full((1, 8), 1e200)
         with pytest.raises(NumericalError):
-            wiener_filter(random_signal((8,), 4), big, WienerConfig())
+            wiener_filter(random_signal((8,), 4), big, 1.0)
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
     def test_invalid_lambda_rejected(self, lam):
-        with pytest.raises(ConfigError):
-            WienerConfig(lam=lam)
+        with pytest.raises(ConfigError, match=re.escape(f"lambda must be finite and >= 0, got {lam}")):
+            check_lambda(lam)
+
+    @pytest.mark.parametrize("entry", sorted(LAMBDA_ENTRY_POINTS))
+    @pytest.mark.parametrize("lam", [-0.5, float("nan"), float("inf")])
+    def test_invalid_lambda_is_a_config_error_at_every_entry_point(self, entry, lam):
+        # the kernel applies the rule first: a negative lambda would build a
+        # kernel, and a non-finite one would end in NumericalError
+        with pytest.raises(ConfigError, match="lambda must be finite and >= 0"):
+            LAMBDA_ENTRY_POINTS[entry](lam)
 
     def test_multichannel_filters_are_per_plane(self):
         rng = np.random.default_rng(13)
         planes = rng.random((3, 6, 6))
-        v = wiener_filter(planes, planes, WienerConfig(lam=1.0))
+        v = wiener_filter(planes, planes, 1.0)
         assert v.shape == (3, 12, 12)
         for c in range(3):
-            single = wiener_filter(planes[c][None], planes[c][None], WienerConfig(lam=1.0))
+            single = wiener_filter(planes[c][None], planes[c][None], 1.0)
             np.testing.assert_allclose(v[c], single[0], atol=1e-14)
 
 
 class TestDirectOracle:
     def test_identity_any_lambda(self):
         y = random_signal((6,), 20)
-        v = wiener_filter_direct(y, y, WienerConfig(lam=3.0))
+        v = wiener_filter_direct(y, y, 3.0)
         assert np.abs(v - delta_filter(v.shape[1:])).max() < 1e-10
 
     def test_size_cap(self):
         big = random_signal((64, 64), 21)  # padded 128x128 = 16384 > 4096
         with pytest.raises(OracleSizeError):
-            wiener_filter_direct(big, big, WienerConfig(lam=1.0))
+            wiener_filter_direct(big, big, 1.0)
 
     @pytest.mark.parametrize("lam", [0.1, 1.0, 250.0])
     def test_oracle_equivalence_1d_sweep(self, lam):
@@ -139,8 +170,8 @@ class TestDirectOracle:
             n = int(rng.integers(8, 33))
             x = rng.random(n)[None]
             y = rng.random(n)[None]
-            vf = wiener_filter(x, y, WienerConfig(lam=lam))
-            vd = wiener_filter_direct(x, y, WienerConfig(lam=lam))
+            vf = wiener_filter(x, y, lam)
+            vd = wiener_filter_direct(x, y, lam)
             assert np.abs(vf - vd).max() / np.abs(vd).max() < 1e-8
 
     def test_oracle_equivalence_2d(self):
@@ -148,8 +179,8 @@ class TestDirectOracle:
         for _ in range(3):
             x = rng.random((6, 6))[None]
             y = rng.random((6, 6))[None]
-            vf = wiener_filter(x, y, WienerConfig(lam=1.0))
-            vd = wiener_filter_direct(x, y, WienerConfig(lam=1.0))
+            vf = wiener_filter(x, y, 1.0)
+            vd = wiener_filter_direct(x, y, 1.0)
             assert np.abs(vf - vd).max() / np.abs(vd).max() < 1e-8
 
 
@@ -200,7 +231,7 @@ class TestWienerLoss:
     def test_zero_at_equality(self):
         y = random_signal((8, 8), 30)
         w = WindowSpec("laplace", 2.0, 0.1)
-        assert wiener_loss(y, y, w, WienerConfig(lam=5.0)) == pytest.approx(0.0, abs=1e-25)
+        assert wiener_loss(y, y, w, 5.0) == pytest.approx(0.0, abs=1e-25)
 
     def test_shift_by_three_frozen_value(self):
         # translated pair -> filter is a delta at lag 3; with inverted_laplace(b=2)
@@ -211,7 +242,7 @@ class TestWienerLoss:
         y[:12] = rng.random(12)
         x = np.roll(y, 3)
         w = WindowSpec("inverted_laplace", b=2.0)
-        loss = wiener_loss(x[None], y[None], w, WienerConfig(lam=1e-12))
+        loss = wiener_loss(x[None], y[None], w, 1e-12)
         assert loss == pytest.approx(0.5 * (1.0 - np.exp(-1.5)) ** 2, abs=1e-9)
         assert loss == pytest.approx(0.301763, abs=5e-7)
 
@@ -221,7 +252,7 @@ class TestWienerLoss:
         for _ in range(50):
             a = rng.random((6, 6))[None]
             b = rng.random((6, 6))[None]
-            val = wiener_loss(a, b, w, WienerConfig(lam=1.0))
+            val = wiener_loss(a, b, w, 1.0)
             assert val >= 0.0
             assert val > 1e-8  # random pairs never produce the identity filter
 
@@ -229,18 +260,18 @@ class TestWienerLoss:
 class TestTiDistance:
     def test_self_distance_hits_global_minimum(self):
         y = random_signal((12, 12), 40)
-        val = ti_distance(y, y, WienerConfig(lam=1.0))
+        val = ti_distance(y, y, 1.0)
         nbins = 24 * 24
         assert val == pytest.approx(-np.sqrt(nbins - 1), rel=1e-9)
 
     def test_translation_invariance(self):
         img = margin_image(16, 5, 41)
         y = img[None]
-        cfg = WienerConfig(lam=1e-12)
-        base = ti_distance(y, y, cfg)
+        lam = 1e-12
+        base = ti_distance(y, y, lam)
         for k in [(1, 0), (0, 3), (4, 4), (5, 2)]:
             shifted = np.roll(img, k, axis=(0, 1))[None]
-            assert ti_distance(shifted, y, cfg) == pytest.approx(base, abs=1e-9)
+            assert ti_distance(shifted, y, lam) == pytest.approx(base, abs=1e-9)
 
     def test_translates_keep_the_value_only_at_lambda_zero(self):
         # the README's 16x16 pair: at lambda = 0 a translate inside the zero
@@ -252,12 +283,11 @@ class TestTiDistance:
         y = plane[None]
 
         def values(lam):
-            cfg = WienerConfig(lam=lam)
             moved = [
-                ti_distance(np.roll(plane, s, axis=(0, 1))[None], y, cfg)
+                ti_distance(np.roll(plane, s, axis=(0, 1))[None], y, lam)
                 for s in [(2, 3), (1, 0), (4, 4), (0, 1)]
             ]
-            return ti_distance(y, y, cfg), np.array(moved)
+            return ti_distance(y, y, lam), np.array(moved)
 
         base, moved = values(0.0)
         assert base == pytest.approx(-np.sqrt(32 * 32 - 1), rel=1e-12)
@@ -269,12 +299,12 @@ class TestTiDistance:
 
     def test_noise_is_farther_than_self(self):
         rng = np.random.default_rng(42)
-        cfg = WienerConfig(lam=1.0)
+        lam = 1.0
         wins = 0
         for _ in range(100):
             y = rng.random((12, 12))[None]
             noise = rng.random((12, 12))[None]
-            wins += int(ti_distance(y, y, cfg) <= ti_distance(noise, y, cfg))
+            wins += int(ti_distance(y, y, lam) <= ti_distance(noise, y, lam))
         assert wins >= 99
 
     def test_constant_filter_returns_zero_with_warning(self):
@@ -282,7 +312,7 @@ class TestTiDistance:
         a = np.zeros((1, 8))
         b = random_signal((8,), 43)
         with pytest.warns(RuntimeWarning):
-            val = ti_distance(a, b, WienerConfig(lam=0.0))
+            val = ti_distance(a, b, 0.0)
         assert val == 0.0
 
 
@@ -579,11 +609,11 @@ class TestKernelRows:
         n = int(np.prod(shape)) * channels
         a = rng.random(n).reshape((channels, *shape))
         b = rng.random(n).reshape((channels, *shape))
-        cfg = WienerConfig(0.6)
+        lam = 0.6
         whitening = WindowSpec("laplace", 2.0, 0.2)
-        report = wiener.pair_report(a, b, whitening, cfg)
+        report = wiener.pair_report(a, b, whitening, lam)
         assert report == {
-            "wiener_loss": wiener_loss(a, b, whitening, cfg),
-            "ti_distance": ti_distance(a, b, cfg),
-            "filter_concentration": concentration(wiener_filter(a, b, cfg)),
+            "wiener_loss": wiener_loss(a, b, whitening, lam),
+            "ti_distance": ti_distance(a, b, lam),
+            "filter_concentration": concentration(wiener_filter(a, b, lam)),
         }
