@@ -19,18 +19,11 @@ Importing this module before NumPy caps NumPy's BLAS at one thread: it sets
 idle BLAS worker spins beside the main thread. A user who sets any of them
 or `GOTO_NUM_THREADS` keeps their own setting, and once NumPy is loaded the
 environment is left alone.
-
-On glibc, `main` first keeps the process heap: freed buffers below 32 MiB
-stay in the heap for reuse instead of going back to the kernel and being
-faulted in again on the next step. A `GLIBC_TUNABLES` or `MALLOC_*`
-environment variable leaves glibc's own settings in charge; importing this
-module leaves the allocator alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import os
 import sys
@@ -532,26 +525,7 @@ def _override(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return cfg
 
 
-def _keep_heap() -> None:
-    """On glibc, serve blocks below 32 MiB from the heap and trim it only past
-    256 MiB free, so a loop's freed transform buffers are reused rather than
-    returned and faulted in again. Does nothing elsewhere or when the user
-    tunes glibc's allocator through the environment; setting the same values
-    again is harmless."""
-    if "GLIBC_TUNABLES" in os.environ or any(k.startswith("MALLOC_") for k in os.environ):
-        return
-    try:
-        if not os.confstr("CS_GNU_LIBC_VERSION"):
-            return
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, ValueError):
-        return
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
-
-
 def main(argv=None) -> int:
-    _keep_heap()
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)

@@ -11,8 +11,11 @@ windows are built in raw layout (``spectral.make_window``), so no step
 shifts lags. Values come from ``wiener.filter_identity_loss`` and
 ``wiener.zero_lag_fractions``. ``loss_and_grad`` is the one loss path and
 ``energy_terms`` the one energy path, each over a batch of signals; one
-signal is a batch of one. The finite-difference checks that hold them to
-their values live with the tests. Derivation in docs/gradient_note.md.
+signal is a batch of one. Both form the filters, the residual and the
+cotangent in the kernel's work arrays (``QuotientKernel._work``), so a
+loop of steps on one kernel allocates no padded grid, and both return
+fresh arrays only. The finite-difference checks that hold them to their
+values live with the tests. Derivation in docs/gradient_note.md.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ def loss_and_grad(
     window from ``make_window``; values sum over channels and lags, one per
     batch entry.
     """
-    values, residual = filter_identity_loss(kernel, kernel.filters(varying), w_raw)
+    values, residual = filter_identity_loss(kernel, kernel._work_filters(varying), w_raw)
     residual *= w_raw  # the cotangent W^2 * (v - delta), in the residual's own buffer
     return values, kernel.pullback(residual)
 
@@ -74,8 +77,12 @@ def energy_terms(
     chunk = max(1, ENERGY_CHUNK_ELEMENTS // elements)
     if len(X) <= chunk:
         return _energy_chunk(model, X)
-    parts = [_energy_chunk(model, X[i : i + chunk]) for i in range(0, len(X), chunk)]
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    n = len(model.defining)
+    out = (np.empty(len(X)), np.empty(X.shape), *np.empty((2, len(X), n)))
+    for i in range(0, len(X), chunk):  # each chunk's terms are copied in and let go
+        for whole, part in zip(out, _energy_chunk(model, X[i : i + chunk])):
+            whole[i : i + chunk] = part
+    return out
 
 
 def _energy_chunk(model: "EnergyModel", X: np.ndarray):
@@ -89,20 +96,25 @@ def _energy_chunk(model: "EnergyModel", X: np.ndarray):
     # channel means are sum / channels, as in np.mean; the ndarray methods skip
     # np.sum's dispatch, which costs as much as the sum on these small arrays
     varying = X[:, None]  # (batch, 1, C, *extents), broadcast over the defining set
-    v = kernel.filters(varying)  # (batch, n, C, *padded), raw layout
+    v = kernel._work_filters(varying)  # (batch, n, C, *padded), raw layout
+    work = kernel._work("energy", v.shape)  # each full-size product below, in turn
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = (v**2).sum(axis=axes, keepdims=True)
-        v0 = v[zero]  # (batch, n, C)
+        norms = np.multiply(v, v, out=work).sum(axis=axes, keepdims=True)
+        v0 = v[zero].copy()  # (batch, n, C); v's buffer turns into the cotangent
         fractions = zero_lag_fractions(v0, norms[zero])
         # Rayleigh quotient ||pen * v||^2 / ||v||^2: where a filter's energy sits
-        quot = ((pen * v) ** 2).sum(axis=axes, keepdims=True) / norms
+        np.multiply(pen, v, out=work)
+        quot = np.multiply(work, work, out=work).sum(axis=axes, keepdims=True) / norms
         energies = 0.5 * (quot.sum(axis=(2,) + axes) / channels) + 0.5 * gamma * (
             ((v0 - 1.0) ** 2).sum(axis=2) / channels
         )
         concentrations = fractions.sum(axis=2) / channels
 
         # d(R/2)/dv = (pen^2 v - R v) / ||v||^2 ; amplitude term adds gamma (v0 - 1) at zero lag
-        g_v = (model.penalty_sq * v - quot * v) / norms / channels
+        g_v = np.multiply(quot, v, out=work)
+        g_v = np.subtract(np.multiply(model.penalty_sq, v, out=v), g_v, out=v)
+        g_v /= norms
+        g_v /= channels
         g_v[zero] += gamma * (v0 - 1.0) / channels
     # the pullback sums over the defining set on the spectrum: one inverse per signal
     grads = kernel.pullback(g_v, varying.shape[: -len(axes)])[:, 0]

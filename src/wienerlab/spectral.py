@@ -55,7 +55,7 @@ def as_stack(samples) -> np.ndarray:
         raise ConfigError("a set needs at least one sample")
     if stack.ndim not in (3, 4) or 0 in stack.shape:
         raise ShapeError(f"a set is one (n, C, *extents) stack, got shape {stack.shape}")
-    if not np.all(np.isfinite(stack)):
+    if not np.isfinite(stack).all():
         raise ConfigError("signal values must be finite")
     stack.flags.writeable = False
     return stack

@@ -42,6 +42,11 @@ __all__ = [
 ]
 
 TI_CHUNK_ELEMENTS = 2**16  # spatial filter elements per tile of QuotientKernel's TI passes
+WORK_ARRAYS = 8  # work arrays a kernel and its row views keep; the least recently used goes first
+
+# the floating-point state of QuotientKernel's entry points, as a decorator: a
+# non-finite result raises NumericalError there instead of warning
+_quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 def _tile_cells(cell: int) -> int:
@@ -71,9 +76,12 @@ class QuotientKernel:
     one ``_quotient`` product, so ``filters``, ``filters_with_ti``,
     ``ti_bounds`` and ``ti_values_at`` round it alike at every size.
 
-    ``_forward`` is the one forward transform and ``_inverse`` the one
-    inverse, irfftn's own 1-D inverses; it is pruned there alone, for
-    ``pullback``: each leading lag axis is cropped once it is inverted.
+    ``_forward`` is the one forward transform, rfftn's own stages with the
+    zero margin written before the complex stage, so no padded axis goes
+    through NumPy's per-line copy; ``_inverse`` is the one inverse,
+    irfftn's own 1-D inverses, run in the spectrum's buffer. It is pruned
+    there alone, for ``pullback``: each leading lag axis is cropped once it
+    is inverted.
     ``concentrations`` (the trainer's diagnostic) reads each filter's
     zero-lag energy fraction from Q by Parseval and inverts nothing.
 
@@ -86,6 +94,13 @@ class QuotientKernel:
     so a varying batch met by many kernels (the kNN's training blocks) is
     transformed once.
 
+    ``filters`` and ``pullback`` form their spectra in work arrays that a
+    kernel keeps per batch shape (``_work``) and shares with its row views,
+    and return fresh arrays; ``_work_filters`` leaves the filters in a work
+    array too, for a step that is done with them before it returns
+    (``gradients``). So a loop of steps on one kernel allocates no padded
+    grid, and a kernel is not for use by two threads at once.
+
     A plane's TI value takes its mean from the DC bin and its spread from
     Parseval over the non-DC bins of the half spectrum, and reads only the
     maximum from the spatial domain (``_ti``). ``filters_with_ti`` gives
@@ -97,24 +112,34 @@ class QuotientKernel:
     filters whole; its values equal ``filters_with_ti``' bit for bit.
     """
 
+    @_quiet
     def __init__(self, fixed: np.ndarray, shape: tuple[int, ...], lam: float):
         check_lambda(lam)
         self.shape = tuple(shape)
         self.padded = full_lag(self.shape)
+        self.half = self.padded[:-1] + (self.padded[-1] // 2 + 1,)  # the half spectrum's extents
         self.axes = tuple(range(-len(self.shape), 0))
+        # where ``_forward`` writes a signal's rows, and the zero margin it zeroes
+        # on each leading lag axis
+        lead, rank = self.shape[:-1], len(self.shape)
+        self._rows = (...,) + tuple(map(slice, lead)) + (slice(None),)
+        self._margins = [
+            (...,) + (slice(None),) * i + (slice(n, None),) + (slice(None),) * (rank - 1 - i)
+            for i, n in enumerate(lead)
+        ]
         if np.shape(fixed)[-len(self.shape):] != self.shape:
             raise ShapeError(f"fixed {np.shape(fixed)} does not end in extents {self.shape}")
         S = self._forward(fixed)
-        with np.errstate(over="ignore", invalid="ignore"):
-            den = S.real**2
-            den += S.imag**2
-            den += lam
-        if not np.all(np.isfinite(den)):
+        den = S.real**2
+        den += S.imag**2
+        den += lam
+        if not math.isfinite(den.max()):  # den >= 0, and a NaN propagates
             raise NumericalError("non-finite spectral power |S|^2 + lambda")
-        if np.any(den == 0.0):
+        if den.min() == 0.0:
             raise SingularSystemError("zero denominator bin with lambda = 0")
         self.K = np.divide(np.conjugate(S, out=S), den, out=S)  # in place: S is not kept
         self.L = lam / den
+        self._arrays = {}  # (name, shape) -> work array, shared with the row views
 
     def rows(self, index) -> "QuotientKernel":
         """The kernel of ``fixed[index]``, `index` an index array or slice over the
@@ -123,44 +148,83 @@ class QuotientKernel:
         if self.K.ndim == len(self.shape):
             raise ShapeError("rows of a kernel need a leading batch axis on the fixed side")
         sub = object.__new__(QuotientKernel)
-        sub.shape, sub.padded, sub.axes = self.shape, self.padded, self.axes
+        sub.__dict__.update(self.__dict__)  # the work arrays' dict included
         sub.K, sub.L = self.K[index], self.L[index]
         return sub
 
+    def _work(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """The work array `name` of `shape`, made on first use and reused after,
+        holding whatever its last user left. At most WORK_ARRAYS are kept, so
+        a new one lets go of the least recently used."""
+        key = (name, shape)
+        work = self._arrays.pop(key, None)
+        if work is None:
+            if len(self._arrays) >= WORK_ARRAYS:
+                del self._arrays[next(iter(self._arrays))]
+            work = np.empty(shape, dtype)
+        self._arrays[key] = work  # the most recently used last
+        return work
+
+    @_quiet
     def filters(self, varying: np.ndarray) -> np.ndarray:
         """Raw-layout matching filters (*batch, *padded), varying side in the numerator."""
-        return self._inverse(self._quotient(self.K, self.L, self.spectrum(varying)))
+        return self._inverse(self._work_quotient(varying))
 
+    @_quiet
+    def _work_filters(self, varying: np.ndarray) -> np.ndarray:
+        """``filters``, written to the work array of their batch, which the
+        next call overwrites."""
+        Q = self._work_quotient(varying)
+        lead = Q.shape[: -len(self.shape)]
+        return self._inverse(Q, out=self._work("filters", lead + self.padded))
+
+    def _work_quotient(self, varying: np.ndarray) -> np.ndarray:
+        """The quotient spectra of `varying` in the work spectrum of the
+        broadcast batch; a real `varying` of that batch is transformed
+        straight into it and multiplied in place."""
+        rank = len(self.shape)
+        fixed, own = self.K.shape[:-rank], np.shape(varying)[:-rank]
+        lead = own if own == fixed else np.broadcast_shapes(fixed, own)
+        Q = self._work("spectrum", lead + self.half, np.complex128)
+        X = self.spectrum(varying, out=Q if own == lead else None)
+        return self._quotient(self.K, self.L, X, out=Q)
+
+    @_quiet
     def filters_with_ti(self, varying: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``filters``, the negative maximum of each standardized filter plane,
         shaped (*batch,), and a mask of the constant planes, whose value is 0
         by convention, from one forward and one inverse transform of
         `varying`. Untiled, so meant for a small batch such as one pair."""
         Q = self._quotient(self.K, self.L, self.spectrum(varying))
-        v = self._inverse(Q)
+        v = self._inverse(Q.copy())  # Q's moments are read below
         return (v, *self._ti(Q, v))
 
     @staticmethod
-    def _quotient(K: np.ndarray, L: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """K * X + L, the one quotient product. Both factors are named, so it
-        rounds one way at every size: NumPy may write a product into the
-        buffer of an unnamed temporary factor, with the factors swapped."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            Q = K * X
-            Q += L
+    def _quotient(
+        K: np.ndarray, L: np.ndarray, X: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """K * X + L, the one quotient product, into `out` if given (which may
+        be X). K is always the first factor, so it rounds one way at every
+        size: NumPy may write a product into the buffer of an unnamed
+        temporary factor, with the factors swapped."""
+        Q = np.multiply(K, X, out=out)
+        Q += L
         return Q
 
-    def spectrum(self, varying: np.ndarray) -> np.ndarray:
-        """rfftn of the varying side on the padded grid. A complex `varying` is
-        taken to be that spectrum already and is returned as it is, so every
-        method here accepts a spectrum in place of its signals: a caller that
-        meets several kernels of the same extents transforms them once."""
+    @_quiet
+    def spectrum(self, varying: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """rfftn of the varying side on the padded grid, into `out` if given.
+        A complex `varying` is taken to be that spectrum already and is
+        returned as it is, so every method here accepts a spectrum in place
+        of its signals: a caller that meets several kernels of the same
+        extents transforms them once."""
         spectral = np.iscomplexobj(varying)
-        extents = self.K.shape[-len(self.shape):] if spectral else self.shape
+        extents = self.half if spectral else self.shape
         if np.shape(varying)[-len(self.shape):] != extents:
             raise ShapeError(f"varying {np.shape(varying)} does not end in extents {extents}")
-        return varying if spectral else self._forward(varying)
+        return varying if spectral else self._forward(varying, out)
 
+    @_quiet
     def ti_bounds(self, varying: np.ndarray) -> np.ndarray:
         """A lower bound on each plane's TI value, shaped (*batch,), with no
         exact moments and no real inverse.
@@ -210,14 +274,13 @@ class QuotientKernel:
                                                  for t, n in zip(tile, f.shape))])
                     for f in factors
                 ))
-                with np.errstate(over="ignore", invalid="ignore"):
-                    Y = self._unwind(Q, range(1 - rank, 0))
-                    a = np.abs(Y).reshape(Y.shape[:-rank] + (len(c), -1))  # (..., bins, rows)
-                    peak[tile] = (c @ a).max(axis=-1)
-                    a *= a
-                    dc = Q[(...,) + (0,) * rank]
-                    mu[tile] = dc.real / N
-                    var_lo[tile] = N * (1 - 1e-10) * (c @ a).sum(axis=-1) - abs(dc) ** 2
+                dc = Q[(...,) + (0,) * rank].copy()  # read before Q is unwound in place
+                Y = self._unwind(Q, range(1 - rank, 0))
+                a = np.abs(Y).reshape(Y.shape[:-rank] + (len(c), -1))  # (..., bins, rows)
+                peak[tile] = (c @ a).max(axis=-1)
+                a *= a
+                mu[tile] = dc.real / N
+                var_lo[tile] = N * (1 - 1e-10) * (c @ a).sum(axis=-1) - abs(dc) ** 2
                 del Q, Y, a, dc  # freed before the next tile's arrays are made
         peak, mu, var_lo = (x.reshape(batch) for x in (peak, mu, var_lo))
         if not np.all(np.isfinite(var_lo)):
@@ -226,6 +289,7 @@ class QuotientKernel:
             lower = -np.maximum(peak * (1 + 1e-9) - mu, 0.0) * N / np.sqrt(var_lo)
         return np.where(var_lo > 0.0, lower, -np.inf)
 
+    @_quiet
     def ti_values_at(self, varying: np.ndarray, index: tuple) -> np.ndarray:
         """The TI values of the planes at `index`, a pair of index arrays into
         the first two axes of the broadcast batch, shaped (p, *rest). Each
@@ -260,8 +324,9 @@ class QuotientKernel:
 
     def _ti(self, Q: np.ndarray, v: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """TI values and the constant-plane mask of the filters v = irfftn(Q),
-        inverted here unless given. ``_moments`` raises unless every bin of Q
-        is finite, which bounds every filter value, so v needs no scan."""
+        inverted here, in Q's buffer, unless given. ``_moments`` raises unless
+        every bin of Q is finite, which bounds every filter value, so v needs
+        no scan."""
         mu, sigma = self._moments(Q)
         v = self._inverse(Q, check=False) if v is None else v
         constant = sigma == 0.0  # its value -(max - mu) / inf is 0
@@ -289,6 +354,7 @@ class QuotientKernel:
         weights[(0,) * rank] = 0.0
         return np.repeat(weights, 2, axis=-1).ravel()
 
+    @_quiet
     def concentrations(self, varying: np.ndarray) -> np.ndarray:
         """Each filter plane's zero-lag energy fraction v[0]^2 / sum(v^2), shaped
         (*batch,), from one forward transform of `varying` and no inverse.
@@ -301,11 +367,10 @@ class QuotientKernel:
         Q = self._quotient(self.K, self.L, self.spectrum(varying))
         w = self._column_weights
         lag = tuple(range(1 - len(self.shape), 0))  # the lag axes left once w reduces the last
-        with np.errstate(over="ignore", invalid="ignore"):
-            power = Q.real**2
-            power += Q.imag**2
-            sums = (power @ w).sum(axis=lag)
-            zero = (Q.real @ w).sum(axis=lag)
+        power = Q.real**2
+        power += Q.imag**2
+        sums = (power @ w).sum(axis=lag)
+        zero = (Q.real @ w).sum(axis=lag)
         if not np.all(np.isfinite(sums)):
             raise NumericalError("non-finite spectral power of the matching filter")
         N = math.prod(self.padded)
@@ -335,10 +400,12 @@ class QuotientKernel:
         N = math.prod(self.padded)
         return dc.real / N, np.sqrt(sumsq) / N
 
+    @_quiet
     def pullback(self, cotangent: np.ndarray, batch: tuple[int, ...] | None = None) -> np.ndarray:
         """Adjoint of ``filters``' linear part: raw-layout cotangent on the padded
-        grid -> gradient on the unpadded extents. The multiplier is conj(K),
-        formed inside the product, so a kernel keeps K and L alone.
+        grid -> gradient on the unpadded extents. The product conj(K) * G is
+        formed as conj(K * conj(G)) in the work spectrum G, which rounds the
+        same, so a kernel keeps K and L alone and no conj(K) is made.
 
         `batch` is the varying side's shape before its lag axes, of the same
         rank as the cotangent's, when ``filters`` broadcast it: the adjoint
@@ -355,44 +422,60 @@ class QuotientKernel:
             if len(batch) != len(lead) or any(n not in (1, m) for n, m in zip(batch, lead)):
                 raise ShapeError(f"varying batch {tuple(batch)} does not broadcast to {lead}")
             summed = tuple(i for i, (n, m) in enumerate(zip(batch, lead)) if n < m)
-        G = self._forward(cotangent)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # in place, conj(K) first: NumPy's complex multiply can round the
-            # two factor orders apart, and `K * temporary` may swap them
-            np.multiply(np.conj(self.K), G, out=G)
-            if summed:
-                G = G.sum(axis=summed, keepdims=True)
+        G = self._forward(cotangent, self._work("spectrum", lead + self.half, np.complex128))
+        np.conjugate(G, out=G)
+        np.multiply(self.K, G, out=G)
+        np.conjugate(G, out=G)
+        if summed:
+            G = G.sum(axis=summed, keepdims=True)
         return self._inverse(G, crop=True)
 
-    def _forward(self, x: np.ndarray) -> np.ndarray:
-        """rfftn of the real planes `x` on the padded grid: the one forward transform."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.fft.rfftn(x, s=self.padded, axes=self.axes)
+    def _forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """rfftn of the real planes `x` on the padded grid, into `out` if given:
+        the one forward transform, in rfftn's own 1-D steps. The real
+        transforms along the last axis fill the rows of `x`, the rows of the
+        zero margin are zeroed, and the complex transforms down the leading
+        lag axes run in place on rows already zero-filled, so NumPy pads no
+        axis line by line. Each bin equals rfftn(x, s=padded)'s bit for bit."""
+        rank = len(self.shape)
+        if out is None:
+            out = np.empty(np.shape(x)[:-rank] + self.half, np.complex128)
+        signal = np.shape(x)[-1] == self.shape[-1]  # not a cotangent, already padded
+        np.fft.rfft(x, self.padded[-1], out=out[self._rows] if signal else out)
+        for margin in self._margins if signal else ():
+            out[margin] = 0
+        for axis in self.axes[-2::-1]:  # rfftn's order: the last leading axis first
+            np.fft.fft(out, axis=axis, out=out)
+        return out
 
     def _unwind(self, Y: np.ndarray, axes, crop: bool = False) -> np.ndarray:
-        """irfftn's leading steps: one ifft per lag axis in `axes`. With `crop`,
-        each axis is cut to its unpadded extent as soon as it is inverted."""
+        """irfftn's leading steps, in Y's own buffer: one ifft per lag axis in
+        `axes`. With `crop`, each axis is cut to its unpadded extent as soon
+        as it is inverted."""
         for axis, n, m in zip(axes, self.shape, self.padded):
-            Y = np.fft.ifft(Y, m, axis)
-            Y = Y[(...,) + (slice(0, n if crop else m),) + (slice(None),) * (-1 - axis)]
+            Y = np.fft.ifft(Y, m, axis, out=Y)
+            if crop:
+                Y = Y[(...,) + (slice(0, n),) + (slice(None),) * (-1 - axis)]
         return Y
 
-    def _inverse(self, Q: np.ndarray, crop: bool = False, check: bool = True) -> np.ndarray:
-        """irfftn of the half spectra Q on the padded grid: the one inverse.
-        With `crop` it is pruned to the unpadded extents: each leading lag
-        axis is cropped as soon as ``_unwind`` inverts it, so later inverses
-        skip the dropped rows, and irfftn makes the same 1-D inverses, so the
-        kept values are the full inverse's bit for bit. With `check`,
-        NumericalError unless every value is finite."""
-        lead = len(self.shape) - 1 if crop else 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            Q = self._unwind(Q, self.axes[:lead], crop)
-            out = np.fft.irfftn(Q, s=self.padded[lead:], axes=self.axes[lead:])
+    def _inverse(
+        self, Q: np.ndarray, crop: bool = False, check: bool = True, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """irfftn of the half spectra Q on the padded grid, into `out` if given:
+        the one inverse. Its complex steps (``_unwind``) overwrite Q, so a
+        caller that reads Q again passes a copy. With `crop` it is pruned to
+        the unpadded extents: each leading lag axis is cropped as soon as
+        ``_unwind`` inverts it, so later inverses skip the dropped rows, and
+        irfftn makes the same 1-D inverses, so the kept values are the full
+        inverse's bit for bit. With `check`, NumericalError unless every
+        value is finite."""
+        Y = self._unwind(Q, self.axes[:-1], crop)
+        v = np.fft.irfft(Y, self.padded[-1], out=out)
         if crop:
-            out = out[..., : self.shape[-1]]
-        if check and not np.isfinite(out).all():
+            v = v[..., : self.shape[-1]]
+        if check and not np.isfinite(v).all():
             raise NumericalError("non-finite values in the matching filter or its pullback")
-        return out
+        return v
 
 
 def wiener_filter(target, source, lam: float) -> np.ndarray:
@@ -423,7 +506,7 @@ def filter_identity_loss(
         residual *= w_raw
         flat = residual.reshape(residual.shape[: -1 - rank] + (-1,))  # channels and lags
         values = 0.5 * np.einsum("...i,...i->...", flat, flat)  # no squared grid
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NumericalError("non-finite filter loss: the whitened residual overflows")
     return values, residual
 

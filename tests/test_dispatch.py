@@ -1,12 +1,16 @@
-"""Where "bit for bit" holds across machines: tiny `knn` and `recover` runs
-repeated in fresh interpreters under other NumPy SIMD levels and OpenBLAS
-kernels, against the same runs on the host's own dispatch.
+"""Where "bit for bit" holds across machines: tiny `knn`, `recover` and
+`diffuse` runs repeated in fresh interpreters under other NumPy SIMD levels
+and OpenBLAS kernels, against the same runs on the host's own dispatch.
 
 Every artifact is byte-identical under the settings below, except at the
-SSE4 level, where `recover`'s loss curve (and so `recover.json`'s final
-loss) moves in the last bits: over seven 64x64 smooth images the largest
-relative change measured was 4.4e-16, and RTOL_SSE4 leaves over twice that. A
-setting the host cannot run is skipped, as a host without it cannot drift
+SSE4 level, where these move in the last bits (RTOL_SSE4, about twice the
+largest relative change measured):
+  * `recover`'s loss curve, and so `recover.json`'s final loss: 4.4e-16
+    over seven 64x64 smooth images;
+  * every number `diffuse` writes: 1.4e-14 in `samples.csv` (on entries
+    near zero), 7.3e-16 in `trajectory.csv` and 4.0e-16 in `diffuse.json`,
+    over eight chain seeds of the toy run below.
+A setting the host cannot run is skipped, as a host without it cannot drift
 that way.
 """
 
@@ -30,15 +34,21 @@ SETTINGS = {
     "openblas-haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, ("AVX2", "FMA3")),
     "openblas-sandybridge": ({"OPENBLAS_CORETYPE": "Sandybridge"}, ("AVX",)),
 }
-RTOL_SSE4 = 1e-15
-DRIFTING_AT_SSE4 = ("recover/loss_curve.csv", "recover/recover.json")
+RTOL_SSE4 = {  # artifact -> its relative tolerance at the SSE4 level
+    "recover/loss_curve.csv": 1e-15,
+    "recover/recover.json": 1e-15,
+    "diffuse/samples.csv": 3e-14,
+    "diffuse/trajectory.csv": 3e-14,
+    "diffuse/diffuse.json": 3e-14,
+}
 
 RUN = """
 import sys
 from wienerlab.cli import main
-out, knn_ini, image, recover_ini = sys.argv[1:]
+out, knn_ini, image, recover_ini, diffuse_ini = sys.argv[1:]
 assert main(["knn", "--config", knn_ini, "--out", out + "/knn"]) == 0
 assert main(["recover", image, "--config", recover_ini, "--out", out + "/recover"]) == 0
+assert main(["diffuse", "--config", diffuse_ini, "--out", out + "/diffuse"]) == 0
 """
 
 
@@ -63,16 +73,17 @@ def inputs(tmp_path_factory):
     write_pgm(root / "smooth.pgm", (img - img.min()) / (img.max() - img.min()))
     (root / "knn.ini").write_text("[knn]\nn_train = 60\nn_test = 12\nk = 5\n")
     (root / "recover.ini").write_text("[recover]\niterations = 40\n")
+    (root / "diffuse.ini").write_text("[diffusion]\ndim = 8\nn_samples = 5\nT = 20\n")
     return root
 
 
 def _run(inputs: Path, name: str, extra: dict) -> Path:
-    """The run directory of both subcommands in a fresh interpreter under `extra`."""
+    """The run directory of the three subcommands in a fresh interpreter under `extra`."""
     out = inputs / name
     env = {k: v for k, v in os.environ.items()
            if k not in ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
     env.update(extra, PYTHONPATH=os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")]))
-    argv = [str(out), str(inputs / "knn.ini"), str(inputs / "smooth.pgm"), str(inputs / "recover.ini")]
+    argv = [str(out), *(str(inputs / n) for n in ("knn.ini", "smooth.pgm", "recover.ini", "diffuse.ini"))]
     proc = subprocess.run(
         [sys.executable, "-c", RUN, *argv], env=env, capture_output=True, text=True, timeout=120
     )
@@ -112,10 +123,10 @@ def test_artifacts_match_the_host_dispatch(inputs, host_run, name):
     other = _run(inputs, name, extra)
     files = sorted(str(p.relative_to(host_run)) for p in host_run.rglob("*") if p.is_file())
     assert files == sorted(str(p.relative_to(other)) for p in other.rglob("*") if p.is_file())
-    assert {"knn/knn.json", "recover/recovered.pgm", *DRIFTING_AT_SSE4} <= set(files)
+    assert {"knn/knn.json", "recover/recovered.pgm", *RTOL_SSE4} <= set(files)
     for rel in files:
         want, got = host_run / rel, other / rel
-        if name == "numpy-at-sse4" and rel in DRIFTING_AT_SSE4:
-            _assert_within(got, want, RTOL_SSE4)
+        if name == "numpy-at-sse4" and rel in RTOL_SSE4:
+            _assert_within(got, want, RTOL_SSE4[rel])
         else:
             assert got.read_bytes() == want.read_bytes(), rel
