@@ -540,6 +540,36 @@ class TestSpectralConcentrations:
         np.testing.assert_allclose(got, want, rtol=1e-9)
 
 
+class TestKernelWorkArrays:
+    @pytest.mark.parametrize("extents", [(9,), (5, 6), (3, 4, 5)])
+    @pytest.mark.parametrize("padded", [False, True], ids=["signal", "cotangent"])
+    def test_forward_into_a_used_array_equals_rfftn(self, extents, padded):
+        # a work spectrum holds whatever its last user left, so the zero margin
+        # must be written, not assumed
+        rng = np.random.default_rng(64)
+        kernel = QuotientKernel(rng.random((2, *extents)), extents, 0.5)
+        x = rng.random((2, *(kernel.padded if padded else extents)))
+        out = np.full((2, *kernel.half), np.nan + 1j * np.nan)
+        got = kernel._forward(x, out)
+        assert got is out
+        want = np.fft.rfftn(x, s=kernel.padded, axes=kernel.axes)
+        assert got.tobytes() == want.tobytes()
+
+    def test_work_arrays_are_bounded_and_the_least_recently_used_goes(self):
+        rng = np.random.default_rng(65)
+        fixed = rng.random((1, 6, 5))
+        kernel = QuotientKernel(fixed, (6, 5), 0.5)
+        kept = kernel._work("spectrum", (1, *kernel.half), np.complex128)
+        for n in range(2, 2 + 2 * wiener.WORK_ARRAYS):
+            x = rng.random((n, 6, 5))
+            # every batch shape adds a work spectrum and a reused one stays
+            fresh = QuotientKernel(fixed, (6, 5), 0.5)
+            assert kernel.filters(x).tobytes() == fresh.filters(x).tobytes()
+            assert kernel._work("spectrum", (1, *kernel.half), np.complex128) is kept
+            assert len(kernel._arrays) <= wiener.WORK_ARRAYS
+        assert ("spectrum", (2, *kernel.half)) not in kernel._arrays
+
+
 class TestKernelRows:
     @pytest.mark.parametrize(
         "fixed_shape, extents",
