@@ -10,9 +10,10 @@ one summary line ending in `(<run dir>)`. Re-running with the same config
 and seed reproduces all numeric outputs bit for bit on one NumPy/OpenBLAS
 build; only the directory name varies. `knn.json`, `config.ini` and the
 images of `recover` stay so under other SIMD levels and BLAS kernels, and
-`recover.json` and `loss_curve.csv` above SSE4; other outputs move in the
-last bits, within the drift the README states. Exit codes: 0 ok, 2 config
-error, 3 data/format error or any OS error on a path, 4 numerical failure.
+`recover.json`, `loss_curve.csv` and those of `diffuse` above SSE4; other
+outputs move in the last bits, within the drift the README states. Exit
+codes: 0 ok, 2 config error, 3 data/format error or any OS error on a
+path, 4 numerical failure.
 
 Importing this module before NumPy caps NumPy's BLAS at one thread: it sets
 `OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and `MKL_NUM_THREADS` to 1, so no

@@ -94,12 +94,13 @@ class QuotientKernel:
     so a varying batch met by many kernels (the kNN's training blocks) is
     transformed once.
 
-    ``filters`` and ``pullback`` form their spectra in work arrays that a
-    kernel keeps per batch shape (``_work``) and shares with its row views,
-    and return fresh arrays; ``_work_filters`` leaves the filters in a work
-    array too, for a step that is done with them before it returns
-    (``gradients``). So a loop of steps on one kernel allocates no padded
-    grid, and a kernel is not for use by two threads at once.
+    The step paths run in work arrays that a kernel keeps per batch shape
+    (``_work``) and shares with its row views: ``pullback`` forms its
+    spectrum there and returns a fresh gradient, and ``_work_filters``
+    leaves the quotient and the filters there, for a step that is done with
+    them before it returns (``gradients``). So a loop of steps on one kernel
+    allocates no padded grid, and those two are not for use by two threads
+    at once on one kernel. ``filters`` forms a fresh quotient per call.
 
     A plane's TI value takes its mean from the DC bin and its spread from
     Parseval over the non-DC bins of the half spectrum, and reads only the
@@ -168,26 +169,21 @@ class QuotientKernel:
     @_quiet
     def filters(self, varying: np.ndarray) -> np.ndarray:
         """Raw-layout matching filters (*batch, *padded), varying side in the numerator."""
-        return self._inverse(self._work_quotient(varying))
+        return self._inverse(self._quotient(self.K, self.L, self.spectrum(varying)))
 
     @_quiet
     def _work_filters(self, varying: np.ndarray) -> np.ndarray:
         """``filters``, written to the work array of their batch, which the
-        next call overwrites."""
-        Q = self._work_quotient(varying)
-        lead = Q.shape[: -len(self.shape)]
-        return self._inverse(Q, out=self._work("filters", lead + self.padded))
-
-    def _work_quotient(self, varying: np.ndarray) -> np.ndarray:
-        """The quotient spectra of `varying` in the work spectrum of the
-        broadcast batch; a real `varying` of that batch is transformed
+        next call overwrites. The quotient is formed in the work spectrum of
+        the broadcast batch; a real `varying` of that batch is transformed
         straight into it and multiplied in place."""
         rank = len(self.shape)
         fixed, own = self.K.shape[:-rank], np.shape(varying)[:-rank]
         lead = own if own == fixed else np.broadcast_shapes(fixed, own)
         Q = self._work("spectrum", lead + self.half, np.complex128)
         X = self.spectrum(varying, out=Q if own == lead else None)
-        return self._quotient(self.K, self.L, X, out=Q)
+        Q = self._quotient(self.K, self.L, X, out=Q)
+        return self._inverse(Q, out=self._work("filters", lead + self.padded))
 
     @_quiet
     def filters_with_ti(self, varying: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

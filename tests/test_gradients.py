@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -12,9 +7,6 @@ from wienerlab.errors import ConfigError, ShapeError
 from wienerlab.gradients import energy_terms, loss_and_grad
 from wienerlab.spectral import WindowSpec, make_window
 from wienerlab.wiener import QuotientKernel, wiener_loss
-
-
-SRC = Path(__file__).parents[1] / "src"
 
 
 def unit_signal(shape, seed):
@@ -314,61 +306,3 @@ class TestWorkArrays:
         for got, want, other in zip(first, kept, second):
             assert got.tobytes() == want.tobytes()
             assert not np.shares_memory(got, other)
-
-
-# Minor page faults per call of one step path, after a warm-up, in a fresh
-# interpreter (so no other test has shaped its heap): a 128x128 filter-loss
-# step, and the energy of 50 chains against 512 defining samples of length 31
-FAULT_RUN = """
-import resource, sys
-import numpy as np
-from wienerlab.diffusion import EnergyModel
-from wienerlab.gradients import energy_terms, loss_and_grad
-from wienerlab.spectral import WindowSpec, make_window
-from wienerlab.wiener import QuotientKernel
-
-rng = np.random.default_rng(0)
-if sys.argv[1] == "loss_and_grad":
-    kernel = QuotientKernel(rng.random((1, 128, 128)), (128, 128), 1.0)
-    w_raw = make_window(WindowSpec("laplace", 2.0, 0.1), (128, 128))
-    xs, calls = rng.random((2, 1, 128, 128)), 40
-    step = lambda x: loss_and_grad(kernel, x, w_raw)
-else:
-    defining = rng.standard_normal((512, 1, 31))
-    model = EnergyModel(defining, WindowSpec("inverted_laplace", 2.0), 1.0, 0.1)
-    xs, calls = rng.standard_normal((2, 50, 1, 31)), 10
-    step = lambda x: energy_terms(model, x)
-for i in range(4):  # warm-up: the heap grows to the loop's working set once
-    step(xs[i % 2])
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for i in range(calls):
-    step(xs[i % 2])
-print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls)
-"""
-
-
-def _on_glibc() -> bool:
-    try:
-        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
-    except (AttributeError, ValueError, OSError):
-        return False
-
-
-@pytest.mark.skipif(not _on_glibc(), reason="the page counts are glibc's")
-@pytest.mark.parametrize("path", ["loss_and_grad", "energy_terms"])
-def test_step_paths_fault_in_no_fresh_pages(path):
-    # Each step used to allocate its padded grids anew, and glibc returned and
-    # faulted them in again: 340-420 minor faults per loss_and_grad call and
-    # 8,800-14,300 per energy_terms call on these sizes.
-    pytest.importorskip("resource")
-    env = {
-        k: v for k, v in os.environ.items()
-        if k != "GLIBC_TUNABLES" and not k.startswith("MALLOC_")
-    }
-    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
-    out = subprocess.run(
-        [sys.executable, "-c", FAULT_RUN, path], env=env, capture_output=True, text=True,
-        check=True, timeout=120,
-    )
-    per_call = float(out.stdout)
-    assert per_call < 50, f"{per_call:.0f} minor faults per {path} call"
