@@ -1,4 +1,5 @@
-"""Command-line surface: five experiment subcommands plus pairwise tools.
+"""Command-line surface: four experiments (recover, diffuse, knn, train) and two
+pairwise tools (filter, loss).
 
     wienerlab <filter|loss|recover|diffuse|knn|train> [--config <ini>]
               [--out <dir>] [--seed <int>, diffuse|knn|train only] ...
@@ -53,12 +54,11 @@ from .diffusion import (
     run_diffusion,
 )
 from .errors import ConfigError, FormatError, NumericalError, ShapeError, WienerlabError
-from .gradients import loss_and_grad
 from .knn import LabeledSet, evaluate_accuracy, make_translated_set
 from .metrics import compute_metrics, psnr
 from .spectral import WindowSpec, make_window, zero_lag_index
 from .trainer import DenseAutoencoder, TrainingDivergedError, train
-from .wiener import QuotientKernel, concentration, pair_report, wiener_filter
+from .wiener import QuotientKernel, concentration, loss_and_grad, pair_report, wiener_filter
 
 __all__ = ["main"]
 

@@ -7,11 +7,18 @@ dynamics (Song & Ermon 2019, arXiv:1907.05600): their states form one
 (chains, C, *extents) array, and each step is one batched energy and
 gradient pass through the defining set's quotient kernel. The defining set
 is a stack too, and a run's output is one ``Trajectory`` record of arrays
-over all chains. The energy of one state is ``gradients.energy_terms`` on a
-batch of one. Per-chain RNG streams are derived from the master seed by
+over all chains. Per-chain RNG streams are derived from the master seed by
 chain index. Each chain draws its step noise from its own stream in blocks
 of steps, in the same stream order as one draw per step of a chain run
 alone, so chains are independent and the whole run is reproducible.
+
+``energy_terms`` is the one energy path, over a batch of states; the energy
+of one state is a batch of one. The penalty window and its square are built
+once, with the defining set's kernel, by ``EnergyModel``. Each filter is
+linear in the state, so the gradient is one adjoint pass through that
+kernel (``QuotientKernel.pullback``, which multiplies by conj(K)). The
+filters and the cotangent are formed in the kernel's work arrays, so a
+loop of steps allocates no padded grid. Derivation in docs/gradient_note.md.
 """
 
 from __future__ import annotations
@@ -21,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, check_seed
-from .gradients import energy_terms
+from .errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError, check_seed
 from .spectral import WindowSpec, as_stack, make_window
-from .wiener import QuotientKernel
+from .wiener import QuotientKernel, zero_lag_fractions
 
 __all__ = [
     "EnergyModel",
@@ -33,11 +39,15 @@ __all__ = [
     "check_chain_args",
     "check_gamma",
     "cosine_schedule",
+    "energy_terms",
     "run_diffusion",
     "nearest_defining_sample",
 ]
 
 NOISE_BLOCK_ELEMENTS = 1 << 12  # standard normals pre-drawn at once, over all chains
+# Elements of the (signals, n_defining, C, *padded) filter stack evaluated at
+# once; larger batches go through in chunks, so memory stays bounded.
+ENERGY_CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,6 +75,75 @@ class EnergyModel:
         object.__setattr__(self, "kernel", QuotientKernel(defining, extents, self.lam))
         object.__setattr__(self, "penalty_window", window)
         object.__setattr__(self, "penalty_sq", window**2)
+
+
+def energy_terms(
+    model: EnergyModel, X: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Dataset energy, its gradient and the per-sample terms for a batch of signals.
+
+    `X` is (batch, C, *extents). Each defining sample contributes half its
+    penalty quotient plus the zero-lag amplitude correction gamma/2 * (v0 - 1)^2.
+    Every (signal, defining sample) pair goes through the defining set's
+    kernel in one filter pass and one pullback per chunk of signals; the
+    pullback sums each signal's cotangents over the defining set before its
+    inverse, so it inverts one gradient per signal. Returns
+    the values (batch,), the gradients (batch, C, *extents), and the
+    per-sample energies and zero-lag concentrations (batch, n_defining) in
+    dataset index order. Overflow shows up as non-finite values, which the
+    kernel and the callers turn into NumericalError.
+    """
+    sample = model.defining.shape[1:]
+    if X.shape[1:] != sample:
+        raise ShapeError(
+            f"signal planes {X.shape[1:]} do not match defining sample planes {sample}"
+        )
+    elements = math.prod(model.defining.shape[:2] + model.kernel.padded)  # filters of one signal
+    chunk = max(1, ENERGY_CHUNK_ELEMENTS // elements)
+    if len(X) <= chunk:
+        return _energy_chunk(model, X)
+    n = len(model.defining)
+    out = (np.empty(len(X)), np.empty(X.shape), *np.empty((2, len(X), n)))
+    for i in range(0, len(X), chunk):  # each chunk's terms are copied in and let go
+        for whole, part in zip(out, _energy_chunk(model, X[i : i + chunk])):
+            whole[i : i + chunk] = part
+    return out
+
+
+def _energy_chunk(model: EnergyModel, X: np.ndarray):
+    gamma = model.gamma
+    pen = model.penalty_window  # (*padded), raw layout
+    kernel = model.kernel  # fixed side: the defining set, (n, C, *extents)
+    axes = kernel.axes
+    zero = (...,) + (0,) * len(axes)
+    channels = X.shape[1]
+
+    # channel means are sum / channels, as in np.mean; the ndarray methods skip
+    # np.sum's dispatch, which costs as much as the sum on these small arrays
+    varying = X[:, None]  # (batch, 1, C, *extents), broadcast over the defining set
+    v = kernel._work_filters(varying)  # (batch, n, C, *padded), raw layout
+    work = kernel._work("energy", v.shape)  # each full-size product below, in turn
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.multiply(v, v, out=work).sum(axis=axes, keepdims=True)
+        v0 = v[zero].copy()  # (batch, n, C); v's buffer turns into the cotangent
+        fractions = zero_lag_fractions(v0, norms[zero])
+        # Rayleigh quotient ||pen * v||^2 / ||v||^2: where a filter's energy sits
+        np.multiply(pen, v, out=work)
+        quot = np.multiply(work, work, out=work).sum(axis=axes, keepdims=True) / norms
+        energies = 0.5 * (quot.sum(axis=(2,) + axes) / channels) + 0.5 * gamma * (
+            ((v0 - 1.0) ** 2).sum(axis=2) / channels
+        )
+        concentrations = fractions.sum(axis=2) / channels
+
+        # d(R/2)/dv = (pen^2 v - R v) / ||v||^2 ; amplitude term adds gamma (v0 - 1) at zero lag
+        g_v = np.multiply(quot, v, out=work)
+        g_v = np.subtract(np.multiply(model.penalty_sq, v, out=v), g_v, out=v)
+        g_v /= norms
+        g_v /= channels
+        g_v[zero] += gamma * (v0 - 1.0) / channels
+    # the pullback sums over the defining set on the spectrum: one inverse per signal
+    grads = kernel.pullback(g_v, varying.shape[: -len(axes)])[:, 0]
+    return energies.sum(axis=1), grads, energies, concentrations
 
 
 @dataclass(frozen=True, eq=False)

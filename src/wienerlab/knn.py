@@ -1,4 +1,6 @@
-"""Brute-force k-nearest-neighbour classification with pluggable distances.
+"""k-nearest-neighbour classification under one of two named distances:
+``manhattan``, computed for every pair, or ``wiener_ti``, the TI distance,
+exact wherever the k nearest can lie and pruned by lower bounds elsewhere.
 
 Includes synthesis of translated test sets: images are zero-padded, then
 rigidly shifted by per-image random integer offsets, which is the mechanism
@@ -66,10 +68,6 @@ class LabeledSet:
     def shape(self) -> tuple[int, ...]:
         """Extents of every sample."""
         return self.stack.shape[2:]
-
-    @property
-    def labels(self) -> list[int]:
-        return self.label_ids.tolist()
 
 
 def _distance_matrix(

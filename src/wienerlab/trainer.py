@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError, check_seed
-from .gradients import loss_and_grad
-from .spectral import WindowSpec, as_stack, full_lag, make_window
-from .wiener import QuotientKernel, check_lambda
+from .spectral import WindowSpec, as_stack, make_window
+from .wiener import QuotientKernel, check_lambda, loss_and_grad
 
 __all__ = [
     "DenseAutoencoder", "TrainConfig", "TrainLog", "TrainingDivergedError",
@@ -119,17 +118,8 @@ class DenseAutoencoder:
     def param_count(widths) -> int:
         return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
 
-    @property
-    def n_params(self) -> int:
-        return self.theta.size
-
     def flat_params(self) -> np.ndarray:
         return self.theta.copy()
-
-    def set_flat_params(self, theta: np.ndarray) -> None:
-        if np.shape(theta) != self.theta.shape:
-            raise ShapeError(f"parameter vector shape {np.shape(theta)}, expected {self.theta.shape}")
-        self.theta[...] = theta
 
 
 @dataclass(frozen=True)
@@ -225,17 +215,16 @@ KERNEL_CACHE_BYTES = 2**26  # spectra a run keeps; past this, kernels are built 
 def _kernel_rows(stack: np.ndarray, lam: float, batch_size: int):
     """index -> the QuotientKernel of ``stack[index]``, `stack` shaped (n, C, *extents).
 
-    K and L take 24 B per half-spectrum bin, n*C*2h*(w+1)*24 B for the
-    stack. Within KERNEL_CACHE_BYTES the stack is transformed once and each
-    index is a row view of that one kernel. A larger stack is transformed
-    here once, `batch_size` rows at a time, into kernels that are not kept,
-    so a singular sample fails before training wherever it sits; each index
-    then builds the kernel of its rows (equal bit for bit to the row view).
+    The stack's K and L are priced before any transform
+    (``QuotientKernel.plane_bytes``). Within KERNEL_CACHE_BYTES the stack is
+    transformed once and each index is a row view of that one kernel. A
+    larger stack is transformed here once, `batch_size` rows at a time, into
+    kernels that are not kept, so a singular sample fails before training
+    wherever it sits; each index then builds the kernel of its rows (equal
+    bit for bit to the row view).
     """
     extents = stack.shape[2:]
-    padded = full_lag(extents)
-    row_bytes = 24 * stack.shape[1] * math.prod(padded[:-1]) * (padded[-1] // 2 + 1)
-    if len(stack) * row_bytes <= KERNEL_CACHE_BYTES:
+    if math.prod(stack.shape[:2]) * QuotientKernel.plane_bytes(extents) <= KERNEL_CACHE_BYTES:
         return QuotientKernel(stack, extents, lam).rows
     for start in range(0, len(stack), batch_size):
         QuotientKernel(stack[start : start + batch_size], extents, lam)

@@ -8,6 +8,16 @@ loss, gradient, energy and TI distance in the library goes through it;
 ``wiener_filter`` is the centered single-pair wrapper. The dense circulant
 solve that cross-checks it lives with the tests, apart from this module.
 
+The filter depends on the varying signal only through the numerator, which
+is linear in it, so a gradient is one adjoint pass through the fixed side's
+kernel (``QuotientKernel.pullback``): the raw-layout per-lag cotangent is
+carried back through the inverse real transform by multiplying with
+conj(K) = S / (|S|^2 + lam), then cropped to the unpadded extents (the
+adjoint of zero padding). ``loss_and_grad`` is the one loss path, over a
+batch of varying signals (one signal is a batch of one); it forms the
+filters, the whitened residual and the cotangent in the kernel's work
+arrays and returns fresh arrays only. Derivation in docs/gradient_note.md.
+
 The stabilizer ``lam``, a float, is added to numerator and denominator so
 that identical inputs always yield the unit zero-lag spike (the convolutional
 identity), for every lam >= 0; ``check_lambda``, the one rule for it, is the
@@ -36,6 +46,7 @@ __all__ = [
     "QuotientKernel",
     "wiener_filter",
     "wiener_loss",
+    "loss_and_grad",
     "ti_distance",
     "pair_report",
     "concentration",
@@ -52,6 +63,11 @@ _quiet = np.errstate(over="ignore", invalid="ignore")
 def _tile_cells(cell: int) -> int:
     """How many cells of `cell` filter elements one TI tile holds (at least one)."""
     return max(1, TI_CHUNK_ELEMENTS // cell)
+
+
+def _half_extents(padded: tuple[int, ...]) -> tuple[int, ...]:
+    """Extents of the half spectrum of a real transform on the grid `padded`."""
+    return padded[:-1] + (padded[-1] // 2 + 1,)
 
 
 def check_lambda(lam: float) -> None:
@@ -98,9 +114,10 @@ class QuotientKernel:
     (``_work``) and shares with its row views: ``pullback`` forms its
     spectrum there and returns a fresh gradient, and ``_work_filters``
     leaves the quotient and the filters there, for a step that is done with
-    them before it returns (``gradients``). So a loop of steps on one kernel
-    allocates no padded grid, and those two are not for use by two threads
-    at once on one kernel. ``filters`` forms a fresh quotient per call.
+    them before it returns (``loss_and_grad``, ``diffusion.energy_terms``).
+    So a loop of steps on one kernel allocates no padded grid, and those two
+    are not for use by two threads at once on one kernel. ``filters`` forms
+    a fresh quotient per call.
 
     A plane's TI value takes its mean from the DC bin and its spread from
     Parseval over the non-DC bins of the half spectrum, and reads only the
@@ -118,7 +135,7 @@ class QuotientKernel:
         check_lambda(lam)
         self.shape = tuple(shape)
         self.padded = full_lag(self.shape)
-        self.half = self.padded[:-1] + (self.padded[-1] // 2 + 1,)  # the half spectrum's extents
+        self.half = _half_extents(self.padded)
         self.axes = tuple(range(-len(self.shape), 0))
         # where ``_forward`` writes a signal's rows, and the zero margin it zeroes
         # on each leading lag axis
@@ -141,6 +158,12 @@ class QuotientKernel:
         self.K = np.divide(np.conjugate(S, out=S), den, out=S)  # in place: S is not kept
         self.L = lam / den
         self._arrays = {}  # (name, shape) -> work array, shared with the row views
+
+    @staticmethod
+    def plane_bytes(shape: tuple[int, ...]) -> int:
+        """Bytes that K and L hold per fixed plane of extents `shape`, known
+        before any transform: a complex and a real value per half-spectrum bin."""
+        return 24 * math.prod(_half_extents(full_lag(shape)))
 
     def rows(self, index) -> "QuotientKernel":
         """The kernel of ``fixed[index]``, `index` an index array or slice over the
@@ -505,6 +528,20 @@ def filter_identity_loss(
     if not np.isfinite(values).all():
         raise NumericalError("non-finite filter loss: the whitened residual overflows")
     return values, residual
+
+
+def loss_and_grad(
+    kernel: QuotientKernel, varying: np.ndarray, w_raw: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whitened filter-identity loss and its gradient for a batch of varying planes.
+
+    `varying` is (*batch, channels, *extents) and `w_raw` the whitening
+    window from ``make_window``; values sum over channels and lags, one per
+    batch entry.
+    """
+    values, residual = filter_identity_loss(kernel, kernel._work_filters(varying), w_raw)
+    residual *= w_raw  # the cotangent W^2 * (v - delta), in the residual's own buffer
+    return values, kernel.pullback(residual)
 
 
 def wiener_loss(prediction, target, whitening: WindowSpec, lam: float) -> float:

@@ -143,8 +143,8 @@ def grad_check_model(
 ) -> GradientCheckReport:
     """Finite-difference check of end-to-end parameter gradients on a stack of
     samples (n, C, *extents) (report only)."""
-    if model.n_params > 5000:
-        raise ConfigError(f"{model.n_params} parameters exceeds the 5k grad-check cap")
+    if model.theta.size > 5000:
+        raise ConfigError(f"{model.theta.size} parameters exceeds the 5k grad-check cap")
     X, shape = _sample_matrix(model, batch)
     w_raw = kernel_rows = None
     if cfg.loss == "wiener":
@@ -157,7 +157,7 @@ def grad_check_model(
     probe = DenseAutoencoder(model.widths, model.activation)
 
     def loss_at(theta: np.ndarray) -> float:
-        probe.set_flat_params(theta)
+        probe.theta[...] = theta
         return _batch_loss_and_grad(probe, X, every, shape, cfg, w_raw, kernel_rows)[0]
 
     return central_differences(loss_at, analytic, model.flat_params(), h)

@@ -19,14 +19,14 @@ from wienerlab.diffusion import (
     EnergyModel,
     Schedule,
     cosine_schedule,
+    energy_terms,
     nearest_defining_sample,
     run_diffusion,
 )
-from wienerlab.gradients import energy_terms, loss_and_grad
 from wienerlab.knn import evaluate_accuracy, make_translated_set
 from wienerlab.spectral import WindowSpec, make_window
 from wienerlab.trainer import DenseAutoencoder, TrainConfig, forward, train
-from wienerlab.wiener import QuotientKernel, wiener_filter, wiener_loss
+from wienerlab.wiener import QuotientKernel, loss_and_grad, wiener_filter, wiener_loss
 
 
 def report(num, name, ok, detail):

@@ -18,10 +18,9 @@ from wienerlab.config import RecoverSection, load_config
 from wienerlab.dataio import read_pgm, load_model, write_pgm
 from wienerlab.datasets import make_digit_set
 from wienerlab.diffusion import run_diffusion
-from wienerlab.gradients import loss_and_grad
 from wienerlab.spectral import WindowSpec, make_window
 from wienerlab.trainer import TrainConfig
-from wienerlab.wiener import QuotientKernel
+from wienerlab.wiener import QuotientKernel, loss_and_grad
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -888,10 +887,9 @@ def _allocator_tuned_by_env() -> bool:
 FAULT_RUN = """
 import resource, sys
 import numpy as np
-from wienerlab.diffusion import EnergyModel
-from wienerlab.gradients import energy_terms, loss_and_grad
+from wienerlab.diffusion import EnergyModel, energy_terms
 from wienerlab.spectral import WindowSpec, make_window
-from wienerlab.wiener import QuotientKernel
+from wienerlab.wiener import QuotientKernel, loss_and_grad
 
 rng = np.random.default_rng(0)
 if sys.argv[1] == "loss_and_grad":

@@ -64,7 +64,7 @@ class TestIdx:
         (tmp_path / "t-labels-idx1-ubyte").write_bytes(idx_label_bytes([0, 1, 2, 3, 4]))
         ls = ingest_idx(tmp_path / "t-images-idx3-ubyte")
         assert len(ls) == 5
-        assert ls.labels == [0, 1, 2, 3, 4]
+        assert ls.label_ids.tolist() == [0, 1, 2, 3, 4]
         assert ls.stack.shape == (5, 1, 6, 6)
 
     def test_count_mismatch(self, tmp_path):
@@ -95,7 +95,7 @@ class TestIdx:
         ls = ingest_idx(tmp_path / "s-images-idx3-ubyte")
         assert ls.stack.shape == (4, 1, 3, 5)
         np.testing.assert_array_equal(ls.stack[:, 0], imgs / 255.0)
-        assert ls.labels == [9, 0, 9, 3]
+        assert ls.label_ids.tolist() == [9, 0, 9, 3]
 
     @pytest.mark.parametrize("limit", [1, 4, 7, 9, 20])
     def test_limited_read_equals_full_read_then_slice(self, tmp_path, limit):
@@ -109,7 +109,7 @@ class TestIdx:
         assert part.tobytes() == read_idx_images(path)[:limit].tobytes()
         ls = ingest_idx(path, limit=limit)
         assert ls.stack.tobytes() == ingest_idx(path).stack[:limit].tobytes()
-        assert ls.labels == labels[:limit]
+        assert ls.label_ids.tolist() == labels[:limit]
 
     @pytest.mark.parametrize("limit", [0, -1, -8])
     def test_limit_below_one_is_a_config_error(self, tmp_path, limit):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wienerlab import diffusion, gradients
+from wienerlab import diffusion
 from wienerlab.datasets import two_cluster_latents
 from wienerlab.diffusion import (
     EnergyModel,
@@ -12,11 +12,11 @@ from wienerlab.diffusion import (
     _lockstep_terms,
     _update,
     cosine_schedule,
+    energy_terms,
     nearest_defining_sample,
     run_diffusion,
 )
 from wienerlab.errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError
-from wienerlab.gradients import energy_terms
 from wienerlab.spectral import WindowSpec, make_window
 
 
@@ -301,9 +301,9 @@ class TestLockstep:
     def test_chunked_batch_matches_whole_batch(self, monkeypatch):
         model, _ = toy_model()
         X = np.random.default_rng(9).normal(0.0, 1.0, (5, 1, 8))
-        whole = gradients.energy_terms(model, X)
-        monkeypatch.setattr(gradients, "ENERGY_CHUNK_ELEMENTS", 2 * 8 * 16)  # two chains a chunk
-        for a, b in zip(gradients.energy_terms(model, X), whole):
+        whole = diffusion.energy_terms(model, X)
+        monkeypatch.setattr(diffusion, "ENERGY_CHUNK_ELEMENTS", 2 * 8 * 16)  # two chains a chunk
+        for a, b in zip(diffusion.energy_terms(model, X), whole):
             np.testing.assert_array_equal(a, b)
 
     def test_divergence_names_earliest_step_then_lowest_chain(self):

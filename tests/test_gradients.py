@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from oracles import check_gradient
-from wienerlab.diffusion import EnergyModel
+from wienerlab.diffusion import EnergyModel, energy_terms
 from wienerlab.errors import ConfigError, ShapeError
-from wienerlab.gradients import energy_terms, loss_and_grad
 from wienerlab.spectral import WindowSpec, make_window
-from wienerlab.wiener import QuotientKernel, wiener_loss
+from wienerlab.wiener import QuotientKernel, loss_and_grad, wiener_loss
 
 
 def unit_signal(shape, seed):
@@ -282,7 +281,7 @@ class TestWorkArrays:
         kernel = QuotientKernel(rng.random((6, 1, 12, 10)), (12, 10), 0.5)
         w_raw = make_window(WHITENING, (12, 10))
         model = toy_model(n_samples=5, dim=9)
-        monkeypatch.setattr("wienerlab.gradients.ENERGY_CHUNK_ELEMENTS", 100)  # chunks of 2
+        monkeypatch.setattr("wienerlab.diffusion.ENERGY_CHUNK_ELEMENTS", 100)  # chunks of 2
         return {
             "filters": lambda: (kernel.filters(rng.random((6, 1, 12, 10))),),
             "pullback": lambda: (kernel.pullback(rng.random((6, 1, 24, 20))),),

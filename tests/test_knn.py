@@ -60,7 +60,7 @@ class TestLabeledSet:
             ls = LabeledSet(samples, np.array([3, 1, 4, 1]))
             assert len(ls) == 4 and ls.shape == (3, 5)
             assert ls.stack.dtype == np.float64 and ls.stack.tobytes() == planes.tobytes()
-            assert ls.labels == [3, 1, 4, 1]
+            assert ls.label_ids.tolist() == [3, 1, 4, 1]
             np.testing.assert_array_equal(ls.label_ids, [3, 1, 4, 1])
 
     def test_stack_and_labels_are_read_only_views(self):
@@ -114,7 +114,7 @@ class TestLabeledSet:
     )
     def test_integral_labels_accepted(self, labels):
         ls = LabeledSet(np.ones((2, 1, 3)), labels)
-        assert ls.labels == [3, 9] and ls.label_ids.dtype == np.int64
+        assert ls.label_ids.tolist() == [3, 9] and ls.label_ids.dtype == np.int64
 
 
 class TestDistances:
@@ -192,7 +192,7 @@ class TestKnnClassify:
     def test_query_equal_to_training_sample(self, kind):
         base = make_digit_set(20, size=8, seed=2)
         pred = classify(base, base.stack[4], 1, kind, 1.0)
-        assert pred == base.labels[4]
+        assert pred == base.label_ids.tolist()[4]
 
     def test_majority_vote(self):
         train = labeled([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0]], [1, 1, 2])
@@ -266,7 +266,7 @@ class TestMakeTranslatedSet:
             canvas[:, pad + dr : pad + dr + size, pad + dc : pad + dc + size] = image
         assert out.stack.shape == expected.shape
         assert out.stack.tobytes() == expected.tobytes()
-        assert out.labels == base.labels
+        assert out.label_ids.tolist() == base.label_ids.tolist()
 
     def test_rank_one_set_rejected(self):
         with pytest.raises(ShapeError):
@@ -338,10 +338,11 @@ class TestAllQueriesDistanceMatrix:
         expected = [classify(train, q, 3, kind, 1.0) for q in test.stack]
         assert res.predictions == expected
         confusion = np.zeros((10, 10), dtype=int)
-        for lab, pred in zip(test.labels, expected):
+        for lab, pred in zip(test.label_ids.tolist(), expected):
             confusion[lab, pred] += 1
         np.testing.assert_array_equal(res.confusion, confusion)
-        assert res.accuracy == sum(p == l for p, l in zip(expected, test.labels)) / len(test)
+        labels = test.label_ids.tolist()
+        assert res.accuracy == sum(p == l for p, l in zip(expected, labels)) / len(test)
 
     @pytest.mark.parametrize("k", [2.5, 2.0, "2", None, True])
     def test_non_integer_k_is_a_config_error(self, k):
@@ -381,7 +382,7 @@ class TestEvaluateAccuracy:
         train = LabeledSet(ones_planes, [1] * len(ones_planes))
         test = make_digit_set(40, size=8, seed=12)
         res = evaluate_accuracy(train, test, 1, "manhattan")
-        freq = sum(1 for l in test.labels if l == 1) / len(test)
+        freq = sum(1 for l in test.label_ids.tolist() if l == 1) / len(test)
         assert res.accuracy == pytest.approx(freq)
 
     def test_confusion_rows_sum_to_class_counts(self):
@@ -389,7 +390,7 @@ class TestEvaluateAccuracy:
         test = make_digit_set(20, size=8, seed=14)
         res = evaluate_accuracy(train, test, 3, "manhattan")
         for c in range(10):
-            assert res.confusion[c].sum() == sum(1 for l in test.labels if l == c)
+            assert res.confusion[c].sum() == sum(1 for l in test.label_ids.tolist() if l == c)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -422,7 +423,7 @@ class TestDigitGlyphs:
     def test_digit_set_values_in_unit_interval(self):
         s = make_digit_set(30, size=8, seed=17)
         assert s.stack.min() >= 0.0 and s.stack.max() <= 1.0
-        assert s.labels[:10] == list(range(10))
+        assert s.label_ids.tolist()[:10] == list(range(10))
 
 
 def reference_digit_set(n, size, seed, noise, jitter, intensity=(0.7, 1.0)) -> np.ndarray:
@@ -454,7 +455,7 @@ class TestDigitSetMatchesPerSampleLoop:
         expected = reference_digit_set(23, size, seed, noise, jitter)
         assert out.stack.shape == expected.shape == (23, 1, size, size)
         assert out.stack.tobytes() == expected.tobytes()
-        assert out.labels == [i % 10 for i in range(23)]
+        assert out.label_ids.tolist() == [i % 10 for i in range(23)]
 
     def test_intensity_range_and_large_noise(self):
         out = make_digit_set(30, size=9, seed=4, noise=0.7, intensity=(0.2, 0.3))

@@ -154,6 +154,29 @@ def test_full_lag_doubling_is_written_only_in_spectral():
     assert sites and all(site.startswith("spectral.py:") for site in sites), sites
 
 
+def test_padded_grid_is_derived_only_in_spectral_and_wiener():
+    # `n // 2 + 1` (a half-spectrum extent) and `2 ** rank` (a full-lag
+    # doubling of every extent) re-derive the kernel's grid; elsewhere it is
+    # read from the kernel (`padded`, `half`, the bytes of K and L)
+    def derives_grid(node):
+        if not isinstance(node, ast.BinOp):
+            return False
+        half = (
+            isinstance(node.op, ast.Add) and isinstance(node.right, ast.Constant)
+            and node.right.value == 1 and isinstance(node.left, ast.BinOp)
+            and isinstance(node.left.op, ast.FloorDiv) and _is_two(node.left.right)
+        )
+        doubling = (
+            isinstance(node.op, ast.Pow) and _is_two(node.left)
+            and not isinstance(node.right, ast.Constant)
+        )
+        return half or doubling
+
+    sites = _sites(derives_grid)
+    homes = ("spectral.py", "wiener.py")
+    assert sites and all(site.split(":")[0] in homes for site in sites), sites
+
+
 def test_signal_pair_comparison_lives_only_in_spectral():
     # a ShapeError raised when two arrays' shapes differ
     def compares_shapes(node):
@@ -173,8 +196,9 @@ def test_signal_pair_comparison_lives_only_in_spectral():
 
 def test_every_pairwise_function_checks_its_pair_through_as_pair():
     # a public function of two signals (two or more parameters, in wiener's or
-    # metrics' __all__) calls spectral.as_pair itself, or another such
-    # function that does: input checking stays in one place
+    # metrics' __all__, the first not a QuotientKernel) calls spectral.as_pair
+    # itself, or another such function that does: input checking stays in
+    # one place
     calls, pairwise = {}, []
     for module in ("wiener", "metrics"):
         tree = ast.parse((SRC / f"{module}.py").read_text())
@@ -187,7 +211,9 @@ def test_every_pairwise_function_checks_its_pair_through_as_pair():
                 calls[fn.name] = {
                     getattr(c.func, "id", None) for c in ast.walk(fn) if isinstance(c, ast.Call)
                 }
-                if fn.name in public and len(fn.args.args) >= 2:
+                first = fn.args.args[0].annotation if fn.args.args else None
+                on_kernel = getattr(first, "id", None) == KERNEL[1]  # a step on a built kernel
+                if fn.name in public and len(fn.args.args) >= 2 and not on_kernel:
                     pairwise.append(fn.name)
     assert len(pairwise) == 9, pairwise  # 4 in wiener, 5 in metrics
 
@@ -257,6 +283,44 @@ def test_every_module_function_is_used_or_exported():
         )
     ]
     assert not unused, unused
+
+
+def test_every_class_member_is_used():
+    # as for module functions: a method or property needs an attribute
+    # reference in the package outside its own body; dunders are hooks
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    references = [
+        (name, node.lineno, node.attr)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+    unused = [
+        f"{name}:{fn.lineno} {cls.name}.{fn.name}"
+        for name, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and not any(
+            ref == fn.name and not (where == name and fn.lineno <= line <= fn.end_lineno)
+            for where, line, ref in references
+        )
+    ]
+    assert not unused, unused
+
+
+def test_nothing_is_imported_for_type_checking_only():
+    # a module that needs another's names at run time imports them; a name
+    # needed only in annotations means two modules split one object
+    def mentions(node):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            return any(a.name == "TYPE_CHECKING" for a in node.names)
+        return "TYPE_CHECKING" in (getattr(node, "id", None), getattr(node, "attr", None))
+
+    sites = _sites(mentions)
+    assert not sites, sites
 
 
 def test_readme_library_section_names_the_public_list():

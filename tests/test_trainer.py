@@ -14,7 +14,6 @@ from wienerlab.errors import (
 )
 from wienerlab.spectral import WindowSpec, make_window
 from wienerlab import trainer
-from wienerlab.gradients import loss_and_grad
 from wienerlab.trainer import (
     DenseAutoencoder,
     TrainConfig,
@@ -25,7 +24,7 @@ from wienerlab.trainer import (
     forward,
     train,
 )
-from wienerlab.wiener import QuotientKernel, zero_lag_fractions
+from wienerlab.wiener import QuotientKernel, loss_and_grad, zero_lag_fractions
 
 
 def digits(n, seed=3):
@@ -82,7 +81,7 @@ class TestInitialization:
     def test_flat_param_roundtrip(self):
         model = DenseAutoencoder.initialize((6, 3, 6), seed=4)
         theta = model.flat_params()
-        model.set_flat_params(theta * 2.0)
+        model.theta[...] = theta * 2.0
         np.testing.assert_allclose(model.flat_params(), theta * 2.0)
 
     @pytest.mark.parametrize("widths", [(64, 0, 64), (64, -3, 64), (0, 4), (4, 4, -1)])
@@ -96,8 +95,8 @@ class TestFlatParameters:
         model = DenseAutoencoder.initialize((6, 3, 5), seed=4)
         for p in model.weights + model.biases:
             assert np.shares_memory(p, model.theta)
-        theta = np.arange(model.n_params, dtype=float)
-        model.set_flat_params(theta)
+        theta = np.arange(model.theta.size, dtype=float)
+        model.theta[...] = theta
         np.testing.assert_array_equal(model.weights[0], theta[:18].reshape(3, 6))
         np.testing.assert_array_equal(model.biases[0], theta[18:21])
         np.testing.assert_array_equal(model.weights[1], theta[21:36].reshape(5, 3))
@@ -108,11 +107,6 @@ class TestFlatParameters:
         theta = model.flat_params()
         theta[:] = 7.0
         assert not np.any(model.theta == 7.0)
-
-    def test_set_flat_params_checks_length(self):
-        model = DenseAutoencoder.initialize((4, 2, 4), seed=4)
-        with pytest.raises(ShapeError):
-            model.set_flat_params(np.zeros(model.n_params + 1))
 
     def test_forward_only_paths_compute_no_derivatives(self, monkeypatch):
         seen = []

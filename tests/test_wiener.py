@@ -20,6 +20,7 @@ from wienerlab.wiener import (
     QuotientKernel,
     check_lambda,
     concentration,
+    loss_and_grad,
     ti_distance,
     wiener_filter,
     wiener_loss,
@@ -101,7 +102,6 @@ class TestWienerFilter:
     def test_lambda_zero_zero_bin_is_one_error_class_everywhere(self):
         # filter, loss, gradient, energy and kNN all share the kernel's check
         from wienerlab.diffusion import EnergyModel
-        from wienerlab.gradients import loss_and_grad
         from wienerlab.knn import LabeledSet, evaluate_accuracy
 
         y = np.zeros((1, 8))
@@ -187,7 +187,7 @@ class TestDirectOracle:
 def rayleigh_quotient(v: np.ndarray, penalty: np.ndarray) -> float:
     """The dataset energy's penalty quotient ||penalty * v||^2 / ||v||^2 of raw
     filter planes (channels, *padded), averaged over channels, formed as
-    gradients._energy_chunk forms it: over norms that
+    diffusion._energy_chunk forms it: over norms that
     wiener.zero_lag_fractions has checked, rejecting an all-zero filter."""
     axes = tuple(range(1, v.ndim))
     zero = (...,) + (0,) * len(axes)
