@@ -30,7 +30,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 # BLAS reads its thread count once, when NumPy loads it
@@ -522,7 +521,7 @@ def _override(cfg: ExperimentConfig, args) -> ExperimentConfig:
     for flag, (section, key) in args.overrides.items():
         value = getattr(args, flag)
         if value is not None:
-            cfg = replace(cfg, **{section: replace(getattr(cfg, section), **{key: value})})
+            cfg = cfg.replace(**{section: getattr(cfg, section).replace(**{key: value})})
     return cfg
 
 

@@ -2,12 +2,15 @@
 
 [window] is the library's WindowSpec, and [wiener] lambda, checked by
 ``wiener.check_lambda``, is the one stabilizer every subcommand reads. Every key
-has a default and unknown sections or keys are rejected. Each section is
-built by its validating constructor at load, so a bad value fails for every
-subcommand before any data or run directory is made, the [knn] set sizes
-included; only settings that shape a subcommand's inputs (schedules, layer
-widths, the other set sizes) are checked as it builds them. The effective
-config is echoed into each run directory.
+has a default and unknown sections or keys are rejected. A section's keys
+are its annotated class attributes, holding their defaults in file order;
+``vars(section)`` lists its values. Each section is built by its validating
+constructor at load, and ``replace`` (which a --seed override uses too) runs
+the same checks, so a bad value fails for every subcommand before any data
+or run directory is made, the [knn] set sizes included; only settings that
+shape a subcommand's inputs (schedules, layer widths, the other set sizes)
+are checked as it builds them. The effective config is echoed into each run
+directory.
 """
 
 from __future__ import annotations
@@ -15,11 +18,10 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .diffusion import check_chain_args, check_gamma
-from .errors import ConfigError, check_seed
+from .errors import ConfigError, FrozenValue, check_seed
 from .spectral import WindowSpec
 from .trainer import TrainConfig
 from .wiener import check_lambda
@@ -27,16 +29,27 @@ from .wiener import check_lambda
 __all__ = ["ExperimentConfig", "load_config"]
 
 
-@dataclass(frozen=True)
-class WienerSection:
+class Section(FrozenValue):
+    """Built from its keys' defaults, overridden by the values given in key
+    order or by key, then checked by the section's `_check`."""
+
+    def __init__(self, *args, **values):
+        keys = list(type(self).__annotations__)
+        given = dict(zip(keys, args))
+        if len(args) > len(keys) or given.keys() & values.keys() or not values.keys() <= set(keys):
+            raise TypeError(f"{type(self).__name__} takes the keys {keys}, got {args} {values}")
+        self._set(**{key: getattr(self, key) for key in keys} | given | values)
+        self._check()
+
+
+class WienerSection(Section):
     lam: float = 1.0  # INI key `lambda`
 
-    def __post_init__(self):
+    def _check(self):
         check_lambda(self.lam)
 
 
-@dataclass(frozen=True)
-class DiffusionSection:
+class DiffusionSection(Section):
     T: int = 200
     alpha_start: float = 5.0
     alpha_end: float = 0.01
@@ -57,14 +70,13 @@ class DiffusionSection:
     spread: float = 0.15
     data_seed: int = 7
 
-    def __post_init__(self):
+    def _check(self):
         check_chain_args(self.n_samples, self.init_variance, self.snapshot_stride, self.k_nearest)
         check_gamma(self.gamma)
         WindowSpec(self.penalty_family, self.penalty_b)
 
 
-@dataclass(frozen=True)
-class KnnSection:
+class KnnSection(Section):
     k: int = 10
     baseline_k: int = 3
     max_shift: int = 6
@@ -78,7 +90,7 @@ class KnnSection:
     data_images: str = ""
     data_labels: str = ""
 
-    def __post_init__(self):
+    def _check(self):
         if self.data_labels and not self.data_images:  # labels alone would be ignored
             raise ConfigError("[knn] data_labels needs data_images")
         for key in ("n_train", "n_test"):
@@ -91,8 +103,7 @@ class KnnSection:
                 raise ConfigError(f"[knn] {key} must be in 1..n_train={self.n_train}, got {value}")
 
 
-@dataclass(frozen=True)
-class TrainSection:
+class TrainSection(Section):
     loss: str = "wiener"
     batch_size: int = 32
     learning_rate: float = 3e-3
@@ -109,15 +120,15 @@ class TrainSection:
     data_images: str = ""
     data_labels: str = ""
 
-    def __post_init__(self):
+    def _check(self):
         if self.data_labels and not self.data_images:  # labels alone would be ignored
             raise ConfigError("[train] data_labels needs data_images")
         self.trainer_config()  # TrainConfig checks the shared fields
 
     def trainer_config(self, **rest) -> TrainConfig:
         """TrainConfig from the fields it shares with this section by name, plus `rest`."""
-        names = [f.name for f in fields(TrainConfig) if hasattr(self, f.name)]
-        return TrainConfig(**{name: getattr(self, name) for name in names}, **rest)
+        shared = vars(TrainConfig()).keys() & vars(self).keys()
+        return TrainConfig(**{name: getattr(self, name) for name in shared}, **rest)
 
     def width_tuple(self) -> tuple[int, ...]:
         try:
@@ -126,15 +137,14 @@ class TrainSection:
             raise ConfigError(f"bad widths {self.widths!r}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class RecoverSection:
+class RecoverSection(Section):
     stride: int = 2
     loss: str = "wiener"
     iterations: int = 400
     step_size: float = 0.0  # 0 -> per-loss default
     log_every: int = 1
 
-    def __post_init__(self):
+    def _check(self):
         if self.loss not in ("mse", "wiener"):
             raise ConfigError(f"[recover] loss must be mse or wiener, got {self.loss!r}")
         for key, least in (("stride", 1), ("iterations", 0), ("log_every", 1), ("step_size", 0)):
@@ -143,30 +153,31 @@ class RecoverSection:
                 raise ConfigError(f"[recover] {key} must be finite and >= {least}, got {value}")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    wiener: WienerSection = field(default_factory=WienerSection)
-    window: WindowSpec = field(default_factory=lambda: WindowSpec("laplace", 2.0, 0.3))
-    diffusion: DiffusionSection = field(default_factory=DiffusionSection)
-    knn: KnnSection = field(default_factory=KnnSection)
-    train: TrainSection = field(default_factory=TrainSection)
-    recover: RecoverSection = field(default_factory=RecoverSection)
+class ExperimentConfig(Section):
+    """The sections are its keys; every section is read-only, so the
+    defaults are shared."""
 
-    def __post_init__(self):
-        # dataclasses.replace brings a --seed override through here too
-        for section in fields(self):
-            for key, value in vars(getattr(self, section.name)).items():
+    wiener: WienerSection = WienerSection()
+    window: WindowSpec = WindowSpec("laplace", 2.0, 0.3)
+    diffusion: DiffusionSection = DiffusionSection()
+    knn: KnnSection = KnnSection()
+    train: TrainSection = TrainSection()
+    recover: RecoverSection = RecoverSection()
+
+    def _check(self):
+        # `replace` brings a --seed override through here too
+        for name, section in vars(self).items():
+            for key, value in vars(section).items():
                 if key.endswith("seed"):
-                    check_seed(value, f"[{section.name}] {key}")
+                    check_seed(value, f"[{name}] {key}")
 
     def to_ini(self) -> str:
         """Effective config as INI text (every key explicit)."""
         out = io.StringIO()
-        for section in fields(self):
-            values = getattr(self, section.name)
-            out.write(f"[{section.name}]\n")
-            for f in fields(values):
-                out.write(f"{_key(f.name)} = {getattr(values, f.name)}\n")
+        for name, section in vars(self).items():
+            out.write(f"[{name}]\n")
+            for key, value in vars(section).items():
+                out.write(f"{_key(key)} = {value}\n")
             out.write("\n")
         return out.getvalue()
 
@@ -188,14 +199,13 @@ def load_config(path=None) -> ExperimentConfig:
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
-    sections = {f.name for f in fields(cfg)}
     updates = {}
     for section_name in parser.sections():
-        if section_name not in sections:
+        if section_name not in vars(cfg):
             raise ConfigError(f"unknown config section [{section_name}]")
         default = getattr(cfg, section_name)
-        # key types from the default values: WindowSpec has no field defaults
-        types = {_key(f.name): (f.name, type(getattr(default, f.name))) for f in fields(default)}
+        # key types from the default values: WindowSpec has no defaults of its own
+        types = {_key(attr): (attr, type(value)) for attr, value in vars(default).items()}
         section_updates = {}
         for key, raw in parser.items(section_name):
             if key not in types:
@@ -205,5 +215,5 @@ def load_config(path=None) -> ExperimentConfig:
                 section_updates[attr] = target_type(raw)
             except ValueError as exc:
                 raise ConfigError(f"[{section_name}] {key}: {exc}") from exc
-        updates[section_name] = replace(default, **section_updates)
-    return replace(cfg, **updates)
+        updates[section_name] = default.replace(**section_updates)
+    return cfg.replace(**updates)

@@ -7,7 +7,6 @@ IDX files follow the big-endian layout (magic 0x00000803 for images,
 
 from __future__ import annotations
 
-import gzip
 import struct
 import zlib
 from pathlib import Path
@@ -38,6 +37,8 @@ MODEL_VERSION = 2  # 2 records the activation; 1 did not, so it cannot be read
 def _read_bytes(path) -> bytes:
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
+        import gzip  # here, so only a run that reads a .gz file pays for the import
+
         try:
             return gzip.decompress(raw)
         except (OSError, EOFError, zlib.error) as exc:

@@ -24,11 +24,12 @@ loop of steps allocates no padded grid. Derivation in docs/gradient_note.md.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError, check_seed
+from .errors import (
+    DIVERGENCE_FACTOR, ConfigError, Frozen, NumericalError, ShapeError, check_seed,
+)
 from .spectral import WindowSpec, as_stack, make_window
 from .wiener import QuotientKernel, zero_lag_fractions
 
@@ -50,8 +51,7 @@ NOISE_BLOCK_ELEMENTS = 1 << 12  # standard normals pre-drawn at once, over all c
 ENERGY_CHUNK_ELEMENTS = 1 << 18
 
 
-@dataclass(frozen=True, eq=False)
-class EnergyModel:
+class EnergyModel(Frozen):
     """The defining set plus the penalty window and scalars that shape the energy.
 
     ``defining`` is the set as one stack (n, C, *extents), kept as the
@@ -61,20 +61,17 @@ class EnergyModel:
     energy and gradient then cost one filter pass and one pullback.
     """
 
-    defining: np.ndarray
-    penalty: WindowSpec
-    gamma: float
-    lam: float
+    def __init__(self, defining: np.ndarray, penalty: WindowSpec, gamma: float, lam: float):
+        self._set(defining=defining, penalty=penalty, gamma=gamma, lam=lam)
+        self.__post_init__()
 
-    def __post_init__(self):
+    def __post_init__(self):  # the build, a method of its own so perfbench can time it
         defining = as_stack(self.defining)
         check_gamma(self.gamma)
         extents = defining.shape[2:]
         window = make_window(self.penalty, extents)
-        object.__setattr__(self, "defining", defining)
-        object.__setattr__(self, "kernel", QuotientKernel(defining, extents, self.lam))
-        object.__setattr__(self, "penalty_window", window)
-        object.__setattr__(self, "penalty_sq", window**2)
+        kernel = QuotientKernel(defining, extents, self.lam)
+        self._set(defining=defining, kernel=kernel, penalty_window=window, penalty_sq=window**2)
 
 
 def energy_terms(
@@ -146,32 +143,26 @@ def _energy_chunk(model: EnergyModel, X: np.ndarray):
     return energies.sum(axis=1), grads, energies, concentrations
 
 
-@dataclass(frozen=True, eq=False)
-class Schedule:
+class Schedule(Frozen):
     """Per-step Langevin step sizes and noise variances."""
 
-    alpha: np.ndarray
-    beta: np.ndarray
-
-    def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=np.float64)
-        beta = np.asarray(self.beta, dtype=np.float64)
+    def __init__(self, alpha: np.ndarray, beta: np.ndarray):
+        alpha = np.asarray(alpha, dtype=np.float64)
+        beta = np.asarray(beta, dtype=np.float64)
         if alpha.shape != beta.shape or alpha.ndim != 1:
             raise ConfigError("alpha and beta must be 1-d arrays of equal length")
         if not np.all((0 < alpha) & (alpha < math.inf)):
             raise ConfigError("step sizes must be finite and positive")
         if not np.all((0 <= beta) & (beta < math.inf)):
             raise ConfigError("noise variances must be finite and nonnegative")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        self._set(alpha=alpha, beta=beta)
 
     @property
     def steps(self) -> int:
         return int(self.alpha.size)
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(Frozen):
     """Every chain's log: strided snapshots plus per-step energy and focus diagnostics.
 
     ``samples`` holds each chain's states at the int array ``snapshot_steps``,
@@ -179,10 +170,14 @@ class Trajectory:
     ``concentrations`` are shaped (chains, T+1), entry 0 describing x0.
     """
 
-    samples: np.ndarray
-    energies: np.ndarray
-    concentrations: np.ndarray
-    snapshot_steps: np.ndarray
+    def __init__(
+        self, samples: np.ndarray, energies: np.ndarray, concentrations: np.ndarray,
+        snapshot_steps: np.ndarray,
+    ):
+        self._set(
+            samples=samples, energies=energies, concentrations=concentrations,
+            snapshot_steps=snapshot_steps,
+        )
 
     @property
     def final(self) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Exception taxonomy shared across the library and mapped to CLI exit codes,
-plus the seed and divergence rules that modules on every branch share."""
+plus the seed and divergence rules and the read-only record bases that
+modules on every branch share."""
 
 
 class WienerlabError(Exception):
@@ -45,3 +46,36 @@ class SingularSystemError(NumericalError):
 
 class UndefinedQuotientError(NumericalError):
     """Quotient requested for an all-zero filter."""
+
+
+class Frozen:
+    """A record whose attributes its constructor sets through `_set`, and
+    nothing after: assignment and deletion raise AttributeError."""
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():  # as `self.name = value` would, to keep reads fast
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FrozenValue(Frozen):
+    """A Frozen record whose constructor takes exactly its attributes, in
+    order: equal to another of its class with equal attributes, and
+    `replace` builds a changed copy through the constructor and its checks."""
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+    def replace(self, **changes):
+        return type(self)(**{**vars(self), **changes})

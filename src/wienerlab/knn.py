@@ -13,11 +13,9 @@ lambda/D term of the filter stays at zero lag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigError, ShapeError, check_seed
+from .errors import ConfigError, Frozen, ShapeError, check_seed
 from .spectral import as_stack, full_lag
 from .wiener import QuotientKernel, _tile_cells
 
@@ -186,12 +184,16 @@ def make_translated_set(
     return LabeledSet(stack, base.label_ids)
 
 
-@dataclass(frozen=True, eq=False)
-class EvalResult:
-    accuracy: float
-    confusion: np.ndarray  # confusion[true, predicted]
-    predictions: list[int]
-    exact_fraction: float  # share of distances computed exactly; below 1 only for TI
+class EvalResult(Frozen):
+    def __init__(
+        self, accuracy: float, confusion: np.ndarray, predictions: list[int], exact_fraction: float
+    ):
+        # confusion[true, predicted]; exact_fraction is the share of distances
+        # computed exactly, below 1 only for TI
+        self._set(
+            accuracy=accuracy, confusion=confusion, predictions=predictions,
+            exact_fraction=exact_fraction,
+        )
 
 
 def evaluate_accuracy(

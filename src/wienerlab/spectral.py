@@ -23,11 +23,9 @@ shapes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, FrozenValue, ShapeError
 
 __all__ = [
     "WindowSpec",
@@ -88,25 +86,21 @@ def centered(raw: np.ndarray) -> np.ndarray:
     return np.roll(raw, zero, axis=tuple(range(1, len(zero) + 1)))
 
 
-@dataclass(frozen=True)
-class WindowSpec:
+class WindowSpec(FrozenValue):
     """Diagonal per-lag weight window parameterization.
 
     family "laplace": w(tau) = epsilon + exp(-||tau||_1 / b), peaked at zero-lag.
     family "inverted_laplace": w(tau) = 1 - exp(-||tau||_1 / b), zero at zero-lag.
     """
 
-    family: str
-    b: float
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        if self.family not in ("laplace", "inverted_laplace"):
-            raise ConfigError(f"unknown window family {self.family!r}")
-        if not (self.b > 0 and math.isfinite(self.b)):
-            raise ConfigError(f"window scale b must be finite and > 0, got {self.b}")
-        if not (0 <= self.epsilon < math.inf):
-            raise ConfigError(f"window floor epsilon must be finite and >= 0, got {self.epsilon}")
+    def __init__(self, family: str, b: float, epsilon: float = 0.0):
+        if family not in ("laplace", "inverted_laplace"):
+            raise ConfigError(f"unknown window family {family!r}")
+        if not (b > 0 and math.isfinite(b)):
+            raise ConfigError(f"window scale b must be finite and > 0, got {b}")
+        if not (0 <= epsilon < math.inf):
+            raise ConfigError(f"window floor epsilon must be finite and >= 0, got {epsilon}")
+        self._set(family=family, b=b, epsilon=epsilon)
 
 
 def make_window(spec: WindowSpec, extents) -> np.ndarray:

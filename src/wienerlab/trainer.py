@@ -23,11 +23,12 @@ by ``as_stack``; the dense layers see it as an (n, C*prod(extents)) matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError, check_seed
+from .errors import (
+    DIVERGENCE_FACTOR, ConfigError, FrozenValue, NumericalError, ShapeError, check_seed,
+)
 from .spectral import WindowSpec, as_stack, make_window
 from .wiener import QuotientKernel, check_lambda, loss_and_grad
 
@@ -72,7 +73,6 @@ def _layer_views(widths: tuple[int, ...], flat: np.ndarray):
     return weights, biases
 
 
-@dataclass(eq=False)
 class DenseAutoencoder:
     """Fully connected stack, nonlinearity on hidden layers, linear output.
 
@@ -80,28 +80,23 @@ class DenseAutoencoder:
     ``weights[l]`` (widths[l+1], widths[l]) and ``biases[l]`` view into it.
     """
 
-    widths: tuple[int, ...]
-    activation: str = "mish"
-    theta: np.ndarray | None = None
-    weights: list[np.ndarray] = field(init=False, repr=False)
-    biases: list[np.ndarray] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.widths = tuple(int(w) for w in self.widths)
-        if len(self.widths) < 2:
+    def __init__(self, widths: tuple[int, ...], activation: str = "mish", theta=None):
+        self.widths = widths = tuple(int(w) for w in widths)
+        if len(widths) < 2:
             raise ConfigError("need at least an input and an output layer")
-        if min(self.widths) < 1:
-            raise ConfigError(f"every layer width must be >= 1, got {self.widths}")
-        if self.activation not in _ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
-        n = self.param_count(self.widths)
-        theta = np.zeros(n) if self.theta is None else np.array(self.theta, dtype=np.float64)
+        if min(widths) < 1:
+            raise ConfigError(f"every layer width must be >= 1, got {widths}")
+        if activation not in _ACTIVATIONS:
+            raise ConfigError(f"unknown activation {activation!r}")
+        self.activation = activation
+        n = self.param_count(widths)
+        theta = np.zeros(n) if theta is None else np.array(theta, dtype=np.float64)
         if theta.shape != (n,):
             raise ShapeError(f"parameter vector shape {theta.shape}, expected ({n},)")
         if not np.all(np.isfinite(theta)):
             raise ConfigError("parameters must be finite")
         self.theta = theta
-        self.weights, self.biases = _layer_views(self.widths, theta)
+        self.weights, self.biases = _layer_views(widths, theta)
 
     @classmethod
     def initialize(cls, widths, activation: str = "mish", seed: int = 0) -> "DenseAutoencoder":
@@ -122,37 +117,34 @@ class DenseAutoencoder:
         return self.theta.copy()
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    loss: str = "mse"  # "mse" | "wiener"
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    epochs: int = 100
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    whitening: WindowSpec = field(default_factory=lambda: WindowSpec("laplace", b=2.0, epsilon=0.1))
-    lam: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.loss not in ("mse", "wiener"):
-            raise ConfigError(f"unknown loss {self.loss!r}")
-        if self.batch_size < 1 or self.epochs < 0:
+class TrainConfig(FrozenValue):
+    def __init__(
+        self, loss: str = "mse", batch_size: int = 32, learning_rate: float = 1e-3,
+        epochs: int = 100, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
+        whitening: WindowSpec = WindowSpec("laplace", b=2.0, epsilon=0.1), lam: float = 1.0,
+        seed: int = 0,
+    ):
+        if loss not in ("mse", "wiener"):
+            raise ConfigError(f"unknown loss {loss!r}")
+        if batch_size < 1 or epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
-        if not (0 <= self.learning_rate < math.inf and 0 < self.eps < math.inf):
+        if not (0 <= learning_rate < math.inf and 0 < eps < math.inf):
             raise ConfigError("learning_rate must be >= 0 and eps > 0, both finite")
-        check_lambda(self.lam)
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+        check_lambda(lam)
+        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
             raise ConfigError("moment decays must lie in [0, 1)")
-        check_seed(self.seed)
+        check_seed(seed)
+        self._set(
+            loss=loss, batch_size=batch_size, learning_rate=learning_rate, epochs=epochs,
+            beta1=beta1, beta2=beta2, eps=eps, whitening=whitening, lam=lam, seed=seed,
+        )
 
 
-@dataclass(eq=False)
 class TrainLog:
-    losses: list[float] = field(default_factory=list)  # per epoch
-    concentrations: list[float] = field(default_factory=list)
-    initial_concentration: float = float("nan")
+    def __init__(self, losses=None, concentrations=None, initial_concentration=float("nan")):
+        self.losses = [] if losses is None else losses  # per epoch
+        self.concentrations = [] if concentrations is None else concentrations
+        self.initial_concentration = initial_concentration
 
 
 class TrainingDivergedError(NumericalError):

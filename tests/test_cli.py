@@ -868,6 +868,14 @@ class TestEchoedConfigContract:
         assert main(["train", "--epochs", "-1", "--out", str(tmp_path / "never")]) == 2
         assert not (tmp_path / "never").exists()
 
+    @pytest.mark.parametrize("command", ["diffuse", "knn", "train"])
+    def test_a_negative_seed_override_exits_2(self, tmp_path, capsys, command):
+        # the override builds its section and the config again, through their checks
+        out = tmp_path / "never"
+        assert main([command, "--seed", "-1", "--out", str(out)]) == 2
+        assert re.fullmatch(r"config error: .*seed must be >= 0, got -1\n", capsys.readouterr().err)
+        assert not out.exists()
+
 
 def _on_glibc() -> bool:
     try:

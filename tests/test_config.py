@@ -1,8 +1,15 @@
+import numpy as np
 import pytest
 
-from wienerlab.config import ExperimentConfig, load_config
+from wienerlab.config import (
+    DiffusionSection, ExperimentConfig, KnnSection, RecoverSection, TrainSection, WienerSection,
+    load_config,
+)
+from wienerlab.diffusion import EnergyModel, Schedule, Trajectory
 from wienerlab.errors import ConfigError
+from wienerlab.knn import EvalResult
 from wienerlab.spectral import WindowSpec
+from wienerlab.trainer import TrainConfig
 
 
 def test_defaults_without_file():
@@ -178,3 +185,136 @@ def test_negative_seed_fails_at_load(tmp_path, section, key):
     p.write_text(f"[{section}]\n{key} = -1\n")
     with pytest.raises(ConfigError, match=f"{key} must be >= 0, got -1"):
         load_config(p)
+
+
+# config.ini of a run at the defaults, byte for byte; an empty value keeps the
+# space after "=" (shown here as <empty>)
+DEFAULT_INI = """\
+[wiener]
+lambda = 1.0
+
+[window]
+family = laplace
+b = 2.0
+epsilon = 0.3
+
+[diffusion]
+T = 200
+alpha_start = 5.0
+alpha_end = 0.01
+beta_start = 0.001
+beta_end = 0.08
+gamma = 1.0
+n_samples = 50
+seed = 2024
+init_variance = 1.0
+snapshot_stride = 20
+k_nearest = 1
+penalty_family = inverted_laplace
+penalty_b = 0.5
+dataset = toy
+n_defining = 8
+dim = 8
+separation = 2.0
+spread = 0.15
+data_seed = 7
+
+[knn]
+k = 10
+baseline_k = 3
+max_shift = 6
+pad = 6
+n_train = 500
+n_test = 200
+digit_size = 8
+train_seed = 11
+test_seed = 99
+shift_seed = 2
+data_images = <empty>
+data_labels = <empty>
+
+[train]
+loss = wiener
+batch_size = 32
+learning_rate = 0.003
+epochs = 100
+beta1 = 0.9
+beta2 = 0.999
+eps = 1e-08
+seed = 5
+widths = 64,32,16,32,64
+activation = mish
+n_train = 500
+digit_size = 8
+data_seed = 3
+data_images = <empty>
+data_labels = <empty>
+
+[recover]
+stride = 2
+loss = wiener
+iterations = 400
+step_size = 0.0
+log_every = 1
+
+""".replace("<empty>", "")
+
+
+def test_default_config_echoes_the_same_bytes():
+    assert ExperimentConfig().to_ini() == DEFAULT_INI
+
+
+SECTIONS = [WienerSection, DiffusionSection, KnnSection, TrainSection, RecoverSection]
+VALUES = [lambda: WindowSpec("laplace", 2.0), TrainConfig, ExperimentConfig, *SECTIONS]
+ARRAY_RECORDS = [
+    lambda: EnergyModel(np.ones((2, 1, 4)), WindowSpec("laplace", 2.0), 1.0, 1.0),
+    lambda: Schedule(np.ones(2), np.zeros(2)),
+    lambda: Trajectory(np.zeros((1, 1, 1, 4)), np.zeros((1, 2)), np.zeros((1, 2)), np.zeros(1)),
+    lambda: EvalResult(1.0, np.zeros((10, 10), dtype=int), [], 1.0),
+]
+RECORDS = [*VALUES, *ARRAY_RECORDS]
+
+
+@pytest.mark.parametrize("make", RECORDS)
+def test_records_are_read_only(make):
+    record = make()
+    name = next(iter(vars(record)))
+    for change in (
+        lambda: setattr(record, name, None), lambda: setattr(record, "extra", 1),
+        lambda: delattr(record, name),
+    ):
+        with pytest.raises(AttributeError):
+            change()
+    assert name in vars(record) and "extra" not in vars(record)
+
+
+@pytest.mark.parametrize("make", VALUES)
+def test_value_records_compare_and_hash_by_value(make):
+    first, second = make(), make()
+    assert first == second and hash(first) == hash(second) and first is not second
+    name, value = next(iter(vars(first).items()))
+    assert first.replace(**{name: value}) == first
+    assert first != object() and first.replace() is not first
+
+
+@pytest.mark.parametrize("make", ARRAY_RECORDS)
+def test_array_records_compare_by_identity(make):
+    record = make()
+    assert record == record and record != make()
+
+
+def test_replace_runs_the_checks_again():
+    with pytest.raises(ConfigError, match="k must be in 1..n_train=500, got 0"):
+        KnnSection().replace(k=0)
+    with pytest.raises(ConfigError, match=r"\[knn\] shift_seed must be >= 0, got -1"):
+        ExperimentConfig().replace(knn=KnnSection(shift_seed=-1))
+    with pytest.raises(ConfigError, match="unknown window family"):
+        WindowSpec("laplace", 2.0).replace(family="gauss")
+
+
+def test_sections_take_their_keys_in_order_or_by_name():
+    assert RecoverSection(3, "mse") == RecoverSection(stride=3, loss="mse")
+    assert RecoverSection(3).loss == "wiener"
+    for args, kwargs in (((1,) * 6, {}), ((), {"strides": 2}), ((3,), {"stride": 3})):
+        with pytest.raises(TypeError):
+            RecoverSection(*args, **kwargs)

@@ -11,7 +11,6 @@ import math
 import re
 import tempfile
 import warnings
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -244,12 +243,11 @@ READERS = {
 
 def _keys_of_type(*types) -> list[tuple[str, str]]:
     """(section, key) of every config field whose default is of one of `types`."""
-    defaults = ExperimentConfig()
     return [
-        (section.name, _key(f.name))
-        for section in fields(defaults)
-        for f in fields(getattr(defaults, section.name))
-        if type(getattr(getattr(defaults, section.name), f.name)) in types
+        (name, _key(attr))
+        for name, section in vars(ExperimentConfig()).items()
+        for attr, value in vars(section).items()
+        if type(value) in types
     ]
 
 

@@ -401,22 +401,56 @@ def test_lambda_rule_is_written_once_and_every_quotient_kernel_applies_it_first(
     assert getattr(first.value.func, "id", None) == "check_lambda"
     assert [ast.unparse(a) for a in first.value.args] == ["lam"]
 
-    # a dataclass with a `lam` field checks it as it is built: by the rule, or
-    # by building the quotient kernel that applies it
+    # a class with a `lam` field (a `lam` key, or a `lam` parameter of its
+    # constructor) checks it as it is built: the constructor (the class's
+    # __init__ or a base's in its module) or a method that it calls on self
+    # applies the rule, or builds the quotient kernel that applies it
     fields = []
     for path in sorted(SRC.glob("*.py")):
-        for cls in ast.walk(ast.parse(path.read_text())):
-            if isinstance(cls, ast.ClassDef) and any(
-                isinstance(f, ast.AnnAssign) and getattr(f.target, "id", None) == "lam"
-                for f in cls.body
-            ):
-                post = [f for f in cls.body if getattr(f, "name", None) == "__post_init__"]
-                checked = bool(post) and bool({"check_lambda", "QuotientKernel"} & _names(post[0]))
-                fields.append((f"{path.name} {cls.name}", checked))
+        tree = ast.parse(path.read_text())
+        classes = {c.name: c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)}
+
+        def method(cls, name):  # the FunctionDef that `cls.name` resolves to in this module
+            for f in cls.body:
+                if isinstance(f, ast.FunctionDef) and f.name == name:
+                    return f
+            for b in cls.bases:
+                if getattr(b, "id", None) in classes and (found := method(classes[b.id], name)):
+                    return found
+            return None
+
+        for cls in classes.values():
+            keys = {getattr(f.target, "id", None) for f in cls.body if isinstance(f, ast.AnnAssign)}
+            init = method(cls, "__init__")
+            built = []
+            if init:
+                keys |= {a.arg for a in init.args.args}
+                on_self = [
+                    c.func.attr for c in ast.walk(init) if isinstance(c, ast.Call)
+                    and getattr(getattr(c.func, "value", None), "id", None) == "self"
+                ]
+                built = [init, *filter(None, (method(cls, name) for name in on_self))]
+            if "lam" in keys:
+                run = set().union(*map(_names, built))
+                fields.append((f"{path.name} {cls.name}", bool({"check_lambda", "QuotientKernel"} & run)))
     assert {name for name, _ in fields} >= {
         "config.py WienerSection", "trainer.py TrainConfig", "diffusion.py EnergyModel"
     }, fields
     assert all(checked for _, checked in fields), fields
+
+
+def test_no_class_is_generated_at_import():
+    # dataclass processing and namedtuple code generation run on every import:
+    # each class is a plain class statement
+    generators = {"dataclasses", "dataclass", "namedtuple", "NamedTuple"}
+
+    def generates(node):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {getattr(node, "module", None) or ""} | {a.name for a in node.names}
+            return bool({name.split(".")[0] for name in names} & generators)
+        return bool({getattr(node, "id", None), getattr(node, "attr", None)} & generators)
+
+    assert not _sites(generates), _sites(generates)
 
 
 def test_nothing_tunes_the_c_allocator():
@@ -496,6 +530,19 @@ def test_a_thread_variable_the_user_set_leaves_the_environment_alone(key, value)
 def test_importing_numpy_first_leaves_the_environment_alone():
     out = _fresh_python(THREAD_ENV + "import numpy, wienerlab.cli\nprint(threads())")
     assert out == ["[]"]
+
+
+def test_importing_the_cli_loads_neither_gzip_nor_dataclasses():
+    # gzip is imported by the one branch that reads a .gz file; a module that
+    # NumPy loads itself would be no cost of the package
+    code = """
+import sys
+import numpy
+before = set(sys.modules)
+import wienerlab.cli
+print(sorted({"gzip", "dataclasses"} & (set(sys.modules) - before)))
+"""
+    assert _fresh_python(code) == ["[]"]
 
 
 def test_every_public_name_resolves_lazily():
