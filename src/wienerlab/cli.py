@@ -1,5 +1,5 @@
 """Command-line surface: four experiments (recover, diffuse, knn, train) and two
-pairwise tools (filter, loss).
+pairwise tools (filter, loss), which report the library's pair functions.
 
     wienerlab <filter|loss|recover|diffuse|knn|train> [--config <ini>]
               [--out <dir>] [--seed <int>, diffuse|knn|train only] ...
@@ -57,7 +57,9 @@ from .knn import LabeledSet, evaluate_accuracy, make_translated_set
 from .metrics import compute_metrics, psnr
 from .spectral import WindowSpec, make_window, zero_lag_index
 from .trainer import DenseAutoencoder, TrainingDivergedError, train
-from .wiener import QuotientKernel, concentration, loss_and_grad, pair_report, wiener_filter
+from .wiener import (
+    QuotientKernel, concentration, loss_and_grad, ti_distance, wiener_filter, wiener_loss,
+)
 
 __all__ = ["main"]
 
@@ -149,8 +151,12 @@ def _cmd_filter(args, cfg: ExperimentConfig):
 def _cmd_loss(args, cfg: ExperimentConfig):
     prediction = read_pgm(args.image_a)
     target = read_pgm(args.image_b)
-    report = pair_report(prediction, target, cfg.window, cfg.wiener.lam)
-    report["metrics"] = compute_metrics(prediction, target)
+    report = {
+        "wiener_loss": wiener_loss(prediction, target, cfg.window, cfg.wiener.lam),
+        "ti_distance": ti_distance(prediction, target, cfg.wiener.lam),
+        "filter_concentration": concentration(wiener_filter(prediction, target, cfg.wiener.lam)),
+        "metrics": compute_metrics(prediction, target),
+    }
     return lambda run_dir: (report, f"loss: wiener_loss {report['wiener_loss']:.6g}")
 
 
@@ -436,12 +442,11 @@ def _cmd_train(args, cfg: ExperimentConfig):
         raise ConfigError(
             f"[train] widths {t.widths!r} must start and end at the sample width {width}"
         )
-    tcfg = t.trainer_config(whitening=cfg.window, lam=cfg.wiener.lam)
 
     def write(run_dir):
         diverged = None
         try:
-            log = train(model, data, tcfg)
+            log = train(model, data, t, cfg.window, cfg.wiener.lam)
         except TrainingDivergedError as exc:
             diverged, log = exc, exc.log  # the log up to the last finite epoch is still written
         logged = len(log.concentrations)  # a diagnostic that diverged leaves its epoch's loss out

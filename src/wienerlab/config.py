@@ -1,16 +1,17 @@
 """Experiment configuration: INI-style sections, strict schema.
 
 [window] is the library's WindowSpec, and [wiener] lambda, checked by
-``wiener.check_lambda``, is the one stabilizer every subcommand reads. Every key
-has a default and unknown sections or keys are rejected. A section's keys
-are its annotated class attributes, holding their defaults in file order;
-``vars(section)`` lists its values. Each section is built by its validating
-constructor at load, and ``replace`` (which a --seed override uses too) runs
-the same checks, so a bad value fails for every subcommand before any data
-or run directory is made, the [knn] set sizes included; only settings that
-shape a subcommand's inputs (schedules, layer widths, the other set sizes)
-are checked as it builds them. The effective config is echoed into each run
-directory.
+``wiener.check_lambda``, is the one stabilizer every subcommand reads. The
+[train] section is the record ``trainer.train`` reads and holds every rule
+of its keys. Every key has a default and unknown sections or keys are
+rejected. A section's keys are its annotated class attributes, holding their
+defaults in file order; ``vars(section)`` lists its values. Each section is
+built by its validating constructor at load, and ``replace`` (which a --seed
+override uses too) runs the same checks, so a bad value fails for every
+subcommand before any data or run directory is made, the [knn] set sizes
+included; only settings that shape a subcommand's inputs (schedules, layer
+widths, the other set sizes) are checked as it builds them. The effective
+config is echoed into each run directory.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from pathlib import Path
 from .diffusion import check_chain_args, check_gamma
 from .errors import ConfigError, FrozenValue, check_seed
 from .spectral import WindowSpec
-from .trainer import TrainConfig
 from .wiener import check_lambda
 
 __all__ = ["ExperimentConfig", "load_config"]
@@ -123,12 +123,18 @@ class TrainSection(Section):
     def _check(self):
         if self.data_labels and not self.data_images:  # labels alone would be ignored
             raise ConfigError("[train] data_labels needs data_images")
-        self.trainer_config()  # TrainConfig checks the shared fields
-
-    def trainer_config(self, **rest) -> TrainConfig:
-        """TrainConfig from the fields it shares with this section by name, plus `rest`."""
-        shared = vars(TrainConfig()).keys() & vars(self).keys()
-        return TrainConfig(**{name: getattr(self, name) for name in shared}, **rest)
+        if self.loss not in ("mse", "wiener"):
+            raise ConfigError(f"[train] loss must be mse or wiener, got {self.loss!r}")
+        for key, low, high in (
+            ("batch_size", 1, math.inf), ("epochs", 0, math.inf), ("learning_rate", 0, math.inf),
+            ("beta1", 0, 1), ("beta2", 0, 1),
+        ):
+            value = getattr(self, key)
+            if not (low <= value < high):
+                raise ConfigError(f"[train] {key} must lie in [{low}, {high}), got {value}")
+        if not (0 < self.eps < math.inf):
+            raise ConfigError(f"[train] eps must be finite and > 0, got {self.eps}")
+        check_seed(self.seed, "[train] seed")
 
     def width_tuple(self) -> tuple[int, ...]:
         try:

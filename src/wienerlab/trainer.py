@@ -7,7 +7,7 @@ residual) and is pushed through the dense stack by hand; the optimizer is
 Adam. The targets are transformed once per run: each minibatch takes its
 rows of one kernel over the training set (``_kernel_rows``).
 Single-threaded and fully seeded, so runs are reproducible
-parameter-for-parameter.
+parameter-for-parameter. ``train`` reads the [train] section (``config.TrainSection``).
 
 All parameters live in one float64 vector ``theta`` (per layer: row-major
 weights, then bias); ``weights[l]`` and ``biases[l]`` are views into it.
@@ -26,16 +26,11 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DIVERGENCE_FACTOR, ConfigError, FrozenValue, NumericalError, ShapeError, check_seed,
-)
+from .errors import DIVERGENCE_FACTOR, ConfigError, NumericalError, ShapeError, check_seed
 from .spectral import WindowSpec, as_stack, make_window
-from .wiener import QuotientKernel, check_lambda, loss_and_grad
+from .wiener import QuotientKernel, loss_and_grad
 
-__all__ = [
-    "DenseAutoencoder", "TrainConfig", "TrainLog", "TrainingDivergedError",
-    "forward", "train",
-]
+__all__ = ["DenseAutoencoder", "TrainLog", "TrainingDivergedError", "forward", "train"]
 
 
 # Each activation maps (z, prime) to (act(z), act'(z) if prime else None).
@@ -115,29 +110,6 @@ class DenseAutoencoder:
 
     def flat_params(self) -> np.ndarray:
         return self.theta.copy()
-
-
-class TrainConfig(FrozenValue):
-    def __init__(
-        self, loss: str = "mse", batch_size: int = 32, learning_rate: float = 1e-3,
-        epochs: int = 100, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-        whitening: WindowSpec = WindowSpec("laplace", b=2.0, epsilon=0.1), lam: float = 1.0,
-        seed: int = 0,
-    ):
-        if loss not in ("mse", "wiener"):
-            raise ConfigError(f"unknown loss {loss!r}")
-        if batch_size < 1 or epochs < 0:
-            raise ConfigError("batch_size must be >= 1 and epochs >= 0")
-        if not (0 <= learning_rate < math.inf and 0 < eps < math.inf):
-            raise ConfigError("learning_rate must be >= 0 and eps > 0, both finite")
-        check_lambda(lam)
-        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
-            raise ConfigError("moment decays must lie in [0, 1)")
-        check_seed(seed)
-        self._set(
-            loss=loss, batch_size=batch_size, learning_rate=learning_rate, epochs=epochs,
-            beta1=beta1, beta2=beta2, eps=eps, whitening=whitening, lam=lam, seed=seed,
-        )
 
 
 class TrainLog:
@@ -223,9 +195,7 @@ def _kernel_rows(stack: np.ndarray, lam: float, batch_size: int):
     return lambda index: QuotientKernel(stack[index], extents, lam)
 
 
-def _batch_loss_and_grad(
-    model: DenseAutoencoder, X_all, idx, shape, cfg: TrainConfig, w_raw, kernel_rows
-):
+def _batch_loss_and_grad(model: DenseAutoencoder, X_all, idx, shape, cfg, w_raw, kernel_rows):
     """Mean loss over the batch X_all[idx] (one flattened sample of shape
     (C, *extents) per row), its gradient wrt the reconstructions and the
     forward pass (A, D) for backprop. Under the filter loss the batch's
@@ -247,7 +217,7 @@ def _batch_loss_and_grad(
     return loss, d_out, A, D
 
 
-def _mean_concentration(model: DenseAutoencoder, X, shape, cfg: TrainConfig, kernel_rows) -> float:
+def _mean_concentration(model: DenseAutoencoder, X, shape, cfg, kernel_rows) -> float:
     """Mean zero-lag energy fraction of the reconstruction-target filters.
 
     ``kernel_rows(rows)`` is the kernel of X's rows (see ``_kernel_rows``).
@@ -265,9 +235,13 @@ def _mean_concentration(model: DenseAutoencoder, X, shape, cfg: TrainConfig, ker
     return float(np.mean(np.concatenate(fractions)))
 
 
-def train(model: DenseAutoencoder, data, cfg: TrainConfig) -> TrainLog:
+def train(model: DenseAutoencoder, data, cfg, whitening: WindowSpec, lam: float) -> TrainLog:
     """Mini-batch Adam training on a stack of samples (n, C, *extents); model
     parameters are updated in place.
+
+    `cfg` is the [train] section (``config.TrainSection``, which checks its
+    keys), `whitening` the filter loss's window and `lam` the stabilizer,
+    which the run's first kernel checks, under MSE too.
 
     The log records per-epoch mean loss and the mean reconstruction-target
     filter concentration on a fixed evaluation subset (the first 128 rows).
@@ -287,8 +261,8 @@ def train(model: DenseAutoencoder, data, cfg: TrainConfig) -> TrainLog:
     rng = np.random.default_rng(cfg.seed)
 
     kept = n if cfg.loss == "wiener" else n_eval
-    kernel_rows = _kernel_rows(X_all[:kept].reshape((kept,) + shape), cfg.lam, cfg.batch_size)
-    w_raw = make_window(cfg.whitening, shape[1:]) if cfg.loss == "wiener" else None
+    kernel_rows = _kernel_rows(X_all[:kept].reshape((kept,) + shape), lam, cfg.batch_size)
+    w_raw = make_window(whitening, shape[1:]) if cfg.loss == "wiener" else None
     grad, m, v = (np.zeros_like(model.theta) for _ in range(3))
     step, first_loss = 0, None
 

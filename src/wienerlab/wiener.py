@@ -48,7 +48,6 @@ __all__ = [
     "wiener_loss",
     "loss_and_grad",
     "ti_distance",
-    "pair_report",
     "concentration",
 ]
 
@@ -89,7 +88,7 @@ class QuotientKernel:
     at the origin corner); varying batches broadcast against the fixed one.
     Floating-point warnings are silenced inside: every non-finite result
     raises NumericalError instead. Every quotient spectrum K * X + L is
-    one ``_quotient`` product, so ``filters``, ``filters_with_ti``,
+    one ``_quotient`` product, so ``filters``, ``ti_values``,
     ``ti_bounds`` and ``ti_values_at`` round it alike at every size.
 
     ``_forward`` is the one forward transform, rfftn's own stages with the
@@ -121,13 +120,13 @@ class QuotientKernel:
 
     A plane's TI value takes its mean from the DC bin and its spread from
     Parseval over the non-DC bins of the half spectrum, and reads only the
-    maximum from the spatial domain (``_ti``). ``filters_with_ti`` gives
+    maximum from the spatial domain (``_ti``). ``ti_values`` gives
     them for a small batch. ``ti_bounds`` walks a large one in tiles of
     about TI_CHUNK_ELEMENTS spatial elements over its first two axes, stops
     the inverse after ``_unwind`` and bounds each plane's value from below,
     with no exact moments. ``ti_values_at`` finishes chosen planes only, so
     a search that needs only the smallest values (the kNN vote) inverts few
-    filters whole; its values equal ``filters_with_ti``' bit for bit.
+    filters whole; its values equal ``ti_values``' bit for bit.
     """
 
     @_quiet
@@ -209,14 +208,12 @@ class QuotientKernel:
         return self._inverse(Q, out=self._work("filters", lead + self.padded))
 
     @_quiet
-    def filters_with_ti(self, varying: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``filters``, the negative maximum of each standardized filter plane,
-        shaped (*batch,), and a mask of the constant planes, whose value is 0
-        by convention, from one forward and one inverse transform of
-        `varying`. Untiled, so meant for a small batch such as one pair."""
-        Q = self._quotient(self.K, self.L, self.spectrum(varying))
-        v = self._inverse(Q.copy())  # Q's moments are read below
-        return (v, *self._ti(Q, v))
+    def ti_values(self, varying: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The negative maximum of each standardized filter plane, shaped
+        (*batch,), and a mask of the constant planes, whose value is 0 by
+        convention, from one forward and one inverse transform of `varying`.
+        Untiled, so meant for a small batch such as one pair."""
+        return self._ti(self._quotient(self.K, self.L, self.spectrum(varying)))
 
     @staticmethod
     def _quotient(
@@ -313,8 +310,8 @@ class QuotientKernel:
         """The TI values of the planes at `index`, a pair of index arrays into
         the first two axes of the broadcast batch, shaped (p, *rest). Each
         plane's moments are taken here, from the same quotient bins as in
-        ``filters_with_ti``, and summed over that plane alone, so each value
-        equals ``filters_with_ti``' bit for bit. The p entries are inverted in
+        ``ti_values``, and summed over that plane alone, so each value
+        equals ``ti_values``' bit for bit. The p entries are inverted in
         chunks of at most TI_CHUNK_ELEMENTS / 2 filter elements: a chunk also
         holds its entries' gathered K, L and spectrum."""
         _, tiled, factors = self._leading(varying)
@@ -341,13 +338,12 @@ class QuotientKernel:
         )
         return batch, (1,) * (lead - len(batch)) + batch, factors
 
-    def _ti(self, Q: np.ndarray, v: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def _ti(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """TI values and the constant-plane mask of the filters v = irfftn(Q),
-        inverted here, in Q's buffer, unless given. ``_moments`` raises unless
-        every bin of Q is finite, which bounds every filter value, so v needs
-        no scan."""
+        inverted here, in Q's buffer. ``_moments`` raises unless every bin of
+        Q is finite, which bounds every filter value, so v needs no scan."""
         mu, sigma = self._moments(Q)
-        v = self._inverse(Q, check=False) if v is None else v
+        v = self._inverse(Q, check=False)
         constant = sigma == 0.0  # its value -(max - mu) / inf is 0
         return -(v.max(axis=self.axes) - mu) / np.where(constant, np.inf, sigma), constant
 
@@ -568,35 +564,13 @@ def ti_distance(a, b, lam: float) -> float:
     self-distance -sqrt(nbins - 1) is the global minimum.
     Each plane's mean and spread come from the filter's spectrum (the DC bin
     and Parseval over the other bins); only the maximum is read from the
-    spatial domain. See ``QuotientKernel.filters_with_ti``.
+    spatial domain. See ``QuotientKernel.ti_values``.
     """
     a, b = as_pair(a, b)
-    return _mean_ti(*QuotientKernel(b, b.shape[1:], lam).filters_with_ti(a)[1:])
-
-
-def _mean_ti(values: np.ndarray, constant: np.ndarray) -> float:
+    values, constant = QuotientKernel(b, b.shape[1:], lam).ti_values(a)
     if np.any(constant):
         warnings.warn("constant matching filter; distance defaulting to 0", RuntimeWarning)
     return float(np.mean(values))
-
-
-def pair_report(prediction, target, whitening: WindowSpec, lam: float) -> dict[str, float]:
-    """``wiener_loss``, ``ti_distance`` and the ``concentration`` of
-    ``wiener_filter(prediction, target)`` from the target's one kernel and
-    one filter of the prediction (``QuotientKernel.filters_with_ti``): two
-    forward real transforms and one inverse, where the three functions take
-    six and three. The loss, the TI value and the concentration equal
-    theirs bit for bit."""
-    prediction, target = as_pair(prediction, target)
-    kernel = QuotientKernel(target, target.shape[1:], lam)
-    raw, values, constant = kernel.filters_with_ti(prediction)
-    focus = concentration(centered(raw))
-    w_raw = make_window(whitening, target.shape[1:])
-    return {
-        "wiener_loss": float(filter_identity_loss(kernel, raw, w_raw)[0]),  # consumes raw
-        "ti_distance": _mean_ti(values, constant),
-        "filter_concentration": focus,
-    }
 
 
 def zero_lag_fractions(zero: np.ndarray, norms: np.ndarray) -> np.ndarray:

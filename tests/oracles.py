@@ -17,10 +17,9 @@ from typing import Callable
 import numpy as np
 
 from wienerlab.errors import ConfigError, SingularSystemError, WienerlabError
-from wienerlab.spectral import as_pair, centered, full_lag, make_window, zero_lag_index
+from wienerlab.spectral import WindowSpec, as_pair, centered, full_lag, make_window, zero_lag_index
 from wienerlab.trainer import (
     DenseAutoencoder,
-    TrainConfig,
     _backward_matrix,
     _batch_loss_and_grad,
     _kernel_rows,
@@ -139,17 +138,18 @@ def check_gradient(
 
 
 def grad_check_model(
-    model: DenseAutoencoder, batch, cfg: TrainConfig, h: float = 1e-6
+    model: DenseAutoencoder, batch, cfg, whitening: WindowSpec, lam: float, h: float = 1e-6
 ) -> GradientCheckReport:
     """Finite-difference check of end-to-end parameter gradients on a stack of
-    samples (n, C, *extents) (report only)."""
+    samples (n, C, *extents) (report only), under the [train] section `cfg`
+    with `whitening` and `lam` as ``trainer.train`` takes them."""
     if model.theta.size > 5000:
         raise ConfigError(f"{model.theta.size} parameters exceeds the 5k grad-check cap")
     X, shape = _sample_matrix(model, batch)
     w_raw = kernel_rows = None
     if cfg.loss == "wiener":
-        w_raw = make_window(cfg.whitening, shape[1:])
-        kernel_rows = _kernel_rows(X.reshape((len(X),) + shape), cfg.lam, len(X))
+        w_raw = make_window(whitening, shape[1:])
+        kernel_rows = _kernel_rows(X.reshape((len(X),) + shape), lam, len(X))
     every = slice(None)
     loss, d_out, A, D = _batch_loss_and_grad(model, X, every, shape, cfg, w_raw, kernel_rows)
     analytic = _backward_matrix(model, A, D, d_out)

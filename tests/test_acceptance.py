@@ -14,6 +14,7 @@ import pytest
 
 from oracles import check_gradient, delta_filter, grad_check_model, wiener_filter_direct
 from wienerlab.cli import main
+from wienerlab.config import TrainSection
 from wienerlab.datasets import make_digit_set, two_cluster_latents
 from wienerlab.diffusion import (
     EnergyModel,
@@ -25,7 +26,7 @@ from wienerlab.diffusion import (
 )
 from wienerlab.knn import evaluate_accuracy, make_translated_set
 from wienerlab.spectral import WindowSpec, make_window
-from wienerlab.trainer import DenseAutoencoder, TrainConfig, forward, train
+from wienerlab.trainer import DenseAutoencoder, forward, train
 from wienerlab.wiener import QuotientKernel, loss_and_grad, wiener_filter, wiener_loss
 
 
@@ -132,8 +133,8 @@ def test_criterion_3_gradient_fidelity():
     batch = make_digit_set(4, size=8, seed=31).stack
     for loss in ("mse", "wiener"):
         model = DenseAutoencoder.initialize((64, 16, 8, 16, 64), seed=13)
-        cfg = TrainConfig(loss=loss, whitening=WindowSpec("laplace", 2.0, 0.3), lam=1.0)
-        rep = grad_check_model(model, batch, cfg, h=1e-4)
+        cfg = TrainSection(loss=loss, learning_rate=1e-3, seed=0)
+        rep = grad_check_model(model, batch, cfg, WindowSpec("laplace", 2.0, 0.3), 1.0, h=1e-4)
         worst_train = max(worst_train, rep.max_rel_error)
     elapsed = time.perf_counter() - t0
     report(
@@ -210,16 +211,8 @@ def test_criterion_6_training_demonstration():
 
     def run(loss):
         model = DenseAutoencoder.initialize((64, 32, 16, 32, 64), "mish", seed=5)
-        cfg = TrainConfig(
-            loss=loss,
-            batch_size=32,
-            learning_rate=3e-3,
-            epochs=100,
-            whitening=WindowSpec("laplace", 2.0, 0.3),
-            lam=1.0,
-            seed=5,
-        )
-        log = train(model, data, cfg)
+        cfg = TrainSection(loss=loss, batch_size=32, learning_rate=3e-3, epochs=100, seed=5)
+        log = train(model, data, cfg, WindowSpec("laplace", 2.0, 0.3), 1.0)
         recon = forward(model, val)
         val_mse = float(np.mean([np.mean((r - v) ** 2) for r, v in zip(recon, val)]))
         return log, val_mse

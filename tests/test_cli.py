@@ -14,13 +14,14 @@ import pytest
 
 from wienerlab import cli
 from wienerlab.cli import _mask_aware_mean_fill, _recover_objective, main
-from wienerlab.config import RecoverSection, load_config
+from wienerlab.config import RecoverSection, TrainSection, load_config
 from wienerlab.dataio import read_pgm, load_model, write_pgm
 from wienerlab.datasets import make_digit_set
 from wienerlab.diffusion import run_diffusion
 from wienerlab.spectral import WindowSpec, make_window
-from wienerlab.trainer import TrainConfig
-from wienerlab.wiener import QuotientKernel, loss_and_grad
+from wienerlab.wiener import (
+    QuotientKernel, concentration, loss_and_grad, ti_distance, wiener_filter, wiener_loss,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -139,22 +140,40 @@ class TestLossCommand:
         assert main(["loss", str(prediction), str(target), "--out", str(tmp_path / "run")]) == 0
         return calls
 
-    def test_one_kernel_and_one_filter(self, tmp_path, digit_image, monkeypatch):
-        # the loss, the TI distance and the concentration share the target's
-        # kernel and one filter: two forward transforms (each a real step
-        # along the rows and a complex one down the columns) and one inverse
+    def test_one_kernel_and_one_filter_per_pair_function(self, tmp_path, digit_image, monkeypatch):
+        # the loss, the TI distance and the concentration each take the
+        # target's kernel and one filter: two forward transforms (each a real
+        # step along the rows and a complex one down the columns) and one inverse
         other = write_image(tmp_path / "o.pgm", np.random.default_rng(3).random((16, 16)))
         calls = self._loss_fft_calls(tmp_path, monkeypatch, other, digit_image)
-        assert calls == {"rfft": 2, "fft": 2, "ifft": 1, "irfft": 1}
+        assert calls == {"rfft": 6, "fft": 6, "ifft": 3, "irfft": 3}
 
     def test_one_inverse_past_the_temporary_elision_size(self, tmp_path, monkeypatch):
         # a 128 x 128 pair pads to a 256 x 129 half spectrum (about 528 KB), past
-        # the size where NumPy may reuse an unnamed factor's buffer; the filter's
-        # and the TI value's spectra are still one product, inverted once
+        # the size where NumPy may reuse an unnamed factor's buffer; each pair
+        # function's spectra are still one product, inverted once
         rng = np.random.default_rng(4)
         a, b = (write_image(tmp_path / f"{n}.pgm", rng.random((128, 128))) for n in "ab")
         calls = self._loss_fft_calls(tmp_path, monkeypatch, a, b)
-        assert calls == {"rfft": 2, "fft": 2, "ifft": 1, "irfft": 1}
+        assert calls == {"rfft": 6, "fft": 6, "ifft": 3, "irfft": 3}
+
+    @pytest.mark.parametrize("size", [16, 97, 128])
+    def test_report_is_the_pair_functions(self, tmp_path, size):
+        # 128 x 128 pads to a 256 x 129 half spectrum (about 528 KB), past the
+        # size where NumPy may reuse an unnamed factor's buffer
+        rng = np.random.default_rng(4)
+        a, b = (write_image(tmp_path / f"{n}.pgm", rng.random((size, size))) for n in "ab")
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text("[wiener]\nlambda = 0.6\n[window]\nepsilon = 0.2\n")
+        out = tmp_path / "run"
+        assert main(["loss", str(a), str(b), "--config", str(cfgf), "--out", str(out)]) == 0
+        report = json.loads((out / "loss.json").read_text())
+        prediction, target = read_pgm(a), read_pgm(b)
+        whitening = WindowSpec("laplace", 2.0, 0.2)
+        assert report["wiener_loss"] == wiener_loss(prediction, target, whitening, 0.6)
+        assert report["ti_distance"] == ti_distance(prediction, target, 0.6)
+        focus = concentration(wiener_filter(prediction, target, 0.6))
+        assert report["filter_concentration"] == focus
 
     def test_self_pair_is_zero_loss(self, tmp_path, digit_image):
         out = tmp_path / "run"
@@ -420,9 +439,9 @@ class TestTrainCommand:
         seen = []
         real_train = cli.train
 
-        def recording_train(model, data, cfg):
-            seen.append(cfg)
-            return real_train(model, data, cfg)
+        def recording_train(model, data, cfg, whitening, lam):
+            seen.append((cfg, whitening, lam))
+            return real_train(model, data, cfg, whitening, lam)
 
         monkeypatch.setattr(cli, "train", recording_train)
         cfgf = tmp_path / "c.ini"
@@ -430,12 +449,14 @@ class TestTrainCommand:
             "[wiener]\nlambda = 250\n[window]\nb = 3\n[train]\nn_train = 20\nepochs = 0\n"
         )
         assert main(["train", "--config", str(cfgf), "--out", str(tmp_path / "run")]) == 0
-        assert seen == [
-            TrainConfig(
+        assert seen == [(
+            TrainSection(
                 loss="wiener", batch_size=32, learning_rate=3e-3, epochs=0, beta1=0.9, beta2=0.999,
-                eps=1e-8, whitening=WindowSpec("laplace", 3.0, 0.3), lam=250.0, seed=5,
-            )
-        ]
+                eps=1e-8, seed=5, n_train=20,
+            ),
+            WindowSpec("laplace", 3.0, 0.3),
+            250.0,
+        )]
 
 
 class TestErrorHandling:
@@ -873,7 +894,29 @@ class TestEchoedConfigContract:
         # the override builds its section and the config again, through their checks
         out = tmp_path / "never"
         assert main([command, "--seed", "-1", "--out", str(out)]) == 2
-        assert re.fullmatch(r"config error: .*seed must be >= 0, got -1\n", capsys.readouterr().err)
+        key = {
+            "diffuse": r"\[diffusion\] seed", "knn": r"\[knn\] shift_seed", "train": r"\[train\] seed",
+        }[command]
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"config error: {key} must be >= 0, got -1\n", err), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seed", -1), ("batch_size", 0), ("loss", "huber"), ("epochs", -1),
+            ("learning_rate", -1), ("beta1", 1), ("beta2", -0.5), ("eps", 0),
+        ],
+    )
+    def test_a_bad_train_setting_names_its_key(self, tmp_path, capsys, key, value):
+        # every [train] rule lives in its section; `train --seed -1` is the
+        # override case above
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text(f"[train]\n{key} = {value}\n")
+        out = tmp_path / "never"
+        assert main(["train", "--config", str(cfgf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [train] {key} "), err
         assert not out.exists()
 
 

@@ -9,7 +9,6 @@ from wienerlab.diffusion import EnergyModel, Schedule, Trajectory
 from wienerlab.errors import ConfigError
 from wienerlab.knn import EvalResult
 from wienerlab.spectral import WindowSpec
-from wienerlab.trainer import TrainConfig
 
 
 def test_defaults_without_file():
@@ -104,6 +103,9 @@ def test_wiener_section_holds_a_float_lambda_and_window_is_the_library_type(tmp_
     assert type(cfg.wiener.lam) is float and cfg.wiener.lam == 250.0
     assert cfg.window == WindowSpec("inverted_laplace", 0.5, 0.3)
     assert ExperimentConfig().window == WindowSpec("laplace", 2.0, 0.3)
+    # [train] is the record the trainer reads, and lambda and the window stay in their sections
+    train = ExperimentConfig().train
+    assert type(train) is TrainSection and not {"lam", "whitening"} & vars(train).keys()
 
 
 @pytest.mark.parametrize("section", ["knn", "train"])
@@ -265,7 +267,12 @@ def test_default_config_echoes_the_same_bytes():
 
 
 SECTIONS = [WienerSection, DiffusionSection, KnnSection, TrainSection, RecoverSection]
-VALUES = [lambda: WindowSpec("laplace", 2.0), TrainConfig, ExperimentConfig, *SECTIONS]
+VALUES = [
+    lambda: WindowSpec("laplace", 2.0),
+    lambda: TrainSection(loss="mse", learning_rate=1e-3, seed=0),
+    ExperimentConfig,
+    *SECTIONS,
+]
 ARRAY_RECORDS = [
     lambda: EnergyModel(np.ones((2, 1, 4)), WindowSpec("laplace", 2.0), 1.0, 1.0),
     lambda: Schedule(np.ones(2), np.zeros(2)),

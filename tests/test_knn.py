@@ -556,7 +556,7 @@ class TestPrunedTiMatrix:
         # value, and a constant plane's bound is -inf
         kernel = QuotientKernel(train.stack[:, np.newaxis], train.shape, lam)
         bounds = kernel.ti_bounds(qs)
-        _, values, constant = kernel.filters_with_ti(qs)
+        values, constant = kernel.ti_values(qs)
         assert np.all(bounds <= values)
         assert np.all(bounds[constant] == -np.inf)
         lower = bounds.mean(axis=-1).T

@@ -215,7 +215,7 @@ def test_every_pairwise_function_checks_its_pair_through_as_pair():
                 on_kernel = getattr(first, "id", None) == KERNEL[1]  # a step on a built kernel
                 if fn.name in public and len(fn.args.args) >= 2 and not on_kernel:
                     pairwise.append(fn.name)
-    assert len(pairwise) == 9, pairwise  # 4 in wiener, 5 in metrics
+    assert len(pairwise) == 8, pairwise  # 3 in wiener, 5 in metrics
 
     def checks(name, seen=()):
         return "as_pair" in calls[name] or any(
@@ -434,9 +434,40 @@ def test_lambda_rule_is_written_once_and_every_quotient_kernel_applies_it_first(
                 run = set().union(*map(_names, built))
                 fields.append((f"{path.name} {cls.name}", bool({"check_lambda", "QuotientKernel"} & run)))
     assert {name for name, _ in fields} >= {
-        "config.py WienerSection", "trainer.py TrainConfig", "diffusion.py EnergyModel"
+        "config.py WienerSection", "diffusion.py EnergyModel"
     }, fields
     assert all(checked for _, checked in fields), fields
+
+
+def test_the_optimizer_settings_have_one_record():
+    # the [train] section is what the trainer reads: no second class declares
+    # these keys, as annotated class attributes or constructor parameters
+    keys = {"batch_size", "learning_rate", "beta1", "beta2", "eps"}
+    declaring = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            declared = set()
+            for f in cls.body:
+                if isinstance(f, ast.AnnAssign):
+                    declared.add(getattr(f.target, "id", None))
+                elif isinstance(f, ast.FunctionDef) and f.name == "__init__":
+                    declared |= {a.arg for a in f.args.args + f.args.kwonlyargs}
+            if declared & keys:
+                declaring.append((f"{path.name} {cls.name}", keys <= declared))
+    assert declaring == [("config.py TrainSection", True)], declaring
+
+
+def test_config_imports_nothing_from_the_trainer():
+    # the trainer reads the section; the section needs nothing of the trainer
+    imported = []
+    for node in ast.walk(ast.parse((SRC / "config.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module or "", *(a.name for a in node.names)]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+    assert not [name for name in imported if "trainer" in name.split(".")], imported
 
 
 def test_no_class_is_generated_at_import():

@@ -8,6 +8,7 @@ import hypothesis
 from hypothesis import strategies as st
 
 from oracles import pad_to_full_lag
+from wienerlab.config import TrainSection
 from wienerlab.errors import ConfigError, NumericalError, ShapeError
 from wienerlab.diffusion import EnergyModel
 from wienerlab.knn import LabeledSet
@@ -18,7 +19,7 @@ from wienerlab.spectral import (
     centered,
     make_window,
 )
-from wienerlab.trainer import DenseAutoencoder, TrainConfig, train
+from wienerlab.trainer import DenseAutoencoder, train
 from wienerlab.wiener import QuotientKernel, concentration
 
 
@@ -74,7 +75,10 @@ class TestAsStack:
             lambda: as_stack(stack),
             lambda: LabeledSet(stack, labels),
             lambda: EnergyModel(stack, pen, 1.0, 1.0),
-            lambda: train(model, stack, TrainConfig(epochs=1)),
+            lambda: train(
+                model, stack, TrainSection(loss="mse", learning_rate=1e-3, epochs=1, seed=0),
+                WindowSpec("laplace", 2.0, 0.1), 1.0,
+            ),
         ]
         for consume in consumers:
             with pytest.raises(error):

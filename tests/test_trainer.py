@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import grad_check_model
+from wienerlab.config import TrainSection
 from wienerlab.datasets import make_digit_set
 from wienerlab.errors import (
     ConfigError,
@@ -16,7 +17,6 @@ from wienerlab.spectral import WindowSpec, make_window
 from wienerlab import trainer
 from wienerlab.trainer import (
     DenseAutoencoder,
-    TrainConfig,
     TrainingDivergedError,
     _batch_loss_and_grad,
     _kernel_rows,
@@ -29,6 +29,16 @@ from wienerlab.wiener import QuotientKernel, loss_and_grad, zero_lag_fractions
 
 def digits(n, seed=3):
     return make_digit_set(n, size=8, seed=seed).stack
+
+
+# the whitening window and lambda a run takes where a test sets neither
+WHITENING, LAM = WindowSpec("laplace", 2.0, 0.1), 1.0
+
+
+def section(**keys) -> TrainSection:
+    """A [train] section under MSE, learning rate 1e-3 and seed 0 unless
+    `keys` set them."""
+    return TrainSection(**{"loss": "mse", "learning_rate": 1e-3, "seed": 0} | keys)
 
 
 class TestForward:
@@ -123,13 +133,12 @@ class TestFlatParameters:
         data = digits(8)
         X = data.reshape(len(data), -1)
         forward(model, data)
-        cfg = TrainConfig(loss="wiener", batch_size=4)
-        kernel_rows = _kernel_rows(data, cfg.lam, cfg.batch_size)
+        cfg = section(loss="wiener", batch_size=4)
+        kernel_rows = _kernel_rows(data, LAM, cfg.batch_size)
         _mean_concentration(model, X, data.shape[1:], cfg, kernel_rows)
         assert seen == [False] * 3 * 2  # three hidden layers, two passes
         seen.clear()
-        mse = TrainConfig(loss="mse")
-        _batch_loss_and_grad(model, X, slice(None), data.shape[1:], mse, None, None)
+        _batch_loss_and_grad(model, X, slice(None), data.shape[1:], section(), None, None)
         assert seen == [True] * 3
 
 
@@ -151,13 +160,13 @@ _REFERENCE_ACTIVATIONS = {
 }
 
 
-def _reference_train(weights, biases, activation, data, cfg):
+def _reference_train(weights, biases, activation, data, cfg, whitening, lam):
     """Adam on per-layer arrays, derivatives recomputed from z in the backward pass."""
     act, act_prime = _REFERENCE_ACTIVATIONS[activation]
     X_all = data.reshape(len(data), -1)
     extents = data.shape[2:]
     planes_of = lambda B: (B,) + data.shape[1:]
-    w_raw = make_window(cfg.whitening, extents)
+    w_raw = make_window(whitening, extents)
     params = weights + biases
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
@@ -175,7 +184,7 @@ def _reference_train(weights, biases, activation, data, cfg):
             if cfg.loss == "mse":
                 d_out = (A[-1] - X) / B
             else:
-                kernel = QuotientKernel(X.reshape(planes_of(B)), extents, cfg.lam)
+                kernel = QuotientKernel(X.reshape(planes_of(B)), extents, lam)
                 _, g = loss_and_grad(kernel, A[-1].reshape(planes_of(B)), w_raw)
                 d_out = g.reshape(B, -1) / B
             dW, db = [None] * len(weights), [None] * len(weights)
@@ -203,13 +212,11 @@ class TestFlatTrainingStep:
         model = DenseAutoencoder.initialize((64, 24, 12, 24, 64), activation, seed=4)
         weights = [w.copy() for w in model.weights]
         biases = [b.copy() for b in model.biases]
-        cfg = TrainConfig(
-            loss=loss, learning_rate=3e-3, epochs=3, batch_size=32, seed=4,
-            whitening=WindowSpec("laplace", 2.0, 0.3), lam=0.8,
-        )
+        cfg = section(loss=loss, learning_rate=3e-3, epochs=3, batch_size=32, seed=4)
+        whitening = WindowSpec("laplace", 2.0, 0.3)
         theta0 = model.flat_params()
-        train(model, data, cfg)  # 3 epochs of 3 minibatches: 9 Adam steps
-        expected = _reference_train(weights, biases, activation, data, cfg)
+        train(model, data, cfg, whitening, 0.8)  # 3 epochs of 3 minibatches: 9 Adam steps
+        expected = _reference_train(weights, biases, activation, data, cfg, whitening, 0.8)
         assert np.abs(model.theta - theta0).max() > 1e-3
         if activation == "mish":
             np.testing.assert_allclose(model.theta, expected, rtol=0, atol=1e-12)
@@ -253,24 +260,21 @@ class TestTrain:
     def test_zero_learning_rate_keeps_parameters(self):
         model = DenseAutoencoder.initialize((64, 8, 64), seed=5)
         theta0 = model.flat_params()
-        cfg = TrainConfig(loss="mse", learning_rate=0.0, epochs=3, batch_size=16, seed=5)
-        log = train(model, digits(64), cfg)
+        cfg = section(learning_rate=0.0, epochs=3, batch_size=16, seed=5)
+        log = train(model, digits(64), cfg, WHITENING, LAM)
         np.testing.assert_array_equal(model.flat_params(), theta0)
         assert log.losses[0] == pytest.approx(log.losses[-1], rel=1e-12)
 
     def test_mse_training_reduces_loss(self):
         model = DenseAutoencoder.initialize((64, 32, 16, 32, 64), seed=5)
-        cfg = TrainConfig(loss="mse", learning_rate=3e-3, epochs=20, batch_size=32, seed=5)
-        log = train(model, digits(200), cfg)
+        cfg = section(learning_rate=3e-3, epochs=20, batch_size=32, seed=5)
+        log = train(model, digits(200), cfg, WHITENING, LAM)
         assert log.losses[-1] < 0.5 * log.losses[0]
 
     def test_wiener_training_runs_and_focuses_filters(self):
         model = DenseAutoencoder.initialize((64, 32, 16, 32, 64), seed=5)
-        cfg = TrainConfig(
-            loss="wiener", learning_rate=3e-3, epochs=15, batch_size=32, seed=5,
-            whitening=WindowSpec("laplace", 2.0, 0.3), lam=1.0,
-        )
-        log = train(model, digits(200), cfg)
+        cfg = section(loss="wiener", learning_rate=3e-3, epochs=15, batch_size=32, seed=5)
+        log = train(model, digits(200), cfg, WindowSpec("laplace", 2.0, 0.3), 1.0)
         assert log.losses[-1] < log.losses[0]
         assert log.concentrations[-1] > log.initial_concentration
 
@@ -279,49 +283,47 @@ class TestTrain:
         params = []
         for _ in range(2):
             model = DenseAutoencoder.initialize((64, 16, 64), seed=8)
-            cfg = TrainConfig(loss="mse", learning_rate=1e-3, epochs=5, batch_size=25, seed=8)
-            train(model, data, cfg)
+            cfg = section(learning_rate=1e-3, epochs=5, batch_size=25, seed=8)
+            train(model, data, cfg, WHITENING, LAM)
             params.append(model.flat_params())
         np.testing.assert_array_equal(params[0], params[1])
 
     def test_divergence_raises_with_log(self):
         model = DenseAutoencoder.initialize((64, 8, 64), seed=6)
-        cfg = TrainConfig(loss="mse", learning_rate=1e12, epochs=50, batch_size=64, seed=6)
+        cfg = section(learning_rate=1e12, epochs=50, batch_size=64, seed=6)
         with pytest.raises(TrainingDivergedError) as err:
-            train(model, digits(64), cfg)
+            train(model, digits(64), cfg, WHITENING, LAM)
         # the attached log stops at the diverged epoch
         assert len(err.value.log.losses) < cfg.epochs
 
     def test_empty_data_rejected(self):
         model = DenseAutoencoder.initialize((4, 4), seed=7)
         with pytest.raises(ConfigError):
-            train(model, np.empty((0, 1, 4)), TrainConfig())
+            train(model, np.empty((0, 1, 4)), section(), WHITENING, LAM)
 
     def test_bad_config_rejected(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(loss="huber")
-        with pytest.raises(ConfigError):
-            TrainConfig(batch_size=0)
+        with pytest.raises(ConfigError, match=r"\[train\] loss "):
+            section(loss="huber")
+        with pytest.raises(ConfigError, match=r"\[train\] batch_size "):
+            section(batch_size=0)
 
     def test_negative_seed_is_a_config_error(self):
-        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
-            TrainConfig(seed=-1)
+        with pytest.raises(ConfigError, match=r"\[train\] seed must be >= 0, got -1"):
+            section(seed=-1)
 
 
 class TestBatchedFilterLoss:
     def test_matches_per_sample_calls(self):
         data = digits(32, seed=9)
         model = DenseAutoencoder.initialize((64, 16, 64), seed=9)
-        cfg = TrainConfig(loss="wiener", whitening=WindowSpec("laplace", 2.0, 0.3), lam=0.7)
+        cfg, lam = section(loss="wiener"), 0.7
         X = data.reshape(len(data), -1)
-        W = make_window(cfg.whitening, (8, 8))
+        W = make_window(WindowSpec("laplace", 2.0, 0.3), (8, 8))
         loss, d_out, A, _ = _batch_loss_and_grad(
-            model, X, slice(None), data.shape[1:], cfg, W, _kernel_rows(data, cfg.lam, 32)
+            model, X, slice(None), data.shape[1:], cfg, W, _kernel_rows(data, lam, 32)
         )
         refs = [
-            loss_and_grad(
-                QuotientKernel(data[i], (8, 8), cfg.lam), A[-1][i].reshape(1, 8, 8), W
-            )
+            loss_and_grad(QuotientKernel(data[i], (8, 8), lam), A[-1][i].reshape(1, 8, 8), W)
             for i in range(len(data))
         ]
         assert loss == pytest.approx(np.mean([value for value, _ in refs]), rel=1e-12)
@@ -331,8 +333,12 @@ class TestBatchedFilterLoss:
     @pytest.mark.parametrize("field", ["lam", "learning_rate", "eps"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_nonfinite_config_rejected(self, field, value):
-        with pytest.raises(ConfigError):
-            TrainConfig(**{field: value})
+        model = DenseAutoencoder.initialize((64, 16, 64))
+        with pytest.raises(ConfigError, match="lambda must" if field == "lam" else f"] {field} "):
+            if field == "lam":  # the kernel that train builds first checks it, under MSE too
+                train(model, digits(4), section(), WHITENING, value)
+            else:
+                section(**{field: value})
 
 
 class _CountingKernel(QuotientKernel):
@@ -361,17 +367,14 @@ class TestSharedKernel:
         # five samples' spectra makes train build a kernel per minibatch and per
         # diagnostic chunk instead of keeping one.
         data = digits(n, seed=7)
-        cfg = TrainConfig(
-            loss=loss, learning_rate=3e-3, epochs=2, batch_size=batch_size, seed=7,
-            whitening=WindowSpec("laplace", 2.0, 0.3), lam=0.8,
-        )
+        cfg = section(loss=loss, learning_rate=3e-3, epochs=2, batch_size=batch_size, seed=7)
         monkeypatch.setattr(trainer, "QuotientKernel", _CountingKernel)
         runs, built = [], []
         for budget in (trainer.KERNEL_CACHE_BYTES, _FIVE_DIGITS_BYTES):
             monkeypatch.setattr(trainer, "KERNEL_CACHE_BYTES", budget)
             _CountingKernel.built = 0
             model = DenseAutoencoder.initialize((64, 16, 64), "tanh", seed=7)
-            runs.append((model, train(model, data, cfg)))
+            runs.append((model, train(model, data, cfg, WindowSpec("laplace", 2.0, 0.3), 0.8)))
             built.append(_CountingKernel.built)
         assert built[0] == 1 and built[1] > 2 * -(-n // batch_size)
         (shared, shared_log), (per_batch, per_batch_log) = runs
@@ -392,16 +395,16 @@ class TestSharedKernel:
         data[zero_row] = 0.0
         model = DenseAutoencoder.initialize((64, 16, 64), seed=8)
         theta0 = model.flat_params()
-        cfg = TrainConfig(loss="wiener", epochs=1, batch_size=32, lam=0.0)
+        cfg = section(loss="wiener", epochs=1, batch_size=32)
         with pytest.raises(SingularSystemError, match="zero denominator"):
-            train(model, data, cfg)
+            train(model, data, cfg, WHITENING, 0.0)
         np.testing.assert_array_equal(model.theta, theta0)
 
 
 class TestConcentrationDiagnostic:
     @staticmethod
     def _diagnostic(model, data, lam):
-        cfg = TrainConfig(loss="wiener", batch_size=4, lam=lam)
+        cfg = section(loss="wiener", batch_size=4)
         kernel_rows = _kernel_rows(data, lam, cfg.batch_size)
         return lambda: _mean_concentration(
             model, data.reshape(len(data), -1), data.shape[1:], cfg, kernel_rows
@@ -448,15 +451,15 @@ class TestGradCheckModel:
         rng = np.random.default_rng(10)
         model = DenseAutoencoder.initialize((16, 16), seed=10)
         batch = np.stack([0.5 + 0.5 * rng.random((1, 16)) for _ in range(3)])
-        rep = grad_check_model(model, batch, TrainConfig(loss="mse"), h=1e-3)
+        rep = grad_check_model(model, batch, section(), WHITENING, LAM, h=1e-3)
         assert rep.max_rel_error < 1e-7
 
     def test_three_layer_wiener(self):
         rng = np.random.default_rng(11)
         model = DenseAutoencoder.initialize((16, 12, 8, 16), seed=11)
         batch = np.stack([rng.random((1, 4, 4)) for _ in range(4)])
-        cfg = TrainConfig(loss="wiener", whitening=WindowSpec("laplace", 2.0, 0.1), lam=1.0)
-        rep = grad_check_model(model, batch, cfg, h=1e-5)
+        cfg = section(loss="wiener")
+        rep = grad_check_model(model, batch, cfg, WindowSpec("laplace", 2.0, 0.1), 1.0, h=1e-5)
         assert rep.max_rel_error < 1e-4
 
     def test_zero_batch_zero_targets_zero_gradient(self):
@@ -464,10 +467,10 @@ class TestGradCheckModel:
         for w in model.weights:
             w[...] = 0.0
         batch = np.zeros((1, 1, 8))
-        rep = grad_check_model(model, batch, TrainConfig(loss="mse"), h=1e-6)
+        rep = grad_check_model(model, batch, section(), WHITENING, LAM, h=1e-6)
         assert rep.max_rel_error < 1e-9  # both gradients identically ~0
 
     def test_param_cap(self):
         model = DenseAutoencoder.initialize((64, 64, 64), seed=13)
         with pytest.raises(ConfigError):
-            grad_check_model(model, digits(2), TrainConfig())
+            grad_check_model(model, digits(2), section(), WHITENING, LAM)

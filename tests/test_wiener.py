@@ -41,7 +41,8 @@ def margin_image(n, margin, seed):
 def _lambda_entry_points():
     from wienerlab.diffusion import EnergyModel
     from wienerlab.knn import LabeledSet, evaluate_accuracy
-    from wienerlab.trainer import TrainConfig
+    from wienerlab.config import TrainSection
+    from wienerlab.trainer import DenseAutoencoder, train
 
     x, y = random_signal((6, 6), 5), random_signal((6, 6), 6)
     w = WindowSpec("laplace", 2.0)
@@ -51,12 +52,14 @@ def _lambda_entry_points():
         "wiener_filter": lambda lam: wiener_filter(x, y, lam),
         "wiener_loss": lambda lam: wiener_loss(x, y, w, lam),
         "ti_distance": lambda lam: ti_distance(x, y, lam),
-        "pair_report": lambda lam: wiener.pair_report(x, y, w, lam),
         "EnergyModel": lambda lam: EnergyModel(y[None], pen, 1.0, lam),
         "evaluate_accuracy": lambda lam: evaluate_accuracy(
             LabeledSet(y[None], [0]), LabeledSet(x[None], [0]), 1, "wiener_ti", lam
         ),
-        "TrainConfig": lambda lam: TrainConfig(lam=lam),
+        "train": lambda lam: train(
+            DenseAutoencoder((36, 36)), x[None], TrainSection(loss="mse", learning_rate=1e-3, seed=0),
+            WindowSpec("laplace", 2.0, 0.1), lam,
+        ),
     }
 
 
@@ -345,7 +348,7 @@ class TestTiValues:
         rng = np.random.default_rng(50)
         kernel = QuotientKernel(rng.random(fixed_shape), extents, 0.5)
         varying = rng.random(varying_shape)
-        _, whole, whole_flat = kernel.filters_with_ti(varying)
+        whole, whole_flat = kernel.ti_values(varying)
         bounds = kernel.ti_bounds(varying)
         assert every_plane(kernel, varying, whole).tobytes() == whole.tobytes()
         # a chunk of 2 leading rows at most, and no set size above is a multiple of it
@@ -364,7 +367,7 @@ class TestTiValues:
         fixed = rng.random((7, 2, 4, 6))
         kernel = QuotientKernel(fixed[:, np.newaxis], (4, 6), 0.5)
         varying = rng.random((5, 2, 4, 6))
-        whole = kernel.filters_with_ti(varying)[1]
+        whole = kernel.ti_values(varying)[0]
         assert whole.shape == (7, 5, 2)
         bounds = kernel.ti_bounds(varying)
         cell = 2 * int(np.prod(kernel.padded))
@@ -373,7 +376,7 @@ class TestTiValues:
             assert kernel.ti_bounds(varying).tobytes() == bounds.tobytes()
             assert every_plane(kernel, varying, whole).tobytes() == whole.tobytes()
         for i, j in [(0, 0), (3, 4), (6, 2)]:  # a plane's value is its single-pair value
-            single = QuotientKernel(fixed[i], (4, 6), 0.5).filters_with_ti(varying[j])[1]
+            single = QuotientKernel(fixed[i], (4, 6), 0.5).ti_values(varying[j])[0]
             np.testing.assert_array_equal(single, whole[i, j])
 
     @pytest.mark.parametrize("shape", [(12,), (6, 5), (4, 7)])
@@ -417,7 +420,7 @@ class TestTiValues:
 
     def test_constant_plane_is_zero_and_flagged(self):
         kernel = QuotientKernel(np.random.default_rng(52).random((3, 1, 8)), (8,), 0.0)
-        _, values, constant = kernel.filters_with_ti(np.zeros((1, 8)))
+        values, constant = kernel.ti_values(np.zeros((1, 8)))
         assert constant.shape == (3, 1) and constant.all()
         assert np.all(values == 0.0)
 
@@ -428,7 +431,7 @@ class TestTiValues:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError):
-                kernel.filters_with_ti(query)
+                kernel.ti_values(query)
             with pytest.raises(NumericalError):
                 kernel.ti_values_at(query, (np.arange(4), np.zeros(4, int)))
 
@@ -454,7 +457,7 @@ class TestTiBounds:
         for budget in (None, 3 * cell, 6 * cell):
             if budget is not None:
                 monkeypatch.setattr(wiener, "TI_CHUNK_ELEMENTS", budget)
-            values = kernel.filters_with_ti(varying)[1]
+            values = kernel.ti_values(varying)[0]
             lower = kernel.ti_bounds(varying)
             assert lower.shape == values.shape
             assert np.all(lower <= values)
@@ -473,7 +476,7 @@ class TestTiBounds:
         )
         kernel = QuotientKernel(plane[np.newaxis], extents, 0.0)
         moved = np.roll(plane, shift, axis=tuple(range(len(extents))))[np.newaxis]
-        values = kernel.filters_with_ti(moved)[1]
+        values = kernel.ti_values(moved)[0]
         lower = kernel.ti_bounds(moved)
         assert np.all(lower <= values)
         np.testing.assert_allclose(lower, values, rtol=1e-8)
@@ -481,7 +484,7 @@ class TestTiBounds:
     def test_constant_plane_bound_is_minus_infinity(self):
         kernel = QuotientKernel(np.random.default_rng(57).random((3, 1, 8)), (8,), 0.0)
         lower = kernel.ti_bounds(np.zeros((1, 8)))
-        constant = kernel.filters_with_ti(np.zeros((1, 8)))[2]
+        constant = kernel.ti_values(np.zeros((1, 8)))[1]
         assert np.all(lower == -np.inf) and np.all(constant)
         index = (np.arange(3), np.zeros(3, int))
         at = kernel.ti_values_at(np.zeros((1, 8)), index)
@@ -593,7 +596,7 @@ class TestKernelRows:
         np.testing.assert_array_equal(sub.concentrations(varying), ref.concentrations(varying))
         g = rng.random(v.shape)
         np.testing.assert_array_equal(sub.pullback(g), ref.pullback(g))
-        for got, want in zip(sub.filters_with_ti(varying), ref.filters_with_ti(varying)):
+        for got, want in zip(sub.ti_values(varying), ref.ti_values(varying)):
             np.testing.assert_array_equal(got, want)
 
     def test_rows_need_a_leading_axis(self):
@@ -614,36 +617,12 @@ class TestKernelRows:
         assert kernel.filters(x).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("planes", [(3, 5, 6), (1, 96, 96), (2, 9)])
-    def test_filters_with_ti_is_filters_and_ti_values_at(self, planes):
+    def test_ti_values_are_ti_values_at_and_those_of_the_filters(self, planes):
         rng = np.random.default_rng(61)
         kernel = QuotientKernel(rng.random(planes), planes[1:], 0.3)
         varying = rng.random(planes)
-        v, values, constant = kernel.filters_with_ti(varying)
-        np.testing.assert_array_equal(v, kernel.filters(varying))
+        values, constant = kernel.ti_values(varying)
         assert every_plane(kernel, varying, values).tobytes() == values.tobytes()
-        reference = spatial_ti_values(v, len(planes) - 1)
+        reference = spatial_ti_values(kernel.filters(varying), len(planes) - 1)
         np.testing.assert_allclose(values, reference, rtol=1e-12, atol=0)
         assert values.shape == constant.shape and not constant.any()
-
-    @pytest.mark.parametrize(
-        "shape, channels",
-        [
-            ((12, 10), 1), ((7,), 2), ((96, 96), 1), ((128, 100), 1), ((30, 20), 3),
-            ((96, 96), 2), ((128, 100), 3), ((150, 97), 2),
-        ],
-    )
-    def test_pair_report_equals_the_pairwise_functionals(self, shape, channels):
-        # the multichannel planes at 96^2 and above differed in the last bits
-        # while the moments' reduction depended on the number of planes
-        rng = np.random.default_rng(62)
-        n = int(np.prod(shape)) * channels
-        a = rng.random(n).reshape((channels, *shape))
-        b = rng.random(n).reshape((channels, *shape))
-        lam = 0.6
-        whitening = WindowSpec("laplace", 2.0, 0.2)
-        report = wiener.pair_report(a, b, whitening, lam)
-        assert report == {
-            "wiener_loss": wiener_loss(a, b, whitening, lam),
-            "ti_distance": ti_distance(a, b, lam),
-            "filter_concentration": concentration(wiener_filter(a, b, lam)),
-        }
