@@ -280,7 +280,7 @@ def _defining_set(cfg: ExperimentConfig) -> np.ndarray:
         )[0]
     if d.dataset == "digits":
         return make_digit_set(d.n_defining, size=8, seed=d.data_seed).stack
-    return read_idx_images(d.dataset, d.n_defining)[:, np.newaxis]
+    return read_idx_images(d.dataset, d.n_defining)
 
 
 def _cmd_diffuse(args, cfg: ExperimentConfig):
@@ -429,14 +429,17 @@ def _train_data(cfg: ExperimentConfig) -> np.ndarray:
     if t.data_labels:
         return ingest_idx(t.data_images, t.data_labels, t.n_train).stack
     if t.data_images:
-        return read_idx_images(t.data_images, t.n_train)[:, np.newaxis]
+        return read_idx_images(t.data_images, t.n_train)
     return make_digit_set(t.n_train, size=t.digit_size, seed=t.data_seed).stack
 
 
 def _cmd_train(args, cfg: ExperimentConfig):
     t = cfg.train
+    try:  # the layer widths and the activation, before any data is read
+        model = DenseAutoencoder.initialize(t.width_tuple(), activation=t.activation, seed=t.seed)
+    except ConfigError as exc:
+        raise ConfigError(f"[train] {exc}") from exc
     data = _train_data(cfg)
-    model = DenseAutoencoder.initialize(t.width_tuple(), activation=t.activation, seed=t.seed)
     width = data[0].size
     if not model.widths[0] == model.widths[-1] == width:
         raise ConfigError(
@@ -449,11 +452,10 @@ def _cmd_train(args, cfg: ExperimentConfig):
             log = train(model, data, t, cfg.window, cfg.wiener.lam)
         except TrainingDivergedError as exc:
             diverged, log = exc, exc.log  # the log up to the last finite epoch is still written
-        logged = len(log.concentrations)  # a diagnostic that diverged leaves its epoch's loss out
         write_csv(
             run_dir / "train_log.csv",
             ["epoch", "loss", "concentration"],
-            [list(range(logged)), log.losses[:logged], log.concentrations],
+            [list(range(len(log.losses))), log.losses, log.concentrations],
         )
         if diverged is not None:
             raise diverged

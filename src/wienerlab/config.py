@@ -140,7 +140,7 @@ class TrainSection(Section):
         try:
             return tuple(int(w) for w in self.widths.split(","))
         except ValueError as exc:
-            raise ConfigError(f"bad widths {self.widths!r}: {exc}") from exc
+            raise ConfigError(f"widths {self.widths!r} are not integers: {exc}") from exc
 
 
 class RecoverSection(Section):

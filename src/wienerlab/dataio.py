@@ -1,12 +1,14 @@
 """File formats: IDX image/label ingestion, binary PGM, the model binary, CSV.
 
 IDX files follow the big-endian layout (magic 0x00000803 for images,
-0x00000801 for labels) and may be gzip-compressed. Pixels are scaled to
-[0, 1] on read; writes clamp to [0, 1] and quantize to 8 bits.
+0x00000801 for labels) and may be gzip-compressed; one parser, ``_read_idx``,
+reads both. Images arrive as the library's set stack (n, 1, rows, cols),
+pixels scaled to [0, 1]; writes clamp to [0, 1] and quantize to 8 bits.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -52,48 +54,42 @@ def _be32(buf: bytes, offset: int) -> int:
     return struct.unpack_from(">I", buf, offset)[0]
 
 
+def _read_idx(path, magic: int, limit: int | None) -> tuple[int, np.ndarray]:
+    """The item count from the header of an IDX file with `magic` (whose low
+    byte is the number of dimensions), and its first `limit` items as uint8."""
+    if limit is not None and limit < 1:
+        raise ConfigError(f"a set size read from an IDX file must be at least 1, got {limit}")
+    kind = "image" if magic == IDX_IMAGE_MAGIC else "label"
+    buf = _read_bytes(path)
+    found = _be32(buf, 0)
+    if found != magic:
+        raise FormatError(f"bad {kind} magic 0x{found:08x}", offset=0)
+    dims = [_be32(buf, 4 * axis) for axis in range(1, (magic & 0xFF) + 1)]
+    start, size = 4 + 4 * len(dims), math.prod(dims)
+    if len(buf) < start + size:
+        raise FormatError(
+            f"truncated {kind} data: have {len(buf)} bytes, need {start + size}", offset=len(buf)
+        )
+    return dims[0], np.frombuffer(buf, np.uint8, count=size, offset=start).reshape(dims)[:limit]
+
+
 def read_idx_images(path, limit: int | None = None) -> np.ndarray:
-    """(count, rows, cols) array of float64 pixels in [0, 1].
+    """The set stack (count, 1, rows, cols) of float64 pixels in [0, 1].
 
     With `limit`, only the first `limit` images (all of them if the file
     holds fewer) are converted from the 8-bit payload; a `limit` below 1 is
     a ConfigError, not a slice from the end.
     """
-    return _read_idx_images(path, limit)[1]
+    return _unit_stack(_read_idx(path, IDX_IMAGE_MAGIC, limit)[1])
 
 
-def _read_idx_images(path, limit: int | None) -> tuple[int, np.ndarray]:
-    """The image count from the header, and the first `limit` images as in
-    ``read_idx_images``."""
-    if limit is not None and limit < 1:
-        raise ConfigError(f"a set size read from an IDX file must be at least 1, got {limit}")
-    buf = _read_bytes(path)
-    magic = _be32(buf, 0)
-    if magic != IDX_IMAGE_MAGIC:
-        raise FormatError(f"bad image magic 0x{magic:08x}", offset=0)
-    count = _be32(buf, 4)
-    rows = _be32(buf, 8)
-    cols = _be32(buf, 12)
-    expected = 16 + count * rows * cols
-    if len(buf) < expected:
-        raise FormatError(
-            f"truncated image data: have {len(buf)} bytes, need {expected}", offset=len(buf)
-        )
-    pixels = np.frombuffer(buf, dtype=np.uint8, count=count * rows * cols, offset=16)
-    return count, pixels.reshape(count, rows, cols)[:limit].astype(np.float64) / 255.0
+def _unit_stack(pixels: np.ndarray) -> np.ndarray:
+    """8-bit images (n, rows, cols) as one-channel float64 planes in [0, 1]."""
+    return pixels[:, np.newaxis].astype(np.float64) / 255.0
 
 
 def read_idx_labels(path) -> np.ndarray:
-    buf = _read_bytes(path)
-    magic = _be32(buf, 0)
-    if magic != IDX_LABEL_MAGIC:
-        raise FormatError(f"bad label magic 0x{magic:08x}", offset=0)
-    count = _be32(buf, 4)
-    if len(buf) < 8 + count:
-        raise FormatError(
-            f"truncated label data: have {len(buf)} bytes, need {8 + count}", offset=len(buf)
-        )
-    return np.frombuffer(buf, dtype=np.uint8, count=count, offset=8).astype(int)
+    return _read_idx(path, IDX_LABEL_MAGIC, None)[1].astype(int)
 
 
 def ingest_idx(images_path, labels_path=None, limit: int | None = None) -> LabeledSet:
@@ -110,7 +106,7 @@ def ingest_idx(images_path, labels_path=None, limit: int | None = None) -> Label
         if derived == name:
             raise FormatError(f"cannot derive a labels path from {name!r}")
         labels_path = derived
-    count, images = _read_idx_images(images_path, limit)
+    count, pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, limit)
     labels = read_idx_labels(labels_path)
     if count != labels.shape[0]:
         raise FormatError(f"count mismatch: {count} images vs {labels.shape[0]} labels")
@@ -119,7 +115,7 @@ def ingest_idx(images_path, labels_path=None, limit: int | None = None) -> Label
     bad = np.flatnonzero(labels > 9)
     if bad.size:
         raise FormatError(f"label {labels[bad[0]]} of sample {bad[0]} outside 0..9")
-    return LabeledSet(images[:, np.newaxis], labels[: len(images)])
+    return LabeledSet(_unit_stack(pixels), labels[: len(pixels)])
 
 
 def read_pgm(path) -> np.ndarray:

@@ -145,17 +145,10 @@ def _distance_matrix(
 def _vote(dists: np.ndarray, labels: np.ndarray, k: int) -> int:
     """Majority vote; ties by smallest summed distance, then lowest class id."""
     order = np.argsort(dists, kind="stable")[:k]
-    counts = np.zeros(N_CLASSES, dtype=int)
-    sums = np.zeros(N_CLASSES)
-    for i in order:
-        counts[labels[i]] += 1
-        sums[labels[i]] += dists[i]
-    best = counts.max()
-    tied = [c for c in range(N_CLASSES) if counts[c] == best]
-    if len(tied) == 1:
-        return tied[0]
-    min_sum = min(sums[c] for c in tied)
-    return min(c for c in tied if sums[c] == min_sum)
+    counts = np.bincount(labels[order], minlength=N_CLASSES)
+    sums = np.bincount(labels[order], dists[order], minlength=N_CLASSES)  # summed in k order
+    tied = np.flatnonzero(counts == counts.max())
+    return int(tied[np.argmin(sums[tied])])  # argmin takes the first: the lowest class id
 
 
 def make_translated_set(

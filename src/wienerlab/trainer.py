@@ -78,9 +78,9 @@ class DenseAutoencoder:
     def __init__(self, widths: tuple[int, ...], activation: str = "mish", theta=None):
         self.widths = widths = tuple(int(w) for w in widths)
         if len(widths) < 2:
-            raise ConfigError("need at least an input and an output layer")
+            raise ConfigError(f"layer widths {widths} need at least an input and an output layer")
         if min(widths) < 1:
-            raise ConfigError(f"every layer width must be >= 1, got {widths}")
+            raise ConfigError(f"layer widths {widths} must all be >= 1")
         if activation not in _ACTIVATIONS:
             raise ConfigError(f"unknown activation {activation!r}")
         self.activation = activation
@@ -294,11 +294,10 @@ def train(model: DenseAutoencoder, data, cfg, whitening: WindowSpec, lam: float)
                 m_hat = m / (1 - cfg.beta1**step)
                 v_hat = v / (1 - cfg.beta2**step)
                 model.theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
-            log.losses.append(float(np.mean(epoch_losses)))
-            try:
-                log.concentrations.append(
-                    _mean_concentration(model, eval_X, shape, cfg, kernel_rows)
-                )
+            try:  # an epoch is logged whole: its loss and its concentration, or neither
+                concentration = _mean_concentration(model, eval_X, shape, cfg, kernel_rows)
             except NumericalError:
                 raise TrainingDivergedError(epoch, log)
+            log.losses.append(float(np.mean(epoch_losses)))
+            log.concentrations.append(concentration)
     return log

@@ -12,12 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wienerlab import cli
+from wienerlab import cli, trainer
 from wienerlab.cli import _mask_aware_mean_fill, _recover_objective, main
 from wienerlab.config import RecoverSection, TrainSection, load_config
 from wienerlab.dataio import read_pgm, load_model, write_pgm
 from wienerlab.datasets import make_digit_set
 from wienerlab.diffusion import run_diffusion
+from wienerlab.errors import NumericalError
 from wienerlab.spectral import WindowSpec, make_window
 from wienerlab.wiener import (
     QuotientKernel, concentration, loss_and_grad, ti_distance, wiener_filter, wiener_loss,
@@ -587,6 +588,42 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err, err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "settings",
+        ["widths = 64,0,64", "widths = a,b", "widths = 64", "activation = swish",
+         "widths = 64,0,64\ndata_images = {missing}"],
+        ids=["zero-width", "not-integers", "one-width", "activation", "zero-width-missing-data"],
+    )
+    def test_model_settings_are_checked_before_any_data(self, tmp_path, capsys, settings):
+        # the model is built first, so a missing data file is not what reports a typo
+        cfgf = tmp_path / "c.ini"
+        settings = settings.format(missing=tmp_path / "absent-images-idx3-ubyte")
+        cfgf.write_text(f"[train]\nn_train = 20\nepochs = 1\n{settings}\n")
+        out = tmp_path / "never"
+        assert main(["train", "--config", str(cfgf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.match(r"config error: \[train\] .*(widths|activation)", err), err
+        assert not out.exists()
+
+    def test_a_diverged_diagnostic_logs_whole_epochs(self, tmp_path, monkeypatch):
+        calls, measure = [], trainer._mean_concentration
+
+        def failing_third(*args):  # the initial concentration, epoch 0's, then epoch 1's
+            calls.append(None)
+            if len(calls) == 3:
+                raise NumericalError("diagnostic diverged")
+            return measure(*args)
+
+        monkeypatch.setattr(trainer, "_mean_concentration", failing_third)
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text("[train]\nn_train = 40\nepochs = 4\nbatch_size = 20\nloss = mse\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfgf), "--out", str(out)]) == 4
+        rows = (out / "train_log.csv").read_text().splitlines()
+        assert rows[0] == "epoch,loss,concentration" and len(rows) == 2, rows
+        assert rows[1].startswith("0,")
+        assert not (out / "train.json").exists() and not (out / "model.wnae").exists()
 
     @pytest.mark.parametrize("widths", ["64,4,63", "63,4,64", "16,4,16"])
     def test_train_widths_off_the_sample_width_exit_2_without_artifacts(

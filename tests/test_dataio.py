@@ -15,7 +15,9 @@ from wienerlab.dataio import (
     write_csv,
     write_pgm,
 )
+from wienerlab.diffusion import EnergyModel
 from wienerlab.errors import ConfigError, FormatError, ShapeError
+from wienerlab.spectral import WindowSpec
 from wienerlab.trainer import DenseAutoencoder, forward
 
 
@@ -35,15 +37,32 @@ class TestIdx:
         p = tmp_path / "two-images-idx3-ubyte"
         p.write_bytes(idx_image_bytes(imgs))
         out = read_idx_images(p)
-        assert out.shape == (2, 28, 28)
+        assert out.shape == (2, 1, 28, 28)
         assert out.max() <= 1.0 and out.min() >= 0.0
-        np.testing.assert_allclose(out * 255.0, imgs, atol=1e-12)
+        np.testing.assert_allclose(out[:, 0] * 255.0, imgs, atol=1e-12)
 
     def test_gzip_transparent(self, tmp_path):
         imgs = np.full((3, 4, 4), 128, dtype=np.uint8)
         p = tmp_path / "imgs.gz"
         p.write_bytes(gzip.compress(idx_image_bytes(imgs)))
-        assert read_idx_images(p).shape == (3, 4, 4)
+        assert read_idx_images(p).shape == (3, 1, 4, 4)
+
+    @pytest.mark.parametrize("pack", [bytes, gzip.compress], ids=["plain", "gzip"])
+    def test_images_arrive_as_a_one_channel_set_stack(self, tmp_path, pack):
+        imgs = np.random.default_rng(5).integers(0, 256, size=(6, 5, 7)).astype(np.uint8)
+        p = tmp_path / "six-images-idx3-ubyte"
+        p.write_bytes(pack(idx_image_bytes(imgs)))
+        out = read_idx_images(p)
+        assert out.shape == (6, 1, 5, 7)
+        np.testing.assert_array_equal(out[:, 0], imgs / 255.0)
+
+    def test_an_energy_model_reads_idx_images_as_planes(self, tmp_path):
+        # a (count, rows, cols) array would read as rows-channel 1-D signals
+        imgs = np.random.default_rng(6).integers(1, 256, size=(6, 5, 7)).astype(np.uint8)
+        p = tmp_path / "six-images-idx3-ubyte"
+        p.write_bytes(idx_image_bytes(imgs))
+        model = EnergyModel(read_idx_images(p), WindowSpec("laplace", 2.0), 1.0, 1.0)
+        assert model.kernel.shape == (5, 7)
 
     def test_bad_magic_reports_offset(self, tmp_path):
         p = tmp_path / "bad"

@@ -243,6 +243,18 @@ def test_one_central_difference_loop():
     assert len(sites) == 1, sites
 
 
+def test_idx_headers_are_parsed_in_one_function():
+    # images and labels share one header parser, keyed by the magic number
+    callers = sorted({
+        fn.name
+        for fn in ast.walk(ast.parse((SRC / "dataio.py").read_text()))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_be32"
+    })
+    assert callers == ["_read_idx"], callers
+
+
 def test_oracles_stay_independent_of_the_fast_path():
     # the dense oracle takes no FFT and nothing from the kernel's module, and
     # the package never reaches back into the harnesses

@@ -296,6 +296,24 @@ class TestTrain:
         # the attached log stops at the diverged epoch
         assert len(err.value.log.losses) < cfg.epochs
 
+    def test_a_diverged_diagnostic_leaves_its_epoch_out_of_the_log(self, monkeypatch):
+        # calls: the initial concentration, epoch 0's, then epoch 1's, which fails
+        calls, measure = [], trainer._mean_concentration
+
+        def failing_third(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise NumericalError("diagnostic diverged")
+            return measure(*args)
+
+        monkeypatch.setattr(trainer, "_mean_concentration", failing_third)
+        model = DenseAutoencoder.initialize((64, 8, 64), seed=6)
+        with pytest.raises(TrainingDivergedError, match="at epoch 1") as err:
+            train(model, digits(40), section(epochs=4, batch_size=20), WHITENING, LAM)
+        log = err.value.log
+        assert len(log.losses) == len(log.concentrations) == 1
+        assert np.isfinite(log.losses[0]) and np.isfinite(log.concentrations[0])
+
     def test_empty_data_rejected(self):
         model = DenseAutoencoder.initialize((4, 4), seed=7)
         with pytest.raises(ConfigError):
